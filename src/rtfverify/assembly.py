@@ -59,9 +59,6 @@ class AnalyticConsts:
     D_F: float = 1.0
     L1_eta: float = 1.0          # the finite part L_fin(1, eta) > 0
     Lp_over_L: float = 0.0
-    G_eta_mod: float = 1.0
-    vol: float = 1.0
-    i_l_tilde: complex | None = None
 
     def __post_init__(self):
         if self.D_F < 1 or self.L1_eta <= 0:

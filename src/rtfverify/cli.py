@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
+from .errors import SignClassError
 from .formal import FormalLog
 from .ideals import load_config, parse_ideal
 
@@ -168,7 +169,7 @@ def cmd_main_terms(args) -> int:
     try:
         payload["AL_main"] = assembly.main_AL(n, a, eta, consts, w)
         cls = "+"
-    except Exception:
+    except SignClassError:
         pass
     try:
         bracket = assembly.main_ADL_bracket(n, a, eta)
@@ -177,7 +178,7 @@ def cmd_main_terms(args) -> int:
         payload["ADL_main"] = assembly.main_ADL_value(n, a, eta, consts, w)
         payload["geom_equals_main"] = bracket == geom
         cls = "-"
-    except Exception:
+    except SignClassError:
         pass
     payload["sign_class"] = cls
     if args.out == "json":

@@ -110,15 +110,27 @@ def _as_value(v: Value) -> Value:
 # closed forms
 
 
+def _iroot(x: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= x, by integer Newton steps."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)   # 2^ceil(bits/k) > x^(1/k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
     nt = Fraction(n.norm) ** t.numerator
     if t.denominator == 1:
         return nt
-    # need an exact rational root
-    num, den = nt.numerator, nt.denominator
-    rn = round(num ** (1 / t.denominator))
-    rd = round(den ** (1 / t.denominator))
-    if rn ** t.denominator == num and rd ** t.denominator == den:
+    # need an exact rational root; norms may exceed the float range
+    d = t.denominator
+    rn = _iroot(nt.numerator, d)
+    rd = _iroot(nt.denominator, d)
+    if rn ** d == nt.numerator and rd ** d == nt.denominator:
         return Fraction(rn, rd)
     raise NonRationalPower(f"norm({n})^{t} is irrational")
 

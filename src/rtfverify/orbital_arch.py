@@ -227,7 +227,7 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     return ResidueParts(a_const, a_L, a_L2, a_pi2, b_L, b_const)
 
 
-def j_plus_quad(l: int, b: float, tol: float = 1e-11) -> complex:
+def j_plus_quad(l: int, b: float) -> complex:
     """J_+(l; b): the defining half-line integral without the log weight,
     at elevated precision (it is combined against the residue parts, whose
     cancellation demands more than float64 headroom)."""
@@ -250,10 +250,6 @@ def w_plus_quad(l: int, b: float, tol: float = 1e-11) -> complex:
     panels for real and imaginary parts with a refinement cross-check."""
     if l < 6 or l % 2:
         raise ValueError("even l >= 6 required for comfortable decay")
-    return _halfline_quad(l, b, with_log=True, tol=tol)
-
-
-def _halfline_quad(l: int, b: float, with_log: bool, tol: float) -> complex:
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     h = l // 2
@@ -261,8 +257,7 @@ def _halfline_quad(l: int, b: float, with_log: bool, tol: float) -> complex:
     pref = 1j ** h * (1 + b) ** (-h)   # negative base, integer power: real
 
     def integrand(t: float) -> complex:
-        base = (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1)
-        return base * math.log(t) if with_log else base
+        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * math.log(t)
 
     # scipy cannot integrate complex integrands directly; do the two parts
     re_head, e1 = integrate.quad(lambda t: integrand(t).real, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)

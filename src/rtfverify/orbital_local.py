@@ -13,6 +13,8 @@ eta(varpi) = -1 is defined as the value of its shell sum,
 The opposite-sign variant (kept as tilde_delta_displayed for comparison)
 fails to specialise to the level-support integral at conductor exponent one
 and is rejected by the oracle.
+
+Every value is in units of the local volume vol(O_v^x).
 """
 from __future__ import annotations
 
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import sympy
-
 from .errors import MissingOracle
-from .formal import FormalLog
+from .formal import FormalLog, _factor_small
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,18 @@ def tau_S_rational(b: Fraction, bset_norm: int) -> int:
     b = Fraction(b)
     if b in (0, -1):
         raise ValueError("b must avoid 0 and -1")
-    bset_primes = {int(p): int(e) for p, e in sympy.factorint(bset_norm).items()}
-    for p, e in sympy.factorint(b.denominator).items():
+    bset_primes = dict(_factor_small(bset_norm))
+    for p, e in _factor_small(b.denominator):
         # ord_p(b) = -e must stay >= -ord_p(bset); off-support primes need e = 0
-        if int(e) > bset_primes.get(int(p), 0):
+        if e > bset_primes.get(p, 0):
             return 0
     tau = 1
-    num = abs((b * (b + 1)).numerator)
-    for p, e in sympy.factorint(num).items():
-        if int(p) not in bset_primes:
-            tau *= int(e) + 1
+    # b(b+1) = u(u+v)/v^2 with u and u+v coprime, so their factorisations
+    # together are that of the numerator
+    u, v = b.numerator, b.denominator
+    for p, e in _factor_small(abs(u)) + _factor_small(abs(u + v)):
+        if p not in bset_primes:
+            tau *= e + 1
     return tau
 
 
@@ -159,14 +161,13 @@ def delta0_plain(x_ord: int, eta_val: int) -> Fraction:
 # the S-place integral transforms
 
 
-def tilde_I_plus(m: int, point: LocalPoint, q: int, eta_val: int,
-                 vol: Fraction = Fraction(1)) -> FormalLog:
+def tilde_I_plus(m: int, point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """Closed form of the half-line log-integral against the level-m kernel,
     as a FormalLog in log q.  Exact for even m; odd m carries the irrational
     q^(-m/2) (use tilde_I_plus_scaled for the always-rational scaled value).
     """
     scale = Fraction(1, q ** (m // 2)) if m % 2 == 0 else Fraction(q ** (-m / 2))
-    return FormalLog.log_integer(q, vol * scale * tilde_I_plus_scaled(m, point, q, eta_val))
+    return FormalLog.log_integer(q, scale * tilde_I_plus_scaled(m, point, q, eta_val))
 
 
 def tilde_I_plus_scaled(m: int, point: LocalPoint, q: int, eta_val: int) -> Fraction:
@@ -208,8 +209,7 @@ def shift_point(point: LocalPoint) -> LocalPoint:
 
 
 def w_hecke_scaled(m: int, point: LocalPoint, q: int, eta_val: int,
-                   iplus_oracle: Callable[[int, LocalPoint], Fraction] | None = None,
-                   vol: Fraction = Fraction(1)) -> Fraction:
+                   iplus_oracle: Callable[[int, LocalPoint], Fraction] | None = None) -> Fraction:
     """q^(m/2)/(vol log q) times W(b; alpha^(m)).
 
     Needs the externally supplied log-free integral I+(m; .) when m > 0 (a
@@ -223,13 +223,11 @@ def w_hecke_scaled(m: int, point: LocalPoint, q: int, eta_val: int,
             + eta_val * delta0_plain(shifted.ordb, eta_val)
             - eta_val * tilde_delta(0, shifted, eta_val)
         )
-        return -2 * val * vol
+        return -2 * val
     if iplus_oracle is None:
         raise MissingOracle("I+(m; .) values required for m > 0")
-    return vol * (
-        tilde_I_plus_scaled(m, point, q, eta_val)
-        + eta_val * (iplus_oracle(m, shifted) - tilde_I_plus_scaled(m, shifted, q, eta_val))
-    )
+    return (tilde_I_plus_scaled(m, point, q, eta_val)
+            + eta_val * (iplus_oracle(m, shifted) - tilde_I_plus_scaled(m, shifted, q, eta_val)))
 
 
 def w_hecke_bound_parts(m: int, point: LocalPoint, q: int, eta_val: int) -> float:
@@ -260,8 +258,7 @@ def w_hecke_gq_bound(m: int, point: LocalPoint, q: int) -> float:
 # places outside S
 
 
-def w_unramified(point: LocalPoint, q: int, eta_val: int,
-                 vol: Fraction = Fraction(1)) -> FormalLog:
+def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """vol log q Lambda-tilde(b) at a place away from the level and the
     conductor (three-case closed form)."""
     if point.ordb < 0:
@@ -272,11 +269,10 @@ def w_unramified(point: LocalPoint, q: int, eta_val: int,
         coeff = -tilde_delta(0, LocalPoint(point.ordb1, 0), eta_val)
     else:
         coeff = Fraction(0)
-    return FormalLog.log_integer(q, vol * coeff)
+    return FormalLog.log_integer(q, coeff)
 
 
-def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int,
-                        vol: Fraction = Fraction(1)) -> FormalLog:
+def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """The two finite geometric log-sums from the defining integral:
     shells |b| <= |t| < 1 and 1 < |t| <= |b+1|^-1."""
     if point.ordb < 0:
@@ -284,11 +280,10 @@ def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int,
     # first piece: ord(t) = 1 .. ord(b); second: ord(t) = -ord(b+1) .. -1
     piece1 = -shell_sum(eta_val, 1, point.ordb)
     piece2 = -shell_sum(eta_val, -point.ordb1, -1)
-    return FormalLog.log_integer(q, vol * (piece1 + piece2))
+    return FormalLog.log_integer(q, piece1 + piece2)
 
 
-def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int,
-            vol: Fraction = Fraction(1)) -> FormalLog:
+def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Closed form at a place dividing the level (both eta signs)."""
     if ordn < 1:
         raise ValueError("ordn >= 1 required")
@@ -301,22 +296,20 @@ def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int,
         en = eta_at(-1, ordn)
         eb = eta_at(-1, N)
         coeff = Fraction(ordn * en + N * eb, 2) + Fraction(eb - en, 4)
-    return FormalLog.log_integer(q, -vol * coeff)
+    return FormalLog.log_integer(q, -coeff)
 
 
-def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int,
-                   vol: Fraction = Fraction(1)) -> FormalLog:
+def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Defining sum: -vol log q sum_(n=ordn..ord b) eta(varpi^n) n."""
     if ordn < 1:
         raise ValueError("ordn >= 1 required")
     if point.ordb < ordn:
         return FormalLog.zero()
-    return FormalLog.log_integer(q, -vol * shell_sum(eta_val, ordn, point.ordb))
+    return FormalLog.log_integer(q, -shell_sum(eta_val, ordn, point.ordb))
 
 
 def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
-               eta_bb1: int | None = None, d_v: int = 0,
-               vol_scale: float = 1.0) -> float:
+               eta_bb1: int | None = None, d_v: int = 0) -> float:
     """Closed form at a ramified place of the character, conductor exponent f.
 
     eta_bb1 = eta_v(b(b+1)) must be supplied by the caller (the character on
@@ -331,7 +324,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
         eta_bb1 = point.unit_eta
     if eta_bb1 not in (1, -1):
         raise ValueError("eta(b(b+1)) must be +-1")
-    pref = eta_minus1 * (1 - 1 / q) ** -1 * q ** (-f - d_v / 2) * vol_scale
+    pref = eta_minus1 * (1 - 1 / q) ** -1 * q ** (-f - d_v / 2)
     inner = -f
     if point.ordb > 0:
         inner += eta_bb1 * (-f - point.ordb)

@@ -1,226 +1,73 @@
-"""Acceptance gate: each criterion runs at its stated tolerance and prints a
-pass/fail line.  Run with `pytest -s tests/test_acceptance.py` (or `rtf
-verify`) to watch the lines."""
-import math
-import random
-import time
-from fractions import Fraction
-from itertools import product
+"""Acceptance gate: every check of every `rtf verify` suite at seed 0.
 
-import numpy as np
+Each check's seeds, grid and tolerance live in `rtfverify.verify`; run
+`pytest -s tests/test_acceptance.py` (or `rtf verify`) to watch one line per
+check.  Each suite runs once; the criterion tests name the checks that carry
+criteria 1-10.
+"""
+import functools
+
 import pytest
 
-from rtfverify import assembly, lattice, ntransform, orbital_arch, orbital_local, testfns, verify
-from rtfverify import spectral
-from rtfverify.formal import FormalLog
-from rtfverify.ideals import Ideal, Prime
-from rtfverify.ntransform import log_norm_fn, norm_power_fn
+from rtfverify import verify
 
 
-def _report(num: int, label: str, ok: bool, detail: str = ""):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {label}" + (f" ({detail})" if detail else ""))
-    assert ok, f"criterion {num}: {label} {detail}"
+@functools.cache
+def _records(suite: str) -> dict[str, verify.CheckResult]:
+    return {res.name: res for res in verify.SUITES[suite](seed=0)}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suite(suite):
+    results = _records(suite).values()
+    for res in results:
+        print(res.line())
+    failed = [res.line() for res in results if not res.ok]
+    assert not failed, "\n".join(failed)
+
+
+def _assert_checks(*names: str):
+    results = [_records(name.split(".")[0])[name] for name in names]
+    failed = [res.line() for res in results if not res.ok]
+    assert not failed, "\n".join(failed)
 
 
 def test_criterion_1_inversion_roundtrip():
-    rng = random.Random(0)
-    t0 = time.monotonic()
-    bad = 0
-    for trial in range(200):
-        primes = verify._random_monoid(rng)
-        n = verify._random_ideal(rng, primes)
-        A = verify._cached_random_fn(rng)
-        if trial % 2 == 0:
-            B = ntransform.ArithFn(lambda m, A=A: ntransform.convolve_omega(A, m))
-            bad += ntransform.n_transform(B, n) != A(n)
-        else:
-            B2 = ntransform.ArithFn(lambda m, A=A: ntransform.n_transform(A, m))
-            bad += ntransform.convolve_omega(B2, n) != A(n)
-    dt = time.monotonic() - t0
-    _report(1, "inversion round trip on 200 random instances",
-            bad == 0 and dt < 5.0, f"{bad} failures, {dt:.2f}s")
+    _assert_checks("ntransform.inversion-roundtrip-200")
 
 
 def test_criterion_2_closed_forms_exhaustive():
-    t0 = time.monotonic()
-    primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
-    bad = 0
-    for exps in product(range(7), repeat=4):
-        n = Ideal.of(dict(zip(primes, exps)))
-        for t in (-1, 0, 1, 2):
-            bad += ntransform.n_transform(norm_power_fn(t), n) != ntransform.closed_power(n, t)
-        bad += ntransform.n_transform(log_norm_fn(), n) != ntransform.closed_log(n)
-    dt = time.monotonic() - t0
-    _report(2, "norm-power and log-norm closed forms vs defining sum, all ideals <= 4 primes exp <= 6",
-            bad == 0 and dt < 10.0, f"{bad} failures, {dt:.2f}s")
+    _assert_checks("ntransform.closed-forms-exhaustive")
 
 
 def test_criterion_3_rz_and_derivative():
-    rng = random.Random(1)
-    bad = 0
-    worst_fd = 0.0
-    bad_exact = 0
-    for c in (0, 1, 2, 3):
-        for eta in (-1, 1):
-            for k in range(1, 9):
-                rep = verify._random_rep(rng, c, 3)
-                for _ in range(20):
-                    X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
-                    if X == -1:
-                        continue
-                    bad += spectral.r_z(rep, eta, k, X, "closed") != spectral.r_z(rep, eta, k, X, "sum")
-                exact = spectral.partial_r(rep, eta, k)
-                if c >= 2 and exact != spectral.partial_r_sum(rep, eta, k):
-                    bad_exact += 1
-                h = 1e-6
-                fd = (spectral.r_z(rep, eta, k, 3.0 ** -h, "sum")
-                      - spectral.r_z(rep, eta, k, 3.0 ** h, "sum")) / (2 * h) / (-math.log(3))
-                worst_fd = max(worst_fd, abs(fd - float(exact)) / max(1.0, abs(float(exact))))
-    _report(3, "r^(z) closed = defining sum; derivative vs finite difference",
-            bad == 0 and bad_exact == 0 and worst_fd <= 1e-7,
-            f"{bad} sum mismatches, fd rel err {worst_fd:.2e}")
+    _assert_checks("weights.rz-closed-vs-sum", "weights.partial-r-exact-and-fd")
 
 
 def test_criterion_4_unipotent_contour():
-    worst = 0.0
-    for q in (2, 3, 5):
-        for eta in (-1, 1):
-            for n in range(0, 7):
-                got = testfns.period_integral("upsilon", q, eta, testfns.alpha_pn_at(q, n))
-                want = float(testfns.unip_u_scaled(eta, n)) * q ** (-n / 2)
-                worst = max(worst, abs(got - want))
-                got = testfns.period_integral("dunip_kernel", q, eta, testfns.alpha_pn_at(q, n))
-                want = float(testfns.unip_du_scaled(eta, n)) * q ** (-n / 2) * math.log(q)
-                worst = max(worst, abs(got - want))
-                got = testfns.period_integral("dunip_kernel", q, eta, testfns.alpha_basis_at(q, n))
-                worst = max(worst, abs(got - testfns.dunip(q, eta, n).evaluate()))
-    kernel_ok = all(
-        testfns.kernel_identity_lhs(q, eta, Y) == testfns.kernel_identity_rhs(q, eta, Y)
-        for q in (2, 3) for eta in (-1, 1)
-        for Y in (Fraction(5, 2), Fraction(-7, 3), Fraction(19, 5))
-    )
-    _report(4, "unipotent closed forms vs period-contour oracle + exact kernel identity",
-            worst <= 1e-9 and kernel_ok, f"max |err| {worst:.2e}")
+    _assert_checks("unipotent.closed-vs-contour", "unipotent.kernel-identity-exact")
 
 
 def test_criterion_5_measure_moments():
-    worst = 0.0
-    worst0 = 0.0
-    for q in (2, 3, 5):
-        for eta in (-1, 1):
-            for n in range(0, 9):
-                got = testfns.st_moment(q, eta, n)
-                worst = max(worst, abs(got - testfns.st_moment_expected(q, eta, n)))
-                if n == 0:
-                    worst0 = max(worst0, abs(got - 1.0))
-    _report(5, "measure moments against quadrature",
-            worst <= 1e-8 and worst0 <= 1e-10, f"max err {worst:.2e}; n=0 err {worst0:.2e}")
+    _assert_checks("unipotent.measure-moments")
 
 
 def test_criterion_6_local_orbital_exact():
-    pts = orbital_local.enumerate_points(12)
-    bad = 0
-    for q in (2, 3, 5):
-        for eta in (-1, 1):
-            for pt in pts:
-                bad += orbital_local.w_unramified(pt, q, eta) != orbital_local.w_unramified_oracle(pt, q, eta)
-            for ordn in range(1, 7):
-                for pt in pts:
-                    bad += orbital_local.w_level(pt, ordn, q, eta) != orbital_local.w_level_oracle(pt, ordn, q, eta)
-    worst_ratio = 0.0
-    for q in (2, 3, 5):
-        for f in (1, 2, 3):
-            for d_v in (0, 1):
-                for em1 in (-1, 1):
-                    for ebb in (-1, 1):
-                        for pt in orbital_local.enumerate_points(8):
-                            val = abs(orbital_local.w_ramified(pt, f, q, em1, ebb, d_v))
-                            env = orbital_local.w_ramified_bound(pt, f, q)
-                            if env:
-                                worst_ratio = max(worst_ratio, val / env)
-                            else:
-                                assert val == 0.0
-    _report(6, "level/unramified closed forms = finite-sum oracles exactly; ramified bound",
-            bad == 0 and worst_ratio <= 1.0,
-            f"{bad} mismatches; ramified fitted constant {6 * worst_ratio:.2f} <= 6")
+    _assert_checks("orbital.w-unramified-exact", "orbital.w-level-exact", "orbital.w-ramified-bound")
 
 
 def test_criterion_7_archimedean():
-    pairs = [(l, b) for l in (6, 8, 10)
-             for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2), Fraction(-3), Fraction(2), Fraction(10))]
-    worst = 0.0
-    for l, b in pairs:
-        closed = orbital_arch.w_plus(l, b)
-        quad = orbital_arch.w_plus_quad(l, float(b))
-        diff = abs(closed - quad)
-        worst = max(worst, 0.0 if diff <= 1e-12 else diff / abs(quad))
-    fe_worst = 0.0
-    for k in (4, 6, 8):
-        for b in (-1.5, -2.0, -3.0, -12.0):
-            lhs = orbital_arch.j_arch(k, b, "one", use_functional_equation=False)
-            rhs = (-1) ** (k // 2) * orbital_arch.j_arch(k, -b - 1, "one")
-            fe_worst = max(fe_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    legendre_value = orbital_arch.j_arch(4, -0.5, "one")
-    _report(7, "w_plus closed vs quadrature; functional equation; Legendre value",
-            worst <= 1e-6 and fe_worst <= 1e-10 and legendre_value == -4.0,
-            f"quad rel {worst:.2e}; FE {fe_worst:.2e}; J(4;-1/2)={legendre_value}")
+    _assert_checks("arch.w-plus-closed-vs-quadrature", "arch.j-functional-equation", "arch.j-legendre-value")
 
 
 def test_criterion_8_lattice():
-    exact = 2 * (math.pi ** 2 / 6 - 1)
-    th = lattice.theta(lattice.embed_ideal("Q", 1), [4], 1e4)
-    ok_bound = abs(th["value"] - exact) <= th["tail_bound"]
-    ok_value = abs(th["value"] + th["tail_estimate"] - exact) <= 1e-6
-    worst_sphere = 0.0
-    for lam in ((0.5, 0.0), (0.25, -0.25)):
-        a = lattice.sphere_I(lam, "closed")
-        worst_sphere = max(worst_sphere, abs(a - lattice.sphere_I(lam, "quad")) / abs(a))
-    ns = [1, 10, 100, 1000, 10000]
-    lat0 = lattice.embed_ideal("Q", 1)
-    r0 = lattice.min_vector_radius(lat0)
-    ratios = [lattice.theta(lattice.embed_ideal("Q", N), [4], max(1e4, 50 * N))["value"]
-              / ((1 + r0) ** 2 / lat0.covolume * lattice.embed_ideal("Q", N).covolume ** -1)
-              for N in ns]
-    family_ok = max(ratios) <= ratios[0] * 1.01
-    chain_ok = True
-    o2 = lattice.embed_ideal("real_quadratic", "O", m=2)
-    r0q, d0q = lattice.min_vector_radius(o2), o2.covolume
-    chain_ratios = []
-    for k in range(0, 7):
-        ik = lattice.embed_ideal("real_quadratic", verify._sqrt2_power(k), m=2)
-        t = lattice.theta(ik, [6, 6], 60.0 * 2 ** (k / 2))["value"]
-        chain_ratios.append(t / ((1 + r0q) ** 6 / d0q * ik.covolume ** -1))
-    chain_ok = max(chain_ratios) <= max(chain_ratios[0] * 1.05, chain_ratios[0] + 1e-9)
-    sandwich_ok = all(lattice.minkowski_sandwich_ok(lattice.embed_ideal("real_quadratic", verify._sqrt2_power(k), m=2))
-                      for k in range(7))
-    _report(8, "theta values within tails; sphere integral; envelope family bounds; Minkowski sandwich",
-            ok_bound and ok_value and worst_sphere <= 1e-6 and family_ok and chain_ok and sandwich_ok,
-            f"theta err {abs(th['value'] + th['tail_estimate'] - exact):.1e}; sphere {worst_sphere:.1e}")
+    _assert_checks("lattice.theta-Z-weight-4", "lattice.sphere-I-closed-vs-quad",
+                   "lattice.theta-estimate-bounded", "lattice.minkowski-sandwich")
 
 
 def test_criterion_9_assembly_identity():
-    rng = random.Random(0)
-    t0 = time.monotonic()
-    bad = 0
-    for _ in range(50):
-        eta, n, a = verify.random_minus_config(rng)
-        if assembly.geom_kernel_bracket(n, a, eta) != assembly.main_ADL_bracket(n, a, eta):
-            bad += 1
-    # the degenerate log kernel transforms to zero on every input
-    dlog_ok = True
-    for _ in range(20):
-        eta, n, _a = verify.random_minus_config(rng)
-        zero_fn = ntransform.ArithFn(lambda m: FormalLog.zero())
-        dlog_ok = dlog_ok and ntransform.n_transform(zero_fn, n).is_zero()
-        dlog_ok = dlog_ok and assembly.degenerate_D(n, eta, assembly.WeightData((6,)))[0].is_zero()
-    dt = time.monotonic() - t0
-    _report(9, "geometric kernel transform = displayed main term, 50 random configurations",
-            bad == 0 and dlog_ok and dt < 10.0, f"{bad} failures, {dt:.2f}s")
+    _assert_checks("assembly.headline-identity-50", "assembly.degenerate-terms")
 
 
 def test_criterion_10_fI_slope():
-    ns = [10, 31, 100, 316, 1000, 3162, 10000]
-    vals = [lattice.fI_rational(6, N, 1, 0.0, K=200)["value"] for N in ns]
-    slope = float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
-    _report(10, "hyperbolic lattice-sum decay exponent", slope <= -1.9,
-            f"fitted exponent {slope:.3f} <= -{6 / 2 - 1} + 0.1")
+    _assert_checks("lattice.fI-slope")

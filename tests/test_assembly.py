@@ -89,6 +89,21 @@ def test_main_ADL_refuses_plus_class():
         asm.main_ADL_bracket(Ideal.of({P3: 2}), Ideal.unit(), ETA_PLUS_CLASS)
 
 
+def test_sign_class_guard_lets_other_errors_through(monkeypatch):
+    # only a SignClassError counts as the guard refusing; a crash escapes
+    real = asm.main_ADL_bracket
+
+    def crash_instead_of_refusing(n, a, eta):
+        try:
+            return real(n, a, eta)
+        except SignClassError:
+            raise RuntimeError("not a sign-class refusal")
+
+    monkeypatch.setattr(asm, "main_ADL_bracket", crash_instead_of_refusing)
+    with pytest.raises(RuntimeError):
+        verify.suite_assembly(seed=0)
+
+
 def test_main_ADL_correction_term():
     # one odd inert exponent on the test ideal: only the correction survives,
     # with coefficient (n_v + 1)/2 log q_v (the n_v + 1/2 variant breaks the

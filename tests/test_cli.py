@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rtfverify import cli
+from rtfverify import assembly, cli
 
 CFG = {
     "schema": 1,
@@ -86,6 +90,23 @@ def test_main_terms_command(cfg_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+def test_main_terms_propagates_unexpected_errors(cfg_path, monkeypatch):
+    # only a SignClassError means "not this sign class"; a bug must surface
+    def broken(n, a, eta):
+        raise RuntimeError("bug inside the main term")
+
+    monkeypatch.setattr(assembly, "main_ADL_bracket", broken)
+    with pytest.raises(RuntimeError):
+        cli.main(["main-terms", "--config", cfg_path, "--n", "p^2", "--a", "O"])
+
+
+def test_cli_import_does_not_load_sympy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rtfverify.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_verify_command(capsys):

@@ -94,6 +94,26 @@ def test_non_rational_power():
         nt.closed_power(Ideal.of({P3: 1}), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("q, e", [(3, 70), (3, 700), (2, 3000)])
+def test_half_power_of_large_square_norm(q, e):
+    # norms past the float range (or past float root precision) stay exact
+    n = Ideal.of({Prime("p", q): e})
+    half = Fraction(1, 2)
+    assert nt.closed_power(n, half) == nt.n_transform(nt.norm_power_fn(half), n)
+    assert nt._norm_power_exact(n, half) == q ** (e // 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.integers(0, 60)),
+                min_size=1, max_size=4),
+       st.integers(2, 7), st.integers(-5, 5))
+def test_norm_power_exact_of_perfect_powers(place_exps, d, a):
+    primes = [Prime(f"p{i}", q) for i, (q, _) in enumerate(place_exps)]
+    root = Ideal.of({p: e for p, (_, e) in zip(primes, place_exps)})
+    n = Ideal.of({p: d * e for p, (_, e) in zip(primes, place_exps)})
+    assert nt._norm_power_exact(n, Fraction(a, d)) == Fraction(root.norm) ** a
+
+
 def test_domain_refusal():
     dom = nt.DivisorsOf(Ideal.of({P3: 2}))
     B = nt.ArithFn(lambda m: Fraction(1), dom)
