@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
-from .errors import SignClassError
+from .errors import RTFError, SignClassError
 from .formal import FormalLog
 from .ideals import load_config, parse_ideal
 
@@ -265,8 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  A toolkit error (an RTFError, which names the input
+    it refused) ends the command with one line on stderr and exit status 2;
+    any other exception is a bug and propagates with its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RTFError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

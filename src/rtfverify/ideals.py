@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -73,11 +73,16 @@ class Ideal:
             n *= p.q ** e
         return n
 
+    # The methods below build their result straight from self.exps when it
+    # keeps self's sorted order and positive exponents, without Ideal.of.
+
     def __mul__(self, other: "Ideal") -> "Ideal":
         d = self.as_dict()
         for p, e in other.exps:
             d[p] = d.get(p, 0) + e
-        return Ideal.of(d)
+        if len(d) > len(self.exps):   # a new place: sort and check its id
+            return Ideal.of(d)
+        return Ideal(tuple((p, d[p]) for p, _ in self.exps))
 
     def divide(self, other: "Ideal") -> "Ideal":
         """Exact quotient self * other^-1; raises if not integral."""
@@ -87,7 +92,7 @@ class Ideal:
             if r < 0:
                 raise ValueError(f"{other} does not divide {self}")
             d[p] = r
-        return Ideal.of(d)
+        return Ideal(tuple((p, d[p]) for p, _ in self.exps if d[p]))
 
     def divides(self, other: "Ideal") -> bool:
         return all(other.ord(p) >= e for p, e in self.exps)
@@ -97,20 +102,15 @@ class Ideal:
         return self.divides(other)
 
     def pow(self, k: int) -> "Ideal":
-        return Ideal.of({p: e * k for p, e in self.exps})
-
-    def gcd(self, other: "Ideal") -> "Ideal":
-        return Ideal.of({p: min(e, other.ord(p)) for p, e in self.exps})
-
-    def coprime_to(self, primes: Iterable[Prime]) -> bool:
-        sup = set(self.support)
-        return not (sup & set(primes))
+        if k < 0 and self.exps:
+            raise ValueError(f"negative power {k} of {self}")
+        return Ideal(tuple((p, e * k) for p, e in self.exps) if k else ())
 
     def divisors(self) -> Iterator["Ideal"]:
         primes = [p for p, _ in self.exps]
         ranges = [range(e + 1) for _, e in self.exps]
         for combo in itertools.product(*ranges):
-            yield Ideal.of(dict(zip(primes, combo)))
+            yield Ideal(tuple((p, k) for p, k in zip(primes, combo) if k))
 
     def __str__(self):
         if not self.exps:
@@ -197,9 +197,8 @@ def stratum(m: Ideal, k: int) -> tuple[Prime, ...]:
 
 def square_decompose(n: Ideal) -> tuple[Ideal, Ideal]:
     """n = n0 * n1^2 with n0 the largest squarefree divisor of that shape."""
-    n0 = {p: e % 2 for p, e in n.exps}
-    n1 = {p: e // 2 for p, e in n.exps}
-    return Ideal.of(n0), Ideal.of(n1)
+    return (Ideal(tuple((p, e % 2) for p, e in n.exps if e % 2)),
+            Ideal(tuple((p, e // 2) for p, e in n.exps if e >= 2)))
 
 
 def iota(m: Ideal) -> Fraction:

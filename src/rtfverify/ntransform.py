@@ -5,18 +5,32 @@ square divisors with omega/iota weights, and an alternating inclusion-
 exclusion over the squarefull support that undoes it.  Both are exact in
 rational arithmetic; the closed forms for norm powers and for log-norm are
 checked against the defining sums elsewhere.
+
+The oracles stay the defining sums: B is evaluated at every ideal m of the
+sum, never replaced by an Euler product.  Only the weights are factored.  A
+term's weight omega * iota(m)/iota(n) is a product over places of a factor
+that depends on q_v, ord_v(n) and the exponent removed at v alone, so each
+place gets a short table of integers over one per-place denominator.  A
+term's weight is the product of its table entries, the sum is kept as an
+integer numerator over a running denominator (one per FormalLog symbol), and
+one Fraction is built per symbol at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
 from .errors import DomainError, NonRationalPower
 from .formal import FormalLog
-from .ideals import Ideal, iota, omega_pair, omega_v, square_decompose, stratum
+from .ideals import Ideal, Prime
 
 Value = Fraction | FormalLog
+
+# One place's options: the exponent entry it contributes to m (empty when the
+# whole prime power is removed) and the option's integer weight.
+Choice = tuple[tuple[tuple[Prime, int], ...], int]
 
 
 class Domain:
@@ -52,37 +66,97 @@ class ArithFn:
         return self.fn(n)
 
 
-def _squarefull_subsets(n: Ideal):
-    """Subsets I of S(n1), yielding (sign, omega-product over I cap S1(n1),
-    iota ratio, n * prod_{v in I} p^-2)."""
-    n0, n1 = square_decompose(n)
-    s1_n1 = set(stratum(n1, 1))
-    supp = list(n1.support)
-    iota_n = iota(n)
-    for mask in range(1 << len(supp)):
-        chosen = [supp[i] for i in range(len(supp)) if mask >> i & 1]
-        m = n.divide(Ideal.of({p: 2 for p in chosen}))
-        w = Fraction(1)
-        for p in chosen:
-            if p in s1_n1:
-                w *= omega_v(p, n0)
-        yield (-1) ** len(chosen), w, iota(m) / iota_n, m
+def _subset_choices(n: Ideal, sign: int) -> tuple[list[list[Choice]], int]:
+    """Per place of n: keep p^e, or (when e >= 2) remove p^2 with weight
+    sign * omega_v(p, n0) * iota ratio.  That weight is
+    sign * (q+1)/(q-1) * 1/((1+q)q) = sign/(q(q-1)) at e == 2 and sign/q^2 at
+    e >= 3; over the place's denominator d it is (keep: d, remove: sign)."""
+    choices, denom = [], 1
+    for p, e in n.exps:
+        opts = [(((p, e),), 1)]
+        if e >= 2:
+            d = p.q * (p.q - 1) if e == 2 else p.q ** 2
+            opts = [(((p, e),), d), (((p, e - 2),) if e > 2 else (), sign)]
+            denom *= d
+        choices.append(opts)
+    return choices, denom
+
+
+def _divisor_choices(n: Ideal) -> tuple[list[list[Choice]], int]:
+    """Per place of n: remove p^2k for 0 <= k <= e//2, with weight
+    omega_v * iota ratio = q^-2k while 2k < e and
+    (q+1)/(q-1) * 1/((1+q) q^(e-1)) = 1/((q-1) q^(e-1)) at 2k == e; over the
+    place's denominator d = q^(e-1), times q-1 at even e, it is d/q^2k or 1."""
+    choices, denom = [], 1
+    for p, e in n.exps:
+        q = p.q
+        d = q ** (e - 1) * (q - 1 if e % 2 == 0 else 1)
+        choices.append([(((p, e - 2 * k),), d // q ** (2 * k)) if 2 * k < e else ((), 1)
+                        for k in range(e // 2 + 1)])
+        denom *= d
+    return choices, denom
+
+
+def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fastest: bool) -> Value:
+    """sum over one option per place of (product of the weights) * fn(m) / denom.
+
+    The terms run with the first place's option varying fastest (the subset
+    masks of n_transform) or the last (the divisor order of convolve_omega),
+    so a fn with side effects, such as a lazily drawn random function, meets
+    the ideals in a fixed order.  A FormalLog result is returned whenever any
+    fn(m) is one, even if every coefficient cancels; otherwise a Fraction.
+    """
+    terms: list[tuple[tuple, int]] = [((), 1)]
+    for opts in choices:
+        if first_fastest:
+            terms = [(exps + entry, w * c) for entry, c in opts for exps, w in terms]
+        else:
+            terms = [(exps + entry, w * c) for exps, w in terms for entry, c in opts]
+    sums: dict[str | None, list[int]] = {}   # symbol (None: the constant) -> [numerator, denominator]
+    formal = False
+    for exps, w in terms:
+        v = fn(Ideal(exps))   # exps keeps n's sorted order and drops zero exponents
+        if isinstance(v, FormalLog):
+            formal = True
+            _accumulate(sums, None, w, v.const)
+            for sym, c in v.coeffs.items():
+                _accumulate(sums, sym, w, c)
+        else:
+            _accumulate(sums, None, w, v)
+    num, den = sums.pop(None, (0, 1))
+    const = Fraction(num, den * denom)
+    if not formal:
+        return const
+    return FormalLog(const, {sym: Fraction(a, b * denom) for sym, (a, b) in sums.items()})
+
+
+def _accumulate(sums: dict[str | None, list[int]], sym: str | None, w: int, c: Fraction | int) -> None:
+    """sums[sym] += w * c, as an integer numerator over the lcm of the denominators seen."""
+    pair = sums.get(sym)
+    if pair is None:
+        sums[sym] = [w * c.numerator, c.denominator]
+        return
+    den = c.denominator
+    if pair[1] == den:
+        pair[0] += w * c.numerator
+    else:
+        g = gcd(pair[1], den)
+        pair[0] = pair[0] * (den // g) + w * c.numerator * (pair[1] // g)
+        pair[1] = pair[1] // g * den
 
 
 def n_transform(B: ArithFn, n: Ideal) -> Value:
-    """Alternating inclusion-exclusion extracting the new part of B at n."""
-    total: Value = Fraction(0)
-    for sign, w, iratio, m in _squarefull_subsets(n):
-        total = total + (sign * w * iratio) * _as_value(B(m))
-    return total
+    """Alternating inclusion-exclusion extracting the new part of B at n:
+
+        sum_{I subset S(n1)} (-1)^|I| prod_{v in I cap S1(n1)} omega_v(n0)
+                             * iota(m)/iota(n) * B(m),   m = n prod_{v in I} p_v^-2.
+    """
+    return _weighted_sum(B, *_subset_choices(n, -1), first_fastest=True)
 
 
 def n_plus(B: ArithFn, n: Ideal) -> Value:
     """All-positive-signs majorant of the transform."""
-    total: Value = Fraction(0)
-    for _sign, w, iratio, m in _squarefull_subsets(n):
-        total = total + (w * iratio) * _as_value(B(m))
-    return total
+    return _weighted_sum(B, *_subset_choices(n, 1), first_fastest=True)
 
 
 def convolve_omega(A: ArithFn, n: Ideal) -> Value:
@@ -92,18 +166,7 @@ def convolve_omega(A: ArithFn, n: Ideal) -> Value:
 
     n_transform inverts this map exactly (and vice versa).
     """
-    _, n1 = square_decompose(n)
-    total: Value = Fraction(0)
-    for b in n1.divisors():
-        m = n.divide(b.pow(2))
-        total = total + (omega_pair(n, b.pow(2)) * iota(m) / iota(n)) * _as_value(A(m))
-    return total
-
-
-def _as_value(v: Value) -> Value:
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    return v
+    return _weighted_sum(A, *_divisor_choices(n), first_fastest=False)
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +185,41 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
-def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
-    nt = Fraction(n.norm) ** t.numerator
+def _power_exact(x: int, t: Fraction, label: object) -> Fraction:
+    """x^t for an integer x >= 1, exactly; `label` names x as norm(label)
+    in the error raised when x^t is irrational."""
+    xt = Fraction(x) ** t.numerator
     if t.denominator == 1:
-        return nt
+        return xt
     # need an exact rational root; norms may exceed the float range
     d = t.denominator
-    rn = _iroot(nt.numerator, d)
-    rd = _iroot(nt.denominator, d)
-    if rn ** d == nt.numerator and rd ** d == nt.denominator:
+    rn = _iroot(xt.numerator, d)
+    rd = _iroot(xt.denominator, d)
+    if rn ** d == xt.numerator and rd ** d == xt.denominator:
         return Fraction(rn, rd)
-    raise NonRationalPower(f"norm({n})^{t} is irrational")
+    raise NonRationalPower(f"norm({label})^{t} is irrational")
+
+
+def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
+    return _power_exact(n.norm, t, n)
+
+
+def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction | float:
+    """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
+    with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above."""
+    if exact:
+        out = _norm_power_exact(n, t)
+        for p, e in n.exps:
+            if e >= 2:
+                qpow = _power_exact(p.q, -2 * (1 + t), p.id)
+                out *= 1 + sign * (Fraction(p.q, p.q - 1) * qpow if e == 2 else qpow)
+        return out
+    out_f = float(n.norm) ** float(t)
+    for p, e in n.exps:
+        if e >= 2:
+            qpow = float(p.q) ** float(-2 * (1 + t))
+            out_f *= 1 + sign * ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
+    return out_f
 
 
 def closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
@@ -141,65 +228,29 @@ def closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | 
         norm(n)^t * prod_{S(n1)-S2(n)} (1 - q^-2(1+t))
                   * prod_{S2(n)}       (1 - (1-1/q)^-1 q^-2(1+t)).
     """
-    t = Fraction(t)
-    _, n1 = square_decompose(n)
-    s2 = set(stratum(n, 2))
-    if exact:
-        out = _norm_power_exact(n, t)
-        for p in n1.support:
-            qpow = _norm_power_exact(Ideal.of({p: 1}), -2 * (1 + t))
-            if p in s2:
-                out *= 1 - Fraction(p.q, p.q - 1) * qpow
-            else:
-                out *= 1 - qpow
-        return out
-    out_f = float(n.norm) ** float(t)
-    for p in n1.support:
-        qpow = float(p.q) ** float(-2 * (1 + t))
-        out_f *= 1 - (p.q / (p.q - 1)) * qpow if p in s2 else 1 - qpow
-    return out_f
+    return _closed_product(n, Fraction(t), -1, exact)
 
 
 def closed_log(n: Ideal) -> FormalLog:
     """Closed form of the transform of log norm: the t-derivative of
     closed_power at t=0, as an exact FormalLog."""
-    nu = closed_power(n, 0)
-    _, n1 = square_decompose(n)
-    s2 = set(stratum(n, 2))
     bracket = FormalLog.zero()
     for p, e in n.exps:
-        bracket = bracket + FormalLog.log_integer(p.q, e)
-    for p in n1.support:
-        if p in s2:
-            bracket = bracket + FormalLog.log_integer(p.q, Fraction(2, p.q ** 2 - p.q - 1))
-        else:
-            bracket = bracket + FormalLog.log_integer(p.q, Fraction(2, p.q ** 2 - 1))
-    return bracket * nu
+        coeff = Fraction(e)
+        if e >= 2:
+            coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
+        bracket = bracket + FormalLog.log_integer(p.q, coeff)
+    return bracket * closed_power(n, 0)
 
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
     """Closed form of the all-positive majorant on norm^t."""
-    t = Fraction(t)
-    _, n1 = square_decompose(n)
-    s2 = set(stratum(n, 2))
-    if exact:
-        out = _norm_power_exact(n, t)
-        for p in n1.support:
-            qpow = _norm_power_exact(Ideal.of({p: 1}), -2 * (1 + t))
-            if p in s2:
-                out *= 1 + Fraction(p.q, p.q - 1) * qpow
-            else:
-                out *= 1 + qpow
-        return out
-    out_f = float(n.norm) ** float(t)
-    for p in n1.support:
-        qpow = float(p.q) ** float(-2 * (1 + t))
-        out_f *= 1 + (p.q / (p.q - 1)) * qpow if p in s2 else 1 + qpow
-    return out_f
+    return _closed_product(n, Fraction(t), 1, exact)
 
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:
-    return ArithFn(lambda n: _norm_power_exact(n, Fraction(t)))
+    t = Fraction(t)
+    return ArithFn(lambda n: _norm_power_exact(n, t))
 
 
 def log_norm_fn() -> ArithFn:

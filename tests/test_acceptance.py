@@ -6,6 +6,7 @@ check.  Each suite runs once; the criterion tests name the checks that carry
 criteria 1-10.
 """
 import functools
+import re
 
 import pytest
 
@@ -58,6 +59,15 @@ def test_criterion_6_local_orbital_exact():
 
 def test_criterion_7_archimedean():
     _assert_checks("arch.w-plus-closed-vs-quadrature", "arch.j-functional-equation", "arch.j-legendre-value")
+
+
+def test_arch_reports_the_measured_error():
+    # the relative error where W_+ != 0 is printed as measured, not floored to 0;
+    # the vanishing point b = -1/2 is reported apart, as an absolute error
+    detail = _records("arch")["arch.w-plus-closed-vs-quadrature"].detail
+    rel = float(re.search(r"max rel err (\S+) where W_\+ != 0", detail).group(1))
+    assert 0 < rel <= 1e-6
+    assert re.search(r"abs err \S+ at b = -1/2$", detail)
 
 
 def test_criterion_8_lattice():

@@ -102,6 +102,15 @@ def test_main_terms_propagates_unexpected_errors(cfg_path, monkeypatch):
         cli.main(["main-terms", "--config", cfg_path, "--n", "p^2", "--a", "O"])
 
 
+def test_toolkit_errors_end_in_one_line_and_exit_2(cfg_path, capsys):
+    # r is ramified in the config, so the level r^2 is refused
+    rc = cli.main(["main-terms", "--config", cfg_path, "--n", "r^2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("CoprimalityError: ") and "'r'" in lines[0]
+
+
 def test_cli_import_does_not_load_sympy():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -128,3 +128,41 @@ def test_stratum_helper():
     n = ideal(p=2, q=2, r=1)
     assert set(stratum(n, 2)) == {P3, Q2}
     assert stratum(n, 5) == ()
+
+
+@st.composite
+def monoid_ideals(draw, count):
+    """`count` ideals over one random monoid of 1-5 places, q in 2..13."""
+    qs = draw(st.lists(st.integers(2, 13), min_size=1, max_size=5))
+    primes = [Prime(f"p{i}", q) for i, q in enumerate(qs)]
+    return primes, [Ideal.of({p: draw(st.integers(0, 7)) for p in primes}) for _ in range(count)]
+
+
+def _assert_canonical(n: Ideal):
+    # an ideal built without Ideal.of equals and hashes like its Ideal.of twin
+    twin = Ideal.of(n.as_dict())
+    assert n == twin and hash(n) == hash(twin) and n.exps == twin.exps
+
+
+@given(monoid_ideals(2), st.integers(0, 3))
+def test_ideal_round_trips(drawn, k):
+    primes, (i, j) = drawn
+    assert Ideal.of(i.as_dict()) == i
+    assert parse_ideal(str(i), {p.id: p for p in primes}) == i
+    assert (i * j).divide(j) == i
+    for built in (i * j, (i * j).divide(j), i.divide(i), i.pow(k), *square_decompose(i), *i.divisors()):
+        _assert_canonical(built)
+
+
+@given(monoid_ideals(1), st.integers(1, 4))
+def test_product_with_a_new_place(drawn, e):
+    primes, (i,) = drawn
+    extra = Ideal.of({Prime("x", 3): e})
+    _assert_canonical(i * extra)
+    _assert_canonical(extra * i)
+    assert (i * extra).divide(extra) == i
+    with pytest.raises(ValueError):
+        i.divide(extra)
+    clash = Ideal.of({Prime(primes[0].id, primes[0].q + 1): 1})   # same id, another q
+    with pytest.raises(ValueError):
+        i * Ideal.of({primes[0]: 1}) * clash

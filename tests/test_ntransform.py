@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rtfverify import ntransform as nt
 from rtfverify.errors import DomainError, NonRationalPower
 from rtfverify.formal import FormalLog
-from rtfverify.ideals import Ideal, Prime
+from rtfverify.ideals import Ideal, Prime, iota, omega_pair, omega_v, square_decompose, stratum
 
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
@@ -134,3 +134,88 @@ def test_majorant_bound_family():
             ratio = val / n.norm ** -0.5
             assert ratio < 3.0
             prev = ratio
+
+
+# ---------------------------------------------------------------------------
+# reference sums: every weight computed literally from iota and omega
+
+
+def _reference_subset_sum(B, n, sign):
+    """sum_I sign^|I| prod_{v in I cap S1(n1)} omega_v(p, n0) iota(m)/iota(n) B(m)."""
+    n0, n1 = square_decompose(n)
+    s1 = set(stratum(n1, 1))
+    supp = n1.support
+    total = Fraction(0)
+    for mask in range(1 << len(supp)):
+        chosen = [p for i, p in enumerate(supp) if mask >> i & 1]
+        m = n.divide(Ideal.of({p: 2 for p in chosen}))
+        w = Fraction(sign) ** len(chosen) * iota(m) / iota(n)
+        for p in chosen:
+            if p in s1:
+                w *= omega_v(p, n0)
+        total = total + w * B(m)
+    return total
+
+
+def _reference_convolve(A, n):
+    """sum_{b | n1} omega(n, b^2) iota(n b^-2)/iota(n) A(n b^-2)."""
+    _, n1 = square_decompose(n)
+    total = Fraction(0)
+    for b in n1.divisors():
+        m = n.divide(b.pow(2))
+        total = total + omega_pair(n, b.pow(2)) * iota(m) / iota(n) * A(m)
+    return total
+
+
+@st.composite
+def monoid_ideal(draw):
+    qs = draw(st.lists(st.integers(2, 13), min_size=1, max_size=5))
+    return Ideal.of({Prime(f"p{i}", q): draw(st.integers(0, 7)) for i, q in enumerate(qs)})
+
+
+def _random_value(rng, kind):
+    frac = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+    if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+        return frac
+    return FormalLog(frac, {"log@2": Fraction(rng.randint(-9, 9), rng.randint(1, 5)), "LpL": rng.randint(-3, 3)})
+
+
+def _random_fn(rng, kind, seen=None):
+    cache = {}
+
+    def fn(m):
+        if seen is not None:
+            seen.append(m)
+        if m not in cache:
+            cache[m] = _random_value(rng, kind)
+        return cache[m]
+
+    return nt.ArithFn(fn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monoid_ideal(), st.sampled_from(("fraction", "formal", "mixed")), st.randoms(use_true_random=False))
+def test_kernel_equals_reference_sums(n, kind, rng):
+    seen = []
+    B = _random_fn(rng, kind, seen)
+    for got, want in ((nt.n_transform(B, n), _reference_subset_sum(B, n, -1)),
+                      (nt.n_plus(B, n), _reference_subset_sum(B, n, 1)),
+                      (nt.convolve_omega(B, n), _reference_convolve(B, n))):
+        assert got == want and type(got) is type(want)
+    for m in seen:   # the kernel builds each m without Ideal.of
+        twin = Ideal.of(m.as_dict())
+        assert m == twin and hash(m) == hash(twin) and m.exps == twin.exps
+
+
+@settings(max_examples=40, deadline=None)
+@given(monoid_ideal(), st.randoms(use_true_random=False))
+def test_vanishing_formal_transform_stays_formal(n, rng):
+    zero = nt.ArithFn(lambda m: FormalLog.zero())
+    for op in (nt.n_transform, nt.n_plus, nt.convolve_omega):
+        got = op(zero, n)
+        assert isinstance(got, FormalLog) and got.is_zero()
+    # every coefficient cancels: the transform of convolve(A) at n is A(n) = 0
+    A_rand = _random_fn(rng, "formal")
+    A = nt.ArithFn(lambda m: FormalLog.zero() if m == n else A_rand(m))
+    got = nt.n_transform(nt.ArithFn(lambda m: nt.convolve_omega(A, m)), n)
+    assert isinstance(got, FormalLog) and got.is_zero()
