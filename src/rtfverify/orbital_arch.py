@@ -2,13 +2,18 @@
 log-weighted half-line integral with its quadrature oracle.
 
 The closed form of the log-weighted integral W_+ follows the keyhole-contour
-identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b):  A and B are exact residue
-polynomials in b with rational coefficients against 1, log|b/(b+1)|, pi and
-pi^2, while J_+ is the same defining integral without the log factor and is
-evaluated by quadrature (no closed form for it is assumed).
+identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  A and B are exact residue
+polynomials in b with rational coefficients against 1, L = log|b/(b+1)|, pi
+and pi^2.  J_+ is the same defining integral without the log factor; its
+integrand is rational in t, so partial fractions close it exactly in the
+basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits
+on a private mpmath context: no quadrature runs, and mpmath's global
+precision is neither read nor written.  w_plus_quad (scipy) is the
+independent oracle, and j_plus_quad the quadrature oracle for J_+ alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +26,15 @@ from scipy import integrate
 from .errors import ConvergenceError, DomainError
 
 DELTA_CUT = 1e-9
-_RESIDUE_DPS = 50   # the residue sums cancel to ~b^(-l/2); floats cannot
+_DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
+_F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
+_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: scipy absolute and relative tolerance
+
+# every closed-form evaluation runs on this context; it is never mutated after
+# import, so results do not depend on mp.mp.dps and are identical under threads
+_MP = mp.MPContext()
+_MP.dps = _DPS
+_PI = +_MP.pi
 
 
 def legendre(n: int, x: float) -> float:
@@ -36,7 +49,7 @@ def legendre(n: int, x: float) -> float:
     return p1
 
 
-def gauss_2f1(k: int, x: float, tol: float = 1e-14) -> float:
+def gauss_2f1(k: int, x: float) -> float:
     """2F1(k/2, k/2; k; x) for even k >= 4 and real x < 1.
 
     Branches: direct series for |x| <= 0.7; the logarithmic 1-x expansion
@@ -49,27 +62,27 @@ def gauss_2f1(k: int, x: float, tol: float = 1e-14) -> float:
     if x >= 1 or abs(1 - x) < DELTA_CUT:
         raise DomainError("argument too close to the logarithmic point 1")
     if abs(x) <= 0.7:
-        return _f21_series(k, x, tol)
+        return _f21_series(k, x)
     if x > 0.7:
-        return _f21_log_branch(k, x, tol)
+        return _f21_log_branch(k, x)
     y = x / (x - 1)  # in (0, 1) for x < 0
-    inner = _f21_series(k, y, tol) if y <= 0.7 else _f21_log_branch(k, y, tol)
+    inner = _f21_series(k, y) if y <= 0.7 else _f21_log_branch(k, y)
     return (1 - x) ** (-k / 2) * inner
 
 
-def _f21_series(k: int, x: float, tol: float) -> float:
+def _f21_series(k: int, x: float) -> float:
     a = k // 2
     term, total = 1.0, 1.0
     for n in range(1, 4000):
         term *= (a + n - 1) * (a + n - 1) * x / ((k + n - 1) * n)
         total += term
         # geometric tail bound: ratio of successive terms tends to x
-        if abs(term) < tol * (1 - abs(x)):
+        if abs(term) < _F21_TOL * (1 - abs(x)):
             return total
     raise ConvergenceError("2F1 series failed to meet tolerance")
 
 
-def _f21_log_branch(k: int, x: float, tol: float) -> float:
+def _f21_log_branch(k: int, x: float) -> float:
     """2F1(a, a; 2a; x) near x = 1 via the standard logarithmic expansion:
     Gamma(2a)/Gamma(a)^2 sum_n ((a)_n)^2/(n!)^2 [2 H_n - 2 H_(a+n-1) - log(1-x)] (1-x)^n."""
     a = k // 2
@@ -89,7 +102,7 @@ def _f21_log_branch(k: int, x: float, tol: float) -> float:
             h_an += 1.0 / (a + n - 1)
         term = poch_sq_over_fact_sq * (2 * h_n - 2 * h_an - lg) * zn
         total += term
-        if n > 2 and abs(term) < tol * max(1.0, abs(total)) * (1 - z):
+        if n > 2 and abs(term) < _F21_TOL * max(1.0, abs(total)) * (1 - z):
             return pref * total
     raise ConvergenceError("2F1 log-branch failed to meet tolerance")
 
@@ -168,24 +181,55 @@ class ResidueParts:
     b_L_over_pi: Fraction
     b_const_over_pi: Fraction
 
-    def _L(self, b: Fraction) -> "mp.mpf":
-        return mp.log(abs(mp.mpf(b.numerator) / b.denominator
-                          / (mp.mpf(b.numerator) / b.denominator + 1)))
-
     def a_value(self, b: Fraction) -> "mp.mpf":
-        with mp.workdps(_RESIDUE_DPS):
-            L = self._L(b)
-            return (_mpq(self.a_const) + _mpq(self.a_L) * L + _mpq(self.a_L2) * L * L
-                    + _mpq(self.a_pi2) * mp.pi ** 2)
+        L = _log_ratio(b)
+        return (_mpq(self.a_const) + _mpq(self.a_L) * L + _mpq(self.a_L2) * L * L
+                + _mpq(self.a_pi2) * _PI ** 2)
 
     def b_value(self, b: Fraction) -> "mp.mpf":
-        with mp.workdps(_RESIDUE_DPS):
-            L = self._L(b)
-            return (_mpq(self.b_L_over_pi) * L + _mpq(self.b_const_over_pi)) * mp.pi
+        L = _log_ratio(b)
+        return (_mpq(self.b_L_over_pi) * L + _mpq(self.b_const_over_pi)) * _PI
+
+
+@dataclass(frozen=True)
+class JPlusParts:
+    """J_+(l; b) = const + log_coeff (L - i pi [b(b+1) < 0]) with
+    L = log|b/(b+1)|; exact rationals.  The logarithm comes from the
+    order-1 poles alone."""
+
+    const: Fraction
+    log_coeff: Fraction
+
+    def value(self, b: Fraction) -> "mp.mpc":
+        log_c = _log_ratio(b) - (_MP.mpc(0, _PI) if b * (b + 1) < 0 else 0)
+        return _mpq(self.const) + _mpq(self.log_coeff) * log_c
 
 
 def _mpq(x: Fraction) -> "mp.mpf":
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return _MP.mpf(x.numerator) / x.denominator
+
+
+def _log_ratio(b: Fraction) -> "mp.mpf":
+    return _MP.log(abs(_mpq(b / (b + 1))))
+
+
+@functools.cache
+def _residue_weights(h: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """Per k < h, the b-free factors of the residue sums: c1 binom(h-1, k),
+    and the inner sums over j of cj and of cj H_(j-1), where
+    cj = c1 binom(h-1, k+j) (-1)^j / j and c1 = binom(h+k-1, k)."""
+    out = []
+    for k in range(h):
+        c1 = comb(h + k - 1, k)
+        s = s_h = Fraction(0)
+        harmonic = Fraction(0)                  # H_(j-1)
+        for j in range(1, h - k):
+            cj = c1 * comb(h - 1, k + j) * Fraction((-1) ** j, j)
+            s += cj
+            s_h += cj * harmonic
+            harmonic += Fraction(1, j)
+        out.append((c1 * comb(h - 1, k), s, s_h))
+    return tuple(out)
 
 
 def residue_parts(l: int, b: Fraction) -> ResidueParts:
@@ -207,45 +251,78 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     a_pi2 = Fraction(0)
     b_L = Fraction(0)
     b_const = Fraction(0)
-    for k in range(h):
-        c1 = Fraction(comb(h + k - 1, k))
-        bk = b ** k
-        b1k = (b + 1) ** k
-        sgn = Fraction((-1) ** (k + h))
-        c2 = c1 * comb(h - 1, k)
+    bk = b1k = Fraction(1)
+    for k, (c2, s, s_h) in enumerate(_residue_weights(h)):
+        sgn_b1k = b1k if (k + h) % 2 == 0 else -b1k   # (-1)^(k+h) (b+1)^k
         # A: b^k/2 L^2 - theta^2/2 b^k - 9 pi^2/8 (-1)^(k+h) (b+1)^k
         a_L2 += c2 * bk / 2
-        a_pi2 += -c2 * th_over_pi ** 2 * bk / 2 - Fraction(9, 8) * c2 * sgn * b1k
+        a_pi2 += -c2 * th_over_pi ** 2 * bk / 2 - Fraction(9, 8) * c2 * sgn_b1k
         # B: b^k L theta
         b_L += c2 * bk * th_over_pi
-        for j in range(1, h - k):
-            cj = c1 * comb(h - 1, k + j) * Fraction((-1) ** j, j)
-            hs = sum(Fraction(1, m) for m in range(1, j))
-            a_const += cj * hs * (bk + sgn * b1k)
-            a_L += -cj * bk
-            b_const += -cj * (Fraction(3, 2) * sgn * b1k + bk * th_over_pi)
+        # the inner sums over j, with their b-free weights gathered
+        a_const += s_h * (bk + sgn_b1k)
+        a_L += -s * bk
+        b_const += -s * (Fraction(3, 2) * sgn_b1k + bk * th_over_pi)
+        bk *= b
+        b1k *= b + 1
     return ResidueParts(a_const, a_L, a_L2, a_pi2, b_L, b_const)
 
 
-def j_plus_quad(l: int, b: float) -> complex:
-    """J_+(l; b): the defining half-line integral without the log weight,
-    at elevated precision (it is combined against the residue parts, whose
-    cancellation demands more than float64 headroom)."""
+def _laurent_sum(h: int, k: int, x: Fraction) -> Fraction:
+    """P_k(x) = sum_(n <= h-k) binom(h-1, h-k-n) binom(h+n-1, n) x^n, by
+    Horner's rule on the integers p, q of x = p/q."""
+    p, q = x.numerator, x.denominator
+    num, qpow = 0, 1
+    for n in range(h - k, -1, -1):
+        num = num * p + comb(h - 1, h - k - n) * comb(h + n - 1, n) * qpow
+        qpow *= q
+    return Fraction(num, qpow // q)
+
+
+def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
+    """Exact partial-fraction assembly of
+    J_+(l; b) = i^h (1+b)^-h int_0^inf t^(h-1) (t+i)^-h (t+ci)^-h dt,
+    h = l/2, c = b/(b+1).
+
+    With u = t+i, v = t+ci and d = i/(b+1) (so t+ci = u-d, t+i = v+d), the
+    integrand is sum_k alpha_k u^-k + beta_k v^-k, Gaussian rationals in b
+    with beta_1 = -alpha_1.  An order k >= 2 pole integrates to
+    alpha_k i^(1-k)/(k-1) + beta_k (ci)^(1-k)/(k-1); with the prefactor this
+    is (-1)^(k-1)/(k-1) [P_k(b) + (-1)^h P_k(-1-b)] (see _laurent_sum).  The
+    order-1 pair integrates to alpha_1 (log(ci) - log(i)) = alpha_1 (L - i pi
+    [c < 0]), and the prefactor turns alpha_1 into -P_1(b).
+    """
+    if l < 4 or l % 2:
+        raise ValueError("even l >= 4 required")
+    b = Fraction(b)
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     h = l // 2
-    with mp.workdps(_RESIDUE_DPS):
-        c = mp.mpf(b) / (mp.mpf(b) + 1)
-        pref = mp.mpc(0, 1) ** h * (1 + mp.mpf(b)) ** (-h)
-
-        def f(t):
-            return (t + 1j) ** (-h) * (t + c * 1j) ** (-h) * t ** (h - 1)
-
-        val = pref * mp.quad(f, [0, 1, mp.inf])
-        return mp.mpc(val)
+    sgn = (-1) ** h
+    const = sum(Fraction((-1) ** (k - 1), k - 1) * (_laurent_sum(h, k, b) + sgn * _laurent_sum(h, k, -1 - b))
+                for k in range(2, h + 1))
+    return JPlusParts(const, -_laurent_sum(h, 1, b))
 
 
-def w_plus_quad(l: int, b: float, tol: float = 1e-11) -> complex:
+def j_plus_quad(l: int, b: float) -> complex:
+    """J_+(l; b) by 50-digit tanh-sinh quadrature of its defining integral:
+    the oracle for j_plus_parts.  mpmath's quad raises and restores the
+    precision of the context it runs on, so each call gets a fresh one."""
+    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
+        raise DomainError("b too close to the singular points 0, -1")
+    h = l // 2
+    ctx = mp.MPContext()
+    ctx.dps = _DPS
+    c = ctx.mpf(b) / (ctx.mpf(b) + 1)
+    pref = ctx.mpc(0, 1) ** h * (1 + ctx.mpf(b)) ** (-h)
+
+    def f(t):
+        return (t + 1j) ** (-h) * (t + c * 1j) ** (-h) * t ** (h - 1)
+
+    return complex(pref * ctx.quad(f, [0, 1, ctx.inf]))
+
+
+def w_plus_quad(l: int, b: float) -> complex:
     """Defining-integral oracle for W_+(b), split at t = 1, scipy adaptive
     panels for real and imaginary parts with a refinement cross-check."""
     if l < 6 or l % 2:
@@ -255,6 +332,7 @@ def w_plus_quad(l: int, b: float, tol: float = 1e-11) -> complex:
     h = l // 2
     c = b / (b + 1)
     pref = 1j ** h * (1 + b) ** (-h)   # negative base, integer power: real
+    tol = _W_PLUS_QUAD_TOL
 
     def integrand(t: float) -> complex:
         return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * math.log(t)
@@ -272,14 +350,15 @@ def w_plus_quad(l: int, b: float, tol: float = 1e-11) -> complex:
 
 
 def w_plus(l: int, b) -> complex:
-    """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b); A, B exact
-    residue assemblies, J_+ from its own (log-free) defining integral."""
+    """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  J_+, A and B
+    are exact rational combinations of 1, L = log|b/(b+1)| and pi at the
+    same rational b, evaluated together at 50 digits on the private context;
+    no quadrature runs."""
     bfrac = b if isinstance(b, Fraction) else Fraction(b).limit_denominator(10 ** 12)
+    jp = j_plus_parts(l, bfrac)
     parts = residue_parts(l, bfrac)
-    with mp.workdps(_RESIDUE_DPS):
-        jp = j_plus_quad(l, float(b))
-        val = -mp.mpc(0, 1) * mp.pi * jp - parts.a_value(bfrac) - mp.mpc(0, 1) * parts.b_value(bfrac)
-        return complex(val)
+    i = _MP.mpc(0, 1)
+    return complex(-i * _PI * jp.value(bfrac) - parts.a_value(bfrac) - i * parts.b_value(bfrac))
 
 
 def w_eps(l: int, b: float, eps_minus1: int) -> complex:

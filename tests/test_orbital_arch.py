@@ -1,12 +1,37 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rtfverify import orbital_arch as oa
 from rtfverify.errors import DomainError
+
+# the pairs of the arch.w-plus-closed-vs-quadrature check
+SUITE_PAIRS = [(l, b) for l in (6, 8, 10) for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2),
+                                                    Fraction(-3), Fraction(2), Fraction(10))]
+# large |b| and l up to 12, the range of the rtf arch queries
+WIDE_BS = (Fraction(-120, 7), Fraction(113, 11), Fraction(119), Fraction(-1, 12))
+
+
+def _query_pairs(n: int, seed: int) -> list[tuple[int, Fraction]]:
+    """Pairs drawn like the arch queries: l in {6,...,12}, b = +-(1..120)/(1..12)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 120), rng.randint(1, 12))
+        if b != -1:
+            out.append((rng.choice((6, 8, 10, 12)), b))
+    return out
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
 
 
 def test_legendre_values():
@@ -81,6 +106,80 @@ def test_w_plus_vs_quadrature():
         closed = oa.w_plus(l, b)
         quad = oa.w_plus_quad(l, float(b))
         assert abs(closed - quad) <= max(1e-6 * abs(quad), 1e-11)
+
+
+@pytest.mark.parametrize("l", [6, 8, 10, 12])
+def test_w_plus_at_large_b_vs_quadrature(l):
+    # the arch check's relative tolerance; none of these b is the zero at -1/2
+    for b in WIDE_BS:
+        closed = oa.w_plus(l, b)
+        quad = oa.w_plus_quad(l, float(b))
+        assert abs(closed - quad) <= 1e-6 * abs(quad), (l, b)
+
+
+@pytest.mark.parametrize("l", [6, 8, 10, 12])
+def test_j_plus_parts_vs_quadrature(l):
+    for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2), Fraction(-3), Fraction(2), Fraction(10),
+              *WIDE_BS):
+        closed = complex(oa.j_plus_parts(l, b).value(b))
+        quad = oa.j_plus_quad(l, float(b))
+        assert abs(closed - quad) <= 1e-12 * abs(quad), (l, b, closed, quad)
+
+
+def test_j_plus_parts_exact_example():
+    # l = 6, b = 1: J_+ = -9 - 13 log(1/2), with no pi term since b(b+1) > 0
+    assert oa.j_plus_parts(6, Fraction(1)) == oa.JPlusParts(Fraction(-9), Fraction(-13))
+    with pytest.raises(DomainError):
+        oa.j_plus_parts(6, Fraction(-1))
+
+
+def test_w_plus_is_quadrature_free(monkeypatch):
+    want = {(l, b): oa.w_plus(l, b) for l, b in SUITE_PAIRS[:6] + [(12, b) for b in WIDE_BS]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(oa, "j_plus_quad", refuse)
+    monkeypatch.setattr(mp.MPContext, "quad", refuse)   # every context, the private one too
+    monkeypatch.setattr(mp, "quad", refuse)
+    monkeypatch.setattr(oa.integrate, "quad", refuse)
+    with pytest.raises(AssertionError):
+        oa._MP.quad(lambda t: t, [0, 1])
+    for (l, b), w in want.items():
+        assert _bits(oa.w_plus(l, b)) == _bits(w)
+
+
+def test_w_plus_bit_identical_under_threads():
+    pairs = SUITE_PAIRS + _query_pairs(40, seed=4)
+    prec = mp.mp.prec
+    serial = [_bits(oa.w_plus(l, b)) for l, b in pairs]
+    work = pairs * 4
+    random.Random(5).shuffle(work)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # interleave the threads as finely as the interpreter allows
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            threaded = list(pool.map(lambda p: (p, _bits(oa.w_plus(*p))), work, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    want = dict(zip(pairs, serial))
+    assert [p for p, bits in threaded if bits != want[p]] == []
+    assert mp.mp.prec == prec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((6, 8, 10, 12)), st.integers(-120, 120).filter(lambda n: n != 0), st.integers(1, 12))
+def test_w_plus_ignores_global_precision(l, num, den):
+    b = Fraction(num, den)
+    assume(b != -1)
+    prec = mp.mp.prec
+    results = set()
+    for dps in (15, 30, 80):
+        with mp.workdps(dps):
+            results.add(_bits(oa.w_plus(l, b)))
+            assert mp.mp.dps == dps
+    assert len(results) == 1
+    assert mp.mp.prec == prec
 
 
 def test_w_plus_quad_regression_pins():
