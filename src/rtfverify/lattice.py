@@ -314,11 +314,8 @@ def ball_integral(lat_r: float, l: Sequence[float], outside: bool = False) -> fl
         return 2 * (1 + lat_r) ** (1 - lj / 2) / (lj / 2 - 1)
 
     def radial(rho):
-        def ang(t):
-            return ((1 + rho * abs(math.cos(t))) ** (-l[0] / 2)
-                    * (1 + rho * abs(math.sin(t))) ** (-l[1] / 2))
-        val, _ = integrate.quad(ang, 0, math.pi / 2, epsabs=1e-10, limit=200)
-        return 4 * val * rho
+        # phi_sphere's axis break points divide by rho; the integrand is 0 there
+        return rho * phi_sphere(l, rho) if rho > 0 else 0.0
 
     if outside:
         val, _ = integrate.quad(radial, lat_r, np.inf, epsabs=1e-10, limit=200)
@@ -387,7 +384,7 @@ def phi_sphere(l: Sequence[float], t: float) -> float:
     # at large t the mass sits in O(1/t) spikes at the axes; flag them
     brk = sorted({min(max(x, 1e-12), math.pi / 2 - 1e-12)
                   for x in (1 / t, 10 / t, math.pi / 2 - 10 / t, math.pi / 2 - 1 / t)})
-    val, _ = integrate.quad(ang, 0, math.pi / 2, epsabs=1e-14, epsrel=1e-12,
+    val, _ = integrate.quad(ang, 0, math.pi / 2, epsabs=0.0, epsrel=1e-12,
                             limit=500, points=brk)
     return 4 * val
 

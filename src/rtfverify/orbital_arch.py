@@ -7,8 +7,9 @@ polynomials in b with rational coefficients against 1, L = log|b/(b+1)|, pi
 and pi^2.  J_+ is the same defining integral without the log factor; its
 integrand is rational in t, so partial fractions close it exactly in the
 basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits
-on a private mpmath context: no quadrature runs, and mpmath's global
-precision is neither read nor written.  w_plus_quad (scipy) is the
+on a private mpmath context (again on a fresh, more precise one when the
+terms cancel to fewer than 20 digits): no quadrature runs, and mpmath's
+global precision is neither read nor written.  w_plus_quad (scipy) is the
 independent oracle, and j_plus_quad the quadrature oracle for J_+ alone.
 """
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .errors import ConvergenceError, DomainError
 
 DELTA_CUT = 1e-9
 _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
+_MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
+_MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: scipy absolute and relative tolerance
 
@@ -34,7 +37,6 @@ _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: scipy absolute and relative tolerance
 # import, so results do not depend on mp.mp.dps and are identical under threads
 _MP = mp.MPContext()
 _MP.dps = _DPS
-_PI = +_MP.pi
 
 
 def legendre(n: int, x: float) -> float:
@@ -181,14 +183,14 @@ class ResidueParts:
     b_L_over_pi: Fraction
     b_const_over_pi: Fraction
 
-    def a_value(self, b: Fraction) -> "mp.mpf":
-        L = _log_ratio(b)
-        return (_mpq(self.a_const) + _mpq(self.a_L) * L + _mpq(self.a_L2) * L * L
-                + _mpq(self.a_pi2) * _PI ** 2)
+    def a_value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpf":
+        L = _log_ratio(b, ctx)
+        return (_mpq(self.a_const, ctx) + _mpq(self.a_L, ctx) * L + _mpq(self.a_L2, ctx) * L * L
+                + _mpq(self.a_pi2, ctx) * (+ctx.pi) ** 2)
 
-    def b_value(self, b: Fraction) -> "mp.mpf":
-        L = _log_ratio(b)
-        return (_mpq(self.b_L_over_pi) * L + _mpq(self.b_const_over_pi)) * _PI
+    def b_value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpf":
+        L = _log_ratio(b, ctx)
+        return (_mpq(self.b_L_over_pi, ctx) * L + _mpq(self.b_const_over_pi, ctx)) * +ctx.pi
 
 
 @dataclass(frozen=True)
@@ -200,17 +202,17 @@ class JPlusParts:
     const: Fraction
     log_coeff: Fraction
 
-    def value(self, b: Fraction) -> "mp.mpc":
-        log_c = _log_ratio(b) - (_MP.mpc(0, _PI) if b * (b + 1) < 0 else 0)
-        return _mpq(self.const) + _mpq(self.log_coeff) * log_c
+    def value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpc":
+        log_c = _log_ratio(b, ctx) - (ctx.mpc(0, +ctx.pi) if b * (b + 1) < 0 else 0)
+        return _mpq(self.const, ctx) + _mpq(self.log_coeff, ctx) * log_c
 
 
-def _mpq(x: Fraction) -> "mp.mpf":
-    return _MP.mpf(x.numerator) / x.denominator
+def _mpq(x: Fraction, ctx: mp.MPContext) -> "mp.mpf":
+    return ctx.mpf(x.numerator) / x.denominator
 
 
-def _log_ratio(b: Fraction) -> "mp.mpf":
-    return _MP.log(abs(_mpq(b / (b + 1))))
+def _log_ratio(b: Fraction, ctx: mp.MPContext) -> "mp.mpf":
+    return ctx.log(abs(_mpq(b / (b + 1), ctx)))
 
 
 @functools.cache
@@ -353,12 +355,50 @@ def w_plus(l: int, b) -> complex:
     """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  J_+, A and B
     are exact rational combinations of 1, L = log|b/(b+1)| and pi at the
     same rational b, evaluated together at 50 digits on the private context;
-    no quadrature runs."""
+    no quadrature runs.
+
+    The terms cancel by about |b|^(l-1).  When fewer than _MIN_DIGITS of
+    the 50 survive that, the sum is evaluated again with enough digits on a
+    fresh context.  At b = -1/2 W_+ vanishes identically, so there is no
+    relative precision to gain.
+    """
     bfrac = b if isinstance(b, Fraction) else Fraction(b).limit_denominator(10 ** 12)
     jp = j_plus_parts(l, bfrac)
     parts = residue_parts(l, bfrac)
-    i = _MP.mpc(0, 1)
-    return complex(-i * _PI * jp.value(bfrac) - parts.a_value(bfrac) - i * parts.b_value(bfrac))
+    ctx = _MP
+    while True:
+        i = ctx.mpc(0, 1)
+        value = (-i * +ctx.pi * jp.value(bfrac, ctx) - parts.a_value(bfrac, ctx)
+                 - i * parts.b_value(bfrac, ctx))
+        if bfrac == Fraction(-1, 2):
+            return complex(value)
+        lost = _cancelled_digits(jp, parts, bfrac, value, ctx)
+        if ctx.dps - lost >= _MIN_DIGITS:
+            return complex(value)
+        if ctx.dps >= _MAX_DPS:
+            raise ConvergenceError(f"w_plus(l={l}, b={bfrac}): {lost:.0f} of {ctx.dps} digits "
+                                   f"lost to cancellation")
+        # 5 spare digits: a pass that lost nearly all of them misjudges |W_+|
+        dps = min(_MAX_DPS, max(ctx.dps, math.ceil(lost)) + _MIN_DIGITS + 5)
+        ctx = mp.MPContext()
+        ctx.dps = dps
+
+
+def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, value, ctx: mp.MPContext) -> float:
+    """Decimal digits of w_plus's sum lost to cancellation: log10 of its
+    largest |coefficient x basis value| over |W_+| (all of them when the sum
+    came out 0)."""
+    if value == 0:
+        return ctx.dps
+    L = abs(math.log(abs(b / (b + 1))))
+    log_c = math.hypot(L, math.pi) if b * (b + 1) < 0 else L
+    terms = ((jp.const, math.pi), (jp.log_coeff, math.pi * log_c),
+             (parts.a_const, 1.0), (parts.a_L, L), (parts.a_L2, L * L), (parts.a_pi2, math.pi ** 2),
+             (parts.b_L_over_pi, math.pi * L), (parts.b_const_over_pi, math.pi))
+    largest = max(math.log10(abs(c.numerator)) - math.log10(c.denominator) + math.log10(m)
+                  for c, m in terms if c and m)
+    size = abs(complex(value))      # 0 only on float underflow
+    return largest - (math.log10(size) if size else float(ctx.log10(abs(value))))
 
 
 def w_eps(l: int, b: float, eps_minus1: int) -> complex:

@@ -232,18 +232,22 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     out = []
 
     worst = 0.0
+    ns = range(0, 7)
     for q in QS:
         for eta_val in (-1, 1):
-            for n in range(0, 7):
-                num = testfns.period_integral("upsilon", q, eta_val, testfns.alpha_pn_at(q, n))
+            pns = [testfns.alpha_pn_at(q, n) for n in ns]
+            u_pn = testfns.period_integrals("upsilon", q, eta_val, pns)
+            # alpha_[p^n] for each n, then the basis alpha^(n), on one dU grid
+            du = testfns.period_integrals("dunip_kernel", q, eta_val,
+                                          pns + [testfns.alpha_basis_at(q, n) for n in ns])
+            du_pn, du_basis = du[:len(ns)], du[len(ns):]
+            for n in ns:
                 closed = float(testfns.unip_u_scaled(eta_val, n)) * q ** (-n / 2)
-                worst = max(worst, abs(num - closed))
-                num = testfns.period_integral("dunip_kernel", q, eta_val, testfns.alpha_pn_at(q, n))
+                worst = max(worst, abs(u_pn[n] - closed))
                 closed = float(testfns.unip_du_scaled(eta_val, n)) * q ** (-n / 2) * math.log(q)
-                worst = max(worst, abs(num - closed))
-                num = testfns.period_integral("dunip_kernel", q, eta_val, testfns.alpha_basis_at(q, n))
+                worst = max(worst, abs(du_pn[n] - closed))
                 closed = testfns.dunip(q, eta_val, n).evaluate()
-                worst = max(worst, abs(num - closed))
+                worst = max(worst, abs(du_basis[n] - closed))
     out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9, f"max |err| {worst:.2e}"))
 
     bad = 0
@@ -268,24 +272,26 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("unipotent.sigma-independence", worst <= 1e-9, f"max gap {worst:.2e}"))
 
     worst = 0.0
+    ns = range(0, 6)
     for q in (2, 3):
         for eta_val in (-1, 1):
-            for n in range(0, 6):
+            # alpha_[p^n] for each n, then the basis alpha^(m) for each m <= 5
+            du = testfns.period_integrals("dunip_kernel", q, eta_val,
+                                          [testfns.alpha_pn_at(q, n) for n in ns]
+                                          + [testfns.alpha_basis_at(q, m) for m in ns])
+            direct, basis = du[:len(ns)], du[len(ns):]
+            for n in ns:
                 ms, const = testfns.decompose_alpha(n)
-                direct = testfns.period_integral("dunip_kernel", q, eta_val, testfns.alpha_pn_at(q, n))
-                parts = sum(testfns.period_integral("dunip_kernel", q, eta_val, testfns.alpha_basis_at(q, m))
-                            for m in ms)
-                parts += const * 0.5 * testfns.period_integral("dunip_kernel", q, eta_val,
-                                                               testfns.alpha_basis_at(q, 0))
-                worst = max(worst, abs(direct - parts))
+                parts = sum(basis[m] for m in ms)
+                parts += const * 0.5 * basis[0]
+                worst = max(worst, abs(direct[n] - parts))
     out.append(CheckResult("unipotent.linearity-via-decomposition", worst <= 1e-9, f"max gap {worst:.2e}"))
 
     worst = 0.0
     worst0 = 0.0
     for q in QS:
         for eta_val in (-1, 1):
-            for n in range(0, 9):
-                got = testfns.st_moment(q, eta_val, n)
+            for n, got in enumerate(testfns.st_moments(q, eta_val, range(0, 9))):
                 want = testfns.st_moment_expected(q, eta_val, n)
                 worst = max(worst, abs(got - want))
                 if n == 0:

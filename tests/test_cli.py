@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rtfverify import assembly, cli
+from rtfverify import assembly, cli, testfns
 
 CFG = {
     "schema": 1,
@@ -51,6 +54,22 @@ def test_moments_command(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[3]) < 1e-9 and float(cells[6]) < 1e-9
+
+
+def test_moments_command_matches_row_by_row(capsys):
+    rc = cli.main(["moments", "--q", "3", "--eta", "-1", "--n", "0..8"])
+    assert rc == 0
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
+    for n in range(9):
+        u_closed = float(testfns.unip_u_scaled(-1, n)) * 3 ** (-n / 2)
+        du_closed = float(testfns.unip_du_scaled(-1, n)) * 3 ** (-n / 2) * math.log(3)
+        u_quad = testfns.period_integral("upsilon", 3, -1, testfns.alpha_pn_at(3, n)).real
+        du_quad = testfns.period_integral("dunip_kernel", 3, -1, testfns.alpha_pn_at(3, n)).real
+        writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
+                         f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])
+    assert capsys.readouterr().out == want.getvalue()
 
 
 def test_local_tables_command(capsys):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from rtfverify import lattice as lt
 from rtfverify.errors import DomainError, TailTooLarge, UnsupportedField
@@ -143,3 +145,14 @@ def test_ball_integral_rank_one():
     assert val == pytest.approx(2 * (1 - 4.0 ** -2) / 2)
     out = lt.ball_integral(3.0, [6.0], outside=True)
     assert out == pytest.approx(2 * 4.0 ** -2 / 2)
+
+
+@pytest.mark.parametrize("l", [(6, 6), (6, 10), (8, 12)])
+def test_ball_integral_inside_plus_outside_is_the_total(l):
+    # the integral of f over R^2 is prod_j 2 int_0^inf (1+x)^(-l_j/2) dx
+    total = math.prod(4 / (lj - 2) for lj in l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for r in (0.3, 1.0, math.sqrt(2), 3.0, 10.0):
+            both = lt.ball_integral(r, l) + lt.ball_integral(r, l, outside=True)
+            assert abs(both - total) <= 1e-9 * total, (l, r, both / total - 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rtfverify import orbital_arch as oa
-from rtfverify.errors import DomainError
+from rtfverify.errors import ConvergenceError, DomainError
 
 # the pairs of the arch.w-plus-closed-vs-quadrature check
 SUITE_PAIRS = [(l, b) for l in (6, 8, 10) for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2),
@@ -180,6 +180,41 @@ def test_w_plus_ignores_global_precision(l, num, den):
             assert mp.mp.dps == dps
     assert len(results) == 1
     assert mp.mp.prec == prec
+
+
+def _w_plus_at_150_digits(l: int, b: Fraction) -> complex:
+    ctx = mp.MPContext()
+    ctx.dps = 150
+    jp, parts = oa.j_plus_parts(l, b), oa.residue_parts(l, b)
+    i = ctx.mpc(0, 1)
+    return complex(-i * (+ctx.pi) * jp.value(b, ctx) - parts.a_value(b, ctx) - i * parts.b_value(b, ctx))
+
+
+@pytest.mark.parametrize("l, b", [(12, Fraction(10 ** 4)), (16, Fraction(1000)), (20, Fraction(120)),
+                                  (14, Fraction(-2000, 3))])
+def test_w_plus_keeps_precision_at_large_b_and_l(l, b):
+    # 50 digits lose 46 to 51 of them to cancellation here
+    want = _w_plus_at_150_digits(l, b)
+    assert abs(oa.w_plus(l, b) - want) <= 1e-12 * abs(want)
+
+
+def test_w_plus_refuses_past_the_digit_cap(monkeypatch):
+    # (16, 1000) needs about 76 digits
+    monkeypatch.setattr(oa, "_MAX_DPS", 60)
+    with pytest.raises(ConvergenceError, match=r"w_plus\(l=16, b=1000\)"):
+        oa.w_plus(16, Fraction(1000))
+
+
+def test_w_plus_query_inputs_stay_at_50_digits(monkeypatch):
+    # the arch check and query inputs keep enough digits: no re-evaluation
+    pairs = SUITE_PAIRS + [(12, b) for b in WIDE_BS] + _query_pairs(60, seed=9) + [(12, Fraction(-120))]
+    want = {p: _bits(oa.w_plus(*p)) for p in pairs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fresh context made")
+
+    monkeypatch.setattr(mp, "MPContext", refuse)
+    assert {p: _bits(oa.w_plus(*p)) for p in pairs} == want
 
 
 def test_w_plus_quad_regression_pins():

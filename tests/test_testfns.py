@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtfverify import testfns as tf
+from rtfverify.errors import ConvergenceError
 from rtfverify.formal import FormalLog
 
 
@@ -71,6 +73,90 @@ def test_period_integral_guards():
         tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0), sigma=-1.0)
     with pytest.raises(ValueError):
         tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0), steps=16)
+
+
+def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
+    """The contour pass for one alpha alone, with its own grid, kernel and
+    measure, in the product order period_integrals must keep."""
+    T = 4 * math.pi / math.log(q)
+    s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
+    terms = (tf._KERNELS[kernel](q, eta_val, s) * alpha(s) * (math.log(q) / 2)
+             * (q ** ((1 + s) / 2) - q ** ((1 - s) / 2)))
+    return complex(np.sum(terms)) * (1j * T / steps) / (2j * math.pi)
+
+
+def _st_pass_per_n(q, eta_val, n, steps):
+    """The theta-substitution pass for one n alone, with its own grid and
+    measure, in the product order st_moments must keep."""
+    theta = np.linspace(0.0, math.pi, steps)
+    x = 2 * np.cos(theta)
+    num = np.sin((n + 1) * theta)
+    den = np.sin(theta)
+    Xn = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), (n + 1) * np.cos(theta) ** n)
+    integrand = Xn * tf.plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2
+    return float(np.trapezoid(integrand, theta))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(tf._KERNELS)), st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)),
+       st.sampled_from((-1, 1)), st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       st.sampled_from((0.3, 0.7, 1.7)))
+def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
+    alphas = [tf.alpha_pn_at(q, n) for n in ns] + [tf.alpha_basis_at(q, n) for n in ns]
+    batch = tf.period_integrals(kernel, q, eta, alphas, sigma=sigma)
+    assert len(batch) == len(alphas)
+    for alpha, got in zip(alphas, batch):
+        assert _bits(got) == _bits(tf.period_integral(kernel, q, eta, alpha, sigma=sigma))
+        assert _bits(got) == _bits(_period_pass_per_alpha(kernel, q, eta, alpha, sigma, 2 * 4096))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)), st.sampled_from((-1, 1)),
+       st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_st_moments_bit_identical(q, eta, ns):
+    batch = tf.st_moments(q, eta, ns)
+    for n, got in zip(ns, batch, strict=True):
+        assert got.hex() == tf.st_moment(q, eta, n).hex()
+        assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
+
+
+@pytest.mark.parametrize("kernel", sorted(tf._KERNELS))
+@pytest.mark.parametrize("count", [1, 9])
+def test_period_integrals_run_each_kernel_once_per_grid(monkeypatch, kernel, count):
+    calls = []
+    inner = tf._KERNELS[kernel]
+
+    def counted(q, eta_val, s):
+        calls.append(len(s))
+        return inner(q, eta_val, s)
+
+    monkeypatch.setitem(tf._KERNELS, kernel, counted)
+    tf.period_integrals(kernel, 3, -1, [tf.alpha_pn_at(3, n) for n in range(count)])
+    assert calls == [4096, 8192]
+
+
+def test_period_integrals_failure_names_the_input(monkeypatch):
+    # a kernel that grows with the grid fails every refinement check
+    monkeypatch.setitem(tf._KERNELS, "upsilon", lambda q, eta_val, s: len(s) * q ** (-(1 + s) / 2))
+    with pytest.raises(ConvergenceError) as info:
+        tf.period_integrals("upsilon", 5, 1, [tf.alpha_pn_at(5, 0), tf.alpha_pn_at(5, 2)], sigma=0.3)
+    msg = str(info.value)
+    for part in ("'upsilon'", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
+        assert part in msg, msg
+
+
+def test_st_moments_failure_names_the_input(monkeypatch):
+    monkeypatch.setattr(tf, "plancherel_factor", lambda q, eta_val, x: np.full(x.shape, float(len(x))))
+    with pytest.raises(ConvergenceError) as info:
+        tf.st_moments(3, -1, [4, 0])
+    msg = str(info.value)
+    # X_4 is orthogonal to the constant, so only n = 0 sees the grid size
+    for part in ("q=3", "eta=-1", "steps=20001", "n=0", "refinement gap"):
+        assert part in msg, msg
 
 
 def test_kernel_identity_exact():
