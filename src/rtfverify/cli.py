@@ -65,12 +65,12 @@ def cmd_local_weights(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     ns = _parse_range(args.n)
     alphas = [testfns.alpha_pn_at(args.q, n) for n in ns]
     u_quads = testfns.period_integrals("upsilon", args.q, args.eta, alphas)
     du_quads = testfns.period_integrals("dunip_kernel", args.q, args.eta, alphas)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     for n, u_quad, du_quad in zip(ns, u_quads, du_quads):
         u_quad, du_quad = u_quad.real, du_quad.real
         u_closed = float(testfns.unip_u_scaled(args.eta, n)) * args.q ** (-n / 2)

@@ -5,6 +5,11 @@ class RTFError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(RTFError, ValueError):
+    """An argument lies outside the domain its function accepts; the message
+    names the argument and its value."""
+
+
 class CoprimalityError(RTFError):
     """An ideal meets a prime set it was required to avoid."""
 

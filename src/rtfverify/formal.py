@@ -43,6 +43,12 @@ def _factor_small(n: int) -> list[tuple[int, int]]:
 
 
 class FormalLog:
+    """const + sum_i coeffs[sym_i] * sym_i, kept normalised: const is a
+    Fraction and every stored coefficient is a non-zero Fraction, so equality
+    and hashing compare values.  __init__ establishes this from any rationals;
+    the private FormalLog._trusted skips that work for hot callers that already
+    hold reduced non-zero Fractions, and must never be handed anything else."""
+
     __slots__ = ("const", "coeffs")
 
     def __init__(self, const: Rat = 0, coeffs: Mapping[str, Rat] | None = None):
@@ -69,15 +75,25 @@ class FormalLog:
         return cls(0, {sym: coeff})
 
     @classmethod
+    def _trusted(cls, const: Fraction, coeffs: dict[str, Fraction]) -> "FormalLog":
+        """Build without normalising.  The caller guarantees what __init__
+        would otherwise establish: const is a Fraction, and coeffs is a fresh
+        dict (the result takes ownership) whose values are non-zero Fractions."""
+        self = object.__new__(cls)
+        self.const = const
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def log_integer(cls, n: int, coeff: Rat = 1) -> "FormalLog":
         """log n for an integer n >= 1, canonicalised into prime symbols."""
         if n < 1:
             raise ValueError("log_integer wants n >= 1")
         coeff = Fraction(coeff)
-        out: dict[str, Fraction] = {}
-        for p, e in _factor_small(n):
-            out[f"log@{p}"] = out.get(f"log@{p}", Fraction(0)) + coeff * e
-        return cls(0, out)
+        if not coeff:
+            return cls._trusted(Fraction(0), {})
+        a, b = coeff.numerator, coeff.denominator
+        return cls._trusted(Fraction(0), {f"log@{p}": Fraction(a * e, b) for p, e in _factor_small(n)})
 
     # -- arithmetic ---------------------------------------------------------
 

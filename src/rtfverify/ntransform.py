@@ -14,6 +14,11 @@ place gets a short table of integers over one per-place denominator.  A
 term's weight is the product of its table entries, the sum is kept as an
 integer numerator over a running denominator (one per FormalLog symbol), and
 one Fraction is built per symbol at the end.
+
+The closed forms are products over the places of n.  Each is one integer
+numerator and one integer denominator, multiplied place by place, with one
+Fraction built per ideal; closed_log gathers its coefficients per log symbol
+and builds one FormalLog.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import DomainError, NonRationalPower
-from .formal import FormalLog
+from .formal import FormalLog, _factor_small
 from .ideals import Ideal, Prime
 
 Value = Fraction | FormalLog
@@ -127,7 +132,7 @@ def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fa
     const = Fraction(num, den * denom)
     if not formal:
         return const
-    return FormalLog(const, {sym: Fraction(a, b * denom) for sym, (a, b) in sums.items()})
+    return FormalLog._trusted(const, {sym: Fraction(a, b * denom) for sym, (a, b) in sums.items() if a})
 
 
 def _accumulate(sums: dict[str | None, list[int]], sym: str | None, w: int, c: Fraction | int) -> None:
@@ -185,35 +190,42 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
-def _power_exact(x: int, t: Fraction, label: object) -> Fraction:
-    """x^t for an integer x >= 1, exactly; `label` names x as norm(label)
-    in the error raised when x^t is irrational."""
-    xt = Fraction(x) ** t.numerator
-    if t.denominator == 1:
-        return xt
+def _power_pair(x: int, t: Fraction, label: object) -> tuple[int, int]:
+    """x^t for an integer x >= 1 as a coprime pair (numerator, denominator);
+    `label` names x as norm(label) in the error raised when x^t is irrational."""
+    a, d = t.numerator, t.denominator
+    num, den = (x ** a, 1) if a >= 0 else (1, x ** -a)
+    if d == 1:
+        return num, den
     # need an exact rational root; norms may exceed the float range
-    d = t.denominator
-    rn = _iroot(xt.numerator, d)
-    rd = _iroot(xt.denominator, d)
-    if rn ** d == xt.numerator and rd ** d == xt.denominator:
-        return Fraction(rn, rd)
+    rn = _iroot(num, d)
+    rd = _iroot(den, d)
+    if rn ** d == num and rd ** d == den:
+        return rn, rd
     raise NonRationalPower(f"norm({label})^{t} is irrational")
 
 
 def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
-    return _power_exact(n.norm, t, n)
+    return Fraction(*_power_pair(n.norm, t, n))
 
 
 def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction | float:
     """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
-    with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above."""
+    with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above.  Exactly, the
+    product is one integer numerator over one integer denominator."""
     if exact:
-        out = _norm_power_exact(n, t)
+        num, den = _power_pair(n.norm, t, n)
+        s = -2 * (1 + t)
         for p, e in n.exps:
             if e >= 2:
-                qpow = _power_exact(p.q, -2 * (1 + t), p.id)
-                out *= 1 + sign * (Fraction(p.q, p.q - 1) * qpow if e == 2 else qpow)
-        return out
+                q = p.q
+                qn, qd = _power_pair(q, s, p.id)
+                if e == 2:   # 1 + sign * q/(q-1) * qn/qd
+                    qd *= q - 1
+                    qn *= q
+                num *= qd + sign * qn
+                den *= qd
+        return Fraction(num, den)
     out_f = float(n.norm) ** float(t)
     for p, e in n.exps:
         if e >= 2:
@@ -233,14 +245,20 @@ def closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | 
 
 def closed_log(n: Ideal) -> FormalLog:
     """Closed form of the transform of log norm: the t-derivative of
-    closed_power at t=0, as an exact FormalLog."""
-    bracket = FormalLog.zero()
+    closed_power at t=0, as an exact FormalLog.  Each place adds
+    (e + 2/(q^2-q-1) at e == 2, 2/(q^2-1) at e > 2) log q to a bracket that
+    is scaled by closed_power(n, 0)."""
+    coeffs: dict[str, Fraction] = {}
     for p, e in n.exps:
         coeff = Fraction(e)
         if e >= 2:
             coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
-        bracket = bracket + FormalLog.log_integer(p.q, coeff)
-    return bracket * closed_power(n, 0)
+        for r, f in _factor_small(p.q):
+            sym = f"log@{r}"
+            coeffs[sym] = coeffs.get(sym, 0) + coeff * f
+    # every coefficient and the scale are positive, so none vanishes
+    scale = closed_power(n, 0)
+    return FormalLog._trusted(Fraction(0), {sym: c * scale for sym, c in coeffs.items()})
 
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:

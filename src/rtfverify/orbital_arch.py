@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, InputError
 
 DELTA_CUT = 1e-9
 _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
@@ -60,7 +60,7 @@ def gauss_2f1(k: int, x: float) -> float:
     overlap zone.
     """
     if k < 4 or k % 2:
-        raise ValueError("even k >= 4 required")
+        raise InputError(f"even k >= 4 required, got k={k}")
     if x >= 1 or abs(1 - x) < DELTA_CUT:
         raise DomainError("argument too close to the logarithmic point 1")
     if abs(x) <= 0.7:
@@ -131,7 +131,7 @@ def j_arch(k: int, b: float, eps: str = "one", use_functional_equation: bool = T
     the parity functional equation J(b) = (-1)^(k/2) J(-b-1) by default.
     """
     if k < 4 or k % 2:
-        raise ValueError("even k >= 4 required")
+        raise InputError(f"even k >= 4 required, got k={k}")
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     if eps not in ("one", "sgn"):
@@ -242,7 +242,7 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     completely); assembling the rational coefficients first avoids that.
     """
     if l < 4 or l % 2:
-        raise ValueError("even l >= 4 required")
+        raise InputError(f"even l >= 4 required, got l={l}")
     b = Fraction(b)
     h = l // 2
     th_is_half = b * (b + 1) < 0          # theta(b) = pi/2 else 3 pi/2
@@ -295,7 +295,7 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
     [c < 0]), and the prefactor turns alpha_1 into -P_1(b).
     """
     if l < 4 or l % 2:
-        raise ValueError("even l >= 4 required")
+        raise InputError(f"even l >= 4 required, got l={l}")
     b = Fraction(b)
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
@@ -328,7 +328,7 @@ def w_plus_quad(l: int, b: float) -> complex:
     """Defining-integral oracle for W_+(b), split at t = 1, scipy adaptive
     panels for real and imaginary parts with a refinement cross-check."""
     if l < 6 or l % 2:
-        raise ValueError("even l >= 6 required for comfortable decay")
+        raise InputError(f"even l >= 6 required for comfortable decay, got l={l}")
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     h = l // 2

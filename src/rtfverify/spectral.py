@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, wraps
 from typing import Mapping
 
-from .errors import InertViolation, SingularTau
+from .errors import InertViolation, InputError, SingularTau
 from .formal import FormalLog
 from .ideals import Ideal, Prime, QuadCharData, omega_pair, square_decompose
 
 MAX_K = 64
+REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of the r_z sum path uses k + 1 <= MAX_K + 1
 
 Num = Fraction | float | complex
 
@@ -36,16 +38,16 @@ class LocalRepData:
 
     def __post_init__(self):
         if self.c < 0 or self.q < 2:
-            raise ValueError("need c >= 0 and q >= 2")
+            raise InputError(f"need c >= 0 and q >= 2, got c={self.c}, q={self.q}")
         if self.c == 0:
             if self.Q is None or self.chi is not None:
-                raise ValueError("c=0 wants Q and no chi")
+                raise InputError(f"c=0 wants Q and no chi, got Q={self.Q}, chi={self.chi}")
         elif self.c == 1:
             if self.chi not in (1, -1) or self.Q is not None:
-                raise ValueError("c=1 wants chi=+-1 and no Q")
+                raise InputError(f"c=1 wants chi=+-1 and no Q, got Q={self.Q}, chi={self.chi}")
         else:
             if self.Q is not None or self.chi is not None:
-                raise ValueError("c>=2 carries no parameter")
+                raise InputError(f"c>=2 carries no parameter, got Q={self.Q}, chi={self.chi}")
 
     @classmethod
     def from_satake(cls, q: int, a: complex) -> "LocalRepData":
@@ -76,6 +78,24 @@ def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
     return eta_val ** j * X ** j
 
 
+def _rep_cache(fn):
+    """A bounded lru_cache for fn(j, rep), whose value does not depend on X.
+
+    The key also carries type(rep.Q): reps whose Q are equal numbers of
+    different types (Fraction(1, 2) and 0.5) compare and hash equal, yet fn
+    returns a value of Q's type, and a float result must not be handed back
+    where a Fraction is due."""
+    cached = lru_cache(maxsize=REP_CACHE_SIZE)(lambda j, rep, _q_type: fn(j, rep))
+
+    @wraps(fn)
+    def lookup(j: int, rep: LocalRepData) -> Num:
+        return cached(j, rep, type(rep.Q))
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+@_rep_cache
 def q_poly_one(j: int, rep: LocalRepData) -> Num:
     """Q_j evaluated for the trivial character at X = 1 (always real)."""
     return q_poly(j, rep, 1, _one_like(rep.Q if rep.Q is not None else Fraction(1)))
@@ -85,6 +105,7 @@ def _one_like(X: Num):
     return Fraction(1) if isinstance(X, (int, Fraction)) else 1.0
 
 
+@_rep_cache
 def tau_jj(j: int, rep: LocalRepData) -> Num:
     if j < 0:
         raise ValueError("j >= 0 required")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InputError
 from .formal import FormalLog
 
 
@@ -24,7 +24,7 @@ def chebyshev(n: int, x):
     """X_n(x) = sin((n+1) theta)/sin theta at x = 2 cos theta, extended off
     [-2, 2] by the three-term recurrence (exact for Fraction input)."""
     if n < 0:
-        raise ValueError("n >= 0 required")
+        raise InputError(f"n >= 0 required, got n={n}")
     a, b = 1, x
     if n == 0:
         return x * 0 + 1 if not isinstance(x, (int, Fraction)) else Fraction(1)
@@ -180,10 +180,11 @@ def period_integrals(kernel: str, q: int, eta_val: int,
     Each value is bit-identical to its one-item call, and each alpha is held
     to its own 1e-9 refinement check.
     """
+    _check_q(q)
     if sigma <= 0:
-        raise ValueError("sigma > 0 required")
+        raise InputError(f"sigma > 0 required, got sigma={sigma}")
     if steps < 2 ** 10:
-        raise ValueError("steps >= 1024 required")
+        raise InputError(f"steps >= 1024 required, got steps={steps}")
     kern = _KERNELS[kernel]
     # one grid alive at a time: the coarse pass is dropped before the fine one
     coarse = _period_passes(kern, q, eta_val, alphas, sigma, steps)
@@ -194,6 +195,11 @@ def period_integrals(kernel: str, q: int, eta_val: int,
                 f"period integral of kernel {kernel!r} at q={q}, eta={eta_val}, sigma={sigma}, "
                 f"steps={steps}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
     return fine
+
+
+def _check_q(q: int) -> None:
+    if q < 2:
+        raise InputError(f"residue cardinality q >= 2 required, got q={q}")
 
 
 def _period_passes(kern, q, eta_val, alphas, sigma, steps) -> list[complex]:
@@ -229,6 +235,7 @@ def st_moments(q: int, eta_val: int, ns: Sequence[int], steps: int = 20001) -> l
     """st_moment for each n, with the grid, the measure and the sines built
     once per refinement pass; each value is bit-identical to its one-item
     call and held to its own 1e-9 refinement check."""
+    _check_q(q)
     coarse = _st_passes(q, eta_val, ns, steps)
     fine = _st_passes(q, eta_val, ns, 2 * steps + 1)
     for n, v1, v2 in zip(ns, coarse, fine):

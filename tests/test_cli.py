@@ -142,3 +142,18 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--q", "1", "--eta", "1"],
+    ["moments", "--q", "0", "--eta", "1"],
+    ["moments", "--q", "3", "--eta", "1", "--n=-1..2"],
+    ["arch", "--l", "3", "--b", "1"],
+    ["local-weights", "--rep", '{"c":0,"Q":"1/3"}', "--q", "1", "--eta", "1"],
+])
+def test_bad_input_ends_in_one_input_error_line(argv, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("InputError: ")

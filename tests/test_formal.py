@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rtfverify import ntransform as nt
 from rtfverify.formal import LOG_DF, FormalLog, formal_sum
+from rtfverify.ideals import Ideal, Prime
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -50,3 +52,55 @@ def test_json_roundtrip():
 def test_formal_sum():
     terms = [FormalLog.symbol("log@2"), FormalLog.symbol("log@2", -1), FormalLog.of_const(4)]
     assert formal_sum(terms) == FormalLog.of_const(4)
+
+
+# ---------------------------------------------------------------------------
+# what __init__ would establish, on every FormalLog built by FormalLog._trusted
+
+
+def _assert_normal(x):
+    assert isinstance(x, FormalLog)
+    assert type(x.const) is Fraction
+    assert all(type(c) is Fraction and c != 0 for c in x.coeffs.values())
+    twin = FormalLog(x.const, x.coeffs)
+    assert x == twin and hash(x) == hash(twin)
+
+
+ideals = st.lists(st.tuples(st.integers(2, 13), st.integers(0, 6)), min_size=1, max_size=4).map(
+    lambda places: Ideal.of({Prime(f"p{i}", q): e for i, (q, e) in enumerate(places)}))
+
+
+def _formal_fn(rng, kind):
+    cache = {}
+
+    def fn(m):
+        if m not in cache:
+            frac = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                cache[m] = frac
+            else:
+                cache[m] = FormalLog(frac, {"log@2": Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                                            "LpL": rng.randint(-2, 2)})
+        return cache[m]
+
+    return nt.ArithFn(fn)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideals, rationals, st.randoms(use_true_random=False))
+def test_trusted_results_are_normal(n, coeff, rng):
+    _assert_normal(FormalLog.log_integer(n.norm, coeff))
+    _assert_normal(nt.closed_log(n))
+    for op in (nt.n_transform, nt.n_plus, nt.convolve_omega):
+        assert type(op(_formal_fn(rng, "fraction"), n)) is Fraction
+        for kind in ("formal", "mixed"):
+            got = op(_formal_fn(rng, kind), n)
+            if isinstance(got, FormalLog):   # a mixed B may meet only Fractions
+                _assert_normal(got)
+        _assert_normal(op(nt.ArithFn(lambda m: FormalLog.zero()), n))
+    # every coefficient cancels to a zero numerator, which must be dropped
+    A_rand = _formal_fn(rng, "formal")
+    A = nt.ArithFn(lambda m: FormalLog.zero() if m == n else A_rand(m))
+    got = nt.n_transform(nt.ArithFn(lambda m: nt.convolve_omega(A, m)), n)
+    _assert_normal(got)
+    assert got.is_zero()

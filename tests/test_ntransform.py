@@ -219,3 +219,86 @@ def test_vanishing_formal_transform_stays_formal(n, rng):
     A = nt.ArithFn(lambda m: FormalLog.zero() if m == n else A_rand(m))
     got = nt.n_transform(nt.ArithFn(lambda m: nt.convolve_omega(A, m)), n)
     assert isinstance(got, FormalLog) and got.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the closed forms as a per-place Fraction product and a FormalLog bracket,
+# literally: the integer products of ntransform must equal them, type included
+
+
+def _literal_power_exact(x, t, label):
+    xt = Fraction(x) ** t.numerator
+    if t.denominator == 1:
+        return xt
+    d = t.denominator
+    rn = nt._iroot(xt.numerator, d)
+    rd = nt._iroot(xt.denominator, d)
+    if rn ** d == xt.numerator and rd ** d == xt.denominator:
+        return Fraction(rn, rd)
+    raise NonRationalPower(f"norm({label})^{t} is irrational")
+
+
+def _literal_closed_product(n, t, sign, exact):
+    if exact:
+        out = _literal_power_exact(n.norm, t, n)
+        for p, e in n.exps:
+            if e >= 2:
+                qpow = _literal_power_exact(p.q, -2 * (1 + t), p.id)
+                out *= 1 + sign * (Fraction(p.q, p.q - 1) * qpow if e == 2 else qpow)
+        return out
+    out_f = float(n.norm) ** float(t)
+    for p, e in n.exps:
+        if e >= 2:
+            qpow = float(p.q) ** float(-2 * (1 + t))
+            out_f *= 1 + sign * ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
+    return out_f
+
+
+def _literal_log_integer(n, coeff):
+    out = {}
+    for p, e in _factor(n):
+        out[f"log@{p}"] = out.get(f"log@{p}", Fraction(0)) + Fraction(coeff) * e
+    return FormalLog(0, out)
+
+
+def _factor(n):
+    out, d = [], 2
+    while n > 1:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out
+
+
+def _literal_closed_log(n):
+    bracket = FormalLog.zero()
+    for p, e in n.exps:
+        coeff = Fraction(e)
+        if e >= 2:
+            coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
+        bracket = bracket + _literal_log_integer(p.q, coeff)
+    return bracket * _literal_closed_product(n, Fraction(0), -1, True)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonRationalPower as exc:
+        return f"NonRationalPower: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_ideal(), st.sampled_from([Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]))
+def test_closed_forms_equal_literal_products(n, t):
+    for sign, closed in ((-1, nt.closed_power), (1, nt.n_plus_closed_power)):
+        for exact in (True, False):
+            got = _outcome(closed, n, t, exact)
+            want = _outcome(_literal_closed_product, n, t, sign, exact)
+            assert got == want and type(got) is type(want)
+    got, want = nt.closed_log(n), _literal_closed_log(n)
+    assert got == want and type(got) is type(want)
+    assert list(got.coeffs) == list(want.coeffs)   # the order evaluate() sums in

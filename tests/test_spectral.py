@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from rtfverify import spectral as sp
 from rtfverify.errors import InertViolation, SingularTau
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
+from rtfverify.verify import QS, _random_rep
 
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
@@ -166,3 +169,78 @@ def test_rep_validation_and_k_cap():
         sp.LocalRepData(q=3, c=1, Q=Fraction(1, 2))
     with pytest.raises(ValueError):
         sp.r_z(REP2, -1, sp.MAX_K + 1, Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the X-free factors of the r_z sum are cached; results must not move
+
+
+def _bits(x):
+    return type(x), repr(x)
+
+
+def _uncached_r_z_sum(rep, eta_val, k, X):
+    q_one, tau = sp.q_poly_one.__wrapped__, sp.tau_jj.__wrapped__
+    return sum((q_one(j, rep) * sp.q_poly(j, rep, eta_val, X)) / tau(j, rep) for j in range(k + 1))
+
+
+def _suite_weights_inputs(seed):
+    """The (rep, eta, k, X) of weights.rz-closed-vs-sum and the float X of
+    weights.partial-r-exact-and-fd, drawn as suite_weights draws them."""
+    rng = random.Random(seed)
+    out = []
+    for c in (0, 1, 2, 3):
+        for q in QS:
+            for eta_val in (-1, 1):
+                for k in range(1, 9):
+                    rep = _random_rep(rng, c, q)
+                    for _ in range(20):
+                        X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                        if X != -1:
+                            out.append((rep, eta_val, k, X))
+                    out += [(rep, eta_val, k, float(q) ** -1e-6), (rep, eta_val, k, float(q) ** 1e-6)]
+    return out
+
+
+def test_rz_sum_bit_identical_to_uncached_sum():
+    rng = random.Random(5)
+    reps = [REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=0.3), sp.LocalRepData.from_satake(4, complex(0.6, 0.3))]
+    for rep in reps:
+        for eta in (-1, 1):
+            for k in range(1, 9):
+                for X in (rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+                    assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X))
+
+
+def test_rep_caches_are_bounded_and_keep_the_type_of_q():
+    for fn in (sp.q_poly_one, sp.tau_jj):
+        assert fn.cache_info().maxsize == sp.REP_CACHE_SIZE
+    # equal reps (Fraction(1, 2) == 0.5) must not share cached values
+    exact, floating = sp.LocalRepData(q=3, c=0, Q=Fraction(1, 2)), sp.LocalRepData(q=3, c=0, Q=0.5)
+    assert exact == floating
+    for rep in (exact, floating, exact):
+        for j in range(4):
+            for fn in (sp.q_poly_one, sp.tau_jj):
+                assert _bits(fn(j, rep)) == _bits(fn.__wrapped__(j, rep))
+
+
+def test_rz_on_threads_bit_identical_to_serial():
+    inputs = _suite_weights_inputs(3)
+    serial = [_bits(sp.r_z(*args, "sum")) for args in inputs]
+
+    def run(shift):
+        order = inputs[shift:] + inputs[:shift]
+        got = [_bits(sp.r_z(*args, "sum")) for args in order]
+        return got[len(inputs) - shift:] + got[:len(inputs) - shift]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for fn in (sp.q_poly_one, sp.tau_jj):
+            fn.cache_clear()
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run, shift) for shift in (0, 97, 311, 503)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
