@@ -83,9 +83,7 @@ def cmd_moments(args) -> int:
 def cmd_local_tables(args) -> int:
     place = json.loads(args.place)
     q = int(place["q"])
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["ordb", "ordb1", "W_unram", "W_unram_oracle_delta",
-                     "W_level", "W_level_oracle_delta", "W_ram", "W_ram_bound"])
+    rows = []
     lo, hi = args.ordb.split("..")
     for ordb in range(int(lo), int(hi) + 1):
         pt = orbital_local.LocalPoint(ordb, 0 if ordb > 0 else (ordb if ordb < 0 else args.ordb1))
@@ -97,10 +95,15 @@ def cmd_local_tables(args) -> int:
         wr_b = orbital_local.w_ramified_bound(pt, args.f, q)
         delta_u = (wu - wu_o).evaluate()
         delta_l = (wl - wl_o).evaluate()
-        writer.writerow([ordb, pt.ordb1,
-                         f"{wu.evaluate():.10g}", f"{delta_u:.3e}",
-                         f"{wl.evaluate():.10g}", f"{delta_l:.3e}",
-                         f"{wr * math.log(q):.10g}", f"{wr_b * math.log(q):.10g}"])
+        rows.append([ordb, pt.ordb1,
+                     f"{wu.evaluate():.10g}", f"{delta_u:.3e}",
+                     f"{wl.evaluate():.10g}", f"{delta_l:.3e}",
+                     f"{wr * math.log(q):.10g}", f"{wr_b * math.log(q):.10g}"])
+    # written after the loop, so a refused input leaves stdout empty
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["ordb", "ordb1", "W_unram", "W_unram_oracle_delta",
+                     "W_level", "W_level_oracle_delta", "W_ram", "W_ram_bound"])
+    writer.writerows(rows)
     return 0
 
 

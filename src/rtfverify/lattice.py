@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ConvergenceError, DomainError, TailTooLarge, UnsupportedField
+from .errors import ConvergenceError, DomainError, InputError, TailTooLarge, UnsupportedField
 from .orbital_arch import j_arch
 from .orbital_local import tau_S_rational
+from .quadrature import quad
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,14 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
     if field == "Q":
         g = float(Fraction(descriptor))
         if g == 0:
-            raise ValueError("zero ideal")
+            raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
         return EmbeddedLattice(((abs(g),),), f"({descriptor})Z", 1)
     if field != "real_quadratic":
         raise UnsupportedField(f"field {field!r}; only Q and real quadratic supported")
-    if m is None or m <= 1:
-        raise UnsupportedField("real quadratic field needs squarefree m > 1")
+    if m is None or m <= 1 or not _squarefree(m):
+        raise UnsupportedField(f"real quadratic field needs squarefree m > 1, got m={m}")
+    if descriptor in (0, (0, 0)):
+        raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
     root = math.sqrt(m)
     if m % 4 == 1:
         w1, w2 = (1 + root) / 2, (1 - root) / 2
@@ -82,6 +84,17 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
     g1, g2 = x + y * w1, x + y * w2           # the two embeddings of the generator
     basis = ((g1, g2), (g1 * w1, g2 * w2))    # gamma * (1, omega)
     return EmbeddedLattice(basis, f"({x}+{y}w)O_Q(sqrt{m})", 2, sq_disc)
+
+
+def _squarefree(m: int) -> bool:
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+        p += 1
+    return True
 
 
 def lattice_points(lat: EmbeddedLattice, R: float) -> np.ndarray:
@@ -131,7 +144,7 @@ def theta(lat: EmbeddedLattice, l: Sequence[float], R: float,
     """
     l = list(l)
     if len(l) != lat.d:
-        raise ValueError("one weight per coordinate required")
+        raise InputError(f"one weight per coordinate required, got l={l} in rank {lat.d}")
     if min(l) < 4:
         raise DomainError("weights below 4 leave non-summable tails")
     pts = lattice_points(lat, R)
@@ -209,9 +222,12 @@ def sphere_I(lam: Sequence[float], mode: str = "closed", mc_samples: int = 10 **
     if mode == "quad":
         if d != 2:
             raise DomainError("angular quadrature implemented for d = 2")
+        # [pi/4, pi/2] folded onto [0, pi/4] by t -> pi/2 - t, so both
+        # integrable singularities sit at 0, where floats resolve the nodes
         def f(t):
-            return abs(math.cos(t)) ** (-lam[0]) * abs(math.sin(t)) ** (-lam[1])
-        val, err = integrate.quad(f, 0, math.pi / 2, epsabs=1e-12, epsrel=1e-12, limit=400)
+            c, s = np.cos(t), np.sin(t)
+            return c ** (-lam[0]) * s ** (-lam[1]) + s ** (-lam[0]) * c ** (-lam[1])
+        val, err = quad(f, 0, math.pi / 4, epsabs=1e-12, epsrel=1e-12, limit=400)
         if err > 1e-7:
             raise ConvergenceError(f"sphere quadrature error {err:.2e}")
         return 4 * val
@@ -314,13 +330,11 @@ def ball_integral(lat_r: float, l: Sequence[float], outside: bool = False) -> fl
         return 2 * (1 + lat_r) ** (1 - lj / 2) / (lj / 2 - 1)
 
     def radial(rho):
-        # phi_sphere's axis break points divide by rho; the integrand is 0 there
-        return rho * phi_sphere(l, rho) if rho > 0 else 0.0
+        # the nodes are interior, so rho > 0 (phi_sphere's break points divide by it)
+        return rho * np.array([phi_sphere(l, r) for r in rho.ravel()]).reshape(rho.shape)
 
-    if outside:
-        val, _ = integrate.quad(radial, lat_r, np.inf, epsabs=1e-10, limit=200)
-    else:
-        val, _ = integrate.quad(radial, 0, lat_r, epsabs=1e-10, limit=200)
+    val, _ = quad(radial, lat_r if outside else 0.0, math.inf if outside else lat_r,
+                  epsabs=1e-10, epsrel=1.49e-8, limit=200)
     return val
 
 
@@ -378,14 +392,13 @@ def phi_sphere(l: Sequence[float], t: float) -> float:
         return 2 * (1 + t) ** (-l[0] / 2)
 
     def ang(th):
-        return ((1 + t * abs(math.cos(th))) ** (-l[0] / 2)
-                * (1 + t * abs(math.sin(th))) ** (-l[1] / 2))
+        return ((1 + t * np.abs(np.cos(th))) ** (-l[0] / 2)
+                * (1 + t * np.abs(np.sin(th))) ** (-l[1] / 2))
 
     # at large t the mass sits in O(1/t) spikes at the axes; flag them
     brk = sorted({min(max(x, 1e-12), math.pi / 2 - 1e-12)
                   for x in (1 / t, 10 / t, math.pi / 2 - 10 / t, math.pi / 2 - 1 / t)})
-    val, _ = integrate.quad(ang, 0, math.pi / 2, epsabs=0.0, epsrel=1e-12,
-                            limit=500, points=brk)
+    val, _ = quad(ang, 0, math.pi / 2, epsabs=0.0, epsrel=1e-12, limit=500, points=brk)
     return 4 * val
 
 

@@ -9,8 +9,9 @@ integrand is rational in t, so partial fractions close it exactly in the
 basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits
 on a private mpmath context (again on a fresh, more precise one when the
 terms cancel to fewer than 20 digits): no quadrature runs, and mpmath's
-global precision is neither read nor written.  w_plus_quad (scipy) is the
-independent oracle, and j_plus_quad the quadrature oracle for J_+ alone.
+global precision is neither read nor written.  w_plus_quad (adaptive
+Gauss-Kronrod, quadrature.quad) is the independent oracle, and j_plus_quad
+the quadrature oracle for J_+ alone.
 """
 from __future__ import annotations
 
@@ -22,16 +23,16 @@ from math import comb
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, InputError
+from .quadrature import quad
 
 DELTA_CUT = 1e-9
 _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
 _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
-_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: scipy absolute and relative tolerance
+_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: absolute and relative tolerance
 
 # every closed-form evaluation runs on this context; it is never mutated after
 # import, so results do not depend on mp.mp.dps and are identical under threads
@@ -325,8 +326,8 @@ def j_plus_quad(l: int, b: float) -> complex:
 
 
 def w_plus_quad(l: int, b: float) -> complex:
-    """Defining-integral oracle for W_+(b), split at t = 1, scipy adaptive
-    panels for real and imaginary parts with a refinement cross-check."""
+    """Defining-integral oracle for W_+(b): adaptive Gauss-Kronrod on the
+    complex integrand, with [1, inf) folded onto (0, 1] by t -> 1/t."""
     if l < 6 or l % 2:
         raise InputError(f"even l >= 6 required for comfortable decay, got l={l}")
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
@@ -336,16 +337,11 @@ def w_plus_quad(l: int, b: float) -> complex:
     pref = 1j ** h * (1 + b) ** (-h)   # negative base, integer power: real
     tol = _W_PLUS_QUAD_TOL
 
-    def integrand(t: float) -> complex:
-        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * math.log(t)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * np.log(t)
 
-    # scipy cannot integrate complex integrands directly; do the two parts
-    re_head, e1 = integrate.quad(lambda t: integrand(t).real, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    re_tail, e2 = integrate.quad(lambda t: integrand(t).real, 1.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-    im_head, e3 = integrate.quad(lambda t: integrand(t).imag, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    im_tail, e4 = integrate.quad(lambda t: integrand(t).imag, 1.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-    value = complex(re_head + re_tail, im_head + im_tail)
-    err = e1 + e2 + e3 + e4
+    value, err = quad(lambda t: integrand(t) + integrand(1 / t) / (t * t), 0.0, 1.0,
+                      epsabs=tol, epsrel=tol, limit=200)
     if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
         raise ConvergenceError(f"half-line quadrature error estimate {err:.2e}")
     return pref * value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import MissingOracle
+from .errors import InputError, MissingOracle
 from .formal import FormalLog, _factor_small
 
 
@@ -53,6 +53,11 @@ class LocalPoint:
     @property
     def ord_bb1(self) -> int:
         return self.ordb + self.ordb1
+
+
+def _check_q(q: int):
+    if q < 2:
+        raise InputError(f"the residue field size must be q >= 2, got q={q}")
 
 
 def eta_at(eta_val: int, order: int) -> int:
@@ -261,6 +266,7 @@ def w_hecke_gq_bound(m: int, point: LocalPoint, q: int) -> float:
 def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """vol log q Lambda-tilde(b) at a place away from the level and the
     conductor (three-case closed form)."""
+    _check_q(q)
     if point.ordb < 0:
         coeff = Fraction(0)
     elif point.ordb > 0:
@@ -275,6 +281,7 @@ def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
 def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """The two finite geometric log-sums from the defining integral:
     shells |b| <= |t| < 1 and 1 < |t| <= |b+1|^-1."""
+    _check_q(q)
     if point.ordb < 0:
         return FormalLog.zero()
     # first piece: ord(t) = 1 .. ord(b); second: ord(t) = -ord(b+1) .. -1
@@ -285,6 +292,7 @@ def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
 
 def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Closed form at a place dividing the level (both eta signs)."""
+    _check_q(q)
     if ordn < 1:
         raise ValueError("ordn >= 1 required")
     if point.ordb < ordn:
@@ -301,6 +309,7 @@ def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
 
 def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Defining sum: -vol log q sum_(n=ordn..ord b) eta(varpi^n) n."""
+    _check_q(q)
     if ordn < 1:
         raise ValueError("ordn >= 1 required")
     if point.ordb < ordn:
@@ -316,6 +325,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
     non-units at ramified places follows external conventions); d_v is the
     local different exponent.  Returns the value divided by log q.
     """
+    _check_q(q)
     if f < 1:
         raise ValueError("f >= 1 required")
     if point.ordb < -f:
@@ -337,6 +347,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
 
 def w_ramified_bound(point: LocalPoint, f: int, q: int) -> float:
     """The stated envelope: 6 q^-f delta(|b| <= q^f) (f + delta(|b|<=1) ord(b(b+1)))."""
+    _check_q(q)
     if point.ordb < -f:
         return 0.0
     extra = max(point.ord_bb1, 0) if point.ordb >= 0 else 0

@@ -57,7 +57,7 @@ class LocalRepData:
 
 def _check_k(k: int):
     if not 0 <= k <= MAX_K:
-        raise ValueError(f"k must lie in [0, {MAX_K}]")
+        raise InputError(f"k must lie in [0, {MAX_K}], got k={k}")
 
 
 def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:

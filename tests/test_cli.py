@@ -137,6 +137,13 @@ def test_cli_import_does_not_load_sympy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rtfverify.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_verify_command(capsys):
     rc = cli.main(["verify", "--suite", "weights", "--seed", "1"])
     out = capsys.readouterr().out
@@ -150,6 +157,10 @@ def test_verify_command(capsys):
     ["moments", "--q", "3", "--eta", "1", "--n=-1..2"],
     ["arch", "--l", "3", "--b", "1"],
     ["local-weights", "--rep", '{"c":0,"Q":"1/3"}', "--q", "1", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":2}', "--q", "3", "--eta", "1", "--k", "70"],
+    ["local-tables", "--place", '{"q":1}', "--eta", "1"],
+    ["lattice", "--field", "Q(sqrt2)", "--l", "6"],
+    ["lattice", "--field", "Q", "--ideal", "0"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, capsys):
     rc = cli.main(argv)

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from rtfverify import lattice as lt
 from rtfverify.errors import DomainError, TailTooLarge, UnsupportedField
@@ -25,6 +24,13 @@ def test_embed_guards():
         lt.embed_ideal("cubic", 1)
     with pytest.raises(UnsupportedField):
         lt.embed_ideal("real_quadratic", "O")
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 18])
+def test_embed_refuses_a_non_squarefree_m(m):
+    # Q(sqrt 4) = Q, and Z[sqrt 8] is not the maximal order of Q(sqrt 2)
+    with pytest.raises(UnsupportedField, match=f"m={m}"):
+        lt.embed_ideal("real_quadratic", "O", m=m)
 
 
 def test_theta_weight_4_on_Z():
@@ -152,7 +158,7 @@ def test_ball_integral_inside_plus_outside_is_the_total(l):
     # the integral of f over R^2 is prod_j 2 int_0^inf (1+x)^(-l_j/2) dx
     total = math.prod(4 / (lj - 2) for lj in l)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error")
         for r in (0.3, 1.0, math.sqrt(2), 3.0, 10.0):
             both = lt.ball_integral(r, l) + lt.ball_integral(r, l, outside=True)
             assert abs(both - total) <= 1e-9 * total, (l, r, both / total - 1)

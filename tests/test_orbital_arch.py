@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rtfverify import orbital_arch as oa
+from rtfverify import orbital_arch as oa, quadrature
 from rtfverify.errors import ConvergenceError, DomainError
 
 # the pairs of the arch.w-plus-closed-vs-quadrature check
@@ -142,7 +142,8 @@ def test_w_plus_is_quadrature_free(monkeypatch):
     monkeypatch.setattr(oa, "j_plus_quad", refuse)
     monkeypatch.setattr(mp.MPContext, "quad", refuse)   # every context, the private one too
     monkeypatch.setattr(mp, "quad", refuse)
-    monkeypatch.setattr(oa.integrate, "quad", refuse)
+    monkeypatch.setattr(oa, "quad", refuse)
+    monkeypatch.setattr(quadrature, "quad", refuse)
     with pytest.raises(AssertionError):
         oa._MP.quad(lambda t: t, [0, 1])
     for (l, b), w in want.items():
