@@ -20,14 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
-from .ideals import (Ideal, Prime, QuadCharData, iota, omega_pair, sign_class,
-                     square_decompose, stratum)
+from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
 from .ntransform import ArithFn, closed_log, closed_power, n_transform
 from .testfns import unip_du_scaled, unip_u_scaled
 
@@ -287,61 +285,6 @@ def degenerate_D(n: Ideal, eta: QuadCharData, w: WeightData,
 
 
 # ---------------------------------------------------------------------------
-# error-bound audit machinery
-
-
-def enumerate_bu_pairs(n: Ideal) -> list[tuple[Ideal, Prime]]:
-    """All (b, u) with b^2 p_u dividing n (u necessarily in S(n))."""
-    out = []
-    for u in n.support:
-        cap = Ideal.of({p: (e - (1 if p == u else 0)) // 2 for p, e in n.exps})
-        for b in cap.divisors():
-            out.append((b, u))
-    return out
-
-
-def d_weight(n: Ideal, b: Ideal, u: Prime) -> float:
-    """omega(n, b^2 p_u) log q_u (ord_u(b) + (sqrt q_u + 1)/(sqrt q_u - 1))."""
-    om = omega_pair(n, b.pow(2) * Ideal.of({u: 1}))
-    rq = math.sqrt(u.q)
-    return float(om) * math.log(u.q) * (b.ord(u) + (rq + 1) / (rq - 1))
-
-
-def error_bound_audit(n: Ideal, c: float, eps: float,
-                      all_primes: Sequence[Prime] | None = None) -> dict:
-    """The two summatory bounds controlling the derivative-weight error term,
-    with fitted constants against norm(n)^(-inf(c,1)+2eps) and X(n)."""
-    pairs = enumerate_bu_pairs(n)
-    inf_c = min(c, 1.0)
-    s_cl12_2 = 0.0
-    s_cl12_3 = 0.0
-    for b, u in pairs:
-        m = n.divide(b.pow(2) * Ideal.of({u: 1}))
-        iratio = float(iota(m) / iota(n))
-        s_cl12_2 += (b.pow(2).norm * u.q) ** eps * iratio * max(m.norm, 1) ** (-inf_c + eps)
-        s_cl12_3 += b.norm ** eps * ((u.q + 1) / (u.q - 1)) ** 2 * math.log(u.q) * iratio
-    sum_b_norms = sum(b.norm ** (-2 + eps) for b in {b for b, _u in pairs})
-    xn = x_of_n(n).evaluate() if n.support else 0.0
-    target2 = n.norm ** (-inf_c + 2 * eps)
-    primes = list(all_primes or n.support)
-    zeta_prefactor = 1.0
-    for p in set(primes):
-        zeta_prefactor /= 1 - p.q ** (-(2 - eps))
-    return {
-        "pairs": len(pairs),
-        "sum_cl12_2": s_cl12_2,
-        "fit_cl12_2": s_cl12_2 / target2 if target2 else float("inf"),
-        "sum_cl12_3": s_cl12_3,
-        "x_n": xn,
-        "fit_cl12_3": (s_cl12_3 / xn) if xn else 0.0,
-        "d_weights": [d_weight(n, b, u) for b, u in pairs],
-        "zeta_prefactor": zeta_prefactor,
-        "partial_b_sum": sum_b_norms,
-        "zeta_ok": sum_b_norms <= zeta_prefactor + 1e-12,
-    }
-
-
-# ---------------------------------------------------------------------------
 # the modified trace-formula wiring (spectral entries injected as mocks)
 
 
@@ -389,4 +332,4 @@ def adl_w_plus_weight(al_star: ArithFn, eta: QuadCharData) -> ArithFn:
             fac = fac + FormalLog.log_integer(feta, -1)
         return fac * al_star(m)
 
-    return ArithFn(fn, al_star.domain)
+    return fn

@@ -12,16 +12,48 @@ import sys
 from fractions import Fraction
 
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
-from .errors import RTFError, SignClassError
+from .errors import InputError, RTFError, SignClassError
 from .formal import FormalLog
 from .ideals import load_config, parse_ideal
 
 
-def _parse_range(text: str) -> list[int]:
+def _parsed(option: str, text: str, convert):
+    """convert(text); text that convert cannot read ends in an InputError
+    naming the option and the text."""
+    try:
+        return convert(text)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"{option} {text!r}: {exc}") from None
+
+
+def _int_range(text: str) -> list[int]:
+    """"lo..hi" (inclusive) or a comma list of integers."""
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(x) for x in text.split(",")]
+
+
+def _int_span(text: str) -> range:
+    """"lo..hi", inclusive."""
+    if text.count("..") != 1:
+        raise ValueError("lo..hi expected")
+    lo, hi = text.split("..")
+    return range(int(lo), int(hi) + 1)
+
+
+def _json_object(text: str, key: str) -> dict:
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"a JSON object with the key {key!r} expected")
+    return obj
+
+
+def _quadratic_field(text: str) -> int:
+    """m of "Q(sqrtm)"."""
+    if not (text.startswith("Q(sqrt") and text.endswith(")")):
+        raise ValueError('Q or "Q(sqrtm)" expected')
+    return int(text[len("Q(sqrt"):-1])
 
 
 def cmd_ntransform(args) -> int:
@@ -33,23 +65,27 @@ def cmd_ntransform(args) -> int:
     elif args.fn == "lognorm":
         out = ntransform.closed_log(n) if args.closed else ntransform.n_transform(ntransform.log_norm_fn(), n)
     elif args.fn.startswith("norm^"):
-        t = Fraction(args.fn.split("^", 1)[1])
+        t = _parsed("--fn", args.fn, lambda text: Fraction(text.split("^", 1)[1]))
         val = ntransform.closed_power(n, t) if args.closed else ntransform.n_transform(ntransform.norm_power_fn(t), n)
         out = FormalLog.of_const(val)
     else:
-        raise SystemExit(f"unknown --fn {args.fn}")
+        raise InputError(f"--fn {args.fn!r}: one, norm^t or lognorm expected")
     json.dump({"ideal": str(n), "fn": args.fn, "result": out.to_json()}, sys.stdout, indent=2)
     print()
     return 0
 
 
 def cmd_local_weights(args) -> int:
-    rep_obj = json.loads(args.rep)
-    kwargs = {"q": args.q, "c": int(rep_obj["c"])}
-    if "Q" in rep_obj:
-        kwargs["Q"] = Fraction(rep_obj["Q"])
-    if "chi" in rep_obj:
-        kwargs["chi"] = int(rep_obj["chi"])
+    def read_rep(text: str) -> tuple[dict, dict]:
+        obj = _json_object(text, "c")
+        kwargs = {"q": args.q, "c": int(obj["c"])}
+        if "Q" in obj:
+            kwargs["Q"] = Fraction(obj["Q"])
+        if "chi" in obj:
+            kwargs["chi"] = int(obj["chi"])
+        return obj, kwargs
+
+    rep_obj, kwargs = _parsed("--rep", args.rep, read_rep)
     rep = spectral.LocalRepData(**kwargs)
     rows = []
     for k in range(1, args.k + 1):
@@ -65,7 +101,7 @@ def cmd_local_weights(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ns = _parse_range(args.n)
+    ns = _parsed("--n", args.n, _int_range)
     alphas = [testfns.alpha_pn_at(args.q, n) for n in ns]
     u_quads = testfns.period_integrals("upsilon", args.q, args.eta, alphas)
     du_quads = testfns.period_integrals("dunip_kernel", args.q, args.eta, alphas)
@@ -81,11 +117,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_local_tables(args) -> int:
-    place = json.loads(args.place)
-    q = int(place["q"])
+    q = _parsed("--place", args.place, lambda text: int(_json_object(text, "q")["q"]))
     rows = []
-    lo, hi = args.ordb.split("..")
-    for ordb in range(int(lo), int(hi) + 1):
+    for ordb in _parsed("--ordb", args.ordb, _int_span):
         pt = orbital_local.LocalPoint(ordb, 0 if ordb > 0 else (ordb if ordb < 0 else args.ordb1))
         wu = orbital_local.w_unramified(pt, q, args.eta)
         wu_o = orbital_local.w_unramified_oracle(pt, q, args.eta)
@@ -108,7 +142,7 @@ def cmd_local_tables(args) -> int:
 
 
 def cmd_arch(args) -> int:
-    b = float(Fraction(args.b)) if "/" in args.b else float(args.b)
+    b = _parsed("--b", args.b, lambda text: float(Fraction(text)) if "/" in text else float(text))
     j_one = orbital_arch.j_arch(args.l, b, "one")
     j_sgn = orbital_arch.j_arch(args.l, b, "sgn")
     wp = orbital_arch.w_plus(args.l, b)
@@ -127,15 +161,16 @@ def cmd_arch(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    l = [float(x) for x in args.l.split(",")]
     if args.field == "Q":
         lat = lattice.embed_ideal("Q", args.ideal if args.ideal != "O" else 1)
         ambient = lattice.embed_ideal("Q", 1)
     else:
-        m = int(args.field.replace("Q(sqrt", "").rstrip(")"))
-        desc = "O" if args.ideal == "O" else int(args.ideal)
+        m = _parsed("--field", args.field, _quadratic_field)
+        desc = "O" if args.ideal == "O" else _parsed("--ideal", args.ideal, int)
         lat = lattice.embed_ideal("real_quadratic", desc, m=m)
         ambient = lattice.embed_ideal("real_quadratic", "O", m=m)
+    # one weight 6 per coordinate unless given
+    l = _parsed("--l", args.l, lambda text: [float(x) for x in text.split(",")]) if args.l is not None else [6.0] * lat.d
     th = lattice.theta(lat, l, args.R)
     audits = lattice.bound_audits(lat, ambient, l, args.R)
     json.dump({
@@ -251,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="theta sum of an embedded ideal")
     p.add_argument("--field", default="Q", help='Q or "Q(sqrt2)"')
     p.add_argument("--ideal", default="O")
-    p.add_argument("--l", default="6,6")
+    p.add_argument("--l", help="comma list of weights, one per coordinate (default 6 each)")
     p.add_argument("--R", type=float, default=50.0)
     p.set_defaults(func=cmd_lattice)
 

@@ -38,13 +38,5 @@ class ConvergenceError(RTFError):
     """A numeric oracle failed its self-consistency refinement check."""
 
 
-class TailTooLarge(RTFError):
-    """A truncated lattice sum cannot meet the requested tolerance."""
-
-
-class MissingOracle(RTFError):
-    """An externally injected local integral value is required but absent."""
-
-
 class UnsupportedField(RTFError):
     """Only the rational field and real quadratic fields are supported."""

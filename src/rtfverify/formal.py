@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 LOG_DF = "logDF"
 LPL = "LpL"
@@ -172,10 +172,3 @@ def _promote(x: "FormalLog | Rat") -> FormalLog:
     if isinstance(x, FormalLog):
         return x
     return FormalLog(x)
-
-
-def formal_sum(terms: Iterable[FormalLog]) -> FormalLog:
-    total = FormalLog.zero()
-    for t in terms:
-        total = total + t
-    return total

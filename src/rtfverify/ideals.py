@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import CoprimalityError
+from .errors import CoprimalityError, InputError
 
 
 @dataclass(frozen=True, order=True)
@@ -43,7 +43,7 @@ class Ideal:
         items = tuple(sorted(((p, e) for p, e in exps.items() if e != 0)))
         for p, e in items:
             if e < 0:
-                raise ValueError(f"negative exponent {e} at {p.id}")
+                raise InputError(f"negative exponent {e} at {p.id}")
         ids = [p.id for p, _ in items]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate prime ids in exponent map")
@@ -183,14 +183,6 @@ class QuadCharData:
 # support strata, square decomposition, iota
 
 
-def support_strata(m: Ideal) -> tuple[tuple[Prime, ...], dict[int, tuple[Prime, ...]]]:
-    """(S(m), {k: S_k(m)}): partition of the support by exponent."""
-    strata: dict[int, list[Prime]] = {}
-    for p, e in m.exps:
-        strata.setdefault(e, []).append(p)
-    return m.support, {k: tuple(v) for k, v in sorted(strata.items())}
-
-
 def stratum(m: Ideal, k: int) -> tuple[Prime, ...]:
     return tuple(p for p, e in m.exps if e == k)
 
@@ -253,7 +245,7 @@ CONFIG_SCHEMA = 1
 def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
     """Parse the versioned config: primes plus the quadratic character."""
     if obj.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-        raise ValueError(f"unsupported config schema {obj.get('schema')}")
+        raise InputError(f"unsupported config schema {obj.get('schema')}, expected {CONFIG_SCHEMA}")
     primes = {d["id"]: Prime(d["id"], int(d["q"])) for d in obj["primes"]}
     eta_obj = obj.get("eta", {"eps": 0, "arch_signs": [1]})
     eta = QuadCharData.build(
@@ -266,23 +258,32 @@ def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
 
 
 def load_config(path: str) -> tuple[dict[str, Prime], QuadCharData, dict]:
-    with open(path) as fh:
-        obj = json.load(fh)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"config {path!r}: {exc.strerror}") from None
+    except ValueError as exc:       # JSON syntax or text encoding
+        raise InputError(f"config {path!r} is not valid JSON: {exc}") from None
     primes, eta = config_from_json(obj)
     return primes, eta, obj
 
 
 def parse_ideal(text: str, primes: Mapping[str, Prime]) -> Ideal:
-    """Parse "p^2*q" style ideal strings; "O" (or "1") is the unit ideal."""
+    """Parse "p^2*q" style ideal strings; "O" (or "1") is the unit ideal.
+    An unknown prime or a non-integer exponent raises an InputError."""
     text = text.strip()
     if text in ("O", "o", "1", ""):
         return Ideal.unit()
     exps: dict[Prime, int] = {}
     for part in text.split("*"):
-        part = part.strip()
-        if "^" in part:
-            name, _, e = part.partition("^")
-            exps[primes[name.strip()]] = exps.get(primes[name.strip()], 0) + int(e)
-        else:
-            exps[primes[part]] = exps.get(primes[part], 0) + 1
+        name, caret, e = part.partition("^")
+        name = name.strip()
+        if name not in primes:
+            raise InputError(f"ideal {text!r}: unknown prime {name!r}, the config has {sorted(primes)}")
+        p = primes[name]
+        try:
+            exps[p] = exps.get(p, 0) + (int(e) if caret else 1)
+        except ValueError:
+            raise InputError(f"ideal {text!r}: exponent {e!r} is not an integer") from None
     return Ideal.of(exps)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InputError, TailTooLarge, UnsupportedField
+from .errors import ConvergenceError, DomainError, InputError, UnsupportedField
 from .orbital_arch import j_arch
 from .orbital_local import tau_S_rational
 from .quadrature import quad
@@ -56,7 +56,10 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
     omega = sqrt(m) or (1+sqrt(m))/2 by the discriminant parity of m.
     """
     if field == "Q":
-        g = float(Fraction(descriptor))
+        try:
+            g = float(Fraction(descriptor))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"a rational generator required, got descriptor {descriptor!r}") from None
         if g == 0:
             raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
         return EmbeddedLattice(((abs(g),),), f"({descriptor})Z", 1)
@@ -135,16 +138,16 @@ def _f_values(pts: np.ndarray, l: Sequence[float]) -> np.ndarray:
     return out
 
 
-def theta(lat: EmbeddedLattice, l: Sequence[float], R: float,
-          tol: float | None = None) -> dict:
+def theta(lat: EmbeddedLattice, l: Sequence[float], R: float) -> dict:
     """Truncated lattice sum with rigorous tail bound and a tail estimate.
 
-    Returns {"value", "tail_bound", "tail_estimate", "count"}.  Raises
-    TailTooLarge when a tolerance is requested and the bound exceeds it.
+    Returns {"value", "tail_bound", "tail_estimate", "count"}.
     """
     l = list(l)
     if len(l) != lat.d:
         raise InputError(f"one weight per coordinate required, got l={l} in rank {lat.d}")
+    if not 0 <= R < math.inf:
+        raise InputError(f"truncation radius 0 <= R < inf required, got R={R}")
     if min(l) < 4:
         raise DomainError("weights below 4 leave non-summable tails")
     pts = lattice_points(lat, R)
@@ -152,8 +155,6 @@ def theta(lat: EmbeddedLattice, l: Sequence[float], R: float,
     value = float(np.sum(vals))
     bound = _tail_bound(lat, min(l), R)
     estimate = _tail_estimate(lat, l, R, fallback=bound)
-    if tol is not None and bound > tol:
-        raise TailTooLarge(f"tail bound {bound:.3e} exceeds tolerance {tol:.3e}")
     return {"value": value, "tail_bound": bound, "tail_estimate": estimate, "count": len(pts)}
 
 
@@ -202,17 +203,15 @@ def _tail_estimate(lat: EmbeddedLattice, l: Sequence[float], R: float, fallback:
 # the sphere integral
 
 
-def sphere_I(lam: Sequence[float], mode: str = "closed", mc_samples: int = 10 ** 7,
-             seed: int = 0) -> float:
+def sphere_I(lam: Sequence[float], mode: str = "closed") -> float:
     """I(lambda) = integral over S^(d-1) of prod |omega_j|^(-lambda_j).
 
     closed: 2 Gamma(sum (1-lambda_j)/2)^(-1) prod Gamma((1-lambda_j)/2);
-    quad: angular quadrature (d = 2); mc: Monte Carlo (any d).
+    quad: angular quadrature (d = 2).
     """
     lam = list(lam)
     if any(x >= 1 for x in lam):
         raise DomainError("lambda_j < 1 required")
-    d = len(lam)
     if mode == "closed":
         s = sum((1 - x) / 2 for x in lam)
         out = 2 / math.gamma(s)
@@ -220,7 +219,7 @@ def sphere_I(lam: Sequence[float], mode: str = "closed", mc_samples: int = 10 **
             out *= math.gamma((1 - x) / 2)
         return out
     if mode == "quad":
-        if d != 2:
+        if len(lam) != 2:
             raise DomainError("angular quadrature implemented for d = 2")
         # [pi/4, pi/2] folded onto [0, pi/4] by t -> pi/2 - t, so both
         # integrable singularities sit at 0, where floats resolve the nodes
@@ -231,37 +230,20 @@ def sphere_I(lam: Sequence[float], mode: str = "closed", mc_samples: int = 10 **
         if err > 1e-7:
             raise ConvergenceError(f"sphere quadrature error {err:.2e}")
         return 4 * val
-    if mode == "mc":
-        rng = np.random.default_rng(seed)
-        total = 0.0
-        done = 0
-        while done < mc_samples:
-            chunk = min(10 ** 6, mc_samples - done)
-            x = rng.standard_normal((chunk, d))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            w = np.ones(chunk)
-            for j, lj in enumerate(lam):
-                w *= np.abs(x[:, j]) ** (-lj)
-            total += float(np.sum(w))
-            done += chunk
-        area = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
-        return total / mc_samples * area
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InputError(f"unknown sphere_I mode {mode!r}: closed | quad")
 
 
 # ---------------------------------------------------------------------------
 # the hyperbolic-term lattice sum over Q
 
 
-def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400,
-                eta_arch: str = "one", tol: float | None = None) -> dict:
+def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -> dict:
     """The tau-weighted J-sum over b in (n/bset)Z - {0, -1}, truncated at
-    |index| <= K, for the rational field.
+    |index| <= K, for the rational field, against the trivial character.
 
     Requires gcd(n, bset) = 1.  Returns value plus a fitted-envelope tail
-    report (TailTooLarge if a tolerance is requested and not met); the
-    divisor-count weights grow slower than any power, so the (1+|b|)^(-l/2)
-    decay of J dominates.
+    report; the divisor-count weights grow slower than any power, so the
+    (1+|b|)^(-l/2) decay of J dominates.
     """
     if math.gcd(n_norm, bset_norm) != 1:
         raise ValueError("n and bset must be relatively prime")
@@ -277,23 +259,22 @@ def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400,
             if tau == 0:
                 continue
             bf = float(b)
-            term = tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf, eta_arch))
+            term = tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf, "one"))
             total += term
             if k == K:
                 largest_term = max(largest_term, term)
     # crude geometric-style tail report from the last ring of terms
     decay = (1 + float(step) * K) ** (-l / 2 + 2 * eps + 0.5)
     tail = largest_term * 4 * K * decay / max(1e-300, 1 - decay) if largest_term else 0.0
-    if tol is not None and tail > tol:
-        raise TailTooLarge(f"tail report {tail:.3e} exceeds tolerance {tol:.3e}")
     return {"value": total, "tail_report": tail, "K": K}
 
 
 def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
-                     K: int = 40, eps_minus1: int = 1) -> dict:
+                     K: int = 40) -> dict:
     """Empirical decay audit of the log-weighted hyperbolic sum over Q:
-    the tau-weighted sum of |W^eps(b)| over b in N Z decays at least like
-    N^(-l/2+1) (up to epsilon), mirroring the plain J-weighted sum."""
+    the tau-weighted sum of |W^eps(b)| = |2 Re W_+(b)| (eps(-1) = 1) over
+    b in N Z decays at least like N^(-l/2+1) (up to epsilon), mirroring the
+    plain J-weighted sum."""
     from .orbital_arch import w_plus_quad
 
     vals = []
@@ -307,9 +288,7 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
                 tau = tau_S_rational(Fraction(b), 1)
                 if tau == 0:
                     continue
-                wp = w_plus_quad(l, float(b))
-                w_eps_val = abs(wp + eps_minus1 * wp.conjugate())
-                total += tau ** 2 * w_eps_val
+                total += tau ** 2 * abs(2 * w_plus_quad(l, float(b)).real)
         vals.append(total)
     slope = float(np.polyfit(np.log(list(ns)), np.log(vals), 1)[0])
     return {"values": vals, "slope": slope, "target": -(l / 2 - 1) + 0.1}

@@ -22,12 +22,11 @@ and builds one FormalLog.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .errors import DomainError, NonRationalPower
+from .errors import NonRationalPower
 from .formal import FormalLog, _factor_small
 from .ideals import Ideal, Prime
 
@@ -38,37 +37,8 @@ Value = Fraction | FormalLog
 Choice = tuple[tuple[tuple[Prime, int], ...], int]
 
 
-class Domain:
-    """A divisor-closed set of ideals (n in D and n subset m implies m in D)."""
-
-    def contains(self, n: Ideal) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class AllIdeals(Domain):
-    def contains(self, n: Ideal) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class DivisorsOf(Domain):
-    root: Ideal
-
-    def contains(self, n: Ideal) -> bool:
-        return n.divides(self.root)
-
-
-@dataclass
-class ArithFn:
-    """An arithmetic function together with its declared domain."""
-
-    fn: Callable[[Ideal], Value]
-    domain: Domain = AllIdeals()
-
-    def __call__(self, n: Ideal) -> Value:
-        if not self.domain.contains(n):
-            raise DomainError(f"{n} outside the declared domain")
-        return self.fn(n)
+# An arithmetic function on the ideals of a monoid.
+ArithFn = Callable[[Ideal], Value]
 
 
 def _subset_choices(n: Ideal, sign: int) -> tuple[list[list[Choice]], int]:
@@ -268,12 +238,12 @@ def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Frac
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:
     t = Fraction(t)
-    return ArithFn(lambda n: _norm_power_exact(n, t))
+    return lambda n: _norm_power_exact(n, t)
 
 
 def log_norm_fn() -> ArithFn:
-    return ArithFn(lambda n: FormalLog.log_integer(n.norm) if n.norm > 1 else FormalLog.zero())
+    return lambda n: FormalLog.log_integer(n.norm) if n.norm > 1 else FormalLog.zero()
 
 
 def one_fn() -> ArithFn:
-    return ArithFn(lambda n: Fraction(1))
+    return lambda n: Fraction(1)

@@ -162,11 +162,6 @@ def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
 # the log-weighted integral W_+
 
 
-def theta_of_b(b: float) -> float:
-    """Branch angle of the residue point: pi/2 on b(b+1) < 0, else 3 pi/2."""
-    return math.pi / 2 if b * (b + 1) < 0 else 3 * math.pi / 2
-
-
 @dataclass(frozen=True)
 class ResidueParts:
     """A(b) and B(b) decomposed over the transcendental basis
@@ -395,13 +390,3 @@ def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, value, c
                   for c, m in terms if c and m)
     size = abs(complex(value))      # 0 only on float underflow
     return largest - (math.log10(size) if size else float(ctx.log10(abs(value))))
-
-
-def w_eps(l: int, b: float, eps_minus1: int) -> complex:
-    """W^eps(b) = W_+(b) + eps(-1) conj(W_+(b))."""
-    wp = w_plus(l, b)
-    return wp + eps_minus1 * wp.conjugate()
-
-
-def w_eps_bound_envelope(l: int, b: float, epsilon: float) -> float:
-    return (1 + abs(b)) ** (-l / 2 + 2 * epsilon)

@@ -10,9 +10,8 @@ eta(varpi) = -1 is defined as the value of its shell sum,
     delta0(b) = sum_(k=0..ord b) eta(varpi)^k * (-k)
               = (1 - eta(b))/4 - ord(b) eta(b)/2.
 
-The opposite-sign variant (kept as tilde_delta_displayed for comparison)
-fails to specialise to the level-support integral at conductor exponent one
-and is rejected by the oracle.
+The opposite-sign variant fails to specialise to the level-support integral
+at conductor exponent one and is rejected by the oracle.
 
 Every value is in units of the local volume vol(O_v^x).
 """
@@ -20,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .errors import InputError, MissingOracle
+from .errors import InputError
 from .formal import FormalLog, _factor_small
 
 
@@ -42,13 +40,13 @@ class LocalPoint:
 
     def __post_init__(self):
         if self.ordb < 0 and self.ordb1 != self.ordb:
-            raise ValueError("ord(b) < 0 forces ord(b+1) = ord(b)")
+            raise InputError(f"ord(b) < 0 forces ord(b+1) = ord(b), got {self.ordb}, {self.ordb1}")
         if self.ordb > 0 and self.ordb1 != 0:
-            raise ValueError("ord(b) > 0 forces ord(b+1) = 0")
+            raise InputError(f"ord(b) > 0 forces ord(b+1) = 0, got {self.ordb}, {self.ordb1}")
         if self.ordb == 0 and self.ordb1 < 0:
-            raise ValueError("ord(b) = 0 forces ord(b+1) >= 0")
+            raise InputError(f"ord(b) = 0 forces ord(b+1) >= 0, got ord(b+1)={self.ordb1}")
         if self.unit_eta not in (1, -1):
-            raise ValueError("unit_eta must be +-1")
+            raise InputError(f"unit_eta must be +-1, got {self.unit_eta}")
 
     @property
     def ord_bb1(self) -> int:
@@ -126,17 +124,6 @@ def tilde_delta(n: int, point: LocalPoint, eta_val: int) -> Fraction:
     return Fraction(1 - eb, 4) - Fraction(point.ordb * eb, 2)
 
 
-def tilde_delta_displayed(n: int, point: LocalPoint, eta_val: int) -> Fraction:
-    """The sign-flipped variant of the n = 0, eta(varpi) = -1 coefficient;
-    rejected by the shell-sum oracle, kept only for cross-reference."""
-    if n >= 1 or eta_val == 1:
-        return tilde_delta(n, point, eta_val)
-    if point.ordb <= 0:
-        return Fraction(0)
-    eb = eta_at(-1, point.ordb)
-    return Fraction(eb - 1, 4) + Fraction(point.ordb * eb, 2)
-
-
 def tilde_delta_oracle(n: int, point: LocalPoint, eta_val: int) -> Fraction:
     """Shell-sum oracle: the t-integral over |t| <= 1, sup(1, |b|/|t|) = q^n,
     divided by vol * log q."""
@@ -152,27 +139,8 @@ def tilde_delta_oracle(n: int, point: LocalPoint, eta_val: int) -> Fraction:
     return Fraction(-eta_at(eta_val, k) * k)
 
 
-def delta0_plain(x_ord: int, eta_val: int) -> Fraction:
-    """sum_(k=0..ord x) eta(varpi)^k for integral x, else 0: the log-free
-    companion integral entering the m = 0 closed form."""
-    if x_ord < 0:
-        return Fraction(0)
-    if eta_val == 1:
-        return Fraction(x_ord + 1)
-    return Fraction(1 if x_ord % 2 == 0 else 0)
-
-
 # ---------------------------------------------------------------------------
 # the S-place integral transforms
-
-
-def tilde_I_plus(m: int, point: LocalPoint, q: int, eta_val: int) -> FormalLog:
-    """Closed form of the half-line log-integral against the level-m kernel,
-    as a FormalLog in log q.  Exact for even m; odd m carries the irrational
-    q^(-m/2) (use tilde_I_plus_scaled for the always-rational scaled value).
-    """
-    scale = Fraction(1, q ** (m // 2)) if m % 2 == 0 else Fraction(q ** (-m / 2))
-    return FormalLog.log_integer(q, scale * tilde_I_plus_scaled(m, point, q, eta_val))
 
 
 def tilde_I_plus_scaled(m: int, point: LocalPoint, q: int, eta_val: int) -> Fraction:
@@ -197,66 +165,6 @@ def tilde_I_plus_oracle_scaled(m: int, point: LocalPoint, q: int, eta_val: int) 
     for l in range(0, m):
         total += ((m - l - 1) * q - (m - l + 1)) * tilde_delta_oracle(l, point, eta_val)
     return total
-
-
-def shift_point(point: LocalPoint) -> LocalPoint:
-    """The point varpi^-1 (b+1): ord = ord(b+1) - 1, with the paired
-    valuation rebuilt from the ultrametric rules."""
-    o = point.ordb1 - 1
-    if o < 0:
-        return LocalPoint(o, o)
-    if o > 0:
-        return LocalPoint(o, 0)
-    # ord(x) = 0: ord(x+1) unknown in general; x + 1 = varpi^-1(b + 1 + varpi):
-    # for ord(b+1) = 1 the sum b + 1 + varpi may cancel further, but every
-    # formula below consumes only ord(x), so the partner order is moot
-    return LocalPoint(0, 0)
-
-
-def w_hecke_scaled(m: int, point: LocalPoint, q: int, eta_val: int,
-                   iplus_oracle: Callable[[int, LocalPoint], Fraction] | None = None) -> Fraction:
-    """q^(m/2)/(vol log q) times W(b; alpha^(m)).
-
-    Needs the externally supplied log-free integral I+(m; .) when m > 0 (a
-    prior-work quantity, injected as (value * q^(m/2) / vol) rational); the
-    m = 0 case is self-contained through delta0_plain.
-    """
-    shifted = shift_point(point)
-    if m == 0:
-        val = (
-            tilde_delta(0, point, eta_val)
-            + eta_val * delta0_plain(shifted.ordb, eta_val)
-            - eta_val * tilde_delta(0, shifted, eta_val)
-        )
-        return -2 * val
-    if iplus_oracle is None:
-        raise MissingOracle("I+(m; .) values required for m > 0")
-    return (tilde_I_plus_scaled(m, point, q, eta_val)
-            + eta_val * (iplus_oracle(m, shifted) - tilde_I_plus_scaled(m, shifted, q, eta_val)))
-
-
-def w_hecke_bound_parts(m: int, point: LocalPoint, q: int, eta_val: int) -> float:
-    """|computable part of W(b; alpha^(m))| / (vol log q), unscaled: the
-    tilde-I pieces only (bound-audit mode when the external I+ is absent)."""
-    shifted = shift_point(point)
-    scale = q ** (-m / 2)
-    if m == 0:
-        return abs(float(w_hecke_scaled(0, point, q, eta_val)))
-    a = float(tilde_I_plus_scaled(m, point, q, eta_val))
-    bpart = float(tilde_I_plus_scaled(m, shifted, q, eta_val))
-    return (abs(a) + abs(bpart)) * scale
-
-
-def w_hecke_gq_bound(m: int, point: LocalPoint, q: int) -> float:
-    """Envelope of the level-m estimate: delta(|b| <= q^(m-1)) q^(1-m/2) m
-    (2m + ord(b(b+1)))^2 for m >= 1; (ord(b(b+1)) + 1)^2 delta(|b| <= 1) at 0."""
-    if m == 0:
-        if point.ordb < 0:
-            return 0.0
-        return float((point.ord_bb1 + 1) ** 2)
-    if point.ordb < -(m - 1):
-        return 0.0
-    return q ** (1 - m / 2) * m * (2 * m + max(point.ord_bb1, 0)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +202,7 @@ def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Closed form at a place dividing the level (both eta signs)."""
     _check_q(q)
     if ordn < 1:
-        raise ValueError("ordn >= 1 required")
+        raise InputError(f"level exponent ordn >= 1 required, got ordn={ordn}")
     if point.ordb < ordn:
         return FormalLog.zero()
     N = point.ordb
@@ -311,7 +219,7 @@ def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int) -> Formal
     """Defining sum: -vol log q sum_(n=ordn..ord b) eta(varpi^n) n."""
     _check_q(q)
     if ordn < 1:
-        raise ValueError("ordn >= 1 required")
+        raise InputError(f"level exponent ordn >= 1 required, got ordn={ordn}")
     if point.ordb < ordn:
         return FormalLog.zero()
     return FormalLog.log_integer(q, -shell_sum(eta_val, ordn, point.ordb))
@@ -327,7 +235,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
     """
     _check_q(q)
     if f < 1:
-        raise ValueError("f >= 1 required")
+        raise InputError(f"conductor exponent f >= 1 required, got f={f}")
     if point.ordb < -f:
         return 0.0
     if eta_bb1 is None:

@@ -80,15 +80,6 @@ def unip_du_scaled(eta_val: int, n: int) -> Fraction:
     return Fraction(n * (n + 1), 2)
 
 
-def unip_moments(q: int, eta_val: int, n: int) -> tuple[float, FormalLog]:
-    """(U, dU) for alpha_[p^n]; dU is a FormalLog in log q (its coefficient
-    q^(-n/2) * integer is exact only for even n, otherwise a float Fraction)."""
-    scale = Fraction(1, q ** (n // 2)) if n % 2 == 0 else Fraction(q ** (-n / 2))
-    u = float(unip_u_scaled(eta_val, n)) * q ** (-n / 2)
-    du = FormalLog.log_integer(q, scale * unip_du_scaled(eta_val, n))
-    return u, du
-
-
 def dunip_scaled(eta_val: int, m: int) -> Callable[[int], Fraction]:
     """q^(m/2)/log q * dU-moment of the basis function alpha^(m), as a
     function of q (rational)."""
@@ -225,16 +216,12 @@ def plancherel_factor(q: int, eta_val: int, x: np.ndarray) -> np.ndarray:
     return (q + 1) / (A * A - x * x)
 
 
-def st_moment(q: int, eta_val: int, n: int, steps: int = 20001) -> float:
-    """Moment of X_n against the local measure, by theta-substitution
-    quadrature (x = 2 cos theta kills the endpoint singularity)."""
-    return st_moments(q, eta_val, [n], steps)[0]
-
-
 def st_moments(q: int, eta_val: int, ns: Sequence[int], steps: int = 20001) -> list[float]:
-    """st_moment for each n, with the grid, the measure and the sines built
-    once per refinement pass; each value is bit-identical to its one-item
-    call and held to its own 1e-9 refinement check."""
+    """Moment of X_n against the local measure for each n, by theta-substitution
+    quadrature (x = 2 cos theta kills the endpoint singularity).  The grid, the
+    measure and the sines are built once per refinement pass; each value is
+    bit-identical to its one-item call and held to its own 1e-9 refinement
+    check."""
     _check_q(q)
     coarse = _st_passes(q, eta_val, ns, steps)
     fine = _st_passes(q, eta_val, ns, 2 * steps + 1)
@@ -274,55 +261,3 @@ def st_moment_expected(q: int, eta_val: int, n: int) -> float:
     if eta_val == -1:
         return q ** (-n / 2) if n % 2 == 0 else 0.0
     return (n + 1) * q ** (-n / 2)
-
-
-def measure_weight(q: int, eta_val: int, chi: Callable[[np.ndarray], np.ndarray],
-                   steps: int = 200001) -> float:
-    """integral of chi d mu_(v, eta_v), for normalising bump test functions."""
-    theta = np.linspace(0.0, math.pi, steps)
-    x = 2 * np.cos(theta)
-    integrand = chi(x) * plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2
-    return float(np.trapezoid(integrand, theta))
-
-
-def cheb_coefficients(chi: Callable[[np.ndarray], np.ndarray], M: int,
-                      steps: int = 1 << 15) -> np.ndarray:
-    """hat c(n) = integral chi X_n d mu^ST for n = 0..M (orthonormal basis)."""
-    theta = np.linspace(0.0, math.pi, steps + 1)
-    x = 2 * np.cos(theta)
-    vals = chi(x) * (2 / math.pi) * np.sin(theta)
-    ns = np.arange(M + 1)
-    # sin((n+1) theta) sin(theta) folded into vals: one matrix product
-    sines = np.sin(np.outer(ns + 1, theta))
-    integrand = sines * vals[None, :]
-    return np.trapezoid(integrand, theta, axis=1)
-
-
-def cheb_truncate(chi: Callable[[np.ndarray], np.ndarray], M: int,
-                  grid: int = 2001) -> tuple[np.ndarray, float]:
-    """Coefficients hat c(0..M) and the sup-norm of chi - chi^M on a grid."""
-    coef = cheb_coefficients(chi, M)
-    xs = np.linspace(-2.0, 2.0, grid)
-    theta = np.arccos(np.clip(xs / 2, -1, 1))
-    approx = np.zeros_like(xs)
-    den = np.sin(theta)
-    safe = den > 1e-9
-    for n in range(M + 1):
-        Xn = np.where(safe, np.sin((n + 1) * theta) / np.where(safe, den, 1.0),
-                      (n + 1) * np.sign(np.cos(theta)) ** n)
-        approx += coef[n] * Xn
-    sup_err = float(np.max(np.abs(chi(xs) - approx)))
-    return coef, sup_err
-
-
-def smooth_bump(center: float = 0.0, halfwidth: float = 1.5) -> Callable[[np.ndarray], np.ndarray]:
-    """C-infinity bump supported in (center - hw, center + hw) subset (-2, 2)."""
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = (x - center) / halfwidth
-        inside = np.abs(u) < 1
-        out = np.zeros_like(x)
-        uu = np.where(inside, u, 0.0)
-        out[inside] = np.exp(-1.0 / (1.0 - uu[inside] ** 2))
-        return out
-    return f

@@ -52,7 +52,7 @@ def _cached_random_fn(rng: random.Random) -> ArithFn:
             cache[m] = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
         return cache[m]
 
-    return ArithFn(fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +70,11 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
         n = _random_ideal(rng, primes)
         if trial % 2 == 0:
             A = _cached_random_fn(rng)
-            B = ArithFn(lambda m, A=A: ntransform.convolve_omega(A, m))
+            B = lambda m, A=A: ntransform.convolve_omega(A, m)
             ok = ntransform.n_transform(B, n) == A(n)
         else:
             B = _cached_random_fn(rng)
-            A = ArithFn(lambda m, B=B: ntransform.n_transform(B, m))
+            A = lambda m, B=B: ntransform.n_transform(B, m)
             ok = ntransform.convolve_omega(A, n) == B(n)
         bad += not ok
     dt = time.monotonic() - t0
@@ -565,12 +565,12 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
         if not ndlog.is_zero():
             bad += 1
         # brute-force both transforms of the degenerate kernel
-        delta_fn = ArithFn(lambda m: Fraction(1 if m.is_unit else 0))
+        delta_fn = lambda m: Fraction(1 if m.is_unit else 0)
         brute = ntransform.n_transform(delta_fn, n)
         expect = complex((-1) ** eta.eps * float(brute)) * (1j ** (w.l_tilde_default % 4))
         if abs(nd - expect) > 1e-12:
             bad += 1
-        zero_fn = ArithFn(lambda m: FormalLog.zero())
+        zero_fn = lambda m: FormalLog.zero()
         if not ntransform.n_transform(zero_fn, n).is_zero():
             bad += 1
     out.append(CheckResult("assembly.degenerate-terms", bad == 0, f"{bad} failures over 30 configs"))
@@ -625,7 +625,7 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
                 + FormalLog.symbol("logDF", al_w) + assembly._to_formal(al_dw_v)
             return tot * (1 / pref)
 
-        got = assembly.henkei_adl_star(n, ArithFn(w_geom_fn), al_star, al_dw, eta, G, D, n_s)
+        got = assembly.henkei_adl_star(n, w_geom_fn, al_star, al_dw, eta, G, D, n_s)
         if got != assembly._to_formal(adl_star(n)):
             bad += 1
     out.append(CheckResult("assembly.henkei-wiring-exact", bad == 0, f"{bad} failures over 25 mock configs"))

@@ -3,14 +3,19 @@
 Each check's seeds, grid and tolerance live in `rtfverify.verify`; run
 `pytest -s tests/test_acceptance.py` (or `rtf verify`) to watch one line per
 check.  Each suite runs once; the criterion tests name the checks that carry
-criteria 1-10.
+criteria 1-10.  The benchmark's list of expected checks and the role of every
+public definition are asserted here too.
 """
+import ast
 import functools
 import re
+from pathlib import Path
 
 import pytest
 
 from rtfverify import verify
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @functools.cache
@@ -81,3 +86,61 @@ def test_criterion_9_assembly_identity():
 
 def test_criterion_10_fI_slope():
     _assert_checks("lattice.fI-slope")
+
+
+@functools.cache
+def _benchmark_expected_checks() -> dict[str, tuple[str, ...]]:
+    # the literal from perfbench/workloads.py, read without running the benchmark
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "EXPECTED_CHECKS" for t in node.targets))
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suite_records_every_benchmarked_check(suite):
+    # a subset, so that a suite may gain checks before the benchmark lists them
+    missing = set(_benchmark_expected_checks()[suite]) - set(_records(suite))
+    assert not missing, sorted(missing)
+
+
+# Public definitions that no command reaches: each is the reference a unit
+# test compares a reached closed form against.
+TEST_ORACLES = {
+    "orbital_arch.j_plus_quad",         # j_plus_parts
+    "orbital_arch.f21_series_oracle",   # gauss_2f1
+    "testfns.laurent_alpha_pn",         # decompose_alpha
+    "testfns.laurent_decomposition",    # decompose_alpha
+}
+
+
+def test_every_public_definition_has_a_role():
+    """Reachability from `rtf` (cli.main) and from every verify suite, by name:
+    a reached definition reaches each module-level def, class or assignment
+    of any module that is named by an identifier or attribute in its source.
+    Every public def or class that stays unreached must be a test oracle."""
+    nodes = {}
+    for path in sorted((ROOT / "src" / "rtfverify").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                nodes.setdefault(node.name, []).append((path.stem, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            nodes.setdefault(name.id, []).append((path.stem, node))
+    todo = [node for name, defs in nodes.items() for mod, node in defs
+            if (mod, name) == ("cli", "main") or (mod == "verify" and name.startswith("suite_"))]
+    reached = set()
+    while todo:
+        node = todo.pop()
+        if id(node) in reached:
+            continue
+        reached.add(id(node))
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+            todo.extend(found for _mod, found in nodes.get(name, ()))
+    unreached = {f"{mod}.{node.name}" for defs in nodes.values() for mod, node in defs
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                 and id(node) not in reached}
+    assert unreached == TEST_ORACLES, (f"in no role: {sorted(unreached - TEST_ORACLES)}; "
+                                       f"reached, so not a test oracle: {sorted(TEST_ORACLES - unreached)}")

@@ -98,6 +98,15 @@ def test_lattice_command(capsys):
     assert out["theta"] > 0
 
 
+def test_lattice_default_weights_fit_the_field(capsys):
+    # --l defaults to one weight 6 per coordinate of the chosen field
+    for argv, rank in ((["lattice"], 1), (["lattice", "--field", "Q(sqrt2)"], 2)):
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        want = cli.main(argv + ["--l", ",".join(["6"] * rank)])
+        assert want == 0 and json.loads(capsys.readouterr().out) == out
+
+
 def test_main_terms_command(cfg_path, capsys):
     rc = cli.main(["main-terms", "--config", cfg_path, "--n", "p^2", "--a", "O"])
     assert rc == 0
@@ -161,8 +170,38 @@ def test_verify_command(capsys):
     ["local-tables", "--place", '{"q":1}', "--eta", "1"],
     ["lattice", "--field", "Q(sqrt2)", "--l", "6"],
     ["lattice", "--field", "Q", "--ideal", "0"],
+    ["lattice", "--field", "Qx"],
+    ["lattice", "--ideal", "x"],
+    ["lattice", "--ideal", "1/0"],
+    ["lattice", "--l", "x"],
+    ["lattice", "--l", "6", "--R", "-1"],
+    ["local-tables", "--place", "{}", "--eta", "1"],
+    ["local-tables", "--place", '{"q":"x"}', "--eta", "1"],
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb", "1"],
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--f", "0"],
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordn", "0"],
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb1=-1"],
+    ["local-weights", "--rep", "{}", "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", "x", "--q", "3", "--eta", "1"],
+    ["arch", "--l", "6", "--b", "x"],
+    ["moments", "--q", "3", "--eta", "1", "--n", "x"],
+    ["ntransform", "--config", "CFG", "--ideal", "x"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^x"],
+    ["ntransform", "--config", "CFG", "--ideal", "p", "--fn", "norm^x"],
+    ["ntransform", "--config", "CFG", "--ideal", "p", "--fn", "norm^1/0"],
+    ["ntransform", "--config", "CFG", "--ideal", "p", "--fn", "foo"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^-1"],
+    ["main-terms", "--config", "CFG", "--n", "x"],
+    ["ntransform", "--config", "MISSING", "--ideal", "p"],
+    ["main-terms", "--config", "NOT_JSON", "--n", "p"],
+    ["main-terms", "--config", "SCHEMA_2", "--n", "p"],
 ])
-def test_bad_input_ends_in_one_input_error_line(argv, capsys):
+def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
+    (tmp_path / "not.json").write_text("{bad")
+    (tmp_path / "schema2.json").write_text('{"schema": 2, "primes": []}')
+    paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json"),
+             "NOT_JSON": str(tmp_path / "not.json"), "SCHEMA_2": str(tmp_path / "schema2.json")}
+    argv = [paths.get(arg, arg) for arg in argv]
     rc = cli.main(argv)
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""

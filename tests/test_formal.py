@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtfverify import ntransform as nt
-from rtfverify.formal import LOG_DF, FormalLog, formal_sum
+from rtfverify.formal import LOG_DF, FormalLog
 from rtfverify.ideals import Ideal, Prime
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -49,11 +49,6 @@ def test_json_roundtrip():
     assert FormalLog.from_json(x.to_json()) == x
 
 
-def test_formal_sum():
-    terms = [FormalLog.symbol("log@2"), FormalLog.symbol("log@2", -1), FormalLog.of_const(4)]
-    assert formal_sum(terms) == FormalLog.of_const(4)
-
-
 # ---------------------------------------------------------------------------
 # what __init__ would establish, on every FormalLog built by FormalLog._trusted
 
@@ -83,7 +78,7 @@ def _formal_fn(rng, kind):
                                             "LpL": rng.randint(-2, 2)})
         return cache[m]
 
-    return nt.ArithFn(fn)
+    return fn
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,10 +92,10 @@ def test_trusted_results_are_normal(n, coeff, rng):
             got = op(_formal_fn(rng, kind), n)
             if isinstance(got, FormalLog):   # a mixed B may meet only Fractions
                 _assert_normal(got)
-        _assert_normal(op(nt.ArithFn(lambda m: FormalLog.zero()), n))
+        _assert_normal(op(lambda m: FormalLog.zero(), n))
     # every coefficient cancels to a zero numerator, which must be dropped
     A_rand = _formal_fn(rng, "formal")
-    A = nt.ArithFn(lambda m: FormalLog.zero() if m == n else A_rand(m))
-    got = nt.n_transform(nt.ArithFn(lambda m: nt.convolve_omega(A, m)), n)
+    A = lambda m: FormalLog.zero() if m == n else A_rand(m)
+    got = nt.n_transform(lambda m: nt.convolve_omega(A, m), n)
     _assert_normal(got)
     assert got.is_zero()

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from rtfverify.errors import CoprimalityError
 from rtfverify.ideals import (Ideal, Prime, QuadCharData, config_from_json, iota,
                               omega_pair, omega_v, parse_ideal, sign_class,
-                              square_decompose, stratum, support_strata)
+                              square_decompose, stratum)
 
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
@@ -17,14 +17,6 @@ R5 = Prime("r", 5)
 def ideal(**kw):
     table = {"p": P3, "q": Q2, "r": R5}
     return Ideal.of({table[k]: v for k, v in kw.items()})
-
-
-def test_support_strata_examples():
-    assert support_strata(Ideal.unit()) == ((), {})
-    s, strata = support_strata(ideal(p=2, q=1))
-    assert set(s) == {P3, Q2}
-    assert strata == {1: (Q2,), 2: (P3,)}
-    assert support_strata(ideal(p=3))[1] == {3: (P3,)}
 
 
 def test_square_decompose_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtfverify import ntransform as nt
-from rtfverify.errors import DomainError, NonRationalPower
+from rtfverify.errors import NonRationalPower
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, iota, omega_pair, omega_v, square_decompose, stratum
 
@@ -28,7 +28,7 @@ def test_transform_of_log_example():
 def test_convolve_examples():
     # squarefree: only the unit square divisor contributes
     n = Ideal.of({P3: 1})
-    A = nt.ArithFn(lambda m: Fraction(7, 3))
+    A = lambda m: Fraction(7, 3)
     assert nt.convolve_omega(A, n) == Fraction(7, 3)
     # weighted two-term sum at p^2
     assert nt.convolve_omega(nt.one_fn(), Ideal.of({P3: 2})) == Fraction(7, 6)
@@ -47,12 +47,10 @@ def test_inversion_roundtrip(e1, e2, e3):
             cache[m] = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         return cache[m]
 
-    A = nt.ArithFn(raw)
-    B = nt.ArithFn(lambda m: nt.convolve_omega(A, m))
-    assert nt.n_transform(B, n) == A(n)
-    B2 = nt.ArithFn(raw)
-    A2 = nt.ArithFn(lambda m: nt.n_transform(B2, m))
-    assert nt.convolve_omega(A2, n) == B2(n)
+    B = lambda m: nt.convolve_omega(raw, m)
+    assert nt.n_transform(B, n) == raw(n)
+    A = lambda m: nt.n_transform(raw, m)
+    assert nt.convolve_omega(A, n) == raw(n)
 
 
 def test_closed_power_examples():
@@ -112,14 +110,6 @@ def test_norm_power_exact_of_perfect_powers(place_exps, d, a):
     root = Ideal.of({p: e for p, (_, e) in zip(primes, place_exps)})
     n = Ideal.of({p: d * e for p, (_, e) in zip(primes, place_exps)})
     assert nt._norm_power_exact(n, Fraction(a, d)) == Fraction(root.norm) ** a
-
-
-def test_domain_refusal():
-    dom = nt.DivisorsOf(Ideal.of({P3: 2}))
-    B = nt.ArithFn(lambda m: Fraction(1), dom)
-    assert nt.n_transform(B, Ideal.of({P3: 2})) == Fraction(5, 6)
-    with pytest.raises(DomainError):
-        nt.n_transform(B, Ideal.of({P3: 2, Q2: 2}))
 
 
 def test_majorant_bound_family():
@@ -190,7 +180,7 @@ def _random_fn(rng, kind, seen=None):
             cache[m] = _random_value(rng, kind)
         return cache[m]
 
-    return nt.ArithFn(fn)
+    return fn
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,14 +200,14 @@ def test_kernel_equals_reference_sums(n, kind, rng):
 @settings(max_examples=40, deadline=None)
 @given(monoid_ideal(), st.randoms(use_true_random=False))
 def test_vanishing_formal_transform_stays_formal(n, rng):
-    zero = nt.ArithFn(lambda m: FormalLog.zero())
+    zero = lambda m: FormalLog.zero()
     for op in (nt.n_transform, nt.n_plus, nt.convolve_omega):
         got = op(zero, n)
         assert isinstance(got, FormalLog) and got.is_zero()
     # every coefficient cancels: the transform of convolve(A) at n is A(n) = 0
     A_rand = _random_fn(rng, "formal")
-    A = nt.ArithFn(lambda m: FormalLog.zero() if m == n else A_rand(m))
-    got = nt.n_transform(nt.ArithFn(lambda m: nt.convolve_omega(A, m)), n)
+    A = lambda m: FormalLog.zero() if m == n else A_rand(m)
+    got = nt.n_transform(lambda m: nt.convolve_omega(A, m), n)
     assert isinstance(got, FormalLog) and got.is_zero()
 
 

@@ -95,12 +95,6 @@ def test_j_decay_envelope():
             assert val <= 50 * oa.j_arch_bound_envelope(k, b, eps)
 
 
-def test_theta_of_b():
-    assert oa.theta_of_b(-0.5) == math.pi / 2
-    assert oa.theta_of_b(2.0) == 3 * math.pi / 2
-    assert oa.theta_of_b(-3.0) == 3 * math.pi / 2
-
-
 def test_w_plus_vs_quadrature():
     for l, b in ((6, Fraction(1)), (6, Fraction(-1, 2)), (8, Fraction(2)), (10, Fraction(10))):
         closed = oa.w_plus(l, b)
@@ -232,21 +226,6 @@ def test_w_plus_zero_at_minus_half():
     # t -> 1/t symmetry kills the log weight there
     assert abs(oa.w_plus_quad(6, -0.5)) < 1e-12
     assert abs(oa.w_plus(8, Fraction(-1, 2))) < 1e-20
-
-
-def test_w_eps_trivial_character():
-    wp = oa.w_plus(6, Fraction(1, 3))
-    assert oa.w_eps(6, 1 / 3, 1) == pytest.approx(2 * wp.real)
-    assert oa.w_eps(6, 1 / 3, -1) == pytest.approx(2j * wp.imag)
-
-
-def test_w_eps_decay_bound():
-    eps = 0.1
-    l = 6
-    for b in np.geomspace(0.2, 300, 12):
-        for bb in (float(b), float(-b - 1)):
-            val = abs(bb * (bb + 1)) ** eps * abs(oa.w_eps(l, bb, 1))
-            assert val <= 100 * oa.w_eps_bound_envelope(l, bb, eps)
 
 
 def test_residue_parts_exactness():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from rtfverify import orbital_local as ol
-from rtfverify.errors import MissingOracle
 from rtfverify.formal import FormalLog
 
 
@@ -49,7 +48,6 @@ def test_tilde_delta_examples():
     # inert side, order two: the shell sum gives -1 (its sign-flipped
     # variant +1 is rejected by the oracle below)
     assert ol.tilde_delta(0, pt(2), -1) == -1
-    assert ol.tilde_delta_displayed(0, pt(2), -1) == 1
 
 
 def test_tilde_delta_against_shell_oracle():
@@ -90,49 +88,6 @@ def test_tilde_I_plus_oracle_grid():
 def test_bullet_integral_example():
     # level-one shell at a unit: eta(varpi b) (l + ord b) with a sign
     assert ol.tilde_delta_oracle(1, pt(0, 0), -1) == 1
-
-
-def test_w_hecke_m0_self_contained():
-    for q in (2, 3):
-        for eta in (-1, 1):
-            for point in ol.enumerate_points(6):
-                val = ol.w_hecke_scaled(0, point, q, eta)
-                assert isinstance(val, Fraction)
-    # m > 0 demands the injected integral
-    with pytest.raises(MissingOracle):
-        ol.w_hecke_scaled(2, pt(1), 3, -1)
-
-
-def test_w_hecke_assembly_with_injected_oracle():
-    fake = {(1, 0): Fraction(5, 7), (1, 1): Fraction(-2, 3), (1, -1): Fraction(0)}
-
-    def iplus(m, point):
-        return fake.get((m, point.ordb), Fraction(1, 9))
-
-    q, eta = 3, -1
-    for point in ol.enumerate_points(4):
-        shifted = ol.shift_point(point)
-        got = ol.w_hecke_scaled(1, point, q, eta, iplus)
-        want = (ol.tilde_I_plus_scaled(1, point, q, eta)
-                + eta * (iplus(1, shifted) - ol.tilde_I_plus_scaled(1, shifted, q, eta)))
-        assert got == want
-
-
-def test_w_hecke_bound_envelope():
-    # the computable parts sit inside the level-m envelope with a modest
-    # fitted constant
-    worst = 0.0
-    for q in (2, 3, 5):
-        for eta in (-1, 1):
-            for m in range(0, 6):
-                for point in ol.enumerate_points(8):
-                    val = ol.w_hecke_bound_parts(m, point, q, eta)
-                    env = ol.w_hecke_gq_bound(m, point, q)
-                    if env == 0:
-                        assert val == 0.0
-                    elif val:
-                        worst = max(worst, val / env)
-    assert worst < 3.0
 
 
 def test_w_unramified_examples():
@@ -188,13 +143,6 @@ def test_w_ramified_bound():
                         for point in ol.enumerate_points(8):
                             val = abs(ol.w_ramified(point, f, q, em1, ebb, d_v))
                             assert val <= ol.w_ramified_bound(point, f, q) + 1e-12
-
-
-def test_delta0_plain():
-    assert ol.delta0_plain(-1, 1) == 0
-    assert ol.delta0_plain(3, 1) == 4
-    assert ol.delta0_plain(3, -1) == 0
-    assert ol.delta0_plain(4, -1) == 1
 
 
 def test_w_unramified_stated_bound():

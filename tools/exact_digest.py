@@ -16,6 +16,11 @@ FormalLog and mixed functions; closed_power and n_plus_closed_power, exact and
 float; closed_log; FormalLog.log_integer; and r_z on both paths, partial_r,
 partial_r_sum, q_poly_one and tau_jj.  The ideals are the exhaustive grid of
 exponents 0..6 at q = 2, 3, 4, 9 (2401 ideals) and 1500 seeded monoids.
+
+tools/exact_digest.expected holds the closed, transforms and log_integer
+lines, which agree under Python 3.10 to 3.12; CI diffs the first three output
+lines against it.  The spectral line is left out: it differs on 3.12, whose
+sum() of floats is compensated.
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ def random_fn(rng: random.Random, kind: str) -> nt.ArithFn:
                                             "LpL": rng.randint(-3, 3)})
         return cache[m]
 
-    return nt.ArithFn(fn)
+    return fn
 
 
 def ideals() -> list[Ideal]:
@@ -103,7 +108,7 @@ def main() -> None:
         for B in fns + [random_fn(rng, kind) for kind in ("fraction", "formal", "mixed")]:
             for op in (nt.n_transform, nt.n_plus, nt.convolve_omega):
                 sums.add(record(op(B, n)))
-    zero = nt.ArithFn(lambda m: FormalLog.zero())
+    zero = lambda m: FormalLog.zero()
     for n in ideals()[:200]:
         for op in (nt.n_transform, nt.n_plus, nt.convolve_omega):
             sums.add(record(op(zero, n)))
