@@ -32,17 +32,13 @@ from .testfns import unip_du_scaled, unip_u_scaled
 
 @dataclass(frozen=True)
 class WeightData:
-    """Even archimedean weights; c = (min l / 2 - 1)/d drives error budgets."""
+    """Even archimedean weights, one per infinite place."""
 
     l: tuple[int, ...]
 
     def __post_init__(self):
         if not self.l or any(x % 2 or x < 2 for x in self.l):
             raise ValueError("weights must be even integers >= 2")
-
-    @property
-    def c_exponent(self) -> float:
-        return (min(self.l) / 2 - 1) / len(self.l)
 
     @property
     def l_tilde_default(self) -> int:
@@ -267,21 +263,17 @@ def geom_prefactor(n_s: int, eps_eta: int) -> PrefactorMonomial:
     return henkei * kernel
 
 
-def degenerate_D(n: Ideal, eta: QuadCharData, w: WeightData,
-                 i_l_tilde: complex | None = None) -> tuple[FormalLog, complex]:
-    """(transform of D log norm, transform of D): the first vanishes
-    identically, the second survives only on fully squared levels."""
-    ndlog = FormalLog.zero()
-    if i_l_tilde is None:
-        i_l_tilde = 1j ** (w.l_tilde_default % 4)
+def degenerate_D(n: Ideal, eta: QuadCharData, w: WeightData) -> complex:
+    """The transform of D, which survives only on fully squared levels (the
+    transform of D log norm vanishes identically)."""
     if any(e != 2 for _, e in n.exps):
-        return ndlog, 0j
+        return 0j
     prod = Fraction(1)
     for p, _ in n.exps:
         prod *= Fraction(p.q + 1, p.q - 1)
     count = len(n.exps)
-    nd = complex((-1) ** eta.eps * (-1) ** count * float(prod / iota(n))) * i_l_tilde
-    return ndlog, nd
+    i_l_tilde = 1j ** (w.l_tilde_default % 4)   # +-1: the weights are even
+    return complex((-1) ** eta.eps * (-1) ** count * float(prod / iota(n))) * i_l_tilde
 
 
 # ---------------------------------------------------------------------------

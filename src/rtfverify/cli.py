@@ -26,14 +26,6 @@ def _parsed(option: str, text: str, convert):
         raise InputError(f"{option} {text!r}: {exc}") from None
 
 
-def _int_range(text: str) -> list[int]:
-    """"lo..hi" (inclusive) or a comma list of integers."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
-
-
 def _int_span(text: str) -> range:
     """"lo..hi", inclusive."""
     if text.count("..") != 1:
@@ -101,7 +93,7 @@ def cmd_local_weights(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ns = _parsed("--n", args.n, _int_range)
+    ns = _parsed("--n", args.n, _int_span)
     alphas = [testfns.alpha_pn_at(args.q, n) for n in ns]
     u_quads = testfns.period_integrals("upsilon", args.q, args.eta, alphas)
     du_quads = testfns.period_integrals("dunip_kernel", args.q, args.eta, alphas)
@@ -125,7 +117,7 @@ def cmd_local_tables(args) -> int:
         wu_o = orbital_local.w_unramified_oracle(pt, q, args.eta)
         wl = orbital_local.w_level(pt, args.ordn, q, args.eta)
         wl_o = orbital_local.w_level_oracle(pt, args.ordn, q, args.eta)
-        wr = orbital_local.w_ramified(pt, args.f, q, 1, pt.unit_eta) if pt.ordb >= -args.f else 0.0
+        wr = orbital_local.w_ramified(pt, args.f, q, 1, 1) if pt.ordb >= -args.f else 0.0
         wr_b = orbital_local.w_ramified_bound(pt, args.f, q)
         delta_u = (wu - wu_o).evaluate()
         delta_l = (wl - wl_o).evaluate()

@@ -97,10 +97,6 @@ class Ideal:
     def divides(self, other: "Ideal") -> bool:
         return all(other.ord(p) >= e for p, e in self.exps)
 
-    def contains(self, other: "Ideal") -> bool:
-        """Ideal containment: self contains other iff self | other."""
-        return self.divides(other)
-
     def pow(self, k: int) -> "Ideal":
         if k < 0 and self.exps:
             raise ValueError(f"negative power {k} of {self}")
@@ -243,16 +239,32 @@ CONFIG_SCHEMA = 1
 
 
 def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
-    """Parse the versioned config: primes plus the quadratic character."""
+    """Parse the versioned config: primes plus the quadratic character.  A
+    missing key, or an eta entry at a prime the config does not declare,
+    raises an InputError naming it."""
     if obj.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise InputError(f"unsupported config schema {obj.get('schema')}, expected {CONFIG_SCHEMA}")
-    primes = {d["id"]: Prime(d["id"], int(d["q"])) for d in obj["primes"]}
+    if "primes" not in obj:
+        raise InputError("config has no 'primes' list")
+    primes = {}
+    for d in obj["primes"]:
+        if not isinstance(d, dict) or "id" not in d or "q" not in d:
+            raise InputError(f"config prime {d!r} needs an 'id' and a 'q'")
+        primes[d["id"]] = Prime(d["id"], int(d["q"]))
     eta_obj = obj.get("eta", {"eps": 0, "arch_signs": [1]})
+
+    def at_primes(key: str) -> dict[Prime, int]:
+        values = eta_obj.get(key, {})
+        for k in values:
+            if k not in primes:
+                raise InputError(f"config eta {key!r} names prime {k!r}, the config has {sorted(primes)}")
+        return {primes[k]: int(v) for k, v in values.items()}
+
     eta = QuadCharData.build(
         eps=int(eta_obj.get("eps", 0)),
         arch_signs=[int(s) for s in eta_obj.get("arch_signs", [1])],
-        ram={primes[k]: int(v) for k, v in eta_obj.get("ram", {}).items()},
-        unram={primes[k]: int(v) for k, v in eta_obj.get("unram", {}).items()},
+        ram=at_primes("ram"),
+        unram=at_primes("unram"),
     )
     return primes, eta
 

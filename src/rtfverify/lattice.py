@@ -222,11 +222,13 @@ def sphere_I(lam: Sequence[float], mode: str = "closed") -> float:
         if len(lam) != 2:
             raise DomainError("angular quadrature implemented for d = 2")
         # [pi/4, pi/2] folded onto [0, pi/4] by t -> pi/2 - t, so both
-        # integrable singularities sit at 0, where floats resolve the nodes
-        def f(t):
+        # integrable singularities sit at 0; t = (pi/4) u^4 then turns
+        # t^(-lambda_j) dt into u^(3 - 4 lambda_j) du, bounded for lambda_j <= 3/4
+        def f(u):
+            t = math.pi / 4 * u ** 4
             c, s = np.cos(t), np.sin(t)
-            return c ** (-lam[0]) * s ** (-lam[1]) + s ** (-lam[0]) * c ** (-lam[1])
-        val, err = quad(f, 0, math.pi / 4, epsabs=1e-12, epsrel=1e-12, limit=400)
+            return (c ** (-lam[0]) * s ** (-lam[1]) + s ** (-lam[0]) * c ** (-lam[1])) * math.pi * u ** 3
+        val, err = quad(f, 0, 1, epsabs=1e-12, epsrel=1e-12, limit=400)
         if err > 1e-7:
             raise ConvergenceError(f"sphere quadrature error {err:.2e}")
         return 4 * val
@@ -237,19 +239,17 @@ def sphere_I(lam: Sequence[float], mode: str = "closed") -> float:
 # the hyperbolic-term lattice sum over Q
 
 
-def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -> dict:
+def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -> float:
     """The tau-weighted J-sum over b in (n/bset)Z - {0, -1}, truncated at
     |index| <= K, for the rational field, against the trivial character.
 
-    Requires gcd(n, bset) = 1.  Returns value plus a fitted-envelope tail
-    report; the divisor-count weights grow slower than any power, so the
-    (1+|b|)^(-l/2) decay of J dominates.
+    Requires gcd(n, bset) = 1.  The divisor-count weights grow slower than
+    any power, so the (1+|b|)^(-l/2) decay of J dominates.
     """
     if math.gcd(n_norm, bset_norm) != 1:
         raise ValueError("n and bset must be relatively prime")
     step = Fraction(n_norm, bset_norm)
     total = 0.0
-    largest_term = 0.0
     for k in range(1, K + 1):
         for s in (1, -1):
             b = step * s * k
@@ -259,14 +259,8 @@ def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -
             if tau == 0:
                 continue
             bf = float(b)
-            term = tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf, "one"))
-            total += term
-            if k == K:
-                largest_term = max(largest_term, term)
-    # crude geometric-style tail report from the last ring of terms
-    decay = (1 + float(step) * K) ** (-l / 2 + 2 * eps + 0.5)
-    tail = largest_term * 4 * K * decay / max(1e-300, 1 - decay) if largest_term else 0.0
-    return {"value": total, "tail_report": tail, "K": K}
+            total += tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf, "one"))
+    return total
 
 
 def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
@@ -291,7 +285,7 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
                 total += tau ** 2 * abs(2 * w_plus_quad(l, float(b)).real)
         vals.append(total)
     slope = float(np.polyfit(np.log(list(ns)), np.log(vals), 1)[0])
-    return {"values": vals, "slope": slope, "target": -(l / 2 - 1) + 0.1}
+    return {"slope": slope, "target": -(l / 2 - 1) + 0.1}
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +328,11 @@ def minkowski_sandwich_ok(lat: EmbeddedLattice) -> bool:
             and D <= c_hi * lat.sqrt_disc * r ** lat.d * (1 + 1e-9))
 
 
-def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float],
-                 R: float, rng: np.random.Generator | None = None) -> dict:
+def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float], R: float) -> dict:
     """Containment-based audits: the theta-estimate ratio, the covering
-    inequality, submultiplicativity of f, the Minkowski sandwich."""
-    rng = rng or np.random.default_rng(0)
+    inequality, submultiplicativity of f (on seeded random pairs), the
+    Minkowski sandwich."""
+    rng = np.random.default_rng(0)
     d = lat.d
     l = list(l)
     th = theta(lat, l, R)
@@ -353,14 +347,10 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
     submult_ok = bool(np.all(fxy >= fx - 1e-15))
     sandwich_ok = minkowski_sandwich_ok(lat)
     return {
-        "theta": th["value"],
         "theta_ratio": th["value"] / envelope,
         "covering_ok": th["value"] <= covering_rhs * (1 + 1e-9),
-        "covering_rhs": covering_rhs,
         "submultiplicative_ok": submult_ok,
         "minkowski_ok": sandwich_ok,
-        "r": r1,
-        "covolume": D1,
     }
 
 
@@ -382,12 +372,8 @@ def phi_sphere(l: Sequence[float], t: float) -> float:
 
 
 def phi_mellin_audit(l: Sequence[float], t_grid: Sequence[float]) -> dict:
-    """phi(t) t^(d - 1 + l_min/2) boundedness plus the log-log slope check."""
-    d = len(l)
-    expo = d - 1 + min(l) / 2
-    ratios = [phi_sphere(l, t) * t ** expo for t in t_grid]
+    """The log-log slope of phi(t) over t_grid against -(d - 1 + l_min/2)."""
     ts = np.log(np.array(t_grid, dtype=float))
     vs = np.log([phi_sphere(l, t) for t in t_grid])
     slope = float(np.polyfit(ts, vs, 1)[0])
-    return {"ratios": ratios, "bounded": max(ratios) < float("inf"),
-            "slope": slope, "expected_slope": -expo}
+    return {"slope": slope, "expected_slope": -(len(l) - 1 + min(l) / 2)}

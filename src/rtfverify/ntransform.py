@@ -204,13 +204,13 @@ def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction |
     return out_f
 
 
-def closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
-    """Closed form of the transform of norm^t:
+def closed_power(n: Ideal, t: Fraction | int) -> Fraction:
+    """Closed form of the transform of norm^t, exactly:
 
         norm(n)^t * prod_{S(n1)-S2(n)} (1 - q^-2(1+t))
                   * prod_{S2(n)}       (1 - (1-1/q)^-1 q^-2(1+t)).
     """
-    return _closed_product(n, Fraction(t), -1, exact)
+    return _closed_product(n, Fraction(t), -1, True)
 
 
 def closed_log(n: Ideal) -> FormalLog:

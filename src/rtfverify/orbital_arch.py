@@ -110,11 +110,11 @@ def _f21_log_branch(k: int, x: float) -> float:
     raise ConvergenceError("2F1 log-branch failed to meet tolerance")
 
 
-def f21_series_oracle(k: int, x: float, nterms: int = 2000) -> tuple[float, float]:
-    """Plain partial sum with an explicit geometric remainder bound."""
+def f21_series_oracle(k: int, x: float) -> tuple[float, float]:
+    """Plain 2000-term partial sum with an explicit geometric remainder bound."""
     a = k // 2
     term, total = 1.0, 1.0
-    for n in range(1, nterms):
+    for n in range(1, 2000):
         term *= (a + n - 1) * (a + n - 1) * x / ((k + n - 1) * n)
         total += term
     tail = abs(term) * abs(x) / max(1e-300, 1 - abs(x))

@@ -30,13 +30,10 @@ class LocalPoint:
 
     Ultrametric consistency: ord(b) < 0 forces ord(b+1) = ord(b); ord(b) > 0
     forces ord(b+1) = 0; only ord(b) = 0 leaves ord(b+1) >= 0 free.
-    unit_eta is eta_v(b) at ramified places, where it is not computable from
-    the valuation; unramified operations ignore it.
     """
 
     ordb: int
     ordb1: int
-    unit_eta: int = 1
 
     def __post_init__(self):
         if self.ordb < 0 and self.ordb1 != self.ordb:
@@ -45,8 +42,6 @@ class LocalPoint:
             raise InputError(f"ord(b) > 0 forces ord(b+1) = 0, got {self.ordb}, {self.ordb1}")
         if self.ordb == 0 and self.ordb1 < 0:
             raise InputError(f"ord(b) = 0 forces ord(b+1) >= 0, got ord(b+1)={self.ordb1}")
-        if self.unit_eta not in (1, -1):
-            raise InputError(f"unit_eta must be +-1, got {self.unit_eta}")
 
     @property
     def ord_bb1(self) -> int:
@@ -226,7 +221,7 @@ def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int) -> Formal
 
 
 def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
-               eta_bb1: int | None = None, d_v: int = 0) -> float:
+               eta_bb1: int, d_v: int = 0) -> float:
     """Closed form at a ramified place of the character, conductor exponent f.
 
     eta_bb1 = eta_v(b(b+1)) must be supplied by the caller (the character on
@@ -238,8 +233,6 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
         raise InputError(f"conductor exponent f >= 1 required, got f={f}")
     if point.ordb < -f:
         return 0.0
-    if eta_bb1 is None:
-        eta_bb1 = point.unit_eta
     if eta_bb1 not in (1, -1):
         raise ValueError("eta(b(b+1)) must be +-1")
     pref = eta_minus1 * (1 - 1 / q) ** -1 * q ** (-f - d_v / 2)

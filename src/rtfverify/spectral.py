@@ -49,11 +49,6 @@ class LocalRepData:
             if self.Q is not None or self.chi is not None:
                 raise InputError(f"c>=2 carries no parameter, got Q={self.Q}, chi={self.chi}")
 
-    @classmethod
-    def from_satake(cls, q: int, a: complex) -> "LocalRepData":
-        Q = (a + 1 / a) / (q ** 0.5 + q ** -0.5)
-        return cls(q=q, c=0, Q=Q.real if abs(Q.imag) < 1e-14 else Q)
-
 
 def _check_k(k: int):
     if not 0 <= k <= MAX_K:

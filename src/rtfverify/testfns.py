@@ -151,20 +151,25 @@ def alpha_basis_at(q: int, m: int) -> Callable[[complex], complex]:
     return f
 
 
+# grid points of the coarse pass of each oracle; its fine pass takes about twice as many
+PERIOD_STEPS = 4096
+ST_STEPS = 20001
+
+
 def period_integral(kernel: str, q: int, eta_val: int,
-                    alpha: Callable[[complex], complex],
-                    sigma: float = 0.7, steps: int = 4096) -> complex:
+                    alpha: Callable[[complex], complex], sigma: float = 0.7) -> complex:
     """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period.
 
     dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds; the result is compared
-    across a doubled refinement and must agree to 1e-9.
+    across a doubled refinement (PERIOD_STEPS, then twice that) and must agree
+    to 1e-9.
     """
-    return period_integrals(kernel, q, eta_val, [alpha], sigma, steps)[0]
+    return period_integrals(kernel, q, eta_val, [alpha], sigma)[0]
 
 
 def period_integrals(kernel: str, q: int, eta_val: int,
                      alphas: Sequence[Callable[[complex], complex]],
-                     sigma: float = 0.7, steps: int = 4096) -> list[complex]:
+                     sigma: float = 0.7) -> list[complex]:
     """period_integral for each alpha, with the grid, the kernel values and
     the measure built once per refinement pass and shared by every alpha.
 
@@ -174,17 +179,15 @@ def period_integrals(kernel: str, q: int, eta_val: int,
     _check_q(q)
     if sigma <= 0:
         raise InputError(f"sigma > 0 required, got sigma={sigma}")
-    if steps < 2 ** 10:
-        raise InputError(f"steps >= 1024 required, got steps={steps}")
     kern = _KERNELS[kernel]
     # one grid alive at a time: the coarse pass is dropped before the fine one
-    coarse = _period_passes(kern, q, eta_val, alphas, sigma, steps)
-    fine = _period_passes(kern, q, eta_val, alphas, sigma, 2 * steps)
+    coarse = _period_passes(kern, q, eta_val, alphas, sigma, PERIOD_STEPS)
+    fine = _period_passes(kern, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
     for i, (v1, v2) in enumerate(zip(coarse, fine)):
         if abs(v1 - v2) > 1e-9:
             raise ConvergenceError(
                 f"period integral of kernel {kernel!r} at q={q}, eta={eta_val}, sigma={sigma}, "
-                f"steps={steps}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
+                f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
     return fine
 
 
@@ -216,19 +219,19 @@ def plancherel_factor(q: int, eta_val: int, x: np.ndarray) -> np.ndarray:
     return (q + 1) / (A * A - x * x)
 
 
-def st_moments(q: int, eta_val: int, ns: Sequence[int], steps: int = 20001) -> list[float]:
+def st_moments(q: int, eta_val: int, ns: Sequence[int]) -> list[float]:
     """Moment of X_n against the local measure for each n, by theta-substitution
     quadrature (x = 2 cos theta kills the endpoint singularity).  The grid, the
     measure and the sines are built once per refinement pass; each value is
     bit-identical to its one-item call and held to its own 1e-9 refinement
     check."""
     _check_q(q)
-    coarse = _st_passes(q, eta_val, ns, steps)
-    fine = _st_passes(q, eta_val, ns, 2 * steps + 1)
+    coarse = _st_passes(q, eta_val, ns, ST_STEPS)
+    fine = _st_passes(q, eta_val, ns, 2 * ST_STEPS + 1)
     for n, v1, v2 in zip(ns, coarse, fine):
         if abs(v1 - v2) > 1e-9:
             raise ConvergenceError(
-                f"measure moment at q={q}, eta={eta_val}, steps={steps}, n={n}: "
+                f"measure moment at q={q}, eta={eta_val}, steps={ST_STEPS}, n={n}: "
                 f"refinement gap {abs(v1 - v2):.3e}")
     return fine
 

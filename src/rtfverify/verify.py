@@ -40,8 +40,8 @@ def _random_monoid(rng: random.Random, nmax: int = 5) -> list[Prime]:
     return [Prime(f"p{i}", q) for i, q in enumerate(qs)]
 
 
-def _random_ideal(rng: random.Random, primes: list[Prime], emax: int = 6) -> Ideal:
-    return Ideal.of({p: rng.randint(0, emax) for p in primes})
+def _random_ideal(rng: random.Random, primes: list[Prime]) -> Ideal:
+    return Ideal.of({p: rng.randint(0, 6) for p in primes})
 
 
 def _cached_random_fn(rng: random.Random) -> ArithFn:
@@ -485,7 +485,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
 
     # hyperbolic lattice-sum slope (plain and log-weighted archimedean factor)
     ns = [10, 31, 100, 316, 1000, 3162, 10000]
-    vals = [lattice.fI_rational(6, N, 1, 0.0, K=200)["value"] for N in ns]
+    vals = [lattice.fI_rational(6, N, 1, 0.0, K=200) for N in ns]
     slope = float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
     out.append(CheckResult("lattice.fI-slope", slope <= -1.9, f"fitted exponent {slope:.3f} <= -1.9"))
 
@@ -561,9 +561,7 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
     for _ in range(30):
         eta, n, _a = random_minus_config(rng)
         w = assembly.WeightData((6,))
-        ndlog, nd = assembly.degenerate_D(n, eta, w)
-        if not ndlog.is_zero():
-            bad += 1
+        nd = assembly.degenerate_D(n, eta, w)
         # brute-force both transforms of the degenerate kernel
         delta_fn = lambda m: Fraction(1 if m.is_unit else 0)
         brute = ntransform.n_transform(delta_fn, n)

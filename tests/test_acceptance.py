@@ -103,6 +103,22 @@ def test_suite_records_every_benchmarked_check(suite):
     assert not missing, sorted(missing)
 
 
+SRC = ROOT / "src" / "rtfverify"
+
+
+@functools.cache
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 # Public definitions that no command reaches: each is the reference a unit
 # test compares a reached closed form against.
 TEST_ORACLES = {
@@ -111,23 +127,35 @@ TEST_ORACLES = {
     "testfns.laurent_alpha_pn",         # decompose_alpha
     "testfns.laurent_decomposition",    # decompose_alpha
 }
+# Public methods that no command reaches, each kept for one unit test.
+TEST_REFERENCE_METHODS = {
+    "ideals.Ideal.divisors",            # _reference_convolve in test_ntransform
+    "ideals.Ideal.pow",                 # _reference_convolve in test_ntransform
+    "formal.FormalLog.from_json",       # the to_json round trip
+}
 
 
 def test_every_public_definition_has_a_role():
     """Reachability from `rtf` (cli.main) and from every verify suite, by name:
-    a reached definition reaches each module-level def, class or assignment
-    of any module that is named by an identifier or attribute in its source.
-    Every public def or class that stays unreached must be a test oracle."""
+    a reached definition reaches each module-level def, class or assignment,
+    and each method that is not a dunder, of any module that is named by an
+    identifier or attribute in its source.  A reached class brings its class
+    body and its dunder methods, which Python calls for it.  Every public
+    def, class or method that stays unreached must be a test reference."""
     nodes = {}
-    for path in sorted((ROOT / "src" / "rtfverify").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for mod, tree in _modules().items():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                nodes.setdefault(node.name, []).append((path.stem, node))
+                nodes.setdefault(node.name, []).append((mod, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
-                            nodes.setdefault(name.id, []).append((path.stem, node))
+                            nodes.setdefault(name.id, []).append((mod, node))
+            if isinstance(node, ast.ClassDef):
+                for method in _methods(node):
+                    if not _is_dunder(method.name):
+                        nodes.setdefault(method.name, []).append((f"{mod}.{node.name}", method))
     todo = [node for name, defs in nodes.items() for mod, node in defs
             if (mod, name) == ("cli", "main") or (mod == "verify" and name.startswith("suite_"))]
     reached = set()
@@ -136,11 +164,90 @@ def test_every_public_definition_has_a_role():
         if id(node) in reached:
             continue
         reached.add(id(node))
-        for sub in ast.walk(node):
+        own = set()
+        if isinstance(node, ast.ClassDef):   # its methods are reached by name, not with the class
+            own = {id(m) for m in _methods(node) if not _is_dunder(m.name)}
+        stack = [node]
+        while stack:
+            sub = stack.pop()
+            stack.extend(child for child in ast.iter_child_nodes(sub) if id(child) not in own)
             name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
             todo.extend(found for _mod, found in nodes.get(name, ()))
     unreached = {f"{mod}.{node.name}" for defs in nodes.values() for mod, node in defs
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
                  and id(node) not in reached}
-    assert unreached == TEST_ORACLES, (f"in no role: {sorted(unreached - TEST_ORACLES)}; "
-                                       f"reached, so not a test oracle: {sorted(TEST_ORACLES - unreached)}")
+    kept = TEST_ORACLES | TEST_REFERENCE_METHODS
+    assert unreached == kept, (f"in no role: {sorted(unreached - kept)}; "
+                               f"reached, so not a test reference: {sorted(kept - unreached)}")
+
+
+# The one default that no call in src/ sets: the argv of the entry point,
+# which the console script leaves to sys.argv.
+UNSET_DEFAULTS = {("cli.main", "argv")}
+
+
+def _signatures() -> dict[str, list[tuple[str, list[str], set[str]]]]:
+    """Callee name -> (qualified name, positional parameters, defaulted ones).
+    A class is called by its name: a dataclass with its fields, any other
+    with its __init__ less self.  A method is called as an attribute, so its
+    first parameter (self or cls) is bound unless it is a staticmethod."""
+    def params(fn: ast.FunctionDef, bound: bool) -> tuple[list[str], set[str]]:
+        pos = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+        dflt = set(pos[len(pos) - len(fn.args.defaults):]) if fn.args.defaults else set()
+        dflt |= {a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None}
+        return pos, dflt
+
+    def decorated(node, name: str) -> bool:
+        return any(isinstance(sub, ast.Name) and sub.id == name
+                   for d in node.decorator_list for sub in ast.walk(d))
+
+    sigs: dict = {}
+    for mod, tree in _modules().items():
+        methods = set()
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if decorated(cls, "dataclass"):
+                fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                sigs.setdefault(cls.name, []).append(
+                    (f"{mod}.{cls.name}", [f.target.id for f in fields],
+                     {f.target.id for f in fields if f.value is not None}))
+            for fn in _methods(cls):
+                methods.add(id(fn))
+                sigs.setdefault(cls.name if fn.name == "__init__" else fn.name, []).append(
+                    (f"{mod}.{cls.name}.{fn.name}", *params(fn, not decorated(fn, "staticmethod"))))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and id(fn) not in methods:
+                sigs.setdefault(fn.name, []).append((f"{mod}.{fn.name}", *params(fn, False)))
+    return sigs
+
+
+def test_every_default_is_set_by_a_caller():
+    """Each defaulted parameter of a def, method or dataclass field in
+    src/rtfverify is passed, by position or keyword, by some call in
+    src/rtfverify; a default that every caller leaves alone is a constant.
+    Calls are matched to callees by name; `cls(...)` inside a class calls
+    that class; a call with *args or **kwargs passes every parameter; and
+    `SUITES[name](seed)` calls every suite_*."""
+    sigs = _signatures()
+    passed = set()
+    for tree in _modules().values():
+        owner = {id(sub): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for sub in ast.walk(cls)}
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            if isinstance(func, ast.Name):
+                names = [owner.get(id(call), "cls") if func.id == "cls" else func.id]
+            elif isinstance(func, ast.Attribute):
+                names = [func.attr]
+            elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name) and func.value.id == "SUITES":
+                names = [name for name in sigs if name.startswith("suite_")]
+            else:
+                continue
+            star = (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords))
+            for name in names:
+                for qual, pos, dflt in sigs.get(name, ()):
+                    passed.update((qual, p) for p in (dflt if star else pos[:len(call.args)]))
+                    passed.update((qual, k.arg) for k in call.keywords if k.arg)
+    unset = {(qual, p) for defs in sigs.values() for qual, _pos, dflt in defs for p in dflt} - passed
+    assert unset == UNSET_DEFAULTS, (f"defaults no caller sets: {sorted(unset - UNSET_DEFAULTS)}; "
+                                     f"set after all: {sorted(UNSET_DEFAULTS - unset)}")

@@ -161,15 +161,13 @@ def test_main_term_value_evaluation():
 
 def test_degenerate_terms():
     w = asm.WeightData((6,))
-    ndlog, nd = asm.degenerate_D(Ideal.of({P3: 1}), ETA_MINUS, w)
-    assert ndlog.is_zero() and nd == 0
-    ndlog, nd = asm.degenerate_D(Ideal.of({P3: 2}), ETA_MINUS, w)
-    assert ndlog.is_zero()
+    assert asm.degenerate_D(Ideal.of({P3: 1}), ETA_MINUS, w) == 0
+    nd = asm.degenerate_D(Ideal.of({P3: 2}), ETA_MINUS, w)
     assert abs(nd) == pytest.approx(1 / 6)
-    # i^(l tilde) defaults to i^(sum l): purely real here
+    # i^(l tilde) is i^(sum l): purely real for even weights
     assert nd.imag == pytest.approx(0.0)
-    _, nd_unit = asm.degenerate_D(Ideal.unit(), ETA_MINUS, w, i_l_tilde=1j)
-    assert nd_unit == pytest.approx(-1j)
+    # at the unit ideal only the signs remain: (-1)^eps i^6
+    assert asm.degenerate_D(Ideal.unit(), ETA_MINUS, w) == -(-1) ** ETA_MINUS.eps
 
 
 def test_prefactor_cancellation():
@@ -190,7 +188,6 @@ def test_weight_and_consts_validation():
         asm.AnalyticConsts(D_F=0.5)
     with pytest.raises(ValueError):
         asm.AnalyticConsts(L1_eta=0.0)
-    assert asm.WeightData((6, 8)).c_exponent == pytest.approx(1.0)
 
 
 def test_henkei_wiring_small_instance():

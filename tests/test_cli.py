@@ -195,12 +195,22 @@ def test_verify_command(capsys):
     ["ntransform", "--config", "MISSING", "--ideal", "p"],
     ["main-terms", "--config", "NOT_JSON", "--n", "p"],
     ["main-terms", "--config", "SCHEMA_2", "--n", "p"],
+    ["ntransform", "--config", "NO_PRIMES", "--ideal", "O"],
+    ["ntransform", "--config", "NO_Q", "--ideal", "O"],
+    ["main-terms", "--config", "ETA_AT_X", "--n", "p"],
+    ["moments", "--q", "3", "--eta", "1", "--n", "1,3"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     (tmp_path / "not.json").write_text("{bad")
     (tmp_path / "schema2.json").write_text('{"schema": 2, "primes": []}')
+    (tmp_path / "no_primes.json").write_text('{"schema": 1}')
+    (tmp_path / "no_q.json").write_text('{"schema": 1, "primes": [{"id": "p"}]}')
+    (tmp_path / "eta_at_x.json").write_text('{"schema": 1, "primes": [{"id": "p", "q": 3}], '
+                                            '"eta": {"unram": {"x": -1}}}')
     paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json"),
-             "NOT_JSON": str(tmp_path / "not.json"), "SCHEMA_2": str(tmp_path / "schema2.json")}
+             "NOT_JSON": str(tmp_path / "not.json"), "SCHEMA_2": str(tmp_path / "schema2.json"),
+             "NO_PRIMES": str(tmp_path / "no_primes.json"), "NO_Q": str(tmp_path / "no_q.json"),
+             "ETA_AT_X": str(tmp_path / "eta_at_x.json")}
     argv = [paths.get(arg, arg) for arg in argv]
     rc = cli.main(argv)
     captured = capsys.readouterr()

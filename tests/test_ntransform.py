@@ -60,7 +60,9 @@ def test_closed_power_examples():
     # squarefree: just the norm power
     m = Ideal.of({P3: 1, Q2: 1})
     assert nt.closed_power(m, 2) == 36
-    assert nt.closed_power(m, Fraction(1, 2), exact=False) == pytest.approx(6 ** 0.5)
+    assert nt.n_plus_closed_power(m, Fraction(1, 2), exact=False) == pytest.approx(6 ** 0.5)
+    with pytest.raises(NonRationalPower):
+        nt.closed_power(m, Fraction(1, 2))
 
 
 def test_closed_power_matches_brute_force():
@@ -284,11 +286,11 @@ def _outcome(fn, *args):
 @settings(max_examples=200, deadline=None)
 @given(monoid_ideal(), st.sampled_from([Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]))
 def test_closed_forms_equal_literal_products(n, t):
-    for sign, closed in ((-1, nt.closed_power), (1, nt.n_plus_closed_power)):
-        for exact in (True, False):
-            got = _outcome(closed, n, t, exact)
-            want = _outcome(_literal_closed_product, n, t, sign, exact)
-            assert got == want and type(got) is type(want)
+    pairs = [(_outcome(nt.closed_power, n, t), _outcome(_literal_closed_product, n, t, -1, True))]
+    pairs += [(_outcome(nt.n_plus_closed_power, n, t, exact), _outcome(_literal_closed_product, n, t, 1, exact))
+              for exact in (True, False)]
+    for got, want in pairs:
+        assert got == want and type(got) is type(want)
     got, want = nt.closed_log(n), _literal_closed_log(n)
     assert got == want and type(got) is type(want)
     assert list(got.coeffs) == list(want.coeffs)   # the order evaluate() sums in

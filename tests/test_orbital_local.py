@@ -7,10 +7,10 @@ from rtfverify import orbital_local as ol
 from rtfverify.formal import FormalLog
 
 
-def pt(ordb, ordb1=None, unit_eta=1):
+def pt(ordb, ordb1=None):
     if ordb1 is None:
         ordb1 = 0 if ordb > 0 else (ordb if ordb < 0 else 0)
-    return ol.LocalPoint(ordb, ordb1, unit_eta)
+    return ol.LocalPoint(ordb, ordb1)
 
 
 def test_local_point_consistency():

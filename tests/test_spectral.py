@@ -154,14 +154,6 @@ def test_adl_plus_factor_examples():
     assert fl == FormalLog.symbol("log@3", -1) + FormalLog.symbol("logDF", -1)
 
 
-def test_satake_conversion():
-    rep = sp.LocalRepData.from_satake(4, complex(math.cos(1.0), math.sin(1.0)))
-    assert rep.c == 0
-    assert abs(rep.Q) < 1
-    # unit-circle parameter gives a real Q
-    assert isinstance(rep.Q, float)
-
-
 def test_rep_validation_and_k_cap():
     with pytest.raises(ValueError):
         sp.LocalRepData(q=3, c=0)
@@ -204,7 +196,9 @@ def _suite_weights_inputs(seed):
 
 def test_rz_sum_bit_identical_to_uncached_sum():
     rng = random.Random(5)
-    reps = [REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=0.3), sp.LocalRepData.from_satake(4, complex(0.6, 0.3))]
+    a = complex(0.6, 0.3)   # a Satake number off the unit circle gives a complex Q
+    reps = [REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=0.3),
+            sp.LocalRepData(q=4, c=0, Q=(a + 1 / a) / (4 ** 0.5 + 4 ** -0.5))]
     for rep in reps:
         for eta in (-1, 1):
             for k in range(1, 9):

@@ -71,8 +71,6 @@ def test_period_integral_kernel_equivalence():
 def test_period_integral_guards():
     with pytest.raises(ValueError):
         tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0), sigma=-1.0)
-    with pytest.raises(ValueError):
-        tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0), steps=16)
 
 
 def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
