@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SignClassError
+from .errors import DomainError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
 from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
 from .ntransform import ArithFn, closed_log, closed_power, n_transform
@@ -70,16 +70,19 @@ EULER_GAMMA = float(np.euler_gamma)
 
 
 def c_l(w: WeightData) -> float:
-    """prod_v 2 pi (l_v - 2)! / ((l_v/2 - 1)!)^2, in log-space past l = 200."""
-    if max(w.l) <= 200:
-        out = 1.0
-        for lv in w.l:
-            out *= 2 * math.pi * math.factorial(lv - 2) / math.factorial(lv // 2 - 1) ** 2
-        return out
-    acc = 0.0
-    for lv in w.l:
-        acc += math.log(2 * math.pi) + math.lgamma(lv - 1) - 2 * math.lgamma(lv // 2)
-    return math.exp(acc)
+    """prod_v 2 pi (l_v - 2)! / ((l_v/2 - 1)!)^2: (2 pi)^n times one exact
+    integer, the product of the binomials binom(l_v - 2, l_v/2 - 1)."""
+    out = math.inf
+    # binom(l - 2, l/2 - 1) >= 2^(l - 2)/(l - 1) passes the float range before
+    # l = 1040, so a larger weight is refused before its binomial is built
+    if max(w.l) < 1040:
+        try:
+            out = (2 * math.pi) ** len(w.l) * math.prod(math.comb(lv - 2, lv // 2 - 1) for lv in w.l)
+        except OverflowError:   # a factor past the float range
+            pass
+    if not math.isfinite(out):
+        raise DomainError(f"C_l overflows a float at weights {list(w.l)}")
+    return out
 
 
 def frak_c(w: WeightData, eta: QuadCharData) -> float:
@@ -296,7 +299,7 @@ def henkei_adl_star(n: Ideal,
     Exact in FormalLog for rational-valued mocks and rational G, D.
     """
     pref = Fraction(2 * (-1) ** (n_s + eta.eps)) * D_F / G_eta
-    t1 = _to_formal(n_transform(w_geom, n)) * pref
+    t1 = n_transform(w_geom, n) * pref
     logfac = FormalLog.log_integer(n.norm, Fraction(1, 2))
     if eta.conductor.norm > 1:
         logfac = logfac + FormalLog.log_integer(eta.conductor.norm)
@@ -304,12 +307,8 @@ def henkei_adl_star(n: Ideal,
     if isinstance(alv, FormalLog):
         raise ValueError("the exact wiring wants a rational-valued AL* mock")
     t2 = logfac * Fraction(alv)
-    t3 = _to_formal(n_transform(al_dw, n))
+    t3 = n_transform(al_dw, n)
     return t1 + t2 - t3
-
-
-def _to_formal(v) -> FormalLog:
-    return v if isinstance(v, FormalLog) else FormalLog.of_const(v)
 
 
 def adl_w_plus_weight(al_star: ArithFn, eta: QuadCharData) -> ArithFn:

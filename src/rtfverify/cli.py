@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
 from .errors import InputError, RTFError, SignClassError
 from .formal import FormalLog
-from .ideals import load_config, parse_ideal
+from .ideals import load_config, parse_ideal, residue_cardinality
 
 
 def _parsed(option: str, text: str, convert):
@@ -32,6 +32,14 @@ def _int_span(text: str) -> range:
         raise ValueError("lo..hi expected")
     lo, hi = text.split("..")
     return range(int(lo), int(hi) + 1)
+
+
+def _finite_rational(text: str) -> Fraction:
+    """A rational number no larger in size than the largest float."""
+    value = Fraction(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("past the float range")
+    return value
 
 
 def _json_object(text: str, key: str) -> dict:
@@ -95,8 +103,8 @@ def cmd_local_weights(args) -> int:
 def cmd_moments(args) -> int:
     ns = _parsed("--n", args.n, _int_span)
     alphas = [testfns.alpha_pn_at(args.q, n) for n in ns]
-    u_quads = testfns.period_integrals("upsilon", args.q, args.eta, alphas)
-    du_quads = testfns.period_integrals("dunip_kernel", args.q, args.eta, alphas)
+    u_quads = testfns.period_integrals(testfns.upsilon_kernel, args.q, args.eta, alphas)
+    du_quads = testfns.period_integrals(testfns.dunip_kernel, args.q, args.eta, alphas)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     for n, u_quad, du_quad in zip(ns, u_quads, du_quads):
@@ -109,7 +117,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_local_tables(args) -> int:
-    q = _parsed("--place", args.place, lambda text: int(_json_object(text, "q")["q"]))
+    q = residue_cardinality(_parsed("--place", args.place, lambda text: _json_object(text, "q")["q"]), "--place")
     rows = []
     for ordb in _parsed("--ordb", args.ordb, _int_span):
         pt = orbital_local.LocalPoint(ordb, 0 if ordb > 0 else (ordb if ordb < 0 else args.ordb1))
@@ -134,14 +142,15 @@ def cmd_local_tables(args) -> int:
 
 
 def cmd_arch(args) -> int:
-    b = _parsed("--b", args.b, lambda text: float(Fraction(text)) if "/" in text else float(text))
-    j_one = orbital_arch.j_arch(args.l, b, "one")
-    j_sgn = orbital_arch.j_arch(args.l, b, "sgn")
+    b = _parsed("--b", args.b, _finite_rational)
+    bf = float(b)
+    j_one = orbital_arch.j_arch(args.l, bf, "one")
+    j_sgn = orbital_arch.j_arch(args.l, bf, "sgn")
     wp = orbital_arch.w_plus(args.l, b)
-    wq = orbital_arch.w_plus_quad(args.l, b)
+    wq = orbital_arch.w_plus_quad(args.l, bf)
     eps_m1 = -1 if args.eps == "sgn" else 1
     json.dump({
-        "l": args.l, "b": b,
+        "l": args.l, "b": bf,
         "J_one": [j_one.real, j_one.imag],
         "J_sgn": [j_sgn.real, j_sgn.imag],
         "W_plus": [wp.real, wp.imag],

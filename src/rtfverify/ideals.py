@@ -240,17 +240,19 @@ CONFIG_SCHEMA = 1
 
 def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
     """Parse the versioned config: primes plus the quadratic character.  A
-    missing key, or an eta entry at a prime the config does not declare,
-    raises an InputError naming it."""
+    missing or malformed key, or an eta entry at a prime the config does not
+    declare, raises an InputError naming it."""
+    if not isinstance(obj, dict):
+        raise InputError(f"config must be a JSON object, got {type(obj).__name__}")
     if obj.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise InputError(f"unsupported config schema {obj.get('schema')}, expected {CONFIG_SCHEMA}")
-    if "primes" not in obj:
+    if not isinstance(obj.get("primes"), list):
         raise InputError("config has no 'primes' list")
     primes = {}
     for d in obj["primes"]:
         if not isinstance(d, dict) or "id" not in d or "q" not in d:
             raise InputError(f"config prime {d!r} needs an 'id' and a 'q'")
-        primes[d["id"]] = Prime(d["id"], int(d["q"]))
+        primes[d["id"]] = Prime(d["id"], residue_cardinality(d["q"], f"config prime {d['id']!r}"))
     eta_obj = obj.get("eta", {"eps": 0, "arch_signs": [1]})
 
     def at_primes(key: str) -> dict[Prime, int]:
@@ -267,6 +269,13 @@ def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
         unram=at_primes("unram"),
     )
     return primes, eta
+
+
+def residue_cardinality(q, owner: str) -> int:
+    """q as read from JSON: an integer q >= 2 (not a float or a bool)."""
+    if type(q) is not int or q < 2:
+        raise InputError(f"{owner} needs an integer q >= 2, got q={q!r}")
+    return q
 
 
 def load_config(path: str) -> tuple[dict[str, Prime], QuadCharData, dict]:

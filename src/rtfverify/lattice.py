@@ -31,12 +31,15 @@ class EmbeddedLattice:
 
     basis: tuple[tuple[float, ...], ...]
     provenance: str
-    d: int
     sqrt_disc: float = 1.0
 
     def __post_init__(self):
         if np.abs(np.linalg.det(self.matrix)) < 1e-300:
             raise ValueError("basis is singular")
+
+    @property
+    def d(self) -> int:
+        return len(self.basis)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -62,7 +65,7 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
             raise InputError(f"a rational generator required, got descriptor {descriptor!r}") from None
         if g == 0:
             raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
-        return EmbeddedLattice(((abs(g),),), f"({descriptor})Z", 1)
+        return EmbeddedLattice(((abs(g),),), f"({descriptor})Z")
     if field != "real_quadratic":
         raise UnsupportedField(f"field {field!r}; only Q and real quadratic supported")
     if m is None or m <= 1 or not _squarefree(m):
@@ -78,15 +81,15 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
         sq_disc = 2 * root
     if descriptor == "O":
         basis = ((1.0, 1.0), (w1, w2))
-        return EmbeddedLattice(basis, f"O_Q(sqrt{m})", 2, sq_disc)
+        return EmbeddedLattice(basis, f"O_Q(sqrt{m})", sq_disc)
     if isinstance(descriptor, int):
         n = descriptor
         basis = ((float(n), float(n)), (n * w1, n * w2))
-        return EmbeddedLattice(basis, f"({n})O_Q(sqrt{m})", 2, sq_disc)
+        return EmbeddedLattice(basis, f"({n})O_Q(sqrt{m})", sq_disc)
     x, y = descriptor
     g1, g2 = x + y * w1, x + y * w2           # the two embeddings of the generator
     basis = ((g1, g2), (g1 * w1, g2 * w2))    # gamma * (1, omega)
-    return EmbeddedLattice(basis, f"({x}+{y}w)O_Q(sqrt{m})", 2, sq_disc)
+    return EmbeddedLattice(basis, f"({x}+{y}w)O_Q(sqrt{m})", sq_disc)
 
 
 def _squarefree(m: int) -> bool:
@@ -106,14 +109,8 @@ def lattice_points(lat: EmbeddedLattice, R: float) -> np.ndarray:
     B = lat.matrix
     Binv = np.linalg.inv(B)
     bounds = [int(math.floor(R * float(np.linalg.norm(Binv[:, i])))) for i in range(lat.d)]
-    ranges = [np.arange(-b, b + 1) for b in bounds]
-    if lat.d == 1:
-        coefs = ranges[0].reshape(-1, 1)
-    elif lat.d == 2:
-        A, Bc = np.meshgrid(ranges[0], ranges[1], indexing="ij")
-        coefs = np.stack([A.ravel(), Bc.ravel()], axis=1)
-    else:
-        raise UnsupportedField("enumeration restricted to d <= 2")
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
+    coefs = np.stack([g.ravel() for g in grids], axis=1)
     pts = coefs @ B
     norms = np.linalg.norm(pts, axis=1)
     keep = (norms <= R + 1e-12) & (norms > 0)

@@ -342,7 +342,7 @@ def w_plus_quad(l: int, b: float) -> complex:
     return pref * value
 
 
-def w_plus(l: int, b) -> complex:
+def w_plus(l: int, b: Fraction) -> complex:
     """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  J_+, A and B
     are exact rational combinations of 1, L = log|b/(b+1)| and pi at the
     same rational b, evaluated together at 50 digits on the private context;
@@ -353,21 +353,20 @@ def w_plus(l: int, b) -> complex:
     fresh context.  At b = -1/2 W_+ vanishes identically, so there is no
     relative precision to gain.
     """
-    bfrac = b if isinstance(b, Fraction) else Fraction(b).limit_denominator(10 ** 12)
-    jp = j_plus_parts(l, bfrac)
-    parts = residue_parts(l, bfrac)
+    jp = j_plus_parts(l, b)
+    parts = residue_parts(l, b)
     ctx = _MP
     while True:
         i = ctx.mpc(0, 1)
-        value = (-i * +ctx.pi * jp.value(bfrac, ctx) - parts.a_value(bfrac, ctx)
-                 - i * parts.b_value(bfrac, ctx))
-        if bfrac == Fraction(-1, 2):
+        value = (-i * +ctx.pi * jp.value(b, ctx) - parts.a_value(b, ctx)
+                 - i * parts.b_value(b, ctx))
+        if b == Fraction(-1, 2):
             return complex(value)
-        lost = _cancelled_digits(jp, parts, bfrac, value, ctx)
+        lost = _cancelled_digits(jp, parts, b, value, ctx)
         if ctx.dps - lost >= _MIN_DIGITS:
             return complex(value)
         if ctx.dps >= _MAX_DPS:
-            raise ConvergenceError(f"w_plus(l={l}, b={bfrac}): {lost:.0f} of {ctx.dps} digits "
+            raise ConvergenceError(f"w_plus(l={l}, b={b}): {lost:.0f} of {ctx.dps} digits "
                                    f"lost to cancellation")
         # 5 spare digits: a pass that lost nearly all of them misjudges |W_+|
         dps = min(_MAX_DPS, max(ctx.dps, math.ceil(lost)) + _MIN_DIGITS + 5)

@@ -1,9 +1,10 @@
 """Local spectral weight polynomials and their central z-derivatives.
 
 The defining data at a finite place is a conductor exponent c and, for c <= 1,
-a Satake-type parameter: Q in (-1, 1) when c = 0 (rational Q keeps every test
-exact; a unit-modulus Satake number a gives Q = (a + 1/a)/(q^[1/2] + q^[-1/2])),
-or the unramified sign chi(varpi) = +-1 when c = 1.
+a Satake-type parameter: a rational Q in (-1, 1) when c = 0, so every result
+at a rational X is exact (a unit-modulus Satake number a gives
+Q = (a + 1/a)/(q^[1/2] + q^[-1/2])), or the unramified sign chi(varpi) = +-1
+when c = 1.
 
 Two independent evaluation paths are maintained for r^(z): the defining sum of
 weight-polynomial ratios, and per-case closed forms.  The (c=1, eta=+1) closed
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import InertViolation, InputError, SingularTau
@@ -33,12 +34,14 @@ class LocalRepData:
 
     q: int
     c: int
-    Q: Fraction | float | None = None   # c = 0
-    chi: int | None = None              # c = 1
+    Q: Fraction | None = None   # c = 0
+    chi: int | None = None      # c = 1
 
     def __post_init__(self):
         if self.c < 0 or self.q < 2:
             raise InputError(f"need c >= 0 and q >= 2, got c={self.c}, q={self.q}")
+        if self.Q is not None and not isinstance(self.Q, Fraction):
+            raise InputError(f"Q must be a Fraction, got {type(self.Q).__name__} Q={self.Q!r}")
         if self.c == 0:
             if self.Q is None or self.chi is not None:
                 raise InputError(f"c=0 wants Q and no chi, got Q={self.Q}, chi={self.chi}")
@@ -73,35 +76,18 @@ def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
     return eta_val ** j * X ** j
 
 
-def _rep_cache(fn):
-    """A bounded lru_cache for fn(j, rep), whose value does not depend on X.
-
-    The key also carries type(rep.Q): reps whose Q are equal numbers of
-    different types (Fraction(1, 2) and 0.5) compare and hash equal, yet fn
-    returns a value of Q's type, and a float result must not be handed back
-    where a Fraction is due."""
-    cached = lru_cache(maxsize=REP_CACHE_SIZE)(lambda j, rep, _q_type: fn(j, rep))
-
-    @wraps(fn)
-    def lookup(j: int, rep: LocalRepData) -> Num:
-        return cached(j, rep, type(rep.Q))
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
-
-
-@_rep_cache
-def q_poly_one(j: int, rep: LocalRepData) -> Num:
-    """Q_j evaluated for the trivial character at X = 1 (always real)."""
-    return q_poly(j, rep, 1, _one_like(rep.Q if rep.Q is not None else Fraction(1)))
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
+    """Q_j evaluated for the trivial character at X = 1."""
+    return q_poly(j, rep, 1, Fraction(1))
 
 
 def _one_like(X: Num):
     return Fraction(1) if isinstance(X, (int, Fraction)) else 1.0
 
 
-@_rep_cache
-def tau_jj(j: int, rep: LocalRepData) -> Num:
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def tau_jj(j: int, rep: LocalRepData) -> Fraction:
     if j < 0:
         raise ValueError("j >= 0 required")
     if j == 0 or rep.c >= 2:
@@ -171,7 +157,7 @@ def r_at_center(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     return r_z(rep, eta_val, k, Fraction(1), path="sum")
 
 
-def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Num:
+def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1."""
     _check_k(k)
     if k < 1:
@@ -205,18 +191,18 @@ def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Num:
     return Fraction(k * (k + 1), 2)
 
 
-def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Num:
+def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """Independent exact derivative: term-by-term d/dX of the defining sum."""
     _check_k(k)
     _guard_tau(rep, k)
-    total: Num = Fraction(0)
+    total = Fraction(0)
     for j in range(1, k + 1):
         dq = _dq_poly_at_one(j, rep, eta_val)
         total = total + q_poly_one(j, rep) * dq / tau_jj(j, rep)
     return total
 
 
-def _dq_poly_at_one(j: int, rep: LocalRepData, eta_val: int) -> Num:
+def _dq_poly_at_one(j: int, rep: LocalRepData, eta_val: int) -> Fraction:
     """d/dX Q_j(eta, X) at X = 1, from the explicit polynomial cases."""
     q, c = rep.q, rep.c
     e = eta_val

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .formal import FormalLog
 
 
 def chebyshev(n: int, x):
@@ -27,7 +26,7 @@ def chebyshev(n: int, x):
         raise InputError(f"n >= 0 required, got n={n}")
     a, b = 1, x
     if n == 0:
-        return x * 0 + 1 if not isinstance(x, (int, Fraction)) else Fraction(1)
+        return x * 0 + 1
     for _ in range(n - 1):
         a, b = b, x * b - a
     return b
@@ -80,24 +79,21 @@ def unip_du_scaled(eta_val: int, n: int) -> Fraction:
     return Fraction(n * (n + 1), 2)
 
 
-def dunip_scaled(eta_val: int, m: int) -> Callable[[int], Fraction]:
-    """q^(m/2)/log q * dU-moment of the basis function alpha^(m), as a
-    function of q (rational)."""
-    def val(q: int) -> Fraction:
-        if m == 0:
-            return Fraction(0)
-        if eta_val == -1:
-            inner = Fraction(q - 1, 2) * m * (-1) ** m - Fraction(3 * q + 1, 4) * (-1) ** m + Fraction(1 - q, 4)
-        else:
-            inner = Fraction((m - 1) * (m - 2), 2) * q - Fraction(m * (m + 1), 2)
-        return -inner
-    return val
+def dunip_scaled(q: int, eta_val: int, m: int) -> Fraction:
+    """q^(m/2)/log q * dU-moment of the basis function alpha^(m): exactly
+    rational."""
+    if m == 0:
+        return Fraction(0)
+    if eta_val == -1:
+        inner = Fraction(q - 1, 2) * m * (-1) ** m - Fraction(3 * q + 1, 4) * (-1) ** m + Fraction(1 - q, 4)
+    else:
+        inner = Fraction((m - 1) * (m - 2), 2) * q - Fraction(m * (m + 1), 2)
+    return -inner
 
 
-def dunip(q: int, eta_val: int, m: int) -> FormalLog:
+def dunip(q: int, eta_val: int, m: int) -> float:
     """Closed form of the dU-moment of alpha^(m) (zero at m = 0)."""
-    scale = Fraction(1, q ** (m // 2)) if m % 2 == 0 else Fraction(q ** (-m / 2))
-    return FormalLog.log_integer(q, scale * dunip_scaled(eta_val, m)(q))
+    return float(dunip_scaled(q, eta_val, m)) * q ** (-m / 2) * math.log(q)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +126,6 @@ def kernel_identity_rhs(q: int, eta_val: int, Y: Fraction) -> Fraction:
     return Fraction(eta_val) / (Y * Y * (1 - Fraction(eta_val) / Y) ** 2 * (1 - Fraction(1) / Y))
 
 
-_KERNELS = {
-    "upsilon": upsilon_kernel,
-    "dunip_kernel": dunip_kernel,
-    "upsilon_over_unip": upsilon_over_unip_kernel,
-}
-
-
 def alpha_pn_at(q: int, n: int) -> Callable[[complex], complex]:
     def f(s):
         z = q ** (s / 2)
@@ -156,7 +145,7 @@ PERIOD_STEPS = 4096
 ST_STEPS = 20001
 
 
-def period_integral(kernel: str, q: int, eta_val: int,
+def period_integral(kernel: Callable[[int, int, np.ndarray], np.ndarray], q: int, eta_val: int,
                     alpha: Callable[[complex], complex], sigma: float = 0.7) -> complex:
     """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period.
 
@@ -167,7 +156,7 @@ def period_integral(kernel: str, q: int, eta_val: int,
     return period_integrals(kernel, q, eta_val, [alpha], sigma)[0]
 
 
-def period_integrals(kernel: str, q: int, eta_val: int,
+def period_integrals(kernel: Callable[[int, int, np.ndarray], np.ndarray], q: int, eta_val: int,
                      alphas: Sequence[Callable[[complex], complex]],
                      sigma: float = 0.7) -> list[complex]:
     """period_integral for each alpha, with the grid, the kernel values and
@@ -179,14 +168,13 @@ def period_integrals(kernel: str, q: int, eta_val: int,
     _check_q(q)
     if sigma <= 0:
         raise InputError(f"sigma > 0 required, got sigma={sigma}")
-    kern = _KERNELS[kernel]
     # one grid alive at a time: the coarse pass is dropped before the fine one
-    coarse = _period_passes(kern, q, eta_val, alphas, sigma, PERIOD_STEPS)
-    fine = _period_passes(kern, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
+    coarse = _period_passes(kernel, q, eta_val, alphas, sigma, PERIOD_STEPS)
+    fine = _period_passes(kernel, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
     for i, (v1, v2) in enumerate(zip(coarse, fine)):
         if abs(v1 - v2) > 1e-9:
             raise ConvergenceError(
-                f"period integral of kernel {kernel!r} at q={q}, eta={eta_val}, sigma={sigma}, "
+                f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
                 f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
     return fine
 

@@ -236,9 +236,9 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     for q in QS:
         for eta_val in (-1, 1):
             pns = [testfns.alpha_pn_at(q, n) for n in ns]
-            u_pn = testfns.period_integrals("upsilon", q, eta_val, pns)
+            u_pn = testfns.period_integrals(testfns.upsilon_kernel, q, eta_val, pns)
             # alpha_[p^n] for each n, then the basis alpha^(n), on one dU grid
-            du = testfns.period_integrals("dunip_kernel", q, eta_val,
+            du = testfns.period_integrals(testfns.dunip_kernel, q, eta_val,
                                           pns + [testfns.alpha_basis_at(q, n) for n in ns])
             du_pn, du_basis = du[:len(ns)], du[len(ns):]
             for n in ns:
@@ -246,7 +246,7 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
                 worst = max(worst, abs(u_pn[n] - closed))
                 closed = float(testfns.unip_du_scaled(eta_val, n)) * q ** (-n / 2) * math.log(q)
                 worst = max(worst, abs(du_pn[n] - closed))
-                closed = testfns.dunip(q, eta_val, n).evaluate()
+                closed = testfns.dunip(q, eta_val, n)
                 worst = max(worst, abs(du_basis[n] - closed))
     out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9, f"max |err| {worst:.2e}"))
 
@@ -266,8 +266,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for q, eta_val, n in ((2, -1, 3), (3, 1, 4), (5, -1, 2)):
-        a = testfns.period_integral("upsilon", q, eta_val, testfns.alpha_pn_at(q, n), sigma=0.3)
-        b = testfns.period_integral("upsilon", q, eta_val, testfns.alpha_pn_at(q, n), sigma=1.7)
+        a = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(q, n), sigma=0.3)
+        b = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(q, n), sigma=1.7)
         worst = max(worst, abs(a - b))
     out.append(CheckResult("unipotent.sigma-independence", worst <= 1e-9, f"max gap {worst:.2e}"))
 
@@ -276,7 +276,7 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     for q in (2, 3):
         for eta_val in (-1, 1):
             # alpha_[p^n] for each n, then the basis alpha^(m) for each m <= 5
-            du = testfns.period_integrals("dunip_kernel", q, eta_val,
+            du = testfns.period_integrals(testfns.dunip_kernel, q, eta_val,
                                           [testfns.alpha_pn_at(q, n) for n in ns]
                                           + [testfns.alpha_basis_at(q, m) for m in ns])
             direct, basis = du[:len(ns)], du[len(ns):]
@@ -619,12 +619,11 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
             adl_w_plus = ntransform.convolve_omega(assembly.adl_w_plus_weight(al_star, eta), m)
             al_w = ntransform.convolve_omega(al_star, m)
             al_dw_v = al_dw(m)
-            tot = assembly._to_formal(adl_w_minus) + adl_w_plus \
-                + FormalLog.symbol("logDF", al_w) + assembly._to_formal(al_dw_v)
+            tot = adl_w_minus + adl_w_plus + FormalLog.symbol("logDF", al_w) + al_dw_v
             return tot * (1 / pref)
 
         got = assembly.henkei_adl_star(n, w_geom_fn, al_star, al_dw, eta, G, D, n_s)
-        if got != assembly._to_formal(adl_star(n)):
+        if got != adl_star(n):
             bad += 1
     out.append(CheckResult("assembly.henkei-wiring-exact", bad == 0, f"{bad} failures over 25 mock configs"))
     return out

@@ -126,6 +126,7 @@ TEST_ORACLES = {
     "orbital_arch.f21_series_oracle",   # gauss_2f1
     "testfns.laurent_alpha_pn",         # decompose_alpha
     "testfns.laurent_decomposition",    # decompose_alpha
+    "testfns.upsilon_over_unip_kernel", # dunip_kernel
 }
 # Public methods that no command reaches, each kept for one unit test.
 TEST_REFERENCE_METHODS = {

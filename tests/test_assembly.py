@@ -2,12 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from rtfverify import assembly as asm
 from rtfverify import ntransform as nt
 from rtfverify import verify
-from rtfverify.errors import SignClassError
+from rtfverify.errors import DomainError, SignClassError
 from rtfverify.formal import FRAKC, LOG_DF, LPL, FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
 
@@ -25,6 +26,24 @@ def test_c_l_examples():
     assert asm.c_l(asm.WeightData((6, 6))) == pytest.approx(144 * math.pi ** 2)
     big = asm.c_l(asm.WeightData((400,)))
     assert math.isfinite(big) and big > 0
+
+
+@pytest.mark.parametrize("weights", [(2,), (6,), (6, 8, 10), (10, 10, 10), (100,), (174,), (180,), (200,),
+                                     (202,), (400,), (1000,), (180, 200, 202)])
+def test_c_l_is_the_exact_binomial_product(weights):
+    # 174 <= l <= 200 overflowed the old factorial quotient
+    got = asm.c_l(asm.WeightData(weights))
+    with mp.workdps(40):
+        exact = mp.mpf(1)
+        for l in weights:
+            exact *= 2 * mp.pi * mp.mpf(math.factorial(l - 2)) / mp.mpf(math.factorial(l // 2 - 1)) ** 2
+        assert abs(got - exact) <= 2 * math.ulp(got)
+
+
+@pytest.mark.parametrize("weights", [(1030,), (1040,), (2000,), (600, 600), (6, 10 ** 6)])
+def test_c_l_past_the_float_range_is_refused(weights):
+    with pytest.raises(DomainError, match=r"C_l overflows a float at weights \["):
+        asm.c_l(asm.WeightData(weights))
 
 
 def test_frak_c_examples():
@@ -200,10 +219,10 @@ def test_henkei_wiring_small_instance():
     pref = Fraction(2 * (-1) ** (n_s + eta.eps)) * D / G
 
     def w_geom(m):
-        tot = (asm._to_formal(nt.convolve_omega(adl_star, m))
+        tot = (nt.convolve_omega(adl_star, m)
                + nt.convolve_omega(asm.adl_w_plus_weight(al_star, eta), m)
                + FormalLog.symbol(LOG_DF, nt.convolve_omega(al_star, m))
-               + asm._to_formal(al_dw(m)))
+               + al_dw(m))
         return tot * (1 / pref)
 
     got = asm.henkei_adl_star(n, w_geom, al_star, al_dw, eta, G, D, n_s)

@@ -65,8 +65,8 @@ def test_moments_command_matches_row_by_row(capsys):
     for n in range(9):
         u_closed = float(testfns.unip_u_scaled(-1, n)) * 3 ** (-n / 2)
         du_closed = float(testfns.unip_du_scaled(-1, n)) * 3 ** (-n / 2) * math.log(3)
-        u_quad = testfns.period_integral("upsilon", 3, -1, testfns.alpha_pn_at(3, n)).real
-        du_quad = testfns.period_integral("dunip_kernel", 3, -1, testfns.alpha_pn_at(3, n)).real
+        u_quad = testfns.period_integral(testfns.upsilon_kernel, 3, -1, testfns.alpha_pn_at(3, n)).real
+        du_quad = testfns.period_integral(testfns.dunip_kernel, 3, -1, testfns.alpha_pn_at(3, n)).real
         writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
                          f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])
     assert capsys.readouterr().out == want.getvalue()
@@ -118,6 +118,25 @@ def test_main_terms_command(cfg_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("weight", [180, 200, 400])
+def test_main_terms_c_l_is_finite_at_large_weights(weight, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "weights": [weight]}))
+    assert cli.main(["main-terms", "--config", str(path), "--n", "p^2"]) == 0
+    c_l = json.loads(capsys.readouterr().out)["C_l"]
+    assert math.isfinite(c_l) and c_l == assembly.c_l(assembly.WeightData((weight,)))
+
+
+def test_main_terms_c_l_past_the_float_range_ends_in_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "weights": [2000]}))
+    rc = cli.main(["main-terms", "--config", str(path), "--n", "p^2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("DomainError: ") and "[2000]" in lines[0]
 
 
 def test_main_terms_propagates_unexpected_errors(cfg_path, monkeypatch):
@@ -199,18 +218,36 @@ def test_verify_command(capsys):
     ["ntransform", "--config", "NO_Q", "--ideal", "O"],
     ["main-terms", "--config", "ETA_AT_X", "--n", "p"],
     ["moments", "--q", "3", "--eta", "1", "--n", "1,3"],
+    ["ntransform", "--config", "Q_TEXT", "--ideal", "O"],
+    ["ntransform", "--config", "Q_1", "--ideal", "O"],
+    ["ntransform", "--config", "Q_TRUE", "--ideal", "O"],
+    ["ntransform", "--config", "Q_FLOAT", "--ideal", "O"],
+    ["ntransform", "--config", "TOP_LIST", "--ideal", "O"],
+    ["ntransform", "--config", "PRIMES_INT", "--ideal", "O"],
+    ["local-tables", "--place", '{"q":3.7}', "--eta", "1"],
+    ["local-tables", "--place", '{"q":true}', "--eta", "1"],
+    ["arch", "--l", "6", "--b=inf"],
+    ["arch", "--l", "6", "--b=nan"],
+    ["arch", "--l", "6", "--b=1e400"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
-    (tmp_path / "not.json").write_text("{bad")
-    (tmp_path / "schema2.json").write_text('{"schema": 2, "primes": []}')
-    (tmp_path / "no_primes.json").write_text('{"schema": 1}')
-    (tmp_path / "no_q.json").write_text('{"schema": 1, "primes": [{"id": "p"}]}')
-    (tmp_path / "eta_at_x.json").write_text('{"schema": 1, "primes": [{"id": "p", "q": 3}], '
-                                            '"eta": {"unram": {"x": -1}}}')
-    paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json"),
-             "NOT_JSON": str(tmp_path / "not.json"), "SCHEMA_2": str(tmp_path / "schema2.json"),
-             "NO_PRIMES": str(tmp_path / "no_primes.json"), "NO_Q": str(tmp_path / "no_q.json"),
-             "ETA_AT_X": str(tmp_path / "eta_at_x.json")}
+    configs = {
+        "NOT_JSON": "{bad",
+        "SCHEMA_2": '{"schema": 2, "primes": []}',
+        "NO_PRIMES": '{"schema": 1}',
+        "NO_Q": '{"schema": 1, "primes": [{"id": "p"}]}',
+        "ETA_AT_X": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"unram": {"x": -1}}}',
+        "Q_TEXT": '{"schema": 1, "primes": [{"id": "p", "q": "x"}]}',
+        "Q_1": '{"schema": 1, "primes": [{"id": "p", "q": 1}]}',
+        "Q_TRUE": '{"schema": 1, "primes": [{"id": "p", "q": true}]}',
+        "Q_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3.7}]}',
+        "TOP_LIST": "[1]",
+        "PRIMES_INT": '{"schema": 1, "primes": 5}',
+    }
+    paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json")}
+    for name, text in configs.items():
+        paths[name] = str(tmp_path / f"{name.lower()}.json")
+        Path(paths[name]).write_text(text)
     argv = [paths.get(arg, arg) for arg in argv]
     rc = cli.main(argv)
     captured = capsys.readouterr()

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rtfverify.errors import CoprimalityError
+from rtfverify.errors import CoprimalityError, InputError
 from rtfverify.ideals import (Ideal, Prime, QuadCharData, config_from_json, iota,
                               omega_pair, omega_v, parse_ideal, sign_class,
                               square_decompose, stratum)
@@ -108,6 +108,20 @@ def test_config_and_ideal_parsing():
     assert parse_ideal("O", primes).is_unit
 
 
+@pytest.mark.parametrize("obj, named", [
+    ([1], "JSON object"),
+    ({"schema": 1, "primes": 5}, "'primes'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": "x"}]}, "'p'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": 1}]}, "'p'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": True}]}, "'p'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": 3.7}]}, "'p'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": 3.0}]}, "'p'"),
+])
+def test_config_faults_name_the_prime_or_key(obj, named):
+    with pytest.raises(InputError, match=named):
+        config_from_json(obj)
+
+
 def test_quadchar_validation():
     with pytest.raises(ValueError):
         QuadCharData.build(1, [1])             # eps does not match signs
@@ -135,6 +149,8 @@ def _assert_canonical(n: Ideal):
     assert n == twin and hash(n) == hash(twin) and n.exps == twin.exps
 
 
+# up to 2^15 divisors, each checked for its canonical form: past the default deadline
+@settings(deadline=None)
 @given(monoid_ideals(2), st.integers(0, 3))
 def test_ideal_round_trips(drawn, k):
     primes, (i, j) = drawn

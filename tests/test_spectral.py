@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rtfverify import spectral as sp
-from rtfverify.errors import InertViolation, SingularTau
+from rtfverify.errors import InertViolation, InputError, SingularTau
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
 from rtfverify.verify import QS, _random_rep
@@ -161,6 +161,9 @@ def test_rep_validation_and_k_cap():
         sp.LocalRepData(q=3, c=1, Q=Fraction(1, 2))
     with pytest.raises(ValueError):
         sp.r_z(REP2, -1, sp.MAX_K + 1, Fraction(1, 2))
+    for Q in (0.5, complex(0.5, 0.1), 1, "1/2"):
+        with pytest.raises(InputError, match="Q must be a Fraction"):
+            sp.LocalRepData(q=3, c=0, Q=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +199,18 @@ def _suite_weights_inputs(seed):
 
 def test_rz_sum_bit_identical_to_uncached_sum():
     rng = random.Random(5)
-    a = complex(0.6, 0.3)   # a Satake number off the unit circle gives a complex Q
-    reps = [REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=0.3),
-            sp.LocalRepData(q=4, c=0, Q=(a + 1 / a) / (4 ** 0.5 + 4 ** -0.5))]
-    for rep in reps:
+    for rep in (REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))):
         for eta in (-1, 1):
             for k in range(1, 9):
                 for X in (rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
                     assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X))
 
 
-def test_rep_caches_are_bounded_and_keep_the_type_of_q():
+def test_rep_caches_are_bounded():
     for fn in (sp.q_poly_one, sp.tau_jj):
         assert fn.cache_info().maxsize == sp.REP_CACHE_SIZE
-    # equal reps (Fraction(1, 2) == 0.5) must not share cached values
-    exact, floating = sp.LocalRepData(q=3, c=0, Q=Fraction(1, 2)), sp.LocalRepData(q=3, c=0, Q=0.5)
-    assert exact == floating
-    for rep in (exact, floating, exact):
         for j in range(4):
-            for fn in (sp.q_poly_one, sp.tau_jj):
-                assert _bits(fn(j, rep)) == _bits(fn.__wrapped__(j, rep))
+            assert _bits(fn(j, REP0)) == _bits(fn.__wrapped__(j, REP0))
 
 
 def test_rz_on_threads_bit_identical_to_serial():

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from rtfverify import testfns as tf
 from rtfverify.errors import ConvergenceError
-from rtfverify.formal import FormalLog
 
 
 def test_chebyshev_trivial_values():
-    assert tf.chebyshev(0, Fraction(7)) == 1
+    assert tf.chebyshev(0, Fraction(7)) == 1 and type(tf.chebyshev(0, Fraction(7))) is Fraction
     assert tf.chebyshev(1, Fraction(7)) == 7
     assert tf.chebyshev(2, Fraction(0)) == -1
     for n in range(8):
@@ -42,35 +41,41 @@ def test_unip_moment_closed_examples():
 
 
 def test_dunip_examples():
-    assert tf.dunip(3, -1, 0).is_zero()
-    assert tf.dunip(3, 1, 0).is_zero()
-    assert tf.dunip(3, -1, 2) == FormalLog.symbol("log@3", Fraction(1, 3))
-    assert tf.dunip(3, 1, 2) == FormalLog.symbol("log@3", 1)
+    assert tf.dunip_scaled(3, -1, 0) == tf.dunip_scaled(3, 1, 0) == 0
+    assert tf.dunip(3, -1, 0) == tf.dunip(3, 1, 0) == 0.0
+    # at q = 3, m = 2: dU = (1/3) log 3 on the inert side and log 3 on the split side
+    assert tf.dunip_scaled(3, -1, 2) == 1
+    assert tf.dunip_scaled(3, 1, 2) == 3
+    assert tf.dunip(3, -1, 2) == pytest.approx(math.log(3) / 3, rel=1e-15)
+    assert tf.dunip(3, 1, 2) == pytest.approx(math.log(3), rel=1e-15)
+    # odd m carries the irrational q^(-1/2), which no Fraction holds
+    assert tf.dunip_scaled(3, -1, 1) == -1
+    assert tf.dunip(3, -1, 1) == pytest.approx(-math.log(3) / math.sqrt(3), rel=1e-15)
 
 
 def test_period_integral_examples():
     # the basic moment of the constant test function
-    val = tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0))
+    val = tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(3, 0))
     assert val.real == pytest.approx(-1.0, abs=1e-10)
     assert abs(val.imag) < 1e-10
-    val = tf.period_integral("dunip_kernel", 5, 1, tf.alpha_basis_at(5, 0))
+    val = tf.period_integral(tf.dunip_kernel, 5, 1, tf.alpha_basis_at(5, 0))
     assert abs(val) < 1e-10
     # derived value against the closed form
-    val = tf.period_integral("dunip_kernel", 3, -1, tf.alpha_basis_at(3, 2))
+    val = tf.period_integral(tf.dunip_kernel, 3, -1, tf.alpha_basis_at(3, 2))
     assert val.real == pytest.approx(math.log(3) / 3, abs=1e-10)
 
 
 def test_period_integral_kernel_equivalence():
     # the two kernel routes are the same integrand
     for q, eta, n in ((2, -1, 3), (3, 1, 2)):
-        a = tf.period_integral("dunip_kernel", q, eta, tf.alpha_pn_at(q, n))
-        b = tf.period_integral("upsilon_over_unip", q, eta, tf.alpha_pn_at(q, n))
+        a = tf.period_integral(tf.dunip_kernel, q, eta, tf.alpha_pn_at(q, n))
+        b = tf.period_integral(tf.upsilon_over_unip_kernel, q, eta, tf.alpha_pn_at(q, n))
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_period_integral_guards():
     with pytest.raises(ValueError):
-        tf.period_integral("upsilon", 3, -1, tf.alpha_pn_at(3, 0), sigma=-1.0)
+        tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(3, 0), sigma=-1.0)
 
 
 def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
@@ -78,7 +83,7 @@ def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
     measure, in the product order period_integrals must keep."""
     T = 4 * math.pi / math.log(q)
     s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
-    terms = (tf._KERNELS[kernel](q, eta_val, s) * alpha(s) * (math.log(q) / 2)
+    terms = (kernel(q, eta_val, s) * alpha(s) * (math.log(q) / 2)
              * (q ** ((1 + s) / 2) - q ** ((1 - s) / 2)))
     return complex(np.sum(terms)) * (1j * T / steps) / (2j * math.pi)
 
@@ -99,8 +104,12 @@ def _bits(z: complex) -> tuple[str, str]:
     return complex(z).real.hex(), complex(z).imag.hex()
 
 
+KERNELS = {"upsilon": tf.upsilon_kernel, "dunip_kernel": tf.dunip_kernel,
+           "upsilon_over_unip": tf.upsilon_over_unip_kernel}
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(sorted(tf._KERNELS)), st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)),
+@given(st.sampled_from(list(KERNELS.values())), st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)),
        st.sampled_from((-1, 1)), st.lists(st.integers(0, 8), min_size=1, max_size=4),
        st.sampled_from((0.3, 0.7, 1.7)))
 def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
@@ -122,28 +131,28 @@ def test_st_moments_bit_identical(q, eta, ns):
         assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
 
 
-@pytest.mark.parametrize("kernel", sorted(tf._KERNELS))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("count", [1, 9])
-def test_period_integrals_run_each_kernel_once_per_grid(monkeypatch, kernel, count):
+def test_period_integrals_run_each_kernel_once_per_grid(kernel, count):
     calls = []
-    inner = tf._KERNELS[kernel]
 
     def counted(q, eta_val, s):
         calls.append(len(s))
-        return inner(q, eta_val, s)
+        return KERNELS[kernel](q, eta_val, s)
 
-    monkeypatch.setitem(tf._KERNELS, kernel, counted)
-    tf.period_integrals(kernel, 3, -1, [tf.alpha_pn_at(3, n) for n in range(count)])
+    tf.period_integrals(counted, 3, -1, [tf.alpha_pn_at(3, n) for n in range(count)])
     assert calls == [4096, 8192]
 
 
-def test_period_integrals_failure_names_the_input(monkeypatch):
-    # a kernel that grows with the grid fails every refinement check
-    monkeypatch.setitem(tf._KERNELS, "upsilon", lambda q, eta_val, s: len(s) * q ** (-(1 + s) / 2))
+def test_period_integrals_failure_names_the_input():
+    def growing_kernel(q, eta_val, s):
+        # grows with the grid, so it fails every refinement check
+        return len(s) * q ** (-(1 + s) / 2)
+
     with pytest.raises(ConvergenceError) as info:
-        tf.period_integrals("upsilon", 5, 1, [tf.alpha_pn_at(5, 0), tf.alpha_pn_at(5, 2)], sigma=0.3)
+        tf.period_integrals(growing_kernel, 5, 1, [tf.alpha_pn_at(5, 0), tf.alpha_pn_at(5, 2)], sigma=0.3)
     msg = str(info.value)
-    for part in ("'upsilon'", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
+    for part in ("growing_kernel", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
         assert part in msg, msg
 
 
