@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SignClassError
+from .errors import DomainError, InputError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
 from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
 from .ntransform import ArithFn, closed_log, closed_power, n_transform
@@ -38,7 +38,7 @@ class WeightData:
 
     def __post_init__(self):
         if not self.l or any(x % 2 or x < 2 for x in self.l):
-            raise ValueError("weights must be even integers >= 2")
+            raise InputError(f"'weights' must be even integers >= 2, got {list(self.l)}")
 
     @property
     def l_tilde_default(self) -> int:
@@ -56,7 +56,8 @@ class AnalyticConsts:
 
     def __post_init__(self):
         if self.D_F < 1 or self.L1_eta <= 0:
-            raise ValueError("D_F >= 1 and L(1, eta) > 0 are forced")
+            raise InputError(f"consts 'D_F' >= 1 and 'L1_eta' > 0 are forced, got D_F={self.D_F}, "
+                             f"L1_eta={self.L1_eta}")
 
     def bindings(self, w: WeightData, eta: QuadCharData) -> dict[str, float]:
         return {
@@ -89,7 +90,8 @@ def frak_c(w: WeightData, eta: QuadCharData) -> float:
     """Archimedean constant: per place, H_(l/2-1) - log(pi)/2 - gamma/2,
     minus log 2 at the sign places."""
     if len(eta.arch_signs) != len(w.l):
-        raise ValueError("one weight per infinite place required")
+        raise InputError(f"one of 'weights' per infinite place required, got {list(w.l)} "
+                         f"for {len(eta.arch_signs)} places")
     total = 0.0
     for lv, sv in zip(w.l, eta.arch_signs):
         total += sum(1.0 / k2 for k2 in range(1, lv // 2))

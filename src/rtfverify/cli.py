@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -14,7 +15,7 @@ from fractions import Fraction
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
 from .errors import InputError, RTFError, SignClassError
 from .formal import FormalLog
-from .ideals import load_config, parse_ideal, residue_cardinality
+from .ideals import json_value, load_config, parse_ideal, residue_cardinality
 
 
 def _parsed(option: str, text: str, convert):
@@ -22,7 +23,7 @@ def _parsed(option: str, text: str, convert):
     naming the option and the text."""
     try:
         return convert(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"{option} {text!r}: {exc}") from None
 
 
@@ -102,9 +103,8 @@ def cmd_local_weights(args) -> int:
 
 def cmd_moments(args) -> int:
     ns = _parsed("--n", args.n, _int_span)
-    alphas = [testfns.alpha_pn_at(args.q, n) for n in ns]
-    u_quads = testfns.period_integrals(testfns.upsilon_kernel, args.q, args.eta, alphas)
-    du_quads = testfns.period_integrals(testfns.dunip_kernel, args.q, args.eta, alphas)
+    u_quads, du_quads = testfns.period_integrals([testfns.upsilon_kernel, testfns.dunip_kernel], args.q, args.eta,
+                                                 [testfns.alpha_pn_at(n) for n in ns])
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     for n, u_quad, du_quad in zip(ns, u_quads, du_quads):
@@ -197,13 +197,16 @@ def cmd_main_terms(args) -> int:
     primes, eta, raw = load_config(args.config)
     n = parse_ideal(args.n, primes)
     a = parse_ideal(args.a, primes)
-    cobj = raw.get("consts", {})
-    consts = assembly.AnalyticConsts(
-        D_F=float(cobj.get("D_F", 1.0)),
-        L1_eta=float(cobj.get("L1_eta", 1.0)),
-        Lp_over_L=float(cobj.get("Lp_over_L", 0.0)),
-    )
-    w = assembly.WeightData(tuple(raw.get("weights", [6] * len(eta.arch_signs))))
+    cobj = json_value(raw.get("consts", {}), (dict,), "config 'consts'")
+
+    def const(key: str) -> float:
+        owner = f"config consts {key!r}"
+        return _parsed(owner, json_value(cobj[key], (int, float), owner), float)
+
+    consts = assembly.AnalyticConsts(**{key: const(key) for key in ("D_F", "L1_eta", "Lp_over_L") if key in cobj})
+    w = assembly.WeightData(tuple(
+        json_value(lv, (int,), "config 'weights' entry")
+        for lv in json_value(raw.get("weights", [6] * len(eta.arch_signs)), (list,), "config 'weights'")))
     cls = None
     payload = {"n": str(n), "a": str(a), "nu": str(assembly.nu_of_n(n)),
                "X_n": assembly.x_of_n(n).to_json(), "C_l": assembly.c_l(w),
@@ -245,7 +248,10 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rtf parser, built on the first call and shared by every later
+    main call in the process."""
     ap = argparse.ArgumentParser(prog="rtf", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

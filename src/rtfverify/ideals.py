@@ -130,17 +130,17 @@ class QuadCharData:
 
     def __post_init__(self):
         if self.eps != sum(1 for s in self.arch_signs if s == -1):
-            raise ValueError("eps must count the arch places with sign -1")
+            raise InputError(f"eta 'eps' must count the 'arch_signs' equal to -1, got eps={self.eps}, "
+                             f"arch_signs={list(self.arch_signs)}")
         if any(s not in (1, -1) for s in self.arch_signs):
-            raise ValueError("arch signs must be +-1")
+            raise InputError(f"eta 'arch_signs' must be +-1, got {list(self.arch_signs)}")
         if any(f < 1 for _, f in self.ram):
-            raise ValueError("conductor exponents must be >= 1")
+            raise InputError(f"eta 'ram' conductor exponents must be >= 1, got {({p.id: f for p, f in self.ram})}")
         if any(v not in (1, -1) for _, v in self.unram):
-            raise ValueError("unramified values must be +-1")
-        ram_ids = {p.id for p, _ in self.ram}
-        unram_ids = {p.id for p, _ in self.unram}
-        if ram_ids & unram_ids:
-            raise ValueError("ram and unram prime supports must be disjoint")
+            raise InputError(f"eta 'unram' values must be +-1, got {({p.id: v for p, v in self.unram})}")
+        both = {p.id for p, _ in self.ram} & {p.id for p, _ in self.unram}
+        if both:
+            raise InputError(f"eta 'ram' and 'unram' must be disjoint, both name {sorted(both)}")
 
     @classmethod
     def build(cls, eps: int, arch_signs: Iterable[int],
@@ -252,23 +252,37 @@ def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
     for d in obj["primes"]:
         if not isinstance(d, dict) or "id" not in d or "q" not in d:
             raise InputError(f"config prime {d!r} needs an 'id' and a 'q'")
-        primes[d["id"]] = Prime(d["id"], residue_cardinality(d["q"], f"config prime {d['id']!r}"))
-    eta_obj = obj.get("eta", {"eps": 0, "arch_signs": [1]})
+        pid = json_value(d["id"], (str,), "config prime id")
+        primes[pid] = Prime(pid, residue_cardinality(d["q"], f"config prime {pid!r}"))
+    eta_obj = json_value(obj.get("eta", {"eps": 0, "arch_signs": [1]}), (dict,), "config 'eta'")
 
     def at_primes(key: str) -> dict[Prime, int]:
-        values = eta_obj.get(key, {})
+        values = json_value(eta_obj.get(key, {}), (dict,), f"config eta {key!r}")
         for k in values:
             if k not in primes:
                 raise InputError(f"config eta {key!r} names prime {k!r}, the config has {sorted(primes)}")
-        return {primes[k]: int(v) for k, v in values.items()}
+        return {primes[k]: json_value(v, (int,), f"config eta {key!r} at {k!r}") for k, v in values.items()}
 
     eta = QuadCharData.build(
-        eps=int(eta_obj.get("eps", 0)),
-        arch_signs=[int(s) for s in eta_obj.get("arch_signs", [1])],
+        eps=json_value(eta_obj.get("eps", 0), (int,), "config eta 'eps'"),
+        arch_signs=[json_value(s, (int,), "config eta 'arch_signs' entry")
+                    for s in json_value(eta_obj.get("arch_signs", [1]), (list,), "config eta 'arch_signs'")],
         ram=at_primes("ram"),
         unram=at_primes("unram"),
     )
     return primes, eta
+
+
+_JSON_NAMES = {int: "integer", float: "float", str: "string", list: "array", dict: "object"}
+
+
+def json_value(value, kinds: tuple[type, ...], owner: str):
+    """value as read from JSON, refused with an InputError naming owner
+    unless its type is one of kinds (a bool is not an int, "3" is not a
+    number)."""
+    if type(value) not in kinds:
+        raise InputError(f"{owner} must be a JSON {' or '.join(_JSON_NAMES[k] for k in kinds)}, got {value!r}")
+    return value
 
 
 def residue_cardinality(q, owner: str) -> int:

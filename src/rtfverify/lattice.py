@@ -103,12 +103,23 @@ def _squarefree(m: int) -> bool:
     return True
 
 
+# The largest integer coefficient box lattice_points enumerates.  At its peak
+# the enumeration holds about 56 bytes a point in rank one and 82 in rank two,
+# so the cap bounds it near 0.3 GB; on Q it admits R below 2e6.
+MAX_BOX_POINTS = 4_000_000
+
+
 def lattice_points(lat: EmbeddedLattice, R: float) -> np.ndarray:
     """All nonzero lattice points of Euclidean norm <= R (exact integer
-    coefficient box, then filter)."""
+    coefficient box, then filter).  A box of more than MAX_BOX_POINTS points
+    is refused before anything is allocated."""
     B = lat.matrix
     Binv = np.linalg.inv(B)
     bounds = [int(math.floor(R * float(np.linalg.norm(Binv[:, i])))) for i in range(lat.d)]
+    points = math.prod(2 * b + 1 for b in bounds)
+    if points > MAX_BOX_POINTS:
+        raise InputError(f"truncation radius R={R} needs a coefficient box of {points} points, "
+                         f"past the cap of {MAX_BOX_POINTS}")
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
     coefs = np.stack([g.ravel() for g in grids], axis=1)
     pts = coefs @ B

@@ -239,7 +239,6 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     """
     if l < 4 or l % 2:
         raise InputError(f"even l >= 4 required, got l={l}")
-    b = Fraction(b)
     h = l // 2
     th_is_half = b * (b + 1) < 0          # theta(b) = pi/2 else 3 pi/2
     th_over_pi = Fraction(1, 2) if th_is_half else Fraction(3, 2)
@@ -292,7 +291,6 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
     """
     if l < 4 or l % 2:
         raise InputError(f"even l >= 4 required, got l={l}")
-    b = Fraction(b)
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     h = l // 2

@@ -4,7 +4,10 @@ All displayed closed forms here are backed by a numeric contour oracle: the
 integrands are periodic in Im(s) with period 4*pi/log q, so the vertical-line
 integrals are evaluated over one full period (where the trapezoid rule
 converges geometrically).  The batched oracles (period_integrals,
-st_moments) build each grid once and share it across test functions.
+st_moments) build each grid once and share it across test functions.  The
+period-contour test functions alpha are functions of z = q^(s/2), which
+period_integrals computes once per grid; one of its passes serves every
+kernel it is given.
 Per-place moment values carrying the irrational factor q^(-n/2) are also
 exposed in a scaled, exactly-rational form for the main-term assembly.
 """
@@ -126,16 +129,16 @@ def kernel_identity_rhs(q: int, eta_val: int, Y: Fraction) -> Fraction:
     return Fraction(eta_val) / (Y * Y * (1 - Fraction(eta_val) / Y) ** 2 * (1 - Fraction(1) / Y))
 
 
-def alpha_pn_at(q: int, n: int) -> Callable[[complex], complex]:
-    def f(s):
-        z = q ** (s / 2)
+def alpha_pn_at(n: int) -> Callable[[complex], complex]:
+    """alpha_[p^n] as a function of z = q^(s/2): X_n(z + 1/z)."""
+    def f(z):
         return chebyshev(n, z + 1 / z)
     return f
 
 
-def alpha_basis_at(q: int, m: int) -> Callable[[complex], complex]:
-    def f(s: complex) -> complex:
-        z = q ** (s / 2)
+def alpha_basis_at(m: int) -> Callable[[complex], complex]:
+    """The basis function alpha^(m) as a function of z = q^(s/2): z^m + z^-m."""
+    def f(z: complex) -> complex:
         return z ** m + z ** (-m)
     return f
 
@@ -147,35 +150,40 @@ ST_STEPS = 20001
 
 def period_integral(kernel: Callable[[int, int, np.ndarray], np.ndarray], q: int, eta_val: int,
                     alpha: Callable[[complex], complex], sigma: float = 0.7) -> complex:
-    """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period.
+    """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period,
+    with alpha a function of z = q^(s/2).
 
     dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds; the result is compared
     across a doubled refinement (PERIOD_STEPS, then twice that) and must agree
     to 1e-9.
     """
-    return period_integrals(kernel, q, eta_val, [alpha], sigma)[0]
+    return period_integrals([kernel], q, eta_val, [alpha], sigma)[0][0]
 
 
-def period_integrals(kernel: Callable[[int, int, np.ndarray], np.ndarray], q: int, eta_val: int,
+def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarray]], q: int, eta_val: int,
                      alphas: Sequence[Callable[[complex], complex]],
-                     sigma: float = 0.7) -> list[complex]:
-    """period_integral for each alpha, with the grid, the kernel values and
-    the measure built once per refinement pass and shared by every alpha.
+                     sigma: float = 0.7) -> list[list[complex]]:
+    """period_integral for each kernel and each alpha: one list per kernel,
+    in the order of alphas.
 
-    Each value is bit-identical to its one-item call, and each alpha is held
-    to its own 1e-9 refinement check.
+    Each refinement pass builds the grid, the measure, z = q^(s/2) and every
+    kernel's values once; each alpha, a function of z, is then evaluated once
+    and serves every kernel.  Each value is bit-identical to its one-item
+    call, and each (kernel, alpha) pair is held to its own 1e-9 refinement
+    check.
     """
     _check_q(q)
     if sigma <= 0:
         raise InputError(f"sigma > 0 required, got sigma={sigma}")
     # one grid alive at a time: the coarse pass is dropped before the fine one
-    coarse = _period_passes(kernel, q, eta_val, alphas, sigma, PERIOD_STEPS)
-    fine = _period_passes(kernel, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
-    for i, (v1, v2) in enumerate(zip(coarse, fine)):
-        if abs(v1 - v2) > 1e-9:
-            raise ConvergenceError(
-                f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
-                f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
+    coarse = _period_passes(kernels, q, eta_val, alphas, sigma, PERIOD_STEPS)
+    fine = _period_passes(kernels, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
+    for kernel, row1, row2 in zip(kernels, coarse, fine):
+        for i, (v1, v2) in enumerate(zip(row1, row2)):
+            if abs(v1 - v2) > 1e-9:
+                raise ConvergenceError(
+                    f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
+                    f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
     return fine
 
 
@@ -184,16 +192,21 @@ def _check_q(q: int) -> None:
         raise InputError(f"residue cardinality q >= 2 required, got q={q}")
 
 
-def _period_passes(kern, q, eta_val, alphas, sigma, steps) -> list[complex]:
+def _period_passes(kernels, q, eta_val, alphas, sigma, steps) -> list[list[complex]]:
     T = 4 * math.pi / math.log(q)
     s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
-    kvals = kern(q, eta_val, s)
+    kvals = [kern(q, eta_val, s) for kern in kernels]
+    z = q ** (s / 2)
     half_log = math.log(q) / 2
     measure = q ** ((1 + s) / 2) - q ** ((1 - s) / 2)
-    # numpy pairwise summation over the fixed grid order: deterministic to the
-    # last bit for a given step count
-    return [complex(np.sum(kvals * alpha(s) * half_log * measure)) * (1j * T / steps) / (2j * math.pi)
-            for alpha in alphas]
+    out = [[] for _ in kernels]
+    for alpha in alphas:
+        avals = alpha(z)
+        # numpy pairwise summation over the fixed grid order: deterministic to
+        # the last bit for a given step count
+        for row, kv in zip(out, kvals):
+            row.append(complex(np.sum(kv * avals * half_log * measure)) * (1j * T / steps) / (2j * math.pi))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,11 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     ns = range(0, 7)
     for q in QS:
         for eta_val in (-1, 1):
-            pns = [testfns.alpha_pn_at(q, n) for n in ns]
-            u_pn = testfns.period_integrals(testfns.upsilon_kernel, q, eta_val, pns)
-            # alpha_[p^n] for each n, then the basis alpha^(n), on one dU grid
-            du = testfns.period_integrals(testfns.dunip_kernel, q, eta_val,
-                                          pns + [testfns.alpha_basis_at(q, n) for n in ns])
-            du_pn, du_basis = du[:len(ns)], du[len(ns):]
+            # alpha_[p^n] for each n, then the basis alpha^(n), on one grid for U and dU
+            u, du = testfns.period_integrals([testfns.upsilon_kernel, testfns.dunip_kernel], q, eta_val,
+                                             [testfns.alpha_pn_at(n) for n in ns]
+                                             + [testfns.alpha_basis_at(n) for n in ns])
+            u_pn, du_pn, du_basis = u[:len(ns)], du[:len(ns)], du[len(ns):]
             for n in ns:
                 closed = float(testfns.unip_u_scaled(eta_val, n)) * q ** (-n / 2)
                 worst = max(worst, abs(u_pn[n] - closed))
@@ -266,8 +265,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for q, eta_val, n in ((2, -1, 3), (3, 1, 4), (5, -1, 2)):
-        a = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(q, n), sigma=0.3)
-        b = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(q, n), sigma=1.7)
+        a = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(n), sigma=0.3)
+        b = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(n), sigma=1.7)
         worst = max(worst, abs(a - b))
     out.append(CheckResult("unipotent.sigma-independence", worst <= 1e-9, f"max gap {worst:.2e}"))
 
@@ -276,9 +275,9 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     for q in (2, 3):
         for eta_val in (-1, 1):
             # alpha_[p^n] for each n, then the basis alpha^(m) for each m <= 5
-            du = testfns.period_integrals(testfns.dunip_kernel, q, eta_val,
-                                          [testfns.alpha_pn_at(q, n) for n in ns]
-                                          + [testfns.alpha_basis_at(q, m) for m in ns])
+            (du,) = testfns.period_integrals([testfns.dunip_kernel], q, eta_val,
+                                             [testfns.alpha_pn_at(n) for n in ns]
+                                             + [testfns.alpha_basis_at(m) for m in ns])
             direct, basis = du[:len(ns)], du[len(ns):]
             for n in ns:
                 ms, const = testfns.decompose_alpha(n)

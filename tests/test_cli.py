@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -65,8 +67,8 @@ def test_moments_command_matches_row_by_row(capsys):
     for n in range(9):
         u_closed = float(testfns.unip_u_scaled(-1, n)) * 3 ** (-n / 2)
         du_closed = float(testfns.unip_du_scaled(-1, n)) * 3 ** (-n / 2) * math.log(3)
-        u_quad = testfns.period_integral(testfns.upsilon_kernel, 3, -1, testfns.alpha_pn_at(3, n)).real
-        du_quad = testfns.period_integral(testfns.dunip_kernel, 3, -1, testfns.alpha_pn_at(3, n)).real
+        u_quad = testfns.period_integral(testfns.upsilon_kernel, 3, -1, testfns.alpha_pn_at(n)).real
+        du_quad = testfns.period_integral(testfns.dunip_kernel, 3, -1, testfns.alpha_pn_at(n)).real
         writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
                          f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])
     assert capsys.readouterr().out == want.getvalue()
@@ -172,6 +174,35 @@ def test_cli_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
+    built = []
+
+    class CountedParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountedParser))
+    cli.build_parser.cache_clear()
+    moments = ["moments", "--q", "3", "--eta", "-1", "--n", "0..2"]
+    try:
+        assert cli.main(moments) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            cli.main(["moments", "--q", "3", "--eta", "2"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert cli.main(moments) == 0
+        assert capsys.readouterr().out == first and first.startswith("n,U_closed")
+        assert cli.main(["ntransform", "--config", cfg_path, "--fn", "lognorm", "--ideal", "p^2"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["coeffs"] == {"log@3": "2"}
+        assert cli.main(["local-tables", "--place", '{"q":3}', "--eta", "-1", "--ordb=-2..3"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 7
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("rtf") == 1
+
+
 def test_verify_command(capsys):
     rc = cli.main(["verify", "--suite", "weights", "--seed", "1"])
     out = capsys.readouterr().out
@@ -229,6 +260,20 @@ def test_verify_command(capsys):
     ["arch", "--l", "6", "--b=inf"],
     ["arch", "--l", "6", "--b=nan"],
     ["arch", "--l", "6", "--b=1e400"],
+    ["main-terms", "--config", "ETA_INT", "--n", "p"],
+    ["main-terms", "--config", "EPS_TEXT", "--n", "p"],
+    ["main-terms", "--config", "UNRAM_TEXT", "--n", "p"],
+    ["main-terms", "--config", "WEIGHT_ODD", "--n", "p"],
+    ["main-terms", "--config", "D_F_TEXT", "--n", "p"],
+    ["main-terms", "--config", "EPS_MISCOUNT", "--n", "p"],
+    ["main-terms", "--config", "WEIGHT_FLOAT", "--n", "p"],
+    ["main-terms", "--config", "WEIGHTS_PER_PLACE", "--n", "p"],
+    ["main-terms", "--config", "CONSTS_INT", "--n", "p"],
+    ["main-terms", "--config", "D_F_BELOW_1", "--n", "p"],
+    ["main-terms", "--config", "D_F_PAST_FLOAT", "--n", "p"],
+    ["ntransform", "--config", "ID_LIST", "--ideal", "O"],
+    ["lattice", "--R", "1e9"],
+    ["lattice", "--field", "Q(sqrt2)", "--R", "1e4"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -243,6 +288,18 @@ def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys
         "Q_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3.7}]}',
         "TOP_LIST": "[1]",
         "PRIMES_INT": '{"schema": 1, "primes": 5}',
+        "ETA_INT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": 5}',
+        "EPS_TEXT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"eps": "x"}}',
+        "UNRAM_TEXT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"unram": {"p": "x"}}}',
+        "WEIGHT_ODD": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "weights": [7]}',
+        "D_F_TEXT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": "x"}}',
+        "EPS_MISCOUNT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"eps": 1, "arch_signs": [1]}}',
+        "WEIGHT_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "weights": [6.0]}',
+        "WEIGHTS_PER_PLACE": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "weights": [6, 6]}',
+        "CONSTS_INT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": 5}',
+        "D_F_BELOW_1": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 0.5}}',
+        "D_F_PAST_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 1' + "0" * 400 + "}}",
+        "ID_LIST": '{"schema": 1, "primes": [{"id": [1], "q": 3}]}',
     }
     paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json")}
     for name, text in configs.items():

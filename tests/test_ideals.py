@@ -116,6 +116,13 @@ def test_config_and_ideal_parsing():
     ({"schema": 1, "primes": [{"id": "p", "q": True}]}, "'p'"),
     ({"schema": 1, "primes": [{"id": "p", "q": 3.7}]}, "'p'"),
     ({"schema": 1, "primes": [{"id": "p", "q": 3.0}]}, "'p'"),
+    ({"schema": 1, "primes": [{"id": ["p"], "q": 3}]}, "prime id"),
+    ({"schema": 1, "primes": [], "eta": 5}, "'eta'"),
+    ({"schema": 1, "primes": [], "eta": {"eps": "x"}}, "'eps'"),
+    ({"schema": 1, "primes": [], "eta": {"eps": 1, "arch_signs": [1]}}, "'eps'"),
+    ({"schema": 1, "primes": [], "eta": {"arch_signs": 5}}, "'arch_signs'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"unram": {"p": "x"}}}, "'unram' at 'p'"),
+    ({"schema": 1, "primes": [{"id": "p", "q": 3}], "eta": {"ram": {"p": 0}}}, "'ram'"),
 ])
 def test_config_faults_name_the_prime_or_key(obj, named):
     with pytest.raises(InputError, match=named):

@@ -69,6 +69,14 @@ def test_enumeration_radius_complete():
         assert len(inside) == len(small)
 
 
+@pytest.mark.parametrize("lat, R", [(lt.embed_ideal("Q", 1), 1e9),
+                                    (lt.embed_ideal("real_quadratic", "O", m=2), 1e4)])
+def test_enumeration_past_the_box_cap_is_refused(lat, R):
+    # refused before the box is allocated: 2e9 points on Z would take about 15 GiB
+    with pytest.raises(InputError, match=f"R={R}.* past the cap of {lt.MAX_BOX_POINTS}"):
+        lt.lattice_points(lat, R)
+
+
 def test_theta_monotone_under_inclusion():
     # termwise subsums: theta(3 O) <= theta(O) at equal truncation
     o2 = lt.embed_ideal("real_quadratic", "O", m=2)

@@ -55,27 +55,27 @@ def test_dunip_examples():
 
 def test_period_integral_examples():
     # the basic moment of the constant test function
-    val = tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(3, 0))
+    val = tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(0))
     assert val.real == pytest.approx(-1.0, abs=1e-10)
     assert abs(val.imag) < 1e-10
-    val = tf.period_integral(tf.dunip_kernel, 5, 1, tf.alpha_basis_at(5, 0))
+    val = tf.period_integral(tf.dunip_kernel, 5, 1, tf.alpha_basis_at(0))
     assert abs(val) < 1e-10
     # derived value against the closed form
-    val = tf.period_integral(tf.dunip_kernel, 3, -1, tf.alpha_basis_at(3, 2))
+    val = tf.period_integral(tf.dunip_kernel, 3, -1, tf.alpha_basis_at(2))
     assert val.real == pytest.approx(math.log(3) / 3, abs=1e-10)
 
 
 def test_period_integral_kernel_equivalence():
     # the two kernel routes are the same integrand
     for q, eta, n in ((2, -1, 3), (3, 1, 2)):
-        a = tf.period_integral(tf.dunip_kernel, q, eta, tf.alpha_pn_at(q, n))
-        b = tf.period_integral(tf.upsilon_over_unip_kernel, q, eta, tf.alpha_pn_at(q, n))
+        a = tf.period_integral(tf.dunip_kernel, q, eta, tf.alpha_pn_at(n))
+        b = tf.period_integral(tf.upsilon_over_unip_kernel, q, eta, tf.alpha_pn_at(n))
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_period_integral_guards():
     with pytest.raises(ValueError):
-        tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(3, 0), sigma=-1.0)
+        tf.period_integral(tf.upsilon_kernel, 3, -1, tf.alpha_pn_at(0), sigma=-1.0)
 
 
 def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
@@ -83,7 +83,7 @@ def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
     measure, in the product order period_integrals must keep."""
     T = 4 * math.pi / math.log(q)
     s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
-    terms = (kernel(q, eta_val, s) * alpha(s) * (math.log(q) / 2)
+    terms = (kernel(q, eta_val, s) * alpha(q ** (s / 2)) * (math.log(q) / 2)
              * (q ** ((1 + s) / 2) - q ** ((1 - s) / 2)))
     return complex(np.sum(terms)) * (1j * T / steps) / (2j * math.pi)
 
@@ -113,8 +113,8 @@ KERNELS = {"upsilon": tf.upsilon_kernel, "dunip_kernel": tf.dunip_kernel,
        st.sampled_from((-1, 1)), st.lists(st.integers(0, 8), min_size=1, max_size=4),
        st.sampled_from((0.3, 0.7, 1.7)))
 def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
-    alphas = [tf.alpha_pn_at(q, n) for n in ns] + [tf.alpha_basis_at(q, n) for n in ns]
-    batch = tf.period_integrals(kernel, q, eta, alphas, sigma=sigma)
+    alphas = [tf.alpha_pn_at(n) for n in ns] + [tf.alpha_basis_at(n) for n in ns]
+    (batch,) = tf.period_integrals([kernel], q, eta, alphas, sigma=sigma)
     assert len(batch) == len(alphas)
     for alpha, got in zip(alphas, batch):
         assert _bits(got) == _bits(tf.period_integral(kernel, q, eta, alpha, sigma=sigma))
@@ -140,8 +140,26 @@ def test_period_integrals_run_each_kernel_once_per_grid(kernel, count):
         calls.append(len(s))
         return KERNELS[kernel](q, eta_val, s)
 
-    tf.period_integrals(counted, 3, -1, [tf.alpha_pn_at(3, n) for n in range(count)])
+    tf.period_integrals([counted], 3, -1, [tf.alpha_pn_at(n) for n in range(count)])
     assert calls == [4096, 8192]
+
+
+@pytest.mark.parametrize("kernels", [["upsilon"], ["upsilon", "dunip_kernel"], sorted(KERNELS)])
+def test_period_integrals_evaluate_each_alpha_once_per_grid(kernels):
+    calls = []
+
+    def counted(alpha):
+        def f(z):
+            calls.append((alpha, len(z)))
+            return alpha(z)
+        return f
+
+    alphas = [tf.alpha_pn_at(n) for n in range(3)] + [tf.alpha_basis_at(2)]
+    rows = tf.period_integrals([KERNELS[k] for k in kernels], 3, -1, [counted(a) for a in alphas])
+    assert calls == [(a, steps) for steps in (4096, 8192) for a in alphas]
+    assert len(rows) == len(kernels) and all(len(row) == len(alphas) for row in rows)
+    for kernel, row in zip(kernels, rows):
+        assert [_bits(v) for v in row] == [_bits(tf.period_integral(KERNELS[kernel], 3, -1, a)) for a in alphas]
 
 
 def test_period_integrals_failure_names_the_input():
@@ -150,7 +168,7 @@ def test_period_integrals_failure_names_the_input():
         return len(s) * q ** (-(1 + s) / 2)
 
     with pytest.raises(ConvergenceError) as info:
-        tf.period_integrals(growing_kernel, 5, 1, [tf.alpha_pn_at(5, 0), tf.alpha_pn_at(5, 2)], sigma=0.3)
+        tf.period_integrals([tf.upsilon_kernel, growing_kernel], 5, 1, [tf.alpha_pn_at(0), tf.alpha_pn_at(2)], sigma=0.3)
     msg = str(info.value)
     for part in ("growing_kernel", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
         assert part in msg, msg
