@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, InputError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
 from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
@@ -55,6 +53,9 @@ class AnalyticConsts:
     Lp_over_L: float = 0.0
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InputError(f"consts {key!r} must be finite, got {value}")
         if self.D_F < 1 or self.L1_eta <= 0:
             raise InputError(f"consts 'D_F' >= 1 and 'L1_eta' > 0 are forced, got D_F={self.D_F}, "
                              f"L1_eta={self.L1_eta}")
@@ -67,7 +68,7 @@ class AnalyticConsts:
         }
 
 
-EULER_GAMMA = float(np.euler_gamma)
+EULER_GAMMA = 0.5772156649015329
 
 
 def c_l(w: WeightData) -> float:

@@ -17,6 +17,10 @@ from .errors import InputError, RTFError, SignClassError
 from .formal import FormalLog
 from .ideals import json_value, load_config, parse_ideal, residue_cardinality
 
+# rtf moments: the largest n.  The contour oracle's cost grows as n^2, and no
+# n above 61 passes its refinement check (61 at q = 2, 42 at q = 3, 19 at 13).
+MOMENTS_MAX_N = 64
+
 
 def _parsed(option: str, text: str, convert):
     """convert(text); text that convert cannot read ends in an InputError
@@ -103,6 +107,8 @@ def cmd_local_weights(args) -> int:
 
 def cmd_moments(args) -> int:
     ns = _parsed("--n", args.n, _int_span)
+    if max(ns, default=0) > MOMENTS_MAX_N:
+        raise InputError(f"--n {args.n!r}: n <= {MOMENTS_MAX_N} required")
     u_quads, du_quads = testfns.period_integrals([testfns.upsilon_kernel, testfns.dunip_kernel], args.q, args.eta,
                                                  [testfns.alpha_pn_at(n) for n in ns])
     writer = csv.writer(sys.stdout)

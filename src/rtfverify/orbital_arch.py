@@ -1,5 +1,5 @@
 """Archimedean orbital integrals: Legendre/2F1 closed forms and the
-log-weighted half-line integral with its quadrature oracle.
+log-weighted half-line integral, each with its quadrature oracle.
 
 The closed form of the log-weighted integral W_+ follows the keyhole-contour
 identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  A and B are exact residue
@@ -7,21 +7,26 @@ polynomials in b with rational coefficients against 1, L = log|b/(b+1)|, pi
 and pi^2.  J_+ is the same defining integral without the log factor; its
 integrand is rational in t, so partial fractions close it exactly in the
 basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits
-on a private mpmath context (again on a fresh, more precise one when the
-terms cancel to fewer than 20 digits): no quadrature runs, and mpmath's
-global precision is neither read nor written.  w_plus_quad (adaptive
-Gauss-Kronrod, quadrature.quad) is the independent oracle, and j_plus_quad
-the quadrature oracle for J_+ alone.
+on a private stdlib `decimal` context (again on a more precise one when the
+terms cancel to fewer than 20 digits): no quadrature runs, and the thread's
+decimal context is neither read nor written.
+
+The oracles integrate the defining integrand
+g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
+Gauss-Kronrod (quadrature.quad), with each half line folded onto (0, 1]:
+w_plus_quad with the weight log t on t > 0, j_plus_quad on t > 0, and
+j_arch_quad on the whole line for J^eps.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
@@ -33,11 +38,7 @@ _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: absolute and relative tolerance
-
-# every closed-form evaluation runs on this context; it is never mutated after
-# import, so results do not depend on mp.mp.dps and are identical under threads
-_MP = mp.MPContext()
-_MP.dps = _DPS
+_J_QUAD_TOL = 1e-13       # j_plus_quad, j_arch_quad: absolute and relative tolerance
 
 
 def legendre(n: int, x: float) -> float:
@@ -158,6 +159,42 @@ def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
     return (1 + abs(b)) ** (-k / 2 + 2 * epsilon)
 
 
+def _integrand(h: int, b: float):
+    """pref = i^h (1+b)^-h and g(t) = (t+i)^-h (t+ci)^-h t^(h-1), c = b/(b+1):
+    J^sgn(2h; b) = pref int_R g, J^one(2h; b) = pref int_R sgn(t) g and
+    J_+(2h; b) = pref int_0^inf g."""
+    c = b / (b + 1)
+
+    def g(t: np.ndarray) -> np.ndarray:
+        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1)
+
+    return 1j ** h * (1 + b) ** (-h), g   # negative base, integer power: real
+
+
+def _half_line(f, tol: float) -> complex:
+    """int_0^inf f(t) dt by quadrature.quad, with [1, inf) folded onto (0, 1]
+    by t -> 1/t."""
+    value, err = quad(lambda t: f(t) + f(1 / t) / (t * t), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
+    if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
+        raise ConvergenceError(f"half-line quadrature error estimate {err:.2e}")
+    return value
+
+
+def j_arch_quad(k: int, b: float, eps: str) -> complex:
+    """Defining-integral oracle for j_arch: the t > 0 half of pref int g plus
+    (eps = "sgn") or minus (eps = "one") its t < 0 half."""
+    if k < 4 or k % 2:
+        raise InputError(f"even k >= 4 required, got k={k}")
+    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
+        raise DomainError("b too close to the singular points 0, -1")
+    if eps not in ("one", "sgn"):
+        raise InputError(f"eps must be 'one' or 'sgn', got {eps!r}")
+    pref, g = _integrand(k // 2, b)
+    pos = _half_line(g, _J_QUAD_TOL)
+    neg = _half_line(lambda t: g(-t), _J_QUAD_TOL)
+    return pref * (pos + neg if eps == "sgn" else pos - neg)
+
+
 # ---------------------------------------------------------------------------
 # the log-weighted integral W_+
 
@@ -179,15 +216,6 @@ class ResidueParts:
     b_L_over_pi: Fraction
     b_const_over_pi: Fraction
 
-    def a_value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpf":
-        L = _log_ratio(b, ctx)
-        return (_mpq(self.a_const, ctx) + _mpq(self.a_L, ctx) * L + _mpq(self.a_L2, ctx) * L * L
-                + _mpq(self.a_pi2, ctx) * (+ctx.pi) ** 2)
-
-    def b_value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpf":
-        L = _log_ratio(b, ctx)
-        return (_mpq(self.b_L_over_pi, ctx) * L + _mpq(self.b_const_over_pi, ctx)) * +ctx.pi
-
 
 @dataclass(frozen=True)
 class JPlusParts:
@@ -197,18 +225,6 @@ class JPlusParts:
 
     const: Fraction
     log_coeff: Fraction
-
-    def value(self, b: Fraction, ctx: mp.MPContext = _MP) -> "mp.mpc":
-        log_c = _log_ratio(b, ctx) - (ctx.mpc(0, +ctx.pi) if b * (b + 1) < 0 else 0)
-        return _mpq(self.const, ctx) + _mpq(self.log_coeff, ctx) * log_c
-
-
-def _mpq(x: Fraction, ctx: mp.MPContext) -> "mp.mpf":
-    return ctx.mpf(x.numerator) / x.denominator
-
-
-def _log_ratio(b: Fraction, ctx: mp.MPContext) -> "mp.mpf":
-    return ctx.log(abs(_mpq(b / (b + 1), ctx)))
 
 
 @functools.cache
@@ -301,83 +317,100 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
 
 
 def j_plus_quad(l: int, b: float) -> complex:
-    """J_+(l; b) by 50-digit tanh-sinh quadrature of its defining integral:
-    the oracle for j_plus_parts.  mpmath's quad raises and restores the
-    precision of the context it runs on, so each call gets a fresh one."""
+    """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral: the
+    oracle for j_plus_parts."""
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
-    h = l // 2
-    ctx = mp.MPContext()
-    ctx.dps = _DPS
-    c = ctx.mpf(b) / (ctx.mpf(b) + 1)
-    pref = ctx.mpc(0, 1) ** h * (1 + ctx.mpf(b)) ** (-h)
-
-    def f(t):
-        return (t + 1j) ** (-h) * (t + c * 1j) ** (-h) * t ** (h - 1)
-
-    return complex(pref * ctx.quad(f, [0, 1, ctx.inf]))
+    pref, g = _integrand(l // 2, b)
+    return pref * _half_line(g, _J_QUAD_TOL)
 
 
 def w_plus_quad(l: int, b: float) -> complex:
-    """Defining-integral oracle for W_+(b): adaptive Gauss-Kronrod on the
-    complex integrand, with [1, inf) folded onto (0, 1] by t -> 1/t."""
+    """Defining-integral oracle for W_+(b): adaptive Gauss-Kronrod of
+    pref int_0^inf g(t) log t dt."""
     if l < 6 or l % 2:
         raise InputError(f"even l >= 6 required for comfortable decay, got l={l}")
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
-    h = l // 2
-    c = b / (b + 1)
-    pref = 1j ** h * (1 + b) ** (-h)   # negative base, integer power: real
-    tol = _W_PLUS_QUAD_TOL
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * np.log(t)
-
-    value, err = quad(lambda t: integrand(t) + integrand(1 / t) / (t * t), 0.0, 1.0,
-                      epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
-        raise ConvergenceError(f"half-line quadrature error estimate {err:.2e}")
-    return pref * value
+    pref, g = _integrand(l // 2, b)
+    return pref * _half_line(lambda t: g(t) * np.log(t), _W_PLUS_QUAD_TOL)
 
 
 def w_plus(l: int, b: Fraction) -> complex:
     """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  J_+, A and B
     are exact rational combinations of 1, L = log|b/(b+1)| and pi at the
-    same rational b, evaluated together at 50 digits on the private context;
-    no quadrature runs.
+    same rational b, evaluated together at 50 digits on a private decimal
+    context; no quadrature runs.
 
     The terms cancel by about |b|^(l-1).  When fewer than _MIN_DIGITS of
-    the 50 survive that, the sum is evaluated again with enough digits on a
-    fresh context.  At b = -1/2 W_+ vanishes identically, so there is no
-    relative precision to gain.
+    the 50 survive that, the sum is evaluated again with enough digits.  At
+    b = -1/2 W_+ vanishes identically, so there is no relative precision to
+    gain.
     """
     jp = j_plus_parts(l, b)
     parts = residue_parts(l, b)
-    ctx = _MP
+    dps = _DPS
     while True:
-        i = ctx.mpc(0, 1)
-        value = (-i * +ctx.pi * jp.value(b, ctx) - parts.a_value(b, ctx)
-                 - i * parts.b_value(b, ctx))
-        if b == Fraction(-1, 2):
-            return complex(value)
-        lost = _cancelled_digits(jp, parts, b, value, ctx)
-        if ctx.dps - lost >= _MIN_DIGITS:
-            return complex(value)
-        if ctx.dps >= _MAX_DPS:
-            raise ConvergenceError(f"w_plus(l={l}, b={b}): {lost:.0f} of {ctx.dps} digits "
+        with decimal.localcontext(decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN)):
+            re, im = _w_plus_sum(jp, parts, b, dps)
+            value = complex(float(re), float(im))
+            if b == Fraction(-1, 2):
+                return value
+            lost = _cancelled_digits(jp, parts, b, re, im, dps)
+        if dps - lost >= _MIN_DIGITS:
+            return value
+        if dps >= _MAX_DPS:
+            raise ConvergenceError(f"w_plus(l={l}, b={b}): {lost:.0f} of {dps} digits "
                                    f"lost to cancellation")
         # 5 spare digits: a pass that lost nearly all of them misjudges |W_+|
-        dps = min(_MAX_DPS, max(ctx.dps, math.ceil(lost)) + _MIN_DIGITS + 5)
-        ctx = mp.MPContext()
-        ctx.dps = dps
+        dps = min(_MAX_DPS, max(dps, math.ceil(lost)) + _MIN_DIGITS + 5)
 
 
-def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, value, ctx: mp.MPContext) -> float:
+def _w_plus_sum(jp: JPlusParts, parts: ResidueParts, b: Fraction, dps: int) -> tuple[Decimal, Decimal]:
+    """Re and Im of -pi i J_+ - A - i B on the current decimal context:
+    Re W = -(A + K pi^2 [b(b+1) < 0]) and Im W = -(pi (C + K L) + B), with
+    J_+ = C + K (L - i pi [b(b+1) < 0])."""
+    def dec(x: Fraction) -> Decimal:
+        return Decimal(x.numerator) / x.denominator
+
+    L = dec(abs(b / (b + 1))).ln()
+    pi = _pi(dps)
+    pi2 = pi * pi
+    A = dec(parts.a_const) + dec(parts.a_L) * L + dec(parts.a_L2) * L * L + dec(parts.a_pi2) * pi2
+    B = (dec(parts.b_L_over_pi) * L + dec(parts.b_const_over_pi)) * pi
+    K = dec(jp.log_coeff)
+    re = -(A + K * pi2) if b * (b + 1) < 0 else -A
+    return re, -(pi * (dec(jp.const) + K * L) + B)
+
+
+@functools.lru_cache(maxsize=8)
+def _pi(dps: int) -> Decimal:
+    """pi to dps digits: Machin's pi = 16 atan(1/5) - 4 atan(1/239) on
+    integers scaled by 10^(dps + 10).  The floor divisions err by at most 16
+    units per term, far inside the 10 guard digits."""
+    unit = 10 ** (dps + 10)
+
+    def atan_inv(x: int) -> int:    # unit atan(1/x)
+        total = term = unit // x
+        n, sign = 1, 1
+        while term:
+            term //= x * x
+            n += 2
+            sign = -sign
+            total += sign * (term // n)
+        return total
+
+    return decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN).divide(
+        16 * atan_inv(5) - 4 * atan_inv(239), unit)
+
+
+def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, re: Decimal, im: Decimal,
+                      dps: int) -> float:
     """Decimal digits of w_plus's sum lost to cancellation: log10 of its
     largest |coefficient x basis value| over |W_+| (all of them when the sum
     came out 0)."""
-    if value == 0:
-        return ctx.dps
+    if not (re or im):
+        return dps
     L = abs(math.log(abs(b / (b + 1))))
     log_c = math.hypot(L, math.pi) if b * (b + 1) < 0 else L
     terms = ((jp.const, math.pi), (jp.log_coeff, math.pi * log_c),
@@ -385,5 +418,5 @@ def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, value, c
              (parts.b_L_over_pi, math.pi * L), (parts.b_const_over_pi, math.pi))
     largest = max(math.log10(abs(c.numerator)) - math.log10(c.denominator) + math.log10(m)
                   for c, m in terms if c and m)
-    size = abs(complex(value))      # 0 only on float underflow
-    return largest - (math.log10(size) if size else float(ctx.log10(abs(value))))
+    size = abs(complex(float(re), float(im)))      # 0 only on float underflow
+    return largest - (math.log10(size) if size else float((re * re + im * im).sqrt().log10()))

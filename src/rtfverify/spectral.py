@@ -64,7 +64,7 @@ def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
         raise ValueError("j >= 0 required")
     q, c = rep.q, rep.c
     if j == 0:
-        return _one_like(X)
+        return X * 0 + 1
     if c == 0 and j == 1:
         return eta_val * X - rep.Q
     if c == 1:
@@ -80,10 +80,6 @@ def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
 def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
     """Q_j evaluated for the trivial character at X = 1."""
     return q_poly(j, rep, 1, Fraction(1))
-
-
-def _one_like(X: Num):
-    return Fraction(1) if isinstance(X, (int, Fraction)) else 1.0
 
 
 @lru_cache(maxsize=REP_CACHE_SIZE)

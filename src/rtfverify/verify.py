@@ -408,6 +408,28 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                 env = orbital_arch.j_arch_bound_envelope(k, float(b), eps)
                 worst_c = max(worst_c, abs(b * (b + 1)) ** eps * j / env)
     out.append(CheckResult("arch.j-decay-envelope", worst_c < 50.0, f"fitted constant {worst_c:.2f}"))
+
+    # J^eps against the quadrature of its defining integral, over every branch
+    # of j_arch: the log formula (-1 < b < 0); gauss_2f1's log expansion
+    # (0 < b < 3/7) and series (b >= 3/7); and b < -1 both through the
+    # functional equation and directly, by Pfaff (-1.2: log expansion, -2:
+    # series) and by the series at x = 1/(b+1) in [-0.7, 0) (-10).  Where
+    # J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
+    # i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.
+    worst_rel = worst_abs = 0.0
+    pairs = [(k, b) for k in (4, 6, 8, 10) for b in (-0.7, -0.1, 0.2, 1.0, 4.0, -1.2, -2.0, -10.0)]
+    for k, b in pairs:
+        for eps in ("one", "sgn"):
+            quad = orbital_arch.j_arch_quad(k, b, eps)
+            for fe in (True, False):   # read by j_arch only when b < -1
+                closed = orbital_arch.j_arch(k, b, eps, use_functional_equation=fe)
+                if closed == 0:
+                    worst_abs = max(worst_abs, abs(quad) * abs(1 + b) ** (k // 2))
+                else:
+                    worst_rel = max(worst_rel, abs(closed - quad) / abs(closed))
+    out.append(CheckResult("arch.j-closed-vs-quadrature", worst_rel <= 1e-9 and worst_abs <= 1e-9,
+                           f"{len(pairs)} (k, b) pairs, both eps, max rel err {worst_rel:.2e} where J != 0, "
+                           f"abs err {worst_abs:.2e} of the unscaled integral where J = 0"))
     return out
 
 

@@ -63,7 +63,8 @@ def test_criterion_6_local_orbital_exact():
 
 
 def test_criterion_7_archimedean():
-    _assert_checks("arch.w-plus-closed-vs-quadrature", "arch.j-functional-equation", "arch.j-legendre-value")
+    _assert_checks("arch.w-plus-closed-vs-quadrature", "arch.j-functional-equation", "arch.j-legendre-value",
+                   "arch.j-closed-vs-quadrature")
 
 
 def test_arch_reports_the_measured_error():

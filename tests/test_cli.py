@@ -160,18 +160,23 @@ def test_toolkit_errors_end_in_one_line_and_exit_2(cfg_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("CoprimalityError: ") and "'r'" in lines[0]
 
 
-def test_cli_import_does_not_load_sympy():
+def _cli_import_loads(package):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rtfverify.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, rtfverify.cli; sys.exit(any(m.split('.')[0] == {package!r} for m in sys.modules))"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_cli_import_does_not_load_sympy():
+    assert not _cli_import_loads("sympy")
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rtfverify.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _cli_import_loads("scipy")
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert not _cli_import_loads("mpmath")
 
 
 def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
@@ -274,6 +279,11 @@ def test_verify_command(capsys):
     ["ntransform", "--config", "ID_LIST", "--ideal", "O"],
     ["lattice", "--R", "1e9"],
     ["lattice", "--field", "Q(sqrt2)", "--R", "1e4"],
+    ["main-terms", "--config", "D_F_INF", "--n", "p"],
+    ["main-terms", "--config", "L1_ETA_NAN", "--n", "p"],
+    ["main-terms", "--config", "LP_OVER_L_INF", "--n", "p"],
+    ["moments", "--q", "3", "--eta", "1", "--n", "0..65"],
+    ["moments", "--q", "3", "--eta", "1", "--n", "60..100000"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -300,6 +310,9 @@ def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys
         "D_F_BELOW_1": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 0.5}}',
         "D_F_PAST_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 1' + "0" * 400 + "}}",
         "ID_LIST": '{"schema": 1, "primes": [{"id": [1], "q": 3}]}',
+        "D_F_INF": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 1e400}}',
+        "L1_ETA_NAN": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"L1_eta": NaN}}',
+        "LP_OVER_L_INF": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"Lp_over_L": Infinity}}',
     }
     paths = {"CFG": cfg_path, "MISSING": str(tmp_path / "missing.json")}
     for name, text in configs.items():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import sys
@@ -32,6 +33,24 @@ def _query_pairs(n: int, seed: int) -> list[tuple[int, Fraction]]:
 
 def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
+
+
+def _exact_parts_on_mpmath(l: int, b: Fraction, dps: int) -> tuple[complex, complex]:
+    """J_+ and W_+ = -pi i J_+ - A - i B from their exact parts, evaluated on
+    a fresh mpmath context: a reference that shares no evaluation code with
+    w_plus."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+
+    def q(x: Fraction):
+        return ctx.mpf(x.numerator) / x.denominator
+
+    jp, parts = oa.j_plus_parts(l, b), oa.residue_parts(l, b)
+    L, pi, i = ctx.log(abs(q(b / (b + 1)))), +ctx.pi, ctx.mpc(0, 1)
+    j = q(jp.const) + q(jp.log_coeff) * (L - (i * pi if b * (b + 1) < 0 else 0))
+    a = q(parts.a_const) + q(parts.a_L) * L + q(parts.a_L2) * L * L + q(parts.a_pi2) * pi * pi
+    b_ = (q(parts.b_L_over_pi) * L + q(parts.b_const_over_pi)) * pi
+    return complex(j), complex(-i * pi * j - a - i * b_)
 
 
 def test_legendre_values():
@@ -115,7 +134,7 @@ def test_w_plus_at_large_b_vs_quadrature(l):
 def test_j_plus_parts_vs_quadrature(l):
     for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2), Fraction(-3), Fraction(2), Fraction(10),
               *WIDE_BS):
-        closed = complex(oa.j_plus_parts(l, b).value(b))
+        closed = _exact_parts_on_mpmath(l, b, 50)[0]
         quad = oa.j_plus_quad(l, float(b))
         assert abs(closed - quad) <= 1e-12 * abs(quad), (l, b, closed, quad)
 
@@ -134,19 +153,16 @@ def test_w_plus_is_quadrature_free(monkeypatch):
         raise AssertionError("quadrature called")
 
     monkeypatch.setattr(oa, "j_plus_quad", refuse)
-    monkeypatch.setattr(mp.MPContext, "quad", refuse)   # every context, the private one too
-    monkeypatch.setattr(mp, "quad", refuse)
     monkeypatch.setattr(oa, "quad", refuse)
     monkeypatch.setattr(quadrature, "quad", refuse)
-    with pytest.raises(AssertionError):
-        oa._MP.quad(lambda t: t, [0, 1])
     for (l, b), w in want.items():
         assert _bits(oa.w_plus(l, b)) == _bits(w)
 
 
 def test_w_plus_bit_identical_under_threads():
     pairs = SUITE_PAIRS + _query_pairs(40, seed=4)
-    prec = mp.mp.prec
+    ctx = decimal.getcontext()
+    prec, rounding = ctx.prec, ctx.rounding
     serial = [_bits(oa.w_plus(l, b)) for l, b in pairs]
     work = pairs * 4
     random.Random(5).shuffle(work)
@@ -159,7 +175,7 @@ def test_w_plus_bit_identical_under_threads():
         sys.setswitchinterval(switch)
     want = dict(zip(pairs, serial))
     assert [p for p, bits in threaded if bits != want[p]] == []
-    assert mp.mp.prec == prec
+    assert decimal.getcontext() is ctx and (ctx.prec, ctx.rounding) == (prec, rounding)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,22 +183,20 @@ def test_w_plus_bit_identical_under_threads():
 def test_w_plus_ignores_global_precision(l, num, den):
     b = Fraction(num, den)
     assume(b != -1)
-    prec = mp.mp.prec
     results = set()
-    for dps in (15, 30, 80):
-        with mp.workdps(dps):
+    for prec, rounding in ((15, decimal.ROUND_HALF_EVEN), (30, decimal.ROUND_FLOOR), (80, decimal.ROUND_UP)):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = prec, rounding
+            ctx.clear_flags()
             results.add(_bits(oa.w_plus(l, b)))
-            assert mp.mp.dps == dps
+            # neither replaced, changed nor used for arithmetic
+            assert decimal.getcontext() is ctx and (ctx.prec, ctx.rounding) == (prec, rounding)
+            assert not any(ctx.flags.values())
     assert len(results) == 1
-    assert mp.mp.prec == prec
 
 
 def _w_plus_at_150_digits(l: int, b: Fraction) -> complex:
-    ctx = mp.MPContext()
-    ctx.dps = 150
-    jp, parts = oa.j_plus_parts(l, b), oa.residue_parts(l, b)
-    i = ctx.mpc(0, 1)
-    return complex(-i * (+ctx.pi) * jp.value(b, ctx) - parts.a_value(b, ctx) - i * parts.b_value(b, ctx))
+    return _exact_parts_on_mpmath(l, b, 150)[1]
 
 
 @pytest.mark.parametrize("l, b", [(12, Fraction(10 ** 4)), (16, Fraction(1000)), (20, Fraction(120)),
@@ -204,12 +218,16 @@ def test_w_plus_query_inputs_stay_at_50_digits(monkeypatch):
     # the arch check and query inputs keep enough digits: no re-evaluation
     pairs = SUITE_PAIRS + [(12, b) for b in WIDE_BS] + _query_pairs(60, seed=9) + [(12, Fraction(-120))]
     want = {p: _bits(oa.w_plus(*p)) for p in pairs}
+    digits = []
+    one_pass = oa._w_plus_sum
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("fresh context made")
+    def counted(jp, parts, b, dps):
+        digits.append(dps)
+        return one_pass(jp, parts, b, dps)
 
-    monkeypatch.setattr(mp, "MPContext", refuse)
+    monkeypatch.setattr(oa, "_w_plus_sum", counted)
     assert {p: _bits(oa.w_plus(*p)) for p in pairs} == want
+    assert digits == [50] * len(pairs)
 
 
 def test_w_plus_quad_regression_pins():
@@ -232,4 +250,12 @@ def test_residue_parts_exactness():
     parts = oa.residue_parts(6, Fraction(10))
     # the coefficients are exact rationals; the assembled values are finite
     assert isinstance(parts.a_L2, Fraction)
-    assert math.isfinite(float(parts.a_value(Fraction(10))))
+    assert math.isfinite(abs(_exact_parts_on_mpmath(6, Fraction(10), 50)[1]))
+
+
+@pytest.mark.parametrize("dps", [1, 15, 50, 51, 76, 500, 2000])
+def test_pi_helper_is_pi_rounded_to_dps_digits(dps):
+    ctx = mp.MPContext()
+    ctx.dps = dps + 20
+    want = decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN).create_decimal(ctx.nstr(+ctx.pi, dps + 20))
+    assert oa._pi(dps) == want
