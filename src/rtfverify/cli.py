@@ -20,6 +20,16 @@ from .ideals import json_value, load_config, parse_ideal, residue_cardinality
 # rtf moments: the largest n.  The contour oracle's cost grows as n^2, and no
 # n above 61 passes its refinement check (61 at q = 2, 42 at q = 3, 19 at 13).
 MOMENTS_MAX_N = 64
+# rtf arch: the largest l.  Up to l = 26 the oracle w_plus_quad agrees with
+# w_plus to 8e-10 relative over 65 values of b; from l = 28 it misses at
+# b = -5/4 by 66% and more, as its absolute tolerance applies before the
+# prefactor (1+b)^(-l/2).
+ARCH_MAX_L = 26
+# rtf lattice: the largest weight.  bound_audits' envelope holds
+# (1 + r)^(d max(l) / 2), with r = sqrt(2)/2 for every real quadratic ring
+# of integers; in rank two it passes the float range from l = 1328 (in rank
+# one, where r = 1/2, from 3502).
+LATTICE_MAX_L = 1327
 
 
 def _parsed(option: str, text: str, convert):
@@ -45,6 +55,14 @@ def _finite_rational(text: str) -> Fraction:
     if abs(value) > sys.float_info.max:
         raise ValueError("past the float range")
     return value
+
+
+def _weights(text: str) -> list[float]:
+    """Comma-separated finite weights, none above LATTICE_MAX_L."""
+    l = [float(x) for x in text.split(",")]
+    if not all(math.isfinite(x) and x <= LATTICE_MAX_L for x in l):
+        raise ValueError(f"finite weights <= {LATTICE_MAX_L} required")
+    return l
 
 
 def _json_object(text: str, key: str) -> dict:
@@ -148,6 +166,8 @@ def cmd_local_tables(args) -> int:
 
 
 def cmd_arch(args) -> int:
+    if args.l > ARCH_MAX_L:
+        raise InputError(f"--l {args.l}: l <= {ARCH_MAX_L} required")
     b = _parsed("--b", args.b, _finite_rational)
     bf = float(b)
     j_one = orbital_arch.j_arch(args.l, bf, "one")
@@ -177,7 +197,7 @@ def cmd_lattice(args) -> int:
         lat = lattice.embed_ideal("real_quadratic", desc, m=m)
         ambient = lattice.embed_ideal("real_quadratic", "O", m=m)
     # one weight 6 per coordinate unless given
-    l = _parsed("--l", args.l, lambda text: [float(x) for x in text.split(",")]) if args.l is not None else [6.0] * lat.d
+    l = _parsed("--l", args.l, _weights) if args.l is not None else [6.0] * lat.d
     th = lattice.theta(lat, l, args.R)
     audits = lattice.bound_audits(lat, ambient, l, args.R)
     json.dump({

@@ -4,6 +4,12 @@ theta(Lambda) sums prod_j (1 + |x_j|)^(-l_j/2) over nonzero lattice points.
 Enumeration is exact over integer coefficient boxes; truncation tails carry a
 rigorous ball-packing bound (every lattice point owns a disjoint ball of
 radius r(Lambda)) plus, in rank one, a sharper integral estimate.
+
+The audits integrate in batches on quadrature.quad_many: phi_spheres
+evaluates the sphere integral phi(t) at many t at once (the radial nodes of
+one ball_integral round, or phi_mellin_audit's grid), and w_hyp_arch_audit
+passes the W_+ quadratures of each N to orbital_arch.w_plus_quads.
+phi_sphere is phi_spheres' one-item call.
 """
 from __future__ import annotations
 
@@ -15,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError, UnsupportedField
-from .orbital_arch import j_arch
+from .orbital_arch import j_arch, w_plus_quads
 from .orbital_local import tau_S_rational
-from .quadrature import quad
+from .quadrature import quad, quad_many
 
 
 @dataclass(frozen=True)
@@ -276,12 +282,10 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
     """Empirical decay audit of the log-weighted hyperbolic sum over Q:
     the tau-weighted sum of |W^eps(b)| = |2 Re W_+(b)| (eps(-1) = 1) over
     b in N Z decays at least like N^(-l/2+1) (up to epsilon), mirroring the
-    plain J-weighted sum."""
-    from .orbital_arch import w_plus_quad
-
+    plain J-weighted sum.  The W_+ quadratures of each N run as one batch."""
     vals = []
     for N in ns:
-        total = 0.0
+        taus, bs = [], []
         for k in range(1, K + 1):
             for s in (1, -1):
                 b = N * k * s
@@ -290,7 +294,11 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
                 tau = tau_S_rational(Fraction(b), 1)
                 if tau == 0:
                     continue
-                total += tau ** 2 * abs(2 * w_plus_quad(l, float(b)).real)
+                taus.append(tau)
+                bs.append(float(b))
+        total = 0.0
+        for tau, w in zip(taus, w_plus_quads(l, bs)):
+            total += tau ** 2 * abs(2 * w.real)
         vals.append(total)
     slope = float(np.polyfit(np.log(list(ns)), np.log(vals), 1)[0])
     return {"slope": slope, "target": -(l / 2 - 1) + 0.1}
@@ -311,8 +319,8 @@ def ball_integral(lat_r: float, l: Sequence[float], outside: bool = False) -> fl
         return 2 * (1 + lat_r) ** (1 - lj / 2) / (lj / 2 - 1)
 
     def radial(rho):
-        # the nodes are interior, so rho > 0 (phi_sphere's break points divide by it)
-        return rho * np.array([phi_sphere(l, r) for r in rho.ravel()]).reshape(rho.shape)
+        # the nodes are interior, so rho > 0 (phi_spheres' break points divide by it)
+        return rho * np.array(phi_spheres(l, rho.ravel())).reshape(rho.shape)
 
     val, _ = quad(radial, lat_r if outside else 0.0, math.inf if outside else lat_r,
                   epsabs=1e-10, epsrel=1.49e-8, limit=200)
@@ -346,7 +354,12 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
     th = theta(lat, l, R)
     r0, r1 = min_vector_radius(lat0), min_vector_radius(lat)
     D0, D1 = lat0.covolume, lat.covolume
-    envelope = (1 + r0) ** (d * max(l) / 2) / D0 * D1 ** ((1 - min(l) / 2) / d)
+    try:
+        envelope = (1 + r0) ** (d * max(l) / 2) / D0 * D1 ** ((1 - min(l) / 2) / d)
+    except OverflowError:
+        envelope = math.inf
+    if not 0 < envelope < math.inf:
+        raise DomainError(f"the theta envelope at l={l}, covolume {D1:.6g} is outside the float range")
     covering_rhs = ball_integral(r0, l) ** -1 * ball_integral(r1, l, outside=True)
     xs = rng.uniform(-5, 5, size=(10_000, d))
     ys = rng.uniform(-5, 5, size=(10_000, d))
@@ -363,25 +376,39 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
 
 
 def phi_sphere(l: Sequence[float], t: float) -> float:
-    """phi(t, ..., t) = integral over the sphere of f(t omega)."""
-    d = len(l)
-    if d == 1:
-        return 2 * (1 + t) ** (-l[0] / 2)
+    """phi(t, ..., t) = integral over the sphere of f(t omega).  The one-item
+    call of phi_spheres."""
+    return phi_spheres(l, [t])[0]
 
-    def ang(th):
+
+def phi_spheres(l: Sequence[float], ts: Sequence[float]) -> list[float]:
+    """phi_sphere at each t of ts, in order.  In rank two the angular
+    integrals run together on quadrature.quad_many, each over its own break
+    points; each keeps its own error check, and its value has the bits of
+    its one-item call."""
+    if len(l) == 1:
+        return [2 * (1 + t) ** (-l[0] / 2) for t in ts]
+    t_of = np.array(ts, dtype=float)
+
+    def ang(th, which):
+        t = t_of[which]
         return ((1 + t * np.abs(np.cos(th))) ** (-l[0] / 2)
                 * (1 + t * np.abs(np.sin(th))) ** (-l[1] / 2))
 
     # at large t the mass sits in O(1/t) spikes at the axes; flag them
-    brk = sorted({min(max(x, 1e-12), math.pi / 2 - 1e-12)
-                  for x in (1 / t, 10 / t, math.pi / 2 - 10 / t, math.pi / 2 - 1 / t)})
-    val, _ = quad(ang, 0, math.pi / 2, epsabs=0.0, epsrel=1e-12, limit=500, points=brk)
-    return 4 * val
+    edges = [[0.0, *sorted({min(max(x, 1e-12), math.pi / 2 - 1e-12)
+                            for x in (1 / t, 10 / t, math.pi / 2 - 10 / t, math.pi / 2 - 1 / t)}), math.pi / 2]
+             for t in ts]
+    try:
+        results = quad_many(ang, edges, epsabs=0.0, epsrel=1e-12, limit=500)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"sphere integral phi at l={list(l)}, t={ts[exc.which]}: {exc}") from exc
+    return [4 * val for val, _err in results]
 
 
 def phi_mellin_audit(l: Sequence[float], t_grid: Sequence[float]) -> dict:
     """The log-log slope of phi(t) over t_grid against -(d - 1 + l_min/2)."""
     ts = np.log(np.array(t_grid, dtype=float))
-    vs = np.log([phi_sphere(l, t) for t in t_grid])
+    vs = np.log(phi_spheres(l, t_grid))
     slope = float(np.polyfit(ts, vs, 1)[0])
     return {"slope": slope, "expected_slope": -(len(l) - 1 + min(l) / 2)}

@@ -13,9 +13,12 @@ decimal context is neither read nor written.
 
 The oracles integrate the defining integrand
 g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
-Gauss-Kronrod (quadrature.quad), with each half line folded onto (0, 1]:
-w_plus_quad with the weight log t on t > 0, j_plus_quad on t > 0, and
-j_arch_quad on the whole line for J^eps.
+Gauss-Kronrod (quadrature.quad_many), with each half line folded onto
+(0, 1]: w_plus_quad with the weight log t on t > 0, j_plus_quad on t > 0,
+and j_arch_quad on the whole line for J^eps.  w_plus_quads is the batched
+entry point: it integrates at many b in one quad_many run, whose integrand
+reads c at row `which` from the array of every b's c, and w_plus_quad is its
+one-item call.
 """
 from __future__ import annotations
 
@@ -26,11 +29,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError
-from .quadrature import quad
+from .quadrature import quad_many
 
 DELTA_CUT = 1e-9
 _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
@@ -134,6 +138,8 @@ def j_arch(k: int, b: float, eps: str = "one", use_functional_equation: bool = T
     """
     if k < 4 or k % 2:
         raise InputError(f"even k >= 4 required, got k={k}")
+    if k >= 172:
+        raise DomainError(f"k < 172 required: Gamma(k) overflows a float from k = 172, got k={k}")
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
     if eps not in ("one", "sgn"):
@@ -159,25 +165,33 @@ def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
     return (1 + abs(b)) ** (-k / 2 + 2 * epsilon)
 
 
-def _integrand(h: int, b: float):
-    """pref = i^h (1+b)^-h and g(t) = (t+i)^-h (t+ci)^-h t^(h-1), c = b/(b+1):
-    J^sgn(2h; b) = pref int_R g, J^one(2h; b) = pref int_R sgn(t) g and
-    J_+(2h; b) = pref int_0^inf g."""
-    c = b / (b + 1)
+def _integrands(h: int, bs: Sequence[float]):
+    """For each b of bs, pref = i^h (1+b)^-h and g(t) = (t+i)^-h (t+ci)^-h
+    t^(h-1), c = b/(b+1): J^sgn(2h; b) = pref int_R g, J^one(2h; b) =
+    pref int_R sgn(t) g and J_+(2h; b) = pref int_0^inf g.  Returns the
+    prefs and g(t, which), the integrand of bs[which] on each row of t."""
+    ic = 1j * np.array([b / (b + 1) for b in bs])
 
-    def g(t: np.ndarray) -> np.ndarray:
-        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1)
+    def g(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return (t + 1j) ** (-h) * (t + ic[which]) ** (-h) * t ** (h - 1)
 
-    return 1j ** h * (1 + b) ** (-h), g   # negative base, integer power: real
+    return [1j ** h * (1 + b) ** (-h) for b in bs], g   # negative base, integer power: real
 
 
-def _half_line(f, tol: float) -> complex:
-    """int_0^inf f(t) dt by quadrature.quad, with [1, inf) folded onto (0, 1]
-    by t -> 1/t."""
-    value, err = quad(lambda t: f(t) + f(1 / t) / (t * t), 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
-        raise ConvergenceError(f"half-line quadrature error estimate {err:.2e}")
-    return value
+def _half_lines(f, tol: float, names: Sequence[str]) -> list[complex]:
+    """int_0^inf f(t, which) dt for each integral which < len(names), by
+    quadrature.quad_many, with [1, inf) folded onto (0, 1] by t -> 1/t.
+    Each integral is held to its own error check, and a failure is named by
+    its names entry."""
+    try:
+        results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [(0.0, 1.0)] * len(names),
+                            epsabs=tol, epsrel=tol, limit=200)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{names[exc.which]}: {exc}") from exc
+    for name, (value, err) in zip(names, results):
+        if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
+            raise ConvergenceError(f"{name}: half-line quadrature error estimate {err:.2e}")
+    return [value for value, _err in results]
 
 
 def j_arch_quad(k: int, b: float, eps: str) -> complex:
@@ -189,9 +203,9 @@ def j_arch_quad(k: int, b: float, eps: str) -> complex:
         raise DomainError("b too close to the singular points 0, -1")
     if eps not in ("one", "sgn"):
         raise InputError(f"eps must be 'one' or 'sgn', got {eps!r}")
-    pref, g = _integrand(k // 2, b)
-    pos = _half_line(g, _J_QUAD_TOL)
-    neg = _half_line(lambda t: g(-t), _J_QUAD_TOL)
+    (pref,), g = _integrands(k // 2, [b])
+    (pos,) = _half_lines(g, _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t > 0"])
+    (neg,) = _half_lines(lambda t, which: g(-t, which), _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t < 0"])
     return pref * (pos + neg if eps == "sgn" else pos - neg)
 
 
@@ -321,19 +335,31 @@ def j_plus_quad(l: int, b: float) -> complex:
     oracle for j_plus_parts."""
     if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
         raise DomainError("b too close to the singular points 0, -1")
-    pref, g = _integrand(l // 2, b)
-    return pref * _half_line(g, _J_QUAD_TOL)
+    (pref,), g = _integrands(l // 2, [b])
+    (value,) = _half_lines(g, _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"])
+    return pref * value
 
 
 def w_plus_quad(l: int, b: float) -> complex:
     """Defining-integral oracle for W_+(b): adaptive Gauss-Kronrod of
-    pref int_0^inf g(t) log t dt."""
+    pref int_0^inf g(t) log t dt.  The one-item call of w_plus_quads."""
+    return w_plus_quads(l, [b])[0]
+
+
+def w_plus_quads(l: int, bs: Sequence[float]) -> list[complex]:
+    """w_plus_quad at each b of bs, in order.  The integrals run together on
+    quadrature.quad_many, one integrand call per refinement round for all of
+    them; each keeps its own error checks, and its value has the bits of
+    its one-item call."""
     if l < 6 or l % 2:
         raise InputError(f"even l >= 6 required for comfortable decay, got l={l}")
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-        raise DomainError("b too close to the singular points 0, -1")
-    pref, g = _integrand(l // 2, b)
-    return pref * _half_line(lambda t: g(t) * np.log(t), _W_PLUS_QUAD_TOL)
+    for b in bs:
+        if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
+            raise DomainError(f"b too close to the singular points 0, -1, got b={b}")
+    prefs, g = _integrands(l // 2, bs)
+    values = _half_lines(lambda t, which: g(t, which) * np.log(t), _W_PLUS_QUAD_TOL,
+                         [f"W_+ quadrature at l={l}, b={b}" for b in bs])
+    return [pref * value for pref, value in zip(prefs, values)]
 
 
 def w_plus(l: int, b: Fraction) -> complex:

@@ -1,10 +1,16 @@
 """Globally adaptive Gauss-Kronrod quadrature (G10/K21) on numpy arrays.
 
-The rule and its error estimate are QUADPACK's qk21.  Every panel refined in
-an iteration is evaluated by one call of the integrand on a (panels, 21)
-array.  Panel sums are an elementwise product followed by a sum along the
-node axis (no BLAS), so a result does not depend on threads or on the
-order in which callers run.
+The rule and its error estimate are QUADPACK's qk21.  One refinement loop,
+the generator _adaptive, bisects the panels of one integral; it asks for
+panels and is sent their values, so it never calls the integrand itself.
+quad drives one loop.  quad_many drives many at once: each round it stacks
+the panels every unfinished integral asked for and evaluates them in one
+integrand call, which also gets `which`, the index of the integral each row
+belongs to.  Either way every panel refined in an iteration is evaluated by
+one call of the integrand on a (panels, 21) array.  Panel sums are an
+elementwise product followed by a sum along the node axis (no BLAS), so a
+result depends neither on threads, nor on the order in which callers run,
+nor on the other integrals of its batch.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError
 
 # Kronrod abscissae on [0, 1) in decreasing order; the odd-indexed ones are
 # the 10-point Gauss abscissae.  Standard QUADPACK qk21 constants.
@@ -68,41 +74,28 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean * width, err * np.abs(width)
 
 
-def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
-         points=()) -> tuple[float | complex, float]:
-    """Integral of f over [a, b] and its error estimate.
+def _adaptive(edges: np.ndarray, epsabs: float, epsrel: float, limit: int, span: str):
+    """The refinement loop of one integral over the panels between edges.
 
-    f maps a float array to a float or complex array of the same shape.
-    b may be inf ([a, inf) is mapped onto (0, 1] by t = a + (1 - x)/x);
-    points are break points inside a finite [a, b].  The panels with the
-    largest errors are bisected until the summed estimate meets
-    max(epsabs, epsrel |value|); past `limit` panels ConvergenceError is
-    raised.  Returns Python scalars.
+    A generator: it yields the panels it needs as (lo, hi) arrays, is sent
+    their (value, error) arrays from _panels, and returns (value, error) as
+    Python scalars.  The panels with the largest errors are bisected until
+    the summed estimate meets max(epsabs, epsrel |value|); past `limit`
+    panels ConvergenceError is raised, naming span.
     """
-    span = f"[{a}, {b}]"
-    if b == math.inf:
-        if points:
-            raise InputError(f"break points need a finite interval, got {span} and {points}")
-        g, t0 = f, a
-
-        def f(x):
-            return g(t0 + (1 - x) / x) / (x * x)
-
-        a, b = 0.0, 1.0
-    edges = np.array([a, *sorted(p for p in points if a < p < b), b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, err = _panels(f, lo, hi)
+    val, err = yield lo, hi
     panels = len(lo)
     while True:
         # a bisected panel stays in the arrays with value and error 0
         value, error = val.sum(), float(err.sum())
         if not (math.isfinite(error) and math.isfinite(abs(value))):
-            raise ConvergenceError(f"quad on {span}: the integrand is not finite")
+            raise ConvergenceError(f"{span}: the integrand is not finite")
         target = max(epsabs, epsrel * abs(value))
         if error <= target:
             return value.item(), error
         if panels >= limit:
-            raise ConvergenceError(f"quad on {span}: error estimate {error:.2e} above tolerance "
+            raise ConvergenceError(f"{span}: error estimate {error:.2e} above tolerance "
                                    f"{target:.2e} with {limit} panels")
         # every panel above the mean share of the tolerance, the largest first
         refine = np.flatnonzero(err > target / panels)
@@ -111,9 +104,77 @@ def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
         left, right = lo[refine], hi[refine]
         mid = 0.5 * (left + right)
         new_lo, new_hi = np.concatenate([left, mid]), np.concatenate([mid, right])
-        new_val, new_err = _panels(f, new_lo, new_hi)
+        new_val, new_err = yield new_lo, new_hi
         val[refine] = 0.0
         err[refine] = 0.0
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
         panels += len(refine)
+
+
+def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int) -> tuple[float | complex, float]:
+    """Integral of f over [a, b] and its error estimate, by one _adaptive
+    loop.
+
+    f maps a float array to a float or complex array of the same shape.
+    b may be inf ([a, inf) is mapped onto (0, 1] by t = a + (1 - x)/x).
+    Returns Python scalars.  Break points are quad_many's edges.
+    """
+    span = f"[{a}, {b}]"
+    if b == math.inf:
+        g, t0 = f, a
+
+        def f(x):
+            return g(t0 + (1 - x) / x) / (x * x)
+
+        a, b = 0.0, 1.0
+    loop = _adaptive(np.array([a, b], dtype=float), epsabs, epsrel, limit, f"quad on {span}")
+    request = next(loop)
+    while True:
+        try:
+            request = loop.send(_panels(f, *request))
+        except StopIteration as done:
+            return done.value
+
+
+def quad_many(f, edges_list, *, epsabs: float, epsrel: float,
+              limit: int) -> list[tuple[float | complex, float]]:
+    """(value, error) of integral #i over edges_list[i] for each i: one
+    _adaptive loop per integral, all driven together.
+
+    Each edges_list[i] is a finite increasing sequence: the end points of
+    integral #i and its break points.  Each round, the panels that every
+    unfinished integral asks for are stacked and evaluated by one _panels
+    call: f(x, which) gets the (rows, 21) array of nodes x and `which`, the
+    (rows, 1) column of the integral each row belongs to, and must evaluate
+    row r as the integrand of integral #which[r] alone.  A row's value then
+    does not depend on the rows beside it, so each result has the bits that
+    one loop driven alone gives it.  A ConvergenceError names the failing
+    integral's index and interval, and carries the index as its `which`
+    attribute.
+    """
+    loops = {i: _adaptive(np.array(edges, dtype=float), epsabs, epsrel, limit,
+                          f"quad_many integral #{i} on [{edges[0]}, {edges[-1]}]")
+             for i, edges in enumerate(edges_list)}
+    requests = {i: next(loop) for i, loop in loops.items()}
+    results = [None] * len(loops)
+    while requests:
+        order = list(requests)
+        sizes = [len(requests[i][0]) for i in order]
+        which = np.array(order).repeat(sizes)[:, None]
+        val, err = _panels(lambda x: f(x, which),
+                           np.concatenate([requests[i][0] for i in order]),
+                           np.concatenate([requests[i][1] for i in order]))
+        start = 0
+        for i, size in zip(order, sizes):
+            part = slice(start, start + size)
+            start += size
+            try:
+                requests[i] = loops[i].send((val[part], err[part]))
+            except StopIteration as done:
+                results[i] = done.value
+                del requests[i]
+            except ConvergenceError as exc:
+                exc.which = i
+                raise
+    return results

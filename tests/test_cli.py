@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -284,6 +285,14 @@ def test_verify_command(capsys):
     ["main-terms", "--config", "LP_OVER_L_INF", "--n", "p"],
     ["moments", "--q", "3", "--eta", "1", "--n", "0..65"],
     ["moments", "--q", "3", "--eta", "1", "--n", "60..100000"],
+    ["arch", "--l", "28", "--b=-5/4"],
+    ["arch", "--l", "172", "--b", "2"],
+    ["arch", "--l", "2000", "--b=-1/2"],
+    ["lattice", "--field", "Q", "--ideal", "3", "--R", "20", "--l", "nan"],
+    ["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "inf,6"],
+    ["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "1e300,6"],
+    ["lattice", "--field", "Q", "--R", "20", "--l", "1e300"],
+    ["lattice", "--field", "Q(sqrt2)", "--R", "20", "--l", "6,1328"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -324,3 +333,27 @@ def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("InputError: ")
+
+
+@pytest.mark.parametrize("argv", [["arch", "--l", "28", "--b=-5/4"],
+                                  ["lattice", "--field", "Q(sqrt2)", "--R", "20", "--l", "inf,6"]])
+def test_size_refusals_name_l(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("InputError: --l ")
+
+
+@pytest.mark.parametrize("argv, line", [
+    # the outer radial integral reaches t where the sphere integral cannot
+    # meet its relative tolerance
+    (["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "4.01,4.01"],
+     r"ConvergenceError: sphere integral phi at l=\[4\.01, 4\.01\], t=\d+\.\d+: "
+     r"quad_many integral #\d+ on \[0\.0, 1\.5707963267948966\]: error estimate .* with 500 panels"),
+    # the envelope's covolume factor 1000^149 passes the float range
+    (["lattice", "--field", "Q", "--ideal", "1/1000", "--R", "20", "--l", "300"],
+     r"DomainError: the theta envelope at l=\[300\.0\], covolume 0\.001 is outside the float range"),
+])
+def test_numeric_failure_names_its_input(argv, line, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.fullmatch(line, captured.err.rstrip("\n"))

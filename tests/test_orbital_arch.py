@@ -84,6 +84,13 @@ def test_2f1_domain_guard():
         oa.gauss_2f1(6, 1.5)
 
 
+def test_j_arch_refuses_k_past_the_gamma_range():
+    assert oa.j_arch(170, 2.0, "one") != 0          # Gamma(170) is finite
+    for k in (172, 400):
+        with pytest.raises(DomainError, match=f"k={k}"):
+            oa.j_arch(k, 2.0, "one")
+
+
 def test_j_arch_examples():
     assert oa.j_arch(6, 2.0, "sgn") == 0.0
     assert oa.j_arch(4, -0.5, "sgn") == 0.0   # 2 pi i P_1(0)
@@ -153,8 +160,9 @@ def test_w_plus_is_quadrature_free(monkeypatch):
         raise AssertionError("quadrature called")
 
     monkeypatch.setattr(oa, "j_plus_quad", refuse)
-    monkeypatch.setattr(oa, "quad", refuse)
+    monkeypatch.setattr(oa, "quad_many", refuse)
     monkeypatch.setattr(quadrature, "quad", refuse)
+    monkeypatch.setattr(quadrature, "quad_many", refuse)
     for (l, b), w in want.items():
         assert _bits(oa.w_plus(l, b)) == _bits(w)
 

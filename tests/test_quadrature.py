@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rtfverify import lattice as lt, orbital_arch as oa
-from rtfverify.errors import ConvergenceError, InputError
-from rtfverify.quadrature import GAUSS, KRONROD, NODES, quad
+from rtfverify.errors import ConvergenceError
+from rtfverify.quadrature import GAUSS, KRONROD, NODES, quad, quad_many
 
 
 def test_gauss_nodes_and_weights_are_legendre():
@@ -43,15 +43,11 @@ def test_endpoint_singularity(lam):
 
 
 def test_break_points_and_complex_integrand():
-    val, err = quad(lambda x: np.exp(1j * x), 0.0, 3.0, epsabs=1e-13, epsrel=0.0, limit=50,
-                    points=(1.0, 2.0, 7.0))
+    # break points are the inner edges of a quad_many integral
+    ((val, err),) = quad_many(lambda x, which: np.exp(1j * x), [(0.0, 1.0, 2.0, 3.0)],
+                              epsabs=1e-13, epsrel=0.0, limit=50)
     assert type(val) is complex
     assert abs(val - (np.exp(3j) - 1) / 1j) <= 1e-13
-
-
-def test_break_points_need_a_finite_interval():
-    with pytest.raises(InputError):
-        quad(lambda x: 1 / (1 + x * x), 0.0, math.inf, epsabs=1e-12, epsrel=0.0, limit=50, points=(1.0,))
 
 
 def test_limit_raises_convergence_error_naming_the_interval():
@@ -64,14 +60,88 @@ def test_non_finite_integrand_raises():
         quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=50)
 
 
+def test_quad_many_names_the_failing_integral():
+    # integral #2 alone has an endpoint singularity that 12 panels cannot meet
+    def f(x, which):
+        return np.where(which == 2, x ** -0.9, x)
+
+    with pytest.raises(ConvergenceError, match=r"quad_many integral #2 on \[0.0, 1.0\].*with 12 panels") as info:
+        quad_many(f, [(0.0, 1.0)] * 4, epsabs=1e-12, epsrel=0.0, limit=12)
+    assert info.value.which == 2
+
+
+def _quad_bits(results) -> list:
+    return [(_bits(value), error.hex()) for value, error in results]
+
+
+def test_quad_many_bit_identical_to_quad():
+    # complex and real integrands, of different lengths and panel counts, in
+    # one batch; each as quad gives it alone
+    freqs = [1.0, 3.0, 0.25, 7.0, 40.0]
+    spans = [(0.0, 3.0), (-1.0, 4.0), (0.0, 2.0), (0.5, 0.75), (0.0, 1.0)]
+    w = np.array(freqs)
+    for f in (lambda x, k: np.exp(1j * k * x), lambda x, k: np.sqrt(x + k)):
+        got = quad_many(lambda x, which: f(x, w[which]), spans, epsabs=1e-12, epsrel=0.0, limit=100)
+        want = [quad(lambda x: f(x, k), a, b, epsabs=1e-12, epsrel=0.0, limit=100)
+                for k, (a, b) in zip(freqs, spans)]
+        assert _quad_bits(got) == _quad_bits(want)
+        assert [type(v) for v, _e in got] == [type(v) for v, _e in want]
+
+
+def test_quad_many_with_break_points_bit_identical_to_one_item_calls():
+    freqs = [1.0, 3.0, 0.25, 7.0]
+    edges = [(0.0, 1.0, 2.0, 3.0), (0.0, 3.0), (-1.0, 0.5, 4.0), (0.0, 0.1, 0.2, 2.0)]
+    w = np.array(freqs)
+    got = quad_many(lambda x, which: np.exp(1j * w[which] * x), edges, epsabs=1e-13, epsrel=0.0, limit=50)
+    want = [quad_many(lambda x, which, k=k: np.exp(1j * k * x), [e], epsabs=1e-13, epsrel=0.0, limit=50)[0]
+            for k, e in zip(freqs, edges)]
+    assert _quad_bits(got) == _quad_bits(want)
+
+
+def _w_plus_quad_by_quad(l: int, b: float) -> complex:
+    """W_+(b) as one quad on the scalar integrand: the unbatched reference."""
+    h, c = l // 2, b / (b + 1)
+
+    def f(t):
+        return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * np.log(t)
+
+    value, _err = quad(lambda t: f(t) + f(1 / t) / (t * t), 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
+    return 1j ** h * (1 + b) ** (-h) * value
+
+
+@pytest.mark.parametrize("N", [10, 100, 1000, 10000])
+def test_w_plus_quads_bit_identical_to_w_plus_quad(N):
+    # the grid of lattice.w_hyp_arch_audit at this N
+    bs = [float(N * k * s) for k in range(1, 41) for s in (1, -1)]
+    batched = [_bits(w) for w in oa.w_plus_quads(6, bs)]
+    assert batched == [_bits(oa.w_plus_quad(6, b)) for b in bs]
+    assert batched == [_bits(_w_plus_quad_by_quad(6, b)) for b in bs]
+
+
+@pytest.mark.parametrize("l", [[6.0, 6.0], [6.0, 10.0], [4.5, 8.0]])
+def test_phi_spheres_bit_identical_to_phi_sphere(l):
+    ts = [0.01, 0.5, 1.0, 3.0, 31.6, 100.0, 1000.0, 1e5]
+    assert [_bits(v) for v in lt.phi_spheres(l, ts)] == [_bits(lt.phi_sphere(l, t)) for t in ts]
+
+
+def test_batched_oracles_name_the_failing_input(monkeypatch):
+    monkeypatch.setattr(oa, "_W_PLUS_QUAD_TOL", 0.0)     # no integral can meet it
+    with pytest.raises(ConvergenceError, match=r"W_\+ quadrature at l=6, b=2.0: quad_many integral #0 on \[0.0, 1.0\]"):
+        oa.w_plus_quads(6, [2.0, 5.0])
+
+
 def _bits(x) -> tuple[str, ...]:
+    if isinstance(x, list):
+        return tuple(_bits(v) for v in x)
     z = complex(x)
     return z.real.hex(), z.imag.hex()
 
 
 def test_oracles_on_threads_bit_identical_to_serial():
     calls = ([(oa.w_plus_quad, (l, b)) for l in (6, 10) for b in (1 / 3, -0.5, -3.0, 119.0)]
+             + [(oa.w_plus_quads, (l, [1 / 3, -0.5, -3.0, 119.0])) for l in (6, 10)]
              + [(lt.phi_sphere, ([6.0, 6.0], t)) for t in (0.5, 31.6, 1000.0)]
+             + [(lt.phi_spheres, ([6.0, 6.0], [0.5, 31.6, 1000.0]))]
              + [(lt.ball_integral, (r, (6, 10), outside)) for r in (0.3, 3.0) for outside in (False, True)])
     serial = [_bits(fn(*args)) for fn, args in calls]
     work = list(range(len(calls))) * 4
