@@ -20,7 +20,7 @@ from .ideals import json_value, load_config, parse_ideal, residue_cardinality
 # rtf moments: the largest n.  The contour oracle's cost grows as n^2, and no
 # n above 61 passes its refinement check (61 at q = 2, 42 at q = 3, 19 at 13).
 MOMENTS_MAX_N = 64
-# rtf arch: the largest l.  Up to l = 26 the oracle w_plus_quad agrees with
+# rtf arch: the largest l.  Up to l = 26 the oracle w_plus_quads agrees with
 # w_plus to 8e-10 relative over 65 values of b; from l = 28 it misses at
 # b = -5/4 by 66% and more, as its absolute tolerance applies before the
 # prefactor (1+b)^(-l/2).
@@ -101,11 +101,11 @@ def cmd_ntransform(args) -> int:
 def cmd_local_weights(args) -> int:
     def read_rep(text: str) -> tuple[dict, dict]:
         obj = _json_object(text, "c")
-        kwargs = {"q": args.q, "c": int(obj["c"])}
+        kwargs = {"q": args.q, "c": json_value(obj["c"], (int,), "key 'c'")}
         if "Q" in obj:
-            kwargs["Q"] = Fraction(obj["Q"])
+            kwargs["Q"] = Fraction(json_value(obj["Q"], (str, int), "key 'Q'"))
         if "chi" in obj:
-            kwargs["chi"] = int(obj["chi"])
+            kwargs["chi"] = json_value(obj["chi"], (int,), "key 'chi'")
         return obj, kwargs
 
     rep_obj, kwargs = _parsed("--rep", args.rep, read_rep)
@@ -173,7 +173,7 @@ def cmd_arch(args) -> int:
     j_one = orbital_arch.j_arch(args.l, bf, "one")
     j_sgn = orbital_arch.j_arch(args.l, bf, "sgn")
     wp = orbital_arch.w_plus(args.l, b)
-    wq = orbital_arch.w_plus_quad(args.l, bf)
+    (wq,) = orbital_arch.w_plus_quads(args.l, [bf])
     eps_m1 = -1 if args.eps == "sgn" else 1
     json.dump({
         "l": args.l, "b": bf,

@@ -37,6 +37,8 @@ class SignClassError(RTFError):
 class ConvergenceError(RTFError):
     """A numeric oracle failed its self-consistency refinement check."""
 
+    which: int | None = None    # the quad_many integral whose own refinement failed
+
 
 class UnsupportedField(RTFError):
     """Only the rational field and real quadratic fields are supported."""

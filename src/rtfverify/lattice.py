@@ -5,11 +5,11 @@ Enumeration is exact over integer coefficient boxes; truncation tails carry a
 rigorous ball-packing bound (every lattice point owns a disjoint ball of
 radius r(Lambda)) plus, in rank one, a sharper integral estimate.
 
-The audits integrate in batches on quadrature.quad_many: phi_spheres
-evaluates the sphere integral phi(t) at many t at once (the radial nodes of
-one ball_integral round, or phi_mellin_audit's grid), and w_hyp_arch_audit
+Every quadrature runs on quadrature.quad_many: sphere_I_quad (the oracle
+of sphere_I) and ball_integral as one integral each, phi_spheres evaluates
+the sphere integral phi(t) at many t at once (the radial nodes of one
+ball_integral round, or phi_mellin_audit's grid), and w_hyp_arch_audit
 passes the W_+ quadratures of each N to orbital_arch.w_plus_quads.
-phi_sphere is phi_spheres' one-item call.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InputError, UnsupportedField
 from .orbital_arch import j_arch, w_plus_quads
 from .orbital_local import tau_S_rational
-from .quadrature import quad, quad_many
+from .quadrature import quad_many
 
 
 @dataclass(frozen=True)
@@ -217,36 +217,40 @@ def _tail_estimate(lat: EmbeddedLattice, l: Sequence[float], R: float, fallback:
 # the sphere integral
 
 
-def sphere_I(lam: Sequence[float], mode: str = "closed") -> float:
-    """I(lambda) = integral over S^(d-1) of prod |omega_j|^(-lambda_j).
-
-    closed: 2 Gamma(sum (1-lambda_j)/2)^(-1) prod Gamma((1-lambda_j)/2);
-    quad: angular quadrature (d = 2).
-    """
-    lam = list(lam)
+def _check_lambda(lam: Sequence[float]) -> None:
     if any(x >= 1 for x in lam):
-        raise DomainError("lambda_j < 1 required")
-    if mode == "closed":
-        s = sum((1 - x) / 2 for x in lam)
-        out = 2 / math.gamma(s)
-        for x in lam:
-            out *= math.gamma((1 - x) / 2)
-        return out
-    if mode == "quad":
-        if len(lam) != 2:
-            raise DomainError("angular quadrature implemented for d = 2")
-        # [pi/4, pi/2] folded onto [0, pi/4] by t -> pi/2 - t, so both
-        # integrable singularities sit at 0; t = (pi/4) u^4 then turns
-        # t^(-lambda_j) dt into u^(3 - 4 lambda_j) du, bounded for lambda_j <= 3/4
-        def f(u):
-            t = math.pi / 4 * u ** 4
-            c, s = np.cos(t), np.sin(t)
-            return (c ** (-lam[0]) * s ** (-lam[1]) + s ** (-lam[0]) * c ** (-lam[1])) * math.pi * u ** 3
-        val, err = quad(f, 0, 1, epsabs=1e-12, epsrel=1e-12, limit=400)
-        if err > 1e-7:
-            raise ConvergenceError(f"sphere quadrature error {err:.2e}")
-        return 4 * val
-    raise InputError(f"unknown sphere_I mode {mode!r}: closed | quad")
+        raise DomainError(f"lambda_j < 1 required, got lambda={list(lam)}")
+
+
+def sphere_I(lam: Sequence[float]) -> float:
+    """I(lambda) = integral over S^(d-1) of prod |omega_j|^(-lambda_j)
+    = 2 Gamma(sum (1-lambda_j)/2)^(-1) prod Gamma((1-lambda_j)/2)."""
+    _check_lambda(lam)
+    s = sum((1 - x) / 2 for x in lam)
+    out = 2 / math.gamma(s)
+    for x in lam:
+        out *= math.gamma((1 - x) / 2)
+    return out
+
+
+def sphere_I_quad(lam: Sequence[float]) -> float:
+    """The oracle for sphere_I: its defining integral over the circle by
+    angular quadrature (d = 2)."""
+    _check_lambda(lam)
+    if len(lam) != 2:
+        raise DomainError(f"angular quadrature implemented for d = 2, got lambda={list(lam)}")
+    # [pi/4, pi/2] folded onto [0, pi/4] by t -> pi/2 - t, so both
+    # integrable singularities sit at 0; t = (pi/4) u^4 then turns
+    # t^(-lambda_j) dt into u^(3 - 4 lambda_j) du, bounded for lambda_j <= 3/4
+    def f(u, which):
+        t = math.pi / 4 * u ** 4
+        c, s = np.cos(t), np.sin(t)
+        return (c ** (-lam[0]) * s ** (-lam[1]) + s ** (-lam[0]) * c ** (-lam[1])) * math.pi * u ** 3
+
+    ((val, err),) = quad_many(f, [(0.0, 1.0)], epsabs=1e-12, epsrel=1e-12, limit=400)
+    if err > 1e-7:
+        raise ConvergenceError(f"sphere quadrature error {err:.2e} at lambda={list(lam)}")
+    return 4 * val
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +281,7 @@ def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -
     return total
 
 
-def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
-                     K: int = 40) -> dict:
+def w_hyp_arch_audit(l: int, ns: Sequence[int], K: int) -> dict:
     """Empirical decay audit of the log-weighted hyperbolic sum over Q:
     the tau-weighted sum of |W^eps(b)| = |2 Re W_+(b)| (eps(-1) = 1) over
     b in N Z decays at least like N^(-l/2+1) (up to epsilon), mirroring the
@@ -310,20 +313,28 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int] = (10, 100, 1000, 10000),
 
 def ball_integral(lat_r: float, l: Sequence[float], outside: bool = False) -> float:
     """integral of f over the ball ||x|| <= r (or its complement), d <= 2."""
-    d = len(l)
-    if d == 1:
+    if len(l) == 1:
         lj = l[0]
         inner = 2 * (1 - (1 + lat_r) ** (1 - lj / 2)) / (lj / 2 - 1)
         if not outside:
             return inner
         return 2 * (1 + lat_r) ** (1 - lj / 2) / (lj / 2 - 1)
 
-    def radial(rho):
+    def radial(rho, which):
         # the nodes are interior, so rho > 0 (phi_spheres' break points divide by it)
         return rho * np.array(phi_spheres(l, rho.ravel())).reshape(rho.shape)
 
-    val, _ = quad(radial, lat_r if outside else 0.0, math.inf if outside else lat_r,
-                  epsabs=1e-10, epsrel=1.49e-8, limit=200)
+    def folded(x, which):    # [r, inf) onto (0, 1]
+        return radial(lat_r + (1 - x) / x, which) / (x * x)
+
+    try:
+        ((val, _err),) = quad_many(folded if outside else radial, [(0.0, 1.0 if outside else lat_r)],
+                                   epsabs=1e-10, epsrel=1.49e-8, limit=200)
+    except ConvergenceError as exc:
+        if exc.which is None:       # phi_spheres' own failure, which names l and t
+            raise
+        raise ConvergenceError(f"ball integral of f at l={list(l)}, r={lat_r}, "
+                               f"{'outside' if outside else 'inside'}: {exc}") from exc
     return val
 
 
@@ -375,17 +386,10 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
     }
 
 
-def phi_sphere(l: Sequence[float], t: float) -> float:
-    """phi(t, ..., t) = integral over the sphere of f(t omega).  The one-item
-    call of phi_spheres."""
-    return phi_spheres(l, [t])[0]
-
-
 def phi_spheres(l: Sequence[float], ts: Sequence[float]) -> list[float]:
-    """phi_sphere at each t of ts, in order.  In rank two the angular
-    integrals run together on quadrature.quad_many, each over its own break
-    points; each keeps its own error check, and its value has the bits of
-    its one-item call."""
+    """phi(t, ..., t) = integral over the sphere of f(t omega) at each t of
+    ts.  In rank two the angular integrals run together on quad_many, each
+    over its own break points and with its own error check."""
     if len(l) == 1:
         return [2 * (1 + t) ** (-l[0] / 2) for t in ts]
     t_of = np.array(ts, dtype=float)

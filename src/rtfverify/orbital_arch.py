@@ -14,11 +14,9 @@ decimal context is neither read nor written.
 The oracles integrate the defining integrand
 g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
 Gauss-Kronrod (quadrature.quad_many), with each half line folded onto
-(0, 1]: w_plus_quad with the weight log t on t > 0, j_plus_quad on t > 0,
-and j_arch_quad on the whole line for J^eps.  w_plus_quads is the batched
-entry point: it integrates at many b in one quad_many run, whose integrand
-reads c at row `which` from the array of every b's c, and w_plus_quad is its
-one-item call.
+(0, 1]: j_arch_quad on the whole line for J^eps, j_plus_quad on t > 0, and
+w_plus_quads with the weight log t on t > 0, for a list of b in one
+quad_many run whose integrand reads c at row `which` from every b's c.
 """
 from __future__ import annotations
 
@@ -41,13 +39,28 @@ _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
 _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
-_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quad: absolute and relative tolerance
+_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
 _J_QUAD_TOL = 1e-13       # j_plus_quad, j_arch_quad: absolute and relative tolerance
+
+
+def _check_weight(name: str, value: int, least: int = 4) -> None:
+    if value < least or value % 2:
+        raise InputError(f"even {name} >= {least} required, got {name}={value}")
+
+
+def _check_b(b) -> None:
+    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
+        raise DomainError(f"b too close to the singular points 0, -1, got b={b}")
+
+
+def _check_eps(eps: str) -> None:
+    if eps not in ("one", "sgn"):
+        raise InputError(f"eps must be 'one' or 'sgn', got eps={eps!r}")
 
 
 def legendre(n: int, x: float) -> float:
     """Legendre polynomial by the standard three-term recurrence."""
-    if n < 0:
+    if n < 0:    # an internal invariant: j_arch passes k/2 - 1 and k/2 - 2m, m <= k/4
         raise ValueError("n >= 0 required")
     p0, p1 = 1.0, x
     if n == 0:
@@ -65,8 +78,7 @@ def gauss_2f1(k: int, x: float) -> float:
     The 0.7 split keeps both expansions out of their slow, cancellation-prone
     overlap zone.
     """
-    if k < 4 or k % 2:
-        raise InputError(f"even k >= 4 required, got k={k}")
+    _check_weight("k", k)
     if x >= 1 or abs(1 - x) < DELTA_CUT:
         raise DomainError("argument too close to the logarithmic point 1")
     if abs(x) <= 0.7:
@@ -136,14 +148,11 @@ def j_arch(k: int, b: float, eps: str = "one", use_functional_equation: bool = T
     For b(b+1) > 0 with b < -1 the trivial-character value is routed through
     the parity functional equation J(b) = (-1)^(k/2) J(-b-1) by default.
     """
-    if k < 4 or k % 2:
-        raise InputError(f"even k >= 4 required, got k={k}")
+    _check_weight("k", k)
     if k >= 172:
         raise DomainError(f"k < 172 required: Gamma(k) overflows a float from k = 172, got k={k}")
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-        raise DomainError("b too close to the singular points 0, -1")
-    if eps not in ("one", "sgn"):
-        raise ValueError("eps must be 'one' or 'sgn'")
+    _check_b(b)
+    _check_eps(eps)
     prod = b * (b + 1)
     if eps == "sgn":
         if prod > 0:
@@ -181,28 +190,22 @@ def _integrands(h: int, bs: Sequence[float]):
 def _half_lines(f, tol: float, names: Sequence[str]) -> list[complex]:
     """int_0^inf f(t, which) dt for each integral which < len(names), by
     quadrature.quad_many, with [1, inf) folded onto (0, 1] by t -> 1/t.
-    Each integral is held to its own error check, and a failure is named by
-    its names entry."""
+    Each integral is held to its own error estimate, err <= tol max(1,
+    |value|), and a failure is named by its names entry."""
     try:
         results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [(0.0, 1.0)] * len(names),
                             epsabs=tol, epsrel=tol, limit=200)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{names[exc.which]}: {exc}") from exc
-    for name, (value, err) in zip(names, results):
-        if err > max(tol * 100, 1e-9) * max(1.0, abs(value)):
-            raise ConvergenceError(f"{name}: half-line quadrature error estimate {err:.2e}")
     return [value for value, _err in results]
 
 
 def j_arch_quad(k: int, b: float, eps: str) -> complex:
     """Defining-integral oracle for j_arch: the t > 0 half of pref int g plus
     (eps = "sgn") or minus (eps = "one") its t < 0 half."""
-    if k < 4 or k % 2:
-        raise InputError(f"even k >= 4 required, got k={k}")
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-        raise DomainError("b too close to the singular points 0, -1")
-    if eps not in ("one", "sgn"):
-        raise InputError(f"eps must be 'one' or 'sgn', got {eps!r}")
+    _check_weight("k", k)
+    _check_b(b)
+    _check_eps(eps)
     (pref,), g = _integrands(k // 2, [b])
     (pos,) = _half_lines(g, _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t > 0"])
     (neg,) = _half_lines(lambda t, which: g(-t, which), _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t < 0"])
@@ -267,8 +270,7 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     precision for |b| >> 1 (binomial terms up to b^(l/2-1) cancel almost
     completely); assembling the rational coefficients first avoids that.
     """
-    if l < 4 or l % 2:
-        raise InputError(f"even l >= 4 required, got l={l}")
+    _check_weight("l", l)
     h = l // 2
     th_is_half = b * (b + 1) < 0          # theta(b) = pi/2 else 3 pi/2
     th_over_pi = Fraction(1, 2) if th_is_half else Fraction(3, 2)
@@ -319,10 +321,8 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
     order-1 pair integrates to alpha_1 (log(ci) - log(i)) = alpha_1 (L - i pi
     [c < 0]), and the prefactor turns alpha_1 into -P_1(b).
     """
-    if l < 4 or l % 2:
-        raise InputError(f"even l >= 4 required, got l={l}")
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-        raise DomainError("b too close to the singular points 0, -1")
+    _check_weight("l", l)
+    _check_b(b)
     h = l // 2
     sgn = (-1) ** h
     const = sum(Fraction((-1) ** (k - 1), k - 1) * (_laurent_sum(h, k, b) + sgn * _laurent_sum(h, k, -1 - b))
@@ -333,29 +333,21 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
 def j_plus_quad(l: int, b: float) -> complex:
     """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral: the
     oracle for j_plus_parts."""
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-        raise DomainError("b too close to the singular points 0, -1")
+    _check_b(b)
     (pref,), g = _integrands(l // 2, [b])
     (value,) = _half_lines(g, _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"])
     return pref * value
 
 
-def w_plus_quad(l: int, b: float) -> complex:
-    """Defining-integral oracle for W_+(b): adaptive Gauss-Kronrod of
-    pref int_0^inf g(t) log t dt.  The one-item call of w_plus_quads."""
-    return w_plus_quads(l, [b])[0]
-
-
 def w_plus_quads(l: int, bs: Sequence[float]) -> list[complex]:
-    """w_plus_quad at each b of bs, in order.  The integrals run together on
-    quadrature.quad_many, one integrand call per refinement round for all of
-    them; each keeps its own error checks, and its value has the bits of
-    its one-item call."""
-    if l < 6 or l % 2:
-        raise InputError(f"even l >= 6 required for comfortable decay, got l={l}")
+    """Defining-integral oracle for W_+(b) at each b of bs, in order:
+    adaptive Gauss-Kronrod of pref int_0^inf g(t) log t dt.  The integrals
+    run together on quadrature.quad_many, one integrand call per refinement
+    round for all of them; each keeps its own error check, and its value
+    has the bits of a one-item call."""
+    _check_weight("l", l, least=6)     # for comfortable decay
     for b in bs:
-        if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
-            raise DomainError(f"b too close to the singular points 0, -1, got b={b}")
+        _check_b(b)
     prefs, g = _integrands(l // 2, bs)
     values = _half_lines(lambda t, which: g(t, which) * np.log(t), _W_PLUS_QUAD_TOL,
                          [f"W_+ quadrature at l={l}, b={b}" for b in bs])

@@ -3,14 +3,13 @@
 The rule and its error estimate are QUADPACK's qk21.  One refinement loop,
 the generator _adaptive, bisects the panels of one integral; it asks for
 panels and is sent their values, so it never calls the integrand itself.
-quad drives one loop.  quad_many drives many at once: each round it stacks
-the panels every unfinished integral asked for and evaluates them in one
-integrand call, which also gets `which`, the index of the integral each row
-belongs to.  Either way every panel refined in an iteration is evaluated by
-one call of the integrand on a (panels, 21) array.  Panel sums are an
-elementwise product followed by a sum along the node axis (no BLAS), so a
-result depends neither on threads, nor on the order in which callers run,
-nor on the other integrals of its batch.
+quad_many, the one driver, runs the loops of one or many finite integrals
+together: each round it stacks the panels every unfinished integral asked
+for and evaluates them in one integrand call on a (panels, 21) array, which
+also gets `which`, the index of the integral each row belongs to.  Panel
+sums are an elementwise product followed by a sum along the node axis (no
+BLAS), so a result depends neither on threads, nor on the order in which
+callers run, nor on the other integrals of its batch.
 """
 from __future__ import annotations
 
@@ -110,31 +109,6 @@ def _adaptive(edges: np.ndarray, epsabs: float, epsrel: float, limit: int, span:
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
         panels += len(refine)
-
-
-def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int) -> tuple[float | complex, float]:
-    """Integral of f over [a, b] and its error estimate, by one _adaptive
-    loop.
-
-    f maps a float array to a float or complex array of the same shape.
-    b may be inf ([a, inf) is mapped onto (0, 1] by t = a + (1 - x)/x).
-    Returns Python scalars.  Break points are quad_many's edges.
-    """
-    span = f"[{a}, {b}]"
-    if b == math.inf:
-        g, t0 = f, a
-
-        def f(x):
-            return g(t0 + (1 - x) / x) / (x * x)
-
-        a, b = 0.0, 1.0
-    loop = _adaptive(np.array([a, b], dtype=float), epsabs, epsrel, limit, f"quad on {span}")
-    request = next(loop)
-    while True:
-        try:
-            request = loop.send(_panels(f, *request))
-        except StopIteration as done:
-            return done.value
 
 
 def quad_many(f, edges_list, *, epsabs: float, epsrel: float,

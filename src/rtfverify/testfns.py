@@ -3,11 +3,11 @@
 All displayed closed forms here are backed by a numeric contour oracle: the
 integrands are periodic in Im(s) with period 4*pi/log q, so the vertical-line
 integrals are evaluated over one full period (where the trapezoid rule
-converges geometrically).  The batched oracles (period_integrals,
-st_moments) build each grid once and share it across test functions.  The
-period-contour test functions alpha are functions of z = q^(s/2), which
-period_integrals computes once per grid; one of its passes serves every
-kernel it is given.
+converges geometrically).  Each oracle takes lists, one item or many:
+period_integrals (kernels x test functions) and st_moments (exponents n)
+build each grid once and share it across them.  The period-contour test
+functions alpha are functions of z = q^(s/2), which period_integrals
+computes once per grid; one of its passes serves every kernel it is given.
 Per-place moment values carrying the irrational factor q^(-n/2) are also
 exposed in a scaled, exactly-rational form for the main-term assembly.
 """
@@ -148,29 +148,17 @@ PERIOD_STEPS = 4096
 ST_STEPS = 20001
 
 
-def period_integral(kernel: Callable[[int, int, np.ndarray], np.ndarray], q: int, eta_val: int,
-                    alpha: Callable[[complex], complex], sigma: float = 0.7) -> complex:
-    """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period,
-    with alpha a function of z = q^(s/2).
-
-    dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds; the result is compared
-    across a doubled refinement (PERIOD_STEPS, then twice that) and must agree
-    to 1e-9.
-    """
-    return period_integrals([kernel], q, eta_val, [alpha], sigma)[0][0]
-
-
 def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarray]], q: int, eta_val: int,
                      alphas: Sequence[Callable[[complex], complex]],
                      sigma: float = 0.7) -> list[list[complex]]:
-    """period_integral for each kernel and each alpha: one list per kernel,
-    in the order of alphas.
+    """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period,
+    dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds, for each kernel and
+    each alpha (a function of z = q^(s/2)): one list per kernel.
 
-    Each refinement pass builds the grid, the measure, z = q^(s/2) and every
-    kernel's values once; each alpha, a function of z, is then evaluated once
-    and serves every kernel.  Each value is bit-identical to its one-item
-    call, and each (kernel, alpha) pair is held to its own 1e-9 refinement
-    check.
+    Each refinement pass (PERIOD_STEPS, then twice that) builds the grid,
+    the measure, z and every kernel's values once, and each alpha once.
+    Each value is bit-identical to a one-item call, and must agree across
+    the two passes to 1e-9.
     """
     _check_q(q)
     if sigma <= 0:

@@ -265,8 +265,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for q, eta_val, n in ((2, -1, 3), (3, 1, 4), (5, -1, 2)):
-        a = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(n), sigma=0.3)
-        b = testfns.period_integral(testfns.upsilon_kernel, q, eta_val, testfns.alpha_pn_at(n), sigma=1.7)
+        ((a,),) = testfns.period_integrals([testfns.upsilon_kernel], q, eta_val, [testfns.alpha_pn_at(n)], sigma=0.3)
+        ((b,),) = testfns.period_integrals([testfns.upsilon_kernel], q, eta_val, [testfns.alpha_pn_at(n)], sigma=1.7)
         worst = max(worst, abs(a - b))
     out.append(CheckResult("unipotent.sigma-independence", worst <= 1e-9, f"max gap {worst:.2e}"))
 
@@ -459,8 +459,8 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for lam in ((0.5, 0.0), (0.3, 0.2), (0.0, 0.0), (-0.5, 0.75), (0.25, -0.25)):
-        a = lattice.sphere_I(lam, "closed")
-        b = lattice.sphere_I(lam, "quad")
+        a = lattice.sphere_I(lam)
+        b = lattice.sphere_I_quad(lam)
         worst = max(worst, abs(a - b) / abs(a))
     out.append(CheckResult("lattice.sphere-I-closed-vs-quad", worst <= 1e-6, f"max rel err {worst:.2e}"))
 
@@ -517,7 +517,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
 
     audit = lattice.phi_mellin_audit([6.0, 6.0], [31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0])
     rel = abs(audit["slope"] - audit["expected_slope"]) / abs(audit["expected_slope"])
-    exact1 = lattice.phi_sphere([6.0], 3.0) == 2 * 4.0 ** -3
+    exact1 = lattice.phi_spheres([6.0], [3.0]) == [2 * 4.0 ** -3]
     out.append(CheckResult("lattice.phi-mellin-slope", rel <= 0.05 and exact1,
                            f"slope {audit['slope']:.3f} vs {audit['expected_slope']:.3f}"))
     return out

@@ -137,14 +137,12 @@ TEST_REFERENCE_METHODS = {
 }
 
 
-def test_every_public_definition_has_a_role():
-    """Reachability from `rtf` (cli.main) and from every verify suite, by name:
-    a reached definition reaches each module-level def, class or assignment,
-    and each method that is not a dunder, of any module that is named by an
-    identifier or attribute in its source.  A reached class brings its class
-    body and its dunder methods, which Python calls for it.  Every public
-    def, class or method that stays unreached must be a test reference."""
-    nodes = {}
+@functools.cache
+def _definitions() -> dict[str, list[tuple[str, ast.AST]]]:
+    """Name -> the (owner, node) pairs that define it: each module-level def,
+    class or assignment, and each method that is not a dunder (its owner is
+    module.Class)."""
+    nodes: dict = {}
     for mod, tree in _modules().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -158,8 +156,16 @@ def test_every_public_definition_has_a_role():
                 for method in _methods(node):
                     if not _is_dunder(method.name):
                         nodes.setdefault(method.name, []).append((f"{mod}.{node.name}", method))
-    todo = [node for name, defs in nodes.items() for mod, node in defs
-            if (mod, name) == ("cli", "main") or (mod == "verify" and name.startswith("suite_"))]
+    return nodes
+
+
+def _reached(roots: list[ast.AST]) -> set[int]:
+    """The ids of the definition nodes that roots reach, roots included, by
+    name: a reached definition reaches every definition of each identifier
+    or attribute in its source.  A reached class brings its class body and
+    its dunder methods, which Python calls for it."""
+    nodes = _definitions()
+    todo = list(roots)
     reached = set()
     while todo:
         node = todo.pop()
@@ -175,12 +181,81 @@ def test_every_public_definition_has_a_role():
             stack.extend(child for child in ast.iter_child_nodes(sub) if id(child) not in own)
             name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
             todo.extend(found for _mod, found in nodes.get(name, ()))
+    return reached
+
+
+def test_every_public_definition_has_a_role():
+    """Reachability (see _reached) from `rtf` (cli.main) and from every
+    verify suite.  Every public def, class or method that stays unreached
+    must be a test reference."""
+    nodes = _definitions()
+    reached = _reached([node for name, defs in nodes.items() for mod, node in defs
+                        if (mod, name) == ("cli", "main") or (mod == "verify" and name.startswith("suite_"))])
     unreached = {f"{mod}.{node.name}" for defs in nodes.values() for mod, node in defs
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
                  and id(node) not in reached}
     kept = TEST_ORACLES | TEST_REFERENCE_METHODS
     assert unreached == kept, (f"in no role: {sorted(unreached - kept)}; "
                                f"reached, so not a test reference: {sorted(kept - unreached)}")
+
+
+# Each (closed form, oracle) pair of a check, with the module-level defs and
+# classes, outside `errors`, that both reach: input guards, the data classes
+# they share (FormalLog, Ideal, LocalPoint, ...) and the defining sums of the
+# transform pair.  Reachability is by name, so orbital_local._check_q brings
+# testfns._check_q along.  spectral.r_z is the one closed form whose oracle
+# is not a definition of its own: r_z(..., path="sum") evaluates the
+# defining sum, and perfbench/tracer.py names r_z's spans by that argument,
+# so splitting it waits for a change to perfbench/.
+_LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "orbital_local.LocalPoint",
+              "orbital_local._check_q", "testfns._check_q"}
+INDEPENDENT_PAIRS = {
+    ("lattice.sphere_I", "lattice.sphere_I_quad"): {"lattice._check_lambda"},
+    ("orbital_arch.w_plus", "orbital_arch.w_plus_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
+    ("orbital_arch.j_arch", "orbital_arch.j_arch_quad"): {"orbital_arch._check_b", "orbital_arch._check_eps",
+                                                          "orbital_arch._check_weight"},
+    ("orbital_arch.j_plus_parts", "orbital_arch.j_plus_quad"): {"orbital_arch._check_b"},
+    ("orbital_arch.gauss_2f1", "orbital_arch.f21_series_oracle"): set(),
+    ("orbital_local.w_unramified", "orbital_local.w_unramified_oracle"): _LOCAL_LOG,
+    ("orbital_local.w_level", "orbital_local.w_level_oracle"): _LOCAL_LOG,
+    ("orbital_local.tilde_I_plus_scaled", "orbital_local.tilde_I_plus_oracle_scaled"): {
+        "orbital_local.LocalPoint", "orbital_local.eta_at"},
+    ("orbital_local.tilde_delta", "orbital_local.tilde_delta_oracle"): {"orbital_local.LocalPoint",
+                                                                      "orbital_local.eta_at"},
+    ("ntransform.closed_power", "ntransform.n_transform"): {"ideals.Ideal", "ideals.Prime"},
+    ("ntransform.closed_log", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
+                                                          "ideals.Prime"},
+    ("ntransform.n_plus_closed_power", "ntransform.n_plus"): {"ideals.Ideal", "ideals.Prime"},
+    ("ntransform.convolve_omega", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
+                                                              "ideals.Prime", "ntransform._accumulate",
+                                                              "ntransform._weighted_sum"},
+    ("spectral.partial_r", "spectral.partial_r_sum"): {"spectral.LocalRepData", "spectral._check_k",
+                                                       "spectral._guard_tau"},
+    ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small", "formal._promote",
+                                                        "ideals.Ideal", "ideals.Prime", "ideals.QuadCharData",
+                                                        "spectral.LocalRepData"},
+    ("testfns.unip_u_scaled", "testfns.period_integrals"): set(),
+    ("testfns.unip_du_scaled", "testfns.period_integrals"): set(),
+    ("testfns.dunip", "testfns.period_integrals"): set(),
+    ("testfns.st_moment_expected", "testfns.st_moments"): set(),
+    ("testfns.decompose_alpha", "testfns.laurent_alpha_pn"): set(),
+    ("assembly.main_ADL_bracket", "assembly.geom_kernel_bracket"): {
+        "assembly._require_class", "formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.Ideal",
+        "ideals.Prime", "ideals.QuadCharData", "ideals.sign_class"},
+}
+
+
+@pytest.mark.parametrize("closed, oracle", list(INDEPENDENT_PAIRS))
+def test_closed_form_and_oracle_are_independent(closed, oracle):
+    """Neither definition of a pair reaches the other (see _reached), and
+    the helpers they share are the listed ones."""
+    top = {f"{mod}.{name}": node for name, defs in _definitions().items() for mod, node in defs
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "." not in mod and mod != "errors"}
+    from_closed, from_oracle = _reached([top[closed]]), _reached([top[oracle]])
+    assert id(top[oracle]) not in from_closed and id(top[closed]) not in from_oracle
+    both = from_closed & from_oracle
+    shared = {qual for qual, node in top.items() if id(node) in both}
+    assert shared == INDEPENDENT_PAIRS[closed, oracle]
 
 
 # The one default that no call in src/ sets: the argv of the entry point,

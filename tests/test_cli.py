@@ -68,8 +68,10 @@ def test_moments_command_matches_row_by_row(capsys):
     for n in range(9):
         u_closed = float(testfns.unip_u_scaled(-1, n)) * 3 ** (-n / 2)
         du_closed = float(testfns.unip_du_scaled(-1, n)) * 3 ** (-n / 2) * math.log(3)
-        u_quad = testfns.period_integral(testfns.upsilon_kernel, 3, -1, testfns.alpha_pn_at(n)).real
-        du_quad = testfns.period_integral(testfns.dunip_kernel, 3, -1, testfns.alpha_pn_at(n)).real
+        # one-item calls, which have the bits of the command's batched ones
+        ((u_quad,),) = testfns.period_integrals([testfns.upsilon_kernel], 3, -1, [testfns.alpha_pn_at(n)])
+        ((du_quad,),) = testfns.period_integrals([testfns.dunip_kernel], 3, -1, [testfns.alpha_pn_at(n)])
+        u_quad, du_quad = u_quad.real, du_quad.real
         writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
                          f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])
     assert capsys.readouterr().out == want.getvalue()
@@ -293,6 +295,12 @@ def test_verify_command(capsys):
     ["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "1e300,6"],
     ["lattice", "--field", "Q", "--R", "20", "--l", "1e300"],
     ["lattice", "--field", "Q(sqrt2)", "--R", "20", "--l", "6,1328"],
+    # --rep keys are read by JSON type, never converted
+    ["local-weights", "--rep", '{"c":1.9,"chi":1}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":1,"chi":-1.5}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":true,"chi":1}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":"0","Q":"1/3"}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":0,"Q":0.1}', "--q", "3", "--eta", "1"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -351,6 +359,9 @@ def test_size_refusals_name_l(argv, capsys):
     # the envelope's covolume factor 1000^149 passes the float range
     (["lattice", "--field", "Q", "--ideal", "1/1000", "--R", "20", "--l", "300"],
      r"DomainError: the theta envelope at l=\[300\.0\], covolume 0\.001 is outside the float range"),
+    (["arch", "--l", "6", "--b", "0"], r"DomainError: b too close to the singular points 0, -1, got b=0\.0"),
+    (["arch", "--l", "6", "--b=-1"], r"DomainError: b too close to the singular points 0, -1, got b=-1\.0"),
+    (["arch", "--l", "6", "--b=1e-12"], r"DomainError: b too close to the singular points 0, -1, got b=1e-12"),
 ])
 def test_numeric_failure_names_its_input(argv, line, capsys):
     rc = cli.main(argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtfverify import lattice as lt
-from rtfverify.errors import DomainError, InputError, UnsupportedField
+from rtfverify.errors import ConvergenceError, DomainError, InputError, UnsupportedField
 
 
 def test_embed_examples():
@@ -95,16 +95,15 @@ def test_sphere_I_closed_examples():
 
 def test_sphere_I_quad_oracle():
     for lam in ((0.5, 0.0), (0.25, 0.25), (-1.0, 0.5)):
-        assert lt.sphere_I(lam, "quad") == pytest.approx(lt.sphere_I(lam, "closed"), rel=1e-6)
+        assert lt.sphere_I_quad(lam) == pytest.approx(lt.sphere_I(lam), rel=1e-6)
 
 
 def test_sphere_I_domain():
+    for sphere_I in (lt.sphere_I, lt.sphere_I_quad):
+        with pytest.raises(DomainError, match=r"lambda_j < 1 required, got lambda=\[1.0, 0.0\]"):
+            sphere_I([1.0, 0.0])
     with pytest.raises(DomainError):
-        lt.sphere_I([1.0, 0.0])
-    with pytest.raises(DomainError):
-        lt.sphere_I([0.5, 0.0, 0.0], "quad")   # angular quadrature is rank two only
-    with pytest.raises(InputError):
-        lt.sphere_I([0.5, 0.0], "mc")          # the modes are closed and quad
+        lt.sphere_I_quad([0.5, 0.0, 0.0])   # angular quadrature is rank two only
 
 
 def test_fI_examples():
@@ -138,7 +137,7 @@ def test_minkowski_sandwich():
 
 def test_phi_mellin_audit_examples():
     # rank one is exact: phi(t) = 2 (1+t)^(-l/2)
-    assert lt.phi_sphere([6.0], 3.0) == 2 * 4.0 ** -3
+    assert lt.phi_spheres([6.0], [3.0]) == [2 * 4.0 ** -3]
     audit = lt.phi_mellin_audit([6.0, 6.0], [100.0, 316.0, 1000.0, 3162.0])
     assert abs(audit["slope"] - audit["expected_slope"]) <= 0.05 * abs(audit["expected_slope"])
 
@@ -159,3 +158,19 @@ def test_ball_integral_inside_plus_outside_is_the_total(l):
         for r in (0.3, 1.0, math.sqrt(2), 3.0, 10.0):
             both = lt.ball_integral(r, l) + lt.ball_integral(r, l, outside=True)
             assert abs(both - total) <= 1e-9 * total, (l, r, both / total - 1)
+
+
+def test_ball_integral_failure_names_the_ball(monkeypatch):
+    # the radial integral's own failure names l, r and the side; a failure
+    # of the sphere integrals inside it already names l and t, and passes
+    monkeypatch.setattr(lt, "phi_spheres", lambda l, ts: [math.nan] * len(ts))
+    with pytest.raises(ConvergenceError, match=r"^ball integral of f at l=\[6, 6\], r=1.5, outside: "
+                                               r"quad_many integral #0 on \[0.0, 1.0\]: the integrand is not finite$"):
+        lt.ball_integral(1.5, [6, 6], outside=True)
+
+    def refuse(l, ts):
+        raise ConvergenceError("sphere integral phi at t=2.0")
+
+    monkeypatch.setattr(lt, "phi_spheres", refuse)
+    with pytest.raises(ConvergenceError, match=r"^sphere integral phi at t=2.0$"):
+        lt.ball_integral(1.5, [6, 6])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rtfverify import orbital_arch as oa, quadrature
-from rtfverify.errors import ConvergenceError, DomainError
+from rtfverify.errors import ConvergenceError, DomainError, InputError
 
 # the pairs of the arch.w-plus-closed-vs-quadrature check
 SUITE_PAIRS = [(l, b) for l in (6, 8, 10) for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2),
@@ -105,6 +105,28 @@ def test_j_arch_domain_guard():
         oa.j_arch(6, -1.0 + 1e-12, "one")
 
 
+@pytest.mark.parametrize("b", [0.0, -1.0, 1e-12])
+@pytest.mark.parametrize("call", [
+    lambda b: oa.j_arch(6, b, "one"), lambda b: oa.j_arch_quad(6, b, "sgn"),
+    lambda b: oa.j_plus_parts(6, Fraction(b)), lambda b: oa.j_plus_quad(6, b),
+    lambda b: oa.w_plus_quads(6, [2.0, b]),
+])
+def test_b_guard_names_b(call, b):
+    with pytest.raises(DomainError, match=r"singular points 0, -1, got b=-?[0-9.e/-]+$"):
+        call(b)
+
+
+def test_weight_and_eps_guards_name_their_value():
+    for call, got in ((lambda: oa.gauss_2f1(5, 0.5), "k=5"), (lambda: oa.j_arch(2, 2.0), "k=2"),
+                      (lambda: oa.j_arch_quad(7, 2.0, "one"), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
+                      (lambda: oa.j_plus_parts(5, Fraction(2)), "l=5"), (lambda: oa.w_plus_quads(4, [2.0]), "l=4")):
+        with pytest.raises(InputError, match=f"required, got {got}$"):
+            call()
+    for j in (oa.j_arch, oa.j_arch_quad):
+        with pytest.raises(InputError, match="got eps='x'$"):
+            j(6, 2.0, "x")
+
+
 def test_j_functional_equation():
     for k in (4, 6, 8):
         for b in (-1.3, -2.0, -5.0, -100.0):
@@ -124,7 +146,7 @@ def test_j_decay_envelope():
 def test_w_plus_vs_quadrature():
     for l, b in ((6, Fraction(1)), (6, Fraction(-1, 2)), (8, Fraction(2)), (10, Fraction(10))):
         closed = oa.w_plus(l, b)
-        quad = oa.w_plus_quad(l, float(b))
+        (quad,) = oa.w_plus_quads(l, [float(b)])
         assert abs(closed - quad) <= max(1e-6 * abs(quad), 1e-11)
 
 
@@ -133,7 +155,7 @@ def test_w_plus_at_large_b_vs_quadrature(l):
     # the arch check's relative tolerance; none of these b is the zero at -1/2
     for b in WIDE_BS:
         closed = oa.w_plus(l, b)
-        quad = oa.w_plus_quad(l, float(b))
+        (quad,) = oa.w_plus_quads(l, [float(b)])
         assert abs(closed - quad) <= 1e-6 * abs(quad), (l, b)
 
 
@@ -161,7 +183,6 @@ def test_w_plus_is_quadrature_free(monkeypatch):
 
     monkeypatch.setattr(oa, "j_plus_quad", refuse)
     monkeypatch.setattr(oa, "quad_many", refuse)
-    monkeypatch.setattr(quadrature, "quad", refuse)
     monkeypatch.setattr(quadrature, "quad_many", refuse)
     for (l, b), w in want.items():
         assert _bits(oa.w_plus(l, b)) == _bits(w)
@@ -240,7 +261,7 @@ def test_w_plus_query_inputs_stay_at_50_digits(monkeypatch):
 
 def test_w_plus_quad_regression_pins():
     # frozen from the oracle itself (mpmath cross-checked)
-    val = oa.w_plus_quad(6, 1.0)
+    (val,) = oa.w_plus_quads(6, [1.0])
     assert val.real == pytest.approx(-0.0037822779485555, abs=1e-12)
     assert val.imag == pytest.approx(0.0171426458193443, abs=1e-12)
     jp = oa.j_plus_quad(6, 1.0)
@@ -250,7 +271,7 @@ def test_w_plus_quad_regression_pins():
 
 def test_w_plus_zero_at_minus_half():
     # t -> 1/t symmetry kills the log weight there
-    assert abs(oa.w_plus_quad(6, -0.5)) < 1e-12
+    assert abs(oa.w_plus_quads(6, [-0.5])[0]) < 1e-12
     assert abs(oa.w_plus(8, Fraction(-1, 2))) < 1e-20
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +7,7 @@ import pytest
 
 from rtfverify import lattice as lt, orbital_arch as oa
 from rtfverify.errors import ConvergenceError
-from rtfverify.quadrature import GAUSS, KRONROD, NODES, quad, quad_many
+from rtfverify.quadrature import GAUSS, KRONROD, NODES, quad_many
 
 
 def test_gauss_nodes_and_weights_are_legendre():
@@ -29,17 +28,11 @@ def test_kronrod_is_not_exact_at_degree_32():
     assert abs((NODES ** 32 * KRONROD).sum() - 2 / 33) > 1e-13
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 8])
-def test_half_line_power(k):
-    val, err = quad(lambda x: (1 + x) ** -k, 0.0, math.inf, epsabs=1e-12, epsrel=0.0, limit=200)
-    assert abs(val - 1 / (k - 1)) <= 1e-12 and err <= 1e-12
-    assert type(val) is float and type(err) is float
-
-
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.75, 0.9])
 def test_endpoint_singularity(lam):
-    val, err = quad(lambda x: x ** -lam, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=500)
+    ((val, err),) = quad_many(lambda x, which: x ** -lam, [(0.0, 1.0)], epsabs=1e-10, epsrel=0.0, limit=500)
     assert abs(val - 1 / (1 - lam)) <= 1e-10 and err <= 1e-10
+    assert type(val) is float and type(err) is float
 
 
 def test_break_points_and_complex_integrand():
@@ -52,12 +45,12 @@ def test_break_points_and_complex_integrand():
 
 def test_limit_raises_convergence_error_naming_the_interval():
     with pytest.raises(ConvergenceError, match=r"\[0.0, 1.0\].*with 12 panels"):
-        quad(lambda x: x ** -0.9, 0.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=12)
+        quad_many(lambda x, which: x ** -0.9, [(0.0, 1.0)], epsabs=1e-12, epsrel=0.0, limit=12)
 
 
 def test_non_finite_integrand_raises():
     with pytest.raises(ConvergenceError, match="not finite"):
-        quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=50)
+        quad_many(lambda x, which: np.full_like(x, np.nan), [(0.0, 1.0)], epsabs=1e-12, epsrel=0.0, limit=50)
 
 
 def test_quad_many_names_the_failing_integral():
@@ -76,14 +69,14 @@ def _quad_bits(results) -> list:
 
 def test_quad_many_bit_identical_to_quad():
     # complex and real integrands, of different lengths and panel counts, in
-    # one batch; each as quad gives it alone
+    # one batch; each as the unbatched quadrature (a one-item call) gives it alone
     freqs = [1.0, 3.0, 0.25, 7.0, 40.0]
     spans = [(0.0, 3.0), (-1.0, 4.0), (0.0, 2.0), (0.5, 0.75), (0.0, 1.0)]
     w = np.array(freqs)
     for f in (lambda x, k: np.exp(1j * k * x), lambda x, k: np.sqrt(x + k)):
         got = quad_many(lambda x, which: f(x, w[which]), spans, epsabs=1e-12, epsrel=0.0, limit=100)
-        want = [quad(lambda x: f(x, k), a, b, epsabs=1e-12, epsrel=0.0, limit=100)
-                for k, (a, b) in zip(freqs, spans)]
+        want = [quad_many(lambda x, which, k=k: f(x, k), [s], epsabs=1e-12, epsrel=0.0, limit=100)[0]
+                for k, s in zip(freqs, spans)]
         assert _quad_bits(got) == _quad_bits(want)
         assert [type(v) for v, _e in got] == [type(v) for v, _e in want]
 
@@ -99,29 +92,32 @@ def test_quad_many_with_break_points_bit_identical_to_one_item_calls():
 
 
 def _w_plus_quad_by_quad(l: int, b: float) -> complex:
-    """W_+(b) as one quad on the scalar integrand: the unbatched reference."""
+    """W_+(b) as a one-item quad_many on the scalar integrand: the unbatched
+    reference."""
     h, c = l // 2, b / (b + 1)
 
     def f(t):
         return (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * np.log(t)
 
-    value, _err = quad(lambda t: f(t) + f(1 / t) / (t * t), 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
+    ((value, _err),) = quad_many(lambda t, which: f(t) + f(1 / t) / (t * t), [(0.0, 1.0)],
+                                 epsabs=1e-11, epsrel=1e-11, limit=200)
     return 1j ** h * (1 + b) ** (-h) * value
 
 
 @pytest.mark.parametrize("N", [10, 100, 1000, 10000])
 def test_w_plus_quads_bit_identical_to_w_plus_quad(N):
-    # the grid of lattice.w_hyp_arch_audit at this N
+    # the grid of lattice.w_hyp_arch_audit at this N, against one-item calls
     bs = [float(N * k * s) for k in range(1, 41) for s in (1, -1)]
     batched = [_bits(w) for w in oa.w_plus_quads(6, bs)]
-    assert batched == [_bits(oa.w_plus_quad(6, b)) for b in bs]
+    assert batched == [_bits(oa.w_plus_quads(6, [b])[0]) for b in bs]
     assert batched == [_bits(_w_plus_quad_by_quad(6, b)) for b in bs]
 
 
 @pytest.mark.parametrize("l", [[6.0, 6.0], [6.0, 10.0], [4.5, 8.0]])
 def test_phi_spheres_bit_identical_to_phi_sphere(l):
     ts = [0.01, 0.5, 1.0, 3.0, 31.6, 100.0, 1000.0, 1e5]
-    assert [_bits(v) for v in lt.phi_spheres(l, ts)] == [_bits(lt.phi_sphere(l, t)) for t in ts]
+    # against one-item calls
+    assert [_bits(v) for v in lt.phi_spheres(l, ts)] == [_bits(lt.phi_spheres(l, [t])[0]) for t in ts]
 
 
 def test_batched_oracles_name_the_failing_input(monkeypatch):
@@ -138,10 +134,12 @@ def _bits(x) -> tuple[str, ...]:
 
 
 def test_oracles_on_threads_bit_identical_to_serial():
-    calls = ([(oa.w_plus_quad, (l, b)) for l in (6, 10) for b in (1 / 3, -0.5, -3.0, 119.0)]
+    # one-item and multi-item calls of each batched oracle
+    calls = ([(oa.w_plus_quads, (l, [b])) for l in (6, 10) for b in (1 / 3, -0.5, -3.0, 119.0)]
              + [(oa.w_plus_quads, (l, [1 / 3, -0.5, -3.0, 119.0])) for l in (6, 10)]
-             + [(lt.phi_sphere, ([6.0, 6.0], t)) for t in (0.5, 31.6, 1000.0)]
+             + [(lt.phi_spheres, ([6.0, 6.0], [t])) for t in (0.5, 31.6, 1000.0)]
              + [(lt.phi_spheres, ([6.0, 6.0], [0.5, 31.6, 1000.0]))]
+             + [(lt.sphere_I_quad, (lam,)) for lam in ((0.5, 0.0), (-0.5, 0.75))]
              + [(lt.ball_integral, (r, (6, 10), outside)) for r in (0.3, 3.0) for outside in (False, True)])
     serial = [_bits(fn(*args)) for fn, args in calls]
     work = list(range(len(calls))) * 4
