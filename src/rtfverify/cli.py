@@ -199,7 +199,7 @@ def cmd_lattice(args) -> int:
     # one weight 6 per coordinate unless given
     l = _parsed("--l", args.l, _weights) if args.l is not None else [6.0] * lat.d
     th = lattice.theta(lat, l, args.R)
-    audits = lattice.bound_audits(lat, ambient, l, args.R)
+    audits = lattice.bound_audits(lat, ambient, l, th["value"])
     json.dump({
         "provenance": lat.provenance,
         "theta": th["value"],

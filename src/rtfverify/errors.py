@@ -22,10 +22,6 @@ class NonRationalPower(RTFError):
     """norm(n)^t is irrational but exact arithmetic was requested."""
 
 
-class SingularTau(RTFError):
-    """tau(j,j) vanishes (Satake value on the boundary Q = +-1)."""
-
-
 class InertViolation(RTFError):
     """A prime dividing the level is not inert for the quadratic character."""
 

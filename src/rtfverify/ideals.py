@@ -24,8 +24,7 @@ class Prime:
     q: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"residue cardinality must be >= 2, got {self.q}")
+        residue_cardinality(self.q, f"prime {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
         if not isinstance(d, dict) or "id" not in d or "q" not in d:
             raise InputError(f"config prime {d!r} needs an 'id' and a 'q'")
         pid = json_value(d["id"], (str,), "config prime id")
-        primes[pid] = Prime(pid, residue_cardinality(d["q"], f"config prime {pid!r}"))
+        primes[pid] = Prime(pid, d["q"])
     eta_obj = json_value(obj.get("eta", {"eps": 0, "arch_signs": [1]}), (dict,), "config 'eta'")
 
     def at_primes(key: str) -> dict[Prime, int]:
@@ -286,7 +285,8 @@ def json_value(value, kinds: tuple[type, ...], owner: str):
 
 
 def residue_cardinality(q, owner: str) -> int:
-    """q as read from JSON: an integer q >= 2 (not a float or a bool)."""
+    """q, a residue cardinality: an integer q >= 2 (not a float or a bool),
+    or an InputError naming owner.  The one check of q wherever one is taken in."""
     if type(q) is not int or q < 2:
         raise InputError(f"{owner} needs an integer q >= 2, got q={q!r}")
     return q

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .formal import FormalLog, _factor_small
+from .ideals import residue_cardinality
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,6 @@ class LocalPoint:
     @property
     def ord_bb1(self) -> int:
         return self.ordb + self.ordb1
-
-
-def _check_q(q: int):
-    if q < 2:
-        raise InputError(f"the residue field size must be q >= 2, got q={q}")
 
 
 def eta_at(eta_val: int, order: int) -> int:
@@ -169,7 +165,7 @@ def tilde_I_plus_oracle_scaled(m: int, point: LocalPoint, q: int, eta_val: int) 
 def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """vol log q Lambda-tilde(b) at a place away from the level and the
     conductor (three-case closed form)."""
-    _check_q(q)
+    residue_cardinality(q, "w_unramified")
     if point.ordb < 0:
         coeff = Fraction(0)
     elif point.ordb > 0:
@@ -184,7 +180,7 @@ def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
 def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """The two finite geometric log-sums from the defining integral:
     shells |b| <= |t| < 1 and 1 < |t| <= |b+1|^-1."""
-    _check_q(q)
+    residue_cardinality(q, "w_unramified_oracle")
     if point.ordb < 0:
         return FormalLog.zero()
     # first piece: ord(t) = 1 .. ord(b); second: ord(t) = -ord(b+1) .. -1
@@ -193,11 +189,15 @@ def w_unramified_oracle(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     return FormalLog.log_integer(q, piece1 + piece2)
 
 
-def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
-    """Closed form at a place dividing the level (both eta signs)."""
-    _check_q(q)
+def _check_ordn(ordn: int):
     if ordn < 1:
         raise InputError(f"level exponent ordn >= 1 required, got ordn={ordn}")
+
+
+def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
+    """Closed form at a place dividing the level (both eta signs)."""
+    residue_cardinality(q, "w_level")
+    _check_ordn(ordn)
     if point.ordb < ordn:
         return FormalLog.zero()
     N = point.ordb
@@ -212,9 +212,8 @@ def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
 
 def w_level_oracle(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     """Defining sum: -vol log q sum_(n=ordn..ord b) eta(varpi^n) n."""
-    _check_q(q)
-    if ordn < 1:
-        raise InputError(f"level exponent ordn >= 1 required, got ordn={ordn}")
+    residue_cardinality(q, "w_level_oracle")
+    _check_ordn(ordn)
     if point.ordb < ordn:
         return FormalLog.zero()
     return FormalLog.log_integer(q, -shell_sum(eta_val, ordn, point.ordb))
@@ -228,7 +227,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
     non-units at ramified places follows external conventions); d_v is the
     local different exponent.  Returns the value divided by log q.
     """
-    _check_q(q)
+    residue_cardinality(q, "w_ramified")
     if f < 1:
         raise InputError(f"conductor exponent f >= 1 required, got f={f}")
     if point.ordb < -f:
@@ -248,7 +247,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
 
 def w_ramified_bound(point: LocalPoint, f: int, q: int) -> float:
     """The stated envelope: 6 q^-f delta(|b| <= q^f) (f + delta(|b|<=1) ord(b(b+1)))."""
-    _check_q(q)
+    residue_cardinality(q, "w_ramified_bound")
     if point.ordb < -f:
         return 0.0
     extra = max(point.ord_bb1, 0) if point.ordb >= 0 else 0

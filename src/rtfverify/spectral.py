@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import InertViolation, InputError, SingularTau
+from .errors import InertViolation, InputError
 from .formal import FormalLog
-from .ideals import Ideal, Prime, QuadCharData, omega_pair, square_decompose
+from .ideals import Ideal, Prime, QuadCharData, omega_pair, residue_cardinality, square_decompose
 
 MAX_K = 64
 REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of the r_z sum path uses k + 1 <= MAX_K + 1
@@ -30,7 +30,8 @@ Num = Fraction | float | complex
 
 @dataclass(frozen=True)
 class LocalRepData:
-    """Local representation datum at a place of residue cardinality q."""
+    """Local representation datum at a place of residue cardinality q; a c = 0
+    datum holds -1 < Q < 1, so 1 - Q^2 never vanishes."""
 
     q: int
     c: int
@@ -38,13 +39,16 @@ class LocalRepData:
     chi: int | None = None      # c = 1
 
     def __post_init__(self):
-        if self.c < 0 or self.q < 2:
-            raise InputError(f"need c >= 0 and q >= 2, got c={self.c}, q={self.q}")
+        residue_cardinality(self.q, "LocalRepData")
+        if self.c < 0:
+            raise InputError(f"need c >= 0, got c={self.c}")
         if self.Q is not None and not isinstance(self.Q, Fraction):
             raise InputError(f"Q must be a Fraction, got {type(self.Q).__name__} Q={self.Q!r}")
         if self.c == 0:
             if self.Q is None or self.chi is not None:
                 raise InputError(f"c=0 wants Q and no chi, got Q={self.Q}, chi={self.chi}")
+            if not -1 < self.Q < 1:
+                raise InputError(f"c=0 wants a Satake parameter -1 < Q < 1, got Q={self.Q}")
         elif self.c == 1:
             if self.chi not in (1, -1) or self.Q is not None:
                 raise InputError(f"c=1 wants chi=+-1 and no Q, got Q={self.Q}, chi={self.chi}")
@@ -54,8 +58,8 @@ class LocalRepData:
 
 
 def _check_k(k: int):
-    if not 0 <= k <= MAX_K:
-        raise InputError(f"k must lie in [0, {MAX_K}], got k={k}")
+    if not 1 <= k <= MAX_K:
+        raise InputError(f"k must lie in [1, {MAX_K}], got k={k}")
 
 
 def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
@@ -95,13 +99,6 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
     return (1 - rep.Q * rep.Q) * (1 - Fraction(1, rep.q ** 2))
 
 
-def _guard_tau(rep: LocalRepData, k: int):
-    if rep.c == 0 and k >= 1:
-        t = 1 - rep.Q * rep.Q
-        if t == 0:
-            raise SingularTau("1 - Q^2 vanishes; boundary Satake parameter rejected")
-
-
 def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -> Num:
     """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1.
 
@@ -109,11 +106,8 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -
     the per-case rational expressions.  Both agree identically.
     """
     _check_k(k)
-    if k < 1:
-        raise ValueError("k >= 1 required")
     if eta_val not in (1, -1):
         raise ValueError("eta_val must be +-1")
-    _guard_tau(rep, k)
     if path == "sum":
         return sum(
             (q_poly_one(j, rep) * q_poly(j, rep, eta_val, X)) / tau_jj(j, rep)
@@ -144,11 +138,11 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -
 def r_at_center(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """r^(z) at the center z = 1/2 (so X = 1); vanishes for odd k when
     eta(varpi) = -1."""
+    _check_k(k)
     if eta_val == -1:
         half = Fraction(1 + (-1) ** k, 2)
         if rep.c >= 1:
             return half
-        _guard_tau(rep, k)
         return half * Fraction(rep.q + 1, rep.q - 1)
     return r_z(rep, eta_val, k, Fraction(1), path="sum")
 
@@ -156,9 +150,6 @@ def r_at_center(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1."""
     _check_k(k)
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    _guard_tau(rep, k)
     q, c = rep.q, rep.c
     sgn = (-1) ** k
     if eta_val == -1:
@@ -190,7 +181,6 @@ def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
 def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """Independent exact derivative: term-by-term d/dX of the defining sum."""
     _check_k(k)
-    _guard_tau(rep, k)
     total = Fraction(0)
     for j in range(1, k + 1):
         dq = _dq_poly_at_one(j, rep, eta_val)
@@ -218,15 +208,20 @@ def _dq_poly_at_one(j: int, rep: LocalRepData, eta_val: int) -> Fraction:
 # global w and its derivative
 
 
+def _check_inert(n: Ideal, eta: QuadCharData):
+    """The totally inert condition tilde_eta = -1 on S(n)."""
+    for p in n.support:
+        if eta.tilde_eta(p) != -1:
+            raise InertViolation(f"tilde_eta({p.id}) != -1 on the level support")
+
+
 def w_and_dw(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharData) -> tuple[Fraction, FormalLog]:
     """(w, dw) for a representation of conductor f_pi = prod p^c dividing n.
 
     Requires the totally inert condition tilde_eta = -1 on S(n).  w vanishes
     unless n f_pi^-1 is a square; dw follows the two vanishing cases.
     """
-    for p in n.support:
-        if eta.tilde_eta(p) != -1:
-            raise InertViolation(f"tilde_eta({p.id}) != -1 on the level support")
+    _check_inert(n, eta)
     f_pi = Ideal.of({p: rep.c for p, rep in reps.items() if rep.c > 0})
     if not f_pi.divides(n):
         raise ValueError("conductor of the representation must divide the level")
@@ -258,9 +253,7 @@ def w_and_dw(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharData) ->
 
 def w_and_dw_oracle(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharData) -> tuple[Fraction, FormalLog]:
     """Product/product-rule evaluation over the places, via r and partial_r."""
-    for p in n.support:
-        if eta.tilde_eta(p) != -1:
-            raise InertViolation(f"tilde_eta({p.id}) != -1 on the level support")
+    _check_inert(n, eta)
     f_pi = Ideal.of({p: rep.c for p, rep in reps.items() if rep.c > 0})
     m = n.divide(f_pi)
     places = [(p, reps[p], m.ord(p)) for p in m.support]

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError
+from .ideals import residue_cardinality
 
 
 def chebyshev(n: int, x):
@@ -160,7 +161,7 @@ def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarr
     Each value is bit-identical to a one-item call, and must agree across
     the two passes to 1e-9.
     """
-    _check_q(q)
+    residue_cardinality(q, "period_integrals")
     if sigma <= 0:
         raise InputError(f"sigma > 0 required, got sigma={sigma}")
     # one grid alive at a time: the coarse pass is dropped before the fine one
@@ -173,11 +174,6 @@ def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarr
                     f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
                     f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
     return fine
-
-
-def _check_q(q: int) -> None:
-    if q < 2:
-        raise InputError(f"residue cardinality q >= 2 required, got q={q}")
 
 
 def _period_passes(kernels, q, eta_val, alphas, sigma, steps) -> list[list[complex]]:
@@ -214,7 +210,7 @@ def st_moments(q: int, eta_val: int, ns: Sequence[int]) -> list[float]:
     measure and the sines are built once per refinement pass; each value is
     bit-identical to its one-item call and held to its own 1e-9 refinement
     check."""
-    _check_q(q)
+    residue_cardinality(q, "st_moments")
     coarse = _st_passes(q, eta_val, ns, ST_STEPS)
     fine = _st_passes(q, eta_val, ns, 2 * ST_STEPS + 1)
     for n, v1, v2 in zip(ns, coarse, fine):

@@ -499,9 +499,9 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
         ok = ok and lattice.minkowski_sandwich_ok(lattice.embed_ideal("Q", N))
     out.append(CheckResult("lattice.minkowski-sandwich", ok))
 
-    audits = lattice.bound_audits(lattice.embed_ideal("real_quadratic", 3, m=2),
-                                  lattice.embed_ideal("real_quadratic", "O", m=2),
-                                  [6, 6], 200.0)
+    ideal_3 = lattice.embed_ideal("real_quadratic", 3, m=2)
+    audits = lattice.bound_audits(ideal_3, lattice.embed_ideal("real_quadratic", "O", m=2), [6, 6],
+                                  lattice.theta(ideal_3, [6, 6], 200.0)["value"])
     out.append(CheckResult("lattice.containment-audits",
                            audits["covering_ok"] and audits["submultiplicative_ok"] and audits["minkowski_ok"]))
 

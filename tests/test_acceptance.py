@@ -202,13 +202,13 @@ def test_every_public_definition_has_a_role():
 # Each (closed form, oracle) pair of a check, with the module-level defs and
 # classes, outside `errors`, that both reach: input guards, the data classes
 # they share (FormalLog, Ideal, LocalPoint, ...) and the defining sums of the
-# transform pair.  Reachability is by name, so orbital_local._check_q brings
-# testfns._check_q along.  spectral.r_z is the one closed form whose oracle
-# is not a definition of its own: r_z(..., path="sum") evaluates the
+# transform pair.  Every q is checked by ideals.residue_cardinality, which
+# Prime and LocalRepData call too.  spectral.r_z is the one closed form whose
+# oracle is not a definition of its own: r_z(..., path="sum") evaluates the
 # defining sum, and perfbench/tracer.py names r_z's spans by that argument,
 # so splitting it waits for a change to perfbench/.
-_LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "orbital_local.LocalPoint",
-              "orbital_local._check_q", "testfns._check_q"}
+_LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.residue_cardinality",
+              "orbital_local.LocalPoint"}
 INDEPENDENT_PAIRS = {
     ("lattice.sphere_I", "lattice.sphere_I_quad"): {"lattice._check_lambda"},
     ("orbital_arch.w_plus", "orbital_arch.w_plus_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
@@ -217,23 +217,27 @@ INDEPENDENT_PAIRS = {
     ("orbital_arch.j_plus_parts", "orbital_arch.j_plus_quad"): {"orbital_arch._check_b"},
     ("orbital_arch.gauss_2f1", "orbital_arch.f21_series_oracle"): set(),
     ("orbital_local.w_unramified", "orbital_local.w_unramified_oracle"): _LOCAL_LOG,
-    ("orbital_local.w_level", "orbital_local.w_level_oracle"): _LOCAL_LOG,
+    ("orbital_local.w_level", "orbital_local.w_level_oracle"): _LOCAL_LOG | {"orbital_local._check_ordn"},
     ("orbital_local.tilde_I_plus_scaled", "orbital_local.tilde_I_plus_oracle_scaled"): {
         "orbital_local.LocalPoint", "orbital_local.eta_at"},
     ("orbital_local.tilde_delta", "orbital_local.tilde_delta_oracle"): {"orbital_local.LocalPoint",
                                                                       "orbital_local.eta_at"},
-    ("ntransform.closed_power", "ntransform.n_transform"): {"ideals.Ideal", "ideals.Prime"},
+    ("ntransform.closed_power", "ntransform.n_transform"): {"ideals.Ideal", "ideals.Prime",
+                                                            "ideals.residue_cardinality"},
     ("ntransform.closed_log", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
-                                                          "ideals.Prime"},
-    ("ntransform.n_plus_closed_power", "ntransform.n_plus"): {"ideals.Ideal", "ideals.Prime"},
+                                                          "ideals.Prime", "ideals.residue_cardinality"},
+    ("ntransform.n_plus_closed_power", "ntransform.n_plus"): {"ideals.Ideal", "ideals.Prime",
+                                                              "ideals.residue_cardinality"},
     ("ntransform.convolve_omega", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
-                                                              "ideals.Prime", "ntransform._accumulate",
+                                                              "ideals.Prime", "ideals.residue_cardinality",
+                                                              "ntransform._accumulate",
                                                               "ntransform._weighted_sum"},
-    ("spectral.partial_r", "spectral.partial_r_sum"): {"spectral.LocalRepData", "spectral._check_k",
-                                                       "spectral._guard_tau"},
+    ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
+                                                       "spectral._check_k"},
     ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small", "formal._promote",
                                                         "ideals.Ideal", "ideals.Prime", "ideals.QuadCharData",
-                                                        "spectral.LocalRepData"},
+                                                        "ideals.residue_cardinality", "spectral.LocalRepData",
+                                                        "spectral._check_inert"},
     ("testfns.unip_u_scaled", "testfns.period_integrals"): set(),
     ("testfns.unip_du_scaled", "testfns.period_integrals"): set(),
     ("testfns.dunip", "testfns.period_integrals"): set(),
@@ -241,7 +245,7 @@ INDEPENDENT_PAIRS = {
     ("testfns.decompose_alpha", "testfns.laurent_alpha_pn"): set(),
     ("assembly.main_ADL_bracket", "assembly.geom_kernel_bracket"): {
         "assembly._require_class", "formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.Ideal",
-        "ideals.Prime", "ideals.QuadCharData", "ideals.sign_class"},
+        "ideals.Prime", "ideals.QuadCharData", "ideals.residue_cardinality", "ideals.sign_class"},
 }
 
 

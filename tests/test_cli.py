@@ -301,6 +301,10 @@ def test_verify_command(capsys):
     ["local-weights", "--rep", '{"c":true,"chi":1}', "--q", "3", "--eta", "1"],
     ["local-weights", "--rep", '{"c":"0","Q":"1/3"}', "--q", "3", "--eta", "1"],
     ["local-weights", "--rep", '{"c":0,"Q":0.1}', "--q", "3", "--eta", "1"],
+    # a Satake parameter lies strictly inside (-1, 1)
+    ["local-weights", "--rep", '{"c":0,"Q":3}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":0,"Q":"-7/2"}', "--q", "3", "--eta", "1"],
+    ["local-weights", "--rep", '{"c":0,"Q":1}', "--q", "3", "--eta", "1"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {

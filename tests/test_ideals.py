@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtfverify import orbital_local
 from rtfverify.errors import CoprimalityError, InputError
 from rtfverify.ideals import (Ideal, Prime, QuadCharData, config_from_json, iota,
                               omega_pair, omega_v, parse_ideal, sign_class,
                               square_decompose, stratum)
+from rtfverify.spectral import LocalRepData
+from rtfverify.testfns import alpha_basis_at, period_integrals, st_moments, upsilon_kernel
 
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
@@ -127,6 +130,27 @@ def test_config_and_ideal_parsing():
 def test_config_faults_name_the_prime_or_key(obj, named):
     with pytest.raises(InputError, match=named):
         config_from_json(obj)
+
+
+_ORIGIN = orbital_local.LocalPoint(0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Prime("p", 1),
+    lambda: LocalRepData(q=1, c=2),
+    lambda: period_integrals([upsilon_kernel], 1, 1, [alpha_basis_at(1)]),
+    lambda: st_moments(1, 1, [0]),
+    lambda: orbital_local.w_unramified(_ORIGIN, 1, 1),
+    lambda: orbital_local.w_unramified_oracle(_ORIGIN, 1, 1),
+    lambda: orbital_local.w_level(_ORIGIN, 1, 1, 1),
+    lambda: orbital_local.w_level_oracle(_ORIGIN, 1, 1, 1),
+    lambda: orbital_local.w_ramified(_ORIGIN, 1, 1, 1, 1),
+    lambda: orbital_local.w_ramified_bound(_ORIGIN, 1, 1),
+], ids=["Prime", "LocalRepData", "period_integrals", "st_moments", "w_unramified", "w_unramified_oracle",
+        "w_level", "w_level_oracle", "w_ramified", "w_ramified_bound"])
+def test_every_q_is_checked_by_residue_cardinality(make):
+    with pytest.raises(InputError, match=r"needs an integer q >= 2, got q=1$"):
+        make()
 
 
 def test_quadchar_validation():

@@ -121,9 +121,9 @@ def test_w_hyp_arch_audit():
 
 
 def test_bound_audits():
-    rep = lt.bound_audits(lt.embed_ideal("real_quadratic", 2, m=2),
-                          lt.embed_ideal("real_quadratic", "O", m=2),
-                          [6, 6], 120.0)
+    ideal_2 = lt.embed_ideal("real_quadratic", 2, m=2)
+    rep = lt.bound_audits(ideal_2, lt.embed_ideal("real_quadratic", "O", m=2), [6, 6],
+                          lt.theta(ideal_2, [6, 6], 120.0)["value"])
     assert rep["covering_ok"] and rep["submultiplicative_ok"] and rep["minkowski_ok"]
 
 

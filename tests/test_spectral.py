@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rtfverify import spectral as sp
-from rtfverify.errors import InertViolation, InputError, SingularTau
+from rtfverify.errors import InertViolation, InputError
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
 from rtfverify.verify import QS, _random_rep
@@ -97,11 +98,11 @@ def test_c1_plus_closed_form_regression():
 
 
 def test_singular_tau_rejected():
-    rep = sp.LocalRepData(q=3, c=0, Q=Fraction(1))
-    with pytest.raises(SingularTau):
-        sp.r_z(rep, -1, 2, Fraction(1, 2))
-    with pytest.raises(SingularTau):
-        sp.partial_r(rep, -1, 1)
+    # a Satake parameter lies in (-1, 1), so 1 - Q^2 and 1 + Q, which the
+    # weights divide by, never vanish
+    for Q in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-7, 2)):
+        with pytest.raises(InputError, match=f"Q={Q}$"):
+            sp.LocalRepData(q=3, c=0, Q=Q)
 
 
 ETA = QuadCharData.build(0, [1], unram={P3: -1, Q2: -1})
@@ -161,6 +162,12 @@ def test_rep_validation_and_k_cap():
         sp.LocalRepData(q=3, c=1, Q=Fraction(1, 2))
     with pytest.raises(ValueError):
         sp.r_z(REP2, -1, sp.MAX_K + 1, Fraction(1, 2))
+    # every k-indexed weight has the one domain 1 <= k <= MAX_K
+    for fn in (sp.r_at_center, sp.partial_r, sp.partial_r_sum):
+        for k in (0, sp.MAX_K + 1):
+            for rep, eta in itertools.product((REP0, REP1, REP2), (1, -1)):
+                with pytest.raises(InputError, match=f"got k={k}$"):
+                    fn(rep, eta, k)
     for Q in (0.5, complex(0.5, 0.1), 1, "1/2"):
         with pytest.raises(InputError, match="Q must be a Fraction"):
             sp.LocalRepData(q=3, c=0, Q=Q)
