@@ -17,8 +17,12 @@ one Fraction is built per symbol at the end.
 
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
-Fraction built per ideal; closed_log gathers its coefficients per log symbol
-and builds one FormalLog.
+Fraction built per ideal.  closed_log takes the scale closed_power(n, 0) as
+that unreduced pair; each place's log coefficient has a denominator dividing
+the scale's numerator, so each symbol's coefficient is one integer sum over the
+scale's denominator, and one Fraction is built per symbol.  The summands are
+built the same way: norm^t at an integer t is an integer power, and log norm
+is sum_v e_v log q_v, read from m's exponents.
 """
 from __future__ import annotations
 
@@ -87,25 +91,30 @@ def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fa
             terms = [(exps + entry, w * c) for entry, c in opts for exps, w in terms]
         else:
             terms = [(exps + entry, w * c) for exps, w in terms for entry, c in opts]
-    sums: dict[str | None, list[int]] = {}   # symbol (None: the constant) -> [numerator, denominator]
+    num, den = 0, 1   # the constant, as _accumulate keeps a symbol's pair
+    sums: dict[str, list[int]] = {}   # symbol -> [numerator, denominator]
     formal = False
     for exps, w in terms:
         v = fn(Ideal(exps))   # exps keeps n's sorted order and drops zero exponents
         if isinstance(v, FormalLog):
             formal = True
-            _accumulate(sums, None, w, v.const)
             for sym, c in v.coeffs.items():
                 _accumulate(sums, sym, w, c)
+            v = v.const
+        d = v.denominator
+        if d == den:
+            num += w * v.numerator
         else:
-            _accumulate(sums, None, w, v)
-    num, den = sums.pop(None, (0, 1))
+            g = gcd(den, d)
+            num = num * (d // g) + w * v.numerator * (den // g)
+            den = den // g * d
     const = Fraction(num, den * denom)
     if not formal:
         return const
     return FormalLog._trusted(const, {sym: Fraction(a, b * denom) for sym, (a, b) in sums.items() if a})
 
 
-def _accumulate(sums: dict[str | None, list[int]], sym: str | None, w: int, c: Fraction | int) -> None:
+def _accumulate(sums: dict[str, list[int]], sym: str, w: int, c: Fraction | int) -> None:
     """sums[sym] += w * c, as an integer numerator over the lcm of the denominators seen."""
     pair = sums.get(sym)
     if pair is None:
@@ -179,23 +188,29 @@ def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
     return Fraction(*_power_pair(n.norm, t, n))
 
 
-def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction | float:
+def _closed_pair(n: Ideal, t: Fraction, sign: int) -> tuple[int, int]:
     """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
-    with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above.  Exactly, the
-    product is one integer numerator over one integer denominator."""
+    with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above, as one integer
+    numerator over one integer denominator.  The pair is not reduced: each
+    place's factor (qd + sign * qn) divides the numerator."""
+    num, den = _power_pair(n.norm, t, n)
+    s = -2 * (1 + t)
+    for p, e in n.exps:
+        if e >= 2:
+            q = p.q
+            qn, qd = _power_pair(q, s, p.id)
+            if e == 2:   # 1 + sign * q/(q-1) * qn/qd
+                qd *= q - 1
+                qn *= q
+            num *= qd + sign * qn
+            den *= qd
+    return num, den
+
+
+def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction | float:
+    """_closed_pair's product, as one Fraction, or in floats when not exact."""
     if exact:
-        num, den = _power_pair(n.norm, t, n)
-        s = -2 * (1 + t)
-        for p, e in n.exps:
-            if e >= 2:
-                q = p.q
-                qn, qd = _power_pair(q, s, p.id)
-                if e == 2:   # 1 + sign * q/(q-1) * qn/qd
-                    qd *= q - 1
-                    qn *= q
-                num *= qd + sign * qn
-                den *= qd
-        return Fraction(num, den)
+        return Fraction(*_closed_pair(n, t, sign))
     out_f = float(n.norm) ** float(t)
     for p, e in n.exps:
         if e >= 2:
@@ -217,18 +232,20 @@ def closed_log(n: Ideal) -> FormalLog:
     """Closed form of the transform of log norm: the t-derivative of
     closed_power at t=0, as an exact FormalLog.  Each place adds
     (e + 2/(q^2-q-1) at e == 2, 2/(q^2-1) at e > 2) log q to a bracket that
-    is scaled by closed_power(n, 0)."""
-    coeffs: dict[str, Fraction] = {}
+    is scaled by closed_power(n, 0).  That place's factor of the scale's
+    numerator is q(q^2-q-1) at e == 2 and q^2-1 above, so each coefficient
+    times the scale is an integer over the scale's denominator."""
+    num, den = _closed_pair(n, Fraction(0), -1)
+    sums: dict[str, int] = {}
     for p, e in n.exps:
-        coeff = Fraction(e)
-        if e >= 2:
-            coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
-        for r, f in _factor_small(p.q):
+        q = p.q
+        d, extra = (1, 0) if e == 1 else (q * q - q - 1, 2) if e == 2 else (q * q - 1, 2)
+        c = (e * d + extra) * (num // d)
+        for r, f in _factor_small(q):
             sym = f"log@{r}"
-            coeffs[sym] = coeffs.get(sym, 0) + coeff * f
+            sums[sym] = sums.get(sym, 0) + c * f
     # every coefficient and the scale are positive, so none vanishes
-    scale = closed_power(n, 0)
-    return FormalLog._trusted(Fraction(0), {sym: c * scale for sym, c in coeffs.items()})
+    return FormalLog._trusted(Fraction(0), {sym: Fraction(c, den) for sym, c in sums.items()})
 
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
@@ -237,12 +254,25 @@ def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Frac
 
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:
+    """norm^t; an integer t needs no root, so norm^t is built directly."""
     t = Fraction(t)
+    if t.denominator == 1:
+        a = t.numerator
+        return (lambda n: Fraction(n.norm ** a)) if a >= 0 else (lambda n: Fraction(1, n.norm ** -a))
     return lambda n: _norm_power_exact(n, t)
 
 
 def log_norm_fn() -> ArithFn:
-    return lambda n: FormalLog.log_integer(n.norm) if n.norm > 1 else FormalLog.zero()
+    """log norm(m) = sum_v e_v log q_v, with each q_v = r^f canonicalised to
+    f log@r and the symbols in ascending order of r, as
+    FormalLog.log_integer(norm(m)) gives them."""
+    def log_norm(m: Ideal) -> FormalLog:
+        exps: dict[int, int] = {}
+        for p, e in m.exps:
+            for r, f in _factor_small(p.q):
+                exps[r] = exps.get(r, 0) + e * f
+        return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
+    return log_norm
 
 
 def one_fn() -> ArithFn:

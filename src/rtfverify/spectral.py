@@ -10,12 +10,19 @@ Two independent evaluation paths are maintained for r^(z): the defining sum of
 weight-polynomial ratios, and per-case closed forms.  The (c=1, eta=+1) closed
 form and its derivative are implemented with the corrected inner sum
 sum_[j=1..k] X^(j-1); the variant with X^j fails against the defining sum.
+
+At a rational X = a/b the defining sum runs on integers: each term
+q_poly_one(j) * Q_j(a/b) / tau_jj(j) is an integer pair, Q_j's denominators
+b^j, q and Q's denominator cleared, and the terms are added into one numerator
+over a running denominator, so one Fraction is built per result.  At a float
+or complex X the sum adds the q_poly terms as they stand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping
 
 from .errors import InertViolation, InputError
@@ -102,13 +109,16 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
 def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -> Num:
     """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1.
 
-    path="sum" evaluates the defining sum of polynomial ratios; path="closed"
-    the per-case rational expressions.  Both agree identically.
+    path="sum" evaluates the defining sum of polynomial ratios, on integers
+    at a Fraction X (_r_z_sum_exact); path="closed" the per-case rational
+    expressions.  Both agree identically.
     """
     _check_k(k)
     if eta_val not in (1, -1):
         raise ValueError("eta_val must be +-1")
     if path == "sum":
+        if isinstance(X, Fraction):
+            return _r_z_sum_exact(rep, eta_val, k, X.numerator, X.denominator)
         return sum(
             (q_poly_one(j, rep) * q_poly(j, rep, eta_val, X)) / tau_jj(j, rep)
             for j in range(k + 1)
@@ -133,6 +143,41 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -
     if eta_val == -1:
         return (1 + (-1) ** k * X ** (k + 1)) / (1 + X)
     return sum(X ** j for j in range(k + 1))
+
+
+def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tuple[int, int]:
+    """Q_j(eta, a/b) as an integer pair (numerator, denominator): q_poly's
+    cases cleared of the denominators b^j, q and Q's denominator."""
+    if j == 0:
+        return 1, 1
+    q, c, ea = rep.q, rep.c, eta_val * a
+    if c == 0:
+        Qn, Qd = rep.Q.numerator, rep.Q.denominator
+        if j == 1:
+            return ea * Qd - Qn * b, b * Qd
+        quad = q * a * a * Qd - eta_val * Qn * (q + 1) * a * b + b * b * Qd
+        return ea ** (j - 2) * quad, q * Qd * b ** j
+    if c == 1:
+        return ea ** (j - 1) * (ea * q - rep.chi * b), q * b ** j
+    return ea ** j, b ** j
+
+
+def _r_z_sum_exact(rep: LocalRepData, eta_val: int, k: int, a: int, b: int) -> Fraction:
+    """r_z's defining sum at X = a/b.  Each term q_poly_one * Q_j / tau_jj is
+    an integer pair, added into one numerator over a running denominator (the
+    lcm of the terms' denominators); one Fraction is built at the end."""
+    num, den = 0, 1
+    for j in range(k + 1):
+        one, tau = q_poly_one(j, rep), tau_jj(j, rep)
+        pn, pd = _q_poly_pair(j, rep, eta_val, a, b)
+        tn, td = one.numerator * tau.denominator * pn, one.denominator * tau.numerator * pd
+        if td == den:
+            num += tn
+        else:
+            g = gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den = den // g * td
+    return Fraction(num, den)
 
 
 def r_at_center(rep: LocalRepData, eta_val: int, k: int) -> Fraction:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -294,3 +296,42 @@ def test_closed_forms_equal_literal_products(n, t):
     got, want = nt.closed_log(n), _literal_closed_log(n)
     assert got == want and type(got) is type(want)
     assert list(got.coeffs) == list(want.coeffs)   # the order evaluate() sums in
+
+
+# ---------------------------------------------------------------------------
+# composite q: log@r canonicalisation where two places share a rational prime
+
+
+def _composite_grid(qs):
+    """Exponents 0..4 at places of the given q, whose ids sort in that order."""
+    places = [Prime(name, q) for name, q in zip("abcd", qs)]
+    return [Ideal.of(dict(zip(places, exps))) for exps in itertools.product(range(5), repeat=4)]
+
+
+# q = 3, 4, 8, 9 in two place orders.  In BY_Q the place order is not the
+# order of the rational primes 2 and 3; in BY_PRIME (4, 8, 3, 9) it is.
+# closed_log emits its symbols in place order and log_norm_fn in ascending
+# rational-prime order, so their coefficient orders agree on BY_PRIME only.
+BY_Q = _composite_grid((3, 4, 8, 9))
+BY_PRIME = _composite_grid((4, 8, 3, 9))
+
+
+@pytest.mark.parametrize("grid, same_order", [(BY_Q, False), (BY_PRIME, True)], ids=["by-q", "by-prime"])
+def test_closed_forms_equal_defining_sums_at_composite_q(grid, same_order):
+    for n in grid:
+        got, want = nt.closed_log(n), nt.n_transform(nt.log_norm_fn(), n)
+        assert got == want, n
+        if same_order:
+            assert list(got.coeffs) == list(want.coeffs), n
+        square = math.isqrt(n.norm) ** 2 == n.norm
+        for t in [Fraction(t) for t in (-2, -1, 0, 1, 2)] + ([Fraction(1, 2)] if square else []):
+            assert nt.closed_power(n, t) == nt.n_transform(nt.norm_power_fn(t), n), (n, t)
+
+
+def test_summands_equal_their_definitions_at_composite_q():
+    for m in BY_Q:
+        for t in (-2, -1, 0, 1, 2):
+            got = nt.norm_power_fn(t)(m)
+            assert got == Fraction(m.norm) ** t and type(got) is Fraction, (m, t)
+        got, want = nt.log_norm_fn()(m), FormalLog.log_integer(m.norm)
+        assert got == want and list(got.coeffs.items()) == list(want.coeffs.items()), m

@@ -204,13 +204,23 @@ def _suite_weights_inputs(seed):
     return out
 
 
+RZ_EXACT_X = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), Fraction(-59, 29),
+              Fraction(10 ** 12 + 1, 10 ** 12)]
+
+
 def test_rz_sum_bit_identical_to_uncached_sum():
+    """The sum path (cached factors; at a Fraction X the integer kernel)
+    against the uncached sum of q_poly terms: every c and eta, and k up to
+    MAX_K, at both parities, for the first datum of each c."""
     rng = random.Random(5)
-    for rep in (REP0, REP1, REP2, sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))):
-        for eta in (-1, 1):
-            for k in range(1, 9):
-                for X in (rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
-                    assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X))
+    data = [(REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))), (REP1, sp.LocalRepData(q=2, c=1, chi=-1)),
+            (REP2, sp.LocalRepData(q=5, c=2)), (sp.LocalRepData(q=9, c=3), sp.LocalRepData(q=2, c=3))]
+    for deep, shallow in data:
+        for rep, ks in ((deep, [*range(1, 9), 31, 32, sp.MAX_K - 1, sp.MAX_K]), (shallow, range(1, 9))):
+            for eta, k in itertools.product((-1, 1), ks):
+                xs = [rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+                for X in xs + RZ_EXACT_X:
+                    assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X)), (rep, k, X)
 
 
 def test_rep_caches_are_bounded():
