@@ -4,6 +4,10 @@ Places are opaque labels carrying a residue cardinality q; ideals are finite
 exponent maps over them.  Nothing here factors ideals of an actual number
 field: norms, the index iota, character values and the omega combinatorics
 depend only on (q_v, ord_v), which is all the transforms downstream need.
+
+Both are tuple-backed: a Prime is the tuple (id, q) and an Ideal the tuple of
+its (Prime, exponent) pairs, so they hash, compare and construct as tuples do,
+in C, and an Ideal equals a plain tuple with the same pairs.
 """
 from __future__ import annotations
 
@@ -11,27 +15,42 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CoprimalityError, InputError
 
 
-@dataclass(frozen=True, order=True)
-class Prime:
-    """A finite place: opaque id plus residue field cardinality q >= 2."""
+class Prime(tuple):
+    """A finite place: opaque id plus residue field cardinality q >= 2, as the
+    tuple (id, q).  Hashing, equality and the (id, q) order are tuple's."""
 
-    id: str
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        residue_cardinality(self.q, f"prime {self.id!r}")
+    def __new__(cls, id: str, q: int) -> "Prime":
+        residue_cardinality(q, f"prime {id!r}")
+        return tuple.__new__(cls, (id, q))
+
+    id = property(itemgetter(0))
+    q = property(itemgetter(1))
+
+    def __getnewargs__(self):   # pickle and copy rebuild through __new__
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Prime(id={self.id!r}, q={self.q!r})"
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """An integral ideal as a finite exponent map; the empty map is O."""
+class Ideal(tuple):
+    """An integral ideal: the tuple of its (Prime, exponent) pairs, in sorted
+    order with positive exponents; the empty tuple is O.  Ideal(pairs) takes
+    pairs already in that form; Ideal.of builds one from any exponent map.
+    Hashing, equality and construction are tuple's, so an Ideal equals a plain
+    tuple with the same pairs."""
 
-    exps: tuple[tuple[Prime, int], ...]
+    __slots__ = ()
+
+    exps = property(tuple)   # the pairs, as a plain tuple
 
     @classmethod
     def unit(cls) -> "Ideal":
@@ -49,68 +68,71 @@ class Ideal:
         return cls(items)
 
     def as_dict(self) -> dict[Prime, int]:
-        return dict(self.exps)
+        return dict(self)
 
     def ord(self, p: Prime) -> int:
-        for q, e in self.exps:
+        for q, e in self:
             if q == p:
                 return e
         return 0
 
     @property
     def support(self) -> tuple[Prime, ...]:
-        return tuple(p for p, _ in self.exps)
+        return tuple(p for p, _ in self)
 
     @property
     def is_unit(self) -> bool:
-        return not self.exps
+        return not self
 
     @property
     def norm(self) -> int:
         n = 1
-        for p, e in self.exps:
+        for p, e in self:
             n *= p.q ** e
         return n
 
-    # The methods below build their result straight from self.exps when it
+    # The methods below build their result straight from self's pairs when it
     # keeps self's sorted order and positive exponents, without Ideal.of.
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         d = self.as_dict()
-        for p, e in other.exps:
+        for p, e in other:
             d[p] = d.get(p, 0) + e
-        if len(d) > len(self.exps):   # a new place: sort and check its id
+        if len(d) > len(self):   # a new place: sort and check its id
             return Ideal.of(d)
-        return Ideal(tuple((p, d[p]) for p, _ in self.exps))
+        return Ideal((p, d[p]) for p, _ in self)
 
     def divide(self, other: "Ideal") -> "Ideal":
         """Exact quotient self * other^-1; raises if not integral."""
         d = self.as_dict()
-        for p, e in other.exps:
+        for p, e in other:
             r = d.get(p, 0) - e
             if r < 0:
                 raise ValueError(f"{other} does not divide {self}")
             d[p] = r
-        return Ideal(tuple((p, d[p]) for p, _ in self.exps if d[p]))
+        return Ideal((p, d[p]) for p, _ in self if d[p])
 
     def divides(self, other: "Ideal") -> bool:
-        return all(other.ord(p) >= e for p, e in self.exps)
+        return all(other.ord(p) >= e for p, e in self)
 
     def pow(self, k: int) -> "Ideal":
-        if k < 0 and self.exps:
+        if k < 0 and self:
             raise ValueError(f"negative power {k} of {self}")
-        return Ideal(tuple((p, e * k) for p, e in self.exps) if k else ())
+        return Ideal((p, e * k) for p, e in self) if k else Ideal(())
 
     def divisors(self) -> Iterator["Ideal"]:
-        primes = [p for p, _ in self.exps]
-        ranges = [range(e + 1) for _, e in self.exps]
+        primes = [p for p, _ in self]
+        ranges = [range(e + 1) for _, e in self]
         for combo in itertools.product(*ranges):
-            yield Ideal(tuple((p, k) for p, k in zip(primes, combo) if k))
+            yield Ideal((p, k) for p, k in zip(primes, combo) if k)
+
+    def __repr__(self):
+        return f"Ideal(exps={tuple(self)!r})"
 
     def __str__(self):
-        if not self.exps:
+        if not self:
             return "O"
-        return "*".join(p.id if e == 1 else f"{p.id}^{e}" for p, e in self.exps)
+        return "*".join(p.id if e == 1 else f"{p.id}^{e}" for p, e in self)
 
 
 @dataclass(frozen=True)
@@ -179,19 +201,19 @@ class QuadCharData:
 
 
 def stratum(m: Ideal, k: int) -> tuple[Prime, ...]:
-    return tuple(p for p, e in m.exps if e == k)
+    return tuple(p for p, e in m if e == k)
 
 
 def square_decompose(n: Ideal) -> tuple[Ideal, Ideal]:
     """n = n0 * n1^2 with n0 the largest squarefree divisor of that shape."""
-    return (Ideal(tuple((p, e % 2) for p, e in n.exps if e % 2)),
-            Ideal(tuple((p, e // 2) for p, e in n.exps if e >= 2)))
+    return (Ideal((p, e % 2) for p, e in n if e % 2),
+            Ideal((p, e // 2) for p, e in n if e >= 2))
 
 
 def iota(m: Ideal) -> Fraction:
     """Index of the level-m congruence subgroup: prod (1+q) q^(ord-1)."""
     out = Fraction(1)
-    for p, e in m.exps:
+    for p, e in m:
         out *= (1 + p.q) * p.q ** (e - 1)
     return out
 

@@ -15,20 +15,30 @@ term's weight is the product of its table entries, the sum is kept as an
 integer numerator over a running denominator (one per FormalLog symbol), and
 one Fraction is built per symbol at the end.
 
+Several summands share one enumeration: n_transforms(Bs, n) builds the terms
+and each ideal m once, then sums every B over them in turn, each B meeting the
+ideals in the order of its one-item call n_transform(B, n), so the batch
+equals the one-item calls made in sequence.  No summand value is memoised.
+
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
 Fraction built per ideal.  closed_log takes the scale closed_power(n, 0) as
 that unreduced pair; each place's log coefficient has a denominator dividing
 the scale's numerator, so each symbol's coefficient is one integer sum over the
-scale's denominator, and one Fraction is built per symbol.  The summands are
-built the same way: norm^t at an integer t is an integer power, and log norm
-is sum_v e_v log q_v, read from m's exponents.
+scale's denominator, and one Fraction is built per symbol.  At an integer t
+every power, norm^t and each q^-2(1+t), is an integer power, with no Fraction
+arithmetic; a fractional t takes exact integer roots (_power_pair).  The
+summands are built the same way: norm^t at an integer t is an integer power,
+and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
+factorisation read from a cache keyed by q (one entry per residue
+cardinality seen).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import NonRationalPower
 from .formal import FormalLog, _factor_small
@@ -51,7 +61,7 @@ def _subset_choices(n: Ideal, sign: int) -> tuple[list[list[Choice]], int]:
     sign * (q+1)/(q-1) * 1/((1+q)q) = sign/(q(q-1)) at e == 2 and sign/q^2 at
     e >= 3; over the place's denominator d it is (keep: d, remove: sign)."""
     choices, denom = [], 1
-    for p, e in n.exps:
+    for p, e in n:
         opts = [(((p, e),), 1)]
         if e >= 2:
             d = p.q * (p.q - 1) if e == 2 else p.q ** 2
@@ -67,7 +77,7 @@ def _divisor_choices(n: Ideal) -> tuple[list[list[Choice]], int]:
     (q+1)/(q-1) * 1/((1+q) q^(e-1)) = 1/((q-1) q^(e-1)) at 2k == e; over the
     place's denominator d = q^(e-1), times q-1 at even e, it is d/q^2k or 1."""
     choices, denom = [], 1
-    for p, e in n.exps:
+    for p, e in n:
         q = p.q
         d = q ** (e - 1) * (q - 1 if e % 2 == 0 else 1)
         choices.append([(((p, e - 2 * k),), d // q ** (2 * k)) if 2 * k < e else ((), 1)
@@ -76,14 +86,17 @@ def _divisor_choices(n: Ideal) -> tuple[list[list[Choice]], int]:
     return choices, denom
 
 
-def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fastest: bool) -> Value:
-    """sum over one option per place of (product of the weights) * fn(m) / denom.
+def _weighted_sum(fns: Sequence[ArithFn], choices: list[list[Choice]], denom: int,
+                  first_fastest: bool) -> list[Value]:
+    """For each fn of fns, the sum over one option per place of
+    (product of the weights) * fn(m) / denom.
 
-    The terms run with the first place's option varying fastest (the subset
-    masks of n_transform) or the last (the divisor order of convolve_omega),
-    so a fn with side effects, such as a lazily drawn random function, meets
-    the ideals in a fixed order.  A FormalLog result is returned whenever any
-    fn(m) is one, even if every coefficient cancels; otherwise a Fraction.
+    The terms and their ideals m are built once and shared by every fn.  They
+    run with the first place's option varying fastest (the subset masks of
+    n_transform) or the last (the divisor order of convolve_omega), and each
+    fn is summed over all of them before the next fn starts, so a fn with side
+    effects, such as a lazily drawn random function, meets the ideals in the
+    same fixed order whatever else is in fns.
     """
     terms: list[tuple[tuple, int]] = [((), 1)]
     for opts in choices:
@@ -91,11 +104,20 @@ def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fa
             terms = [(exps + entry, w * c) for entry, c in opts for exps, w in terms]
         else:
             terms = [(exps + entry, w * c) for exps, w in terms for entry, c in opts]
+    # each exps keeps n's sorted order and drops zero exponents
+    terms = [(Ideal(exps), w) for exps, w in terms]
+    return [_sum_terms(fn, terms, denom) for fn in fns]
+
+
+def _sum_terms(fn: ArithFn, terms: list[tuple[Ideal, int]], denom: int) -> Value:
+    """sum of w * fn(m) / denom over the (m, w) terms.  A FormalLog is
+    returned whenever any fn(m) is one, even if every coefficient cancels;
+    otherwise a Fraction."""
     num, den = 0, 1   # the constant, as _accumulate keeps a symbol's pair
     sums: dict[str, list[int]] = {}   # symbol -> [numerator, denominator]
     formal = False
-    for exps, w in terms:
-        v = fn(Ideal(exps))   # exps keeps n's sorted order and drops zero exponents
+    for m, w in terms:
+        v = fn(m)
         if isinstance(v, FormalLog):
             formal = True
             for sym, c in v.coeffs.items():
@@ -135,12 +157,17 @@ def n_transform(B: ArithFn, n: Ideal) -> Value:
         sum_{I subset S(n1)} (-1)^|I| prod_{v in I cap S1(n1)} omega_v(n0)
                              * iota(m)/iota(n) * B(m),   m = n prod_{v in I} p_v^-2.
     """
-    return _weighted_sum(B, *_subset_choices(n, -1), first_fastest=True)
+    return _weighted_sum((B,), *_subset_choices(n, -1), first_fastest=True)[0]
+
+
+def n_transforms(Bs: Sequence[ArithFn], n: Ideal) -> list[Value]:
+    """[n_transform(B, n) for B in Bs], over one enumeration of the subsets."""
+    return _weighted_sum(Bs, *_subset_choices(n, -1), first_fastest=True)
 
 
 def n_plus(B: ArithFn, n: Ideal) -> Value:
     """All-positive-signs majorant of the transform."""
-    return _weighted_sum(B, *_subset_choices(n, 1), first_fastest=True)
+    return _weighted_sum((B,), *_subset_choices(n, 1), first_fastest=True)[0]
 
 
 def convolve_omega(A: ArithFn, n: Ideal) -> Value:
@@ -150,7 +177,7 @@ def convolve_omega(A: ArithFn, n: Ideal) -> Value:
 
     n_transform inverts this map exactly (and vice versa).
     """
-    return _weighted_sum(A, *_divisor_choices(n), first_fastest=False)
+    return _weighted_sum((A,), *_divisor_choices(n), first_fastest=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +196,16 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
+def _int_power(x: int, a: int) -> tuple[int, int]:
+    """x^a for integers x >= 1 and a, as a coprime pair (numerator, denominator)."""
+    return (x ** a, 1) if a >= 0 else (1, x ** -a)
+
+
 def _power_pair(x: int, t: Fraction, label: object) -> tuple[int, int]:
     """x^t for an integer x >= 1 as a coprime pair (numerator, denominator);
     `label` names x as norm(label) in the error raised when x^t is irrational."""
     a, d = t.numerator, t.denominator
-    num, den = (x ** a, 1) if a >= 0 else (1, x ** -a)
+    num, den = _int_power(x, a)
     if d == 1:
         return num, den
     # need an exact rational root; norms may exceed the float range
@@ -188,17 +220,23 @@ def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
     return Fraction(*_power_pair(n.norm, t, n))
 
 
-def _closed_pair(n: Ideal, t: Fraction, sign: int) -> tuple[int, int]:
+def _closed_pair(n: Ideal, t: Fraction | int, sign: int) -> tuple[int, int]:
     """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
     with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above, as one integer
     numerator over one integer denominator.  The pair is not reduced: each
-    place's factor (qd + sign * qn) divides the numerator."""
-    num, den = _power_pair(n.norm, t, n)
-    s = -2 * (1 + t)
-    for p, e in n.exps:
+    place's factor (qd + sign * qn) divides the numerator.  An integer t
+    (an int, or a Fraction with denominator 1) takes integer powers only."""
+    if t.denominator == 1:
+        a = t.numerator
+        num, den = _int_power(n.norm, a)
+        s = -2 * (1 + a)
+    else:
+        num, den = _power_pair(n.norm, t, n)
+        s = -2 * (1 + t)
+    for p, e in n:
         if e >= 2:
             q = p.q
-            qn, qd = _power_pair(q, s, p.id)
+            qn, qd = _int_power(q, s) if type(s) is int else _power_pair(q, s, p.id)
             if e == 2:   # 1 + sign * q/(q-1) * qn/qd
                 qd *= q - 1
                 qn *= q
@@ -207,12 +245,15 @@ def _closed_pair(n: Ideal, t: Fraction, sign: int) -> tuple[int, int]:
     return num, den
 
 
-def _closed_product(n: Ideal, t: Fraction, sign: int, exact: bool) -> Fraction | float:
-    """_closed_pair's product, as one Fraction, or in floats when not exact."""
+def _closed_product(n: Ideal, t: Fraction | int, sign: int, exact: bool) -> Fraction | float:
+    """_closed_pair's product, as one Fraction, or in floats when not exact.
+    t is an int or a Fraction; any other number is read as its Fraction."""
+    if type(t) is not int:
+        t = Fraction(t)
     if exact:
         return Fraction(*_closed_pair(n, t, sign))
     out_f = float(n.norm) ** float(t)
-    for p, e in n.exps:
+    for p, e in n:
         if e >= 2:
             qpow = float(p.q) ** float(-2 * (1 + t))
             out_f *= 1 + sign * ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
@@ -225,7 +266,7 @@ def closed_power(n: Ideal, t: Fraction | int) -> Fraction:
         norm(n)^t * prod_{S(n1)-S2(n)} (1 - q^-2(1+t))
                   * prod_{S2(n)}       (1 - (1-1/q)^-1 q^-2(1+t)).
     """
-    return _closed_product(n, Fraction(t), -1, True)
+    return _closed_product(n, t, -1, True)
 
 
 def closed_log(n: Ideal) -> FormalLog:
@@ -235,13 +276,13 @@ def closed_log(n: Ideal) -> FormalLog:
     is scaled by closed_power(n, 0).  That place's factor of the scale's
     numerator is q(q^2-q-1) at e == 2 and q^2-1 above, so each coefficient
     times the scale is an integer over the scale's denominator."""
-    num, den = _closed_pair(n, Fraction(0), -1)
+    num, den = _closed_pair(n, 0, -1)
     sums: dict[str, int] = {}
-    for p, e in n.exps:
+    for p, e in n:
         q = p.q
         d, extra = (1, 0) if e == 1 else (q * q - q - 1, 2) if e == 2 else (q * q - 1, 2)
         c = (e * d + extra) * (num // d)
-        for r, f in _factor_small(q):
+        for r, f in _q_factors(q):
             sym = f"log@{r}"
             sums[sym] = sums.get(sym, 0) + c * f
     # every coefficient and the scale are positive, so none vanishes
@@ -250,7 +291,7 @@ def closed_log(n: Ideal) -> FormalLog:
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
     """Closed form of the all-positive majorant on norm^t."""
-    return _closed_product(n, Fraction(t), 1, exact)
+    return _closed_product(n, t, 1, exact)
 
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:
@@ -262,14 +303,19 @@ def norm_power_fn(t: Fraction | int) -> ArithFn:
     return lambda n: _norm_power_exact(n, t)
 
 
+# q = prod r^f as the (r, f) pairs, cached by q: one entry per residue
+# cardinality seen; callers only read the list
+_q_factors = cache(_factor_small)
+
+
 def log_norm_fn() -> ArithFn:
     """log norm(m) = sum_v e_v log q_v, with each q_v = r^f canonicalised to
     f log@r and the symbols in ascending order of r, as
     FormalLog.log_integer(norm(m)) gives them."""
     def log_norm(m: Ideal) -> FormalLog:
         exps: dict[int, int] = {}
-        for p, e in m.exps:
-            for r, f in _factor_small(p.q):
+        for p, e in m:
+            for r, f in _q_factors(p.q):
                 exps[r] = exps.get(r, 0) + e * f
         return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
     return log_norm

@@ -11,15 +11,18 @@ weight-polynomial ratios, and per-case closed forms.  The (c=1, eta=+1) closed
 form and its derivative are implemented with the corrected inner sum
 sum_[j=1..k] X^(j-1); the variant with X^j fails against the defining sum.
 
-At a rational X = a/b the defining sum runs on integers: each term
-q_poly_one(j) * Q_j(a/b) / tau_jj(j) is an integer pair, Q_j's denominators
-b^j, q and Q's denominator cleared, and the terms are added into one numerator
-over a running denominator, so one Fraction is built per result.  At a float
-or complex X the sum adds the q_poly terms as they stand.
+At a rational X = a/b both paths run on integers.  The defining sum takes
+each term q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's
+denominators b^j, q and Q's denominator cleared, and adds the terms into one
+numerator over a running denominator.  The closed path writes each case's
+expression as one integer numerator over one denominator, its geometric sums
+in closed form.  Either way one Fraction is built per result.  At a float or
+complex X the sum adds the q_poly terms as they stand, and the closed path
+evaluates the case's expression in X.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -44,6 +47,7 @@ class LocalRepData:
     c: int
     Q: Fraction | None = None   # c = 0
     chi: int | None = None      # c = 1
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         residue_cardinality(self.q, "LocalRepData")
@@ -62,6 +66,15 @@ class LocalRepData:
         else:
             if self.Q is not None or self.chi is not None:
                 raise InputError(f"c>=2 carries no parameter, got Q={self.Q}, chi={self.chi}")
+        # hashed once: the caches of q_poly_one and tau_jj hash the datum on
+        # every call, and a Fraction Q hashes in Python
+        object.__setattr__(self, "_hash", hash((self.q, self.c, self.Q, self.chi)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):   # rebuilt, so rehashed, where it is unpickled
+        return LocalRepData, (self.q, self.c, self.Q, self.chi)
 
 
 def _check_k(k: int):
@@ -109,9 +122,9 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
 def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -> Num:
     """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1.
 
-    path="sum" evaluates the defining sum of polynomial ratios, on integers
-    at a Fraction X (_r_z_sum_exact); path="closed" the per-case rational
-    expressions.  Both agree identically.
+    path="sum" evaluates the defining sum of polynomial ratios, path="closed"
+    the per-case rational expressions; at a Fraction X each runs on integers
+    (_r_z_sum_exact, _r_z_closed_exact).  Both agree identically.
     """
     _check_k(k)
     if eta_val not in (1, -1):
@@ -125,6 +138,8 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -
         )
     if path != "closed":
         raise ValueError(f"unknown path {path!r}")
+    if isinstance(X, Fraction):
+        return _r_z_closed_exact(rep, eta_val, k, X.numerator, X.denominator)
     q = rep.q
     if rep.c == 0:
         Q = rep.Q
@@ -143,6 +158,45 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -
     if eta_val == -1:
         return (1 + (-1) ** k * X ** (k + 1)) / (1 + X)
     return sum(X ** j for j in range(k + 1))
+
+
+def _geometric(a: int, b: int, n: int) -> int:
+    """sum_{i < n} a^i b^(n-1-i), that is sum_{i < n} (a/b)^i times b^(n-1)."""
+    if a == b:
+        return n * b ** (n - 1) if n else 0
+    return (b ** n - a ** n) // (b - a)
+
+
+def _r_z_closed_exact(rep: LocalRepData, eta_val: int, k: int, a: int, b: int) -> Fraction:
+    """r_z's closed expressions at X = a/b (b > 0), each case as one integer
+    numerator over one denominator; X = -1 divides by zero where the
+    expression divides by 1 + X."""
+    q, bk = rep.q, b ** k
+    if rep.c == 0:
+        Qn, Qd = rep.Q.numerator, rep.Q.denominator
+        scale = (q - 1) * (Qd + Qn)   # (q-1)(1+Q) Qd
+        first = Qd * (q - 1) * b ** (k - 1)
+        if eta_val == -1:
+            # (1-X)/(1+Q) + quad (1 - (-X)^(k-1)) / ((q-1)(1+Q)(1+X)), quad = 1 + Q(q+1)X + qX^2
+            quad = Qd * b * b + Qn * (q + 1) * a * b + q * Qd * a * a
+            num = (b - a) * (b + a) * first + quad * (b ** (k - 1) - (-a) ** (k - 1))
+            return Fraction(num, scale * bk * (b + a))
+        # (1+X)/(1+Q) + quad sum_{j=2..k} X^(j-2) / ((q-1)(1+Q)), quad = 1 - Q(q+1)X + qX^2
+        quad = Qd * b * b - Qn * (q + 1) * a * b + q * Qd * a * a
+        return Fraction((b + a) * first + quad * _geometric(a, b, k - 1), scale * bk)
+    if rep.c == 1:
+        chi = rep.chi
+        if eta_val == -1:
+            # 1 - (X + chi/q)/(1 + chi/q) (1 - (-1)^k X^k)/(1 + X)
+            den = (q + chi) * bk * (b + a)
+            return Fraction(den - (a * q + chi * b) * (bk - (-a) ** k), den)
+        # 1 + (X - chi/q)/(1 + chi/q) sum_{j=1..k} X^(j-1)
+        den = (q + chi) * bk
+        return Fraction(den + (a * q - chi * b) * _geometric(a, b, k), den)
+    if eta_val == -1:
+        # (1 + (-1)^k X^(k+1)) / (1 + X)
+        return Fraction(b * bk - (-a) ** (k + 1), bk * (b + a))
+    return Fraction(_geometric(a, b, k + 1), bk)
 
 
 def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tuple[int, int]:

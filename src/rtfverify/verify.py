@@ -48,9 +48,10 @@ def _cached_random_fn(rng: random.Random) -> ArithFn:
     cache: dict[Ideal, Fraction] = {}
 
     def fn(m: Ideal) -> Fraction:
-        if m not in cache:
-            cache[m] = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-        return cache[m]
+        v = cache.get(m)
+        if v is None:
+            v = cache[m] = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+        return v
 
     return fn
 
@@ -84,15 +85,14 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
 
     t0 = time.monotonic()
     primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
+    ts = (-1, 0, 1, 2)
+    summands = [norm_power_fn(t) for t in ts] + [log_norm_fn()]
     bad = 0
     checked = 0
     for exps in product(range(7), repeat=4):
         n = Ideal.of(dict(zip(primes, exps)))
-        for t in (-1, 0, 1, 2):
-            if ntransform.n_transform(norm_power_fn(t), n) != ntransform.closed_power(n, t):
-                bad += 1
-        if ntransform.n_transform(log_norm_fn(), n) != ntransform.closed_log(n):
-            bad += 1
+        closed = [ntransform.closed_power(n, t) for t in ts] + [ntransform.closed_log(n)]
+        bad += sum(got != want for got, want in zip(ntransform.n_transforms(summands, n), closed))
         checked += 1
     dt = time.monotonic() - t0
     out.append(CheckResult("ntransform.closed-forms-exhaustive",

@@ -230,7 +230,7 @@ INDEPENDENT_PAIRS = {
                                                               "ideals.residue_cardinality"},
     ("ntransform.convolve_omega", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
                                                               "ideals.Prime", "ideals.residue_cardinality",
-                                                              "ntransform._accumulate",
+                                                              "ntransform._accumulate", "ntransform._sum_terms",
                                                               "ntransform._weighted_sum"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                                        "spectral._check_k"},

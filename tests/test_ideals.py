@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +153,42 @@ _ORIGIN = orbital_local.LocalPoint(0, 0)
         "w_level", "w_level_oracle", "w_ramified", "w_ramified_bound"])
 def test_every_q_is_checked_by_residue_cardinality(make):
     with pytest.raises(InputError, match=r"needs an integer q >= 2, got q=1$"):
+        make()
+
+
+def test_prime_and_ideal_value_semantics():
+    """Prime and Ideal are tuple-backed values: (id, q) order, the repr and
+    str texts, pickle and deepcopy round trips, and one hash per value."""
+    primes = [Prime("b", 2), Prime("a", 5), Prime("c", 13), Prime("a", 3)]
+    assert sorted(primes) == [Prime("a", 3), Prime("a", 5), Prime("b", 2), Prime("c", 13)]
+    assert repr(P3) == str(P3) == "Prime(id='p', q=3)"
+    assert (P3.id, P3.q) == ("p", 3)
+    n = Ideal.of({Q2: 1, P3: 2})
+    assert repr(n) == "Ideal(exps=((Prime(id='p', q=3), 2), (Prime(id='q', q=2), 1)))"
+    assert str(n) == "p^2*q"
+    assert (repr(Ideal.unit()), str(Ideal.unit())) == ("Ideal(exps=())", "O")
+    copies = [lambda x, proto=proto: pickle.loads(pickle.dumps(x, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy]
+    for value in (P3, n, Ideal.unit()):
+        for copied in copies:
+            back = copied(value)
+            assert back == value and type(back) is type(value) and hash(back) == hash(value)
+            if isinstance(value, Ideal):
+                assert all(type(p) is Prime for p, _ in back.exps)
+    twin = Ideal.of({P3: 2, Q2: 1})
+    assert twin == n and hash(twin) == hash(n) and twin.exps == n.exps
+    # an Ideal is the tuple of its pairs, and exps gives them as a plain tuple
+    assert n == ((P3, 2), (Q2, 1)) and type(n.exps) is tuple
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Prime("p", 1), InputError, "prime 'p' needs an integer q >= 2, got q=1"),
+    (lambda: Prime("p", 2.0), InputError, "prime 'p' needs an integer q >= 2, got q=2.0"),
+    (lambda: Ideal.of({P3: 2, Q2: -1}), InputError, "negative exponent -1 at q"),
+    (lambda: Ideal.of({P3: 1, Prime("p", 5): 2}), ValueError, "duplicate prime ids in exponent map"),
+], ids=["q=1", "q=2.0", "negative", "duplicate"])
+def test_prime_and_ideal_refusals_keep_their_messages(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -187,9 +187,13 @@ def _random_fn(rng, kind, seen=None):
     return fn
 
 
+KINDS = ("fraction", "formal", "mixed")
+
+
 @settings(max_examples=150, deadline=None)
-@given(monoid_ideal(), st.sampled_from(("fraction", "formal", "mixed")), st.randoms(use_true_random=False))
-def test_kernel_equals_reference_sums(n, kind, rng):
+@given(monoid_ideal(), st.sampled_from(KINDS), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(KINDS), min_size=1, max_size=5), st.integers(0, 2 ** 32))
+def test_kernel_equals_reference_sums(n, kind, rng, batch_kinds, seed):
     seen = []
     B = _random_fn(rng, kind, seen)
     for got, want in ((nt.n_transform(B, n), _reference_subset_sum(B, n, -1)),
@@ -199,6 +203,20 @@ def test_kernel_equals_reference_sums(n, kind, rng):
     for m in seen:   # the kernel builds each m without Ideal.of
         twin = Ideal.of(m.as_dict())
         assert m == twin and hash(m) == hash(twin) and m.exps == twin.exps
+    # the batched call, item by item, against one-item calls on fresh twins
+    # of its summands: the same values (type and FormalLog coefficient order
+    # included), and each summand meets the same ideals in the same order
+    batch_seen = [[] for _ in batch_kinds]
+    batch = nt.n_transforms([_random_fn(random.Random(seed + i), k, batch_seen[i])
+                             for i, k in enumerate(batch_kinds)], n)
+    assert len(batch) == len(batch_kinds)
+    for i, k in enumerate(batch_kinds):
+        one_seen = []
+        want = nt.n_transform(_random_fn(random.Random(seed + i), k, one_seen), n)
+        assert batch[i] == want and type(batch[i]) is type(want)
+        if isinstance(want, FormalLog):
+            assert list(batch[i].coeffs.items()) == list(want.coeffs.items())
+        assert batch_seen[i] == one_seen
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -221,6 +222,62 @@ def test_rz_sum_bit_identical_to_uncached_sum():
                 xs = [rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
                 for X in xs + RZ_EXACT_X:
                     assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X)), (rep, k, X)
+
+
+def _literal_r_z_closed(rep, eta_val, k, X):
+    """r_z's closed expressions, evaluated term by term in X's own type."""
+    q = rep.q
+    if rep.c == 0:
+        Q = rep.Q
+        if eta_val == -1:
+            quad = 1 + Q * (q + 1) * X + q * X * X
+            return (1 - X) / (1 + Q) + quad * (1 - (-X) ** (k - 1)) / ((q - 1) * (1 + Q) * (1 + X))
+        quad = 1 - Q * (q + 1) * X + q * X * X
+        geo = sum(X ** (j - 2) for j in range(2, k + 1)) if k >= 2 else 0
+        return (1 + X) / (1 + Q) + quad * geo / ((q - 1) * (1 + Q))
+    if rep.c == 1:
+        cq = Fraction(rep.chi, q)
+        if eta_val == -1:
+            return 1 - (X + cq) / (1 + cq) * (1 - (-1) ** k * X ** k) / (1 + X)
+        return 1 + (X - cq) / (1 + cq) * sum(X ** (j - 1) for j in range(1, k + 1))
+    if eta_val == -1:
+        return (1 + (-1) ** k * X ** (k + 1)) / (1 + X)
+    return sum(X ** j for j in range(k + 1))
+
+
+def test_rz_closed_bit_identical_to_literal_expressions():
+    """The closed path (at a Fraction X the integer kernel) against its
+    expressions evaluated term by term: every c and eta, k up to MAX_K, and
+    X = -1, where the expressions that divide by 1 + X raise."""
+    rng = random.Random(7)
+    data = [REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(-3, 10)), sp.LocalRepData(q=2, c=0, Q=Fraction(0)), REP1,
+            sp.LocalRepData(q=2, c=1, chi=-1), REP2, sp.LocalRepData(q=9, c=3)]
+    for rep, eta in itertools.product(data, (-1, 1)):
+        for k in [*range(1, 9), 31, 32, sp.MAX_K - 1, sp.MAX_K]:
+            xs = [rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  Fraction(rng.randint(-60, 60), rng.randint(1, 30))]
+            for X in xs + RZ_EXACT_X + [Fraction(-1)]:
+                try:
+                    want = _literal_r_z_closed(rep, eta, k, X)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        sp.r_z(rep, eta, k, X, "closed")
+                    continue
+                assert _bits(sp.r_z(rep, eta, k, X, "closed")) == _bits(want), (rep, eta, k, X)
+
+
+def test_rep_hash_is_taken_once_and_rebuilt_on_unpickling():
+    rep = sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))
+    twin = sp.LocalRepData(q=5, c=0, Q=Fraction(6, 20))
+    assert rep == twin and hash(rep) == hash(twin) == hash((5, 0, Fraction(3, 10), None))
+    assert repr(rep) == "LocalRepData(q=5, c=0, Q=Fraction(3, 10), chi=None)"
+    for value in (rep, REP1, REP2):
+        # the stored hash is not pickled (hash(None) may differ between
+        # processes): unpickling rebuilds the datum, which hashes it afresh
+        data = pickle.dumps(value)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back == value and hash(back) == hash(value)
 
 
 def test_rep_caches_are_bounded():

@@ -2,11 +2,9 @@
 
     python3 tools/exact_digest.py [SRC_DIR]
 
-SRC_DIR (default: the src/ beside this file) is put first on sys.path.  The
-script imports only formal, ideals, ntransform and spectral, which need no
-third-party package, so it runs under any supported Python.  It prints one
-line per section (result count and digest) and a total line; two checkouts
-whose exact code agrees print identical lines.
+SRC_DIR (default: the src/ beside this file) is put first on sys.path.  It
+prints one line per section (result count and digest) and a total line; two
+checkouts whose results agree print identical lines.
 
 Every result is recorded with its type.  A FormalLog is recorded as its
 constant and its coefficients in dict order (the order `evaluate` sums them
@@ -21,28 +19,42 @@ The spectral results are split in two sections.  spectral-exact holds every
 Fraction result: r_z at a Fraction X on both paths, partial_r, partial_r_sum,
 q_poly_one and tau_jj.  spectral-float holds r_z at float and complex X.
 
-tools/exact_digest.expected holds the closed, transforms, log_integer and
-spectral-exact lines, which agree under Python 3.10 to 3.12; CI diffs the
-first four output lines against it.  The spectral-float line is left out: it
-differs on 3.12, whose sum() of floats is compensated.
+The verify section is the output of `rtf verify --suite S --seed N`, run in
+process through cli.main, for the exact suites S (ntransform, weights,
+orbital, assembly) and N = 0..4: the exit code and every stdout line, with a
+check's trailing elapsed time ("1.23s") masked.  Its lines print floats too.
+A time-gated check's status and the exit code still follow its wall-clock
+gate (5 or 10 s, several times the check's run time).
+
+tools/exact_digest.expected holds the closed, transforms, log_integer,
+spectral-exact and verify lines, the first five of the output.  The first
+four agree under Python 3.10 to 3.12, and CI diffs them on every Python; the
+verify line is diffed under 3.11 only, as float output may differ between
+Python minors.  The spectral-float line is left out: it differs on 3.12,
+whose sum() of floats is compensated.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from rtfverify import ntransform as nt, spectral as sp  # noqa: E402
+from rtfverify import cli, ntransform as nt, spectral as sp  # noqa: E402
 from rtfverify.errors import RTFError  # noqa: E402
 from rtfverify.formal import FormalLog  # noqa: E402
 from rtfverify.ideals import Ideal, Prime  # noqa: E402
 
 TS = [Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]
+VERIFY_SUITES = ("ntransform", "weights", "orbital", "assembly")
+VERIFY_SEEDS = range(5)
 
 
 def record(value) -> str:
@@ -141,7 +153,16 @@ def main() -> None:
                             rz.add(attempt(sp.r_z, rep, eta, k, X, "sum"))
                             rz.add(attempt(sp.r_z, rep, eta, k, X, "closed"))
 
-    sections = (closed, sums, logs, exact, floats)
+    checks = Section("verify")
+    for suite, seed in itertools.product(VERIFY_SUITES, VERIFY_SEEDS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "--suite", suite, "--seed", str(seed)])
+        checks.add(f"{suite} {seed} rc={rc}")
+        for line in out.getvalue().splitlines():
+            checks.add(re.sub(r"\d+\.\d+s$", "<elapsed>s", line))
+
+    sections = (closed, sums, logs, exact, checks, floats)
     total = hashlib.sha256()
     for section in sections:
         print(section.line())
