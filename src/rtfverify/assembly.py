@@ -106,7 +106,7 @@ def nu_of_n(n: Ideal) -> Fraction:
     """prod over S(n)-(S1 u S2) of (1 - q^-2) times prod over S2 of
     (1 - (q^2 - q)^-1)."""
     out = Fraction(1)
-    for p, e in n.exps:
+    for p, e in n:
         if e == 1:
             continue
         if e == 2:
@@ -130,20 +130,20 @@ def x_of_n(n: Ideal) -> FormalLog:
 
 def eta_split(a: Ideal, eta: QuadCharData) -> tuple[Ideal, Ideal]:
     """(a_eta^-, a_eta^+): the parts of a supported on inert / split primes."""
-    minus = {p: e for p, e in a.exps if eta.tilde_eta(p) == -1}
-    plus = {p: e for p, e in a.exps if eta.tilde_eta(p) == 1}
+    minus = {p: e for p, e in a if eta.tilde_eta(p) == -1}
+    plus = {p: e for p, e in a if eta.tilde_eta(p) == 1}
     return Ideal.of(minus), Ideal.of(plus)
 
 
 def d_one(a: Ideal) -> int:
     out = 1
-    for _, e in a.exps:
+    for _, e in a:
         out *= e + 1
     return out
 
 
 def delta_square(a: Ideal) -> int:
-    return int(all(e % 2 == 0 for _, e in a.exps))
+    return int(all(e % 2 == 0 for _, e in a))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,8 @@ def main_ADL_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
                 core = core + FormalLog.log_integer(p.q, Fraction(1, p.q ** 2 - 1))
         bracket = bracket + core * d1p
     # odd-exponent correction on the inert part: coefficient (n_v + 1)/2
-    for p, e in am.exps:
-        rest_even = all(e2 % 2 == 0 for p2, e2 in am.exps if p2 != p)
+    for p, e in am:
+        rest_even = all(e2 % 2 == 0 for p2, e2 in am if p2 != p)
         if e % 2 == 1 and rest_even:
             bracket = bracket + FormalLog.log_integer(p.q, Fraction((e + 1) * d1p, 2))
     return bracket * nu
@@ -210,9 +210,8 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     (-1)^#S [ (N[log norm]/2 + C0 N[1]) prod_v U_v + N[1] sum_v dU_v prod_(w!=v) U_w ]
     with the per-place moments in their scaled (exactly rational) form."""
     _require_class(n, a, eta, "-")
-    s_places = list(a.exps)
-    u_hat = {p: unip_u_scaled(eta.tilde_eta(p), e) for p, e in s_places}
-    du_hat = {p: unip_du_scaled(eta.tilde_eta(p), e) for p, e in s_places}
+    u_hat = {p: unip_u_scaled(eta.tilde_eta(p), e) for p, e in a}
+    du_hat = {p: unip_du_scaled(eta.tilde_eta(p), e) for p, e in a}
     n_one = closed_power(n, 0)
     n_log = closed_log(n)
     c0 = FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
@@ -220,18 +219,18 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     if feta_norm > 1:
         c0 = c0 + FormalLog.log_integer(feta_norm)
     prod_all = Fraction(1)
-    for p, _ in s_places:
+    for p, _ in a:
         prod_all *= u_hat[p]
     bracket = (n_log * Fraction(1, 2) + c0 * n_one) * prod_all
     cross = FormalLog.zero()
-    for p, _ in s_places:
+    for p, _ in a:
         rest = Fraction(1)
-        for p2, _ in s_places:
+        for p2, _ in a:
             if p2 != p:
                 rest *= u_hat[p2]
         cross = cross + FormalLog.log_integer(p.q, du_hat[p] * rest)
     bracket = bracket + cross * n_one
-    sign = Fraction((-1) ** len(s_places))
+    sign = Fraction((-1) ** len(a))
     return bracket * sign
 
 
@@ -272,12 +271,12 @@ def geom_prefactor(n_s: int, eps_eta: int) -> PrefactorMonomial:
 def degenerate_D(n: Ideal, eta: QuadCharData, w: WeightData) -> complex:
     """The transform of D, which survives only on fully squared levels (the
     transform of D log norm vanishes identically)."""
-    if any(e != 2 for _, e in n.exps):
+    if any(e != 2 for _, e in n):
         return 0j
     prod = Fraction(1)
-    for p, _ in n.exps:
+    for p, _ in n:
         prod *= Fraction(p.q + 1, p.q - 1)
-    count = len(n.exps)
+    count = len(n)
     i_l_tilde = 1j ** (w.l_tilde_default % 4)   # +-1: the weights are even
     return complex((-1) ** eta.eps * (-1) ** count * float(prod / iota(n))) * i_l_tilde
 

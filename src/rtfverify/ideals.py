@@ -7,7 +7,13 @@ depend only on (q_v, ord_v), which is all the transforms downstream need.
 
 Both are tuple-backed: a Prime is the tuple (id, q) and an Ideal the tuple of
 its (Prime, exponent) pairs, so they hash, compare and construct as tuples do,
-in C, and an Ideal equals a plain tuple with the same pairs.
+in C.  Iterating an Ideal gives its pairs.  They keep tuple's other behaviour:
+a Prime equals the plain tuple (id, q) and an Ideal the plain tuple of its
+pairs; Ideals order as tuples; `x in n` tests for a (Prime, exponent) pair, so
+`p in n` is False for every Prime p (use n.ord(p) or n.support); the unit
+ideal is falsy; and `n + m` and `2 * n` are tuple concatenation and
+repetition, returning plain tuples (Ideal * Ideal is the ideal product, and
+`n * 2` raises TypeError).
 """
 from __future__ import annotations
 
@@ -49,8 +55,6 @@ class Ideal(tuple):
     tuple with the same pairs."""
 
     __slots__ = ()
-
-    exps = property(tuple)   # the pairs, as a plain tuple
 
     @classmethod
     def unit(cls) -> "Ideal":
@@ -190,7 +194,7 @@ class QuadCharData:
     def tilde_eta_ideal(self, n: Ideal) -> int:
         """Completely multiplicative extension to ideals prime to the conductor."""
         val = 1
-        for p, e in n.exps:
+        for p, e in n:
             if self.tilde_eta(p) == -1 and e % 2 == 1:
                 val = -val
         return val

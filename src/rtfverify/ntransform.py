@@ -25,10 +25,10 @@ numerator and one integer denominator, multiplied place by place, with one
 Fraction built per ideal.  closed_log takes the scale closed_power(n, 0) as
 that unreduced pair; each place's log coefficient has a denominator dividing
 the scale's numerator, so each symbol's coefficient is one integer sum over the
-scale's denominator, and one Fraction is built per symbol.  At an integer t
-every power, norm^t and each q^-2(1+t), is an integer power, with no Fraction
-arithmetic; a fractional t takes exact integer roots (_power_pair).  The
-summands are built the same way: norm^t at an integer t is an integer power,
+scale's denominator, and one Fraction is built per symbol.  closed_power and
+closed_log keep an int t an int, so every exponent, t and each -2(1+t), is an
+int and _power_pair returns integer powers with no Fraction arithmetic; a
+fractional t takes exact integer roots.  The summands are built the same way: norm^t at an integer t is an integer power,
 and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
 factorisation read from a cache keyed by q (one entry per residue
 cardinality seen).
@@ -196,16 +196,11 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
-def _int_power(x: int, a: int) -> tuple[int, int]:
-    """x^a for integers x >= 1 and a, as a coprime pair (numerator, denominator)."""
-    return (x ** a, 1) if a >= 0 else (1, x ** -a)
-
-
-def _power_pair(x: int, t: Fraction, label: object) -> tuple[int, int]:
+def _power_pair(x: int, t: Fraction | int, label: object) -> tuple[int, int]:
     """x^t for an integer x >= 1 as a coprime pair (numerator, denominator);
     `label` names x as norm(label) in the error raised when x^t is irrational."""
     a, d = t.numerator, t.denominator
-    num, den = _int_power(x, a)
+    num, den = (x ** a, 1) if a >= 0 else (1, x ** -a)
     if d == 1:
         return num, den
     # need an exact rational root; norms may exceed the float range
@@ -224,19 +219,13 @@ def _closed_pair(n: Ideal, t: Fraction | int, sign: int) -> tuple[int, int]:
     """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
     with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above, as one integer
     numerator over one integer denominator.  The pair is not reduced: each
-    place's factor (qd + sign * qn) divides the numerator.  An integer t
-    (an int, or a Fraction with denominator 1) takes integer powers only."""
-    if t.denominator == 1:
-        a = t.numerator
-        num, den = _int_power(n.norm, a)
-        s = -2 * (1 + a)
-    else:
-        num, den = _power_pair(n.norm, t, n)
-        s = -2 * (1 + t)
+    place's factor (qd + sign * qn) divides the numerator."""
+    num, den = _power_pair(n.norm, t, n)
+    s = -2 * (1 + t)
     for p, e in n:
         if e >= 2:
             q = p.q
-            qn, qd = _int_power(q, s) if type(s) is int else _power_pair(q, s, p.id)
+            qn, qd = _power_pair(q, s, p.id)
             if e == 2:   # 1 + sign * q/(q-1) * qn/qd
                 qd *= q - 1
                 qn *= q

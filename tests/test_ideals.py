@@ -174,11 +174,12 @@ def test_prime_and_ideal_value_semantics():
             back = copied(value)
             assert back == value and type(back) is type(value) and hash(back) == hash(value)
             if isinstance(value, Ideal):
-                assert all(type(p) is Prime for p, _ in back.exps)
+                assert all(type(p) is Prime for p, _ in back)
     twin = Ideal.of({P3: 2, Q2: 1})
-    assert twin == n and hash(twin) == hash(n) and twin.exps == n.exps
-    # an Ideal is the tuple of its pairs, and exps gives them as a plain tuple
-    assert n == ((P3, 2), (Q2, 1)) and type(n.exps) is tuple
+    assert twin == n and hash(twin) == hash(n)
+    # an Ideal is the tuple of its pairs: it equals them as a plain tuple,
+    # and membership tests a pair, not a place
+    assert n == ((P3, 2), (Q2, 1)) and (P3, 2) in n and P3 not in n
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -216,7 +217,7 @@ def monoid_ideals(draw, count):
 def _assert_canonical(n: Ideal):
     # an ideal built without Ideal.of equals and hashes like its Ideal.of twin
     twin = Ideal.of(n.as_dict())
-    assert n == twin and hash(n) == hash(twin) and n.exps == twin.exps
+    assert n == twin and hash(n) == hash(twin)
 
 
 # up to 2^15 divisors, each checked for its canonical form: past the default deadline

@@ -1,10 +1,11 @@
 """SHA-256 digest of the exact path's results, for comparing two checkouts.
 
-    python3 tools/exact_digest.py [SRC_DIR]
+    python3 tools/exact_digest.py [--no-verify] [SRC_DIR]
 
 SRC_DIR (default: the src/ beside this file) is put first on sys.path.  It
 prints one line per section (result count and digest) and a total line; two
-checkouts whose results agree print identical lines.
+checkouts whose results agree print identical lines.  --no-verify leaves out
+the verify section, the only one that needs numpy.
 
 Every result is recorded with its type.  A FormalLog is recorded as its
 constant and its coefficients in dict order (the order `evaluate` sums them
@@ -21,20 +22,22 @@ q_poly_one and tau_jj.  spectral-float holds r_z at float and complex X.
 
 The verify section is the output of `rtf verify --suite S --seed N`, run in
 process through cli.main, for the exact suites S (ntransform, weights,
-orbital, assembly) and N = 0..4: the exit code and every stdout line, with a
-check's trailing elapsed time ("1.23s") masked.  Its lines print floats too.
+orbital, assembly) and N = 0..4: the exit code and every stdout line, with
+each decimal number ("0.14s", "2.866", "1.75e-10") masked as <f>.  What is
+left is the check names, statuses, integer counts and exact values; a float
+error size's last digits follow the numpy build, and an elapsed time the host.
 A time-gated check's status and the exit code still follow its wall-clock
 gate (5 or 10 s, several times the check's run time).
 
 tools/exact_digest.expected holds the closed, transforms, log_integer,
 spectral-exact and verify lines, the first five of the output.  The first
 four agree under Python 3.10 to 3.12, and CI diffs them on every Python; the
-verify line is diffed under 3.11 only, as float output may differ between
-Python minors.  The spectral-float line is left out: it differs on 3.12,
-whose sum() of floats is compensated.
+verify line is made and diffed on the 3.11 job only.  The spectral-float line
+is left out: it differs on 3.12, whose sum() of floats is compensated.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -45,9 +48,13 @@ import re
 import sys
 from fractions import Fraction
 
-sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+parser = argparse.ArgumentParser(description="Digest of the exact path's results.")
+parser.add_argument("src_dir", nargs="?", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+parser.add_argument("--no-verify", action="store_true", help="leave out the verify section")
+ARGS = parser.parse_args()
+sys.path.insert(0, ARGS.src_dir)
 
-from rtfverify import cli, ntransform as nt, spectral as sp  # noqa: E402
+from rtfverify import ntransform as nt, spectral as sp  # noqa: E402
 from rtfverify.errors import RTFError  # noqa: E402
 from rtfverify.formal import FormalLog  # noqa: E402
 from rtfverify.ideals import Ideal, Prime  # noqa: E402
@@ -55,6 +62,7 @@ from rtfverify.ideals import Ideal, Prime  # noqa: E402
 TS = [Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]
 VERIFY_SUITES = ("ntransform", "weights", "orbital", "assembly")
 VERIFY_SEEDS = range(5)
+DECIMAL = re.compile(r"\d+\.\d+(?:e[-+]\d+)?|\d+e[-+]\d+")
 
 
 def record(value) -> str:
@@ -109,6 +117,19 @@ def ideals() -> list[Ideal]:
     return out
 
 
+def verify_section() -> Section:
+    from rtfverify import cli   # imports numpy
+    checks = Section("verify")
+    for suite, seed in itertools.product(VERIFY_SUITES, VERIFY_SEEDS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "--suite", suite, "--seed", str(seed)])
+        checks.add(f"{suite} {seed} rc={rc}")
+        for line in out.getvalue().splitlines():
+            checks.add(DECIMAL.sub("<f>", line))
+    return checks
+
+
 def main() -> None:
     closed, sums, logs = Section("closed"), Section("transforms"), Section("log_integer")
     exact, floats = Section("spectral-exact"), Section("spectral-float")
@@ -153,16 +174,9 @@ def main() -> None:
                             rz.add(attempt(sp.r_z, rep, eta, k, X, "sum"))
                             rz.add(attempt(sp.r_z, rep, eta, k, X, "closed"))
 
-    checks = Section("verify")
-    for suite, seed in itertools.product(VERIFY_SUITES, VERIFY_SEEDS):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(["verify", "--suite", suite, "--seed", str(seed)])
-        checks.add(f"{suite} {seed} rc={rc}")
-        for line in out.getvalue().splitlines():
-            checks.add(re.sub(r"\d+\.\d+s$", "<elapsed>s", line))
-
-    sections = (closed, sums, logs, exact, checks, floats)
+    sections = [closed, sums, logs, exact, floats]
+    if not ARGS.no_verify:
+        sections.insert(4, verify_section())
     total = hashlib.sha256()
     for section in sections:
         print(section.line())
