@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import DomainError, InputError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
 from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
-from .ntransform import ArithFn, closed_log, closed_power, n_transform
+from .ntransform import ArithFn, closed_log, closed_power, log_norm, n_transform
 from .testfns import unip_du_scaled, unip_u_scaled
 
 
@@ -182,12 +182,7 @@ def main_ADL_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     d1p = d_one(ap)
     bracket = FormalLog.zero()
     if delta_square(am):
-        core = FormalLog.log_integer(n.norm, Fraction(1, 2))
-        if a.norm > 1:
-            core = core + FormalLog.log_integer(a.norm, Fraction(-1, 2))
-        feta_norm = eta.conductor.norm
-        if feta_norm > 1:
-            core = core + FormalLog.log_integer(feta_norm)
+        core = log_norm(n) * Fraction(1, 2) + log_norm(a) * Fraction(-1, 2) + log_norm(eta.conductor)
         core = core + FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
         _, n1 = square_decompose(n)
         s2 = set(stratum(n, 2))
@@ -214,10 +209,7 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     du_hat = {p: unip_du_scaled(eta.tilde_eta(p), e) for p, e in a}
     n_one = closed_power(n, 0)
     n_log = closed_log(n)
-    c0 = FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
-    feta_norm = eta.conductor.norm
-    if feta_norm > 1:
-        c0 = c0 + FormalLog.log_integer(feta_norm)
+    c0 = FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC) + log_norm(eta.conductor)
     prod_all = Fraction(1)
     for p, _ in a:
         prod_all *= u_hat[p]
@@ -302,9 +294,7 @@ def henkei_adl_star(n: Ideal,
     """
     pref = Fraction(2 * (-1) ** (n_s + eta.eps)) * D_F / G_eta
     t1 = n_transform(w_geom, n) * pref
-    logfac = FormalLog.log_integer(n.norm, Fraction(1, 2))
-    if eta.conductor.norm > 1:
-        logfac = logfac + FormalLog.log_integer(eta.conductor.norm)
+    logfac = log_norm(n) * Fraction(1, 2) + log_norm(eta.conductor)
     alv = al_star(n)
     if isinstance(alv, FormalLog):
         raise ValueError("the exact wiring wants a rational-valued AL* mock")
@@ -315,14 +305,9 @@ def henkei_adl_star(n: Ideal,
 
 def adl_w_plus_weight(al_star: ArithFn, eta: QuadCharData) -> ArithFn:
     """The plus-part forward weight: m -> (-1/2) log(norm(m) norm(f_eta)^2 D^2) AL*(m)."""
-    feta = eta.conductor.norm
+    log_feta = log_norm(eta.conductor)
 
     def fn(m: Ideal):
-        fac = FormalLog.symbol(LOG_DF, -1)
-        if m.norm > 1:
-            fac = fac + FormalLog.log_integer(m.norm, Fraction(-1, 2))
-        if feta > 1:
-            fac = fac + FormalLog.log_integer(feta, -1)
-        return fac * al_star(m)
+        return (FormalLog.symbol(LOG_DF, -1) + log_norm(m) * Fraction(-1, 2) - log_feta) * al_star(m)
 
     return fn

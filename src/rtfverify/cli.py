@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns, verify
 from .errors import InputError, RTFError, SignClassError
 from .formal import FormalLog
-from .ideals import json_value, load_config, parse_ideal, residue_cardinality
+from .ideals import Ideal, json_value, load_config, parse_ideal, residue_cardinality
 
 # rtf moments: the largest n.  The contour oracle's cost grows as n^2, and no
 # n above 61 passes its refinement check (61 at q = 2, 42 at q = 3, 19 at 13).
@@ -25,6 +25,12 @@ MOMENTS_MAX_N = 64
 # b = -5/4 by 66% and more, as its absolute tolerance applies before the
 # prefactor (1+b)^(-l/2).
 ARCH_MAX_L = 26
+# rtf ntransform --fn norm^t: the largest result it prints.  to_json writes
+# the result's numerator and denominator in decimal, and Python refuses to
+# print an int of more than 4300 digits (sys.get_int_max_str_digits); an int
+# below 2^14281 has at most 4300.  A t is refused when the bound of
+# _norm_power_bits passes it, before any power is formed.
+NTRANSFORM_MAX_BITS = 14281
 # rtf lattice: the largest weight.  bound_audits' envelope holds
 # (1 + r)^(d max(l) / 2), with r = sqrt(2)/2 for every real quadratic ring
 # of integers; in rank two it passes the float range from l = 1328 (in rank
@@ -79,6 +85,17 @@ def _quadratic_field(text: str) -> int:
     return int(text[len("Q(sqrt"):-1])
 
 
+def _norm_power_bits(n: Ideal, t: Fraction) -> Fraction:
+    """A bound on the bits of the numerator and of the denominator of the
+    transform of norm^t at n, from |t| and n's exponents.  With
+    b_v = (q_v - 1).bit_length() >= log2 q_v, norm(n)^|t| is below
+    2^(|t| sum_v e_v b_v), and the place factor 1 - c_v q_v^(-2(1+t)) of a
+    place with e_v >= 2 has both parts below 2^((2|t| + 3) b_v + 1), at most
+    2^((|t| + 2) e_v b_v + 1); their product is below
+    2^((2|t| + 2) sum_v e_v b_v + #places)."""
+    return (2 * abs(t) + 2) * sum(e * (p.q - 1).bit_length() for p, e in n) + len(n)
+
+
 def cmd_ntransform(args) -> int:
     primes, _eta, _raw = load_config(args.config)
     n = parse_ideal(args.ideal, primes)
@@ -89,6 +106,9 @@ def cmd_ntransform(args) -> int:
         out = ntransform.closed_log(n) if args.closed else ntransform.n_transform(ntransform.log_norm_fn(), n)
     elif args.fn.startswith("norm^"):
         t = _parsed("--fn", args.fn, lambda text: Fraction(text.split("^", 1)[1]))
+        if _norm_power_bits(n, t) > NTRANSFORM_MAX_BITS:
+            raise InputError(f"--fn {args.fn!r} at --ideal {args.ideal!r}: the result could have more "
+                             f"than 4300 digits, past what Python prints")
         val = ntransform.closed_power(n, t) if args.closed else ntransform.n_transform(ntransform.norm_power_fn(t), n)
         out = FormalLog.of_const(val)
     else:

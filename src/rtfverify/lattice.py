@@ -56,6 +56,15 @@ class EmbeddedLattice:
         return abs(float(np.linalg.det(self.matrix)))
 
 
+# The largest |generator| embed_ideal takes, and on Q the smallest.  Past R,
+# _tail_bound walks ceil(r) + 2 unit shells one at a time, and r grows with
+# the generator (r = |g|/2 on Q), so the walk takes about 0.3 s at |g| = 1e6
+# and grows linearly.  lattice_points takes the norm of the inverse basis,
+# which squares 1/|g| and leaves the float range below |g| = 1e-154.
+MAX_GENERATOR = 10 ** 6
+MIN_GENERATOR_Q = 1e-150
+
+
 def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice:
     """Embed a fractional-ideal descriptor as a lattice under the real places.
 
@@ -66,12 +75,15 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
     """
     if field == "Q":
         try:
-            g = float(Fraction(descriptor))
+            g = abs(Fraction(descriptor))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"a rational generator required, got descriptor {descriptor!r}") from None
         if g == 0:
             raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
-        return EmbeddedLattice(((abs(g),),), f"({descriptor})Z")
+        if not MIN_GENERATOR_Q <= g <= MAX_GENERATOR:
+            raise InputError(f"a generator with {MIN_GENERATOR_Q} <= |g| <= {MAX_GENERATOR} required, "
+                             f"got descriptor {descriptor!r}")
+        return EmbeddedLattice(((float(g),),), f"({descriptor})Z")
     if field != "real_quadratic":
         raise UnsupportedField(f"field {field!r}; only Q and real quadratic supported")
     if m is None or m <= 1 or not _squarefree(m):
@@ -90,6 +102,8 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
         return EmbeddedLattice(basis, f"O_Q(sqrt{m})", sq_disc)
     if isinstance(descriptor, int):
         n = descriptor
+        if abs(n) > MAX_GENERATOR:
+            raise InputError(f"a generator with |N| <= {MAX_GENERATOR} required, got descriptor {n}")
         basis = ((float(n), float(n)), (n * w1, n * w2))
         return EmbeddedLattice(basis, f"({n})O_Q(sqrt{m})", sq_disc)
     x, y = descriptor

@@ -188,6 +188,8 @@ def _iroot(x: int, k: int) -> int:
     """The largest r >= 0 with r^k <= x, by integer Newton steps."""
     if x < 2:
         return x
+    if k >= x.bit_length():   # x < 2^k, so r = 1: no Newton step forms r^(k-1)
+        return 1
     r = 1 << -(-x.bit_length() // k)   # 2^ceil(bits/k) > x^(1/k)
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k
@@ -297,16 +299,19 @@ def norm_power_fn(t: Fraction | int) -> ArithFn:
 _q_factors = cache(_factor_small)
 
 
+def log_norm(m: Ideal) -> FormalLog:
+    """log norm(m) = sum_v e_v log q_v, read from m's exponents: each
+    q_v = r^f is canonicalised to f log@r and the symbols run in ascending
+    order of r, as FormalLog.log_integer(norm(m)) gives them, without
+    factoring norm(m).  c * log_norm(m) is log_integer(norm(m), c)."""
+    exps: dict[int, int] = {}
+    for p, e in m:
+        for r, f in _q_factors(p.q):
+            exps[r] = exps.get(r, 0) + e * f
+    return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
+
+
 def log_norm_fn() -> ArithFn:
-    """log norm(m) = sum_v e_v log q_v, with each q_v = r^f canonicalised to
-    f log@r and the symbols in ascending order of r, as
-    FormalLog.log_integer(norm(m)) gives them."""
-    def log_norm(m: Ideal) -> FormalLog:
-        exps: dict[int, int] = {}
-        for p, e in m:
-            for r, f in _q_factors(p.q):
-                exps[r] = exps.get(r, 0) + e * f
-        return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
     return log_norm
 
 

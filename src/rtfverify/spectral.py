@@ -6,19 +6,24 @@ at a rational X is exact (a unit-modulus Satake number a gives
 Q = (a + 1/a)/(q^[1/2] + q^[-1/2])), or the unramified sign chi(varpi) = +-1
 when c = 1.
 
-Two independent evaluation paths are maintained for r^(z): the defining sum of
-weight-polynomial ratios, and per-case closed forms.  The (c=1, eta=+1) closed
-form and its derivative are implemented with the corrected inner sum
-sum_[j=1..k] X^(j-1); the variant with X^j fails against the defining sum.
+Two independent evaluation paths are maintained for r^(z), at a rational X
+only: the defining sum of weight-polynomial ratios, and per-case closed forms.
+The (c=1, eta=+1) closed form and its derivative are implemented with the
+corrected inner sum sum_[j=1..k] X^(j-1); the variant with X^j fails against
+the defining sum.
 
-At a rational X = a/b both paths run on integers.  The defining sum takes
-each term q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's
-denominators b^j, q and Q's denominator cleared, and adds the terms into one
-numerator over a running denominator.  The closed path writes each case's
-expression as one integer numerator over one denominator, its geometric sums
-in closed form.  Either way one Fraction is built per result.  At a float or
-complex X the sum adds the q_poly terms as they stand, and the closed path
-evaluates the case's expression in X.
+Every weight polynomial Q_j(eta, X) depends on eta and X only through eta X,
+so r(eta, X) = r(+1, eta X).  The closed path therefore has the three eta = +1
+cases only, evaluated at eta X; none divides by 1 + X, so X = -1 gets the
+value of the removable singularity.  The sum path keeps eta, so it checks that
+identity too.
+
+Both paths run on integers at X = a/b.  The defining sum takes each term
+q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's denominators
+b^j, q and Q's denominator cleared, and adds the terms into one numerator over
+a running denominator.  The closed path writes each case's expression as one
+integer numerator over one denominator, its geometric sums in closed form.
+Either way one Fraction is built per result.
 """
 from __future__ import annotations
 
@@ -31,11 +36,10 @@ from typing import Mapping
 from .errors import InertViolation, InputError
 from .formal import FormalLog
 from .ideals import Ideal, Prime, QuadCharData, omega_pair, residue_cardinality, square_decompose
+from .ntransform import log_norm
 
 MAX_K = 64
 REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of the r_z sum path uses k + 1 <= MAX_K + 1
-
-Num = Fraction | float | complex
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,13 @@ def _check_k(k: int):
         raise InputError(f"k must lie in [1, {MAX_K}], got k={k}")
 
 
-def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Num) -> Num:
+def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Fraction) -> Fraction:
     """The weight polynomial Q_j(eta, X) of the local datum, evaluated at X."""
     if j < 0:
         raise ValueError("j >= 0 required")
     q, c = rep.q, rep.c
     if j == 0:
-        return X * 0 + 1
+        return Fraction(1)
     if c == 0 and j == 1:
         return eta_val * X - rep.Q
     if c == 1:
@@ -119,45 +123,25 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
     return (1 - rep.Q * rep.Q) * (1 - Fraction(1, rep.q ** 2))
 
 
-def r_z(rep: LocalRepData, eta_val: int, k: int, X: Num, path: str = "closed") -> Num:
-    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1.
+def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int, path: str = "closed") -> Fraction:
+    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1, for a
+    rational X (an int X is read as its Fraction).
 
-    path="sum" evaluates the defining sum of polynomial ratios, path="closed"
-    the per-case rational expressions; at a Fraction X each runs on integers
-    (_r_z_sum_exact, _r_z_closed_exact).  Both agree identically.
+    path="sum" evaluates the defining sum of polynomial ratios
+    (_r_z_sum_exact), path="closed" the per-case rational expressions at
+    eta X (_r_z_closed_exact).  Both agree identically.
     """
     _check_k(k)
     if eta_val not in (1, -1):
         raise ValueError("eta_val must be +-1")
+    if not isinstance(X, (int, Fraction)):
+        raise InputError(f"r_z wants a rational X, got {type(X).__name__} X={X!r}")
+    a, b = X.numerator, X.denominator
     if path == "sum":
-        if isinstance(X, Fraction):
-            return _r_z_sum_exact(rep, eta_val, k, X.numerator, X.denominator)
-        return sum(
-            (q_poly_one(j, rep) * q_poly(j, rep, eta_val, X)) / tau_jj(j, rep)
-            for j in range(k + 1)
-        )
+        return _r_z_sum_exact(rep, eta_val, k, a, b)
     if path != "closed":
         raise ValueError(f"unknown path {path!r}")
-    if isinstance(X, Fraction):
-        return _r_z_closed_exact(rep, eta_val, k, X.numerator, X.denominator)
-    q = rep.q
-    if rep.c == 0:
-        Q = rep.Q
-        if eta_val == -1:
-            quad = 1 + Q * (q + 1) * X + q * X * X
-            return (1 - X) / (1 + Q) + quad * (1 - (-X) ** (k - 1)) / ((q - 1) * (1 + Q) * (1 + X))
-        quad = 1 - Q * (q + 1) * X + q * X * X
-        geo = sum(X ** (j - 2) for j in range(2, k + 1)) if k >= 2 else 0
-        return (1 + X) / (1 + Q) + quad * geo / ((q - 1) * (1 + Q))
-    if rep.c == 1:
-        cq = Fraction(rep.chi, q)
-        if eta_val == -1:
-            return 1 - (X + cq) / (1 + cq) * (1 - (-1) ** k * X ** k) / (1 + X)
-        # corrected inner sum: j runs 1..k with X^(j-1)
-        return 1 + (X - cq) / (1 + cq) * sum(X ** (j - 1) for j in range(1, k + 1))
-    if eta_val == -1:
-        return (1 + (-1) ** k * X ** (k + 1)) / (1 + X)
-    return sum(X ** j for j in range(k + 1))
+    return _r_z_closed_exact(rep, k, eta_val * a, b)
 
 
 def _geometric(a: int, b: int, n: int) -> int:
@@ -167,35 +151,20 @@ def _geometric(a: int, b: int, n: int) -> int:
     return (b ** n - a ** n) // (b - a)
 
 
-def _r_z_closed_exact(rep: LocalRepData, eta_val: int, k: int, a: int, b: int) -> Fraction:
-    """r_z's closed expressions at X = a/b (b > 0), each case as one integer
-    numerator over one denominator; X = -1 divides by zero where the
-    expression divides by 1 + X."""
+def _r_z_closed_exact(rep: LocalRepData, k: int, a: int, b: int) -> Fraction:
+    """r_z's closed expressions for eta = +1 at X = a/b (b > 0), each case as
+    one integer numerator over one denominator."""
     q, bk = rep.q, b ** k
     if rep.c == 0:
-        Qn, Qd = rep.Q.numerator, rep.Q.denominator
-        scale = (q - 1) * (Qd + Qn)   # (q-1)(1+Q) Qd
-        first = Qd * (q - 1) * b ** (k - 1)
-        if eta_val == -1:
-            # (1-X)/(1+Q) + quad (1 - (-X)^(k-1)) / ((q-1)(1+Q)(1+X)), quad = 1 + Q(q+1)X + qX^2
-            quad = Qd * b * b + Qn * (q + 1) * a * b + q * Qd * a * a
-            num = (b - a) * (b + a) * first + quad * (b ** (k - 1) - (-a) ** (k - 1))
-            return Fraction(num, scale * bk * (b + a))
         # (1+X)/(1+Q) + quad sum_{j=2..k} X^(j-2) / ((q-1)(1+Q)), quad = 1 - Q(q+1)X + qX^2
+        Qn, Qd = rep.Q.numerator, rep.Q.denominator
         quad = Qd * b * b - Qn * (q + 1) * a * b + q * Qd * a * a
-        return Fraction((b + a) * first + quad * _geometric(a, b, k - 1), scale * bk)
+        first = Qd * (q - 1) * b ** (k - 1)
+        return Fraction((b + a) * first + quad * _geometric(a, b, k - 1), (q - 1) * (Qd + Qn) * bk)
     if rep.c == 1:
-        chi = rep.chi
-        if eta_val == -1:
-            # 1 - (X + chi/q)/(1 + chi/q) (1 - (-1)^k X^k)/(1 + X)
-            den = (q + chi) * bk * (b + a)
-            return Fraction(den - (a * q + chi * b) * (bk - (-a) ** k), den)
         # 1 + (X - chi/q)/(1 + chi/q) sum_{j=1..k} X^(j-1)
-        den = (q + chi) * bk
-        return Fraction(den + (a * q - chi * b) * _geometric(a, b, k), den)
-    if eta_val == -1:
-        # (1 + (-1)^k X^(k+1)) / (1 + X)
-        return Fraction(b * bk - (-a) ** (k + 1), bk * (b + a))
+        den = (q + rep.chi) * bk
+        return Fraction(den + (a * q - rep.chi * b) * _geometric(a, b, k), den)
     return Fraction(_geometric(a, b, k + 1), bk)
 
 
@@ -374,10 +343,4 @@ def w_and_dw_oracle(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharD
 def adl_plus_factor(f_pi: Ideal, eta: QuadCharData) -> FormalLog:
     """The derivative factor the functional equation forces on the plus part:
     -(1/2) log(norm(f_pi) norm(f_eta)^2 D_F^2)."""
-    out = FormalLog.zero()
-    if f_pi.norm > 1:
-        out = out + FormalLog.log_integer(f_pi.norm, Fraction(-1, 2))
-    feta = eta.conductor
-    if feta.norm > 1:
-        out = out + FormalLog.log_integer(feta.norm, -1)
-    return out + FormalLog.symbol("logDF", -1)
+    return log_norm(f_pi) * Fraction(-1, 2) - log_norm(eta.conductor) + FormalLog.symbol("logDF", -1)

@@ -125,6 +125,17 @@ def test_main_terms_command(cfg_path, capsys):
     assert len(lines) == 2
 
 
+def test_main_terms_at_a_large_prime_reads_logs_from_exponents(tmp_path, capsys):
+    # log norm(p^2) is read from p's exponent: factoring norm(p^2) = q^2 by
+    # trial division would take minutes at q = 1000000007
+    path = tmp_path / "cfg.json"
+    primes = [{**prime, "q": 1000000007} if prime["id"] == "p" else prime for prime in CFG["primes"]]
+    path.write_text(json.dumps({**CFG, "primes": primes}))
+    assert cli.main(["main-terms", "--config", str(path), "--n", "p^2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["geom_equals_main"] is True and out["ADL_bracket"]["coeffs"]["log@1000000007"] == "1"
+
+
 @pytest.mark.parametrize("weight", [180, 200, 400])
 def test_main_terms_c_l_is_finite_at_large_weights(weight, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -305,6 +316,18 @@ def test_verify_command(capsys):
     ["local-weights", "--rep", '{"c":0,"Q":3}', "--q", "3", "--eta", "1"],
     ["local-weights", "--rep", '{"c":0,"Q":"-7/2"}', "--q", "3", "--eta", "1"],
     ["local-weights", "--rep", '{"c":0,"Q":1}', "--q", "3", "--eta", "1"],
+    # results past the 4300 digits Python prints, refused before any work
+    ["ntransform", "--config", "CFG", "--ideal", "p^2", "--fn", "norm^5000"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^2", "--fn", "norm^-5000", "--closed"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^2", "--fn", "norm^1e400"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^2", "--fn", "norm^100000000"],
+    ["ntransform", "--config", "CFG", "--ideal", "p^100000", "--fn", "norm^1"],
+    # generators on Q outside [1e-150, 1e6], and a rank-two N past 1e6
+    ["lattice", "--field", "Q", "--ideal", "1e300"],
+    ["lattice", "--field", "Q", "--ideal", "1e-300"],
+    ["lattice", "--field", "Q", "--ideal", "1e8"],
+    ["lattice", "--field", "Q", "--ideal=-1e-400"],
+    ["lattice", "--field", "Q(sqrt2)", "--ideal", "100000000"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -366,9 +389,14 @@ def test_size_refusals_name_l(argv, capsys):
     (["arch", "--l", "6", "--b", "0"], r"DomainError: b too close to the singular points 0, -1, got b=0\.0"),
     (["arch", "--l", "6", "--b=-1"], r"DomainError: b too close to the singular points 0, -1, got b=-1\.0"),
     (["arch", "--l", "6", "--b=1e-12"], r"DomainError: b too close to the singular points 0, -1, got b=1e-12"),
+    # a root of order 10^12 is irrational at once, on either path
+    (["ntransform", "--config", "CFG", "--ideal", "p^2", "--fn", "norm^1/1000000000000"],
+     r"NonRationalPower: norm\(p\^2\)\^1/1000000000000 is irrational"),
+    (["ntransform", "--config", "CFG", "--ideal", "p", "--fn", "norm^-1/1000000000000", "--closed"],
+     r"NonRationalPower: norm\(p\)\^-1/1000000000000 is irrational"),
 ])
-def test_numeric_failure_names_its_input(argv, line, capsys):
-    rc = cli.main(argv)
+def test_numeric_failure_names_its_input(argv, line, cfg_path, capsys):
+    rc = cli.main([cfg_path if arg == "CFG" else arg for arg in argv])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert re.fullmatch(line, captured.err.rstrip("\n"))

@@ -96,6 +96,14 @@ def test_non_rational_power():
         nt.closed_power(Ideal.of({P3: 1}), Fraction(1, 2))
 
 
+def test_root_of_high_order_is_refused_at_once():
+    # x < 2^k leaves r = 1, so no Newton step forms r^(k-1) at k = 10^12
+    assert nt._iroot(9, 10 ** 12) == nt._iroot(2 ** 64 - 1, 64) == 1
+    assert nt._iroot(2 ** 64, 64) == 2 and nt._iroot(3 ** 40, 40) == 3
+    with pytest.raises(NonRationalPower, match=r"norm\(p\)\^1/1000000000000 is irrational"):
+        nt._power_pair(9, Fraction(1, 10 ** 12), "p")
+
+
 @pytest.mark.parametrize("q, e", [(3, 70), (3, 700), (2, 3000)])
 def test_half_power_of_large_square_norm(q, e):
     # norms past the float range (or past float root precision) stay exact

@@ -62,8 +62,6 @@ def test_rz_closed_equals_sum_randomised():
                     rep = sp.LocalRepData(q=5, c=c)
                 for _ in range(5):
                     X = Fraction(rng.randint(-40, 40), rng.randint(1, 20))
-                    if X == -1:
-                        continue
                     assert sp.r_z(rep, eta, k, X, "closed") == sp.r_z(rep, eta, k, X, "sum")
 
 
@@ -81,8 +79,8 @@ def test_partial_r_matches_sum_derivative_and_fd():
                 assert exact == sp.partial_r_sum(rep, eta, k)
                 h = 1e-6
                 q = rep.q
-                fd = (sp.r_z(rep, eta, k, float(q) ** -h, "sum")
-                      - sp.r_z(rep, eta, k, float(q) ** h, "sum")) / (2 * h) * (-1 / math.log(q))
+                fd = float(sp.r_z(rep, eta, k, Fraction(float(q) ** -h), "sum")
+                           - sp.r_z(rep, eta, k, Fraction(float(q) ** h), "sum")) / (2 * h) * (-1 / math.log(q))
                 assert fd == pytest.approx(float(exact), rel=1e-7, abs=1e-9)
 
 
@@ -96,6 +94,29 @@ def test_c1_plus_closed_form_regression():
     right = sp.r_z(rep, 1, 1, X, "sum")
     assert sp.r_z(rep, 1, 1, X, "closed") == right
     assert wrong != right
+
+
+def test_rz_closed_equals_sum_at_minus_one():
+    # r(eta, X) = r(+1, eta X), and the eta = +1 expressions never divide by
+    # 1 + X, so X = -1 has the value of the removable singularity
+    data = [REP0, sp.LocalRepData(q=2, c=0, Q=Fraction(-9, 10)), REP1, sp.LocalRepData(q=2, c=1, chi=-1), REP2,
+            sp.LocalRepData(q=9, c=3)]
+    for rep, eta, k in itertools.product(data, (-1, 1), range(1, sp.MAX_K + 1)):
+        X = Fraction(-1)
+        assert sp.r_z(rep, eta, k, X, "closed") == sp.r_z(rep, eta, k, X, "sum"), (rep, eta, k)
+
+
+@pytest.mark.parametrize("X", [0.5, -1.0, float("nan"), complex(0.5, 0.1), 1j])
+@pytest.mark.parametrize("path", ["closed", "sum"])
+def test_rz_refuses_a_float_or_complex_x(X, path):
+    with pytest.raises(InputError, match=r"r_z wants a rational X, got (float|complex) X="):
+        sp.r_z(REP0, 1, 3, X, path)
+
+
+def test_rz_at_an_int_x_is_its_fraction():
+    for rep, eta, path, X in itertools.product((REP0, REP1, REP2), (-1, 1), ("closed", "sum"), (-3, -1, 0, 1, 2)):
+        for k in (1, 2, 7):
+            assert _bits(sp.r_z(rep, eta, k, X, path)) == _bits(sp.r_z(rep, eta, k, Fraction(X), path))
 
 
 def test_singular_tau_rejected():
@@ -188,8 +209,9 @@ def _uncached_r_z_sum(rep, eta_val, k, X):
 
 
 def _suite_weights_inputs(seed):
-    """The (rep, eta, k, X) of weights.rz-closed-vs-sum and the float X of
-    weights.partial-r-exact-and-fd, drawn as suite_weights draws them."""
+    """The (rep, eta, k, X) of weights.rz-closed-vs-sum and the X of
+    weights.partial-r-exact-and-fd (a float sample point, read exactly),
+    drawn as suite_weights draws them."""
     rng = random.Random(seed)
     out = []
     for c in (0, 1, 2, 3):
@@ -198,10 +220,8 @@ def _suite_weights_inputs(seed):
                 for k in range(1, 9):
                     rep = _random_rep(rng, c, q)
                     for _ in range(20):
-                        X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
-                        if X != -1:
-                            out.append((rep, eta_val, k, X))
-                    out += [(rep, eta_val, k, float(q) ** -1e-6), (rep, eta_val, k, float(q) ** 1e-6)]
+                        out.append((rep, eta_val, k, Fraction(rng.randint(-60, 60), rng.randint(1, 30))))
+                    out += [(rep, eta_val, k, Fraction(float(q) ** -1e-6)), (rep, eta_val, k, Fraction(float(q) ** 1e-6))]
     return out
 
 
@@ -210,22 +230,23 @@ RZ_EXACT_X = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), Fractio
 
 
 def test_rz_sum_bit_identical_to_uncached_sum():
-    """The sum path (cached factors; at a Fraction X the integer kernel)
-    against the uncached sum of q_poly terms: every c and eta, and k up to
-    MAX_K, at both parities, for the first datum of each c."""
+    """The sum path (cached factors and the integer kernel) against the
+    uncached sum of q_poly terms: every c and eta, and k up to MAX_K, at both
+    parities, for the first datum of each c."""
     rng = random.Random(5)
     data = [(REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))), (REP1, sp.LocalRepData(q=2, c=1, chi=-1)),
             (REP2, sp.LocalRepData(q=5, c=2)), (sp.LocalRepData(q=9, c=3), sp.LocalRepData(q=2, c=3))]
     for deep, shallow in data:
         for rep, ks in ((deep, [*range(1, 9), 31, 32, sp.MAX_K - 1, sp.MAX_K]), (shallow, range(1, 9))):
             for eta, k in itertools.product((-1, 1), ks):
-                xs = [rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+                xs = [Fraction(rng.uniform(-3, 3)), Fraction(float(rep.q) ** 1e-6)]
                 for X in xs + RZ_EXACT_X:
                     assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X)), (rep, k, X)
 
 
 def _literal_r_z_closed(rep, eta_val, k, X):
-    """r_z's closed expressions, evaluated term by term in X's own type."""
+    """r_z's closed expressions, evaluated term by term: the eta = -1 cases
+    as they stand, so they divide by 1 + X."""
     q = rep.q
     if rep.c == 0:
         Q = rep.Q
@@ -246,22 +267,22 @@ def _literal_r_z_closed(rep, eta_val, k, X):
 
 
 def test_rz_closed_bit_identical_to_literal_expressions():
-    """The closed path (at a Fraction X the integer kernel) against its
-    expressions evaluated term by term: every c and eta, k up to MAX_K, and
-    X = -1, where the expressions that divide by 1 + X raise."""
+    """The closed path (the integer kernel at eta X) against the expressions
+    evaluated term by term: every c and eta, and k up to MAX_K.  At X = -1
+    the eta = -1 expressions divide by zero; test_rz_closed_equals_sum_at_minus_one
+    checks the closed path there."""
     rng = random.Random(7)
     data = [REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(-3, 10)), sp.LocalRepData(q=2, c=0, Q=Fraction(0)), REP1,
             sp.LocalRepData(q=2, c=1, chi=-1), REP2, sp.LocalRepData(q=9, c=3)]
     for rep, eta in itertools.product(data, (-1, 1)):
         for k in [*range(1, 9), 31, 32, sp.MAX_K - 1, sp.MAX_K]:
-            xs = [rng.uniform(-3, 3), float(rep.q) ** 1e-6, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            xs = [Fraction(rng.uniform(-3, 3)), Fraction(float(rep.q) ** 1e-6),
                   Fraction(rng.randint(-60, 60), rng.randint(1, 30))]
             for X in xs + RZ_EXACT_X + [Fraction(-1)]:
                 try:
                     want = _literal_r_z_closed(rep, eta, k, X)
                 except ZeroDivisionError:
-                    with pytest.raises(ZeroDivisionError):
-                        sp.r_z(rep, eta, k, X, "closed")
+                    assert X == -1 and eta == -1
                     continue
                 assert _bits(sp.r_z(rep, eta, k, X, "closed")) == _bits(want), (rep, eta, k, X)
 

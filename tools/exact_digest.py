@@ -12,13 +12,12 @@ constant and its coefficients in dict order (the order `evaluate` sums them
 in), and an error as its type and message.  Covered: n_transform, n_plus and
 convolve_omega on the norm powers, log norm, one and seeded random Fraction,
 FormalLog and mixed functions; closed_power; n_plus_closed_power, exact and
-float; closed_log; FormalLog.log_integer; and r_z on both paths, partial_r,
-partial_r_sum, q_poly_one and tau_jj.  The ideals are the exhaustive grid of
-exponents 0..6 at q = 2, 3, 4, 9 (2401 ideals) and 1500 seeded monoids.
-
-The spectral results are split in two sections.  spectral-exact holds every
-Fraction result: r_z at a Fraction X on both paths, partial_r, partial_r_sum,
-q_poly_one and tau_jj.  spectral-float holds r_z at float and complex X.
+float; closed_log; FormalLog.log_integer; and, in the spectral-exact section,
+r_z on both paths, partial_r, partial_r_sum, q_poly_one and tau_jj.  The
+ideals are the exhaustive grid of exponents 0..6 at q = 2, 3, 4, 9 (2401
+ideals) and 1500 seeded monoids.  r_z takes a rational X only; its seeded X
+leave out -1, and the draws of the float and complex X that older checkouts
+also recorded are still made, so the spectral-exact line compares with theirs.
 
 The verify section is the output of `rtf verify --suite S --seed N`, run in
 process through cli.main, for the exact suites S (ntransform, weights,
@@ -32,8 +31,7 @@ gate (5 or 10 s, several times the check's run time).
 tools/exact_digest.expected holds the closed, transforms, log_integer,
 spectral-exact and verify lines, the first five of the output.  The first
 four agree under Python 3.10 to 3.12, and CI diffs them on every Python; the
-verify line is made and diffed on the 3.11 job only.  The spectral-float line
-is left out: it differs on 3.12, whose sum() of floats is compensated.
+verify line is made and diffed on the 3.11 job only.
 """
 from __future__ import annotations
 
@@ -132,7 +130,7 @@ def verify_section() -> Section:
 
 def main() -> None:
     closed, sums, logs = Section("closed"), Section("transforms"), Section("log_integer")
-    exact, floats = Section("spectral-exact"), Section("spectral-float")
+    exact = Section("spectral-exact")
     fns = [nt.norm_power_fn(-1), nt.norm_power_fn(2), nt.log_norm_fn(), nt.one_fn()]
     for i, n in enumerate(ideals()):
         for t in TS:
@@ -166,17 +164,16 @@ def main() -> None:
                     for j in range(k + 1):
                         exact.add(record(sp.q_poly_one(j, rep)))
                         exact.add(record(sp.tau_jj(j, rep)))
-                    xs = [Fraction(rng.randint(-60, 60), rng.randint(1, 30)), float(q) ** -1e-6,
-                          rng.uniform(-3, 3), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
-                    for X in xs:
-                        if X != -1:
-                            rz = exact if isinstance(X, Fraction) else floats
-                            rz.add(attempt(sp.r_z, rep, eta, k, X, "sum"))
-                            rz.add(attempt(sp.r_z, rep, eta, k, X, "closed"))
+                    X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                    for _ in range(3):   # the float and complex X's draws
+                        rng.random()
+                    if X != -1:
+                        exact.add(attempt(sp.r_z, rep, eta, k, X, "sum"))
+                        exact.add(attempt(sp.r_z, rep, eta, k, X, "closed"))
 
-    sections = [closed, sums, logs, exact, floats]
+    sections = [closed, sums, logs, exact]
     if not ARGS.no_verify:
-        sections.insert(4, verify_section())
+        sections.append(verify_section())
     total = hashlib.sha256()
     for section in sections:
         print(section.line())
