@@ -153,12 +153,12 @@ def delta_square(a: Ideal) -> int:
 def _require_class(n: Ideal, a: Ideal, eta: QuadCharData, want: str) -> None:
     if set(n.support) & set(a.support):
         raise SignClassError("level and test ideal must be coprime")
-    cls = sign_class(n, eta, excluded=a.support)
-    if not cls["in_I"]:
+    sign = sign_class(n, eta)
+    if sign is None:
         raise SignClassError("level must be totally inert for eta")
-    if want == "+" and not cls["in_I_plus"]:
+    if want == "+" and sign != 1:
         raise SignClassError("level lies outside the plus class")
-    if want == "-" and not cls["in_I_minus"]:
+    if want == "-" and sign != -1:
         raise SignClassError("level lies outside the minus class (the minus "
                              "average vanishes on the plus class)")
 

@@ -101,16 +101,16 @@ def cmd_ntransform(args) -> int:
     n = parse_ideal(args.ideal, primes)
     if args.fn == "one":
         val = ntransform.closed_power(n, 0) if args.closed else ntransform.n_transform(ntransform.one_fn(), n)
-        out = FormalLog.of_const(val)
+        out = FormalLog(val)
     elif args.fn == "lognorm":
-        out = ntransform.closed_log(n) if args.closed else ntransform.n_transform(ntransform.log_norm_fn(), n)
+        out = ntransform.closed_log(n) if args.closed else ntransform.n_transform(ntransform.log_norm, n)
     elif args.fn.startswith("norm^"):
         t = _parsed("--fn", args.fn, lambda text: Fraction(text.split("^", 1)[1]))
         if _norm_power_bits(n, t) > NTRANSFORM_MAX_BITS:
             raise InputError(f"--fn {args.fn!r} at --ideal {args.ideal!r}: the result could have more "
                              f"than 4300 digits, past what Python prints")
         val = ntransform.closed_power(n, t) if args.closed else ntransform.n_transform(ntransform.norm_power_fn(t), n)
-        out = FormalLog.of_const(val)
+        out = FormalLog(val)
     else:
         raise InputError(f"--fn {args.fn!r}: one, norm^t or lognorm expected")
     json.dump({"ideal": str(n), "fn": args.fn, "result": out.to_json()}, sys.stdout, indent=2)
@@ -134,7 +134,7 @@ def cmd_local_weights(args) -> int:
     for k in range(1, args.k + 1):
         rows.append({
             "k": k,
-            "r_center": str(spectral.r_at_center(rep, args.eta, k)),
+            "r_center": str(spectral.r_z(rep, args.eta, k, 1)),
             "partial_r": str(spectral.partial_r(rep, args.eta, k)),
             "partial_r_sum": str(spectral.partial_r_sum(rep, args.eta, k)),
         })
@@ -243,6 +243,9 @@ def cmd_main_terms(args) -> int:
     primes, eta, raw = load_config(args.config)
     n = parse_ideal(args.n, primes)
     a = parse_ideal(args.a, primes)
+    # both main terms scale by norm(a)^(-1/2), taken in floats
+    if a.norm > sys.float_info.max:
+        raise InputError(f"--a {args.a!r}: norm(a) is past the float range")
     cobj = json_value(raw.get("consts", {}), (dict,), "config 'consts'")
 
     def const(key: str) -> float:

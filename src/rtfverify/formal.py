@@ -67,10 +67,6 @@ class FormalLog:
         return cls(0)
 
     @classmethod
-    def of_const(cls, c: Rat) -> "FormalLog":
-        return cls(c)
-
-    @classmethod
     def symbol(cls, sym: str, coeff: Rat = 1) -> "FormalLog":
         return cls(0, {sym: coeff})
 

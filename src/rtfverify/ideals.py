@@ -71,9 +71,6 @@ class Ideal(tuple):
             raise ValueError("duplicate prime ids in exponent map")
         return cls(items)
 
-    def as_dict(self) -> dict[Prime, int]:
-        return dict(self)
-
     def ord(self, p: Prime) -> int:
         for q, e in self:
             if q == p:
@@ -99,7 +96,7 @@ class Ideal(tuple):
     # keeps self's sorted order and positive exponents, without Ideal.of.
 
     def __mul__(self, other: "Ideal") -> "Ideal":
-        d = self.as_dict()
+        d = dict(self)
         for p, e in other:
             d[p] = d.get(p, 0) + e
         if len(d) > len(self):   # a new place: sort and check its id
@@ -108,7 +105,7 @@ class Ideal(tuple):
 
     def divide(self, other: "Ideal") -> "Ideal":
         """Exact quotient self * other^-1; raises if not integral."""
-        d = self.as_dict()
+        d = dict(self)
         for p, e in other:
             r = d.get(p, 0) - e
             if r < 0:
@@ -222,24 +219,17 @@ def iota(m: Ideal) -> Fraction:
     return out
 
 
-def sign_class(n: Ideal, eta: QuadCharData, excluded: Iterable[Prime] = ()) -> dict:
-    """Sign (-1)^eps(eta) * tilde_eta(n) and the inert-monoid membership flags.
-
-    Membership in the inert monoid requires every prime of n to avoid the
-    conductor and the excluded set and to satisfy tilde_eta(p) = -1.
-    """
-    excluded = set(excluded)
-    bad = set(n.support) & (set(eta.ram_primes) | excluded)
+def sign_class(n: Ideal, eta: QuadCharData) -> int | None:
+    """The sign (-1)^eps(eta) * tilde_eta(n) of n in the inert monoid, whose
+    ideals have tilde_eta(p) = -1 at every prime p: +1 on the plus class, -1
+    on the minus class, and None for an n outside the monoid.  A prime of n
+    in the conductor of eta, or with no declared value, raises
+    CoprimalityError."""
+    bad = set(n.support) & set(eta.ram_primes)
     if bad:
         raise CoprimalityError(f"ideal meets excluded primes: {sorted(p.id for p in bad)}")
     value = (-1) ** eta.eps * eta.tilde_eta_ideal(n)
-    inert = all(eta.tilde_eta(p) == -1 for p in n.support)
-    return {
-        "sign": value,
-        "in_I": inert,
-        "in_I_plus": inert and value == 1,
-        "in_I_minus": inert and value == -1,
-    }
+    return value if all(eta.tilde_eta(p) == -1 for p in n.support) else None
 
 
 def omega_v(p: Prime, c: Ideal) -> Fraction:

@@ -182,7 +182,9 @@ def theta(lat: EmbeddedLattice, l: Sequence[float], R: float) -> dict:
     vals = np.sort(_f_values(pts, l))     # deterministic, small-first sum
     value = float(np.sum(vals))
     bound = _tail_bound(lat, min(l), R)
-    estimate = _tail_estimate(lat, l, R, fallback=bound)
+    # in rank one, 1/covol points per unit length times the integral of f
+    # beyond R; in rank two the bound stands in for the estimate
+    estimate = (2 / lat.covolume) * (1 + R) ** (1 - l[0] / 2) / (l[0] / 2 - 1) if lat.d == 1 else bound
     return {"value": value, "tail_bound": bound, "tail_estimate": estimate, "count": len(pts)}
 
 
@@ -216,15 +218,6 @@ def _tail_bound(lat: EmbeddedLattice, lmin: float, R: float) -> float:
     head = c_d * (1 + k1) ** (d - 1 - s)
     integral = c_d * (1 + k1) ** (d - s) / (s - d)
     return total + head + integral
-
-
-def _tail_estimate(lat: EmbeddedLattice, l: Sequence[float], R: float, fallback: float) -> float:
-    if lat.d == 1:
-        # density 1/covol of points per unit length, integral of f beyond R
-        a = lat.covolume
-        lj = l[0]
-        return (2 / a) * (1 + R) ** (1 - lj / 2) / (lj / 2 - 1)
-    return fallback
 
 
 # ---------------------------------------------------------------------------

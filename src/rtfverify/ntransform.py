@@ -22,10 +22,11 @@ equals the one-item calls made in sequence.  No summand value is memoised.
 
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
-Fraction built per ideal.  closed_log takes the scale closed_power(n, 0) as
-that unreduced pair; each place's log coefficient has a denominator dividing
-the scale's numerator, so each symbol's coefficient is one integer sum over the
-scale's denominator, and one Fraction is built per symbol.  closed_power and
+Fraction built per ideal; at t = 0 the norm power is 1, and norm(n) is not
+formed.  closed_log takes the scale closed_power(n, 0) as that unreduced
+pair; each place's log coefficient has a denominator dividing the scale's
+numerator, so each symbol's coefficient is one integer sum over the scale's
+denominator, and one Fraction is built per symbol.  closed_power and
 closed_log keep an int t an int, so every exponent, t and each -2(1+t), is an
 int and _power_pair returns integer powers with no Fraction arithmetic; a
 fractional t takes exact integer roots.  The summands are built the same way: norm^t at an integer t is an integer power,
@@ -222,7 +223,7 @@ def _closed_pair(n: Ideal, t: Fraction | int, sign: int) -> tuple[int, int]:
     with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above, as one integer
     numerator over one integer denominator.  The pair is not reduced: each
     place's factor (qd + sign * qn) divides the numerator."""
-    num, den = _power_pair(n.norm, t, n)
+    num, den = _power_pair(n.norm, t, n) if t else (1, 1)
     s = -2 * (1 + t)
     for p, e in n:
         if e >= 2:
@@ -236,28 +237,13 @@ def _closed_pair(n: Ideal, t: Fraction | int, sign: int) -> tuple[int, int]:
     return num, den
 
 
-def _closed_product(n: Ideal, t: Fraction | int, sign: int, exact: bool) -> Fraction | float:
-    """_closed_pair's product, as one Fraction, or in floats when not exact.
-    t is an int or a Fraction; any other number is read as its Fraction."""
-    if type(t) is not int:
-        t = Fraction(t)
-    if exact:
-        return Fraction(*_closed_pair(n, t, sign))
-    out_f = float(n.norm) ** float(t)
-    for p, e in n:
-        if e >= 2:
-            qpow = float(p.q) ** float(-2 * (1 + t))
-            out_f *= 1 + sign * ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
-    return out_f
-
-
 def closed_power(n: Ideal, t: Fraction | int) -> Fraction:
     """Closed form of the transform of norm^t, exactly:
 
         norm(n)^t * prod_{S(n1)-S2(n)} (1 - q^-2(1+t))
                   * prod_{S2(n)}       (1 - (1-1/q)^-1 q^-2(1+t)).
     """
-    return _closed_product(n, t, -1, True)
+    return Fraction(*_closed_pair(n, t, -1))
 
 
 def closed_log(n: Ideal) -> FormalLog:
@@ -281,8 +267,16 @@ def closed_log(n: Ideal) -> FormalLog:
 
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
-    """Closed form of the all-positive majorant on norm^t."""
-    return _closed_product(n, t, 1, exact)
+    """Closed form of the all-positive majorant on norm^t; in floats when not
+    exact, which also takes a t at which norm^t is irrational."""
+    if exact:
+        return Fraction(*_closed_pair(n, t, 1))
+    out_f = float(n.norm) ** float(t) if t else 1.0
+    for p, e in n:
+        if e >= 2:
+            qpow = float(p.q) ** float(-2 * (1 + t))
+            out_f *= 1 + ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
+    return out_f
 
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:
@@ -309,10 +303,6 @@ def log_norm(m: Ideal) -> FormalLog:
         for r, f in _q_factors(p.q):
             exps[r] = exps.get(r, 0) + e * f
     return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
-
-
-def log_norm_fn() -> ArithFn:
-    return log_norm
 
 
 def one_fn() -> ArithFn:

@@ -203,18 +203,6 @@ def _r_z_sum_exact(rep: LocalRepData, eta_val: int, k: int, a: int, b: int) -> F
     return Fraction(num, den)
 
 
-def r_at_center(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
-    """r^(z) at the center z = 1/2 (so X = 1); vanishes for odd k when
-    eta(varpi) = -1."""
-    _check_k(k)
-    if eta_val == -1:
-        half = Fraction(1 + (-1) ** k, 2)
-        if rep.c >= 1:
-            return half
-        return half * Fraction(rep.q + 1, rep.q - 1)
-    return r_z(rep, eta_val, k, Fraction(1), path="sum")
-
-
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1."""
     _check_k(k)
@@ -325,7 +313,7 @@ def w_and_dw_oracle(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharD
     f_pi = Ideal.of({p: rep.c for p, rep in reps.items() if rep.c > 0})
     m = n.divide(f_pi)
     places = [(p, reps[p], m.ord(p)) for p in m.support]
-    r_vals = {p: r_at_center(rep, -1, k) for p, rep, k in places}
+    r_vals = {p: r_z(rep, -1, k, 1) for p, rep, k in places}
     w_val = Fraction(1)
     for p, _, _ in places:
         w_val *= r_vals[p]

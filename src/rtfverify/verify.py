@@ -18,8 +18,8 @@ import numpy as np
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns
 from .errors import SignClassError
 from .formal import FormalLog
-from .ideals import Ideal, Prime, QuadCharData
-from .ntransform import ArithFn, log_norm_fn, norm_power_fn, one_fn
+from .ideals import Ideal, Prime, QuadCharData, sign_class
+from .ntransform import ArithFn, log_norm, norm_power_fn, one_fn
 
 
 @dataclass
@@ -86,7 +86,7 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
     t0 = time.monotonic()
     primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
     ts = (-1, 0, 1, 2)
-    summands = [norm_power_fn(t) for t in ts] + [log_norm_fn()]
+    summands = [norm_power_fn(t) for t in ts] + [log_norm]
     bad = 0
     checked = 0
     for exps in product(range(7), repeat=4):
@@ -197,7 +197,7 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
         for k in (2, 4, 6, 8):
             rep = _random_rep(rng, 0, q)
             lhs = spectral.partial_r(rep, -1, k)
-            rhs = spectral.r_at_center(rep, -1, k) * Fraction(k, 2)
+            rhs = spectral.r_z(rep, -1, k, 1) * Fraction(k, 2)
             if lhs != rhs:
                 bad += 1
     out.append(CheckResult("weights.delw-slope-pattern", bad == 0))
@@ -548,7 +548,7 @@ def random_minus_config(rng: random.Random):
     n_exps = {p: rng.randint(1, 5) for p in n_primes}
     n = Ideal.of(n_exps)
     # force the minus class: (-1)^eps tilde_eta(n) = -1
-    if (-1) ** eta.eps * eta.tilde_eta_ideal(n) != -1:
+    if sign_class(n, eta) != -1:
         p0 = n_primes[0]
         n_exps[p0] += 1
         n = Ideal.of(n_exps)

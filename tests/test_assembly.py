@@ -226,7 +226,7 @@ def test_henkei_wiring_small_instance():
         return tot * (1 / pref)
 
     got = asm.henkei_adl_star(n, w_geom, al_star, al_dw, eta, G, D, n_s)
-    assert got == FormalLog.of_const(Fraction(5, 4))
+    assert got == FormalLog(Fraction(5, 4))
 
 
 def test_random_minus_config_wellformed():

@@ -174,23 +174,13 @@ def test_toolkit_errors_end_in_one_line_and_exit_2(cfg_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("CoprimalityError: ") and "'r'" in lines[0]
 
 
-def _cli_import_loads(package):
+def test_cli_import_does_not_load_sympy_scipy_or_mpmath():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, rtfverify.cli; sys.exit(any(m.split('.')[0] == {package!r} for m in sys.modules))"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
-
-
-def test_cli_import_does_not_load_sympy():
-    assert not _cli_import_loads("sympy")
-
-
-def test_cli_import_does_not_load_scipy():
-    assert not _cli_import_loads("scipy")
-
-
-def test_cli_import_does_not_load_mpmath():
-    assert not _cli_import_loads("mpmath")
+    code = ("import sys, rtfverify.cli; "
+            "print(*sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'scipy', 'mpmath'}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
@@ -328,6 +318,9 @@ def test_verify_command(capsys):
     ["lattice", "--field", "Q", "--ideal", "1e8"],
     ["lattice", "--field", "Q", "--ideal=-1e-400"],
     ["lattice", "--field", "Q(sqrt2)", "--ideal", "100000000"],
+    # norm(a) past the float range, which both main terms scale by
+    ["main-terms", "--config", "CFG", "--n", "p", "--a", "q^1024"],
+    ["main-terms", "--config", "CFG", "--n", "p^2", "--a", "q^1024"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {

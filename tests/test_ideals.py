@@ -65,22 +65,23 @@ ETA = QuadCharData.build(0, [1], unram={P3: -1, Q2: -1, R5: 1})
 
 
 def test_sign_class_examples():
-    assert sign_class(Ideal.unit(), ETA)["sign"] == 1
-    res = sign_class(ideal(p=1), ETA)
-    assert res["sign"] == -1 and res["in_I_minus"]
+    assert sign_class(Ideal.unit(), ETA) == 1
+    assert sign_class(ideal(p=1), ETA) == -1
+    assert sign_class(ideal(p=1, q=1), ETA) == 1
     eta1 = QuadCharData.build(1, [-1], unram={P3: -1})
-    assert sign_class(ideal(p=2), eta1)["sign"] == -1
-    # r has tilde eta = +1, so it breaks inert membership but not the sign
-    res = sign_class(ideal(r=2), ETA)
-    assert res["sign"] == 1 and not res["in_I"]
+    assert sign_class(ideal(p=2), eta1) == -1
+    # r has tilde eta = +1, so n lies outside the inert monoid at any exponent
+    assert sign_class(ideal(r=2), ETA) is None
+    assert sign_class(ideal(p=1, r=1), ETA) is None
 
 
 def test_sign_class_coprimality_guard():
-    eta = QuadCharData.build(0, [1], ram={P3: 1}, unram={Q2: -1})
-    with pytest.raises(CoprimalityError):
+    eta = QuadCharData.build(0, [1], ram={P3: 1}, unram={Q2: 1})
+    with pytest.raises(CoprimalityError, match=r"ideal meets excluded primes: \['p'\]"):
         sign_class(ideal(p=1), eta)
-    with pytest.raises(CoprimalityError):
-        sign_class(ideal(q=1), eta, excluded=[Q2])
+    # an undeclared prime raises even beside a split one
+    with pytest.raises(CoprimalityError, match="no declared eta value at prime r"):
+        sign_class(ideal(q=1, r=1), eta)
 
 
 def test_tilde_eta_completely_multiplicative():
@@ -216,7 +217,7 @@ def monoid_ideals(draw, count):
 
 def _assert_canonical(n: Ideal):
     # an ideal built without Ideal.of equals and hashes like its Ideal.of twin
-    twin = Ideal.of(n.as_dict())
+    twin = Ideal.of(dict(n))
     assert n == twin and hash(n) == hash(twin)
 
 
@@ -225,7 +226,7 @@ def _assert_canonical(n: Ideal):
 @given(monoid_ideals(2), st.integers(0, 3))
 def test_ideal_round_trips(drawn, k):
     primes, (i, j) = drawn
-    assert Ideal.of(i.as_dict()) == i
+    assert Ideal.of(dict(i)) == i
     assert parse_ideal(str(i), {p.id: p for p in primes}) == i
     assert (i * j).divide(j) == i
     for built in (i * j, (i * j).divide(j), i.divide(i), i.pow(k), *square_decompose(i), *i.divisors()):

@@ -23,7 +23,7 @@ def test_transform_of_one_examples():
 
 
 def test_transform_of_log_example():
-    got = nt.n_transform(nt.log_norm_fn(), Ideal.of({P3: 2}))
+    got = nt.n_transform(nt.log_norm, Ideal.of({P3: 2}))
     assert got == FormalLog.symbol("log@3", 2)
 
 
@@ -80,7 +80,7 @@ def test_closed_log_examples():
     sqfree = Ideal.of({P3: 1, Q2: 1})
     assert nt.closed_log(sqfree) == FormalLog.log_integer(6)
     both = Ideal.of({P3: 2, Q2: 2})
-    assert nt.closed_log(both) == nt.n_transform(nt.log_norm_fn(), both)
+    assert nt.closed_log(both) == nt.n_transform(nt.log_norm, both)
 
 
 def test_n_plus_examples():
@@ -89,6 +89,23 @@ def test_n_plus_examples():
     assert nt.n_plus(nt.one_fn(), Ideal.of({P3: 1})) == 1
     # dual path at t = -1
     assert nt.n_plus(nt.norm_power_fn(-1), n) == nt.n_plus_closed_power(n, -1) == Fraction(5, 18)
+
+
+def test_closed_forms_at_t_zero_form_no_norm(monkeypatch):
+    # norm(n)^0 is 1, so t = 0 never forms norm(n), whose digits at
+    # p^100000000 take seconds to build
+    n = Ideal.of({P3: 2, Q2: 3, Prime("r", 5): 1})
+    forms = [lambda: nt.closed_power(n, 0), lambda: nt.n_plus_closed_power(n, 0),
+             lambda: nt.n_plus_closed_power(n, 0, False), lambda: nt.closed_log(n)]
+    want = [form() for form in forms]
+
+    def no_norm(self):
+        raise AssertionError(f"norm({self}) formed")
+
+    monkeypatch.setattr(Ideal, "norm", property(no_norm))
+    for form, value in zip(forms, want):
+        got = form()
+        assert got == value and type(got) is type(value)
 
 
 def test_non_rational_power():
@@ -209,7 +226,7 @@ def test_kernel_equals_reference_sums(n, kind, rng, batch_kinds, seed):
                       (nt.convolve_omega(B, n), _reference_convolve(B, n))):
         assert got == want and type(got) is type(want)
     for m in seen:   # the kernel builds each m without Ideal.of
-        twin = Ideal.of(m.as_dict())
+        twin = Ideal.of(dict(m))
         assert m == twin and hash(m) == hash(twin)
     # the batched call, item by item, against one-item calls on fresh twins
     # of its summands: the same values (type and FormalLog coefficient order
@@ -258,7 +275,7 @@ def _literal_power_exact(x, t, label):
     raise NonRationalPower(f"norm({label})^{t} is irrational")
 
 
-def _literal_closed_product(n, t, sign, exact):
+def _literal_closed_form(n, t, sign, exact):
     if exact:
         out = _literal_power_exact(n.norm, t, n)
         for p, e in n:
@@ -301,7 +318,7 @@ def _literal_closed_log(n):
         if e >= 2:
             coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
         bracket = bracket + _literal_log_integer(p.q, coeff)
-    return bracket * _literal_closed_product(n, Fraction(0), -1, True)
+    return bracket * _literal_closed_form(n, Fraction(0), -1, True)
 
 
 def _outcome(fn, *args):
@@ -314,8 +331,8 @@ def _outcome(fn, *args):
 @settings(max_examples=200, deadline=None)
 @given(monoid_ideal(), st.sampled_from([Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]))
 def test_closed_forms_equal_literal_products(n, t):
-    pairs = [(_outcome(nt.closed_power, n, t), _outcome(_literal_closed_product, n, t, -1, True))]
-    pairs += [(_outcome(nt.n_plus_closed_power, n, t, exact), _outcome(_literal_closed_product, n, t, 1, exact))
+    pairs = [(_outcome(nt.closed_power, n, t), _outcome(_literal_closed_form, n, t, -1, True))]
+    pairs += [(_outcome(nt.n_plus_closed_power, n, t, exact), _outcome(_literal_closed_form, n, t, 1, exact))
               for exact in (True, False)]
     for got, want in pairs:
         assert got == want and type(got) is type(want)
@@ -336,7 +353,7 @@ def _composite_grid(qs):
 
 # q = 3, 4, 8, 9 in two place orders.  In BY_Q the place order is not the
 # order of the rational primes 2 and 3; in BY_PRIME (4, 8, 3, 9) it is.
-# closed_log emits its symbols in place order and log_norm_fn in ascending
+# closed_log emits its symbols in place order and log_norm in ascending
 # rational-prime order, so their coefficient orders agree on BY_PRIME only.
 BY_Q = _composite_grid((3, 4, 8, 9))
 BY_PRIME = _composite_grid((4, 8, 3, 9))
@@ -345,7 +362,7 @@ BY_PRIME = _composite_grid((4, 8, 3, 9))
 @pytest.mark.parametrize("grid, same_order", [(BY_Q, False), (BY_PRIME, True)], ids=["by-q", "by-prime"])
 def test_closed_forms_equal_defining_sums_at_composite_q(grid, same_order):
     for n in grid:
-        got, want = nt.closed_log(n), nt.n_transform(nt.log_norm_fn(), n)
+        got, want = nt.closed_log(n), nt.n_transform(nt.log_norm, n)
         assert got == want, n
         if same_order:
             assert list(got.coeffs) == list(want.coeffs), n
@@ -359,5 +376,5 @@ def test_summands_equal_their_definitions_at_composite_q():
         for t in (-2, -1, 0, 1, 2):
             got = nt.norm_power_fn(t)(m)
             assert got == Fraction(m.norm) ** t and type(got) is Fraction, (m, t)
-        got, want = nt.log_norm_fn()(m), FormalLog.log_integer(m.norm)
+        got, want = nt.log_norm(m), FormalLog.log_integer(m.norm)
         assert got == want and list(got.coeffs.items()) == list(want.coeffs.items()), m

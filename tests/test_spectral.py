@@ -45,8 +45,8 @@ def test_rz_examples():
     assert sp.r_z(REP2, -1, 1, Fraction(1)) == 0
     # unramified central value at even depth
     assert sp.r_z(REP0, -1, 2, Fraction(1)) == Fraction(3 + 1, 3 - 1)
-    assert sp.r_at_center(REP0, -1, 2) == 2
-    assert sp.r_at_center(REP0, -1, 3) == 0
+    assert sp.r_z(REP0, -1, 2, 1) == 2
+    assert sp.r_z(REP0, -1, 3, 1) == 0
 
 
 def test_rz_closed_equals_sum_randomised():
@@ -185,7 +185,7 @@ def test_rep_validation_and_k_cap():
     with pytest.raises(ValueError):
         sp.r_z(REP2, -1, sp.MAX_K + 1, Fraction(1, 2))
     # every k-indexed weight has the one domain 1 <= k <= MAX_K
-    for fn in (sp.r_at_center, sp.partial_r, sp.partial_r_sum):
+    for fn in (lambda rep, eta, k: sp.r_z(rep, eta, k, 1), sp.partial_r, sp.partial_r_sum):
         for k in (0, sp.MAX_K + 1):
             for rep, eta in itertools.product((REP0, REP1, REP2), (1, -1)):
                 with pytest.raises(InputError, match=f"got k={k}$"):

@@ -5,7 +5,7 @@
 SRC_DIR (default: the src/ beside this file) is put first on sys.path.  It
 prints one line per section (result count and digest) and a total line; two
 checkouts whose results agree print identical lines.  --no-verify leaves out
-the verify section, the only one that needs numpy.
+the verify and cli sections, the only ones that need numpy.
 
 Every result is recorded with its type.  A FormalLog is recorded as its
 constant and its coefficients in dict order (the order `evaluate` sums them
@@ -28,10 +28,16 @@ error size's last digits follow the numpy build, and an elapsed time the host.
 A time-gated check's status and the exit code still follow its wall-clock
 gate (5 or 10 s, several times the check's run time).
 
+The cli section is the output of the 800 `rtf` argvs of the benchmark's
+queries workload at seeds 0 and 1 (perfbench/workloads.py's build_ops,
+imported read-only), run in process through cli.main: the argv, exit code,
+stdout and stderr of each, with the config directory masked as <dir> and
+each decimal number as <f>.
+
 tools/exact_digest.expected holds the closed, transforms, log_integer,
-spectral-exact and verify lines, the first five of the output.  The first
+spectral-exact, verify and cli lines, the first six of the output.  The first
 four agree under Python 3.10 to 3.12, and CI diffs them on every Python; the
-verify line is made and diffed on the 3.11 job only.
+verify and cli lines are made and diffed on the 3.11 job only.
 """
 from __future__ import annotations
 
@@ -44,11 +50,12 @@ import os
 import random
 import re
 import sys
+import tempfile
 from fractions import Fraction
 
 parser = argparse.ArgumentParser(description="Digest of the exact path's results.")
 parser.add_argument("src_dir", nargs="?", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-parser.add_argument("--no-verify", action="store_true", help="leave out the verify section")
+parser.add_argument("--no-verify", action="store_true", help="leave out the verify and cli sections")
 ARGS = parser.parse_args()
 sys.path.insert(0, ARGS.src_dir)
 
@@ -60,6 +67,8 @@ from rtfverify.ideals import Ideal, Prime  # noqa: E402
 TS = [Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]
 VERIFY_SUITES = ("ntransform", "weights", "orbital", "assembly")
 VERIFY_SEEDS = range(5)
+CLI_SEEDS = (0, 1)
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 DECIMAL = re.compile(r"\d+\.\d+(?:e[-+]\d+)?|\d+e[-+]\d+")
 
 
@@ -128,10 +137,26 @@ def verify_section() -> Section:
     return checks
 
 
+def cli_section() -> Section:
+    from rtfverify import cli
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+    runs = Section("cli")
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in CLI_SEEDS:
+            for op in workloads.build_ops("queries", seed, workdir):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(op.argv)
+                text = f"{' '.join(op.argv)}\nrc={rc}\n{out.getvalue()}\nstderr={err.getvalue()}"
+                runs.add(DECIMAL.sub("<f>", text.replace(workdir, "<dir>")))
+    return runs
+
+
 def main() -> None:
     closed, sums, logs = Section("closed"), Section("transforms"), Section("log_integer")
     exact = Section("spectral-exact")
-    fns = [nt.norm_power_fn(-1), nt.norm_power_fn(2), nt.log_norm_fn(), nt.one_fn()]
+    fns = [nt.norm_power_fn(-1), nt.norm_power_fn(2), nt.log_norm, nt.one_fn()]
     for i, n in enumerate(ideals()):
         for t in TS:
             closed.add(attempt(nt.closed_power, n, t))
@@ -173,7 +198,7 @@ def main() -> None:
 
     sections = [closed, sums, logs, exact]
     if not ARGS.no_verify:
-        sections.append(verify_section())
+        sections += [verify_section(), cli_section()]
     total = hashlib.sha256()
     for section in sections:
         print(section.line())
