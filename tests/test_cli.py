@@ -174,13 +174,26 @@ def test_toolkit_errors_end_in_one_line_and_exit_2(cfg_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("CoprimalityError: ") and "'r'" in lines[0]
 
 
-def test_cli_import_does_not_load_sympy_scipy_or_mpmath():
+@pytest.fixture(scope="module")
+def cli_import_loads():
+    """The top-level packages in sys.modules after importing rtfverify.cli in one fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, rtfverify.cli; "
-            "print(*sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'scipy', 'mpmath'}))")
+    code = "import sys, rtfverify.cli; print(*sorted({m.split('.')[0] for m in sys.modules}))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.split() == []
+    return set(run.stdout.split())
+
+
+def test_cli_import_does_not_load_sympy(cli_import_loads):
+    assert "sympy" not in cli_import_loads
+
+
+def test_cli_import_does_not_load_scipy(cli_import_loads):
+    assert "scipy" not in cli_import_loads
+
+
+def test_cli_import_does_not_load_mpmath(cli_import_loads):
+    assert "mpmath" not in cli_import_loads
 
 
 def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
