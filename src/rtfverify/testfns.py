@@ -5,9 +5,11 @@ integrands are periodic in Im(s) with period 4*pi/log q, so the vertical-line
 integrals are evaluated over one full period (where the trapezoid rule
 converges geometrically).  Each oracle takes lists, one item or many:
 period_integrals (kernels x test functions) and st_moments (exponents n)
-build each grid once and share it across them.  The period-contour test
-functions alpha are functions of z = q^(s/2), which period_integrals
-computes once per grid; one of its passes serves every kernel it is given.
+build each grid once and share it across them.  Every quantity on the
+period contour (the kernels, the test functions alpha and the measure) is a
+function of z = q^(s/2): period_integrals makes z with one complex
+exponential per grid, and one of its passes serves every kernel it is given.
+st_moments runs the recurrence X_{n+1} = x X_n - X_{n-1} on its theta grid.
 Per-place moment values carrying the irrational factor q^(-n/2) are also
 exposed in a scaled, exactly-rational form for the main-term assembly.
 """
@@ -104,19 +106,22 @@ def dunip(q: int, eta_val: int, m: int) -> float:
 # kernels and the period-contour oracle
 
 
-def upsilon_kernel(q: int, eta_val: int, s: complex) -> complex:
-    return 1.0 / ((1 - eta_val * q ** (-(1 + s) / 2)) * (1 - q ** ((1 + s) / 2)))
+def upsilon_kernel(q: int, eta_val: int, z: complex) -> complex:
+    """Upsilon(s) = 1/((1 - eta/Y)(1 - Y)) at z = q^(s/2), as Y/((Y - eta)(1 - Y))
+    in Y = q^((1+s)/2) = sqrt(q) z."""
+    Y = math.sqrt(q) * z
+    return Y / ((Y - eta_val) * (1 - Y))
 
 
-def dunip_kernel(q: int, eta_val: int, s: complex) -> complex:
-    return (
-        eta_val * math.log(q) * q ** (-(s + 1))
-        / ((1 - eta_val * q ** (-(s + 1) / 2)) ** 2 * (1 - q ** (-(s + 1) / 2)))
-    )
+def dunip_kernel(q: int, eta_val: int, z: complex) -> complex:
+    """eta log q Y^-2 (1 - eta/Y)^-2 (1 - 1/Y)^-1 at z = q^(s/2), as
+    eta log q Y/((Y - eta)^2 (Y - 1)) in Y = sqrt(q) z."""
+    Y = math.sqrt(q) * z
+    return eta_val * math.log(q) * Y / ((Y - eta_val) ** 2 * (Y - 1))
 
 
-def upsilon_over_unip_kernel(q: int, eta_val: int, s: complex) -> complex:
-    return upsilon_kernel(q, eta_val, s) * math.log(q) / (1 - eta_val * q ** ((s + 1) / 2))
+def upsilon_over_unip_kernel(q: int, eta_val: int, z: complex) -> complex:
+    return upsilon_kernel(q, eta_val, z) * math.log(q) / (1 - eta_val * math.sqrt(q) * z)
 
 
 def kernel_identity_lhs(q: int, eta_val: int, Y: Fraction) -> Fraction:
@@ -134,17 +139,21 @@ def alpha_pn_at(n: int) -> Callable[[complex], complex]:
     """alpha_[p^n] as a function of z = q^(s/2): X_n(z + 1/z)."""
     def f(z):
         return chebyshev(n, z + 1 / z)
+    f.__name__ = f"alpha_[p^{n}]"
     return f
 
 
 def alpha_basis_at(m: int) -> Callable[[complex], complex]:
     """The basis function alpha^(m) as a function of z = q^(s/2): z^m + z^-m."""
     def f(z: complex) -> complex:
-        return z ** m + z ** (-m)
+        zm = z ** m
+        return zm + 1 / zm
+    f.__name__ = f"alpha^({m})"
     return f
 
 
-# grid points of the coarse pass of each oracle; its fine pass takes about twice as many
+# grid points of the coarse pass of each oracle; its fine pass takes about twice as many.
+# PERIOD_STEPS is a power of two: the contour sum folds its nodes in halves.
 PERIOD_STEPS = 4096
 ST_STEPS = 20001
 
@@ -154,12 +163,13 @@ def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarr
                      sigma: float = 0.7) -> list[list[complex]]:
     """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period,
     dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds, for each kernel and
-    each alpha (a function of z = q^(s/2)): one list per kernel.
+    each alpha: one list per kernel.  Kernels and alphas are functions of
+    z = q^(s/2).
 
-    Each refinement pass (PERIOD_STEPS, then twice that) builds the grid,
-    the measure, z and every kernel's values once, and each alpha once.
-    Each value is bit-identical to a one-item call, and must agree across
-    the two passes to 1e-9.
+    Each refinement pass (PERIOD_STEPS, then twice that) builds z, the
+    measure and every kernel's values once, and each alpha once.  Each value
+    is bit-identical to a one-item call, and must agree across the two passes
+    to 1e-9.
     """
     residue_cardinality(q, "period_integrals")
     if sigma <= 0:
@@ -168,29 +178,43 @@ def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarr
     coarse = _period_passes(kernels, q, eta_val, alphas, sigma, PERIOD_STEPS)
     fine = _period_passes(kernels, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
     for kernel, row1, row2 in zip(kernels, coarse, fine):
-        for i, (v1, v2) in enumerate(zip(row1, row2)):
+        for i, (alpha, v1, v2) in enumerate(zip(alphas, row1, row2)):
             if abs(v1 - v2) > 1e-9:
                 raise ConvergenceError(
                     f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
-                    f"steps={PERIOD_STEPS}, alpha #{i}: refinement gap {abs(v1 - v2):.3e}")
+                    f"steps={PERIOD_STEPS}, alpha #{i} ({alpha.__name__}): refinement gap {abs(v1 - v2):.3e}")
     return fine
 
 
 def _period_passes(kernels, q, eta_val, alphas, sigma, steps) -> list[list[complex]]:
-    T = 4 * math.pi / math.log(q)
-    s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
-    kvals = [kern(q, eta_val, s) for kern in kernels]
-    z = q ** (s / 2)
-    half_log = math.log(q) / 2
-    measure = q ** ((1 + s) / 2) - q ** ((1 - s) / 2)
+    # s = sigma + i T (k + 1/2)/steps over one period T = 4 pi/log q puts
+    # z = q^(s/2) on one turn of the circle |z| = q^(sigma/2)
+    z = q ** (sigma / 2) * np.exp(2j * math.pi * (np.arange(steps) + 0.5) / steps)
+    # dmu = (log q/2) sqrt(q) (z - 1/z) ds = sqrt(q) (z - 1/z) dz/z, and the
+    # trapezoid rule's (1/2 pi i) dz/z is 1/steps at exact nodes.  spacing is
+    # the central difference (z[k+1] - z[k-1])/(2i sin(2 pi/steps) z[k]): 1 at
+    # exact nodes, and at the rounded ones it cancels their rounding to first
+    # order.
+    spacing = (np.roll(z, -1) - np.roll(z, 1)) / (2j * math.sin(2 * math.pi / steps) * z)
+    measure = math.sqrt(q) * (z - 1 / z) * spacing
+    weighted = [kern(q, eta_val, z) * measure for kern in kernels]
     out = [[] for _ in kernels]
     for alpha in alphas:
         avals = alpha(z)
-        # numpy pairwise summation over the fixed grid order: deterministic to
-        # the last bit for a given step count
-        for row, kv in zip(out, kvals):
-            row.append(complex(np.sum(kv * avals * half_log * measure)) * (1j * T / steps) / (2j * math.pi))
+        for row, kw in zip(out, weighted):
+            row.append(_circle_sum(kw * avals) / steps)
     return out
+
+
+def _circle_sum(terms: np.ndarray) -> complex:
+    """Sum of the terms at 2^j equispaced nodes, folded in halves: each
+    partial sum runs over equispaced nodes, so the large oscillating parts
+    cancel before they are rounded.  A fixed order, so deterministic to the
+    last bit for a given step count."""
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = np.add(terms[:half], terms[half:], out=terms[:half])
+    return complex(terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +230,10 @@ def plancherel_factor(q: int, eta_val: int, x: np.ndarray) -> np.ndarray:
 
 def st_moments(q: int, eta_val: int, ns: Sequence[int]) -> list[float]:
     """Moment of X_n against the local measure for each n, by theta-substitution
-    quadrature (x = 2 cos theta kills the endpoint singularity).  The grid, the
-    measure and the sines are built once per refinement pass; each value is
-    bit-identical to its one-item call and held to its own 1e-9 refinement
-    check."""
+    quadrature (x = 2 cos theta kills the endpoint singularity).  Each
+    refinement pass builds the grid and the weight once and runs the
+    three-term recurrence for X_n up to max(ns); each value is bit-identical
+    to its one-item call and held to its own 1e-9 refinement check."""
     residue_cardinality(q, "st_moments")
     coarse = _st_passes(q, eta_val, ns, ST_STEPS)
     fine = _st_passes(q, eta_val, ns, 2 * ST_STEPS + 1)
@@ -223,25 +247,19 @@ def st_moments(q: int, eta_val: int, ns: Sequence[int]) -> list[float]:
 
 def _st_passes(q: int, eta_val: int, ns: Sequence[int], steps: int) -> list[float]:
     theta = np.linspace(0.0, math.pi, steps)
-    pf = plancherel_factor(q, eta_val, 2 * np.cos(theta))
-    den = np.sin(theta)
-    # d mu^ST = (2/pi) sin^2 theta d theta
-    sin2 = den ** 2
-    # X_n(2 cos t) = sin((n+1)t)/sin t, with its finite limits at the endpoints
-    ends = den <= 1e-12
-    cos_ends = np.cos(theta[ends])
-    den[ends] = 1.0
-    out = []
-    for n in ns:
-        # in place, each product in the order Xn * pf * (2/pi) * sin^2
-        integrand = np.sin((n + 1) * theta)
-        integrand /= den
-        integrand[ends] = (n + 1) * cos_ends ** n
-        integrand *= pf
-        integrand *= 2 / math.pi
-        integrand *= sin2
-        out.append(float(np.trapezoid(integrand, theta)))
-    return out
+    x = 2 * np.cos(theta)
+    # d mu^ST = (2/pi) sin^2 theta d theta, times the trapezoid rule's
+    # weights: pi/(steps - 1), halved at the two ends
+    weight = plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2 * (math.pi / (steps - 1))
+    weight[[0, -1]] /= 2
+    wanted, moments = set(ns), {}
+    # X_0 = 1, X_1 = x, X_{n+1} = x X_n - X_{n-1}
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for n in range(max(wanted, default=-1) + 1):
+        if n in wanted:
+            moments[n] = float(np.sum(cur * weight))
+        prev, cur = cur, x * cur - prev
+    return [moments[n] for n in ns]
 
 
 def st_moment_expected(q: int, eta_val: int, n: int) -> float:

@@ -77,6 +77,19 @@ def test_moments_command_matches_row_by_row(capsys):
     assert capsys.readouterr().out == want.getvalue()
 
 
+def test_moments_failure_names_n(capsys):
+    # past the contour oracle's frontier at q = 13: the message names the
+    # failing n itself beside its position in the --n span
+    rc = cli.main(["moments", "--q", "13", "--eta", "1", "--n", "15..25"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    match = re.fullmatch(r"ConvergenceError: period integral of kernel \w+ at q=13, eta=1, sigma=0\.7, steps=4096, "
+                         r"alpha #(\d+) \(alpha_\[p\^(\d+)\]\): refinement gap \d\.\d{3}e-\d\d",
+                         captured.err.rstrip("\n"))
+    assert match, captured.err
+    assert int(match[2]) == 15 + int(match[1])
+
+
 def test_local_tables_command(capsys):
     rc = cli.main(["local-tables", "--place", '{"q":3}', "--eta", "-1", "--ordb=-2..3"])
     assert rc == 0

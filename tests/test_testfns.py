@@ -85,18 +85,54 @@ def test_period_integral_guards():
 
 
 def _period_pass_per_alpha(kernel, q, eta_val, alpha, sigma, steps):
-    """The contour pass for one alpha alone, with its own grid, kernel and
+    """The contour pass for one alpha alone, with its own z grid, kernel and
     measure, in the product order period_integrals must keep."""
+    z = q ** (sigma / 2) * np.exp(2j * math.pi * (np.arange(steps) + 0.5) / steps)
+    spacing = (np.roll(z, -1) - np.roll(z, 1)) / (2j * math.sin(2 * math.pi / steps) * z)
+    terms = kernel(q, eta_val, z) * (math.sqrt(q) * (z - 1 / z) * spacing) * alpha(z)
+    while len(terms) > 1:
+        terms = terms[:len(terms) // 2] + terms[len(terms) // 2:]
+    return complex(terms[0]) / steps
+
+
+def _st_pass_per_n(q, eta_val, n, steps):
+    """The theta-substitution pass for one n alone, with its own grid, weight
+    and recurrence, in the product order st_moments must keep."""
+    theta = np.linspace(0.0, math.pi, steps)
+    x = 2 * np.cos(theta)
+    weight = tf.plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2 * (math.pi / (steps - 1))
+    weight[[0, -1]] /= 2
+    return float(np.sum(tf.chebyshev(n, x) * weight))
+
+
+# A second arithmetic for the same integrals: each contour quantity a power
+# of q at the grid point s, and X_n as a ratio of sines.  Its order of
+# operations differs, so each oracle is held to it within a rounding budget,
+# not bit for bit.
+
+S_FORM_KERNELS = {
+    "upsilon_kernel": lambda q, eta_val, s: 1.0 / ((1 - eta_val * q ** (-(1 + s) / 2)) * (1 - q ** ((1 + s) / 2))),
+    "dunip_kernel": lambda q, eta_val, s: (
+        eta_val * math.log(q) * q ** (-(s + 1))
+        / ((1 - eta_val * q ** (-(s + 1) / 2)) ** 2 * (1 - q ** (-(s + 1) / 2)))),
+}
+S_FORM_KERNELS["upsilon_over_unip_kernel"] = lambda q, eta_val, s: (
+    S_FORM_KERNELS["upsilon_kernel"](q, eta_val, s) * math.log(q) / (1 - eta_val * q ** ((s + 1) / 2)))
+
+
+def _period_pass_s_form(kernel, q, eta_val, alpha, sigma, steps):
+    """One contour pass on the grid s itself, with the measure
+    (log q/2)(q^((1+s)/2) - q^((1-s)/2)) ds and the (1/2 pi i) factor."""
     T = 4 * math.pi / math.log(q)
     s = sigma + 1j * T * (np.arange(steps) + 0.5) / steps
-    terms = (kernel(q, eta_val, s) * alpha(q ** (s / 2)) * (math.log(q) / 2)
+    terms = (S_FORM_KERNELS[kernel.__name__](q, eta_val, s) * alpha(q ** (s / 2)) * (math.log(q) / 2)
              * (q ** ((1 + s) / 2) - q ** ((1 - s) / 2)))
     return complex(np.sum(terms)) * (1j * T / steps) / (2j * math.pi)
 
 
-def _st_pass_per_n(q, eta_val, n, steps):
-    """The theta-substitution pass for one n alone, with its own grid and
-    measure, in the product order st_moments must keep."""
+def _st_pass_sin_ratio(q, eta_val, n, steps):
+    """One theta pass with X_n(2 cos t) = sin((n+1)t)/sin t, patched to its
+    limit (n+1) cos(t)^n at the endpoints."""
     theta = np.linspace(0.0, math.pi, steps)
     x = 2 * np.cos(theta)
     num = np.sin((n + 1) * theta)
@@ -104,6 +140,13 @@ def _st_pass_per_n(q, eta_val, n, steps):
     Xn = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), (n + 1) * np.cos(theta) ** n)
     integrand = Xn * tf.plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2
     return float(np.trapezoid(integrand, theta))
+
+
+def _s_form_tolerance(q, n, sigma):
+    """1e-12 times the bound (n + 1) |z|^n on alpha_[p^n] and alpha^(n) on
+    the contour |z| = q^(sigma/2): the two orders of operations round each
+    term differently, by a few ulps of its size."""
+    return 1e-12 * (n + 1) * q ** (sigma * n / 2)
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -122,9 +165,10 @@ def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
     alphas = [tf.alpha_pn_at(n) for n in ns] + [tf.alpha_basis_at(n) for n in ns]
     (batch,) = tf.period_integrals([kernel], q, eta, alphas, sigma=sigma)
     assert len(batch) == len(alphas)
-    for alpha, got in zip(alphas, batch):
+    for n, alpha, got in zip(ns + ns, alphas, batch):
         assert _bits(got) == _bits(_period_integral(kernel, q, eta, alpha, sigma=sigma))
         assert _bits(got) == _bits(_period_pass_per_alpha(kernel, q, eta, alpha, sigma, 2 * 4096))
+        assert abs(got - _period_pass_s_form(kernel, q, eta, alpha, sigma, 2 * 4096)) <= _s_form_tolerance(q, n, sigma)
 
 
 @settings(max_examples=15, deadline=None)
@@ -135,6 +179,7 @@ def test_st_moments_bit_identical(q, eta, ns):
     for n, got in zip(ns, batch, strict=True):
         assert got.hex() == tf.st_moments(q, eta, [n])[0].hex()
         assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
+        assert abs(got - _st_pass_sin_ratio(q, eta, n, 2 * 20001 + 1)) <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -166,6 +211,20 @@ def test_period_integrals_evaluate_each_alpha_once_per_grid(kernels):
     assert len(rows) == len(kernels) and all(len(row) == len(alphas) for row in rows)
     for kernel, row in zip(kernels, rows):
         assert [_bits(v) for v in row] == [_bits(_period_integral(KERNELS[kernel], 3, -1, a)) for a in alphas]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13))
+@pytest.mark.parametrize("eta", (-1, 1))
+def test_period_integrals_cover_the_moments_domain(q, eta):
+    # every (q, eta, n <= 10) that rtf moments is asked in the benchmark's
+    # queries passes both kernels' refinement checks
+    u, du = tf.period_integrals([tf.upsilon_kernel, tf.dunip_kernel], q, eta, [tf.alpha_pn_at(n) for n in range(11)])
+    assert len(u) == len(du) == 11
+
+
+def test_alphas_are_named():
+    assert tf.alpha_pn_at(20).__name__ == "alpha_[p^20]"
+    assert tf.alpha_basis_at(3).__name__ == "alpha^(3)"
 
 
 def test_period_integrals_failure_names_the_input():

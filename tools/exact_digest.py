@@ -20,13 +20,14 @@ leave out -1, and the draws of the float and complex X that older checkouts
 also recorded are still made, so the spectral-exact line compares with theirs.
 
 The verify section is the output of `rtf verify --suite S --seed N`, run in
-process through cli.main, for the exact suites S (ntransform, weights,
-orbital, assembly) and N = 0..4: the exit code and every stdout line, with
-each decimal number ("0.14s", "2.866", "1.75e-10") masked as <f>.  What is
-left is the check names, statuses, integer counts and exact values; a float
-error size's last digits follow the numpy build, and an elapsed time the host.
-A time-gated check's status and the exit code still follow its wall-clock
-gate (5 or 10 s, several times the check's run time).
+process through cli.main, for every suite S (the exact ntransform, weights,
+orbital and assembly, then the numeric unipotent, arch and lattice) and
+N = 0..4: the exit code and every stdout line, with each decimal number
+("0.14s", "2.866", "1.75e-10") masked as <f>.  What is left is the check
+names, statuses, integer counts and exact values; a float error size's last
+digits follow the numpy build, and an elapsed time the host.  A time-gated
+check's status and the exit code still follow its wall-clock gate (5 or 10 s,
+several times the check's run time).
 
 The cli section is the output of the 800 `rtf` argvs of the benchmark's
 queries workload at seeds 0 and 1 (perfbench/workloads.py's build_ops,
@@ -65,7 +66,7 @@ from rtfverify.formal import FormalLog  # noqa: E402
 from rtfverify.ideals import Ideal, Prime  # noqa: E402
 
 TS = [Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]
-VERIFY_SUITES = ("ntransform", "weights", "orbital", "assembly")
+VERIFY_SUITES = ("ntransform", "weights", "orbital", "assembly", "unipotent", "arch", "lattice")
 VERIFY_SEEDS = range(5)
 CLI_SEEDS = (0, 1)
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
