@@ -74,7 +74,9 @@ class FormalLog:
     def _trusted(cls, const: Fraction, coeffs: dict[str, Fraction]) -> "FormalLog":
         """Build without normalising.  The caller guarantees what __init__
         would otherwise establish: const is a Fraction, and coeffs is a fresh
-        dict (the result takes ownership) whose values are non-zero Fractions."""
+        dict (the result takes ownership) whose values are non-zero Fractions.
+        The Fractions themselves may be shared with other values: they are
+        immutable, and no FormalLog operation changes one in place."""
         self = object.__new__(cls)
         self.const = const
         self.coeffs = coeffs

@@ -255,8 +255,8 @@ CONFIG_SCHEMA = 1
 
 def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
     """Parse the versioned config: primes plus the quadratic character.  A
-    missing or malformed key, or an eta entry at a prime the config does not
-    declare, raises an InputError naming it."""
+    missing or malformed key, a prime id declared twice, or an eta entry at a
+    prime the config does not declare, raises an InputError naming it."""
     if not isinstance(obj, dict):
         raise InputError(f"config must be a JSON object, got {type(obj).__name__}")
     if obj.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
@@ -268,6 +268,8 @@ def config_from_json(obj: dict) -> tuple[dict[str, Prime], QuadCharData]:
         if not isinstance(d, dict) or "id" not in d or "q" not in d:
             raise InputError(f"config prime {d!r} needs an 'id' and a 'q'")
         pid = json_value(d["id"], (str,), "config prime id")
+        if pid in primes:
+            raise InputError(f"config declares prime {pid!r} twice")
         primes[pid] = Prime(pid, d["q"])
     eta_obj = json_value(obj.get("eta", {"eps": 0, "arch_signs": [1]}), (dict,), "config 'eta'")
 

@@ -18,7 +18,10 @@ one Fraction is built per symbol at the end.
 Several summands share one enumeration: n_transforms(Bs, n) builds the terms
 and each ideal m once, then sums every B over them in turn, each B meeting the
 ideals in the order of its one-item call n_transform(B, n), so the batch
-equals the one-item calls made in sequence.  No summand value is memoised.
+equals the one-item calls made in sequence.  The oracle memoises nothing: it
+calls each B at every m of every sum.  A caller that sums a pure B over many
+ideals whose sums share their m may tabulate B once per m and pass a lookup
+into that table as B; the sums are unchanged, since B(m) is.
 
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
@@ -29,16 +32,19 @@ numerator, so each symbol's coefficient is one integer sum over the scale's
 denominator, and one Fraction is built per symbol.  closed_power and
 closed_log keep an int t an int, so every exponent, t and each -2(1+t), is an
 int and _power_pair returns integer powers with no Fraction arithmetic; a
-fractional t takes exact integer roots.  The summands are built the same way: norm^t at an integer t is an integer power,
+fractional t takes exact integer roots.  The summands are built the same way:
+norm^t at an integer t is an integer power (norm^0 is one shared Fraction(1)),
 and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
-factorisation read from a cache keyed by q (one entry per residue
-cardinality seen).
+factorisation and symbols read from a cache keyed by q (one entry per residue
+cardinality seen).  A log_norm value shares its constant 0 and its small
+integer coefficients with every other: Fractions are immutable, so a table of
+summand values holds one copy of each.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Sequence
 
 from .errors import NonRationalPower
@@ -259,8 +265,7 @@ def closed_log(n: Ideal) -> FormalLog:
         q = p.q
         d, extra = (1, 0) if e == 1 else (q * q - q - 1, 2) if e == 2 else (q * q - 1, 2)
         c = (e * d + extra) * (num // d)
-        for r, f in _q_factors(q):
-            sym = f"log@{r}"
+        for (_r, sym), f in _log_terms(q):
             sums[sym] = sums.get(sym, 0) + c * f
     # every coefficient and the scale are positive, so none vanishes
     return FormalLog._trusted(Fraction(0), {sym: Fraction(c, den) for sym, c in sums.items()})
@@ -271,7 +276,14 @@ def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Frac
     exact, which also takes a t at which norm^t is irrational."""
     if exact:
         return Fraction(*_closed_pair(n, t, 1))
-    out_f = float(n.norm) ** float(t) if t else 1.0
+    out_f = 1.0
+    if t:
+        try:
+            norm_f = float(n.norm)
+        except OverflowError:   # norm(n) is past the float range; norm^t may not be
+            out_f = prod(float(p.q) ** (e * float(t)) for p, e in n)
+        else:
+            out_f = norm_f ** float(t)
     for p, e in n:
         if e >= 2:
             qpow = float(p.q) ** float(-2 * (1 + t))
@@ -284,13 +296,22 @@ def norm_power_fn(t: Fraction | int) -> ArithFn:
     t = Fraction(t)
     if t.denominator == 1:
         a = t.numerator
-        return (lambda n: Fraction(n.norm ** a)) if a >= 0 else (lambda n: Fraction(1, n.norm ** -a))
+        if a == 0:
+            return lambda n: _ONE
+        return (lambda n: Fraction(n.norm ** a)) if a > 0 else (lambda n: Fraction(1, n.norm ** -a))
     return lambda n: _norm_power_exact(n, t)
 
 
-# q = prod r^f as the (r, f) pairs, cached by q: one entry per residue
-# cardinality seen; callers only read the list
-_q_factors = cache(_factor_small)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+# Fraction(k) for the exponents a log norm meets most, one object each
+_SMALL_INTS = tuple(Fraction(k) for k in range(64))
+
+
+@cache
+def _log_terms(q: int) -> tuple[tuple[tuple[int, str], int], ...]:
+    """q = prod r^f as the ((r, "log@r"), f) pairs, cached by q: one entry
+    per residue cardinality seen."""
+    return tuple(((r, f"log@{r}"), f) for r, f in _factor_small(q))
 
 
 def log_norm(m: Ideal) -> FormalLog:
@@ -298,11 +319,12 @@ def log_norm(m: Ideal) -> FormalLog:
     q_v = r^f is canonicalised to f log@r and the symbols run in ascending
     order of r, as FormalLog.log_integer(norm(m)) gives them, without
     factoring norm(m).  c * log_norm(m) is log_integer(norm(m), c)."""
-    exps: dict[int, int] = {}
+    exps: dict[tuple[int, str], int] = {}
     for p, e in m:
-        for r, f in _q_factors(p.q):
-            exps[r] = exps.get(r, 0) + e * f
-    return FormalLog._trusted(Fraction(0), {f"log@{r}": Fraction(exps[r]) for r in sorted(exps)})
+        for key, f in _log_terms(p.q):
+            exps[key] = exps.get(key, 0) + e * f
+    return FormalLog._trusted(_ZERO, {sym: _SMALL_INTS[c] if c < 64 else Fraction(c)
+                                      for (_r, sym), c in sorted(exps.items())})
 
 
 def one_fn() -> ArithFn:

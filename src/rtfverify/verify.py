@@ -84,16 +84,25 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
                            f"{bad} failures, {dt:.2f}s"))
 
     t0 = time.monotonic()
-    primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
+    primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]   # in id order, as an Ideal's pairs
     ts = (-1, 0, 1, 2)
     summands = [norm_power_fn(t) for t in ts] + [log_norm]
     bad = 0
     checked = 0
-    for exps in product(range(7), repeat=4):
-        n = Ideal.of(dict(zip(primes, exps)))
-        closed = [ntransform.closed_power(n, t) for t in ts] + [ntransform.closed_log(n)]
-        bad += sum(got != want for got, want in zip(ntransform.n_transforms(summands, n), closed))
-        checked += 1
+    # The ideals p^a q^b r^c s^d, 0 <= a, b, c, d <= 6, one parity class of
+    # (a, b, c, d) at a time.  Every m of a sum over n is n with some exponents
+    # lowered by 2, still >= 0, so it lies in n's class: the table holds each
+    # summand at every m the sums meet, evaluated once per ideal, and the
+    # summands are pure, so the sums keep their exact values.
+    for parities in product((0, 1), repeat=4):
+        grid = [Ideal(pair for pair in pairs if pair[1])   # from shared (prime, exponent) pairs
+                for pairs in product(*[[(p, e) for e in range(par, 7, 2)] for p, par in zip(primes, parities)])]
+        table = {m: tuple(B(m) for B in summands) for m in grid}
+        lookups = [lambda m, i=i: table[m][i] for i in range(len(summands))]
+        for n in grid:
+            closed = [ntransform.closed_power(n, t) for t in ts] + [ntransform.closed_log(n)]
+            bad += sum(got != want for got, want in zip(ntransform.n_transforms(lookups, n), closed))
+            checked += 1
     dt = time.monotonic() - t0
     out.append(CheckResult("ntransform.closed-forms-exhaustive",
                            bad == 0 and dt < 10.0,

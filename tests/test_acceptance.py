@@ -9,11 +9,12 @@ public definition are asserted here too.
 import ast
 import functools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rtfverify import verify
+from rtfverify import ntransform, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +45,18 @@ def test_criterion_1_inversion_roundtrip():
 
 def test_criterion_2_closed_forms_exhaustive():
     _assert_checks("ntransform.closed-forms-exhaustive")
+
+
+@pytest.mark.parametrize("owner, name", [(ntransform, "closed_log"), (verify, "log_norm")],
+                         ids=["closed_log", "verify.log_norm"])
+def test_closed_forms_exhaustive_catches_a_scaled_log(owner, name, monkeypatch):
+    """A x(1 + 1e-4) mutant of the closed form, or of the summand as verify
+    imports it, fails the check: its table of summand values is built from
+    the summand under test."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda n: original(n) * Fraction(10001, 10000))
+    res = {r.name: r for r in verify.suite_ntransform(seed=0)}["ntransform.closed-forms-exhaustive"]
+    assert not res.ok and int(re.search(r"(\d+) failures", res.detail).group(1)) > 0, res.line()
 
 
 def test_criterion_3_rz_and_derivative():
@@ -243,12 +256,13 @@ INDEPENDENT_PAIRS = {
     ("testfns.dunip", "testfns.period_integrals"): set(),
     ("testfns.st_moment_expected", "testfns.st_moments"): set(),
     ("testfns.decompose_alpha", "testfns.laurent_alpha_pn"): set(),
-    # both read log norm(f_eta) from its exponents (ntransform.log_norm), as
-    # both read log q through FormalLog.log_integer: symbols, not a main term
+    # both read log norm(f_eta) from its exponents (ntransform.log_norm, with
+    # its per-q symbol cache ntransform._log_terms), as both read log q
+    # through FormalLog.log_integer: symbols, not a main term
     ("assembly.main_ADL_bracket", "assembly.geom_kernel_bracket"): {
         "assembly._require_class", "formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.Ideal",
         "ideals.Prime", "ideals.QuadCharData", "ideals.residue_cardinality", "ideals.sign_class",
-        "ntransform.log_norm"},
+        "ntransform._log_terms", "ntransform.log_norm"},
 }
 
 

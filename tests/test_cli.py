@@ -347,6 +347,8 @@ def test_verify_command(capsys):
     # norm(a) past the float range, which both main terms scale by
     ["main-terms", "--config", "CFG", "--n", "p", "--a", "q^1024"],
     ["main-terms", "--config", "CFG", "--n", "p^2", "--a", "q^1024"],
+    # a prime id declared twice, which used to keep the later prime
+    ["ntransform", "--config", "ID_TWICE", "--ideal", "p^2"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {
@@ -373,6 +375,7 @@ def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys
         "D_F_BELOW_1": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 0.5}}',
         "D_F_PAST_FLOAT": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 1' + "0" * 400 + "}}",
         "ID_LIST": '{"schema": 1, "primes": [{"id": [1], "q": 3}]}',
+        "ID_TWICE": '{"schema": 1, "primes": [{"id": "p", "q": 3}, {"id": "p", "q": 5}]}',
         "D_F_INF": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"D_F": 1e400}}',
         "L1_ETA_NAN": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"L1_eta": NaN}}',
         "LP_OVER_L_INF": '{"schema": 1, "primes": [{"id": "p", "q": 3}], "consts": {"Lp_over_L": Infinity}}',

@@ -130,6 +130,15 @@ def test_half_power_of_large_square_norm(q, e):
     assert nt._norm_power_exact(n, half) == q ** (e // 2)
 
 
+def test_float_majorant_past_the_float_range():
+    # norm(p^700) = 3^700 is past the float range; the majorant, 4/3 * 3^-350,
+    # is about 1.36e-167
+    n = Ideal.of({P3: 700})
+    t = Fraction(-1, 2)
+    want = float(nt.n_plus_closed_power(n, t))
+    assert nt.n_plus_closed_power(n, t, exact=False) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.integers(0, 60)),
                 min_size=1, max_size=4),
