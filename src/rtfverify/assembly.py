@@ -165,12 +165,11 @@ def _require_class(n: Ideal, a: Ideal, eta: QuadCharData, want: str) -> None:
 
 def main_AL(n: Ideal, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
             w: WeightData) -> float:
-    """First main term: 4 D^(3/2) L(1,eta) nu(n) norm(a)^(-1/2)
-    delta_sq(a^-) d_1(a^+)."""
+    """First main term: main_term_scale times the exact
+    nu(n) delta_sq(a^-) d_1(a^+)."""
     _require_class(n, a, eta, "+")
     am, ap = eta_split(a, eta)
-    return (4 * consts.D_F ** 1.5 * consts.L1_eta * float(nu_of_n(n))
-            * a.norm ** -0.5 * delta_square(am) * d_one(ap))
+    return main_term_scale(a, consts) * float(nu_of_n(n) * delta_square(am) * d_one(ap))
 
 
 def main_ADL_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
@@ -227,7 +226,8 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
 
 
 def main_term_scale(a: Ideal, consts: AnalyticConsts) -> float:
-    """The positive scalar both brackets were normalised by."""
+    """4 D^(3/2) L(1,eta) norm(a)^(-1/2): the positive scalar of both main
+    terms, which the brackets were normalised by."""
     return 4 * consts.D_F ** 1.5 * consts.L1_eta * a.norm ** -0.5
 
 

@@ -18,7 +18,8 @@ from .formal import FormalLog
 from .ideals import Ideal, json_value, load_config, parse_ideal, residue_cardinality
 
 # rtf moments: the largest n.  The contour oracle's cost grows as n^2, and no
-# n above 61 passes its refinement check (61 at q = 2, 42 at q = 3, 19 at 13).
+# n above 64 passes its refinement check; docs/formats.md lists the first n
+# that fails it at each q (63 at q = 2, 42/45 at q = 3, 21 at q = 13).
 MOMENTS_MAX_N = 64
 # rtf arch: the largest l.  Up to l = 26 the oracle w_plus_quads agrees with
 # w_plus to 8e-10 relative over 65 values of b; from l = 28 it misses at

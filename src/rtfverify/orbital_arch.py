@@ -23,6 +23,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +40,11 @@ _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
 _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
+_F21_TERMS = 4000    # gauss_2f1: the most terms either expansion sums
+# gauss_2f1: the log expansion's terms cancel more as (k/2)^2 (1-x) grows.
+# Against mpmath, up to 8 it is within 1e-11 relative for even k <= 26 and
+# 5e-11 up to k = 170; at 49 (k = 26, x = 0.71) it is off by 8e-4.
+_F21_LOG_REACH = 8
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
 _J_QUAD_TOL = 1e-13       # j_plus_quad, j_arch_quad: absolute and relative tolerance
 
@@ -73,27 +79,37 @@ def legendre(n: int, x: float) -> float:
 def gauss_2f1(k: int, x: float) -> float:
     """2F1(k/2, k/2; k; x) for even k >= 4 and real x < 1.
 
-    Branches: direct series for |x| <= 0.7; the logarithmic 1-x expansion
-    (c = a + b case) for x in (0.7, 1); Pfaff x -> x/(x-1) for x < -0.7.
-    The 0.7 split keeps both expansions out of their slow, cancellation-prone
-    overlap zone.
+    x < 0 is first mapped into (0, 1) by Pfaff's x -> x/(x-1), so no sum
+    alternates.  The logarithmic 1-x expansion (c = a + b case) then takes
+    x > 0.7 where (k/2)^2 (1-x) <= _F21_LOG_REACH, and the direct series
+    every other x.  Two kinds of x are refused: one that the series cannot
+    reach in _F21_TERMS terms where the log expansion loses digits (from
+    k = 48), and an x < 0 whose Pfaff factor (1-x)^(-k/2) falls below the
+    normal float range (at j_arch's |x| <= 1e9, from k = 70).
     """
     _check_weight("k", k)
     if x >= 1 or abs(1 - x) < DELTA_CUT:
         raise DomainError("argument too close to the logarithmic point 1")
-    if abs(x) <= 0.7:
-        return _f21_series(k, x)
-    if x > 0.7:
-        return _f21_log_branch(k, x)
-    y = x / (x - 1)  # in (0, 1) for x < 0
-    inner = _f21_series(k, y) if y <= 0.7 else _f21_log_branch(k, y)
-    return (1 - x) ** (-k / 2) * inner
+    if x < 0:   # 2F1(a, a; 2a; x) = (1-x)^(-a) 2F1(a, a; 2a; x/(x-1))
+        scale = (1 - x) ** (-k / 2)
+        if scale < sys.float_info.min:
+            raise DomainError(f"2F1 at k={k}, x={x}: (1-x)^(-k/2) underflows a float")
+        y, z = x / (x - 1), 1 / (1 - x)     # z = 1 - y, without cancellation
+    else:
+        scale, y, z = 1.0, x, 1 - x
+    if y > 0.7 and (k // 2) ** 2 * z <= _F21_LOG_REACH:
+        return scale * _f21_log_branch(k, z)
+    try:
+        return scale * _f21_series(k, y)
+    except ConvergenceError as exc:
+        raise DomainError(f"2F1 at k={k}, x={x}: the series needs more than {_F21_TERMS} terms, and the log "
+                          f"expansion loses digits where (k/2)^2 (1-x) > {_F21_LOG_REACH}") from exc
 
 
 def _f21_series(k: int, x: float) -> float:
     a = k // 2
     term, total = 1.0, 1.0
-    for n in range(1, 4000):
+    for n in range(1, _F21_TERMS):
         term *= (a + n - 1) * (a + n - 1) * x / ((k + n - 1) * n)
         total += term
         # geometric tail bound: ratio of successive terms tends to x
@@ -102,11 +118,10 @@ def _f21_series(k: int, x: float) -> float:
     raise ConvergenceError("2F1 series failed to meet tolerance")
 
 
-def _f21_log_branch(k: int, x: float) -> float:
-    """2F1(a, a; 2a; x) near x = 1 via the standard logarithmic expansion:
-    Gamma(2a)/Gamma(a)^2 sum_n ((a)_n)^2/(n!)^2 [2 H_n - 2 H_(a+n-1) - log(1-x)] (1-x)^n."""
+def _f21_log_branch(k: int, z: float) -> float:
+    """2F1(a, a; 2a; 1 - z) for small z > 0 via the standard logarithmic expansion:
+    Gamma(2a)/Gamma(a)^2 sum_n ((a)_n)^2/(n!)^2 [2 H_n - 2 H_(a+n-1) - log z] z^n."""
     a = k // 2
-    z = 1 - x
     lg = math.log(z)
     pref = math.gamma(k) / math.gamma(a) ** 2
     poch_sq_over_fact_sq = 1.0
@@ -114,7 +129,7 @@ def _f21_log_branch(k: int, x: float) -> float:
     h_an = sum(1.0 / m for m in range(1, a))  # H_(a-1)
     total = 0.0
     zn = 1.0
-    for n in range(0, 4000):
+    for n in range(0, _F21_TERMS):
         if n > 0:
             poch_sq_over_fact_sq *= ((a + n - 1) / n) ** 2
             zn *= z
@@ -142,11 +157,13 @@ def f21_series_oracle(k: int, x: float) -> tuple[float, float]:
 # the J integrals
 
 
-def j_arch(k: int, b: float, eps: str = "one", use_functional_equation: bool = True) -> complex:
+def j_arch(k: int, b: float, eps: str) -> complex:
     """J^eps(k; b) for eps in  "one", "sgn": the two displayed case formulas.
 
-    For b(b+1) > 0 with b < -1 the trivial-character value is routed through
-    the parity functional equation J(b) = (-1)^(k/2) J(-b-1) by default.
+    For b(b+1) > 0 the trivial-character value is
+    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)) on both
+    sides, b > 0 and b < -1; verify checks the parity functional equation
+    J(b) = (-1)^(k/2) J(-b-1) between the two.
     """
     _check_weight("k", k)
     if k >= 172:
@@ -163,9 +180,9 @@ def j_arch(k: int, b: float, eps: str = "one", use_functional_equation: bool = T
         for m in range(1, k // 4 + 1):
             val -= 8 * (k - 4 * m + 1) / ((2 * m - 1) * (k - 2 * m)) * legendre(k // 2 - 2 * m, 2 * b + 1)
         return complex(val)
-    if b < -1 and use_functional_equation:
-        return (-1) ** (k // 2) * j_arch(k, -b - 1, eps, use_functional_equation=False)
-    return (1 + b) ** (-k / 2) * 2 * math.gamma(k / 2) ** 2 / math.gamma(k) * gauss_2f1(k, 1 / (b + 1))
+    # 2F1 first: it refuses every b < -1 whose (1+b)^(-k/2) would overflow
+    f21 = gauss_2f1(k, 1 / (b + 1))
+    return (1 + b) ** (-k / 2) * (2 * math.gamma(k / 2) ** 2 / math.gamma(k) * f21)
 
 
 def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:

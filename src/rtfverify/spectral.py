@@ -6,22 +6,21 @@ at a rational X is exact (a unit-modulus Satake number a gives
 Q = (a + 1/a)/(q^[1/2] + q^[-1/2])), or the unramified sign chi(varpi) = +-1
 when c = 1.
 
-Two independent evaluation paths are maintained for r^(z), at a rational X
-only: the defining sum of weight-polynomial ratios, and per-case closed forms.
-The (c=1, eta=+1) closed form and its derivative are implemented with the
-corrected inner sum sum_[j=1..k] X^(j-1); the variant with X^j fails against
-the defining sum.
+r^(z) has two independent evaluations, at a rational X only: r_z, the
+per-case closed forms, and its oracle r_z_sum, the defining sum of
+weight-polynomial ratios.  The (c=1, eta=+1) closed form and its derivative
+are implemented with the corrected inner sum sum_[j=1..k] X^(j-1); the
+variant with X^j fails against the defining sum.
 
 Every weight polynomial Q_j(eta, X) depends on eta and X only through eta X,
-so r(eta, X) = r(+1, eta X).  The closed path therefore has the three eta = +1
-cases only, evaluated at eta X; none divides by 1 + X, so X = -1 gets the
-value of the removable singularity.  The sum path keeps eta, so it checks that
-identity too.
+so r(eta, X) = r(+1, eta X).  r_z therefore has the three eta = +1 cases
+only, evaluated at eta X; none divides by 1 + X, so X = -1 gets the value of
+the removable singularity.  r_z_sum keeps eta, so it checks that identity too.
 
-Both paths run on integers at X = a/b.  The defining sum takes each term
+Both run on integers at X = a/b.  The defining sum takes each term
 q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's denominators
 b^j, q and Q's denominator cleared, and adds the terms into one numerator over
-a running denominator.  The closed path writes each case's expression as one
+a running denominator.  The closed forms write each case's expression as one
 integer numerator over one denominator, its geometric sums in closed form.
 Either way one Fraction is built per result.
 """
@@ -39,7 +38,7 @@ from .ideals import Ideal, Prime, QuadCharData, omega_pair, residue_cardinality,
 from .ntransform import log_norm
 
 MAX_K = 64
-REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of the r_z sum path uses k + 1 <= MAX_K + 1
+REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of r_z_sum uses k + 1 <= MAX_K + 1
 
 
 @dataclass(frozen=True)
@@ -123,25 +122,12 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
     return (1 - rep.Q * rep.Q) * (1 - Fraction(1, rep.q ** 2))
 
 
-def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int, path: str = "closed") -> Fraction:
-    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1, for a
-    rational X (an int X is read as its Fraction).
-
-    path="sum" evaluates the defining sum of polynomial ratios
-    (_r_z_sum_exact), path="closed" the per-case rational expressions at
-    eta X (_r_z_closed_exact).  Both agree identically.
-    """
+def _check_r_z_args(name: str, k: int, eta_val: int, X) -> None:
     _check_k(k)
     if eta_val not in (1, -1):
         raise ValueError("eta_val must be +-1")
     if not isinstance(X, (int, Fraction)):
-        raise InputError(f"r_z wants a rational X, got {type(X).__name__} X={X!r}")
-    a, b = X.numerator, X.denominator
-    if path == "sum":
-        return _r_z_sum_exact(rep, eta_val, k, a, b)
-    if path != "closed":
-        raise ValueError(f"unknown path {path!r}")
-    return _r_z_closed_exact(rep, k, eta_val * a, b)
+        raise InputError(f"{name} wants a rational X, got {type(X).__name__} X={X!r}")
 
 
 def _geometric(a: int, b: int, n: int) -> int:
@@ -151,10 +137,14 @@ def _geometric(a: int, b: int, n: int) -> int:
     return (b ** n - a ** n) // (b - a)
 
 
-def _r_z_closed_exact(rep: LocalRepData, k: int, a: int, b: int) -> Fraction:
-    """r_z's closed expressions for eta = +1 at X = a/b (b > 0), each case as
-    one integer numerator over one denominator."""
-    q, bk = rep.q, b ** k
+def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
+    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1, for a
+    rational X (an int X is read as its Fraction): the eta = +1 closed
+    expression at eta X, as one integer numerator over one denominator.
+    r_z_sum is its oracle."""
+    _check_r_z_args("r_z", k, eta_val, X)
+    q, a, b = rep.q, eta_val * X.numerator, X.denominator
+    bk = b ** k
     if rep.c == 0:
         # (1+X)/(1+Q) + quad sum_{j=2..k} X^(j-2) / ((q-1)(1+Q)), quad = 1 - Q(q+1)X + qX^2
         Qn, Qd = rep.Q.numerator, rep.Q.denominator
@@ -185,10 +175,13 @@ def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tup
     return ea ** j, b ** j
 
 
-def _r_z_sum_exact(rep: LocalRepData, eta_val: int, k: int, a: int, b: int) -> Fraction:
-    """r_z's defining sum at X = a/b.  Each term q_poly_one * Q_j / tau_jj is
-    an integer pair, added into one numerator over a running denominator (the
+def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
+    """r^(z) by its defining sum of q_poly_one(j) Q_j(eta, X) / tau_jj(j)
+    over j <= k: the oracle for r_z, at a rational X.  Each term is an
+    integer pair, added into one numerator over a running denominator (the
     lcm of the terms' denominators); one Fraction is built at the end."""
+    _check_r_z_args("r_z_sum", k, eta_val, X)
+    a, b = X.numerator, X.denominator
     num, den = 0, 1
     for j in range(k + 1):
         one, tau = q_poly_one(j, rep), tau_jj(j, rep)

@@ -159,7 +159,7 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
                     for _ in range(20):
                         X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
                         combos += 1
-                        if spectral.r_z(rep, eta_val, k, X, "closed") != spectral.r_z(rep, eta_val, k, X, "sum"):
+                        if spectral.r_z(rep, eta_val, k, X) != spectral.r_z_sum(rep, eta_val, k, X):
                             bad += 1
     out.append(CheckResult("weights.rz-closed-vs-sum", bad == 0, f"{combos} exact comparisons, {bad} failures"))
 
@@ -175,8 +175,8 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
                     # the sum at the two float sample points, read exactly, so
                     # the difference of the two r values is exact too
                     h = 1e-6
-                    rp = spectral.r_z(rep, eta_val, k, Fraction(float(q) ** -h), "sum")
-                    rm = spectral.r_z(rep, eta_val, k, Fraction(float(q) ** h), "sum")
+                    rp = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** -h))
+                    rm = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** h))
                     fd = float(rp - rm) / (2 * h) * (-1 / math.log(q))
                     target = float(spectral.partial_r(rep, eta_val, k))
                     worst_fd = max(worst_fd, abs(fd - target) / max(1.0, abs(target)))
@@ -401,7 +401,7 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for k in (4, 6, 8):
         for b in (-1.5, -2.0, -3.0, -7.5, -40.0, -12.0):
-            lhs = orbital_arch.j_arch(k, b, "one", use_functional_equation=False)
+            lhs = orbital_arch.j_arch(k, b, "one")
             rhs = (-1) ** (k // 2) * orbital_arch.j_arch(k, -b - 1, "one")
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10, f"max rel err {worst:.2e}"))
@@ -420,23 +420,25 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("arch.j-decay-envelope", worst_c < 50.0, f"fitted constant {worst_c:.2f}"))
 
     # J^eps against the quadrature of its defining integral, over every branch
-    # of j_arch: the log formula (-1 < b < 0); gauss_2f1's log expansion
-    # (0 < b < 3/7) and series (b >= 3/7); and b < -1 both through the
-    # functional equation and directly, by Pfaff (-1.2: log expansion, -2:
-    # series) and by the series at x = 1/(b+1) in [-0.7, 0) (-10).  Where
-    # J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
+    # of j_arch: the log formula (-1 < b < 0), and gauss_2f1 at x = 1/(b+1)
+    # on either side of it.  b > 0 gives x in (0, 1): the log expansion at
+    # 0.2 (k <= 10), the series at 1 and 4.  b < -1 gives x < 0, which
+    # gauss_2f1 takes to -1/b by Pfaff: the log expansion at -1.2 (k <= 10),
+    # the series at -2 and -10.  At k = 26, +-1.41417... (x or -1/b near
+    # 0.7071) take the series where the log expansion would lose 1e-3.
+    # Where J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
     # i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.
     worst_rel = worst_abs = 0.0
     pairs = [(k, b) for k in (4, 6, 8, 10) for b in (-0.7, -0.1, 0.2, 1.0, 4.0, -1.2, -2.0, -10.0)]
+    pairs += [(26, 0.4141701729754739), (26, -1.4141701729754739)]
     for k, b in pairs:
         for eps in ("one", "sgn"):
             quad = orbital_arch.j_arch_quad(k, b, eps)
-            for fe in (True, False):   # read by j_arch only when b < -1
-                closed = orbital_arch.j_arch(k, b, eps, use_functional_equation=fe)
-                if closed == 0:
-                    worst_abs = max(worst_abs, abs(quad) * abs(1 + b) ** (k // 2))
-                else:
-                    worst_rel = max(worst_rel, abs(closed - quad) / abs(closed))
+            closed = orbital_arch.j_arch(k, b, eps)
+            if closed == 0:
+                worst_abs = max(worst_abs, abs(quad) * abs(1 + b) ** (k // 2))
+            else:
+                worst_rel = max(worst_rel, abs(closed - quad) / abs(closed))
     out.append(CheckResult("arch.j-closed-vs-quadrature", worst_rel <= 1e-9 and worst_abs <= 1e-9,
                            f"{len(pairs)} (k, b) pairs, both eps, max rel err {worst_rel:.2e} where J != 0, "
                            f"abs err {worst_abs:.2e} of the unscaled integral where J = 0"))

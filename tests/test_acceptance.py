@@ -216,10 +216,7 @@ def test_every_public_definition_has_a_role():
 # classes, outside `errors`, that both reach: input guards, the data classes
 # they share (FormalLog, Ideal, LocalPoint, ...) and the defining sums of the
 # transform pair.  Every q is checked by ideals.residue_cardinality, which
-# Prime and LocalRepData call too.  spectral.r_z is the one closed form whose
-# oracle is not a definition of its own: r_z(..., path="sum") evaluates the
-# defining sum, and perfbench/tracer.py names r_z's spans by that argument,
-# so splitting it waits for a change to perfbench/.
+# Prime and LocalRepData call too.
 _LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.residue_cardinality",
               "orbital_local.LocalPoint"}
 INDEPENDENT_PAIRS = {
@@ -245,6 +242,8 @@ INDEPENDENT_PAIRS = {
                                                               "ideals.Prime", "ideals.residue_cardinality",
                                                               "ntransform._accumulate", "ntransform._sum_terms",
                                                               "ntransform._weighted_sum"},
+    ("spectral.r_z", "spectral.r_z_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
+                                           "spectral._check_k", "spectral._check_r_z_args"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                                        "spectral._check_k"},
     ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small", "formal._promote",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rtfverify import assembly, cli, testfns
+from rtfverify import assembly, cli, orbital_arch, testfns
 
 CFG = {
     "schema": 1,
@@ -106,6 +106,16 @@ def test_arch_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["oracle_delta"] < 1e-9
     assert out["J_sgn"][1] == pytest.approx(-3.141592653589793)
+
+
+@pytest.mark.parametrize("b", ["0.4141701729754739", "-1.4141701729754739"])
+def test_arch_j_one_at_the_largest_l_meets_its_quadrature(capsys, b):
+    # at l = 26, x = 1/(b+1) and its Pfaff image lie near 0.7071, where
+    # gauss_2f1's log expansion would be off by 1e-3
+    assert cli.main(["arch", "--l", "26", "--b", b]) == 0
+    j_one = complex(*json.loads(capsys.readouterr().out)["J_one"])
+    quad = orbital_arch.j_arch_quad(26, float(b), "one")
+    assert abs(j_one - quad) <= 1e-9 * abs(quad)
 
 
 def test_lattice_command(capsys):

@@ -77,6 +77,30 @@ def test_2f1_against_mpmath(k, x):
     assert oa.gauss_2f1(k, x) == pytest.approx(want, rel=1e-11)
 
 
+# x across (0.7, 1), where the log expansion loses digits as k grows, and
+# x = 1/(b+1) for b < -1, which gauss_2f1 takes by Pfaff to -1/b in (0, 1)
+F21_SWEEP_X = ([0.7 + 0.3 * i / 60 for i in range(1, 60)] + [1 - 10.0 ** -e for e in range(2, 9)]
+               + [1 / (b + 1) for b in (-1 - 1.01e-9, -1 - 1e-6, -1.001, -1.05, -1.2, -1.4141701729754739,
+                                        -1.7, -2.0, -2.5, -3.3, -5.0, -12.0, -100.0, -1e4)])
+
+
+@pytest.mark.parametrize("k", range(4, 28, 2))
+def test_2f1_sweep_against_mpmath(k):
+    worst = max((abs(oa.gauss_2f1(k, x) / float(mp.hyp2f1(k // 2, k // 2, k, x)) - 1), x) for x in F21_SWEEP_X)
+    assert worst[0] <= 1e-10, worst
+
+
+def test_2f1_refuses_what_neither_expansion_reaches():
+    # past k = 46 the series needs more than 4000 terms where the log
+    # expansion would still lose digits; from k = 70 next to b = -1 the Pfaff
+    # factor (1-x)^(-k/2) leaves the normal float range
+    for k, x in ((60, 0.985), (170, 0.99), (80, -5e8)):
+        with pytest.raises(DomainError, match=f"^2F1 at k={k}, x={x}: "):
+            oa.gauss_2f1(k, x)
+        with pytest.raises(DomainError, match=f"^2F1 at k={k}, "):
+            oa.j_arch(k, 1 / x - 1, "one")
+
+
 def test_2f1_domain_guard():
     with pytest.raises(DomainError):
         oa.gauss_2f1(6, 1.0 - 1e-12)
@@ -117,7 +141,7 @@ def test_b_guard_names_b(call, b):
 
 
 def test_weight_and_eps_guards_name_their_value():
-    for call, got in ((lambda: oa.gauss_2f1(5, 0.5), "k=5"), (lambda: oa.j_arch(2, 2.0), "k=2"),
+    for call, got in ((lambda: oa.gauss_2f1(5, 0.5), "k=5"), (lambda: oa.j_arch(2, 2.0, "one"), "k=2"),
                       (lambda: oa.j_arch_quad(7, 2.0, "one"), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
                       (lambda: oa.j_plus_parts(5, Fraction(2)), "l=5"), (lambda: oa.w_plus_quads(4, [2.0]), "l=4")):
         with pytest.raises(InputError, match=f"required, got {got}$"):
@@ -128,11 +152,11 @@ def test_weight_and_eps_guards_name_their_value():
 
 
 def test_j_functional_equation():
+    # J(b) = (-1)^(k/2) J(-b-1): b < -1 against its mirror b > 0
     for k in (4, 6, 8):
         for b in (-1.3, -2.0, -5.0, -100.0):
-            direct = oa.j_arch(k, b, "one", use_functional_equation=False)
-            routed = oa.j_arch(k, b, "one")
-            assert abs(direct - routed) <= 1e-10 * max(1.0, abs(routed))
+            mirror = (-1) ** (k // 2) * oa.j_arch(k, -b - 1, "one")
+            assert abs(oa.j_arch(k, b, "one") - mirror) <= 1e-10 * max(1.0, abs(mirror))
 
 
 def test_j_decay_envelope():

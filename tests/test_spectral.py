@@ -40,7 +40,7 @@ def test_rz_examples():
     X = Fraction(5, 8)
     # degree-two polynomial branch
     assert sp.r_z(REP2, -1, 2, X) == 1 - X + X * X
-    assert sp.r_z(REP2, -1, 2, X, "sum") == 1 - X + X * X
+    assert sp.r_z_sum(REP2, -1, 2, X) == 1 - X + X * X
     # central vanishing at odd depth
     assert sp.r_z(REP2, -1, 1, Fraction(1)) == 0
     # unramified central value at even depth
@@ -62,7 +62,7 @@ def test_rz_closed_equals_sum_randomised():
                     rep = sp.LocalRepData(q=5, c=c)
                 for _ in range(5):
                     X = Fraction(rng.randint(-40, 40), rng.randint(1, 20))
-                    assert sp.r_z(rep, eta, k, X, "closed") == sp.r_z(rep, eta, k, X, "sum")
+                    assert sp.r_z(rep, eta, k, X) == sp.r_z_sum(rep, eta, k, X)
 
 
 def test_partial_r_examples():
@@ -79,8 +79,8 @@ def test_partial_r_matches_sum_derivative_and_fd():
                 assert exact == sp.partial_r_sum(rep, eta, k)
                 h = 1e-6
                 q = rep.q
-                fd = float(sp.r_z(rep, eta, k, Fraction(float(q) ** -h), "sum")
-                           - sp.r_z(rep, eta, k, Fraction(float(q) ** h), "sum")) / (2 * h) * (-1 / math.log(q))
+                fd = float(sp.r_z_sum(rep, eta, k, Fraction(float(q) ** -h))
+                           - sp.r_z_sum(rep, eta, k, Fraction(float(q) ** h))) / (2 * h) * (-1 / math.log(q))
                 assert fd == pytest.approx(float(exact), rel=1e-7, abs=1e-9)
 
 
@@ -91,8 +91,8 @@ def test_c1_plus_closed_form_regression():
     X = Fraction(2)
     cq = Fraction(1, 3)
     wrong = 1 + (X - cq) / (1 + cq) * sum(X ** j for j in range(1, 2))
-    right = sp.r_z(rep, 1, 1, X, "sum")
-    assert sp.r_z(rep, 1, 1, X, "closed") == right
+    right = sp.r_z_sum(rep, 1, 1, X)
+    assert sp.r_z(rep, 1, 1, X) == right
     assert wrong != right
 
 
@@ -103,20 +103,20 @@ def test_rz_closed_equals_sum_at_minus_one():
             sp.LocalRepData(q=9, c=3)]
     for rep, eta, k in itertools.product(data, (-1, 1), range(1, sp.MAX_K + 1)):
         X = Fraction(-1)
-        assert sp.r_z(rep, eta, k, X, "closed") == sp.r_z(rep, eta, k, X, "sum"), (rep, eta, k)
+        assert sp.r_z(rep, eta, k, X) == sp.r_z_sum(rep, eta, k, X), (rep, eta, k)
 
 
 @pytest.mark.parametrize("X", [0.5, -1.0, float("nan"), complex(0.5, 0.1), 1j])
-@pytest.mark.parametrize("path", ["closed", "sum"])
-def test_rz_refuses_a_float_or_complex_x(X, path):
-    with pytest.raises(InputError, match=r"r_z wants a rational X, got (float|complex) X="):
-        sp.r_z(REP0, 1, 3, X, path)
+@pytest.mark.parametrize("r", [sp.r_z, sp.r_z_sum], ids=["closed", "sum"])
+def test_rz_refuses_a_float_or_complex_x(X, r):
+    with pytest.raises(InputError, match=rf"^{r.__name__} wants a rational X, got (float|complex) X="):
+        r(REP0, 1, 3, X)
 
 
 def test_rz_at_an_int_x_is_its_fraction():
-    for rep, eta, path, X in itertools.product((REP0, REP1, REP2), (-1, 1), ("closed", "sum"), (-3, -1, 0, 1, 2)):
+    for rep, eta, r, X in itertools.product((REP0, REP1, REP2), (-1, 1), (sp.r_z, sp.r_z_sum), (-3, -1, 0, 1, 2)):
         for k in (1, 2, 7):
-            assert _bits(sp.r_z(rep, eta, k, X, path)) == _bits(sp.r_z(rep, eta, k, Fraction(X), path))
+            assert _bits(r(rep, eta, k, X)) == _bits(r(rep, eta, k, Fraction(X)))
 
 
 def test_singular_tau_rejected():
@@ -185,7 +185,8 @@ def test_rep_validation_and_k_cap():
     with pytest.raises(ValueError):
         sp.r_z(REP2, -1, sp.MAX_K + 1, Fraction(1, 2))
     # every k-indexed weight has the one domain 1 <= k <= MAX_K
-    for fn in (lambda rep, eta, k: sp.r_z(rep, eta, k, 1), sp.partial_r, sp.partial_r_sum):
+    for fn in (lambda rep, eta, k: sp.r_z(rep, eta, k, 1), lambda rep, eta, k: sp.r_z_sum(rep, eta, k, 1),
+               sp.partial_r, sp.partial_r_sum):
         for k in (0, sp.MAX_K + 1):
             for rep, eta in itertools.product((REP0, REP1, REP2), (1, -1)):
                 with pytest.raises(InputError, match=f"got k={k}$"):
@@ -196,7 +197,7 @@ def test_rep_validation_and_k_cap():
 
 
 # ---------------------------------------------------------------------------
-# the X-free factors of the r_z sum are cached; results must not move
+# the X-free factors of r_z_sum are cached; results must not move
 
 
 def _bits(x):
@@ -230,7 +231,7 @@ RZ_EXACT_X = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), Fractio
 
 
 def test_rz_sum_bit_identical_to_uncached_sum():
-    """The sum path (cached factors and the integer kernel) against the
+    """r_z_sum (cached factors and the integer kernel) against the
     uncached sum of q_poly terms: every c and eta, and k up to MAX_K, at both
     parities, for the first datum of each c."""
     rng = random.Random(5)
@@ -241,7 +242,7 @@ def test_rz_sum_bit_identical_to_uncached_sum():
             for eta, k in itertools.product((-1, 1), ks):
                 xs = [Fraction(rng.uniform(-3, 3)), Fraction(float(rep.q) ** 1e-6)]
                 for X in xs + RZ_EXACT_X:
-                    assert _bits(sp.r_z(rep, eta, k, X, "sum")) == _bits(_uncached_r_z_sum(rep, eta, k, X)), (rep, k, X)
+                    assert _bits(sp.r_z_sum(rep, eta, k, X)) == _bits(_uncached_r_z_sum(rep, eta, k, X)), (rep, k, X)
 
 
 def _literal_r_z_closed(rep, eta_val, k, X):
@@ -267,10 +268,10 @@ def _literal_r_z_closed(rep, eta_val, k, X):
 
 
 def test_rz_closed_bit_identical_to_literal_expressions():
-    """The closed path (the integer kernel at eta X) against the expressions
-    evaluated term by term: every c and eta, and k up to MAX_K.  At X = -1
-    the eta = -1 expressions divide by zero; test_rz_closed_equals_sum_at_minus_one
-    checks the closed path there."""
+    """r_z (the integer kernel at eta X) against the expressions evaluated
+    term by term: every c and eta, and k up to MAX_K.  At X = -1 the
+    eta = -1 expressions divide by zero; test_rz_closed_equals_sum_at_minus_one
+    checks r_z there."""
     rng = random.Random(7)
     data = [REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(-3, 10)), sp.LocalRepData(q=2, c=0, Q=Fraction(0)), REP1,
             sp.LocalRepData(q=2, c=1, chi=-1), REP2, sp.LocalRepData(q=9, c=3)]
@@ -284,7 +285,7 @@ def test_rz_closed_bit_identical_to_literal_expressions():
                 except ZeroDivisionError:
                     assert X == -1 and eta == -1
                     continue
-                assert _bits(sp.r_z(rep, eta, k, X, "closed")) == _bits(want), (rep, eta, k, X)
+                assert _bits(sp.r_z(rep, eta, k, X)) == _bits(want), (rep, eta, k, X)
 
 
 def test_rep_hash_is_taken_once_and_rebuilt_on_unpickling():
@@ -310,11 +311,11 @@ def test_rep_caches_are_bounded():
 
 def test_rz_on_threads_bit_identical_to_serial():
     inputs = _suite_weights_inputs(3)
-    serial = [_bits(sp.r_z(*args, "sum")) for args in inputs]
+    serial = [_bits(sp.r_z_sum(*args)) for args in inputs]
 
     def run(shift):
         order = inputs[shift:] + inputs[:shift]
-        got = [_bits(sp.r_z(*args, "sum")) for args in order]
+        got = [_bits(sp.r_z_sum(*args)) for args in order]
         return got[len(inputs) - shift:] + got[:len(inputs) - shift]
 
     interval = sys.getswitchinterval()

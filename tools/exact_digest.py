@@ -13,7 +13,7 @@ in), and an error as its type and message.  Covered: n_transform, n_plus and
 convolve_omega on the norm powers, log norm, one and seeded random Fraction,
 FormalLog and mixed functions; closed_power; n_plus_closed_power, exact and
 float; closed_log; FormalLog.log_integer; and, in the spectral-exact section,
-r_z on both paths, partial_r, partial_r_sum, q_poly_one and tau_jj.  The
+r_z and r_z_sum, partial_r, partial_r_sum, q_poly_one and tau_jj.  The
 ideals are the exhaustive grid of exponents 0..6 at q = 2, 3, 4, 9 (2401
 ideals) and 1500 seeded monoids.  r_z takes a rational X only; its seeded X
 leave out -1, and the draws of the float and complex X that older checkouts
@@ -194,8 +194,8 @@ def main() -> None:
                     for _ in range(3):   # the float and complex X's draws
                         rng.random()
                     if X != -1:
-                        exact.add(attempt(sp.r_z, rep, eta, k, X, "sum"))
-                        exact.add(attempt(sp.r_z, rep, eta, k, X, "closed"))
+                        exact.add(attempt(sp.r_z_sum, rep, eta, k, X))
+                        exact.add(attempt(sp.r_z, rep, eta, k, X))
 
     sections = [closed, sums, logs, exact]
     if not ARGS.no_verify:
