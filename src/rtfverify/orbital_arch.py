@@ -23,7 +23,6 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -41,10 +40,16 @@ _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
 _F21_TERMS = 4000    # gauss_2f1: the most terms either expansion sums
+_F21_SPLIT = 0.7     # gauss_2f1: the series takes |x| <= 0.7; Pfaff or the log expansion the rest
 # gauss_2f1: the log expansion's terms cancel more as (k/2)^2 (1-x) grows.
 # Against mpmath, up to 8 it is within 1e-11 relative for even k <= 26 and
 # 5e-11 up to k = 170; at 49 (k = 26, x = 0.71) it is off by 8e-4.
 _F21_LOG_REACH = 8
+# gauss_2f1: the series at x < 0 alternates, and its terms cancel more as
+# (k/2)|x| grows.  Up to 10 it is within 1.5e-12 relative of mpmath for every
+# even k <= 170, which covers all of [-0.7, 0) up to k = 28; at k = 100,
+# x = -0.7 it is off by 0.7.
+_F21_ALT_REACH = 10
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
 _J_QUAD_TOL = 1e-13       # j_plus_quad, j_arch_quad: absolute and relative tolerance
 
@@ -79,28 +84,27 @@ def legendre(n: int, x: float) -> float:
 def gauss_2f1(k: int, x: float) -> float:
     """2F1(k/2, k/2; k; x) for even k >= 4 and real x < 1.
 
-    x < 0 is first mapped into (0, 1) by Pfaff's x -> x/(x-1), so no sum
-    alternates.  The logarithmic 1-x expansion (c = a + b case) then takes
-    x > 0.7 where (k/2)^2 (1-x) <= _F21_LOG_REACH, and the direct series
-    every other x.  Two kinds of x are refused: one that the series cannot
-    reach in _F21_TERMS terms where the log expansion loses digits (from
-    k = 48), and an x < 0 whose Pfaff factor (1-x)^(-k/2) falls below the
-    normal float range (at j_arch's |x| <= 1e9, from k = 70).
+    The direct series takes x in [0, 0.7], and x in [-0.7, 0) where its
+    alternating terms keep their digits, (k/2)|x| <= _F21_ALT_REACH; every
+    other x < 0 is first mapped into (0, 1) by Pfaff's x -> x/(x-1).  The
+    logarithmic 1-x expansion (c = a + b case) takes x > 0.7 where
+    (k/2)^2 (1-x) <= _F21_LOG_REACH, and the series the rest of (0.7, 1).
+    An x that the series cannot reach in _F21_TERMS terms where the log
+    expansion loses digits (from k = 48) is refused.
     """
     _check_weight("k", k)
     if x >= 1 or abs(1 - x) < DELTA_CUT:
         raise DomainError("argument too close to the logarithmic point 1")
-    if x < 0:   # 2F1(a, a; 2a; x) = (1-x)^(-a) 2F1(a, a; 2a; x/(x-1))
-        scale = (1 - x) ** (-k / 2)
-        if scale < sys.float_info.min:
-            raise DomainError(f"2F1 at k={k}, x={x}: (1-x)^(-k/2) underflows a float")
-        y, z = x / (x - 1), 1 / (1 - x)     # z = 1 - y, without cancellation
+    a = k // 2
+    if x < -min(_F21_SPLIT, _F21_ALT_REACH / a):   # 2F1(a, a; 2a; x) = (1-x)^(-a) 2F1(a, a; 2a; x/(x-1))
+        # (1-x)^(-a) is applied in two halves: it underflows where the product does not
+        half, y, z = (1 - x) ** (-k / 4), x / (x - 1), 1 / (1 - x)     # z = 1 - y, without cancellation
     else:
-        scale, y, z = 1.0, x, 1 - x
-    if y > 0.7 and (k // 2) ** 2 * z <= _F21_LOG_REACH:
-        return scale * _f21_log_branch(k, z)
+        half, y, z = 1.0, x, 1 - x
+    if y > _F21_SPLIT and a ** 2 * z <= _F21_LOG_REACH:
+        return half * (half * _f21_log_branch(k, z))
     try:
-        return scale * _f21_series(k, y)
+        return half * (half * _f21_series(k, y))
     except ConvergenceError as exc:
         raise DomainError(f"2F1 at k={k}, x={x}: the series needs more than {_F21_TERMS} terms, and the log "
                           f"expansion loses digits where (k/2)^2 (1-x) > {_F21_LOG_REACH}") from exc
@@ -162,8 +166,13 @@ def j_arch(k: int, b: float, eps: str) -> complex:
 
     For b(b+1) > 0 the trivial-character value is
     (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)) on both
-    sides, b > 0 and b < -1; verify checks the parity functional equation
-    J(b) = (-1)^(k/2) J(-b-1) between the two.
+    sides, b > 0 and b < -1.  Where x = 1/(b+1) < -0.7 (-17/7 < b < -1)
+    gauss_2f1 would map x by Pfaff to -1/b, and the two powers are taken as
+    one: (1+b)^(-k/2) (1-x)^(-k/2) = b^(-k/2), which stays a float next to
+    b = -1 where each factor alone leaves the float range.  verify checks
+    the parity functional equation J(b) = (-1)^(k/2) J(-b-1) between the two
+    sides; from b = -17/7 down (every b for k <= 28), the b < -1 side sums
+    the series at x < 0 and its mirror the series at -1/b.
     """
     _check_weight("k", k)
     if k >= 172:
@@ -180,9 +189,11 @@ def j_arch(k: int, b: float, eps: str) -> complex:
         for m in range(1, k // 4 + 1):
             val -= 8 * (k - 4 * m + 1) / ((2 * m - 1) * (k - 2 * m)) * legendre(k // 2 - 2 * m, 2 * b + 1)
         return complex(val)
-    # 2F1 first: it refuses every b < -1 whose (1+b)^(-k/2) would overflow
-    f21 = gauss_2f1(k, 1 / (b + 1))
-    return (1 + b) ** (-k / 2) * (2 * math.gamma(k / 2) ** 2 / math.gamma(k) * f21)
+    gamma_ratio = 2 * math.gamma(k / 2) ** 2 / math.gamma(k)
+    x = 1 / (b + 1)
+    if x < -_F21_SPLIT:
+        return b ** (-k / 2) * (gamma_ratio * gauss_2f1(k, -1 / b))
+    return (1 + b) ** (-k / 2) * (gamma_ratio * gauss_2f1(k, x))
 
 
 def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:

@@ -422,10 +422,11 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     # J^eps against the quadrature of its defining integral, over every branch
     # of j_arch: the log formula (-1 < b < 0), and gauss_2f1 at x = 1/(b+1)
     # on either side of it.  b > 0 gives x in (0, 1): the log expansion at
-    # 0.2 (k <= 10), the series at 1 and 4.  b < -1 gives x < 0, which
-    # gauss_2f1 takes to -1/b by Pfaff: the log expansion at -1.2 (k <= 10),
-    # the series at -2 and -10.  At k = 26, +-1.41417... (x or -1/b near
-    # 0.7071) take the series where the log expansion would lose 1e-3.
+    # 0.2 (k <= 10), the series at 1 and 4.  b < -1 gives x < 0: j_arch
+    # takes x < -0.7 to -1/b by Pfaff, the log expansion at -1.2 (k <= 10)
+    # and the series at -2, and at -10 the series sums at x = -1/9.  At
+    # k = 26, +-1.41417... (x or -1/b near 0.7071) take the series where
+    # the log expansion would lose 1e-3.
     # Where J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
     # i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.
     worst_rel = worst_abs = 0.0

@@ -92,13 +92,22 @@ def test_2f1_sweep_against_mpmath(k):
 
 def test_2f1_refuses_what_neither_expansion_reaches():
     # past k = 46 the series needs more than 4000 terms where the log
-    # expansion would still lose digits; from k = 70 next to b = -1 the Pfaff
-    # factor (1-x)^(-k/2) leaves the normal float range
-    for k, x in ((60, 0.985), (170, 0.99), (80, -5e8)):
+    # expansion would still lose digits
+    for k, x in ((60, 0.985), (170, 0.99)):
         with pytest.raises(DomainError, match=f"^2F1 at k={k}, x={x}: "):
             oa.gauss_2f1(k, x)
         with pytest.raises(DomainError, match=f"^2F1 at k={k}, "):
             oa.j_arch(k, 1 / x - 1, "one")
+
+
+def test_j_arch_next_to_minus_one_at_large_k():
+    # (1+b)^(-k/2) alone overflows here and the Pfaff factor alone underflows;
+    # their product b^(-k/2) is an ordinary float.  One ulp of b moves J by
+    # about 1e-8 relative this close to -1, and rounding -1/b costs less.
+    for k, b in ((80, 1 / -5e8 - 1), (170, -1 - 2e-9), (100, -1 - 5e-7), (170, -1.0001)):
+        bm = mp.mpf(b)
+        want = (1 + bm) ** (-k // 2) * 2 * mp.gamma(k // 2) ** 2 / mp.gamma(k) * mp.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm))
+        assert oa.j_arch(k, b, "one").real == pytest.approx(float(want), rel=1e-9)
 
 
 def test_2f1_domain_guard():
@@ -152,7 +161,8 @@ def test_weight_and_eps_guards_name_their_value():
 
 
 def test_j_functional_equation():
-    # J(b) = (-1)^(k/2) J(-b-1): b < -1 against its mirror b > 0
+    # J(b) = (-1)^(k/2) J(-b-1): b < -1 against its mirror b > 0.  At -5 and
+    # -100 the two sides sum different series, at x = 1/(b+1) < 0 and at -1/b.
     for k in (4, 6, 8):
         for b in (-1.3, -2.0, -5.0, -100.0):
             mirror = (-1) ** (k // 2) * oa.j_arch(k, -b - 1, "one")
