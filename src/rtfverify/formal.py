@@ -14,6 +14,7 @@ Symbols in use:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -25,18 +26,29 @@ FRAKC = "frakC"
 Rat = Fraction | int
 
 
+# the primes below 2^11, by trial division; every n < 2048^2 (about 4.2e6)
+# is factored by this table alone
+_SMALL_PRIMES = (2,) + tuple(p for p in range(3, 2048, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+
+
 def _factor_small(n: int) -> list[tuple[int, int]]:
-    # trial division; residue cardinalities are desk-scale
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial
+    division: first by the fixed table of small primes, then by the odd
+    numbers past it.  The inputs are desk-scale: residue cardinalities
+    (a prime q = 10^9 + 7 runs on past the table, up to sqrt q), and the
+    numerators of the hyperbolic points of lattice, up to about 2e6, which
+    the table covers."""
     out = []
-    d = 2
-    while d * d <= n:
+    trial = _SMALL_PRIMES if n < 2048 ** 2 else itertools.chain(_SMALL_PRIMES, itertools.count(2049, 2))
+    for d in trial:
+        if d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 1 if d == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out

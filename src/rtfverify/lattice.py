@@ -264,16 +264,21 @@ def sphere_I_quad(lam: Sequence[float]) -> float:
 
 def _hyperbolic_points(step: Fraction, bset_norm: int, K: int) -> list[tuple[int, float]]:
     """(tau_S(b), float b) for b = +-k step, k = 1..K, in that order, with
-    b = -1 and the b where tau vanishes left out."""
+    b = -1 and the b where tau vanishes left out.  b is read as the pair
+    u/v in lowest terms, with g = gcd(k, den step) as its only cancellation
+    (the numerator of step is prime to its denominator), and float b is
+    u / v, the bits of float(Fraction(u, v))."""
+    p, q = step.numerator, step.denominator
     out = []
     for k in range(1, K + 1):
-        for s in (1, -1):
-            b = step * s * k
-            if b == -1:
+        g = math.gcd(k, q)
+        v = q // g
+        for u in (k // g * p, -(k // g) * p):
+            if u == -v:
                 continue
-            tau = tau_S_rational(b, bset_norm)
+            tau = tau_S_rational(u, v, bset_norm)
             if tau:
-                out.append((tau, float(b)))
+                out.append((tau, u / v))
     return out
 
 

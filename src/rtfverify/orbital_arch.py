@@ -14,9 +14,11 @@ decimal context is neither read nor written.
 The oracles integrate the defining integrand
 g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
 Gauss-Kronrod (quadrature.quad_many), with each half line folded onto
-(0, 1]: j_arch_quad on the whole line for J^eps, j_plus_quad on t > 0, and
-w_plus_quads with the weight log t on t > 0, for a list of b in one
-quad_many run whose integrand reads c at row `which` from every b's c.
+(0, 1].  j_arch_quads gives (J^one, J^sgn) for a list of b, with t < 0
+folded onto t > 0 and the prefactor inside the integrand, so its error
+check holds on J itself; j_plus_quad integrates over t > 0, and
+w_plus_quads with the weight log t over t > 0 for a list of b.  A list of
+b runs in one quad_many call whose integrand reads c at row `which`.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ _F21_LOG_REACH = 8
 # x = -0.7 it is off by 0.7.
 _F21_ALT_REACH = 10
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
-_J_QUAD_TOL = 1e-13       # j_plus_quad, j_arch_quad: absolute and relative tolerance
+_J_QUAD_TOL = 1e-13       # absolute and relative tolerance: of J in j_arch_quads, of the integral in j_plus_quad
 
 
 def _check_weight(name: str, value: int, least: int = 4) -> None:
@@ -228,16 +230,23 @@ def _half_lines(f, tol: float, names: Sequence[str]) -> list[complex]:
     return [value for value, _err in results]
 
 
-def j_arch_quad(k: int, b: float, eps: str) -> complex:
-    """Defining-integral oracle for j_arch: the t > 0 half of pref int g plus
-    (eps = "sgn") or minus (eps = "one") its t < 0 half."""
+def j_arch_quads(k: int, bs: Sequence[float]) -> list[tuple[complex, complex]]:
+    """Defining-integral oracle for j_arch: (J^one, J^sgn) at each b of bs,
+    in order.  The t < 0 half of pref int g is folded onto t > 0, so J^one
+    is the half-line integral of pref (g(t) - g(-t)) and J^sgn that of
+    pref (g(t) + g(-t)).  All 2 len(bs) integrals run in one quad_many
+    call; with the prefactor inside the integrand, each error check,
+    err <= tol max(1, |value|), holds on J itself, and each value has the
+    bits of a one-item call."""
     _check_weight("k", k)
-    _check_b(b)
-    _check_eps(eps)
-    (pref,), g = _integrands(k // 2, [b])
-    (pos,) = _half_lines(g, _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t > 0"])
-    (neg,) = _half_lines(lambda t, which: g(-t, which), _J_QUAD_TOL, [f"J^{eps} at k={k}, b={b}, t < 0"])
-    return pref * (pos + neg if eps == "sgn" else pos - neg)
+    for b in bs:
+        _check_b(b)
+    # integral 2j is J^one at bs[j], integral 2j + 1 J^sgn
+    prefs, g = _integrands(k // 2, [b for b in bs for _eps in (0, 1)])
+    pref, sign = np.array(prefs), np.array([-1.0, 1.0] * len(bs))
+    values = _half_lines(lambda t, which: pref[which] * (g(t, which) + sign[which] * g(-t, which)), _J_QUAD_TOL,
+                         [f"J^{eps} at k={k}, b={b}" for b in bs for eps in ("one", "sgn")])
+    return list(zip(values[::2], values[1::2]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Every value is in units of the local volume vol(O_v^x).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,21 +62,20 @@ def lambda_v(point: LocalPoint) -> int:
     return point.ord_bb1 + 1
 
 
-def tau_S_rational(b: Fraction, bset_norm: int) -> int:
-    """tau^(S(bset))(b) over the rationals: the product of Lambda_p off the
-    support of bset, times integrality indicators b in bset^-1 Z_p on it."""
-    b = Fraction(b)
-    if b in (0, -1):
-        raise ValueError("b must avoid 0 and -1")
+def tau_S_rational(u: int, v: int, bset_norm: int) -> int:
+    """tau^(S(bset))(b) over the rationals at b = u/v in lowest terms,
+    v > 0: the product of Lambda_p off the support of bset, times
+    integrality indicators b in bset^-1 Z_p on it."""
+    if v <= 0 or math.gcd(u, v) != 1 or u in (0, -v):   # an internal invariant: lattice reduces b
+        raise ValueError(f"b = u/v in lowest terms avoiding 0 and -1 required, got u={u}, v={v}")
     bset_primes = dict(_factor_small(bset_norm))
-    for p, e in _factor_small(b.denominator):
+    for p, e in _factor_small(v):
         # ord_p(b) = -e must stay >= -ord_p(bset); off-support primes need e = 0
         if e > bset_primes.get(p, 0):
             return 0
     tau = 1
     # b(b+1) = u(u+v)/v^2 with u and u+v coprime, so their factorisations
     # together are that of the numerator
-    u, v = b.numerator, b.denominator
     for p, e in _factor_small(abs(u)) + _factor_small(abs(u + v)):
         if p not in bset_primes:
             tau *= e + 1

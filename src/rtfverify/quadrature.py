@@ -1,15 +1,10 @@
 """Globally adaptive Gauss-Kronrod quadrature (G10/K21) on numpy arrays.
 
-The rule and its error estimate are QUADPACK's qk21.  One refinement loop,
-the generator _adaptive, bisects the panels of one integral; it asks for
-panels and is sent their values, so it never calls the integrand itself.
-quad_many, the one driver, runs the loops of one or many finite integrals
-together: each round it stacks the panels every unfinished integral asked
-for and evaluates them in one integrand call on a (panels, 21) array, which
-also gets `which`, the index of the integral each row belongs to.  Panel
-sums are an elementwise product followed by a sum along the node axis (no
-BLAS), so a result depends neither on threads, nor on the order in which
-callers run, nor on the other integrals of its batch.
+The rule and its error estimate are QUADPACK's qk21.  quad_many, the one
+driver, refines a batch of finite integrals together, with one set of numpy
+calls per round for the whole batch.  No step is a BLAS product and no sum
+mixes two integrals, so a result depends neither on threads, nor on the
+order in which callers run, nor on the other integrals of its batch.
 """
 from __future__ import annotations
 
@@ -52,103 +47,141 @@ GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
 # the same rule on [0, 1]: halving a weight is exact, so every sum below is
 # bit for bit half the [-1, 1] sum
 _U = 0.5 * (NODES + 1)
-_KG = 0.5 * np.stack([KRONROD, GAUSS], axis=1)
-_K = _KG[:, 0]
+_K = 0.5 * KRONROD
+_G = 0.5 * GAUSS
+_KC, _GC = _K.astype(complex), _G.astype(complex)
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_ROUNDOFF = 50 * _EPS
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K21 value and qk21 error estimate of f on each panel [lo_i, hi_i]."""
+def _panels(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 value and qk21 error estimate on each panel [lo_i, hi_i] of f(x, which)."""
     width = hi - lo
-    fv = f(lo[:, None] + width[:, None] * _U)
-    kg = (fv[:, :, None] * _KG).sum(axis=1)
-    mean = kg[:, 0]
-    resabs = (np.abs(fv) * _K).sum(axis=1)
-    resasc = (np.abs(fv - mean[:, None]) * _K).sum(axis=1)
+    fv = f(lo[:, None] + width[:, None] * _U, which)
+    # a complex fv takes the weights already cast to complex, as numpy
+    # would cast them for each product
+    k, g = (_KC, _GC) if fv.dtype.kind == "c" else (_K, _G)
+    mean = np.add.reduce(fv * k, 1)
+    resabs = np.add.reduce(np.abs(fv) * _K, 1)
+    resasc = np.add.reduce(np.abs(fv - mean[:, None]) * _K, 1)
     # qk21: resasc min(1, (200 |K - G| / resasc)^1.5), floored at the roundoff
     # of the node sum; the ratio is formed below 1 so nothing overflows
-    ratio = np.minimum(200 * np.abs(mean - kg[:, 1]), resasc) / np.maximum(resasc, _TINY)
-    err = np.maximum(resasc * ratio ** 1.5, 50 * _EPS * resabs)
-    return mean * width, err * np.abs(width)
-
-
-def _adaptive(edges: np.ndarray, epsabs: float, epsrel: float, limit: int, span: str):
-    """The refinement loop of one integral over the panels between edges.
-
-    A generator: it yields the panels it needs as (lo, hi) arrays, is sent
-    their (value, error) arrays from _panels, and returns (value, error) as
-    Python scalars.  The panels with the largest errors are bisected until
-    the summed estimate meets max(epsabs, epsrel |value|); past `limit`
-    panels ConvergenceError is raised, naming span.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    val, err = yield lo, hi
-    panels = len(lo)
-    while True:
-        # a bisected panel stays in the arrays with value and error 0
-        value, error = val.sum(), float(err.sum())
-        if not (math.isfinite(error) and math.isfinite(abs(value))):
-            raise ConvergenceError(f"{span}: the integrand is not finite")
-        target = max(epsabs, epsrel * abs(value))
-        if error <= target:
-            return value.item(), error
-        if panels >= limit:
-            raise ConvergenceError(f"{span}: error estimate {error:.2e} above tolerance "
-                                   f"{target:.2e} with {limit} panels")
-        # every panel above the mean share of the tolerance, the largest first
-        refine = np.flatnonzero(err > target / panels)
-        if len(refine) > limit - panels:
-            refine = np.argsort(-err, kind="stable")[:limit - panels]
-        left, right = lo[refine], hi[refine]
-        mid = 0.5 * (left + right)
-        new_lo, new_hi = np.concatenate([left, mid]), np.concatenate([mid, right])
-        new_val, new_err = yield new_lo, new_hi
-        val[refine] = 0.0
-        err[refine] = 0.0
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
-        panels += len(refine)
+    ratio = np.minimum(200 * np.abs(mean - np.add.reduce(fv * g, 1)), resasc) / np.maximum(resasc, _TINY)
+    err = np.maximum(resasc * ratio ** 1.5, _ROUNDOFF * resabs)
+    return mean * width, err * width
 
 
 def quad_many(f, edges_list, *, epsabs: float, epsrel: float,
               limit: int) -> list[tuple[float | complex, float]]:
-    """(value, error) of integral #i over edges_list[i] for each i: one
-    _adaptive loop per integral, all driven together.
+    """(value, error) of integral #i over edges_list[i] for each i, all
+    refined together.
 
     Each edges_list[i] is a finite increasing sequence: the end points of
-    integral #i and its break points.  Each round, the panels that every
-    unfinished integral asks for are stacked and evaluated by one _panels
-    call: f(x, which) gets the (rows, 21) array of nodes x and `which`, the
-    (rows, 1) column of the integral each row belongs to, and must evaluate
-    row r as the integrand of integral #which[r] alone.  A row's value then
-    does not depend on the rows beside it, so each result has the bits that
-    one loop driven alone gives it.  A ConvergenceError names the failing
-    integral's index and interval, and carries the index as its `which`
-    attribute.
+    integral #i and its break points.  Each round evaluates the new panels
+    of every open integral in one _panels call: f(x, which) gets the
+    (rows, 21) array of nodes x and `which`, the (rows, 1) column of the
+    integral each row belongs to, and must evaluate row r as the integrand
+    of integral #which[r] alone.  An integral is finished once its summed
+    error estimate meets max(epsabs, epsrel |value|); until then it
+    bisects every panel above the mean share of that tolerance, keeping to
+    `limit` panels by the largest errors.  A ConvergenceError names the
+    failing integral's index and interval, and carries the index as its
+    `which` attribute.
+
+    The panels of the open integrals sit in flat arrays, each tagged with
+    the row of its integral.  A bisected panel stays, with value and error
+    0, and its halves are appended, so a row's panels are in the order a
+    one-item call gives them.  Each panel's sums run along its node axis,
+    and each row's one panel at a time in that order, so each result has
+    the bits of its one-item call.  The rest of a round (targets, the
+    panels to bisect, bisection, the limit) is one set of numpy calls for
+    the whole batch.
     """
-    loops = {i: _adaptive(np.array(edges, dtype=float), epsabs, epsrel, limit,
-                          f"quad_many integral #{i} on [{edges[0]}, {edges[-1]}]")
-             for i, edges in enumerate(edges_list)}
-    requests = {i: next(loop) for i, loop in loops.items()}
-    results = [None] * len(loops)
-    while requests:
-        order = list(requests)
-        sizes = [len(requests[i][0]) for i in order]
-        which = np.array(order).repeat(sizes)[:, None]
-        val, err = _panels(lambda x: f(x, which),
-                           np.concatenate([requests[i][0] for i in order]),
-                           np.concatenate([requests[i][1] for i in order]))
-        start = 0
-        for i, size in zip(order, sizes):
-            part = slice(start, start + size)
-            start += size
-            try:
-                requests[i] = loops[i].send((val[part], err[part]))
-            except StopIteration as done:
-                results[i] = done.value
-                del requests[i]
-            except ConvergenceError as exc:
-                exc.which = i
-                raise
-    return results
+    sizes = [len(edges) - 1 for edges in edges_list]
+    if not sizes:
+        return []
+    lo = np.array([x for edges in edges_list for x in edges[:-1]], dtype=float)
+    hi = np.array([x for edges in edges_list for x in edges[1:]], dtype=float)
+    row = np.arange(len(sizes)).repeat(sizes)
+    ids = np.arange(len(sizes))      # the integral of each row
+    count = np.array(sizes)          # the panels of each row, a bisected one counted once
+    most = max(sizes)                # at least the largest count
+    results = [None] * len(sizes)
+    val, err = _panels(f, lo, hi, row[:, None])
+    while True:
+        # each row summed in position order (bincount adds its entries one at
+        # a time), a complex one as its real and imaginary parts
+        error = np.bincount(row, err, len(ids))
+        re = np.bincount(row, val.real, len(ids))
+        im = np.bincount(row, val.imag, len(ids)) if val.dtype.kind == "c" else None
+        size = np.abs(re) if im is None else np.hypot(re, im)
+        target = np.maximum(epsabs, epsrel * size)
+        done = error <= target
+        # a product of the two is finite unless one of them is not (or it
+        # overflows, and the check below finds nothing)
+        if not math.isfinite(np.dot(error, size)):
+            for r, i in enumerate(ids):
+                if not (math.isfinite(error[r]) and math.isfinite(size[r])):
+                    raise _failure(edges_list, i, "the integrand is not finite")
+                if not done[r] and count[r] >= limit:
+                    raise _failure(edges_list, i, _over(error[r], target[r], limit))
+        finished = np.count_nonzero(done)
+        if finished:
+            for r in done.nonzero()[0].tolist():
+                results[ids[r]] = (re[r].item() if im is None else complex(re[r], im[r])), error[r].item()
+            if finished == len(ids):
+                return results
+            # the open rows, renumbered, and their panels
+            keep = ~done
+            kept = keep[row]
+            lo, hi, val, err = lo[kept], hi[kept], val[kept], err[kept]
+            row = (np.cumsum(keep) - 1)[row[kept]]
+            ids, count, error, target = ids[keep], count[keep], error[keep], target[keep]
+        # every panel above the mean share of the tolerance
+        refine = (err > (target / count)[row]).nonzero()[0]
+        new_row = row[refine]
+        more = np.bincount(new_row, minlength=len(ids))
+        if most + len(refine) >= limit:
+            # a row may pass the limit: an open row at it fails, and a row
+            # with less room than candidates bisects its largest errors
+            full = (count >= limit).nonzero()[0]
+            if len(full):
+                raise _failure(edges_list, ids[full[0]], _over(error[full[0]], target[full[0]], limit))
+            if np.count_nonzero(more > limit - count):
+                refine, new_row = _largest_errors(refine, new_row, err, limit - count)
+                more = np.bincount(new_row, minlength=len(ids))
+            count += more
+            most = int(np.maximum.reduce(count))
+        else:
+            count += more
+            most += len(refine)
+        left, right = lo[refine], hi[refine]
+        mid = 0.5 * (left + right)
+        lo, hi = np.concatenate((lo, left, mid)), np.concatenate((hi, mid, right))
+        row = np.concatenate((row, new_row, new_row))
+        new_val, new_err = _panels(f, lo[len(val):], hi[len(val):], ids[row[len(val):], None])
+        val[refine] = 0.0
+        err[refine] = 0.0
+        val, err = np.concatenate((val, new_val)), np.concatenate((err, new_err))
+
+
+def _largest_errors(refine: np.ndarray, new_row: np.ndarray, err: np.ndarray,
+                    room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """refine and its rows less, in every row with more candidates than
+    room, all but its room largest errors (the first of equal ones)."""
+    keep = np.ones(len(refine), dtype=bool)
+    for r in np.unique(new_row):
+        mine = (new_row == r).nonzero()[0]
+        keep[mine[np.argsort(-err[refine[mine]], kind="stable")[room[r]:]]] = False
+    return refine[keep], new_row[keep]
+
+
+def _over(error: float, target: float, limit: int) -> str:
+    return f"error estimate {error:.2e} above tolerance {target:.2e} with {limit} panels"
+
+
+def _failure(edges_list, i: int, cause: str) -> ConvergenceError:
+    exc = ConvergenceError(f"quad_many integral #{i} on [{edges_list[i][0]}, {edges_list[i][-1]}]: {cause}")
+    exc.which = int(i)
+    return exc

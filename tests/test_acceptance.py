@@ -222,8 +222,7 @@ _LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "id
 INDEPENDENT_PAIRS = {
     ("lattice.sphere_I", "lattice.sphere_I_quad"): {"lattice._check_lambda"},
     ("orbital_arch.w_plus", "orbital_arch.w_plus_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
-    ("orbital_arch.j_arch", "orbital_arch.j_arch_quad"): {"orbital_arch._check_b", "orbital_arch._check_eps",
-                                                          "orbital_arch._check_weight"},
+    ("orbital_arch.j_arch", "orbital_arch.j_arch_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
     ("orbital_arch.j_plus_parts", "orbital_arch.j_plus_quad"): {"orbital_arch._check_b"},
     ("orbital_arch.gauss_2f1", "orbital_arch.f21_series_oracle"): set(),
     ("orbital_local.w_unramified", "orbital_local.w_unramified_oracle"): _LOCAL_LOG,

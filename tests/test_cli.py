@@ -114,7 +114,7 @@ def test_arch_j_one_at_the_largest_l_meets_its_quadrature(capsys, b):
     # gauss_2f1's log expansion would be off by 1e-3
     assert cli.main(["arch", "--l", "26", "--b", b]) == 0
     j_one = complex(*json.loads(capsys.readouterr().out)["J_one"])
-    quad = orbital_arch.j_arch_quad(26, float(b), "one")
+    ((quad, _sgn),) = orbital_arch.j_arch_quads(26, [float(b)])
     assert abs(j_one - quad) <= 1e-9 * abs(quad)
 
 

@@ -1,14 +1,36 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import isprime
 
 from rtfverify import ntransform as nt
-from rtfverify.formal import LOG_DF, FormalLog
+from rtfverify.formal import LOG_DF, FormalLog, _factor_small
 from rtfverify.ideals import Ideal, Prime
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+def _check_factors(n):
+    factors = _factor_small(n)
+    primes = [p for p, _e in factors]
+    assert primes == sorted(set(primes)) and all(e >= 1 for _p, e in factors), n
+    assert all(isprime(p) for p in primes), n
+    assert math.prod(p ** e for p, e in factors) == n, n
+
+
+def test_factor_small_gives_ascending_primes_with_product_n():
+    assert _factor_small(1) == []
+    for n in range(2, 2 * 10 ** 4):
+        _check_factors(n)
+    rng = random.Random(7)
+    for _ in range(10 ** 4):
+        _check_factors(rng.randint(1, 10 ** 7))
+    # past the table of small primes, on both sides of its reach
+    for n in (10 ** 9 + 7, 2053 * 2053, 2039 * 2053, 2 ** 31 - 1, 3 * (10 ** 9 + 7)):
+        _check_factors(n)
 
 
 def test_zero_and_const():

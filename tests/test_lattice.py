@@ -1,11 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rtfverify import lattice as lt
 from rtfverify.errors import ConvergenceError, DomainError, InputError, UnsupportedField
+from rtfverify.orbital_local import tau_S_rational
 
 
 def test_embed_examples():
@@ -113,6 +115,25 @@ def test_fI_examples():
     assert vals[0] > vals[1] > vals[2] > 0
     with pytest.raises(ValueError):
         lt.fI_rational(6, 10, 5, 0.0)
+
+
+@pytest.mark.parametrize("bset", [1, 2, 3, 4, 9, 12])
+def test_hyperbolic_points_match_fraction_arithmetic(bset):
+    # the integer pairs u/v against Fraction arithmetic on b = +-k n/bset
+    for n in (1, 3, 10, 31, 100, 1000):
+        if math.gcd(n, bset) != 1:
+            continue
+        step = Fraction(n, bset)
+        want = []
+        for k in range(1, 121):
+            for s in (1, -1):
+                b = step * s * k
+                if b != -1:
+                    tau = tau_S_rational(b.numerator, b.denominator, bset)
+                    if tau:
+                        want.append((tau, float(b)))
+        got = lt._hyperbolic_points(step, bset, 120)
+        assert [(tau, b.hex()) for tau, b in got] == [(tau, b.hex()) for tau, b in want], (n, bset)
 
 
 def test_w_hyp_arch_audit():

@@ -140,7 +140,7 @@ def test_j_arch_domain_guard():
 
 @pytest.mark.parametrize("b", [0.0, -1.0, 1e-12])
 @pytest.mark.parametrize("call", [
-    lambda b: oa.j_arch(6, b, "one"), lambda b: oa.j_arch_quad(6, b, "sgn"),
+    lambda b: oa.j_arch(6, b, "one"), lambda b: oa.j_arch_quads(6, [2.0, b]),
     lambda b: oa.j_plus_parts(6, Fraction(b)), lambda b: oa.j_plus_quad(6, b),
     lambda b: oa.w_plus_quads(6, [2.0, b]),
 ])
@@ -151,13 +151,29 @@ def test_b_guard_names_b(call, b):
 
 def test_weight_and_eps_guards_name_their_value():
     for call, got in ((lambda: oa.gauss_2f1(5, 0.5), "k=5"), (lambda: oa.j_arch(2, 2.0, "one"), "k=2"),
-                      (lambda: oa.j_arch_quad(7, 2.0, "one"), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
+                      (lambda: oa.j_arch_quads(7, [2.0]), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
                       (lambda: oa.j_plus_parts(5, Fraction(2)), "l=5"), (lambda: oa.w_plus_quads(4, [2.0]), "l=4")):
         with pytest.raises(InputError, match=f"required, got {got}$"):
             call()
-    for j in (oa.j_arch, oa.j_arch_quad):
-        with pytest.raises(InputError, match="got eps='x'$"):
-            j(6, 2.0, "x")
+    with pytest.raises(InputError, match="got eps='x'$"):
+        oa.j_arch(6, 2.0, "x")
+
+
+def test_j_arch_quads_holds_its_tolerance_on_j():
+    # next to b = -1 at k = 26 the prefactor (1+b)^(-13) is up to 1e26: the
+    # error check holds on J itself, not on the integral before it
+    bs = [-1.2, -1.05, -1.01, 0.4141701729754739, -1.4141701729754739]
+    for b, quads in zip(bs, oa.j_arch_quads(26, bs)):
+        for eps, quad in zip(("one", "sgn"), quads):
+            closed = oa.j_arch(26, b, eps)
+            assert abs(quad - closed) <= 1e-9 * (abs(closed) if closed else 1.0), (b, eps, quad, closed)
+
+
+def test_j_arch_quads_bit_identical_to_one_item_calls():
+    bs = [-0.7, 0.2, 4.0, -1.2, -10.0, -1.01]
+    for k in (4, 10, 26):
+        batched = [(_bits(one), _bits(sgn)) for one, sgn in oa.j_arch_quads(k, bs)]
+        assert batched == [(_bits(one), _bits(sgn)) for b in bs for one, sgn in oa.j_arch_quads(k, [b])]
 
 
 def test_j_functional_equation():

@@ -30,14 +30,16 @@ def test_lambda_examples():
 
 
 def test_tau_rational():
+    # b = u/v is read as its integer pair
     # b = 2: tau = number of divisors of 2*3 = 4
-    assert ol.tau_S_rational(Fraction(2), 1) == 4
+    assert ol.tau_S_rational(2, 1, 1) == 4
     # with the support {2} the factor at 2 is only an indicator
-    assert ol.tau_S_rational(Fraction(1, 2), 2) == 2
-    assert ol.tau_S_rational(Fraction(1, 4), 2) == 0
-    assert ol.tau_S_rational(Fraction(1, 3), 2) == 0
-    with pytest.raises(ValueError):
-        ol.tau_S_rational(Fraction(-1), 1)
+    assert ol.tau_S_rational(1, 2, 2) == 2
+    assert ol.tau_S_rational(1, 4, 2) == 0
+    assert ol.tau_S_rational(1, 3, 2) == 0
+    for u, v in ((-1, 1), (0, 1), (2, 4), (1, -2)):
+        with pytest.raises(ValueError):
+            ol.tau_S_rational(u, v, 1)
 
 
 def test_tilde_delta_examples():

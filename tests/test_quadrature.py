@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -5,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rtfverify import lattice as lt, orbital_arch as oa
+from rtfverify import lattice as lt, orbital_arch as oa, quadrature
 from rtfverify.errors import ConvergenceError
 from rtfverify.quadrature import GAUSS, KRONROD, NODES, quad_many
 
@@ -61,6 +62,47 @@ def test_quad_many_names_the_failing_integral():
     with pytest.raises(ConvergenceError, match=r"quad_many integral #2 on \[0.0, 1.0\].*with 12 panels") as info:
         quad_many(f, [(0.0, 1.0)] * 4, epsabs=1e-12, epsrel=0.0, limit=12)
     assert info.value.which == 2
+
+
+def test_quad_many_batch_finishing_in_different_rounds():
+    # x^-lam on [0, 1]: #0 finishes in round 1, #3 in round 43 and #1 in
+    # round 68, while #2 reaches the limit of 100 panels in round 100
+    lam = np.array([0.0, 0.5, 0.9, 0.25])
+    last = {}
+
+    def f(x, which):
+        last["round"] = last.get("round", 0) + 1
+        last.update({int(i): last["round"] for i in np.unique(which)})
+        return x ** -lam[which]
+
+    with pytest.raises(ConvergenceError, match=r"quad_many integral #2 on \[0.0, 1.0\].*with 100 panels") as info:
+        quad_many(f, [(0.0, 1.0)] * 4, epsabs=1e-10, epsrel=0.0, limit=100)
+    assert info.value.which == 2
+    assert (last[0], last[3], last[1], last[2]) == (1, 43, 68, 100)
+    # the others without it, each against its one-item call
+    lam = np.array([0.0, 0.5, 0.25])
+    got = quad_many(lambda x, which: x ** -lam[which], [(0.0, 1.0)] * 3, epsabs=1e-10, epsrel=0.0, limit=100)
+    want = [quad_many(lambda x, which, a=a: x ** -a, [(0.0, 1.0)], epsabs=1e-10, epsrel=0.0, limit=100)[0]
+            for a in lam]
+    assert _quad_bits(got) == _quad_bits(want)
+    assert quad_many(f, [], epsabs=1e-10, epsrel=0.0, limit=100) == []
+
+
+def test_quad_many_near_the_limit_bit_identical_to_one_item_calls(monkeypatch):
+    # at limit 7 the first two integrals have more panels to bisect than
+    # room, keep their largest errors, and finish
+    trimmed = []
+    keep_largest = quadrature._largest_errors
+    monkeypatch.setattr(quadrature, "_largest_errors", lambda *args: trimmed.append(1) or keep_largest(*args))
+    freqs = [45.0, 59.0, 3.0]
+    edges = [(0.0, 1.0), (0.0, 0.3, 1.0), (0.0, 1.0)]
+    w = np.array(freqs)
+    got = quad_many(lambda x, which: np.cos(w[which] * x), edges, epsabs=1e-12, epsrel=0.0, limit=7)
+    assert trimmed
+    want = [quad_many(lambda x, which, k=k: np.cos(k * x), [e], epsabs=1e-12, epsrel=0.0, limit=7)[0]
+            for k, e in zip(freqs, edges)]
+    assert _quad_bits(got) == _quad_bits(want)
+    assert abs(got[0][0] - math.sin(45.0) / 45.0) <= 1e-12
 
 
 def _quad_bits(results) -> list:
