@@ -231,10 +231,10 @@ def main_term_scale(a: Ideal, consts: AnalyticConsts) -> float:
     return 4 * consts.D_F ** 1.5 * consts.L1_eta * a.norm ** -0.5
 
 
-def main_ADL_value(n: Ideal, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
+def main_ADL_value(bracket: FormalLog, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
                    w: WeightData) -> float:
-    """Numeric main term of the derivative average."""
-    bracket = main_ADL_bracket(n, a, eta)
+    """Numeric main term of the derivative average, from its bracket
+    main_ADL_bracket(n, a, eta)."""
     return main_term_scale(a, consts) * bracket.evaluate(consts.bindings(w, eta))
 
 

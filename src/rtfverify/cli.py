@@ -270,7 +270,7 @@ def cmd_main_terms(args) -> int:
         bracket = assembly.main_ADL_bracket(n, a, eta)
         geom = assembly.geom_kernel_bracket(n, a, eta)
         payload["ADL_bracket"] = bracket.to_json()
-        payload["ADL_main"] = assembly.main_ADL_value(n, a, eta, consts, w)
+        payload["ADL_main"] = assembly.main_ADL_value(bracket, a, eta, consts, w)
         payload["geom_equals_main"] = bracket == geom
         cls = "-"
     except SignClassError:

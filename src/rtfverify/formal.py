@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
+from .errors import InputError
+
 LOG_DF = "logDF"
 LPL = "LpL"
 FRAKC = "frakC"
@@ -57,9 +59,14 @@ def _factor_small(n: int) -> list[tuple[int, int]]:
 class FormalLog:
     """const + sum_i coeffs[sym_i] * sym_i, kept normalised: const is a
     Fraction and every stored coefficient is a non-zero Fraction, so equality
-    and hashing compare values.  __init__ establishes this from any rationals;
-    the private FormalLog._trusted skips that work for hot callers that already
-    hold reduced non-zero Fractions, and must never be handed anything else."""
+    and hashing compare values.  __init__ establishes this from any rationals.
+
+    The arithmetic (+, -, *, / by a scalar, negation and the reflected forms)
+    builds its results through the private FormalLog._trusted: Fraction
+    arithmetic already returns reduced Fractions, so it only drops the
+    coefficients that become 0, and a product by 0 is the zero FormalLog.
+    Each result equals FormalLog(result.const, result.coeffs) and owns a
+    fresh dict.  _trusted must never be handed anything else."""
 
     __slots__ = ("const", "coeffs")
 
@@ -88,7 +95,9 @@ class FormalLog:
         would otherwise establish: const is a Fraction, and coeffs is a fresh
         dict (the result takes ownership) whose values are non-zero Fractions.
         The Fractions themselves may be shared with other values: they are
-        immutable, and no FormalLog operation changes one in place."""
+        immutable, and no FormalLog operation changes one in place.  The
+        arithmetic operators, log_integer and the hot loops of ntransform
+        build through here."""
         self = object.__new__(cls)
         self.const = const
         self.coeffs = coeffs
@@ -98,7 +107,7 @@ class FormalLog:
     def log_integer(cls, n: int, coeff: Rat = 1) -> "FormalLog":
         """log n for an integer n >= 1, canonicalised into prime symbols."""
         if n < 1:
-            raise ValueError("log_integer wants n >= 1")
+            raise InputError(f"log_integer wants an integer n >= 1, got n={n!r}")
         coeff = Fraction(coeff)
         if not coeff:
             return cls._trusted(Fraction(0), {})
@@ -111,13 +120,18 @@ class FormalLog:
         other = _promote(other)
         coeffs = dict(self.coeffs)
         for sym, c in other.coeffs.items():
-            coeffs[sym] = coeffs.get(sym, Fraction(0)) + c
-        return FormalLog(self.const + other.const, coeffs)
+            if sym in coeffs:
+                c = coeffs[sym] + c
+                if not c:
+                    del coeffs[sym]
+                    continue
+            coeffs[sym] = c
+        return FormalLog._trusted(self.const + other.const, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FormalLog":
-        return FormalLog(-self.const, {s: -c for s, c in self.coeffs.items()})
+        return FormalLog._trusted(-self.const, {s: -c for s, c in self.coeffs.items()})
 
     def __sub__(self, other: "FormalLog | Rat") -> "FormalLog":
         return self + (-_promote(other))
@@ -126,13 +140,16 @@ class FormalLog:
         return _promote(other) + (-self)
 
     def __mul__(self, scalar: Rat) -> "FormalLog":
-        scalar = Fraction(scalar)
-        return FormalLog(self.const * scalar, {s: c * scalar for s, c in self.coeffs.items()})
+        if not isinstance(scalar, Fraction):
+            scalar = Fraction(scalar)
+        if not scalar:
+            return FormalLog._trusted(Fraction(0), {})
+        return FormalLog._trusted(self.const * scalar, {s: c * scalar for s, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Rat) -> "FormalLog":
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (1 / Fraction(scalar))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (FormalLog, Fraction, int)):
@@ -151,7 +168,8 @@ class FormalLog:
     def evaluate(self, bindings: Mapping[str, float] | None = None) -> float:
         """Numeric value; log@p symbols default to math.log(p)."""
         bindings = bindings or {}
-        total = float(self.const)
+        # num / den has the bits of float(Fraction), which computes just that
+        total = self.const.numerator / self.const.denominator
         for sym, c in self.coeffs.items():
             if sym in bindings:
                 v = bindings[sym]
@@ -159,7 +177,7 @@ class FormalLog:
                 v = math.log(int(sym[4:]))
             else:
                 raise KeyError(f"unbound symbol {sym!r}")
-            total += float(c) * v
+            total += c.numerator / c.denominator * v
         return total
 
     def to_json(self) -> dict:

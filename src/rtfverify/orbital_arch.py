@@ -15,10 +15,11 @@ The oracles integrate the defining integrand
 g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
 Gauss-Kronrod (quadrature.quad_many), with each half line folded onto
 (0, 1].  j_arch_quads gives (J^one, J^sgn) for a list of b, with t < 0
-folded onto t > 0 and the prefactor inside the integrand, so its error
-check holds on J itself; j_plus_quad integrates over t > 0, and
-w_plus_quads with the weight log t over t > 0 for a list of b.  A list of
-b runs in one quad_many call whose integrand reads c at row `which`.
+folded onto t > 0, and j_plus_quad integrates over t > 0; both carry the
+prefactor inside the integrand, so their error checks hold on J itself.
+w_plus_quads integrates with the weight log t over t > 0 for a list of b.
+A list of b runs in one quad_many call whose integrand reads c at row
+`which`.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ _F21_LOG_REACH = 8
 # x = -0.7 it is off by 0.7.
 _F21_ALT_REACH = 10
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
-_J_QUAD_TOL = 1e-13       # absolute and relative tolerance: of J in j_arch_quads, of the integral in j_plus_quad
+_J_QUAD_TOL = 1e-13       # absolute and relative tolerance of J in j_arch_quads and of J_+ in j_plus_quad
 
 
 def _check_weight(name: str, value: int, least: int = 4) -> None:
@@ -217,14 +218,14 @@ def _integrands(h: int, bs: Sequence[float]):
     return [1j ** h * (1 + b) ** (-h) for b in bs], g   # negative base, integer power: real
 
 
-def _half_lines(f, tol: float, names: Sequence[str]) -> list[complex]:
+def _half_lines(f, tol: float, names: Sequence[str], floor: float = 1.0) -> list[complex]:
     """int_0^inf f(t, which) dt for each integral which < len(names), by
     quadrature.quad_many, with [1, inf) folded onto (0, 1] by t -> 1/t.
-    Each integral is held to its own error estimate, err <= tol max(1,
+    Each integral is held to its own error estimate, err <= tol max(floor,
     |value|), and a failure is named by its names entry."""
     try:
         results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [(0.0, 1.0)] * len(names),
-                            epsabs=tol, epsrel=tol, limit=200)
+                            epsabs=tol * floor, epsrel=tol, limit=200)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{names[exc.which]}: {exc}") from exc
     return [value for value, _err in results]
@@ -256,7 +257,8 @@ def j_arch_quads(k: int, bs: Sequence[float]) -> list[tuple[complex, complex]]:
 @dataclass(frozen=True)
 class ResidueParts:
     """A(b) and B(b) decomposed over the transcendental basis
-    (1, L, L^2, pi^2 | 1, L) with L = log|b/(b+1)|; exact rationals.
+    (1, L, L^2, pi^2 | 1, L) with L = log|b/(b+1)|; exact rationals, each a
+    reduced Fraction.
 
     Evaluation runs at elevated precision: the rational coefficients grow
     like binom(l-2, l/2-1) b^(l/2-1) while A, B themselves decay like
@@ -282,11 +284,12 @@ class JPlusParts:
 
 
 @functools.cache
-def _residue_weights(h: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
-    """Per k < h, the b-free factors of the residue sums: c1 binom(h-1, k),
-    and the inner sums over j of cj and of cj H_(j-1), where
-    cj = c1 binom(h-1, k+j) (-1)^j / j and c1 = binom(h+k-1, k)."""
-    out = []
+def _residue_weights(h: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The b-free factors of the residue sums, on integers: (D, rows) with a
+    row per k < h of c1 binom(h-1, k) and D times the inner sums over j of
+    cj and of cj H_(j-1), where cj = c1 binom(h-1, k+j) (-1)^j / j,
+    c1 = binom(h+k-1, k), and D is the lcm of the inner sums' denominators."""
+    sums = []
     for k in range(h):
         c1 = comb(h + k - 1, k)
         s = s_h = Fraction(0)
@@ -296,8 +299,10 @@ def _residue_weights(h: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
             s += cj
             s_h += cj * harmonic
             harmonic += Fraction(1, j)
-        out.append((c1 * comb(h - 1, k), s, s_h))
-    return tuple(out)
+        sums.append((c1 * comb(h - 1, k), s, s_h))
+    d = math.lcm(*(x.denominator for _c2, s, s_h in sums for x in (s, s_h)))
+    return d, tuple((c2, s.numerator * (d // s.denominator), s_h.numerator * (d // s_h.denominator))
+                    for c2, s, s_h in sums)
 
 
 def residue_parts(l: int, b: Fraction) -> ResidueParts:
@@ -306,32 +311,36 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
     The naive float evaluation of the displayed double sums loses all
     precision for |b| >> 1 (binomial terms up to b^(l/2-1) cancel almost
     completely); assembling the rational coefficients first avoids that.
+    With b = u/v and h = l/2, every coefficient is an integer numerator
+    over 8 D v^(h-1), D from _residue_weights: b^k and (b+1)^k enter as
+    u^k v^(h-1-k) and (u+v)^k v^(h-1-k).  One Fraction is built per
+    coefficient.
     """
     _check_weight("l", l)
     h = l // 2
-    th_is_half = b * (b + 1) < 0          # theta(b) = pi/2 else 3 pi/2
-    th_over_pi = Fraction(1, 2) if th_is_half else Fraction(3, 2)
-    a_const = Fraction(0)
-    a_L = Fraction(0)
-    a_L2 = Fraction(0)
-    a_pi2 = Fraction(0)
-    b_L = Fraction(0)
-    b_const = Fraction(0)
-    bk = b1k = Fraction(1)
-    for k, (c2, s, s_h) in enumerate(_residue_weights(h)):
-        sgn_b1k = b1k if (k + h) % 2 == 0 else -b1k   # (-1)^(k+h) (b+1)^k
-        # A: b^k/2 L^2 - theta^2/2 b^k - 9 pi^2/8 (-1)^(k+h) (b+1)^k
-        a_L2 += c2 * bk / 2
-        a_pi2 += -c2 * th_over_pi ** 2 * bk / 2 - Fraction(9, 8) * c2 * sgn_b1k
-        # B: b^k L theta
-        b_L += c2 * bk * th_over_pi
-        # the inner sums over j, with their b-free weights gathered
-        a_const += s_h * (bk + sgn_b1k)
-        a_L += -s * bk
-        b_const += -s * (Fraction(3, 2) * sgn_b1k + bk * th_over_pi)
-        bk *= b
-        b1k *= b + 1
-    return ResidueParts(a_const, a_L, a_L2, a_pi2, b_L, b_const)
+    u, v = b.numerator, b.denominator
+    t = 1 if u * (u + v) < 0 else 3       # theta(b) = t pi / 2: pi/2 where b(b+1) < 0, else 3 pi/2
+    d, rows = _residue_weights(h)
+    # the sums over k of c2, s and s_h against b^k (bk) and (-1)^(k+h) (b+1)^k (b1k), times v^(h-1)
+    c2_bk = c2_b1k = s_bk = s_b1k = sh_bk = sh_b1k = 0
+    uk, wk, vpow = 1, -1 if h % 2 else 1, [v ** i for i in range(h)]
+    for k, (c2, s, s_h) in enumerate(rows):
+        bk, b1k = uk * vpow[h - 1 - k], wk * vpow[h - 1 - k]
+        c2_bk += c2 * bk
+        c2_b1k += c2 * b1k
+        s_bk += s * bk
+        s_b1k += s * b1k
+        sh_bk += s_h * bk
+        sh_b1k += s_h * b1k
+        uk *= u
+        wk *= -(u + v)
+    den = 8 * d * vpow[h - 1]
+    # per k, with the weight c2: A gets b^k L^2/2 - theta^2 b^k/2 - 9 pi^2 (-1)^(k+h) (b+1)^k/8 and
+    # B/pi gets b^k L theta/pi; with the inner sums: A gets s_h (b^k + (-1)^(k+h) (b+1)^k) - s b^k L,
+    # and B/pi gets -s (3 (-1)^(k+h) (b+1)^k/2 + b^k theta/pi)
+    return ResidueParts(Fraction(8 * (sh_bk + sh_b1k), den), Fraction(-8 * s_bk, den),
+                        Fraction(4 * d * c2_bk, den), Fraction(-d * (t * t * c2_bk + 9 * c2_b1k), den),
+                        Fraction(4 * t * d * c2_bk, den), Fraction(-4 * (3 * s_b1k + t * s_bk), den))
 
 
 def _laurent_sum(h: int, k: int, x: Fraction) -> Fraction:
@@ -369,11 +378,17 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
 
 def j_plus_quad(l: int, b: float) -> complex:
     """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral: the
-    oracle for j_plus_parts."""
+    oracle for j_plus_parts.  The prefactor pref = i^(l/2) (1+b)^(-l/2)
+    sits inside the integrand, so the error check holds on J_+ itself:
+    err <= tol max(min(1, |pref|), |J_+|).  Next to b = -1, where |pref|
+    is large, that is tol max(1, |J_+|), as in j_arch_quads; where |pref|
+    < 1 (|1+b| > 1) J_+ decays like |b|^(-l/2), and the absolute part
+    is no looser than tol on the integral before the prefactor."""
     _check_b(b)
     (pref,), g = _integrands(l // 2, [b])
-    (value,) = _half_lines(g, _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"])
-    return pref * value
+    (value,) = _half_lines(lambda t, which: pref * g(t, which), _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"],
+                           floor=min(1.0, abs(pref)))
+    return value
 
 
 def w_plus_quads(l: int, bs: Sequence[float]) -> list[complex]:

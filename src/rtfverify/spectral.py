@@ -22,7 +22,9 @@ q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's denominators
 b^j, q and Q's denominator cleared, and adds the terms into one numerator over
 a running denominator.  The closed forms write each case's expression as one
 integer numerator over one denominator, its geometric sums in closed form.
-Either way one Fraction is built per result.
+Either way one Fraction is built per result.  partial_r_sum, the oracle for
+the derivative partial_r, is the defining sum's term-by-term derivative at
+X = 1, added the same way.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ def _check_k(k: int):
 
 def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Fraction) -> Fraction:
     """The weight polynomial Q_j(eta, X) of the local datum, evaluated at X."""
-    if j < 0:
+    if j < 0:    # an internal invariant: q_poly_one passes 0 <= j <= k
         raise ValueError("j >= 0 required")
     q, c = rep.q, rep.c
     if j == 0:
@@ -111,7 +113,7 @@ def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
 def tau_jj(j: int, rep: LocalRepData) -> Fraction:
-    if j < 0:
+    if j < 0:    # an internal invariant: _defining_sum passes 0 <= j <= k
         raise ValueError("j >= 0 required")
     if j == 0 or rep.c >= 2:
         return Fraction(1)
@@ -125,7 +127,7 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
 def _check_r_z_args(name: str, k: int, eta_val: int, X) -> None:
     _check_k(k)
     if eta_val not in (1, -1):
-        raise ValueError("eta_val must be +-1")
+        raise InputError(f"{name} wants eta_val = +-1, got eta_val={eta_val!r}")
     if not isinstance(X, (int, Fraction)):
         raise InputError(f"{name} wants a rational X, got {type(X).__name__} X={X!r}")
 
@@ -175,17 +177,15 @@ def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tup
     return ea ** j, b ** j
 
 
-def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
-    """r^(z) by its defining sum of q_poly_one(j) Q_j(eta, X) / tau_jj(j)
-    over j <= k: the oracle for r_z, at a rational X.  Each term is an
+def _defining_sum(rep: LocalRepData, k: int, first: int, pair) -> Fraction:
+    """sum_(first <= j <= k) q_poly_one(j) P_j / tau_jj(j), with P_j given by
+    pair(j) as an integer pair (numerator, denominator).  Each term is an
     integer pair, added into one numerator over a running denominator (the
     lcm of the terms' denominators); one Fraction is built at the end."""
-    _check_r_z_args("r_z_sum", k, eta_val, X)
-    a, b = X.numerator, X.denominator
     num, den = 0, 1
-    for j in range(k + 1):
+    for j in range(first, k + 1):
         one, tau = q_poly_one(j, rep), tau_jj(j, rep)
-        pn, pd = _q_poly_pair(j, rep, eta_val, a, b)
+        pn, pd = pair(j)
         tn, td = one.numerator * tau.denominator * pn, one.denominator * tau.numerator * pd
         if td == den:
             num += tn
@@ -194,6 +194,15 @@ def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fract
             num = num * (td // g) + tn * (den // g)
             den = den // g * td
     return Fraction(num, den)
+
+
+def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
+    """r^(z) by its defining sum of q_poly_one(j) Q_j(eta, X) / tau_jj(j)
+    over j <= k: the oracle for r_z, at a rational X, on integers (see
+    _defining_sum)."""
+    _check_r_z_args("r_z_sum", k, eta_val, X)
+    a, b = X.numerator, X.denominator
+    return _defining_sum(rep, k, 0, lambda j: _q_poly_pair(j, rep, eta_val, a, b))
 
 
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
@@ -228,29 +237,29 @@ def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
 
 
 def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
-    """Independent exact derivative: term-by-term d/dX of the defining sum."""
+    """The oracle for partial_r: the term-by-term derivative of the defining
+    sum, sum_(1 <= j <= k) q_poly_one(j) Q_j'(eta, 1) / tau_jj(j), with each
+    Q_j'(eta, 1) an integer pair (_dq_poly_pair) and the terms added on
+    integers (see _defining_sum)."""
     _check_k(k)
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        dq = _dq_poly_at_one(j, rep, eta_val)
-        total = total + q_poly_one(j, rep) * dq / tau_jj(j, rep)
-    return total
+    return _defining_sum(rep, k, 1, lambda j: _dq_poly_pair(j, rep, eta_val))
 
 
-def _dq_poly_at_one(j: int, rep: LocalRepData, eta_val: int) -> Fraction:
-    """d/dX Q_j(eta, X) at X = 1, from the explicit polynomial cases."""
-    q, c = rep.q, rep.c
-    e = eta_val
+def _dq_poly_pair(j: int, rep: LocalRepData, eta_val: int) -> tuple[int, int]:
+    """d/dX Q_j(eta, X) at X = 1, j >= 1, from the explicit polynomial cases,
+    as an integer pair (numerator, denominator): the denominators q and Q's
+    denominator cleared."""
+    q, c, e = rep.q, rep.c, eta_val
     if c == 0 and j == 1:
-        return Fraction(e)
+        return e, 1
     if c == 1:
-        cq = Fraction(rep.chi, q)
-        return e ** (j - 1) * ((j - 1) * (e - cq) + e)
+        # e^(j-1) ((j-1)(e - chi/q) + e)
+        return e ** (j - 1) * ((j - 1) * (e * q - rep.chi) + e * q), q
     if c == 0:
-        quad_at_1 = q - e * rep.Q * (q + 1) + 1
-        dquad_at_1 = 2 * q - e * rep.Q * (q + 1)
-        return Fraction(1, q) * e ** (j - 2) * ((j - 2) * quad_at_1 + dquad_at_1)
-    return Fraction(j) * e ** j
+        # (1/q) e^(j-2) ((j-2) quad(1) + quad'(1)), quad(1) = (q+1)(1 - eQ), quad'(1) = 2q - eQ(q+1)
+        Qn, Qd = rep.Q.numerator, rep.Q.denominator
+        return e ** (j - 2) * ((j - 2) * (q + 1) * (Qd - e * Qn) + 2 * q * Qd - e * Qn * (q + 1)), q * Qd
+    return j * e ** j, 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +282,11 @@ def w_and_dw(reps: Mapping[Prime, LocalRepData], n: Ideal, eta: QuadCharData) ->
     _check_inert(n, eta)
     f_pi = Ideal.of({p: rep.c for p, rep in reps.items() if rep.c > 0})
     if not f_pi.divides(n):
-        raise ValueError("conductor of the representation must divide the level")
+        raise InputError(f"the conductor f_pi={f_pi} of the representation must divide the level n={n}")
     m = n.divide(f_pi)
     for p in m.support:
         if p not in reps:
-            raise ValueError(f"missing local datum at {p.id}")
+            raise InputError(f"missing local datum at {p.id}, a prime of n={n}")
     m0, b = square_decompose(m)
     odd = m0.support
     w_val = omega_pair(n, m)

@@ -172,8 +172,8 @@ def test_geom_kernel_reduces_to_plus_shape_at_unit_a():
 
 def test_main_term_value_evaluation():
     n = Ideal.of({P3: 2})
-    val = asm.main_ADL_value(n, Ideal.unit(), ETA_MINUS, CONSTS, W6)
     bracket = asm.main_ADL_bracket(n, Ideal.unit(), ETA_MINUS)
+    val = asm.main_ADL_value(bracket, Ideal.unit(), ETA_MINUS, CONSTS, W6)
     scale = 4 * 4.0 ** 1.5 * 0.7
     assert val == pytest.approx(scale * bracket.evaluate(CONSTS.bindings(W6, ETA_MINUS)))
 

@@ -148,6 +148,29 @@ def test_main_terms_command(cfg_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("n, a", [("p^2", "O"), ("p^2", "q^2"), ("p^4", "q"), ("p^3*q", "O")])
+def test_main_terms_builds_the_bracket_once(n, a, cfg_path, capsys, monkeypatch):
+    built = []
+    real = assembly.main_ADL_bracket
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(assembly, "main_ADL_bracket", counted)
+    assert cli.main(["main-terms", "--config", cfg_path, "--n", n, "--a", a]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["sign_class"] == "-" and len(built) == 1
+    # ADL_main is the scaled bracket, with the bits of a second build of it
+    primes, eta, _raw = cli.load_config(cfg_path)
+    a_ideal = cli.parse_ideal(a, primes)
+    consts, w = assembly.AnalyticConsts(**CFG["consts"]), assembly.WeightData(tuple(CFG["weights"]))
+    again = real(cli.parse_ideal(n, primes), a_ideal, eta)
+    assert again == built[0] and out["ADL_bracket"] == again.to_json()
+    want = assembly.main_term_scale(a_ideal, consts) * again.evaluate(consts.bindings(w, eta))
+    assert out["ADL_main"] == want
+
+
 def test_main_terms_at_a_large_prime_reads_logs_from_exponents(tmp_path, capsys):
     # log norm(p^2) is read from p's exponent: factoring norm(p^2) = q^2 by
     # trial division would take minutes at q = 1000000007

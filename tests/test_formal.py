@@ -121,3 +121,53 @@ def test_trusted_results_are_normal(n, coeff, rng):
     got = nt.n_transform(lambda m: nt.convolve_omega(A, m), n)
     _assert_normal(got)
     assert got.is_zero()
+
+
+# the arithmetic builds through FormalLog._trusted: each result is normal,
+# equals the sum or product formed coefficient by coefficient, and owns its dict
+
+SYMBOLS = ("log@2", "log@3", LOG_DF, "LpL")
+formal_logs = st.builds(FormalLog, rationals, st.dictionaries(st.sampled_from(SYMBOLS), rationals | st.just(0)))
+scalars = rationals | st.integers(-5, 5)
+
+
+def _by_coefficient(const, pairs):
+    coeffs = {}
+    for sym, c in pairs:
+        coeffs[sym] = coeffs.get(sym, 0) + c
+    return FormalLog(const, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formal_logs, formal_logs, scalars, st.booleans())
+def test_arithmetic_results_are_normal_and_fresh(x, y, s, cancel):
+    if cancel:   # y takes x's coefficients on some symbols, negated, so they cancel in x + y
+        y = FormalLog(y.const, {**y.coeffs, **{sym: -c for sym, c in list(x.coeffs.items())[::2]}})
+    neg_y = FormalLog(-y.const, {sym: -c for sym, c in y.coeffs.items()})
+    cases = [
+        (x + y, _by_coefficient(x.const + y.const, [*x.coeffs.items(), *y.coeffs.items()]), (x, y)),
+        (x - y, _by_coefficient(x.const - y.const, [*x.coeffs.items(), *neg_y.coeffs.items()]), (x, y)),
+        (-x, _by_coefficient(-x.const, [(sym, -c) for sym, c in x.coeffs.items()]), (x,)),
+        (x * s, _by_coefficient(x.const * s, [(sym, c * s) for sym, c in x.coeffs.items()]), (x,)),
+        (s * x, _by_coefficient(x.const * s, [(sym, c * s) for sym, c in x.coeffs.items()]), (x,)),
+        (x + s, _by_coefficient(x.const + s, x.coeffs.items()), (x,)),
+        (s + x, _by_coefficient(x.const + s, x.coeffs.items()), (x,)),
+        (x - s, _by_coefficient(x.const - s, x.coeffs.items()), (x,)),
+        (s - x, _by_coefficient(s - x.const, [(sym, -c) for sym, c in x.coeffs.items()]), (x,)),
+        (x - x, FormalLog.zero(), (x,)),
+        (x + (-x), FormalLog.zero(), (x,)),
+        (x * 0, FormalLog.zero(), (x,)),
+        (0 * x, FormalLog.zero(), (x,)),
+        (x * Fraction(0), FormalLog.zero(), (x,)),
+    ]
+    if s:
+        cases.append((x / s, _by_coefficient(x.const / s, [(sym, c / s) for sym, c in x.coeffs.items()]), (x,)))
+    for got, want, operands in cases:
+        _assert_normal(got)
+        assert (got.const, got.coeffs) == (want.const, want.coeffs)
+        assert all(got.coeffs is not op.coeffs for op in operands)
+    # a result's dict is its own: changing it changes no operand
+    before = (x.const, dict(x.coeffs))
+    for got, _want, _operands in cases:
+        got.coeffs["log@5"] = Fraction(1)
+    assert (x.const, x.coeffs) == before

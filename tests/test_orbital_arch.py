@@ -1,4 +1,6 @@
+import dataclasses
 import decimal
+import functools
 import math
 import random
 import sys
@@ -218,6 +220,14 @@ def test_j_plus_parts_vs_quadrature(l):
         assert abs(closed - quad) <= 1e-12 * abs(quad), (l, b, closed, quad)
 
 
+@pytest.mark.parametrize("l, b", [(12, Fraction(-101, 100)), (20, Fraction(-21, 20)), (26, Fraction(-21, 20))])
+def test_j_plus_quad_holds_its_tolerance_next_to_minus_one(l, b):
+    # the prefactor (1+b)^(-l/2) is 10^12 to 20^13 here; the oracle's error
+    # check, 1e-13 max(1, |J_+|), holds on J_+ itself, and |J_+| < 1
+    want = _exact_parts_on_mpmath(l, b, 50)[0]
+    assert abs(oa.j_plus_quad(l, float(b)) - want) <= 1e-10 * abs(want)
+
+
 def test_j_plus_parts_exact_example():
     # l = 6, b = 1: J_+ = -9 - 13 log(1/2), with no pi term since b(b+1) > 0
     assert oa.j_plus_parts(6, Fraction(1)) == oa.JPlusParts(Fraction(-9), Fraction(-13))
@@ -330,6 +340,64 @@ def test_residue_parts_exactness():
     # the coefficients are exact rationals; the assembled values are finite
     assert isinstance(parts.a_L2, Fraction)
     assert math.isfinite(abs(_exact_parts_on_mpmath(6, Fraction(10), 50)[1]))
+
+
+# residue_parts runs on integers; it must equal, field by field in value and
+# type, the Fraction arithmetic it replaced, kept here as a literal copy
+
+
+@functools.cache
+def _fraction_residue_weights(h):
+    out = []
+    for k in range(h):
+        c1 = math.comb(h + k - 1, k)
+        s = s_h = Fraction(0)
+        harmonic = Fraction(0)
+        for j in range(1, h - k):
+            cj = c1 * math.comb(h - 1, k + j) * Fraction((-1) ** j, j)
+            s += cj
+            s_h += cj * harmonic
+            harmonic += Fraction(1, j)
+        out.append((c1 * math.comb(h - 1, k), s, s_h))
+    return tuple(out)
+
+
+def _fraction_residue_parts(l, b):
+    h = l // 2
+    th_is_half = b * (b + 1) < 0
+    th_over_pi = Fraction(1, 2) if th_is_half else Fraction(3, 2)
+    a_const = Fraction(0)
+    a_L = Fraction(0)
+    a_L2 = Fraction(0)
+    a_pi2 = Fraction(0)
+    b_L = Fraction(0)
+    b_const = Fraction(0)
+    bk = b1k = Fraction(1)
+    for k, (c2, s, s_h) in enumerate(_fraction_residue_weights(h)):
+        sgn_b1k = b1k if (k + h) % 2 == 0 else -b1k
+        a_L2 += c2 * bk / 2
+        a_pi2 += -c2 * th_over_pi ** 2 * bk / 2 - Fraction(9, 8) * c2 * sgn_b1k
+        b_L += c2 * bk * th_over_pi
+        a_const += s_h * (bk + sgn_b1k)
+        a_L += -s * bk
+        b_const += -s * (Fraction(3, 2) * sgn_b1k + bk * th_over_pi)
+        bk *= b
+        b1k *= b + 1
+    return oa.ResidueParts(a_const, a_L, a_L2, a_pi2, b_L, b_const)
+
+
+_small = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 4).filter(bool).map(lambda x: x / 1000)
+residue_bs = st.one_of(_small.map(lambda x: x - 1), _small, st.just(Fraction(-1, 2)),
+                       st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 85).map(lambda h: 2 * h), residue_bs)
+def test_residue_parts_equal_their_fraction_form(l, b):
+    assume(b != 0 and b != -1)
+    got, want = oa.residue_parts(l, b), _fraction_residue_parts(l, b)
+    assert got == want
+    assert all(type(getattr(got, f.name)) is Fraction for f in dataclasses.fields(got))
 
 
 @pytest.mark.parametrize("dps", [1, 15, 50, 51, 76, 500, 2000])

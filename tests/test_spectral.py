@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtfverify import spectral as sp
 from rtfverify.errors import InertViolation, InputError
@@ -329,3 +330,44 @@ def test_rz_on_threads_bit_identical_to_serial():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == serial for r in results)
+
+
+# ---------------------------------------------------------------------------
+# partial_r_sum runs on integers; it must equal, in value and type, the
+# Fraction arithmetic it replaced, kept here as a literal copy
+
+
+def _fraction_partial_r_sum(rep, eta_val, k):
+    total = Fraction(0)
+    for j in range(1, k + 1):
+        dq = _fraction_dq_poly_at_one(j, rep, eta_val)
+        total = total + sp.q_poly_one(j, rep) * dq / sp.tau_jj(j, rep)
+    return total
+
+
+def _fraction_dq_poly_at_one(j, rep, eta_val):
+    q, c = rep.q, rep.c
+    e = eta_val
+    if c == 0 and j == 1:
+        return Fraction(e)
+    if c == 1:
+        cq = Fraction(rep.chi, q)
+        return e ** (j - 1) * ((j - 1) * (e - cq) + e)
+    if c == 0:
+        quad_at_1 = q - e * rep.Q * (q + 1) + 1
+        dquad_at_1 = 2 * q - e * rep.Q * (q + 1)
+        return Fraction(1, q) * e ** (j - 2) * ((j - 2) * quad_at_1 + dquad_at_1)
+    return Fraction(j) * e ** j
+
+
+satake = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(lambda Q: abs(Q) < 1)
+reps = st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.integers(0, 3), satake,
+                 st.sampled_from((1, -1))).map(
+    lambda t: sp.LocalRepData(q=t[0], c=t[1], Q=t[2] if t[1] == 0 else None, chi=t[3] if t[1] == 1 else None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reps, st.sampled_from((1, -1)), st.integers(1, sp.MAX_K))
+def test_partial_r_sum_equals_its_fraction_form(rep, eta_val, k):
+    got, want = sp.partial_r_sum(rep, eta_val, k), _fraction_partial_r_sum(rep, eta_val, k)
+    assert got == want and type(got) is type(want) is Fraction
