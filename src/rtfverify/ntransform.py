@@ -7,21 +7,18 @@ rational arithmetic; the closed forms for norm powers and for log-norm are
 checked against the defining sums elsewhere.
 
 The oracles stay the defining sums: B is evaluated at every ideal m of the
-sum, never replaced by an Euler product.  Only the weights are factored.  A
-term's weight omega * iota(m)/iota(n) is a product over places of a factor
-that depends on q_v, ord_v(n) and the exponent removed at v alone, so each
-place gets a short table of integers over one per-place denominator.  A
-term's weight is the product of its table entries, the sum is kept as an
-integer numerator over a running denominator (one per FormalLog symbol), and
-one Fraction is built per symbol at the end.
+sum, never replaced by an Euler product.  Only the weights are factored: a
+term's weight omega * iota(m)/iota(n) is a product of per-place integers over
+one denominator.  Each value B(m), and each of its FormalLog coefficients, is
+read once through as_integer_ratio() and added into an integer numerator over
+a running denominator, one per symbol; one Fraction is built per symbol.
 
-Several summands share one enumeration: n_transforms(Bs, n) builds the terms
-and each ideal m once, then sums every B over them in turn, each B meeting the
-ideals in the order of its one-item call n_transform(B, n), so the batch
-equals the one-item calls made in sequence.  The oracle memoises nothing: it
-calls each B at every m of every sum.  A caller that sums a pure B over many
-ideals whose sums share their m may tabulate B once per m and pass a lookup
-into that table as B; the sums are unchanged, since B(m) is.
+n_transforms(Bs, n) builds the terms and each ideal m once, then sums every B
+over them in turn, each B meeting the ideals in the order of its one-item
+call, so the batch equals the one-item calls made in sequence.  The oracle
+memoises nothing.  A caller that sums a pure B over many ideals whose sums
+share their m may tabulate B once per m and pass the table's lookup (a dict's
+__getitem__) as B; the sums are unchanged, since B(m) is.
 
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
@@ -119,8 +116,9 @@ def _weighted_sum(fns: Sequence[ArithFn], choices: list[list[Choice]], denom: in
 def _sum_terms(fn: ArithFn, terms: list[tuple[Ideal, int]], denom: int) -> Value:
     """sum of w * fn(m) / denom over the (m, w) terms.  A FormalLog is
     returned whenever any fn(m) is one, even if every coefficient cancels;
-    otherwise a Fraction."""
-    num, den = 0, 1   # the constant, as _accumulate keeps a symbol's pair
+    otherwise a Fraction.  The constant and each symbol keep an integer
+    numerator over the lcm of the denominators seen."""
+    num, den = 0, 1
     sums: dict[str, list[int]] = {}   # symbol -> [numerator, denominator]
     formal = False
     for m, w in terms:
@@ -128,34 +126,28 @@ def _sum_terms(fn: ArithFn, terms: list[tuple[Ideal, int]], denom: int) -> Value
         if isinstance(v, FormalLog):
             formal = True
             for sym, c in v.coeffs.items():
-                _accumulate(sums, sym, w, c)
+                cn, cd = c.as_integer_ratio()
+                pair = sums.get(sym)
+                if pair is None:
+                    sums[sym] = [w * cn, cd]
+                elif pair[1] == cd:
+                    pair[0] += w * cn
+                else:
+                    g = gcd(pair[1], cd)
+                    pair[0] = pair[0] * (cd // g) + w * cn * (pair[1] // g)
+                    pair[1] = pair[1] // g * cd
             v = v.const
-        d = v.denominator
-        if d == den:
-            num += w * v.numerator
+        vn, vd = v.as_integer_ratio()
+        if vd == den:
+            num += w * vn
         else:
-            g = gcd(den, d)
-            num = num * (d // g) + w * v.numerator * (den // g)
-            den = den // g * d
+            g = gcd(den, vd)
+            num = num * (vd // g) + w * vn * (den // g)
+            den = den // g * vd
     const = Fraction(num, den * denom)
     if not formal:
         return const
     return FormalLog._trusted(const, {sym: Fraction(a, b * denom) for sym, (a, b) in sums.items() if a})
-
-
-def _accumulate(sums: dict[str, list[int]], sym: str, w: int, c: Fraction | int) -> None:
-    """sums[sym] += w * c, as an integer numerator over the lcm of the denominators seen."""
-    pair = sums.get(sym)
-    if pair is None:
-        sums[sym] = [w * c.numerator, c.denominator]
-        return
-    den = c.denominator
-    if pair[1] == den:
-        pair[0] += w * c.numerator
-    else:
-        g = gcd(pair[1], den)
-        pair[0] = pair[0] * (den // g) + w * c.numerator * (pair[1] // g)
-        pair[1] = pair[1] // g * den
 
 
 def n_transform(B: ArithFn, n: Ideal) -> Value:

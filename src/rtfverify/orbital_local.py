@@ -13,6 +13,10 @@ eta(varpi) = -1 is defined as the value of its shell sum,
 The opposite-sign variant fails to specialise to the level-support integral
 at conductor exponent one and is rejected by the oracle.
 
+Every shell coefficient is an integer: tilde_delta and tilde_delta_oracle are
+Fraction views of integer cores, which the two tilde-I sums add into one
+integer numerator, building one Fraction.
+
 Every value is in units of the local volume vol(O_v^x).
 """
 from __future__ import annotations
@@ -86,13 +90,26 @@ def tau_S_rational(u: int, v: int, bset_norm: int) -> int:
 # shell sums: the elementary integrals everything reduces to
 
 
-def shell_sum(eta_val: int, lo: int, hi: int) -> Fraction:
+def shell_sum(eta_val: int, lo: int, hi: int) -> int:
     """sum_(k=lo..hi) eta(varpi)^k * k  — the t-integral of eta(t) log|t|
     over lo <= ord(t) <= hi, divided by (-log q) vol(O^x)."""
-    total = 0
-    for k in range(lo, hi + 1):
-        total += k if (eta_val == 1 or k % 2 == 0) else -k
-    return Fraction(total)
+    return sum(k if (eta_val == 1 or k % 2 == 0) else -k for k in range(lo, hi + 1))
+
+
+def _tilde_delta_int(n: int, point: LocalPoint, eta_val: int) -> int:
+    """delta-tilde_n(b), n >= 0, as the integer it is: at n = 0 it is
+    -ordb (ordb + 1)/2 at eta = +1 and (1 - eb - 2 ordb eb)/4 at eta = -1,
+    eb = eta(b) = (-1)^ordb, both exact divisions."""
+    if n >= 1:
+        if point.ordb <= -n:
+            return 0
+        return eta_at(eta_val, n) * eta_at(eta_val, point.ordb) * (-n - point.ordb)
+    if point.ordb <= 0:
+        return 0
+    if eta_val == 1:
+        return -point.ordb * (point.ordb + 1) // 2
+    eb = eta_at(-1, point.ordb)
+    return (1 - eb - 2 * point.ordb * eb) // 4
 
 
 def tilde_delta(n: int, point: LocalPoint, eta_val: int) -> Fraction:
@@ -102,32 +119,28 @@ def tilde_delta(n: int, point: LocalPoint, eta_val: int) -> Fraction:
     n = 0:  the integral-consistent value (see module docstring).
     """
     if n < 0:
-        raise ValueError("n >= 0 required")
-    if n >= 1:
-        if point.ordb <= -n:
-            return Fraction(0)
-        return Fraction(eta_at(eta_val, n) * eta_at(eta_val, point.ordb) * (-n - point.ordb))
-    if point.ordb <= 0:
-        return Fraction(0)
-    if eta_val == 1:
-        return Fraction(-point.ordb * (point.ordb + 1), 2)
-    eb = eta_at(-1, point.ordb)
-    return Fraction(1 - eb, 4) - Fraction(point.ordb * eb, 2)
+        raise InputError(f"tilde_delta wants n >= 0, got n={n}")
+    return Fraction(_tilde_delta_int(n, point, eta_val))
+
+
+def _tilde_delta_oracle_int(n: int, point: LocalPoint, eta_val: int) -> int:
+    """The shell sums of tilde_delta_oracle, as integers."""
+    if n == 0:
+        # shells ord(t) = 0 .. ord(b), requires |b| < 1
+        if point.ordb <= 0:
+            return 0
+        return -shell_sum(eta_val, 0, point.ordb)
+    # single shell ord(t) = n + ord(b), requires |b| <= q^n
+    if point.ordb < -n:
+        return 0
+    k = n + point.ordb
+    return -eta_at(eta_val, k) * k
 
 
 def tilde_delta_oracle(n: int, point: LocalPoint, eta_val: int) -> Fraction:
     """Shell-sum oracle: the t-integral over |t| <= 1, sup(1, |b|/|t|) = q^n,
     divided by vol * log q."""
-    if n == 0:
-        # shells ord(t) = 0 .. ord(b), requires |b| < 1
-        if point.ordb <= 0:
-            return Fraction(0)
-        return -shell_sum(eta_val, 0, point.ordb)
-    # single shell ord(t) = n + ord(b), requires |b| <= q^n
-    if point.ordb < -n:
-        return Fraction(0)
-    k = n + point.ordb
-    return Fraction(-eta_at(eta_val, k) * k)
+    return Fraction(_tilde_delta_oracle_int(n, point, eta_val))
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +150,23 @@ def tilde_delta_oracle(n: int, point: LocalPoint, eta_val: int) -> Fraction:
 def tilde_I_plus_scaled(m: int, point: LocalPoint, q: int, eta_val: int) -> Fraction:
     """q^(m/2)/(vol log q) times the closed form: exactly rational."""
     if m < 0:
-        raise ValueError("m >= 0 required")
-    double = 2 if m == 0 else 1
-    total = -tilde_delta(m, point, eta_val)
+        raise InputError(f"tilde_I_plus_scaled wants m >= 0, got m={m}")
+    total = -_tilde_delta_int(m, point, eta_val)
     for l in range(max(0, 1 - point.ordb), m):
-        total += ((m - l - 1) * q - (m - l + 1)) * tilde_delta(l, point, eta_val)
-    return Fraction(double) * total
+        total += ((m - l - 1) * q - (m - l + 1)) * _tilde_delta_int(l, point, eta_val)
+    return Fraction(2 * total if m == 0 else total)
 
 
 def tilde_I_plus_oracle_scaled(m: int, point: LocalPoint, q: int, eta_val: int) -> Fraction:
     """Shell-sum oracle for tilde_I_plus_scaled, m >= 1: sums the transformed
     kernel coefficients against the elementary t-integrals."""
     if m < 1:
-        raise ValueError("oracle defined for m >= 1")
-    total = Fraction(0)
+        raise InputError(f"tilde_I_plus_oracle_scaled is defined for m >= 1, got m={m}")
     # level m shell pattern
-    total += -tilde_delta_oracle(m, point, eta_val)
+    total = -_tilde_delta_oracle_int(m, point, eta_val)
     for l in range(0, m):
-        total += ((m - l - 1) * q - (m - l + 1)) * tilde_delta_oracle(l, point, eta_val)
-    return total
+        total += ((m - l - 1) * q - (m - l + 1)) * _tilde_delta_oracle_int(l, point, eta_val)
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------

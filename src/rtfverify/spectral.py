@@ -19,10 +19,11 @@ the removable singularity.  r_z_sum keeps eta, so it checks that identity too.
 
 Both run on integers at X = a/b.  The defining sum takes each term
 q_poly_one(j) * Q_j(a/b) / tau_jj(j) as an integer pair, Q_j's denominators
-b^j, q and Q's denominator cleared, and adds the terms into one numerator over
-a running denominator.  The closed forms write each case's expression as one
-integer numerator over one denominator, its geometric sums in closed form.
-Either way one Fraction is built per result.  partial_r_sum, the oracle for
+b^j, q and Q's denominator cleared and the X-free factor read from one bounded
+cache per (datum, k), and adds the terms into one numerator over a running
+denominator.  The closed forms write each case's expression as one integer
+numerator over one denominator, its geometric sums in closed form.  Either way
+one Fraction is built per result.  partial_r_sum, the oracle for
 the derivative partial_r, is the defining sum's term-by-term derivative at
 X = 1, added the same way.
 """
@@ -40,7 +41,7 @@ from .ideals import Ideal, Prime, QuadCharData, omega_pair, residue_cardinality,
 from .ntransform import log_norm
 
 MAX_K = 64
-REP_CACHE_SIZE = 256   # (j, rep) entries; one datum of r_z_sum uses k + 1 <= MAX_K + 1
+REP_CACHE_SIZE = 256   # (rep, k) entries of _weight_pairs; one datum at k fills k + 1 <= MAX_K + 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class LocalRepData:
         else:
             if self.Q is not None or self.chi is not None:
                 raise InputError(f"c>=2 carries no parameter, got Q={self.Q}, chi={self.chi}")
-        # hashed once: the caches of q_poly_one and tau_jj hash the datum on
-        # every call, and a Fraction Q hashes in Python
+        # hashed once: the cache of _weight_pairs hashes the datum on every
+        # call, and a Fraction Q hashes in Python
         object.__setattr__(self, "_hash", hash((self.q, self.c, self.Q, self.chi)))
 
     def __hash__(self):
@@ -82,9 +83,12 @@ class LocalRepData:
         return LocalRepData, (self.q, self.c, self.Q, self.chi)
 
 
-def _check_k(k: int):
+def _check_k(name: str, k: int, eta_val: int) -> None:
+    """The domain every k-indexed weight shares: 1 <= k <= MAX_K, eta = +-1."""
     if not 1 <= k <= MAX_K:
         raise InputError(f"k must lie in [1, {MAX_K}], got k={k}")
+    if eta_val not in (1, -1):
+        raise InputError(f"{name} wants eta_val = +-1, got eta_val={eta_val!r}")
 
 
 def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Fraction) -> Fraction:
@@ -105,15 +109,13 @@ def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Fraction) -> Fraction:
     return eta_val ** j * X ** j
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
 def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
     """Q_j evaluated for the trivial character at X = 1."""
     return q_poly(j, rep, 1, Fraction(1))
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
 def tau_jj(j: int, rep: LocalRepData) -> Fraction:
-    if j < 0:    # an internal invariant: _defining_sum passes 0 <= j <= k
+    if j < 0:    # an internal invariant: _weight_pairs passes 0 <= j <= k
         raise ValueError("j >= 0 required")
     if j == 0 or rep.c >= 2:
         return Fraction(1)
@@ -125,9 +127,7 @@ def tau_jj(j: int, rep: LocalRepData) -> Fraction:
 
 
 def _check_r_z_args(name: str, k: int, eta_val: int, X) -> None:
-    _check_k(k)
-    if eta_val not in (1, -1):
-        raise InputError(f"{name} wants eta_val = +-1, got eta_val={eta_val!r}")
+    _check_k(name, k, eta_val)
     if not isinstance(X, (int, Fraction)):
         raise InputError(f"{name} wants a rational X, got {type(X).__name__} X={X!r}")
 
@@ -177,16 +177,28 @@ def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tup
     return ea ** j, b ** j
 
 
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def _weight_pairs(rep: LocalRepData, k: int) -> tuple[tuple[int, int], ...]:
+    """q_poly_one(j) / tau_jj(j) for 0 <= j <= k as unreduced integer pairs,
+    extending the cached entry for k - 1, so a table over k = 1, 2, ...
+    forms each pair once."""
+    one, tau = q_poly_one(k, rep), tau_jj(k, rep)
+    pair = (one.numerator * tau.denominator, one.denominator * tau.numerator)
+    return (_weight_pairs(rep, k - 1) if k else ()) + (pair,)
+
+
 def _defining_sum(rep: LocalRepData, k: int, first: int, pair) -> Fraction:
     """sum_(first <= j <= k) q_poly_one(j) P_j / tau_jj(j), with P_j given by
-    pair(j) as an integer pair (numerator, denominator).  Each term is an
-    integer pair, added into one numerator over a running denominator (the
-    lcm of the terms' denominators); one Fraction is built at the end."""
+    pair(j) as an integer pair (numerator, denominator) and the X-free factor
+    read from _weight_pairs.  Each term is an integer pair, added into one
+    numerator over a running denominator (the lcm of the terms'
+    denominators); one Fraction is built at the end."""
     num, den = 0, 1
+    weights = _weight_pairs(rep, k)
     for j in range(first, k + 1):
-        one, tau = q_poly_one(j, rep), tau_jj(j, rep)
+        wn, wd = weights[j]
         pn, pd = pair(j)
-        tn, td = one.numerator * tau.denominator * pn, one.denominator * tau.numerator * pd
+        tn, td = wn * pn, wd * pd
         if td == den:
             num += tn
         else:
@@ -207,7 +219,7 @@ def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fract
 
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1."""
-    _check_k(k)
+    _check_k("partial_r", k, eta_val)
     q, c = rep.q, rep.c
     sgn = (-1) ** k
     if eta_val == -1:
@@ -241,7 +253,7 @@ def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     sum, sum_(1 <= j <= k) q_poly_one(j) Q_j'(eta, 1) / tau_jj(j), with each
     Q_j'(eta, 1) an integer pair (_dq_poly_pair) and the terms added on
     integers (see _defining_sum)."""
-    _check_k(k)
+    _check_k("partial_r_sum", k, eta_val)
     return _defining_sum(rep, k, 1, lambda j: _dq_poly_pair(j, rep, eta_val))
 
 

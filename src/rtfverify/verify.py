@@ -91,14 +91,14 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
     checked = 0
     # The ideals p^a q^b r^c s^d, 0 <= a, b, c, d <= 6, one parity class of
     # (a, b, c, d) at a time.  Every m of a sum over n is n with some exponents
-    # lowered by 2, still >= 0, so it lies in n's class: the table holds each
-    # summand at every m the sums meet, evaluated once per ideal, and the
-    # summands are pure, so the sums keep their exact values.
+    # lowered by 2, still >= 0, so it lies in n's class: each summand's table
+    # (a dict from m to its value, read through its __getitem__) holds it at
+    # every m the sums meet, evaluated once per ideal, and the summands are
+    # pure, so the sums keep their exact values.
     for parities in product((0, 1), repeat=4):
         grid = [Ideal(pair for pair in pairs if pair[1])   # from shared (prime, exponent) pairs
                 for pairs in product(*[[(p, e) for e in range(par, 7, 2)] for p, par in zip(primes, parities)])]
-        table = {m: tuple(B(m) for B in summands) for m in grid}
-        lookups = [lambda m, i=i: table[m][i] for i in range(len(summands))]
+        lookups = [{m: B(m) for m in grid}.__getitem__ for B in summands]
         for n in grid:
             closed = [ntransform.closed_power(n, t) for t in ts] + [ntransform.closed_log(n)]
             bad += sum(got != want for got, want in zip(ntransform.n_transforms(lookups, n), closed))
@@ -317,21 +317,12 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
     out = []
     pts = orbital_local.enumerate_points(12)
 
-    bad = 0
-    for q in QS:
-        for eta_val in (-1, 1):
-            for pt in pts:
-                if orbital_local.w_unramified(pt, q, eta_val) != orbital_local.w_unramified_oracle(pt, q, eta_val):
-                    bad += 1
+    bad = sum(orbital_local.w_unramified(pt, q, eta_val) != orbital_local.w_unramified_oracle(pt, q, eta_val)
+              for q, eta_val, pt in product(QS, (-1, 1), pts))
     out.append(CheckResult("orbital.w-unramified-exact", bad == 0, f"{bad} failures"))
 
-    bad = 0
-    for q in QS:
-        for eta_val in (-1, 1):
-            for ordn in range(1, 7):
-                for pt in pts:
-                    if orbital_local.w_level(pt, ordn, q, eta_val) != orbital_local.w_level_oracle(pt, ordn, q, eta_val):
-                        bad += 1
+    bad = sum(orbital_local.w_level(pt, ordn, q, eta_val) != orbital_local.w_level_oracle(pt, ordn, q, eta_val)
+              for q, eta_val, ordn, pt in product(QS, (-1, 1), range(1, 7), pts))
     out.append(CheckResult("orbital.w-level-exact", bad == 0, f"{bad} failures"))
 
     worst = 0.0
@@ -350,15 +341,9 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
                                 worst = max(worst, w / bnd)
     out.append(CheckResult("orbital.w-ramified-bound", worst <= 1.0, f"max |W|/bound {worst:.3f} (constant 6 included)"))
 
-    bad = 0
-    for q in QS:
-        for eta_val in (-1, 1):
-            for m in range(1, 7):
-                for pt in pts:
-                    a = orbital_local.tilde_I_plus_scaled(m, pt, q, eta_val)
-                    b = orbital_local.tilde_I_plus_oracle_scaled(m, pt, q, eta_val)
-                    if a != b:
-                        bad += 1
+    bad = sum(orbital_local.tilde_I_plus_scaled(m, pt, q, eta_val)
+              != orbital_local.tilde_I_plus_oracle_scaled(m, pt, q, eta_val)
+              for q, eta_val, m, pt in product(QS, (-1, 1), range(1, 7), pts))
     out.append(CheckResult("orbital.tilde-I-plus-vs-shell-oracle", bad == 0, f"{bad} failures"))
 
     bad = 0

@@ -141,6 +141,7 @@ TEST_ORACLES = {
     "testfns.laurent_alpha_pn",         # decompose_alpha
     "testfns.laurent_decomposition",    # decompose_alpha
     "testfns.upsilon_over_unip_kernel", # dunip_kernel
+    "orbital_local.tilde_delta_oracle", # tilde_delta; the tilde-I oracle sums its integer core
 }
 # Public methods that no command reaches, each kept for one unit test.
 TEST_REFERENCE_METHODS = {
@@ -239,8 +240,7 @@ INDEPENDENT_PAIRS = {
                                                               "ideals.residue_cardinality"},
     ("ntransform.convolve_omega", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
                                                               "ideals.Prime", "ideals.residue_cardinality",
-                                                              "ntransform._accumulate", "ntransform._sum_terms",
-                                                              "ntransform._weighted_sum"},
+                                                              "ntransform._sum_terms", "ntransform._weighted_sum"},
     ("spectral.r_z", "spectral.r_z_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                            "spectral._check_k", "spectral._check_r_z_args"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtfverify import orbital_local as ol
+from rtfverify.errors import InputError
 from rtfverify.formal import FormalLog
 
 
@@ -174,3 +176,95 @@ def test_w_level_stated_bound():
                         continue
                     env = (point.ordb + ordn + 1) ** 2
                     assert w <= env * math.log(q) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the shell coefficients and the tilde-I sums run on integers; they must
+# equal, in value and type, the Fraction arithmetic they replaced, kept here
+# as a literal copy
+
+
+def _fraction_shell_sum(eta_val, lo, hi):
+    total = 0
+    for k in range(lo, hi + 1):
+        total += k if (eta_val == 1 or k % 2 == 0) else -k
+    return Fraction(total)
+
+
+def _fraction_tilde_delta(n, point, eta_val):
+    if n >= 1:
+        if point.ordb <= -n:
+            return Fraction(0)
+        return Fraction(ol.eta_at(eta_val, n) * ol.eta_at(eta_val, point.ordb) * (-n - point.ordb))
+    if point.ordb <= 0:
+        return Fraction(0)
+    if eta_val == 1:
+        return Fraction(-point.ordb * (point.ordb + 1), 2)
+    eb = ol.eta_at(-1, point.ordb)
+    return Fraction(1 - eb, 4) - Fraction(point.ordb * eb, 2)
+
+
+def _fraction_tilde_delta_oracle(n, point, eta_val):
+    if n == 0:
+        if point.ordb <= 0:
+            return Fraction(0)
+        return -_fraction_shell_sum(eta_val, 0, point.ordb)
+    if point.ordb < -n:
+        return Fraction(0)
+    k = n + point.ordb
+    return Fraction(-ol.eta_at(eta_val, k) * k)
+
+
+def _fraction_tilde_I_plus_scaled(m, point, q, eta_val):
+    double = 2 if m == 0 else 1
+    total = -_fraction_tilde_delta(m, point, eta_val)
+    for l in range(max(0, 1 - point.ordb), m):
+        total += ((m - l - 1) * q - (m - l + 1)) * _fraction_tilde_delta(l, point, eta_val)
+    return Fraction(double) * total
+
+
+def _fraction_tilde_I_plus_oracle_scaled(m, point, q, eta_val):
+    total = Fraction(0)
+    total += -_fraction_tilde_delta_oracle(m, point, eta_val)
+    for l in range(0, m):
+        total += ((m - l - 1) * q - (m - l + 1)) * _fraction_tilde_delta_oracle(l, point, eta_val)
+    return total
+
+
+@st.composite
+def local_points(draw):
+    kind, k = draw(st.sampled_from(("b", "b+1", "pole", "unit"))), draw(st.integers(1, 40))
+    return {"b": ol.LocalPoint(k, 0), "b+1": ol.LocalPoint(0, k), "pole": ol.LocalPoint(-k, -k),
+            "unit": ol.LocalPoint(0, 0)}[kind]
+
+
+def _same(got, want):
+    assert got == want and type(got) is type(want) is Fraction, (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_points(), st.integers(0, 40), st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 10 ** 9 + 7)),
+       st.sampled_from((1, -1)))
+def test_integer_shell_sums_equal_their_fraction_form(point, m, q, eta_val):
+    _same(ol.tilde_delta(m, point, eta_val), _fraction_tilde_delta(m, point, eta_val))
+    _same(ol.tilde_delta_oracle(m, point, eta_val), _fraction_tilde_delta_oracle(m, point, eta_val))
+    _same(ol.tilde_I_plus_scaled(m, point, q, eta_val), _fraction_tilde_I_plus_scaled(m, point, q, eta_val))
+    if m >= 1:
+        _same(ol.tilde_I_plus_oracle_scaled(m, point, q, eta_val),
+              _fraction_tilde_I_plus_oracle_scaled(m, point, q, eta_val))
+    # shell_sum is an int now; the two log-sum oracles read it as before
+    assert ol.w_unramified_oracle(point, q, eta_val) == FormalLog.log_integer(
+        q, 0 if point.ordb < 0 else -_fraction_shell_sum(eta_val, 1, point.ordb)
+        - _fraction_shell_sum(eta_val, -point.ordb1, -1))
+    ordn = m + 1
+    want = 0 if point.ordb < ordn else -_fraction_shell_sum(eta_val, ordn, point.ordb)
+    assert ol.w_level_oracle(point, ordn, q, eta_val) == FormalLog.log_integer(q, want)
+
+
+def test_shell_coefficient_guards_name_their_value():
+    point = ol.LocalPoint(2, 0)
+    for call, text in ((lambda: ol.tilde_delta(-1, point, 1), "n=-1"),
+                       (lambda: ol.tilde_I_plus_scaled(-2, point, 3, 1), "m=-2"),
+                       (lambda: ol.tilde_I_plus_oracle_scaled(0, point, 3, 1), "m=0")):
+        with pytest.raises(InputError, match=f"got {text}$"):
+            call()

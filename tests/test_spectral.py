@@ -198,7 +198,8 @@ def test_rep_validation_and_k_cap():
 
 
 # ---------------------------------------------------------------------------
-# the X-free factors of r_z_sum are cached; results must not move
+# the X-free factors of r_z_sum are cached as integer pairs; results must
+# not move
 
 
 def _bits(x):
@@ -206,8 +207,7 @@ def _bits(x):
 
 
 def _uncached_r_z_sum(rep, eta_val, k, X):
-    q_one, tau = sp.q_poly_one.__wrapped__, sp.tau_jj.__wrapped__
-    return sum((q_one(j, rep) * sp.q_poly(j, rep, eta_val, X)) / tau(j, rep) for j in range(k + 1))
+    return sum((sp.q_poly_one(j, rep) * sp.q_poly(j, rep, eta_val, X)) / sp.tau_jj(j, rep) for j in range(k + 1))
 
 
 def _suite_weights_inputs(seed):
@@ -304,10 +304,20 @@ def test_rep_hash_is_taken_once_and_rebuilt_on_unpickling():
 
 
 def test_rep_caches_are_bounded():
-    for fn in (sp.q_poly_one, sp.tau_jj):
-        assert fn.cache_info().maxsize == sp.REP_CACHE_SIZE
-        for j in range(4):
-            assert _bits(fn(j, REP0)) == _bits(fn.__wrapped__(j, REP0))
+    fn = sp._weight_pairs
+    assert fn.cache_info().maxsize == sp.REP_CACHE_SIZE
+    fn.cache_clear()
+    for rep in (REP0, REP1, REP2):
+        for k in (*range(8), sp.MAX_K):
+            got = fn(rep, k)
+            assert got == fn.__wrapped__(rep, k) and len(got) == k + 1
+            for j, (a, b) in enumerate(got):
+                assert Fraction(a, b) == sp.q_poly_one(j, rep) / sp.tau_jj(j, rep)
+    assert fn.cache_info().currsize <= sp.REP_CACHE_SIZE
+    for k in range(sp.MAX_K + 1):   # more (rep, k) entries than the cache holds
+        fn(sp.LocalRepData(q=5, c=0, Q=Fraction(k, 100)), k)
+        fn(sp.LocalRepData(q=7, c=0, Q=Fraction(k, 100)), k)
+    assert fn.cache_info().currsize == sp.REP_CACHE_SIZE
 
 
 def test_rz_on_threads_bit_identical_to_serial():
@@ -322,8 +332,7 @@ def test_rz_on_threads_bit_identical_to_serial():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for fn in (sp.q_poly_one, sp.tau_jj):
-            fn.cache_clear()
+        sp._weight_pairs.cache_clear()
         with ThreadPoolExecutor(4) as pool:
             futures = [pool.submit(run, shift) for shift in (0, 97, 311, 503)]
             results = [f.result(timeout=120) for f in futures]
@@ -371,3 +380,29 @@ reps = st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.integers(0, 
 def test_partial_r_sum_equals_its_fraction_form(rep, eta_val, k):
     got, want = sp.partial_r_sum(rep, eta_val, k), _fraction_partial_r_sum(rep, eta_val, k)
     assert got == want and type(got) is type(want) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(reps, st.sampled_from((1, -1)), st.integers(1, sp.MAX_K),
+       st.fractions(min_value=-60, max_value=60, max_denominator=40), st.booleans())
+def test_r_z_sum_equals_its_fraction_form(rep, eta_val, k, X, cold):
+    """With the X-free factors built afresh (cold) or extended from the
+    cached entry for k - 1, and then read from the cache."""
+    if cold:
+        sp._weight_pairs.cache_clear()
+    else:
+        sp._weight_pairs(rep, k - 1)
+    for _ in range(2):
+        got, want = sp.r_z_sum(rep, eta_val, k, X), _uncached_r_z_sum(rep, eta_val, k, X)
+        assert got == want and type(got) is type(want) is Fraction
+
+
+@pytest.mark.parametrize("eta_val", [0, 2, -2])
+def test_k_indexed_weights_refuse_an_eta_off_plus_minus_one(eta_val):
+    # partial_r used to read eta 0 as +1, and partial_r_sum summed at it
+    calls = {"r_z": lambda: sp.r_z(REP0, eta_val, 3, 1), "r_z_sum": lambda: sp.r_z_sum(REP0, eta_val, 3, 1),
+             "partial_r": lambda: sp.partial_r(REP0, eta_val, 3),
+             "partial_r_sum": lambda: sp.partial_r_sum(REP0, eta_val, 3)}
+    for name, call in calls.items():
+        with pytest.raises(InputError, match=rf"^{name} wants eta_val = \+-1, got eta_val={eta_val}$"):
+            call()
