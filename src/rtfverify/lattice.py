@@ -364,8 +364,7 @@ def minkowski_sandwich_ok(lat: EmbeddedLattice) -> bool:
 def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float], theta_value: float) -> dict:
     """Containment-based audits of theta_value = theta(lat, l, R)["value"]:
     the theta-estimate ratio, the covering inequality, submultiplicativity
-    of f (on seeded random pairs), the Minkowski sandwich."""
-    rng = np.random.default_rng(0)
+    of f (on 10,000 Kronecker-sequence pairs), the Minkowski sandwich."""
     d = lat.d
     l = list(l)
     r0, r1 = min_vector_radius(lat0), min_vector_radius(lat)
@@ -377,8 +376,10 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
     if not 0 < envelope < math.inf:
         raise DomainError(f"the theta envelope at l={l}, covolume {D1:.6g} is outside the float range")
     covering_rhs = ball_integral(r0, l) ** -1 * ball_integral(r1, l, outside=True)
-    xs = rng.uniform(-5, 5, size=(10_000, d))
-    ys = rng.uniform(-5, 5, size=(10_000, d))
+    # frac(k alpha), k = 1..10^4, alpha_j = 2^(j/(2d+1)), j = 1..2d: 1 and the
+    # alpha_j are rationally independent, so the pairs fill [-5, 5]^d evenly
+    pts = 10 * (np.arange(1, 10_001)[:, None] * 2.0 ** (np.arange(1, 2 * d + 1) / (2 * d + 1)) % 1.0) - 5
+    xs, ys = pts[:, :d], pts[:, d:]
     fx = _f_values(xs, l) * _f_values(ys, l)
     fxy = _f_values(xs + ys, l)
     submult_ok = bool(np.all(fxy >= fx - 1e-15))

@@ -13,12 +13,11 @@ one denominator.  Each value B(m), and each of its FormalLog coefficients, is
 read once through as_integer_ratio() and added into an integer numerator over
 a running denominator, one per symbol; one Fraction is built per symbol.
 
-n_transforms(Bs, n) builds the terms and each ideal m once, then sums every B
-over them in turn, each B meeting the ideals in the order of its one-item
-call, so the batch equals the one-item calls made in sequence.  The oracle
-memoises nothing.  A caller that sums a pure B over many ideals whose sums
-share their m may tabulate B once per m and pass the table's lookup (a dict's
-__getitem__) as B; the sums are unchanged, since B(m) is.
+n_transform_box(B, box) gives n_transform(B, n) at every ideal n of a box,
+whose exponents run in steps of 2 from 0 or 1 at each place, so every m of
+every sum lies in it.  It evaluates B once per ideal and sums by Yates's
+algorithm (the fast Moebius transform), one integer pass per place; it
+assumes nothing about B, so it stays the defining sum.
 
 The closed forms are products over the places of n.  Each is one integer
 numerator and one integer denominator, multiplied place by place, with one
@@ -34,17 +33,17 @@ norm^t at an integer t is an integer power (norm^0 is one shared Fraction(1)),
 and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
 factorisation and symbols read from a cache keyed by q (one entry per residue
 cardinality seen).  A log_norm value shares its constant 0 and its small
-integer coefficients with every other: Fractions are immutable, so a table of
-summand values holds one copy of each.
+integer coefficients with every other: Fractions are immutable, so all the
+values of a box hold one copy of each.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
-from .errors import NonRationalPower
+from .errors import InputError, NonRationalPower
 from .formal import FormalLog, _factor_small
 from .ideals import Ideal, Prime
 
@@ -59,16 +58,20 @@ Choice = tuple[tuple[tuple[Prime, int], ...], int]
 ArithFn = Callable[[Ideal], Value]
 
 
+def _removal_denom(q: int, e: int) -> int:
+    """d with omega_v(p, n0) * iota ratio = 1/d for removing p^2 from p^e,
+    e >= 2: (q+1)/(q-1) * 1/((1+q)q) = 1/(q(q-1)) at e == 2, 1/q^2 above."""
+    return q * (q - 1) if e == 2 else q * q
+
+
 def _subset_choices(n: Ideal, sign: int) -> tuple[list[list[Choice]], int]:
     """Per place of n: keep p^e, or (when e >= 2) remove p^2 with weight
-    sign * omega_v(p, n0) * iota ratio.  That weight is
-    sign * (q+1)/(q-1) * 1/((1+q)q) = sign/(q(q-1)) at e == 2 and sign/q^2 at
-    e >= 3; over the place's denominator d it is (keep: d, remove: sign)."""
+    sign/d; over the place's denominator d it is (keep: d, remove: sign)."""
     choices, denom = [], 1
     for p, e in n:
         opts = [(((p, e),), 1)]
         if e >= 2:
-            d = p.q * (p.q - 1) if e == 2 else p.q ** 2
+            d = _removal_denom(p.q, e)
             opts = [(((p, e),), d), (((p, e - 2),) if e > 2 else (), sign)]
             denom *= d
         choices.append(opts)
@@ -90,39 +93,23 @@ def _divisor_choices(n: Ideal) -> tuple[list[list[Choice]], int]:
     return choices, denom
 
 
-def _weighted_sum(fns: Sequence[ArithFn], choices: list[list[Choice]], denom: int,
-                  first_fastest: bool) -> list[Value]:
-    """For each fn of fns, the sum over one option per place of
-    (product of the weights) * fn(m) / denom.
-
-    The terms and their ideals m are built once and shared by every fn.  They
-    run with the first place's option varying fastest (the subset masks of
-    n_transform) or the last (the divisor order of convolve_omega), and each
-    fn is summed over all of them before the next fn starts, so a fn with side
-    effects, such as a lazily drawn random function, meets the ideals in the
-    same fixed order whatever else is in fns.
-    """
+def _weighted_sum(fn: ArithFn, choices: list[list[Choice]], denom: int, first_fastest: bool) -> Value:
+    """The sum over one option per place of (product of the weights) * fn(m)
+    / denom, the first place's option varying fastest or the last.  It is a
+    FormalLog whenever any fn(m) is one, even if every coefficient cancels;
+    the constant and each symbol keep an integer numerator over the lcm of
+    the denominators seen."""
     terms: list[tuple[tuple, int]] = [((), 1)]
     for opts in choices:
         if first_fastest:
             terms = [(exps + entry, w * c) for entry, c in opts for exps, w in terms]
         else:
             terms = [(exps + entry, w * c) for exps, w in terms for entry, c in opts]
-    # each exps keeps n's sorted order and drops zero exponents
-    terms = [(Ideal(exps), w) for exps, w in terms]
-    return [_sum_terms(fn, terms, denom) for fn in fns]
-
-
-def _sum_terms(fn: ArithFn, terms: list[tuple[Ideal, int]], denom: int) -> Value:
-    """sum of w * fn(m) / denom over the (m, w) terms.  A FormalLog is
-    returned whenever any fn(m) is one, even if every coefficient cancels;
-    otherwise a Fraction.  The constant and each symbol keep an integer
-    numerator over the lcm of the denominators seen."""
     num, den = 0, 1
     sums: dict[str, list[int]] = {}   # symbol -> [numerator, denominator]
     formal = False
-    for m, w in terms:
-        v = fn(m)
+    for exps, w in terms:
+        v = fn(Ideal(exps))   # each exps keeps n's sorted order and drops zero exponents
         if isinstance(v, FormalLog):
             formal = True
             for sym, c in v.coeffs.items():
@@ -156,17 +143,53 @@ def n_transform(B: ArithFn, n: Ideal) -> Value:
         sum_{I subset S(n1)} (-1)^|I| prod_{v in I cap S1(n1)} omega_v(n0)
                              * iota(m)/iota(n) * B(m),   m = n prod_{v in I} p_v^-2.
     """
-    return _weighted_sum((B,), *_subset_choices(n, -1), first_fastest=True)[0]
+    return _weighted_sum(B, *_subset_choices(n, -1), first_fastest=True)
 
 
-def n_transforms(Bs: Sequence[ArithFn], n: Ideal) -> list[Value]:
-    """[n_transform(B, n) for B in Bs], over one enumeration of the subsets."""
-    return _weighted_sum(Bs, *_subset_choices(n, -1), first_fastest=True)
+def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Ideal, Value]:
+    """{n: n_transform(B, n)} at every ideal n = prod p^e, e in es, of the
+    box's distinct places (p, es), each es a non-empty range in steps of 2
+    from 0 or 1.  With L = q^2(q-1), each place makes one integer pass,
+    V(e) <- L V(e) - (L/d) V(e-2) at e >= 2 and L V(e) below, over one
+    numerator per ideal and symbol and one common denominator per symbol."""
+    box = sorted(box, key=lambda place: place[0])
+    if len({p.id for p, _ in box}) < len(box) or any(not es or es.step != 2 or es.start not in (0, 1) for _, es in box):
+        raise InputError(f"a box has distinct places, each with exponents in steps of 2 from 0 or 1, got {box}")
+    ideals: list = [()]
+    for p, es in box:   # the last place varies fastest
+        ideals = [m + ((p, e),) if e else m for m in ideals for e in es]
+    ideals = [Ideal(m) for m in ideals]
+    values = [B(m) for m in ideals]
+    formal = [isinstance(v, FormalLog) for v in values]
+    ratios = {None: [(v.const if f else v).as_integer_ratio() for v, f in zip(values, formal)]}   # None: the constant
+    for sym in dict.fromkeys(sym for v, f in zip(values, formal) if f for sym in v.coeffs):
+        ratios[sym] = [v.coeffs.get(sym, _ZERO).as_integer_ratio() if f else (0, 1) for v, f in zip(values, formal)]
+    sums = {}
+    for sym, pairs in ratios.items():
+        den = lcm(*[d for _, d in pairs])
+        sums[sym] = [a * (den // d) for a, d in pairs], den
+    stride = len(ideals)
+    for p, es in box:
+        q, stride = p.q, stride // len(es)
+        L = q * q * (q - 1)
+        block = [L // _removal_denom(q, e) if e >= 2 else 0 for e in es for _ in range(stride)]
+        cs = block * (len(ideals) // len(block))   # the coefficient of each ideal's e
+        for sym, (vec, den) in sums.items():   # ([0] * stride + vec)[i] is vec[i - stride], at e - 2
+            sums[sym] = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec, den * L
+        formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
+    const, den = sums.pop(None)
+    coeffs: list[dict[str, Fraction]] = [{} for _ in ideals]
+    for sym, (vec, sden) in sums.items():
+        for c, x in zip(coeffs, vec):
+            if x:
+                c[sym] = Fraction(x, sden)
+    consts = [Fraction(x, den) if x else _ZERO for x in const]
+    return {n: FormalLog._trusted(v, c) if f else v for n, v, c, f in zip(ideals, consts, coeffs, formal)}
 
 
 def n_plus(B: ArithFn, n: Ideal) -> Value:
     """All-positive-signs majorant of the transform."""
-    return _weighted_sum((B,), *_subset_choices(n, 1), first_fastest=True)[0]
+    return _weighted_sum(B, *_subset_choices(n, 1), first_fastest=True)
 
 
 def convolve_omega(A: ArithFn, n: Ideal) -> Value:
@@ -176,7 +199,7 @@ def convolve_omega(A: ArithFn, n: Ideal) -> Value:
 
     n_transform inverts this map exactly (and vice versa).
     """
-    return _weighted_sum((A,), *_divisor_choices(n), first_fastest=False)[0]
+    return _weighted_sum(A, *_divisor_choices(n), first_fastest=False)
 
 
 # ---------------------------------------------------------------------------

@@ -84,24 +84,20 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
                            f"{bad} failures, {dt:.2f}s"))
 
     t0 = time.monotonic()
-    primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]   # in id order, as an Ideal's pairs
+    primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
     ts = (-1, 0, 1, 2)
     summands = [norm_power_fn(t) for t in ts] + [log_norm]
     bad = 0
     checked = 0
     # The ideals p^a q^b r^c s^d, 0 <= a, b, c, d <= 6, one parity class of
-    # (a, b, c, d) at a time.  Every m of a sum over n is n with some exponents
-    # lowered by 2, still >= 0, so it lies in n's class: each summand's table
-    # (a dict from m to its value, read through its __getitem__) holds it at
-    # every m the sums meet, evaluated once per ideal, and the summands are
-    # pure, so the sums keep their exact values.
+    # (a, b, c, d) at a time: a box, which holds every m of every sum over its
+    # ideals; the closed forms are evaluated per ideal.
     for parities in product((0, 1), repeat=4):
-        grid = [Ideal(pair for pair in pairs if pair[1])   # from shared (prime, exponent) pairs
-                for pairs in product(*[[(p, e) for e in range(par, 7, 2)] for p, par in zip(primes, parities)])]
-        lookups = [{m: B(m) for m in grid}.__getitem__ for B in summands]
-        for n in grid:
+        box = [(p, range(par, 7, 2)) for p, par in zip(primes, parities)]
+        transforms = [ntransform.n_transform_box(B, box) for B in summands]
+        for n in transforms[0]:
             closed = [ntransform.closed_power(n, t) for t in ts] + [ntransform.closed_log(n)]
-            bad += sum(got != want for got, want in zip(ntransform.n_transforms(lookups, n), closed))
+            bad += sum(got[n] != want for got, want in zip(transforms, closed))
             checked += 1
     dt = time.monotonic() - t0
     out.append(CheckResult("ntransform.closed-forms-exhaustive",

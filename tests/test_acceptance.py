@@ -240,7 +240,11 @@ INDEPENDENT_PAIRS = {
                                                               "ideals.residue_cardinality"},
     ("ntransform.convolve_omega", "ntransform.n_transform"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
                                                               "ideals.Prime", "ideals.residue_cardinality",
-                                                              "ntransform._sum_terms", "ntransform._weighted_sum"},
+                                                              "ntransform._weighted_sum"},
+    ("ntransform.closed_power", "ntransform.n_transform_box"): {"ideals.Ideal", "ideals.Prime",
+                                                                "ideals.residue_cardinality"},
+    ("ntransform.closed_log", "ntransform.n_transform_box"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
+                                                              "ideals.Prime", "ideals.residue_cardinality"},
     ("spectral.r_z", "spectral.r_z_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                            "spectral._check_k", "spectral._check_r_z_args"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",

@@ -242,6 +242,19 @@ def test_cli_import_does_not_load_mpmath(cli_import_loads):
     assert "mpmath" not in cli_import_loads
 
 
+@pytest.mark.parametrize("argv", [["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "6,6"],
+                                  ["verify", "--suite", "lattice"]])
+def test_lattice_leaves_numpy_random_unloaded(argv):
+    # bound_audits draws its pairs from a Kronecker sequence, not numpy.random,
+    # whose import costs 10-20 ms of a lattice query
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"import contextlib, io, sys, rtfverify.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert rtfverify.cli.main({argv!r}) == 0\nprint('numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
+
 def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
     built = []
 

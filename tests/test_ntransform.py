@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtfverify import ntransform as nt
-from rtfverify.errors import NonRationalPower
+from rtfverify.errors import InputError, NonRationalPower
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, iota, omega_pair, omega_v, square_decompose, stratum
 
@@ -225,9 +225,8 @@ KINDS = ("fraction", "formal", "mixed")
 
 
 @settings(max_examples=150, deadline=None)
-@given(monoid_ideal(), st.sampled_from(KINDS), st.randoms(use_true_random=False),
-       st.lists(st.sampled_from(KINDS), min_size=1, max_size=5), st.integers(0, 2 ** 32))
-def test_kernel_equals_reference_sums(n, kind, rng, batch_kinds, seed):
+@given(monoid_ideal(), st.sampled_from(KINDS), st.randoms(use_true_random=False))
+def test_kernel_equals_reference_sums(n, kind, rng):
     seen = []
     B = _random_fn(rng, kind, seen)
     for got, want in ((nt.n_transform(B, n), _reference_subset_sum(B, n, -1)),
@@ -237,20 +236,44 @@ def test_kernel_equals_reference_sums(n, kind, rng, batch_kinds, seed):
     for m in seen:   # the kernel builds each m without Ideal.of
         twin = Ideal.of(dict(m))
         assert m == twin and hash(m) == hash(twin)
-    # the batched call, item by item, against one-item calls on fresh twins
-    # of its summands: the same values (type and FormalLog coefficient order
-    # included), and each summand meets the same ideals in the same order
-    batch_seen = [[] for _ in batch_kinds]
-    batch = nt.n_transforms([_random_fn(random.Random(seed + i), k, batch_seen[i])
-                             for i, k in enumerate(batch_kinds)], n)
-    assert len(batch) == len(batch_kinds)
-    for i, k in enumerate(batch_kinds):
-        one_seen = []
-        want = nt.n_transform(_random_fn(random.Random(seed + i), k, one_seen), n)
-        assert batch[i] == want and type(batch[i]) is type(want)
-        if isinstance(want, FormalLog):
-            assert list(batch[i].coeffs.items()) == list(want.coeffs.items())
-        assert batch_seen[i] == one_seen
+
+
+@st.composite
+def box(draw):
+    """Up to four places, q prime or not (4, 9), each with exponents
+    start, start + 2, ... from start 0 or 1, at most 36 ideals."""
+    qs = draw(st.lists(st.sampled_from((2, 3, 4, 5, 7, 9, 11)), min_size=1, max_size=4))
+    places, size = [], 1
+    for i, q in enumerate(qs):
+        start = draw(st.integers(0, 1))
+        count = draw(st.integers(1, max(1, min(4, 36 // size))))
+        size *= count
+        places.append((Prime(f"p{i}", q), range(start, start + 2 * count, 2)))
+    return draw(st.permutations(places))
+
+
+@settings(max_examples=120, deadline=None)
+@given(box(), st.sampled_from(KINDS + ("zero",)), st.integers(0, 2 ** 32))
+def test_box_transform_equals_the_defining_sums(places, kind, seed):
+    B = (lambda m: FormalLog.zero()) if kind == "zero" else _random_fn(random.Random(seed), kind)
+    got = nt.n_transform_box(B, places)
+    want_ideals = {Ideal.of(dict(zip([p for p, _ in places], exps)))
+                   for exps in itertools.product(*[es for _, es in places])}
+    assert set(got) == want_ideals
+    for n, value in got.items():
+        for want in (_reference_subset_sum(B, n, -1), nt.n_transform(B, n)):
+            assert value == want and type(value) is type(want)
+
+
+@pytest.mark.parametrize("es", [range(2, 7, 2), range(0, 7), range(1, 1, 2), range(-1, 5, 2)])
+def test_box_refuses_exponents_the_sums_leave(es):
+    with pytest.raises(InputError, match="steps of 2 from 0 or 1"):
+        nt.n_transform_box(nt.one_fn(), [(P3, range(0, 3, 2)), (Q2, es)])
+
+
+def test_box_refuses_a_place_twice():
+    with pytest.raises(InputError, match="distinct places"):
+        nt.n_transform_box(nt.one_fn(), [(P3, range(0, 3, 2)), (Prime("p", 5), range(1, 4, 2))])
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,10 +37,14 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-def _exact_parts_on_mpmath(l: int, b: Fraction, dps: int) -> tuple[complex, complex]:
+# The mpmath reference doubles its digits from 50 until two successive values
+# agree to REF_RTOL, and raises past REF_MAX_DPS.
+REF_RTOL, REF_MAX_DPS = 1e-15, 1600
+
+
+def _exact_parts_at(l: int, b: Fraction, dps: int) -> tuple[complex, complex]:
     """J_+ and W_+ = -pi i J_+ - A - i B from their exact parts, evaluated on
-    a fresh mpmath context: a reference that shares no evaluation code with
-    w_plus."""
+    a fresh mpmath context at dps digits."""
     ctx = mp.MPContext()
     ctx.dps = dps
 
@@ -53,6 +57,20 @@ def _exact_parts_on_mpmath(l: int, b: Fraction, dps: int) -> tuple[complex, comp
     a = q(parts.a_const) + q(parts.a_L) * L + q(parts.a_L2) * L * L + q(parts.a_pi2) * pi * pi
     b_ = (q(parts.b_L_over_pi) * L + q(parts.b_const_over_pi)) * pi
     return complex(j), complex(-i * pi * j - a - i * b_)
+
+
+def _exact_parts_on_mpmath(l: int, b: Fraction, which: int) -> complex:
+    """J_+ (which = 0) or W_+ (which = 1) from their exact parts: a reference
+    that shares no evaluation code with w_plus, and checks its own digits.
+    At (26, 119) the terms cancel to J_+ = 1.4597e-35, which 50 and 60 digits
+    give as -8.0e-21 and -1.5e-31."""
+    prev, dps = None, 50
+    while dps <= REF_MAX_DPS:
+        value = _exact_parts_at(l, b, dps)[which]
+        if prev is not None and abs(value - prev) <= REF_RTOL * abs(value):
+            return value
+        prev, dps = value, 2 * dps
+    raise AssertionError(f"the mpmath reference at l={l}, b={b} did not settle by {REF_MAX_DPS} digits")
 
 
 def test_legendre_values():
@@ -211,11 +229,11 @@ def test_w_plus_at_large_b_vs_quadrature(l):
         assert abs(closed - quad) <= 1e-6 * abs(quad), (l, b)
 
 
-@pytest.mark.parametrize("l", [6, 8, 10, 12])
+@pytest.mark.parametrize("l", [6, 8, 10, 12, 26])
 def test_j_plus_parts_vs_quadrature(l):
     for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2), Fraction(-3), Fraction(2), Fraction(10),
               *WIDE_BS):
-        closed = _exact_parts_on_mpmath(l, b, 50)[0]
+        closed = _exact_parts_on_mpmath(l, b, 0)
         quad = oa.j_plus_quad(l, float(b))
         assert abs(closed - quad) <= 1e-12 * abs(quad), (l, b, closed, quad)
 
@@ -224,7 +242,7 @@ def test_j_plus_parts_vs_quadrature(l):
 def test_j_plus_quad_holds_its_tolerance_next_to_minus_one(l, b):
     # the prefactor (1+b)^(-l/2) is 10^12 to 20^13 here; the oracle's error
     # check, 1e-13 max(1, |J_+|), holds on J_+ itself, and |J_+| < 1
-    want = _exact_parts_on_mpmath(l, b, 50)[0]
+    want = _exact_parts_on_mpmath(l, b, 0)
     assert abs(oa.j_plus_quad(l, float(b)) - want) <= 1e-10 * abs(want)
 
 
@@ -284,15 +302,11 @@ def test_w_plus_ignores_global_precision(l, num, den):
     assert len(results) == 1
 
 
-def _w_plus_at_150_digits(l: int, b: Fraction) -> complex:
-    return _exact_parts_on_mpmath(l, b, 150)[1]
-
-
 @pytest.mark.parametrize("l, b", [(12, Fraction(10 ** 4)), (16, Fraction(1000)), (20, Fraction(120)),
                                   (14, Fraction(-2000, 3))])
 def test_w_plus_keeps_precision_at_large_b_and_l(l, b):
     # 50 digits lose 46 to 51 of them to cancellation here
-    want = _w_plus_at_150_digits(l, b)
+    want = _exact_parts_on_mpmath(l, b, 1)
     assert abs(oa.w_plus(l, b) - want) <= 1e-12 * abs(want)
 
 
@@ -339,7 +353,7 @@ def test_residue_parts_exactness():
     parts = oa.residue_parts(6, Fraction(10))
     # the coefficients are exact rationals; the assembled values are finite
     assert isinstance(parts.a_L2, Fraction)
-    assert math.isfinite(abs(_exact_parts_on_mpmath(6, Fraction(10), 50)[1]))
+    assert math.isfinite(abs(_exact_parts_on_mpmath(6, Fraction(10), 1)))
 
 
 # residue_parts runs on integers; it must equal, field by field in value and
