@@ -148,8 +148,8 @@ def cmd_moments(args) -> int:
     ns = _parsed("--n", args.n, _int_span)
     if max(ns, default=0) > MOMENTS_MAX_N:
         raise InputError(f"--n {args.n!r}: n <= {MOMENTS_MAX_N} required")
-    u_quads, du_quads = testfns.period_integrals([testfns.upsilon_kernel, testfns.dunip_kernel], args.q, args.eta,
-                                                 [testfns.alpha_pn_at(n) for n in ns])
+    u_quads, du_quads = testfns.period_integrals([(testfns.upsilon_kernel, args.eta), (testfns.dunip_kernel, args.eta)],
+                                                 args.q, [testfns.alpha_pn_at(n) for n in ns])
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     for n, u_quad, du_quad in zip(ns, u_quads, du_quads):

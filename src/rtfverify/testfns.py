@@ -4,14 +4,15 @@ All displayed closed forms here are backed by a numeric contour oracle: the
 integrands are periodic in Im(s) with period 4*pi/log q, so the vertical-line
 integrals are evaluated over one full period (where the trapezoid rule
 converges geometrically).  Each oracle takes lists, one item or many:
-period_integrals (kernels x test functions) and st_moments (exponents n)
-build each grid once and share it across them.  Every quantity on the
-period contour (the kernels, the test functions alpha and the measure) is a
-function of z = q^(s/2): period_integrals makes z with one complex
-exponential per grid, and one of its passes serves every kernel it is given.
-st_moments runs the recurrence X_{n+1} = x X_n - X_{n-1} on its theta grid.
-Per-place moment values carrying the irrational factor q^(-n/2) are also
-exposed in a scaled, exactly-rational form for the main-term assembly.
+period_integrals ((kernel, eta) pairs x test functions) and st_moments
+((q, eta) pairs x exponents n) build each grid once and share it across
+them.  Every quantity on the period contour (the kernels, the test functions
+alpha and the measure) is a function of z = q^(s/2): period_integrals makes
+z with one complex exponential per grid, and one of its passes serves every
+pair it is given.  st_moments runs the recurrence X_{n+1} = x X_n - X_{n-1}
+on its theta grid.  Per-place moment values carrying the irrational factor
+q^(-n/2) are also exposed in a scaled, exactly-rational form for the
+main-term assembly.
 """
 from __future__ import annotations
 
@@ -158,26 +159,26 @@ PERIOD_STEPS = 4096
 ST_STEPS = 20001
 
 
-def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarray]], q: int, eta_val: int,
+def period_integrals(kernels: Sequence[tuple[Callable[[int, int, np.ndarray], np.ndarray], int]], q: int,
                      alphas: Sequence[Callable[[complex], complex]],
                      sigma: float = 0.7) -> list[list[complex]]:
     """(1/2 pi i) integral of kernel * alpha * dmu over one vertical period,
-    dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds, for each kernel and
-    each alpha: one list per kernel.  Kernels and alphas are functions of
-    z = q^(s/2).
+    dmu(s) = (log q / 2)(q^((1+s)/2) - q^((1-s)/2)) ds, for each (kernel,
+    eta) pair and each alpha: one list per pair.  Kernels and alphas are
+    functions of z = q^(s/2).
 
     Each refinement pass (PERIOD_STEPS, then twice that) builds z, the
-    measure and every kernel's values once, and each alpha once.  Each value
-    is bit-identical to a one-item call, and must agree across the two passes
-    to 1e-9.
+    measure and every pair's kernel values once, and each alpha once for all
+    pairs.  Each value is bit-identical to a one-item call, and must agree
+    across the two passes to 1e-9.
     """
     residue_cardinality(q, "period_integrals")
     if sigma <= 0:
         raise InputError(f"sigma > 0 required, got sigma={sigma}")
     # one grid alive at a time: the coarse pass is dropped before the fine one
-    coarse = _period_passes(kernels, q, eta_val, alphas, sigma, PERIOD_STEPS)
-    fine = _period_passes(kernels, q, eta_val, alphas, sigma, 2 * PERIOD_STEPS)
-    for kernel, row1, row2 in zip(kernels, coarse, fine):
+    coarse = _period_passes(kernels, q, alphas, sigma, PERIOD_STEPS)
+    fine = _period_passes(kernels, q, alphas, sigma, 2 * PERIOD_STEPS)
+    for (kernel, eta_val), row1, row2 in zip(kernels, coarse, fine):
         for i, (alpha, v1, v2) in enumerate(zip(alphas, row1, row2)):
             if abs(v1 - v2) > 1e-9:
                 raise ConvergenceError(
@@ -186,7 +187,7 @@ def period_integrals(kernels: Sequence[Callable[[int, int, np.ndarray], np.ndarr
     return fine
 
 
-def _period_passes(kernels, q, eta_val, alphas, sigma, steps) -> list[list[complex]]:
+def _period_passes(kernels, q, alphas, sigma, steps) -> list[list[complex]]:
     # s = sigma + i T (k + 1/2)/steps over one period T = 4 pi/log q puts
     # z = q^(s/2) on one turn of the circle |z| = q^(sigma/2)
     z = q ** (sigma / 2) * np.exp(2j * math.pi * (np.arange(steps) + 0.5) / steps)
@@ -197,24 +198,24 @@ def _period_passes(kernels, q, eta_val, alphas, sigma, steps) -> list[list[compl
     # order.
     spacing = (np.roll(z, -1) - np.roll(z, 1)) / (2j * math.sin(2 * math.pi / steps) * z)
     measure = math.sqrt(q) * (z - 1 / z) * spacing
-    weighted = [kern(q, eta_val, z) * measure for kern in kernels]
+    # one row per pair, so each alpha's products with every kernel fold together
+    weighted = np.stack([kern(q, eta_val, z) * measure for kern, eta_val in kernels])
     out = [[] for _ in kernels]
     for alpha in alphas:
-        avals = alpha(z)
-        for row, kw in zip(out, weighted):
-            row.append(_circle_sum(kw * avals) / steps)
+        for row, total in zip(out, _circle_sum(weighted * alpha(z))):
+            row.append(complex(total) / steps)
     return out
 
 
-def _circle_sum(terms: np.ndarray) -> complex:
-    """Sum of the terms at 2^j equispaced nodes, folded in halves: each
-    partial sum runs over equispaced nodes, so the large oscillating parts
-    cancel before they are rounded.  A fixed order, so deterministic to the
-    last bit for a given step count."""
-    while len(terms) > 1:
-        half = len(terms) // 2
-        terms = np.add(terms[:half], terms[half:], out=terms[:half])
-    return complex(terms[0])
+def _circle_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of the terms at 2^j equispaced nodes, folded
+    in halves: each partial sum runs over equispaced nodes, so the large
+    oscillating parts cancel before they are rounded.  A fixed order, so
+    deterministic to the last bit for a given step count."""
+    while terms.shape[-1] > 1:
+        half = terms.shape[-1] // 2
+        terms = np.add(terms[..., :half], terms[..., half:], out=terms[..., :half])
+    return terms[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +229,46 @@ def plancherel_factor(q: int, eta_val: int, x: np.ndarray) -> np.ndarray:
     return (q + 1) / (A * A - x * x)
 
 
-def st_moments(q: int, eta_val: int, ns: Sequence[int]) -> list[float]:
-    """Moment of X_n against the local measure for each n, by theta-substitution
-    quadrature (x = 2 cos theta kills the endpoint singularity).  Each
-    refinement pass builds the grid and the weight once and runs the
-    three-term recurrence for X_n up to max(ns); each value is bit-identical
-    to its one-item call and held to its own 1e-9 refinement check."""
-    residue_cardinality(q, "st_moments")
-    coarse = _st_passes(q, eta_val, ns, ST_STEPS)
-    fine = _st_passes(q, eta_val, ns, 2 * ST_STEPS + 1)
-    for n, v1, v2 in zip(ns, coarse, fine):
-        if abs(v1 - v2) > 1e-9:
-            raise ConvergenceError(
-                f"measure moment at q={q}, eta={eta_val}, steps={ST_STEPS}, n={n}: "
-                f"refinement gap {abs(v1 - v2):.3e}")
+def st_moments(pairs: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[list[float]]:
+    """Moment of X_n against the local measure of each (q, eta) pair for each
+    n, one list per pair, by theta-substitution quadrature (x = 2 cos theta
+    kills the endpoint singularity).  Each refinement pass builds the theta
+    grid once for every pair, then each pair's weight and the three-term
+    recurrence for X_n up to max(ns), one pair at a time; each value is
+    bit-identical to its one-item call and held to its own 1e-9 refinement
+    check."""
+    for q, _eta_val in pairs:
+        residue_cardinality(q, "st_moments")
+    coarse = _st_passes(pairs, ns, ST_STEPS)
+    fine = _st_passes(pairs, ns, 2 * ST_STEPS + 1)
+    for (q, eta_val), row1, row2 in zip(pairs, coarse, fine):
+        for n, v1, v2 in zip(ns, row1, row2):
+            if abs(v1 - v2) > 1e-9:
+                raise ConvergenceError(
+                    f"measure moment at q={q}, eta={eta_val}, steps={ST_STEPS}, n={n}: "
+                    f"refinement gap {abs(v1 - v2):.3e}")
     return fine
 
 
-def _st_passes(q: int, eta_val: int, ns: Sequence[int], steps: int) -> list[float]:
+def _st_passes(pairs: Sequence[tuple[int, int]], ns: Sequence[int], steps: int) -> list[list[float]]:
     theta = np.linspace(0.0, math.pi, steps)
     x = 2 * np.cos(theta)
-    # d mu^ST = (2/pi) sin^2 theta d theta, times the trapezoid rule's
-    # weights: pi/(steps - 1), halved at the two ends
-    weight = plancherel_factor(q, eta_val, x) * (2 / math.pi) * np.sin(theta) ** 2 * (math.pi / (steps - 1))
-    weight[[0, -1]] /= 2
-    wanted, moments = set(ns), {}
-    # X_0 = 1, X_1 = x, X_{n+1} = x X_n - X_{n-1}
-    prev, cur = np.zeros_like(x), np.ones_like(x)
-    for n in range(max(wanted, default=-1) + 1):
-        if n in wanted:
-            moments[n] = float(np.sum(cur * weight))
-        prev, cur = cur, x * cur - prev
-    return [moments[n] for n in ns]
+    sin2 = np.sin(theta) ** 2
+    wanted, out = set(ns), []
+    for q, eta_val in pairs:
+        # d mu^ST = (2/pi) sin^2 theta d theta, times the trapezoid rule's
+        # weights: pi/(steps - 1), halved at the two ends
+        weight = plancherel_factor(q, eta_val, x) * (2 / math.pi) * sin2 * (math.pi / (steps - 1))
+        weight[[0, -1]] /= 2
+        moments = {}
+        # X_0 = 1, X_1 = x, X_{n+1} = x X_n - X_{n-1}
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for n in range(max(wanted, default=-1) + 1):
+            if n in wanted:
+                moments[n] = float(np.sum(cur * weight))
+            prev, cur = cur, x * cur - prev
+        out.append([moments[n] for n in ns])
+    return out
 
 
 def st_moment_expected(q: int, eta_val: int, n: int) -> float:

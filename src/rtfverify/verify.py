@@ -239,11 +239,11 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     ns = range(0, 7)
     for q in QS:
-        for eta_val in (-1, 1):
-            # alpha_[p^n] for each n, then the basis alpha^(n), on one grid for U and dU
-            u, du = testfns.period_integrals([testfns.upsilon_kernel, testfns.dunip_kernel], q, eta_val,
-                                             [testfns.alpha_pn_at(n) for n in ns]
-                                             + [testfns.alpha_basis_at(n) for n in ns])
+        # alpha_[p^n] for each n, then the basis alpha^(n), on one grid for U and dU at both characters
+        rows = testfns.period_integrals([(kern, eta_val) for eta_val in (-1, 1)
+                                         for kern in (testfns.upsilon_kernel, testfns.dunip_kernel)], q,
+                                        [testfns.alpha_pn_at(n) for n in ns] + [testfns.alpha_basis_at(n) for n in ns])
+        for eta_val, u, du in zip((-1, 1), rows[::2], rows[1::2]):
             u_pn, du_pn, du_basis = u[:len(ns)], du[:len(ns)], du[len(ns):]
             for n in ns:
                 closed = float(testfns.unip_u_scaled(eta_val, n)) * q ** (-n / 2)
@@ -270,19 +270,18 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for q, eta_val, n in ((2, -1, 3), (3, 1, 4), (5, -1, 2)):
-        ((a,),) = testfns.period_integrals([testfns.upsilon_kernel], q, eta_val, [testfns.alpha_pn_at(n)], sigma=0.3)
-        ((b,),) = testfns.period_integrals([testfns.upsilon_kernel], q, eta_val, [testfns.alpha_pn_at(n)], sigma=1.7)
+        ((a,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=0.3)
+        ((b,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=1.7)
         worst = max(worst, abs(a - b))
     out.append(CheckResult("unipotent.sigma-independence", worst <= 1e-9, f"max gap {worst:.2e}"))
 
     worst = 0.0
     ns = range(0, 6)
     for q in (2, 3):
-        for eta_val in (-1, 1):
-            # alpha_[p^n] for each n, then the basis alpha^(m) for each m <= 5
-            (du,) = testfns.period_integrals([testfns.dunip_kernel], q, eta_val,
-                                             [testfns.alpha_pn_at(n) for n in ns]
-                                             + [testfns.alpha_basis_at(m) for m in ns])
+        # alpha_[p^n] for each n, then the basis alpha^(m) for each m <= 5, at both characters
+        for du in testfns.period_integrals([(testfns.dunip_kernel, -1), (testfns.dunip_kernel, 1)], q,
+                                           [testfns.alpha_pn_at(n) for n in ns]
+                                           + [testfns.alpha_basis_at(m) for m in ns]):
             direct, basis = du[:len(ns)], du[len(ns):]
             for n in ns:
                 ms, const = testfns.decompose_alpha(n)
@@ -293,13 +292,13 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     worst0 = 0.0
-    for q in QS:
-        for eta_val in (-1, 1):
-            for n, got in enumerate(testfns.st_moments(q, eta_val, range(0, 9))):
-                want = testfns.st_moment_expected(q, eta_val, n)
-                worst = max(worst, abs(got - want))
-                if n == 0:
-                    worst0 = max(worst0, abs(got - 1.0))
+    pairs = list(product(QS, (-1, 1)))
+    for (q, eta_val), moments in zip(pairs, testfns.st_moments(pairs, range(0, 9))):
+        for n, got in enumerate(moments):
+            want = testfns.st_moment_expected(q, eta_val, n)
+            worst = max(worst, abs(got - want))
+            if n == 0:
+                worst0 = max(worst0, abs(got - 1.0))
     out.append(CheckResult("unipotent.measure-moments", worst <= 1e-8 and worst0 <= 1e-10,
                            f"max |err| {worst:.2e}, at n=0 {worst0:.2e}"))
     return out

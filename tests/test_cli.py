@@ -69,8 +69,8 @@ def test_moments_command_matches_row_by_row(capsys):
         u_closed = float(testfns.unip_u_scaled(-1, n)) * 3 ** (-n / 2)
         du_closed = float(testfns.unip_du_scaled(-1, n)) * 3 ** (-n / 2) * math.log(3)
         # one-item calls, which have the bits of the command's batched ones
-        ((u_quad,),) = testfns.period_integrals([testfns.upsilon_kernel], 3, -1, [testfns.alpha_pn_at(n)])
-        ((du_quad,),) = testfns.period_integrals([testfns.dunip_kernel], 3, -1, [testfns.alpha_pn_at(n)])
+        ((u_quad,),) = testfns.period_integrals([(testfns.upsilon_kernel, -1)], 3, [testfns.alpha_pn_at(n)])
+        ((du_quad,),) = testfns.period_integrals([(testfns.dunip_kernel, -1)], 3, [testfns.alpha_pn_at(n)])
         u_quad, du_quad = u_quad.real, du_quad.real
         writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
                          f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])

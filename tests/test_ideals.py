@@ -142,16 +142,17 @@ _ORIGIN = orbital_local.LocalPoint(0, 0)
 @pytest.mark.parametrize("make", [
     lambda: Prime("p", 1),
     lambda: LocalRepData(q=1, c=2),
-    lambda: period_integrals([upsilon_kernel], 1, 1, [alpha_basis_at(1)]),
-    lambda: st_moments(1, 1, [0]),
+    lambda: period_integrals([(upsilon_kernel, 1)], 1, [alpha_basis_at(1)]),
+    lambda: st_moments([(1, 1)], [0]),
+    lambda: st_moments([(3, 1), (1, -1)], [0]),
     lambda: orbital_local.w_unramified(_ORIGIN, 1, 1),
     lambda: orbital_local.w_unramified_oracle(_ORIGIN, 1, 1),
     lambda: orbital_local.w_level(_ORIGIN, 1, 1, 1),
     lambda: orbital_local.w_level_oracle(_ORIGIN, 1, 1, 1),
     lambda: orbital_local.w_ramified(_ORIGIN, 1, 1, 1, 1),
     lambda: orbital_local.w_ramified_bound(_ORIGIN, 1, 1),
-], ids=["Prime", "LocalRepData", "period_integrals", "st_moments", "w_unramified", "w_unramified_oracle",
-        "w_level", "w_level_oracle", "w_ramified", "w_ramified_bound"])
+], ids=["Prime", "LocalRepData", "period_integrals", "st_moments", "st_moments_second_pair", "w_unramified",
+        "w_unramified_oracle", "w_level", "w_level_oracle", "w_ramified", "w_ramified_bound"])
 def test_every_q_is_checked_by_residue_cardinality(make):
     with pytest.raises(InputError, match=r"needs an integer q >= 2, got q=1$"):
         make()

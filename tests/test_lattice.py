@@ -56,6 +56,53 @@ def test_theta_two_truncations_agree():
     assert b["tail_bound"] < a["tail_bound"]
 
 
+def _tail_bound_shell_walk(lat, lmin, R):
+    """_tail_bound with its shells walked one at a time in a Python loop: the
+    reference its blocked numpy sum must equal bit for bit."""
+    r = lt.min_vector_radius(lat)
+    d = lat.d
+    s = lmin / 2
+    vball = 2 * r if d == 1 else math.pi * r * r
+
+    def shell_count(k: float) -> float:
+        hi, lo = k + 1 + r, max(0.0, k - r)
+        vol = (2 * (hi - lo)) if d == 1 else math.pi * (hi * hi - lo * lo)
+        return vol / vball
+
+    k0 = int(math.floor(R))
+    k1 = k0 + int(math.ceil(r)) + 2
+    total = 0.0
+    for k in range(k0, k1):
+        total += shell_count(k) * (1 + k) ** -s
+    c_d = (1 + 2 * r) / r if d == 1 else 2 * (1 + 2 * r) / (r * r)
+    head = c_d * (1 + k1) ** (d - 1 - s)
+    integral = c_d * (1 + k1) ** (d - s) / (s - d)
+    return total + head + integral
+
+
+def _sqrt2_power(k):
+    # (sqrt 2)^k as x + y*sqrt(2)
+    return (2 ** (k // 2), 0) if k % 2 == 0 else (0, 2 ** ((k - 1) // 2))
+
+
+# rank one N Z with N up to 10^4, at walks of one block, one shell past it,
+# and at the largest generator (about 31 blocks); the sqrt(2) chain in rank
+# two, and the largest generator there
+_TAIL_CASES = (
+    [(lt.embed_ideal("Q", N), l, R) for N in (1, 2, 3, 5, 10, 31, 100, 316, 1000, 3162, 10000, Fraction(7, 3))
+     for l in (4, 6, 7.5) for R in (0.0, 3.5, 20.0, 200.0, 10000.5)]
+    + [(lt.embed_ideal("Q", N), 4, 20.0) for N in (2 * lt.SHELL_BLOCK - 4, 2 * lt.SHELL_BLOCK - 2)]
+    + [(lt.embed_ideal("Q", lt.MAX_GENERATOR), l, R) for l in (4, 6) for R in (0.0, 20.0)]
+    + [(lt.embed_ideal("real_quadratic", _sqrt2_power(k), m=2), l, R) for k in range(7) for l in (6, 9)
+       for R in (0.0, 60.0 * 2 ** (k / 2))]
+    + [(lt.embed_ideal("real_quadratic", lt.MAX_GENERATOR, m=2), 6, 20.0)])
+
+
+def test_tail_bound_equals_the_shell_walk():
+    for lat, l, R in _TAIL_CASES:
+        assert lt._tail_bound(lat, l, R).hex() == _tail_bound_shell_walk(lat, l, R).hex(), (lat.provenance, l, R)
+
+
 def test_theta_weight_guard_and_tolerance():
     z = lt.embed_ideal("Q", 1)
     with pytest.raises(DomainError):
@@ -113,7 +160,7 @@ def test_fI_examples():
     assert lt.fI_rational(6, 10 ** 9, 1, 0.0, K=0) == 0.0
     vals = [lt.fI_rational(6, N, 1, 0.0, K=60) for N in (10, 100, 1000)]
     assert vals[0] > vals[1] > vals[2] > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n and bset must be relatively prime, got n_norm=10, bset_norm=5$"):
         lt.fI_rational(6, 10, 5, 0.0)
 
 

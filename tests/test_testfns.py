@@ -54,8 +54,8 @@ def test_dunip_examples():
 
 
 def _period_integral(kernel, q, eta_val, alpha, sigma=0.7):
-    """One kernel and one alpha: a one-item call of period_integrals."""
-    ((value,),) = tf.period_integrals([kernel], q, eta_val, [alpha], sigma=sigma)
+    """One (kernel, eta) pair and one alpha: a one-item call of period_integrals."""
+    ((value,),) = tf.period_integrals([(kernel, eta_val)], q, [alpha], sigma=sigma)
     return value
 
 
@@ -163,7 +163,7 @@ KERNELS = {"upsilon": tf.upsilon_kernel, "dunip_kernel": tf.dunip_kernel,
        st.sampled_from((0.3, 0.7, 1.7)))
 def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
     alphas = [tf.alpha_pn_at(n) for n in ns] + [tf.alpha_basis_at(n) for n in ns]
-    (batch,) = tf.period_integrals([kernel], q, eta, alphas, sigma=sigma)
+    (batch,) = tf.period_integrals([(kernel, eta)], q, alphas, sigma=sigma)
     assert len(batch) == len(alphas)
     for n, alpha, got in zip(ns + ns, alphas, batch):
         assert _bits(got) == _bits(_period_integral(kernel, q, eta, alpha, sigma=sigma))
@@ -171,15 +171,33 @@ def test_period_integrals_bit_identical(kernel, q, eta, ns, sigma):
         assert abs(got - _period_pass_s_form(kernel, q, eta, alpha, sigma, 2 * 4096)) <= _s_form_tolerance(q, n, sigma)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from(list(KERNELS.values())), min_size=1, max_size=3, unique=True),
+       st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)), st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       st.sampled_from((0.3, 0.7, 1.7)))
+def test_period_integrals_both_characters_on_one_grid_bit_identical(kernels, q, ns, sigma):
+    # every kernel at both characters in one call, as suite_unipotent makes it
+    pairs = [(kernel, eta) for eta in (-1, 1) for kernel in kernels]
+    alphas = [tf.alpha_pn_at(n) for n in ns] + [tf.alpha_basis_at(n) for n in ns]
+    rows = tf.period_integrals(pairs, q, alphas, sigma=sigma)
+    assert len(rows) == len(pairs)
+    for (kernel, eta), row in zip(pairs, rows):
+        assert [_bits(v) for v in row] == [_bits(_period_integral(kernel, q, eta, a, sigma=sigma)) for a in alphas]
+
+
+QE_PAIRS = st.tuples(st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)), st.sampled_from((-1, 1)))
+
+
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13)), st.sampled_from((-1, 1)),
-       st.lists(st.integers(0, 8), min_size=1, max_size=4))
-def test_st_moments_bit_identical(q, eta, ns):
-    batch = tf.st_moments(q, eta, ns)
-    for n, got in zip(ns, batch, strict=True):
-        assert got.hex() == tf.st_moments(q, eta, [n])[0].hex()
-        assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
-        assert abs(got - _st_pass_sin_ratio(q, eta, n, 2 * 20001 + 1)) <= 1e-12
+@given(st.lists(QE_PAIRS, min_size=1, max_size=4), st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_st_moments_bit_identical(pairs, ns):
+    rows = tf.st_moments(pairs, ns)
+    assert len(rows) == len(pairs)
+    for (q, eta), batch in zip(pairs, rows):
+        for n, got in zip(ns, batch, strict=True):
+            assert got.hex() == tf.st_moments([(q, eta)], [n])[0][0].hex()
+            assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
+            assert abs(got - _st_pass_sin_ratio(q, eta, n, 2 * 20001 + 1)) <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -191,11 +209,14 @@ def test_period_integrals_run_each_kernel_once_per_grid(kernel, count):
         calls.append(len(s))
         return KERNELS[kernel](q, eta_val, s)
 
-    tf.period_integrals([counted], 3, -1, [tf.alpha_pn_at(n) for n in range(count)])
+    tf.period_integrals([(counted, -1)], 3, [tf.alpha_pn_at(n) for n in range(count)])
     assert calls == [4096, 8192]
 
 
-@pytest.mark.parametrize("kernels", [["upsilon"], ["upsilon", "dunip_kernel"], sorted(KERNELS)])
+# (kernel, eta) pairs; the last runs two kernels at both characters
+@pytest.mark.parametrize("kernels", [[("upsilon", -1)], [("upsilon", -1), ("dunip_kernel", -1)],
+                                     [(k, -1) for k in sorted(KERNELS)],
+                                     [(k, eta) for eta in (-1, 1) for k in ("upsilon", "dunip_kernel")]])
 def test_period_integrals_evaluate_each_alpha_once_per_grid(kernels):
     calls = []
 
@@ -206,11 +227,11 @@ def test_period_integrals_evaluate_each_alpha_once_per_grid(kernels):
         return f
 
     alphas = [tf.alpha_pn_at(n) for n in range(3)] + [tf.alpha_basis_at(2)]
-    rows = tf.period_integrals([KERNELS[k] for k in kernels], 3, -1, [counted(a) for a in alphas])
+    rows = tf.period_integrals([(KERNELS[k], eta) for k, eta in kernels], 3, [counted(a) for a in alphas])
     assert calls == [(a, steps) for steps in (4096, 8192) for a in alphas]
     assert len(rows) == len(kernels) and all(len(row) == len(alphas) for row in rows)
-    for kernel, row in zip(kernels, rows):
-        assert [_bits(v) for v in row] == [_bits(_period_integral(KERNELS[kernel], 3, -1, a)) for a in alphas]
+    for (kernel, eta), row in zip(kernels, rows):
+        assert [_bits(v) for v in row] == [_bits(_period_integral(KERNELS[kernel], 3, eta, a)) for a in alphas]
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13))
@@ -218,7 +239,8 @@ def test_period_integrals_evaluate_each_alpha_once_per_grid(kernels):
 def test_period_integrals_cover_the_moments_domain(q, eta):
     # every (q, eta, n <= 10) that rtf moments is asked in the benchmark's
     # queries passes both kernels' refinement checks
-    u, du = tf.period_integrals([tf.upsilon_kernel, tf.dunip_kernel], q, eta, [tf.alpha_pn_at(n) for n in range(11)])
+    u, du = tf.period_integrals([(tf.upsilon_kernel, eta), (tf.dunip_kernel, eta)], q,
+                                [tf.alpha_pn_at(n) for n in range(11)])
     assert len(u) == len(du) == 11
 
 
@@ -233,16 +255,19 @@ def test_period_integrals_failure_names_the_input():
         return len(s) * q ** (-(1 + s) / 2)
 
     with pytest.raises(ConvergenceError) as info:
-        tf.period_integrals([tf.upsilon_kernel, growing_kernel], 5, 1, [tf.alpha_pn_at(0), tf.alpha_pn_at(2)], sigma=0.3)
+        tf.period_integrals([(tf.upsilon_kernel, -1), (growing_kernel, 1)], 5, [tf.alpha_pn_at(0), tf.alpha_pn_at(2)],
+                            sigma=0.3)
     msg = str(info.value)
     for part in ("growing_kernel", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
         assert part in msg, msg
 
 
 def test_st_moments_failure_names_the_input(monkeypatch):
-    monkeypatch.setattr(tf, "plancherel_factor", lambda q, eta_val, x: np.full(x.shape, float(len(x))))
+    # the weight grows with the grid at q = 3 only, so the second pair fails
+    monkeypatch.setattr(tf, "plancherel_factor",
+                        lambda q, eta_val, x: np.full(x.shape, float(len(x)) if q == 3 else 1.0))
     with pytest.raises(ConvergenceError) as info:
-        tf.st_moments(3, -1, [4, 0])
+        tf.st_moments([(5, 1), (3, -1)], [4, 0])
     msg = str(info.value)
     # X_4 is orthogonal to the constant, so only n = 0 sees the grid size
     for part in ("q=3", "eta=-1", "steps=20001", "n=0", "refinement gap"):
@@ -258,7 +283,8 @@ def test_kernel_identity_exact():
 def test_st_moment_examples():
     for q in (2, 3, 5):
         for eta in (-1, 1):
-            assert tf.st_moments(q, eta, [0])[0] == pytest.approx(1.0, abs=1e-10)
-    assert tf.st_moments(3, -1, [2])[0] == pytest.approx(1 / 3, abs=1e-9)
-    assert tf.st_moments(5, 1, [1])[0] == pytest.approx(2 / 5 ** 0.5, abs=1e-9)
-    assert tf.st_moments(3, -1, [3])[0] == pytest.approx(0.0, abs=1e-9)
+            assert tf.st_moments([(q, eta)], [0])[0][0] == pytest.approx(1.0, abs=1e-10)
+    ((m2, m3),) = tf.st_moments([(3, -1)], [2, 3])
+    assert m2 == pytest.approx(1 / 3, abs=1e-9)
+    assert m3 == pytest.approx(0.0, abs=1e-9)
+    assert tf.st_moments([(5, 1)], [1])[0][0] == pytest.approx(2 / 5 ** 0.5, abs=1e-9)
