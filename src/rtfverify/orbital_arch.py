@@ -1,5 +1,10 @@
-"""Archimedean orbital integrals: Legendre/2F1 closed forms and the
-log-weighted half-line integral, each with its quadrature oracle.
+"""Archimedean orbital integrals: the J integrals as Legendre functions and
+the log-weighted half-line integral, each with its quadrature oracle.
+
+J^one(k; b) is 4 Q_(k/2-1)(2b+1) and J^sgn(k; b) is 2 pi i P_(k/2-1)(2b+1)
+on the cut -1 < b < 0, both from one three-term recurrence, run forward or,
+where Q is the minimal solution and a forward run would lose digits,
+backward by Miller's algorithm.
 
 The closed form of the log-weighted integral W_+ follows the keyhole-contour
 identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  A and B are exact residue
@@ -41,18 +46,8 @@ DELTA_CUT = 1e-9
 _DPS = 50            # the residue sums cancel to ~b^(-l/2); floats cannot
 _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
-_F21_TOL = 1e-14     # gauss_2f1: series truncation tolerance
-_F21_TERMS = 4000    # gauss_2f1: the most terms either expansion sums
-_F21_SPLIT = 0.7     # gauss_2f1: the series takes |x| <= 0.7; Pfaff or the log expansion the rest
-# gauss_2f1: the log expansion's terms cancel more as (k/2)^2 (1-x) grows.
-# Against mpmath, up to 8 it is within 1e-11 relative for even k <= 26 and
-# 5e-11 up to k = 170; at 49 (k = 26, x = 0.71) it is off by 8e-4.
-_F21_LOG_REACH = 8
-# gauss_2f1: the series at x < 0 alternates, and its terms cancel more as
-# (k/2)|x| grows.  Up to 10 it is within 1.5e-12 relative of mpmath for every
-# even k <= 170, which covers all of [-0.7, 0) up to k = 28; at k = 100,
-# x = -0.7 it is off by 0.7.
-_F21_ALT_REACH = 10
+_FORWARD_LOSS = 1e3      # _legendre_q: the most a forward run off the cut may lose
+_MILLER_TOL = 1e-18      # _legendre_q: the error of the backward run's start, relative
 _W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
 _J_QUAD_TOL = 1e-13       # absolute and relative tolerance of J in j_arch_quads and of J_+ in j_plus_quad
 
@@ -72,92 +67,46 @@ def _check_eps(eps: str) -> None:
         raise InputError(f"eps must be 'one' or 'sgn', got eps={eps!r}")
 
 
-def legendre(n: int, x: float) -> float:
-    """Legendre polynomial by the standard three-term recurrence."""
-    if n < 0:    # an internal invariant: j_arch passes k/2 - 1 and k/2 - 2m, m <= k/4
-        raise ValueError("n >= 0 required")
-    p0, p1 = 1.0, x
-    if n == 0:
-        return p0
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1
+def _legendre_q(n: int, b: float) -> complex:
+    """Q_n(x - i0) at x = 2b + 1, n >= 1, from below the cut -1 < x < 1:
+    Q_n(x) off the cut, and Ferrers' Q_n(x) + i pi/2 P_n(x) on it (DLMF
+    14.23).  4 Q_(k/2-1)(2b + 1 - i0) is J^one(k; b) + J^sgn(k; b).
 
-
-def gauss_2f1(k: int, x: float) -> float:
-    """2F1(k/2, k/2; k; x) for even k >= 4 and real x < 1.
-
-    The direct series takes x in [0, 0.7], and x in [-0.7, 0) where its
-    alternating terms keep their digits, (k/2)|x| <= _F21_ALT_REACH; every
-    other x < 0 is first mapped into (0, 1) by Pfaff's x -> x/(x-1).  The
-    logarithmic 1-x expansion (c = a + b case) takes x > 0.7 where
-    (k/2)^2 (1-x) <= _F21_LOG_REACH, and the series the rest of (0.7, 1).
-    An x that the series cannot reach in _F21_TERMS terms where the log
-    expansion loses digits (from k = 48) is refused.
+    P_n and Q_n obey the one recurrence (m+1) f_(m+1) = (2m+1) x f_m -
+    m f_(m-1) (DLMF 14.10), from P_0 = 1 and Q_0 = log|(b+1)/b| / 2.  Q_0
+    is taken from b, not from x: x - 1 cancels next to b = 0, and the
+    ratio (b+1)/b rounds next to 1 at large |b|, where log1p(1/b) does not.
+    On the cut P and Q are of one size, and a forward run gives both.  Off
+    it, Q_n(-x) = (-1)^(n+1) Q_n(x) takes x to |x|, where Q_n is the
+    minimal solution: it decays like rho^(-n), rho = |x| + sqrt(x^2 - 1),
+    while P_n grows like rho^n, so a forward run loses about rho^(2n)
+    (Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4).
+    Up to _FORWARD_LOSS the forward run stands.  Past it, Miller's backward
+    run gives the ratios Q_m / Q_(m-1) from m = N down, started at 0 where
+    rho^(-2(N-n)) < _MILLER_TOL; a run of ratios rescales at every step, so
+    none overflows, and Q_n is Q_0 times the ratios up to n.  No Gamma
+    function and no power of 1 + b appear: nothing overflows, and Q_n
+    underflows only where its value does.
     """
-    _check_weight("k", k)
-    if x >= 1 or abs(1 - x) < DELTA_CUT:
-        raise DomainError("argument too close to the logarithmic point 1")
-    a = k // 2
-    if x < -min(_F21_SPLIT, _F21_ALT_REACH / a):   # 2F1(a, a; 2a; x) = (1-x)^(-a) 2F1(a, a; 2a; x/(x-1))
-        # (1-x)^(-a) is applied in two halves: it underflows where the product does not
-        half, y, z = (1 - x) ** (-k / 4), x / (x - 1), 1 / (1 - x)     # z = 1 - y, without cancellation
+    on_cut = b * (b + 1) < 0
+    if on_cut:
+        x, q0, sign = 2 * b + 1, 0.5 * math.log((b + 1) / -b), 1
     else:
-        half, y, z = 1.0, x, 1 - x
-    if y > _F21_SPLIT and a ** 2 * z <= _F21_LOG_REACH:
-        return half * (half * _f21_log_branch(k, z))
-    try:
-        return half * (half * _f21_series(k, y))
-    except ConvergenceError as exc:
-        raise DomainError(f"2F1 at k={k}, x={x}: the series needs more than {_F21_TERMS} terms, and the log "
-                          f"expansion loses digits where (k/2)^2 (1-x) > {_F21_LOG_REACH}") from exc
-
-
-def _f21_series(k: int, x: float) -> float:
-    a = k // 2
-    term, total = 1.0, 1.0
-    for n in range(1, _F21_TERMS):
-        term *= (a + n - 1) * (a + n - 1) * x / ((k + n - 1) * n)
-        total += term
-        # geometric tail bound: ratio of successive terms tends to x
-        if abs(term) < _F21_TOL * (1 - abs(x)):
-            return total
-    raise ConvergenceError("2F1 series failed to meet tolerance")
-
-
-def _f21_log_branch(k: int, z: float) -> float:
-    """2F1(a, a; 2a; 1 - z) for small z > 0 via the standard logarithmic expansion:
-    Gamma(2a)/Gamma(a)^2 sum_n ((a)_n)^2/(n!)^2 [2 H_n - 2 H_(a+n-1) - log z] z^n."""
-    a = k // 2
-    lg = math.log(z)
-    pref = math.gamma(k) / math.gamma(a) ** 2
-    poch_sq_over_fact_sq = 1.0
-    h_n = 0.0
-    h_an = sum(1.0 / m for m in range(1, a))  # H_(a-1)
-    total = 0.0
-    zn = 1.0
-    for n in range(0, _F21_TERMS):
-        if n > 0:
-            poch_sq_over_fact_sq *= ((a + n - 1) / n) ** 2
-            zn *= z
-            h_n += 1.0 / n
-            h_an += 1.0 / (a + n - 1)
-        term = poch_sq_over_fact_sq * (2 * h_n - 2 * h_an - lg) * zn
-        total += term
-        if n > 2 and abs(term) < _F21_TOL * max(1.0, abs(total)) * (1 - z):
-            return pref * total
-    raise ConvergenceError("2F1 log-branch failed to meet tolerance")
-
-
-def f21_series_oracle(k: int, x: float) -> tuple[float, float]:
-    """Plain 2000-term partial sum with an explicit geometric remainder bound."""
-    a = k // 2
-    term, total = 1.0, 1.0
-    for n in range(1, 2000):
-        term *= (a + n - 1) * (a + n - 1) * x / ((k + n - 1) * n)
-        total += term
-    tail = abs(term) * abs(x) / max(1e-300, 1 - abs(x))
-    return total, tail
+        c = b if b > 0 else -1 - b          # |x| = 2c + 1
+        x, q0, sign = 2 * c + 1, 0.5 * math.log1p(1 / c), 1 if b > 0 else (-1) ** (n + 1)
+    if on_cut or 2 * n * math.acosh(x) <= math.log(_FORWARD_LOSS):
+        p0, p1, q1 = 1.0, x, x * q0 - 1
+        for m in range(1, n):
+            p0, p1 = p1, ((2 * m + 1) * x * p1 - m * p0) / (m + 1)
+            q0, q1 = q1, ((2 * m + 1) * x * q1 - m * q0) / (m + 1)
+        return complex(q1, math.pi / 2 * p1) if on_cut else complex(sign * q1)
+    top = n + math.ceil(-math.log(_MILLER_TOL) / (2 * math.acosh(x)))
+    ratio, q = 0.0, q0
+    for m in range(top, 0, -1):
+        ratio = m / ((2 * m + 1) * x - (m + 1) * ratio)
+        if m <= n:
+            q *= ratio
+    return complex(sign * q)
 
 
 # ---------------------------------------------------------------------------
@@ -165,38 +114,20 @@ def f21_series_oracle(k: int, x: float) -> tuple[float, float]:
 
 
 def j_arch(k: int, b: float, eps: str) -> complex:
-    """J^eps(k; b) for eps in  "one", "sgn": the two displayed case formulas.
+    """J^eps(k; b) for eps in  "one", "sgn": the two displayed case formulas,
+    as Legendre functions of degree n = k/2 - 1 at x = 2b + 1.
 
-    For b(b+1) > 0 the trivial-character value is
-    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)) on both
-    sides, b > 0 and b < -1.  Where x = 1/(b+1) < -0.7 (-17/7 < b < -1)
-    gauss_2f1 would map x by Pfaff to -1/b, and the two powers are taken as
-    one: (1+b)^(-k/2) (1-x)^(-k/2) = b^(-k/2), which stays a float next to
-    b = -1 where each factor alone leaves the float range.  verify checks
-    the parity functional equation J(b) = (-1)^(k/2) J(-b-1) between the two
-    sides; from b = -17/7 down (every b for k <= 28), the b < -1 side sums
-    the series at x < 0 and its mirror the series at -1/b.
+    J^one(k; b) = 4 Q_n(x) on every side of the cut, Ferrers' Q_n on
+    -1 < b < 0; for b(b+1) > 0 this is the displayed (1+b)^(-k/2)
+    2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)).  J^sgn(k; b) =
+    2 pi i P_n(x) on the cut and 0 off it.  Both come from one recurrence,
+    _legendre_q.
     """
     _check_weight("k", k)
-    if k >= 172:
-        raise DomainError(f"k < 172 required: Gamma(k) overflows a float from k = 172, got k={k}")
     _check_b(b)
     _check_eps(eps)
-    prod = b * (b + 1)
-    if eps == "sgn":
-        if prod > 0:
-            return 0.0
-        return 2j * math.pi * legendre(k // 2 - 1, 2 * b + 1)
-    if prod < 0:
-        val = 2 * math.log(abs((b + 1) / b)) * legendre(k // 2 - 1, 2 * b + 1)
-        for m in range(1, k // 4 + 1):
-            val -= 8 * (k - 4 * m + 1) / ((2 * m - 1) * (k - 2 * m)) * legendre(k // 2 - 2 * m, 2 * b + 1)
-        return complex(val)
-    gamma_ratio = 2 * math.gamma(k / 2) ** 2 / math.gamma(k)
-    x = 1 / (b + 1)
-    if x < -_F21_SPLIT:
-        return b ** (-k / 2) * (gamma_ratio * gauss_2f1(k, -1 / b))
-    return (1 + b) ** (-k / 2) * (gamma_ratio * gauss_2f1(k, x))
+    q = _legendre_q(k // 2 - 1, b)
+    return complex(4 * q.real) if eps == "one" else 1j * (4 * q.imag)
 
 
 def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:

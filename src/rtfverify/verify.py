@@ -378,11 +378,15 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                            f"{len(pairs)} pairs, max rel err {worst_rel:.2e} where W_+ != 0, "
                            f"abs err {worst_abs:.2e} at b = -1/2"))
 
+    # J(b) = (-1)^(k/2) J(-b-1), b < -1 against its mirror b > 0.  j_arch
+    # computes both sides at the same |2b+1|, so the mirror comes from the
+    # defining integral, one j_arch_quads batch per k.
     worst = 0.0
+    bs = (-1.5, -2.0, -3.0, -7.5, -40.0, -12.0)
     for k in (4, 6, 8):
-        for b in (-1.5, -2.0, -3.0, -7.5, -40.0, -12.0):
+        for b, (mirror, _sgn) in zip(bs, orbital_arch.j_arch_quads(k, [-b - 1 for b in bs])):
             lhs = orbital_arch.j_arch(k, b, "one")
-            rhs = (-1) ** (k // 2) * orbital_arch.j_arch(k, -b - 1, "one")
+            rhs = (-1) ** (k // 2) * mirror
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10, f"max rel err {worst:.2e}"))
 
@@ -399,20 +403,18 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                 worst_c = max(worst_c, abs(b * (b + 1)) ** eps * j / env)
     out.append(CheckResult("arch.j-decay-envelope", worst_c < 50.0, f"fitted constant {worst_c:.2f}"))
 
-    # J^eps against the quadrature of its defining integral, over every branch
-    # of j_arch: the log formula (-1 < b < 0), and gauss_2f1 at x = 1/(b+1)
-    # on either side of it.  b > 0 gives x in (0, 1): the log expansion at
-    # 0.2 (k <= 10), the series at 1 and 4.  b < -1 gives x < 0: j_arch
-    # takes x < -0.7 to -1/b by Pfaff, the log expansion at -1.2 (k <= 10)
-    # and the series at -2, and at -10 the series sums at x = -1/9.  At
-    # k = 26, +-1.41417... (x or -1/b near 0.7071) take the series where
-    # the log expansion would lose 1e-3.
+    # J^eps against the quadrature of its defining integral, on the cut
+    # -1 < b < 0 and on both sides of it.  At k = 26, the largest l that
+    # rtf arch takes, the points 1e-3 and 1e-6 from each singular point, on
+    # either side, hold j_arch's Q_0 and its choice of the recurrence's
+    # direction next to 0 and -1.
     # Where J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
     # i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.  j_arch_quads
     # runs every b of one k in one batch.
     worst_rel = worst_abs = 0.0
     grid = {k: (-0.7, -0.1, 0.2, 1.0, 4.0, -1.2, -2.0, -10.0) for k in (4, 6, 8, 10)}
-    grid[26] = (0.4141701729754739, -1.4141701729754739)
+    grid[26] = (0.4141701729754739, -1.4141701729754739, 1e-3, -1e-3, 1e-6, -1e-6,
+                -1 + 1e-3, -1 - 1e-3, -1 + 1e-6, -1 - 1e-6)
     for k, bs in grid.items():
         for b, quads in zip(bs, orbital_arch.j_arch_quads(k, bs)):
             for eps, quad in zip(("one", "sgn"), quads):

@@ -137,7 +137,6 @@ def _is_dunder(name: str) -> bool:
 # test compares a reached closed form against.
 TEST_ORACLES = {
     "orbital_arch.j_plus_quad",         # j_plus_parts
-    "orbital_arch.f21_series_oracle",   # gauss_2f1
     "testfns.laurent_alpha_pn",         # decompose_alpha
     "testfns.laurent_decomposition",    # decompose_alpha
     "testfns.upsilon_over_unip_kernel", # dunip_kernel
@@ -225,7 +224,6 @@ INDEPENDENT_PAIRS = {
     ("orbital_arch.w_plus", "orbital_arch.w_plus_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
     ("orbital_arch.j_arch", "orbital_arch.j_arch_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
     ("orbital_arch.j_plus_parts", "orbital_arch.j_plus_quad"): {"orbital_arch._check_b"},
-    ("orbital_arch.gauss_2f1", "orbital_arch.f21_series_oracle"): set(),
     ("orbital_local.w_unramified", "orbital_local.w_unramified_oracle"): _LOCAL_LOG,
     ("orbital_local.w_level", "orbital_local.w_level_oracle"): _LOCAL_LOG | {"orbital_local._check_ordn"},
     ("orbital_local.tilde_I_plus_scaled", "orbital_local.tilde_I_plus_oracle_scaled"): {

@@ -110,8 +110,7 @@ def test_arch_command(capsys):
 
 @pytest.mark.parametrize("b", ["0.4141701729754739", "-1.4141701729754739"])
 def test_arch_j_one_at_the_largest_l_meets_its_quadrature(capsys, b):
-    # at l = 26, x = 1/(b+1) and its Pfaff image lie near 0.7071, where
-    # gauss_2f1's log expansion would be off by 1e-3
+    # at l = 26, the largest l rtf arch takes, one point on each side of the cut
     assert cli.main(["arch", "--l", "26", "--b", b]) == 0
     j_one = complex(*json.loads(capsys.readouterr().out)["J_one"])
     ((quad, _sgn),) = orbital_arch.j_arch_quads(26, [float(b)])

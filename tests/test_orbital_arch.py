@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _reference import reference
 from rtfverify import orbital_arch as oa, quadrature
 from rtfverify.errors import ConvergenceError, DomainError, InputError
 
@@ -37,17 +38,9 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-# The mpmath reference doubles its digits from 50 until two successive values
-# agree to REF_RTOL, and raises past REF_MAX_DPS.
-REF_RTOL, REF_MAX_DPS = 1e-15, 1600
-
-
-def _exact_parts_at(l: int, b: Fraction, dps: int) -> tuple[complex, complex]:
-    """J_+ and W_+ = -pi i J_+ - A - i B from their exact parts, evaluated on
-    a fresh mpmath context at dps digits."""
-    ctx = mp.MPContext()
-    ctx.dps = dps
-
+def _exact_parts_at(ctx, l: int, b: Fraction, which: int):
+    """J_+ (which = 0) or W_+ = -pi i J_+ - A - i B (which = 1) from their
+    exact parts, evaluated on the mpmath context ctx."""
     def q(x: Fraction):
         return ctx.mpf(x.numerator) / x.denominator
 
@@ -56,7 +49,7 @@ def _exact_parts_at(l: int, b: Fraction, dps: int) -> tuple[complex, complex]:
     j = q(jp.const) + q(jp.log_coeff) * (L - (i * pi if b * (b + 1) < 0 else 0))
     a = q(parts.a_const) + q(parts.a_L) * L + q(parts.a_L2) * L * L + q(parts.a_pi2) * pi * pi
     b_ = (q(parts.b_L_over_pi) * L + q(parts.b_const_over_pi)) * pi
-    return complex(j), complex(-i * pi * j - a - i * b_)
+    return -i * pi * j - a - i * b_ if which else j
 
 
 def _exact_parts_on_mpmath(l: int, b: Fraction, which: int) -> complex:
@@ -64,41 +57,108 @@ def _exact_parts_on_mpmath(l: int, b: Fraction, which: int) -> complex:
     that shares no evaluation code with w_plus, and checks its own digits.
     At (26, 119) the terms cancel to J_+ = 1.4597e-35, which 50 and 60 digits
     give as -8.0e-21 and -1.5e-31."""
-    prev, dps = None, 50
-    while dps <= REF_MAX_DPS:
-        value = _exact_parts_at(l, b, dps)[which]
-        if prev is not None and abs(value - prev) <= REF_RTOL * abs(value):
-            return value
-        prev, dps = value, 2 * dps
-    raise AssertionError(f"the mpmath reference at l={l}, b={b} did not settle by {REF_MAX_DPS} digits")
+    return complex(reference(_exact_parts_at, l, b, which, rtol=1e-15))
+
+
+# The J^one reference: 4 Q_n(x), n = k/2 - 1, x = 2b + 1, by two standard
+# forms of Q_n, neither of them a recurrence.  Where |x| >= 3 it is the
+# series in 1/x^2 (DLMF 14.3), whose terms are all of one sign.
+# Elsewhere it is Q_n = P_n Q_0 - W_(n-1), W_(n-1) = sum_(m=1..n) P_(m-1)
+# P_(n-m) / m, with every P_m summed exactly from the explicit
+# P_m(2b+1) = sum_j binom(m, j) binom(m+j, j) b^j; there the two terms
+# cancel by at most about 10^130, which the reference's doubling absorbs.
+J_REF_RTOL = 1e-25
+
+
+@functools.cache
+def _p_numerators(b: float, top: int) -> tuple[tuple[int, ...], int]:
+    """(d^m P_m(2b+1) for m <= top) and d, where b = u/d: exact integers.
+    One table serves every degree up to top."""
+    u, d = b.as_integer_ratio()
+    u_pow, d_pow = [u ** j for j in range(top + 1)], [d ** j for j in range(top + 1)]
+    return tuple(sum(math.comb(m, j) * math.comb(m + j, j) * u_pow[j] * d_pow[m - j] for j in range(m + 1))
+                 for m in range(top + 1)), d
+
+
+def _j_one_at(ctx, k: int, b: float, top: int):
+    """J^one(k; b) on the mpmath context ctx, for k/2 - 1 <= top."""
+    n = k // 2 - 1
+    x = 2 * ctx.mpf(b) + 1
+    if abs(x) >= 3:
+        scale = ctx.mpf(math.factorial(n) * math.factorial(n + 1) * 2 ** (n + 1)) / math.factorial(2 * n + 2)
+        half = ctx.mpf(1) / 2
+        return 4 * scale / x ** (n + 1) * ctx.hyp2f1(n / 2 + half, n / 2 + 1, n + 3 * half, 1 / x ** 2)
+    a, d = _p_numerators(b, top)
+    lcm = math.lcm(*range(1, n + 1))
+    w = sum(a[m - 1] * a[n - m] * (lcm // m) for m in range(1, n + 1))
+    q0 = ctx.log(abs((1 + ctx.mpf(b)) / b)) / 2
+    return 4 * (ctx.mpf(a[n]) / d ** n * q0 - ctx.mpf(w) / (lcm * d ** (n - 1)))
+
+
+def _assert_j_arch_meets_the_reference(k: int, bs, top: int) -> None:
+    """j_arch(k, b, eps) for each b of bs within 1e-11 relative of the
+    reference, J^one by _j_one_at and J^sgn = 2 pi i P_n(2b+1) from the
+    exact P_n on the cut.  Where J is below the normal floats the bound is
+    1e-11 of the least normal float: j_arch underflows with it."""
+    for b in bs:
+        a, d = _p_numerators(b, top)
+        n = k // 2 - 1
+        want = {"one": complex(reference(_j_one_at, k, b, top, rtol=J_REF_RTOL)),
+                "sgn": 2j * math.pi * (a[n] / d ** n) if b * (b + 1) < 0 else 0}
+        for eps, value in want.items():
+            got = oa.j_arch(k, b, eps)
+            assert abs(got - value) <= 1e-11 * max(abs(value), sys.float_info.min), (k, b, eps, got, value)
+
+
+# Every even k up to 170, and b on the cut and on both sides of it: 1.5e-9
+# and 1e-8 from 0 and 2e-9 from -1 on either side, and |b| up to 1e6.  At
+# b = -1/2, J^one (k/2 odd) or J^sgn (k/2 even) is exactly 0, where no
+# relative bound holds; test_j_arch_examples takes that point.
+J_SWEEP_BS = (1.5e-9, 1e-8, 1e-6, 1e-3, 0.1, 0.4141701729754739, 1.0, 3.7, 20.0, 1e3, 1e6,
+              -1.5e-9, -1e-8, -1e-6, -0.01, -0.3, -0.55, -0.77, -0.999, -1 + 1e-6, -1 + 2e-9,
+              -1 - 2e-9, -1 - 5e-7, -1.0001, -1.3, -2.5, -17.0, -1e4, -1e6)
+
+
+def test_j_arch_sweep_against_the_reference():
+    for k in range(4, 172, 2):
+        _assert_j_arch_meets_the_reference(k, J_SWEEP_BS, 170 // 2 - 1)
+
+
+def test_j_arch_past_the_gamma_range_meets_the_reference():
+    # Gamma(k) leaves the floats from k = 172; j_arch uses none
+    for k in (172, 400):
+        _assert_j_arch_meets_the_reference(k, (2.0, -0.3, -7.5), k // 2 - 1)
+
+
+def _j_one_2f1(k: int, b: float) -> float:
+    """The paper's case formula for J^one at b(b+1) > 0,
+    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)), by
+    mpmath at 25 digits, so that forming 1/(b+1) costs nothing: the 2F1
+    form that j_arch's Legendre Q form is held to."""
+    with mp.workdps(25):
+        bm = mp.mpf(b)
+        return float((1 + bm) ** (-k // 2) * 2 * mp.gamma(k // 2) ** 2 / mp.gamma(k)
+                     * mp.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm)))
 
 
 def test_legendre_values():
-    assert oa.legendre(0, 0.3) == 1.0
-    assert oa.legendre(1, 0.0) == 0.0
-    xs = np.linspace(-1, 1, 11)
-    for n in range(6):
-        for x in xs:
-            assert oa.legendre(n, float(x)) == pytest.approx(float(mp.legendre(n, x)), abs=1e-13)
-
-
-def test_2f1_trivial_and_series_oracle():
-    assert oa.gauss_2f1(4, 0.0) == 1.0
-    val = oa.gauss_2f1(4, 0.5)
-    oracle, tail = oa.f21_series_oracle(4, 0.5)
-    assert tail < 1e-12
-    assert val == pytest.approx(oracle, abs=10 * tail + 1e-12)
+    # J^sgn(k; b) = 2 pi i P_(k/2-1)(2b+1) on the cut
+    for n in range(1, 6):
+        for x in np.linspace(-1, 1, 11)[1:-1]:
+            b = (float(x) - 1) / 2
+            want = 2 * math.pi * float(mp.legendre(n, x))
+            assert oa.j_arch(2 * n + 2, b, "sgn") == pytest.approx(1j * want, abs=1e-13)
 
 
 @pytest.mark.parametrize("x", [-0.9, -0.4, 0.1, 0.45, 0.6, 0.85, 0.97, -3.5, -40.0])
 @pytest.mark.parametrize("k", [4, 6, 10])
 def test_2f1_against_mpmath(k, x):
-    want = float(mp.hyp2f1(k / 2, k / 2, k, x))
-    assert oa.gauss_2f1(k, x) == pytest.approx(want, rel=1e-11)
+    # J^one at b = 1/x - 1, where the 2F1 of the case formula is at x
+    b = 1 / x - 1
+    assert oa.j_arch(k, b, "one").real == pytest.approx(_j_one_2f1(k, b), rel=1e-11)
 
 
-# x across (0.7, 1), where the log expansion loses digits as k grows, and
-# x = 1/(b+1) for b < -1, which gauss_2f1 takes by Pfaff to -1/b in (0, 1)
+# b = 1/x - 1 for x across (0.7, 1), next to b = 0, and for b < -1
 F21_SWEEP_X = ([0.7 + 0.3 * i / 60 for i in range(1, 60)] + [1 - 10.0 ** -e for e in range(2, 9)]
                + [1 / (b + 1) for b in (-1 - 1.01e-9, -1 - 1e-6, -1.001, -1.05, -1.2, -1.4141701729754739,
                                         -1.7, -2.0, -2.5, -3.3, -5.0, -12.0, -100.0, -1e4)])
@@ -106,49 +166,26 @@ F21_SWEEP_X = ([0.7 + 0.3 * i / 60 for i in range(1, 60)] + [1 - 10.0 ** -e for 
 
 @pytest.mark.parametrize("k", range(4, 28, 2))
 def test_2f1_sweep_against_mpmath(k):
-    worst = max((abs(oa.gauss_2f1(k, x) / float(mp.hyp2f1(k // 2, k // 2, k, x)) - 1), x) for x in F21_SWEEP_X)
+    worst = max((abs(oa.j_arch(k, 1 / x - 1, "one").real / _j_one_2f1(k, 1 / x - 1) - 1), x) for x in F21_SWEEP_X)
     assert worst[0] <= 1e-10, worst
 
 
-def test_2f1_refuses_what_neither_expansion_reaches():
-    # past k = 46 the series needs more than 4000 terms where the log
-    # expansion would still lose digits
-    for k, x in ((60, 0.985), (170, 0.99)):
-        with pytest.raises(DomainError, match=f"^2F1 at k={k}, x={x}: "):
-            oa.gauss_2f1(k, x)
-        with pytest.raises(DomainError, match=f"^2F1 at k={k}, "):
-            oa.j_arch(k, 1 / x - 1, "one")
-
-
 def test_j_arch_next_to_minus_one_at_large_k():
-    # (1+b)^(-k/2) alone overflows here and the Pfaff factor alone underflows;
-    # their product b^(-k/2) is an ordinary float.  One ulp of b moves J by
-    # about 1e-8 relative this close to -1, and rounding -1/b costs less.
+    # the case formula's (1+b)^(-k/2) and its 2F1 at 1/(1+b) each leave the
+    # float range here, and J does not.  One ulp of b moves J by about 1e-8
+    # relative this close to -1.
     for k, b in ((80, 1 / -5e8 - 1), (170, -1 - 2e-9), (100, -1 - 5e-7), (170, -1.0001)):
         bm = mp.mpf(b)
         want = (1 + bm) ** (-k // 2) * 2 * mp.gamma(k // 2) ** 2 / mp.gamma(k) * mp.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm))
         assert oa.j_arch(k, b, "one").real == pytest.approx(float(want), rel=1e-9)
 
 
-def test_2f1_domain_guard():
-    with pytest.raises(DomainError):
-        oa.gauss_2f1(6, 1.0 - 1e-12)
-    with pytest.raises(DomainError):
-        oa.gauss_2f1(6, 1.5)
-
-
-def test_j_arch_refuses_k_past_the_gamma_range():
-    assert oa.j_arch(170, 2.0, "one") != 0          # Gamma(170) is finite
-    for k in (172, 400):
-        with pytest.raises(DomainError, match=f"k={k}"):
-            oa.j_arch(k, 2.0, "one")
-
-
 def test_j_arch_examples():
     assert oa.j_arch(6, 2.0, "sgn") == 0.0
     assert oa.j_arch(4, -0.5, "sgn") == 0.0   # 2 pi i P_1(0)
     assert oa.j_arch(4, -0.5, "one") == -4.0
-    assert abs(oa.j_arch(6, -0.5, "sgn") - 2j * math.pi * oa.legendre(2, 0.0)) < 1e-14
+    assert oa.j_arch(6, -0.5, "one") == 0.0   # 4 Q_2(0)
+    assert abs(oa.j_arch(6, -0.5, "sgn") + 1j * math.pi) < 1e-14   # 2 pi i P_2(0) = -pi i
 
 
 def test_j_arch_domain_guard():
@@ -170,7 +207,7 @@ def test_b_guard_names_b(call, b):
 
 
 def test_weight_and_eps_guards_name_their_value():
-    for call, got in ((lambda: oa.gauss_2f1(5, 0.5), "k=5"), (lambda: oa.j_arch(2, 2.0, "one"), "k=2"),
+    for call, got in ((lambda: oa.j_arch(2, 2.0, "one"), "k=2"),
                       (lambda: oa.j_arch_quads(7, [2.0]), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
                       (lambda: oa.j_plus_parts(5, Fraction(2)), "l=5"), (lambda: oa.w_plus_quads(4, [2.0]), "l=4")):
         with pytest.raises(InputError, match=f"required, got {got}$"):
@@ -197,8 +234,8 @@ def test_j_arch_quads_bit_identical_to_one_item_calls():
 
 
 def test_j_functional_equation():
-    # J(b) = (-1)^(k/2) J(-b-1): b < -1 against its mirror b > 0.  At -5 and
-    # -100 the two sides sum different series, at x = 1/(b+1) < 0 and at -1/b.
+    # J(b) = (-1)^(k/2) J(-b-1): b < -1 against its mirror b > 0, the sign
+    # that j_arch takes from the parity of Q
     for k in (4, 6, 8):
         for b in (-1.3, -2.0, -5.0, -100.0):
             mirror = (-1) ** (k // 2) * oa.j_arch(k, -b - 1, "one")
