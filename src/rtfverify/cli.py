@@ -21,10 +21,11 @@ from .ideals import Ideal, json_value, load_config, parse_ideal, residue_cardina
 # n above 64 passes its refinement check; docs/formats.md lists the first n
 # that fails it at each q (63 at q = 2, 42/45 at q = 3, 21 at q = 13).
 MOMENTS_MAX_N = 64
-# rtf arch: the largest l.  Up to l = 26 the oracle w_plus_quads agrees with
-# w_plus to 8e-10 relative over 65 values of b; from l = 28 it misses at
-# b = -5/4 by 66% and more, as its absolute tolerance applies before the
-# prefactor (1+b)^(-l/2).
+# rtf arch: the largest l.  Up to it w_plus_quads agrees with w_plus to
+# 7.3e-12 relative over 1000 random (l, b), b = +-m/d, m <= 10^6, d <= 10^4.
+# Past it, at 60 such b per l, to 1.1e-9 at l = 36 and 4.4e-8 at l = 40, with
+# no error raised: W_+ over its prefactor falls below the oracle's tol 1e-11
+# (2.8e-13 at l = 40, b = -6025/776), under its error rule's absolute part.
 ARCH_MAX_L = 26
 # rtf ntransform --fn norm^t: the largest result it prints.  to_json writes
 # the result's numerator and denominator in decimal, and Python refuses to
@@ -170,7 +171,7 @@ def cmd_local_tables(args) -> int:
         wu_o = orbital_local.w_unramified_oracle(pt, q, args.eta)
         wl = orbital_local.w_level(pt, args.ordn, q, args.eta)
         wl_o = orbital_local.w_level_oracle(pt, args.ordn, q, args.eta)
-        wr = orbital_local.w_ramified(pt, args.f, q, 1, 1) if pt.ordb >= -args.f else 0.0
+        wr = orbital_local.w_ramified(pt, args.f, q, 1, 1)
         wr_b = orbital_local.w_ramified_bound(pt, args.f, q)
         delta_u = (wu - wu_o).evaluate()
         delta_l = (wl - wl_o).evaluate()
@@ -227,14 +228,9 @@ def cmd_lattice(args) -> int:
         "tail_bound": th["tail_bound"],
         "tail_estimate": th["tail_estimate"],
         "points": th["count"],
-        "r": lattice.min_vector_radius(lat),
+        "r": lat.packing_radius,
         "covol": lat.covolume,
-        "audits": {
-            "theta_ratio": audits["theta_ratio"],
-            "covering_ok": audits["covering_ok"],
-            "submultiplicative_ok": audits["submultiplicative_ok"],
-            "minkowski_ok": audits["minkowski_ok"],
-        },
+        "audits": audits,
     }, sys.stdout, indent=2)
     print()
     return 0

@@ -13,6 +13,7 @@ passes the W_+ quadratures of each N to orbital_arch.w_plus_quads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,20 +41,25 @@ class EmbeddedLattice:
     sqrt_disc: float = 1.0
 
     def __post_init__(self):
-        if np.abs(np.linalg.det(self.matrix)) < 1e-300:
+        if self.covolume < 1e-300:
             raise ValueError("basis is singular")
 
     @property
     def d(self) -> int:
         return len(self.basis)
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
         return np.array(self.basis, dtype=float)
 
-    @property
+    @functools.cached_property
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.matrix)))
+
+    @functools.cached_property
+    def packing_radius(self) -> float:
+        """r(Lambda), the radius of the disjoint balls: min_vector_radius."""
+        return min_vector_radius(self)
 
 
 # The largest |generator| embed_ideal takes, and on Q the smallest.  Past R,
@@ -198,7 +204,7 @@ def _tail_bound(lat: EmbeddedLattice, lmin: float, R: float) -> float:
     Needs lmin/2 > d for the sup-based shells to be summable (the weights in
     use are >= 4 in rank one and >= 6 in rank two, which suffices).
     """
-    r = min_vector_radius(lat)
+    r = lat.packing_radius
     d = lat.d
     s = lmin / 2
     if s <= d:
@@ -359,7 +365,7 @@ def minkowski_constants(d: int) -> tuple[float, float]:
 
 
 def minkowski_sandwich_ok(lat: EmbeddedLattice) -> bool:
-    r = min_vector_radius(lat)
+    r = lat.packing_radius
     D = lat.covolume
     c_lo, c_hi = minkowski_constants(lat.d)
     return (c_lo * r ** lat.d <= D * (1 + 1e-9)
@@ -372,7 +378,7 @@ def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]
     of f (on 10,000 Kronecker-sequence pairs), the Minkowski sandwich."""
     d = lat.d
     l = list(l)
-    r0, r1 = min_vector_radius(lat0), min_vector_radius(lat)
+    r0, r1 = lat0.packing_radius, lat.packing_radius
     D0, D1 = lat0.covolume, lat.covolume
     try:
         envelope = (1 + r0) ** (d * max(l) / 2) / D0 * D1 ** ((1 - min(l) / 2) / d)

@@ -16,15 +16,15 @@ on a private stdlib `decimal` context (again on a more precise one when the
 terms cancel to fewer than 20 digits): no quadrature runs, and the thread's
 decimal context is neither read nor written.
 
-The oracles integrate the defining integrand
-g(t) = (t+i)^-h (t+ci)^-h t^(h-1), h = k/2, c = b/(b+1), by adaptive
-Gauss-Kronrod (quadrature.quad_many), with each half line folded onto
-(0, 1].  j_arch_quads gives (J^one, J^sgn) for a list of b, with t < 0
-folded onto t > 0, and j_plus_quad integrates over t > 0; both carry the
-prefactor inside the integrand, so their error checks hold on J itself.
-w_plus_quads integrates with the weight log t over t > 0 for a list of b.
-A list of b runs in one quad_many call whose integrand reads c at row
-`which`.
+The oracles integrate the defining integrand g(t) = (t+i)^-h (t+ci)^-h
+t^(h-1), h = k/2, c = b/(b+1), times its prefactor pref = i^h (1+b)^-h, by
+adaptive Gauss-Kronrod (quadrature.quad_many) with each half line folded
+onto (0, 1]: j_arch_quads for (J^one, J^sgn), with t < 0 folded onto t > 0,
+j_plus_quad for J_+, and w_plus_quads, with the weight log t, for W_+.  One
+error rule holds every value returned, err <= tol max(min(1, |pref|),
+|value|): on the value itself, and where it decays like |b|^(-h) (|pref| <
+1), tol on the integral before the prefactor.  A list of b runs in one
+quad_many call whose integrand reads its b at row `which`.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ _MIN_DIGITS = 20     # w_plus: digits that must survive cancellation
 _MAX_DPS = 2000      # w_plus: refuse rather than evaluate at more digits
 _FORWARD_LOSS = 1e3      # _legendre_q: the most a forward run off the cut may lose
 _MILLER_TOL = 1e-18      # _legendre_q: the error of the backward run's start, relative
-_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: absolute and relative tolerance
-_J_QUAD_TOL = 1e-13       # absolute and relative tolerance of J in j_arch_quads and of J_+ in j_plus_quad
+_W_PLUS_QUAD_TOL = 1e-11  # w_plus_quads: the tol of _half_lines' error rule on W_+
+_J_QUAD_TOL = 1e-13       # j_arch_quads and j_plus_quad: the same on J and on J_+
 
 
 def _check_weight(name: str, value: int, least: int = 4) -> None:
@@ -139,27 +139,32 @@ def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
 def _integrands(h: int, bs: Sequence[float]):
     """For each b of bs, pref = i^h (1+b)^-h and g(t) = (t+i)^-h (t+ci)^-h
     t^(h-1), c = b/(b+1): J^sgn(2h; b) = pref int_R g, J^one(2h; b) =
-    pref int_R sgn(t) g and J_+(2h; b) = pref int_0^inf g.  Returns the
-    prefs and g(t, which), the integrand of bs[which] on each row of t."""
+    pref int_R sgn(t) g and J_+(2h; b) = pref int_0^inf g.  Returns each
+    b's floor = min(1, |pref|) (1 where pref underflows to 0) and
+    f(t, which) = (pref / floor) g(t) for bs[which] on each row of t."""
+    prefs = [1j ** h * (1 + b) ** (-h) for b in bs]   # negative base, integer power: real
+    floors = [min(1.0, abs(pref)) or 1.0 for pref in prefs]
+    scale = np.array([pref / floor for pref, floor in zip(prefs, floors)])
     ic = 1j * np.array([b / (b + 1) for b in bs])
 
-    def g(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return (t + 1j) ** (-h) * (t + ic[which]) ** (-h) * t ** (h - 1)
+    def f(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return scale[which] * (t + 1j) ** (-h) * (t + ic[which]) ** (-h) * t ** (h - 1)
 
-    return [1j ** h * (1 + b) ** (-h) for b in bs], g   # negative base, integer power: real
+    return f, floors
 
 
-def _half_lines(f, tol: float, names: Sequence[str], floor: float = 1.0) -> list[complex]:
-    """int_0^inf f(t, which) dt for each integral which < len(names), by
+def _half_lines(f, floors: Sequence[float], tol: float, names: Sequence[str]) -> list[complex]:
+    """floors[which] int_0^inf f(t, which) dt for each integral which, by
     quadrature.quad_many, with [1, inf) folded onto (0, 1] by t -> 1/t.
-    Each integral is held to its own error estimate, err <= tol max(floor,
-    |value|), and a failure is named by its names entry."""
+    Each integral of f is held to err <= tol max(1, |integral|), so each
+    value to err <= tol max(floor, |value|); a failure is named by its
+    names entry."""
     try:
         results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [(0.0, 1.0)] * len(names),
-                            epsabs=tol * floor, epsrel=tol, limit=200)
+                            epsabs=tol, epsrel=tol, limit=200)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{names[exc.which]}: {exc}") from exc
-    return [value for value, _err in results]
+    return [floor * value for floor, (value, _err) in zip(floors, results)]
 
 
 def j_arch_quads(k: int, bs: Sequence[float]) -> list[tuple[complex, complex]]:
@@ -167,16 +172,15 @@ def j_arch_quads(k: int, bs: Sequence[float]) -> list[tuple[complex, complex]]:
     in order.  The t < 0 half of pref int g is folded onto t > 0, so J^one
     is the half-line integral of pref (g(t) - g(-t)) and J^sgn that of
     pref (g(t) + g(-t)).  All 2 len(bs) integrals run in one quad_many
-    call; with the prefactor inside the integrand, each error check,
-    err <= tol max(1, |value|), holds on J itself, and each value has the
-    bits of a one-item call."""
+    call; each error check, err <= tol max(min(1, |pref|), |J|), holds on
+    J itself, and each value has the bits of a one-item call."""
     _check_weight("k", k)
     for b in bs:
         _check_b(b)
     # integral 2j is J^one at bs[j], integral 2j + 1 J^sgn
-    prefs, g = _integrands(k // 2, [b for b in bs for _eps in (0, 1)])
-    pref, sign = np.array(prefs), np.array([-1.0, 1.0] * len(bs))
-    values = _half_lines(lambda t, which: pref[which] * (g(t, which) + sign[which] * g(-t, which)), _J_QUAD_TOL,
+    f, floors = _integrands(k // 2, [b for b in bs for _eps in (0, 1)])
+    sign = np.array([-1.0, 1.0] * len(bs))
+    values = _half_lines(lambda t, which: f(t, which) + sign[which] * f(-t, which), floors, _J_QUAD_TOL,
                          [f"J^{eps} at k={k}, b={b}" for b in bs for eps in ("one", "sgn")])
     return list(zip(values[::2], values[1::2]))
 
@@ -309,32 +313,26 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
 
 def j_plus_quad(l: int, b: float) -> complex:
     """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral: the
-    oracle for j_plus_parts.  The prefactor pref = i^(l/2) (1+b)^(-l/2)
-    sits inside the integrand, so the error check holds on J_+ itself:
-    err <= tol max(min(1, |pref|), |J_+|).  Next to b = -1, where |pref|
-    is large, that is tol max(1, |J_+|), as in j_arch_quads; where |pref|
-    < 1 (|1+b| > 1) J_+ decays like |b|^(-l/2), and the absolute part
-    is no looser than tol on the integral before the prefactor."""
+    oracle for j_plus_parts, held to err <= tol max(min(1, |pref|), |J_+|),
+    pref = i^(l/2) (1+b)^(-l/2)."""
     _check_b(b)
-    (pref,), g = _integrands(l // 2, [b])
-    (value,) = _half_lines(lambda t, which: pref * g(t, which), _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"],
-                           floor=min(1.0, abs(pref)))
+    f, floors = _integrands(l // 2, [b])
+    (value,) = _half_lines(f, floors, _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"])
     return value
 
 
 def w_plus_quads(l: int, bs: Sequence[float]) -> list[complex]:
     """Defining-integral oracle for W_+(b) at each b of bs, in order:
-    adaptive Gauss-Kronrod of pref int_0^inf g(t) log t dt.  The integrals
-    run together on quadrature.quad_many, one integrand call per refinement
-    round for all of them; each keeps its own error check, and its value
-    has the bits of a one-item call."""
+    adaptive Gauss-Kronrod of pref int_0^inf g(t) log t dt, held to
+    err <= tol max(min(1, |pref|), |W_+|).  The integrals run together on
+    quadrature.quad_many, one integrand call per refinement round for all
+    of them; each value has the bits of a one-item call."""
     _check_weight("l", l, least=6)     # for comfortable decay
     for b in bs:
         _check_b(b)
-    prefs, g = _integrands(l // 2, bs)
-    values = _half_lines(lambda t, which: g(t, which) * np.log(t), _W_PLUS_QUAD_TOL,
-                         [f"W_+ quadrature at l={l}, b={b}" for b in bs])
-    return [pref * value for pref, value in zip(prefs, values)]
+    f, floors = _integrands(l // 2, bs)
+    return _half_lines(lambda t, which: f(t, which) * np.log(t), floors, _W_PLUS_QUAD_TOL,
+                       [f"W_+ quadrature at l={l}, b={b}" for b in bs])
 
 
 def w_plus(l: int, b: Fraction) -> complex:

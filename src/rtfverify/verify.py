@@ -463,7 +463,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     ratios = []
     ns = [1, 3, 10, 31, 100, 316, 1000, 3162, 10000]
     lat0 = lattice.embed_ideal("Q", 1)
-    r0 = lattice.min_vector_radius(lat0)
+    r0 = lat0.packing_radius
     for N in ns:
         latn = lattice.embed_ideal("Q", N)
         t = lattice.theta(latn, [4], max(1e4, 50 * N))["value"]
@@ -473,7 +473,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     ok_q = max(ratios) <= ratios[0] * 1.01 and slope <= 0.05
     chain_ratios = []
     o2 = lattice.embed_ideal("real_quadratic", "O", m=2)
-    r0 = lattice.min_vector_radius(o2)
+    r0 = o2.packing_radius
     d0 = o2.covolume
     for k in range(0, 7):
         ideal_k = lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2)

@@ -394,6 +394,8 @@ def test_verify_command(capsys):
     ["main-terms", "--config", "CFG", "--n", "p^2", "--a", "q^1024"],
     # a prime id declared twice, which used to keep the later prime
     ["ntransform", "--config", "ID_TWICE", "--ideal", "p^2"],
+    # f = 0 where every ordb < -f, which used to skip w_ramified's f check
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb=-3..-1", "--f", "0"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {

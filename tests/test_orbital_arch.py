@@ -283,6 +283,24 @@ def test_j_plus_quad_holds_its_tolerance_next_to_minus_one(l, b):
     assert abs(oa.j_plus_quad(l, float(b)) - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("l, b", [(12, Fraction(-99, 100)), (14, Fraction(-92, 93)), (26, Fraction(-4519, 4988))])
+def test_w_plus_quads_holds_its_tolerance_next_to_minus_one(l, b):
+    # the prefactor (1+b)^(-l/2) is 10^12 to 6e13 here; the oracle's error
+    # check, 1e-11 max(1, |W_+|), holds on W_+ itself, not on the integral
+    # before the prefactor
+    want = oa.w_plus(l, b)
+    (quad,) = oa.w_plus_quads(l, [float(b)])
+    assert abs(quad - want) <= 1e-9 * abs(want)
+
+
+def test_quadrature_oracles_where_the_prefactor_underflows():
+    # (1+b)^(-13) underflows to 0 at |b| = 1e300: each oracle returns the
+    # value 0 that floats hold, with no division by the prefactor's size
+    assert oa.w_plus_quads(26, [1e300]) == [0j]
+    assert oa.j_plus_quad(26, 1e300) == 0j
+    assert oa.j_arch_quads(26, [1e300, -1e300]) == [(0j, 0j), (0j, 0j)]
+
+
 def test_j_plus_parts_exact_example():
     # l = 6, b = 1: J_+ = -9 - 13 log(1/2), with no pi term since b(b+1) > 0
     assert oa.j_plus_parts(6, Fraction(1)) == oa.JPlusParts(Fraction(-9), Fraction(-13))
