@@ -297,7 +297,7 @@ def henkei_adl_star(n: Ideal,
     logfac = log_norm(n) * Fraction(1, 2) + log_norm(eta.conductor)
     alv = al_star(n)
     if isinstance(alv, FormalLog):
-        raise ValueError("the exact wiring wants a rational-valued AL* mock")
+        raise InputError(f"the exact wiring wants a rational-valued AL* mock, got AL*({n})={alv}")
     t2 = logfac * Fraction(alv)
     t3 = n_transform(al_dw, n)
     return t1 + t2 - t3

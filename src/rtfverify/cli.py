@@ -1,6 +1,13 @@
 """Command-line surface: closed forms, oracle tables and the verify suites.
 
 See docs/formats.md for the CSV column layouts.
+
+`rtf` is main(argv), which may be called any number of times in one
+process.  build_parser is the one definition of the grammar, built on the
+first call and reused.  main gives argv[1:] straight to the parser of the
+subcommand argv[0] names; the top-level parser serves only help, a missing
+or unknown command, and arguments the subcommand leaves over.  Each command
+writes its JSON output in one piece.
 """
 from __future__ import annotations
 
@@ -115,8 +122,7 @@ def cmd_ntransform(args) -> int:
         out = FormalLog(val)
     else:
         raise InputError(f"--fn {args.fn!r}: one, norm^t or lognorm expected")
-    json.dump({"ideal": str(n), "fn": args.fn, "result": out.to_json()}, sys.stdout, indent=2)
-    print()
+    print(json.dumps({"ideal": str(n), "fn": args.fn, "result": out.to_json()}, indent=2))
     return 0
 
 
@@ -140,8 +146,7 @@ def cmd_local_weights(args) -> int:
             "partial_r": str(spectral.partial_r(rep, args.eta, k)),
             "partial_r_sum": str(spectral.partial_r_sum(rep, args.eta, k)),
         })
-    json.dump({"rep": rep_obj, "q": args.q, "eta": args.eta, "table": rows}, sys.stdout, indent=2)
-    print()
+    print(json.dumps({"rep": rep_obj, "q": args.q, "eta": args.eta, "table": rows}, indent=2))
     return 0
 
 
@@ -197,15 +202,14 @@ def cmd_arch(args) -> int:
     wp = orbital_arch.w_plus(args.l, b)
     (wq,) = orbital_arch.w_plus_quads(args.l, [bf])
     eps_m1 = -1 if args.eps == "sgn" else 1
-    json.dump({
+    print(json.dumps({
         "l": args.l, "b": bf,
         "J_one": [j_one.real, j_one.imag],
         "J_sgn": [j_sgn.real, j_sgn.imag],
         "W_plus": [wp.real, wp.imag],
         "W_eps": [(wp + eps_m1 * wp.conjugate()).real, (wp + eps_m1 * wp.conjugate()).imag],
         "oracle_delta": abs(wp - wq),
-    }, sys.stdout, indent=2)
-    print()
+    }, indent=2))
     return 0
 
 
@@ -222,7 +226,7 @@ def cmd_lattice(args) -> int:
     l = _parsed("--l", args.l, _weights) if args.l is not None else [6.0] * lat.d
     th = lattice.theta(lat, l, args.R)
     audits = lattice.bound_audits(lat, ambient, l, th["value"])
-    json.dump({
+    print(json.dumps({
         "provenance": lat.provenance,
         "theta": th["value"],
         "tail_bound": th["tail_bound"],
@@ -231,8 +235,7 @@ def cmd_lattice(args) -> int:
         "r": lat.packing_radius,
         "covol": lat.covolume,
         "audits": audits,
-    }, sys.stdout, indent=2)
-    print()
+    }, indent=2))
     return 0
 
 
@@ -273,8 +276,7 @@ def cmd_main_terms(args) -> int:
         pass
     payload["sign_class"] = cls
     if args.out == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        print(json.dumps(payload, indent=2))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(sorted(payload))
@@ -298,7 +300,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The rtf parser, built on the first call and shared by every later
     main call in the process."""
-    ap = argparse.ArgumentParser(prog="rtf", description=__doc__)
+    ap = argparse.ArgumentParser(prog="rtf", description="Command-line surface: closed forms, oracle tables and "
+                                 "the verify suites. See docs/formats.md for the CSV column layouts.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("ntransform", help="transform of a named arithmetic function")
@@ -355,14 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all",) + tuple(verify.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
+    ap.subcommands = sub.choices      # name -> subcommand parser, read by main
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  A toolkit error (an RTFError, which names the input
-    it refused) ends the command with one line on stderr and exit status 2;
-    any other exception is a bug and propagates with its traceback."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  argv[1:] goes straight to the parser of the
+    subcommand argv[0] names; the top-level parser serves the rest (no
+    arguments, -h, an unknown command, or arguments the subcommand leaves
+    over), with the usage and errors a parse of all of argv gives.  A
+    toolkit error (an RTFError, which names the input it refused) ends the
+    command with one line on stderr and exit status 2; any other exception
+    is a bug and propagates with its traceback."""
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser()
+    sub = ap.subcommands.get(argv[0]) if argv else None
+    args, extra = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if args is None or extra:
+        args = ap.parse_args(argv)
+    else:
+        args.cmd = argv[0]
     try:
         return args.func(args)
     except RTFError as exc:

@@ -68,7 +68,7 @@ class Ideal(tuple):
                 raise InputError(f"negative exponent {e} at {p.id}")
         ids = [p.id for p, _ in items]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate prime ids in exponent map")
+            raise InputError(f"duplicate prime ids in exponent map: {sorted({i for i in ids if ids.count(i) > 1})}")
         return cls(items)
 
     def ord(self, p: Prime) -> int:
@@ -109,7 +109,7 @@ class Ideal(tuple):
         for p, e in other:
             r = d.get(p, 0) - e
             if r < 0:
-                raise ValueError(f"{other} does not divide {self}")
+                raise InputError(f"{other} does not divide {self}")
             d[p] = r
         return Ideal((p, d[p]) for p, _ in self if d[p])
 
@@ -118,7 +118,7 @@ class Ideal(tuple):
 
     def pow(self, k: int) -> "Ideal":
         if k < 0 and self:
-            raise ValueError(f"negative power {k} of {self}")
+            raise InputError(f"negative power {k} of {self}")
         return Ideal((p, e * k) for p, e in self) if k else Ideal(())
 
     def divisors(self) -> Iterator["Ideal"]:

@@ -41,8 +41,8 @@ class EmbeddedLattice:
     sqrt_disc: float = 1.0
 
     def __post_init__(self):
-        if self.covolume < 1e-300:
-            raise ValueError("basis is singular")
+        if not 1e-300 <= self.covolume < math.inf:
+            raise InputError(f"basis {self.basis} must be finite and nonsingular, got covolume {self.covolume}")
 
     @property
     def d(self) -> int:

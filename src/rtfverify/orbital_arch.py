@@ -361,8 +361,10 @@ def w_plus(l: int, b: Fraction) -> complex:
         if dps >= _MAX_DPS:
             raise ConvergenceError(f"w_plus(l={l}, b={b}): {lost:.0f} of {dps} digits "
                                    f"lost to cancellation")
-        # 5 spare digits: a pass that lost nearly all of them misjudges |W_+|
-        dps = min(_MAX_DPS, max(dps, math.ceil(lost)) + _MIN_DIGITS + 5)
+        # 5 spare digits: a pass that lost nearly all of them misjudges |W_+|;
+        # one that lost all of them (a sum of 0 or of noise) at least doubles
+        step = max(dps, math.ceil(lost)) + _MIN_DIGITS + 5
+        dps = min(_MAX_DPS, max(step, 2 * dps) if lost >= dps else step)
 
 
 def _w_plus_sum(jp: JPlusParts, parts: ResidueParts, b: Fraction, dps: int) -> tuple[Decimal, Decimal]:
@@ -372,7 +374,7 @@ def _w_plus_sum(jp: JPlusParts, parts: ResidueParts, b: Fraction, dps: int) -> t
     def dec(x: Fraction) -> Decimal:
         return Decimal(x.numerator) / x.denominator
 
-    L = dec(abs(b / (b + 1))).ln()
+    L = _log_ratio(b, dps)
     pi = _pi(dps)
     pi2 = pi * pi
     A = dec(parts.a_const) + dec(parts.a_L) * L + dec(parts.a_L2) * L * L + dec(parts.a_pi2) * pi2
@@ -380,6 +382,26 @@ def _w_plus_sum(jp: JPlusParts, parts: ResidueParts, b: Fraction, dps: int) -> t
     K = dec(jp.log_coeff)
     re = -(A + K * pi2) if b * (b + 1) < 0 else -A
     return re, -(pi * (dec(jp.const) + K * L) + B)
+
+
+def _ratio(b: Fraction) -> tuple[int, int]:
+    """|b/(b+1)| as (numerator, denominator) in lowest terms: |u| and |u+v|
+    for b = u/v."""
+    u, v = b.numerator, b.denominator
+    return abs(u), abs(u + v)
+
+
+def _log_ratio(b: Fraction, dps: int) -> Decimal:
+    """L = log|b/(b+1)| = -log|1 + 1/b| to dps digits relative.  Where the
+    ratio r is near 1 (|b| large, or b near -1/2), r rounded to dps digits
+    keeps only about dps + log10|r - 1| of L's digits, so r and its log are
+    formed with -log10|r - 1| more, and two guard digits."""
+    num, den = _ratio(b)
+    if num == den:
+        return Decimal(0)
+    extra = max(0, math.ceil(math.log10(den) - math.log10(abs(num - den)))) + 2
+    ctx = decimal.Context(prec=dps + extra, rounding=decimal.ROUND_HALF_EVEN)
+    return ctx.ln(ctx.divide(num, den))
 
 
 @functools.lru_cache(maxsize=8)
@@ -410,12 +432,16 @@ def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, re: Deci
     came out 0)."""
     if not (re or im):
         return dps
-    L = abs(math.log(abs(b / (b + 1))))
+    num, den = _ratio(b)
+    L = abs(math.log1p((num - den) / den))     # from r - 1: r itself rounds to 1 for |b| >~ 1e16
     log_c = math.hypot(L, math.pi) if b * (b + 1) < 0 else L
     terms = ((jp.const, math.pi), (jp.log_coeff, math.pi * log_c),
              (parts.a_const, 1.0), (parts.a_L, L), (parts.a_L2, L * L), (parts.a_pi2, math.pi ** 2),
              (parts.b_L_over_pi, math.pi * L), (parts.b_const_over_pi, math.pi))
     largest = max(math.log10(abs(c.numerator)) - math.log10(c.denominator) + math.log10(m)
                   for c, m in terms if c and m)
-    size = abs(complex(float(re), float(im)))      # 0 only on float underflow
-    return largest - (math.log10(size) if size else float((re * re + im * im).sqrt().log10()))
+    size = math.hypot(float(re), float(im))
+    if 0 < size < math.inf:
+        return largest - math.log10(size)
+    square = re * re + im * im          # |W_+| under- or overflows a float: read its exponent
+    return largest - (square.adjusted() + math.log10(float(square.scaleb(-square.adjusted())))) / 2

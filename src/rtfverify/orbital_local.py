@@ -244,7 +244,7 @@ def w_ramified(point: LocalPoint, f: int, q: int, eta_minus1: int,
     if point.ordb < -f:
         return 0.0
     if eta_bb1 not in (1, -1):
-        raise ValueError("eta(b(b+1)) must be +-1")
+        raise InputError(f"eta(b(b+1)) must be +-1, got eta_bb1={eta_bb1}")
     pref = eta_minus1 * (1 - 1 / q) ** -1 * q ** (-f - d_v / 2)
     inner = -f
     if point.ordb > 0:

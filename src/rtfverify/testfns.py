@@ -46,7 +46,7 @@ def decompose_alpha(n: int) -> tuple[list[int], int]:
     -delta(n even); alpha^(m)(s) = q^(ms/2) + q^(-ms/2).
     """
     if n < 0:
-        raise ValueError("n >= 0 required")
+        raise InputError(f"n >= 0 required, got n={n}")
     ms = [n - 2 * m for m in range(n // 2 + 1)]
     const = -1 if n % 2 == 0 else 0
     return ms, const

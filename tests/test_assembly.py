@@ -2,13 +2,13 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
+from _reference import reference
 from rtfverify import assembly as asm
 from rtfverify import ntransform as nt
 from rtfverify import verify
-from rtfverify.errors import DomainError, SignClassError
+from rtfverify.errors import DomainError, InputError, SignClassError
 from rtfverify.formal import FRAKC, LOG_DF, LPL, FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
 
@@ -28,16 +28,21 @@ def test_c_l_examples():
     assert math.isfinite(big) and big > 0
 
 
+def _c_l_at(ctx, weights):
+    """C_l = prod_l 2 pi (l-2)! / (l/2-1)!^2 on the mpmath context ctx."""
+    exact = ctx.mpf(1)
+    for l in weights:
+        exact *= 2 * ctx.pi * ctx.mpf(math.factorial(l - 2)) / ctx.mpf(math.factorial(l // 2 - 1)) ** 2
+    return exact
+
+
 @pytest.mark.parametrize("weights", [(2,), (6,), (6, 8, 10), (10, 10, 10), (100,), (174,), (180,), (200,),
                                      (202,), (400,), (1000,), (180, 200, 202)])
 def test_c_l_is_the_exact_binomial_product(weights):
     # 174 <= l <= 200 overflowed the old factorial quotient
     got = asm.c_l(asm.WeightData(weights))
-    with mp.workdps(40):
-        exact = mp.mpf(1)
-        for l in weights:
-            exact *= 2 * mp.pi * mp.mpf(math.factorial(l - 2)) / mp.mpf(math.factorial(l // 2 - 1)) ** 2
-        assert abs(got - exact) <= 2 * math.ulp(got)
+    exact = reference(_c_l_at, weights, rtol=1e-30)
+    assert abs(got - exact) <= 2 * math.ulp(got)
 
 
 @pytest.mark.parametrize("weights", [(1030,), (1040,), (2000,), (600, 600), (6, 10 ** 6)])
@@ -227,6 +232,10 @@ def test_henkei_wiring_small_instance():
 
     got = asm.henkei_adl_star(n, w_geom, al_star, al_dw, eta, G, D, n_s)
     assert got == FormalLog(Fraction(5, 4))
+    log_mock = lambda m: FormalLog.log_integer(3, Fraction(1))
+    with pytest.raises(InputError, match=r"^the exact wiring wants a rational-valued AL\* mock, "
+                                         r"got AL\*\(p\^2\)=FormalLog\(1\*log@3\)$"):
+        asm.henkei_adl_star(n, w_geom, log_mock, al_dw, eta, G, D, n_s)
 
 
 def test_random_minus_config_wellformed():

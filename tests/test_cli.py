@@ -283,6 +283,71 @@ def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
     assert built.count("rtf") == 1
 
 
+def _top_level_main(argv: list[str]) -> int:
+    """main as it was when the top-level parser read every argv."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except cli.RTFError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(run, argv: list[str], capsys) -> tuple:
+    """(exit status, stdout, stderr) of run(argv), a SystemExit's code included."""
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # the top-level parser's own: no command, help, an unknown command
+    [], ["-h"], ["--help", "arch"], ["nosuch"], ["nosuch", "--l", "6"],
+    *([cmd, "--help"] for cmd in ("ntransform", "local-weights", "moments", "local-tables", "arch", "lattice",
+                                  "main-terms", "verify")),
+    # a subcommand's errors, and arguments it leaves over
+    ["arch", "--l", "6"], ["moments", "--q", "3", "--eta", "2"], ["moments", "--q", "x", "--eta", "1"],
+    ["arch", "--l", "6", "--b", "1", "extra"], ["arch", "--l", "6", "--b", "1", "--extra"],
+    ["arch", "--l", "6", "--b", "1", "--", "x"],
+    # one valid argv per subcommand, with an abbreviated option and a glued negative value among them
+    ["ntransform", "--config", "CFG", "--fn", "lognorm", "--ideal", "p^2"],
+    ["local-weights", "--rep", '{"c":0,"Q":"1/3"}', "--q", "3", "--eta", "-1", "--k", "2"],
+    ["moments", "--q", "3", "--eta", "-1", "--n", "0..2"],
+    ["local-tables", "--place", '{"q":3}', "--eta", "-1", "--ordb=-2..3"],
+    ["arch", "--l", "6", "--b=-1/3"],
+    ["lattice", "--field", "Q(sqrt2)", "--R", "20"],
+    ["main-terms", "--conf", "CFG", "--n", "p^2", "--out", "csv"],
+    ["verify", "--suite", "orbital", "--seed", "1"],
+    # a toolkit error after a clean parse
+    ["arch", "--l", "3", "--b", "1"],
+])
+def test_main_parses_as_the_top_level_parser(argv, cfg_path, capsys):
+    # main hands argv[1:] to the subcommand's parser; each argv must give the
+    # exit status, output and parsed attributes of a parse by the top-level one
+    argv = [cfg_path if arg == "CFG" else arg for arg in argv]
+    parsers = cli.build_parser().subcommands
+    funcs = {name: parser.get_default("func") for name, parser in parsers.items()}
+    parsed = []
+
+    def spy(args):
+        parsed.append(dict(vars(args)))
+        return funcs[args.cmd](args)
+
+    for parser in parsers.values():
+        parser.set_defaults(func=spy)
+    try:
+        got = _outcome(cli.main, argv, capsys)
+        want = _outcome(_top_level_main, argv, capsys)
+    finally:
+        for name, parser in parsers.items():
+            parser.set_defaults(func=funcs[name])
+    assert got == want
+    assert len(parsed) in (0, 2) and parsed[:1] == parsed[1:]
+
+
 def test_verify_command(capsys):
     rc = cli.main(["verify", "--suite", "weights", "--seed", "1"])
     out = capsys.readouterr().out

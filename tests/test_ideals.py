@@ -188,8 +188,10 @@ def test_prime_and_ideal_value_semantics():
     (lambda: Prime("p", 1), InputError, "prime 'p' needs an integer q >= 2, got q=1"),
     (lambda: Prime("p", 2.0), InputError, "prime 'p' needs an integer q >= 2, got q=2.0"),
     (lambda: Ideal.of({P3: 2, Q2: -1}), InputError, "negative exponent -1 at q"),
-    (lambda: Ideal.of({P3: 1, Prime("p", 5): 2}), ValueError, "duplicate prime ids in exponent map"),
-], ids=["q=1", "q=2.0", "negative", "duplicate"])
+    (lambda: Ideal.of({P3: 1, Prime("p", 5): 2}), InputError, "duplicate prime ids in exponent map: ['p']"),
+    (lambda: Ideal.of({P3: 1}).divide(Ideal.of({Q2: 1})), InputError, "q does not divide p"),
+    (lambda: Ideal.of({P3: 1}).pow(-2), InputError, "negative power -2 of p"),
+], ids=["q=1", "q=2.0", "negative", "duplicate", "divide", "pow"])
 def test_prime_and_ideal_refusals_keep_their_messages(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
@@ -241,8 +243,8 @@ def test_product_with_a_new_place(drawn, e):
     _assert_canonical(i * extra)
     _assert_canonical(extra * i)
     assert (i * extra).divide(extra) == i
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         i.divide(extra)
     clash = Ideal.of({Prime(primes[0].id, primes[0].q + 1): 1})   # same id, another q
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         i * Ideal.of({primes[0]: 1}) * clash

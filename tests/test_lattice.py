@@ -26,6 +26,10 @@ def test_embed_guards():
         lt.embed_ideal("cubic", 1)
     with pytest.raises(UnsupportedField):
         lt.embed_ideal("real_quadratic", "O")
+    for basis, covolume in ((((1.0, 2.0), (2.0, 4.0)), "0.0"), (((math.nan,),), "nan"), (((math.inf,),), "inf")):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                InputError, match=rf"^basis .* must be finite and nonsingular, got covolume {covolume}$"):
+            lt.EmbeddedLattice(basis, "refused")
 
 
 @pytest.mark.parametrize("m", [4, 8, 12, 18])

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _reference import reference
 from rtfverify import orbital_arch as oa, quadrature
-from rtfverify.errors import ConvergenceError, DomainError, InputError
+from rtfverify.errors import ConvergenceError, DomainError, InputError, RTFError
 
 # the pairs of the arch.w-plus-closed-vs-quadrature check
 SUITE_PAIRS = [(l, b) for l in (6, 8, 10) for b in (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2),
@@ -130,15 +130,19 @@ def test_j_arch_past_the_gamma_range_meets_the_reference():
         _assert_j_arch_meets_the_reference(k, (2.0, -0.3, -7.5), k // 2 - 1)
 
 
-def _j_one_2f1(k: int, b: float) -> float:
+def _case_formula_at(ctx, k: int, b: float):
     """The paper's case formula for J^one at b(b+1) > 0,
-    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)), by
-    mpmath at 25 digits, so that forming 1/(b+1) costs nothing: the 2F1
-    form that j_arch's Legendre Q form is held to."""
-    with mp.workdps(25):
-        bm = mp.mpf(b)
-        return float((1 + bm) ** (-k // 2) * 2 * mp.gamma(k // 2) ** 2 / mp.gamma(k)
-                     * mp.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm)))
+    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)), on
+    the mpmath context ctx."""
+    bm = ctx.mpf(b)
+    return (1 + bm) ** (-k // 2) * 2 * ctx.gamma(k // 2) ** 2 / ctx.gamma(k) * ctx.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm))
+
+
+def _j_one_2f1(k: int, b: float) -> float:
+    """The case formula by the self-checking reference, from 25 digits
+    (hyp2f1 at 100 digits takes up to 70 ms next to z = 1): the 2F1 form
+    that j_arch's Legendre Q form is held to."""
+    return float(reference(_case_formula_at, k, b, rtol=1e-20, start=25))
 
 
 def test_legendre_values():
@@ -175,9 +179,7 @@ def test_j_arch_next_to_minus_one_at_large_k():
     # float range here, and J does not.  One ulp of b moves J by about 1e-8
     # relative this close to -1.
     for k, b in ((80, 1 / -5e8 - 1), (170, -1 - 2e-9), (100, -1 - 5e-7), (170, -1.0001)):
-        bm = mp.mpf(b)
-        want = (1 + bm) ** (-k // 2) * 2 * mp.gamma(k // 2) ** 2 / mp.gamma(k) * mp.hyp2f1(k // 2, k // 2, k, 1 / (1 + bm))
-        assert oa.j_arch(k, b, "one").real == pytest.approx(float(want), rel=1e-9)
+        assert oa.j_arch(k, b, "one").real == pytest.approx(_j_one_2f1(k, b), rel=1e-9)
 
 
 def test_j_arch_examples():
@@ -370,6 +372,23 @@ def test_w_plus_refuses_past_the_digit_cap(monkeypatch):
     monkeypatch.setattr(oa, "_MAX_DPS", 60)
     with pytest.raises(ConvergenceError, match=r"w_plus\(l=16, b=1000\)"):
         oa.w_plus(16, Fraction(1000))
+
+
+@pytest.mark.parametrize("l", [6, 12, 26])
+def test_w_plus_at_huge_b_meets_its_quadrature(l):
+    # L = log|b/(b+1)| is about -1/b here, and the terms cancel by about
+    # b^(l-1): L must keep the digits that rounding the ratio would lose.
+    # Where W_+ is below the normal floats both sides underflow with it, so
+    # the bound is 1e-9 of the least normal float there.
+    for e in range(20, 59):
+        b = Fraction(10 ** e)
+        try:
+            closed = oa.w_plus(l, b)
+        except RTFError as exc:
+            assert f"l={l}, b={b}" in str(exc), exc
+            continue
+        (quad,) = oa.w_plus_quads(l, [float(b)])
+        assert abs(closed - quad) <= 1e-9 * max(abs(quad), sys.float_info.min), (l, b, closed, quad)
 
 
 def test_w_plus_query_inputs_stay_at_50_digits(monkeypatch):

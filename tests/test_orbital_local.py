@@ -136,6 +136,8 @@ def test_w_ramified_example():
     assert val == pytest.approx(1.0)
     # support cut
     assert ol.w_ramified(pt(-2, -2), 1, 3, 1, 1) == 0.0
+    with pytest.raises(InputError, match=r"^eta\(b\(b\+1\)\) must be \+-1, got eta_bb1=0$"):
+        ol.w_ramified(pt(0, 0), 1, 3, 1, 0)
 
 
 def test_w_ramified_bound():

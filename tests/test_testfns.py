@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtfverify import testfns as tf
-from rtfverify.errors import ConvergenceError
+from rtfverify.errors import ConvergenceError, InputError
 
 
 def test_chebyshev_trivial_values():
@@ -21,6 +21,8 @@ def test_decompose_alpha_examples():
     assert tf.decompose_alpha(1) == ([1], 0)
     assert tf.decompose_alpha(2) == ([2, 0], -1)
     assert tf.decompose_alpha(3) == ([3, 1], 0)
+    with pytest.raises(InputError, match=r"^n >= 0 required, got n=-1$"):
+        tf.decompose_alpha(-1)
 
 
 def test_decompose_alpha_laurent_identity():
