@@ -29,10 +29,9 @@ from .ideals import Ideal, json_value, load_config, parse_ideal, residue_cardina
 # that fails it at each q (63 at q = 2, 42/45 at q = 3, 21 at q = 13).
 MOMENTS_MAX_N = 64
 # rtf arch: the largest l.  Up to it w_plus_quads agrees with w_plus to
-# 7.3e-12 relative over 1000 random (l, b), b = +-m/d, m <= 10^6, d <= 10^4.
-# Past it, at 60 such b per l, to 1.1e-9 at l = 36 and 4.4e-8 at l = 40, with
-# no error raised: W_+ over its prefactor falls below the oracle's tol 1e-11
-# (2.8e-13 at l = 40, b = -6025/776), under its error rule's absolute part.
+# 2.4e-15 relative over 1000 random (l, b), b = +-m/d, m <= 10^6, d <= 10^4,
+# and past it to 2.5e-15 at l = 40 over 60 such b; a raise waits on a sweep
+# of both oracles on both sides of the cut up to l = 170.
 ARCH_MAX_L = 26
 # rtf ntransform --fn norm^t: the largest result it prints.  to_json writes
 # the result's numerator and denominator in decimal, and Python refuses to

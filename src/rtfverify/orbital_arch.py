@@ -11,20 +11,23 @@ identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  A and B are exact residue
 polynomials in b with rational coefficients against 1, L = log|b/(b+1)|, pi
 and pi^2.  J_+ is the same defining integral without the log factor; its
 integrand is rational in t, so partial fractions close it exactly in the
-basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits
-on a private stdlib `decimal` context (again on a more precise one when the
-terms cancel to fewer than 20 digits): no quadrature runs, and the thread's
+basis (1, L, pi) as well.  The whole combination is evaluated at 50 digits,
+or off the cut at as many as a lower bound of |W_+| says the terms need, on
+a private stdlib `decimal` context (again on a more precise one when they
+cancel to fewer than 20 digits): no quadrature runs, and the thread's
 decimal context is neither read nor written.
 
 The oracles integrate the defining integrand g(t) = (t+i)^-h (t+ci)^-h
 t^(h-1), h = k/2, c = b/(b+1), times its prefactor pref = i^h (1+b)^-h, by
 adaptive Gauss-Kronrod (quadrature.quad_many) with each half line folded
-onto (0, 1]: j_arch_quads for (J^one, J^sgn), with t < 0 folded onto t > 0,
-j_plus_quad for J_+, and w_plus_quads, with the weight log t, for W_+.  One
-error rule holds every value returned, err <= tol max(min(1, |pref|),
-|value|): on the value itself, and where it decays like |b|^(-h) (|pref| <
-1), tol on the integral before the prefactor.  A list of b runs in one
-quad_many call whose integrand reads its b at row `which`.
+onto (0, 1] and split at fixed break points: j_arch_quads for (J^one,
+J^sgn), j_plus_quad for J_+, and w_plus_quads, with the weight log t, for
+W_+.  Off the cut (c > 0) the half line turns onto the ray t = i s, where
+the prefactor cancels and the integrand has one sign; each value there is
+held relative, err <= tol |value|.  On the cut the real-axis integral
+stays, |pref| > 1, and each value is held to err <= tol max(1, |value|).
+A list of b runs in one quad_many call per side of the cut, whose
+integrand reads its b at row `which`.
 """
 from __future__ import annotations
 
@@ -136,53 +139,71 @@ def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
     return (1 + abs(b)) ** (-k / 2 + 2 * epsilon)
 
 
-def _integrands(h: int, bs: Sequence[float]):
-    """For each b of bs, pref = i^h (1+b)^-h and g(t) = (t+i)^-h (t+ci)^-h
-    t^(h-1), c = b/(b+1): J^sgn(2h; b) = pref int_R g, J^one(2h; b) =
-    pref int_R sgn(t) g and J_+(2h; b) = pref int_0^inf g.  Returns each
-    b's floor = min(1, |pref|) (1 where pref underflows to 0) and
-    f(t, which) = (pref / floor) g(t) for bs[which] on each row of t."""
-    prefs = [1j ** h * (1 + b) ** (-h) for b in bs]   # negative base, integer power: real
-    floors = [min(1.0, abs(pref)) or 1.0 for pref in prefs]
-    scale = np.array([pref / floor for pref, floor in zip(prefs, floors)])
-    ic = 1j * np.array([b / (b + 1) for b in bs])
-
-    def f(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return scale[which] * (t + 1j) ** (-h) * (t + ic[which]) ** (-h) * t ** (h - 1)
-
-    return f, floors
+_BREAKS = (0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)   # the first panels of (0, 1]
 
 
-def _half_lines(f, floors: Sequence[float], tol: float, names: Sequence[str]) -> list[complex]:
-    """floors[which] int_0^inf f(t, which) dt for each integral which, by
-    quadrature.quad_many, with [1, inf) folded onto (0, 1] by t -> 1/t.
-    Each integral of f is held to err <= tol max(1, |integral|), so each
-    value to err <= tol max(floor, |value|); a failure is named by its
-    names entry."""
+def _half_lines(f, bs: Sequence[float], epsabs: float, tol: float, name) -> list:
+    """int_0^inf f(t, which) dt for each b = bs[which], by quad_many from the
+    panels _BREAKS with [1, inf) folded onto (0, 1] by t -> 1/t, each held
+    to err <= max(epsabs, tol |integral|): relative off the cut (epsabs =
+    0), tol max(1, |integral|) on it (epsabs = tol).  name(b) names a
+    failure."""
     try:
-        results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [(0.0, 1.0)] * len(names),
-                            epsabs=tol, epsrel=tol, limit=200)
+        results = quad_many(lambda t, which: f(t, which) + f(1 / t, which) / (t * t), [_BREAKS] * len(bs),
+                            epsabs=epsabs, epsrel=tol, limit=200)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{names[exc.which]}: {exc}") from exc
-    return [floor * value for floor, (value, _err) in zip(floors, results)]
+        raise ConvergenceError(f"{name(bs[exc.which])}: {exc}") from exc
+    return [value for value, _err in results]
+
+
+def _quads(h: int, bs: Sequence[float], tol: float, name, ray, cut) -> list[complex]:
+    """A half-line integral of pref g at each b of bs, in order: pref = i^h
+    (1+b)^-h, g(t) = (t+i)^-h (t+ci)^-h t^(h-1), c = b/(b+1).  Off the cut
+    (c > 0) both poles, -i and -ci, lie below 0, so [0, inf) turns onto the
+    ray t = i s, where pref g dt = w(s) ds, w(s) = s^(h-1) (1+s)^-h ((1+b)s
+    + b)^-h, of one sign: the value is int ray(w, s) ds (0 if ray is None),
+    held relative.  With a = 1 + b for b > 0 and b for b < -1, w = a^-h
+    (s/d)^(h-1) / d, d = (1+s)(p s + q), p = (1+b)/a and q = b/a in (0, 1],
+    so s/d <= 1, nothing overflows, and a^-h underflows only where the
+    value does.  On the cut the value is int cut(g, t, which) dt on the real
+    axis, held to err <= tol max(1, |value|), and |pref| > 1.  Each side is
+    one batch; each value has the bits of a one-item call."""
+    for b in bs:
+        _check_b(b)
+    off = [b * (b + 1) > 0 for b in bs]
+    on_ray = [b for b, o in zip(bs, off) if o and ray]
+    on_cut = [b for b, o in zip(bs, off) if not o]
+    a = [1 + b if b > 0 else b for b in on_ray]
+    p = np.array([(1 + b) / x for b, x in zip(on_ray, a)])
+    q = np.array([b / x for b, x in zip(on_ray, a)])
+    pref = np.array([1j ** h * (1 + b) ** (-h) for b in on_cut])
+    ic = 1j * np.array([b / (b + 1) for b in on_cut])
+
+    def w(s: np.ndarray, which: np.ndarray) -> np.ndarray:
+        d = (1 + s) * (p[which] * s + q[which])
+        return ray((s / d) ** (h - 1) / d, s)
+
+    def g(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return pref[which] * (t + 1j) ** (-h) * (t + ic[which]) ** (-h) * t ** (h - 1)
+
+    ray_values = iter(complex(x ** -h * v) for x, v in zip(a, _half_lines(w, on_ray, 0.0, tol, name)))
+    cut_values = iter(_half_lines(lambda t, which: cut(g, t, which), on_cut, tol, tol, name))
+    return [(next(ray_values) if ray else 0j) if o else next(cut_values) for o in off]
 
 
 def j_arch_quads(k: int, bs: Sequence[float]) -> list[tuple[complex, complex]]:
     """Defining-integral oracle for j_arch: (J^one, J^sgn) at each b of bs,
-    in order.  The t < 0 half of pref int g is folded onto t > 0, so J^one
-    is the half-line integral of pref (g(t) - g(-t)) and J^sgn that of
-    pref (g(t) + g(-t)).  All 2 len(bs) integrals run in one quad_many
-    call; each error check, err <= tol max(min(1, |pref|), |J|), holds on
-    J itself, and each value has the bits of a one-item call."""
+    in order, by _quads.  Off the cut J^one = 2 J_+ is the ray integral of
+    2 w, held relative, and J^sgn is 0 by the same contour shift, not
+    integrated.  On the cut, with t < 0 folded onto t > 0, J^one is the
+    integral of pref (g(t) - g(-t)) and J^sgn that of pref (g(t) + g(-t)),
+    each held to err <= tol max(1, |J|)."""
     _check_weight("k", k)
-    for b in bs:
-        _check_b(b)
-    # integral 2j is J^one at bs[j], integral 2j + 1 J^sgn
-    f, floors = _integrands(k // 2, [b for b in bs for _eps in (0, 1)])
-    sign = np.array([-1.0, 1.0] * len(bs))
-    values = _half_lines(lambda t, which: f(t, which) + sign[which] * f(-t, which), floors, _J_QUAD_TOL,
-                         [f"J^{eps} at k={k}, b={b}" for b in bs for eps in ("one", "sgn")])
-    return list(zip(values[::2], values[1::2]))
+    ones = _quads(k // 2, bs, _J_QUAD_TOL, lambda b: f"J^one at k={k}, b={b}", lambda w, s: 2 * w,
+                  lambda g, t, which: g(t, which) - g(-t, which))
+    sgns = _quads(k // 2, bs, _J_QUAD_TOL, lambda b: f"J^sgn at k={k}, b={b}", None,
+                  lambda g, t, which: g(t, which) + g(-t, which))
+    return list(zip(ones, sgns))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +299,15 @@ def residue_parts(l: int, b: Fraction) -> ResidueParts:
                         Fraction(4 * t * d * c2_bk, den), Fraction(-4 * (3 * s_b1k + t * s_bk), den))
 
 
-def _laurent_sum(h: int, k: int, x: Fraction) -> Fraction:
-    """P_k(x) = sum_(n <= h-k) binom(h-1, h-k-n) binom(h+n-1, n) x^n, by
-    Horner's rule on the integers p, q of x = p/q."""
-    p, q = x.numerator, x.denominator
-    num, qpow = 0, 1
-    for n in range(h - k, -1, -1):
-        num = num * p + comb(h - 1, h - k - n) * comb(h + n - 1, n) * qpow
-        qpow *= q
-    return Fraction(num, qpow // q)
+@functools.cache
+def _laurent_weights(h: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The b-free factors of j_plus_parts, on integers: (d, e, f) with d =
+    lcm(1, ..., h-1), e the coefficients of d sum_(k>=2) (-1)^(k-1)/(k-1) P_k
+    and f those of P_1, P_k(x) = sum_(n <= h-k) binom(h-1, h-k-n) binom(h+n-1, n) x^n."""
+    d = math.lcm(*range(1, h))
+    e = tuple(comb(h + n - 1, n) * sum((-1) ** (k - 1) * (d // (k - 1)) * comb(h - 1, h - k - n)
+                                       for k in range(2, h - n + 1)) for n in range(h - 1))
+    return d, e, tuple(comb(h - 1, h - 1 - n) * comb(h + n - 1, n) for n in range(h))
 
 
 def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
@@ -298,64 +319,72 @@ def j_plus_parts(l: int, b: Fraction) -> JPlusParts:
     integrand is sum_k alpha_k u^-k + beta_k v^-k, Gaussian rationals in b
     with beta_1 = -alpha_1.  An order k >= 2 pole integrates to
     alpha_k i^(1-k)/(k-1) + beta_k (ci)^(1-k)/(k-1); with the prefactor this
-    is (-1)^(k-1)/(k-1) [P_k(b) + (-1)^h P_k(-1-b)] (see _laurent_sum).  The
-    order-1 pair integrates to alpha_1 (log(ci) - log(i)) = alpha_1 (L - i pi
-    [c < 0]), and the prefactor turns alpha_1 into -P_1(b).
+    is (-1)^(k-1)/(k-1) [P_k(b) + (-1)^h P_k(-1-b)] (see _laurent_weights).
+    The order-1 pair integrates to alpha_1 (log(ci) - log(i)) = alpha_1 (L -
+    i pi [c < 0]), and the prefactor turns alpha_1 into -P_1(b).  With b =
+    u/v both parts are integer numerators over d v^(h-2) and v^(h-1), as in
+    residue_parts: one Fraction is built per part.
     """
     _check_weight("l", l)
     _check_b(b)
     h = l // 2
-    sgn = (-1) ** h
-    const = sum(Fraction((-1) ** (k - 1), k - 1) * (_laurent_sum(h, k, b) + sgn * _laurent_sum(h, k, -1 - b))
-                for k in range(2, h + 1))
-    return JPlusParts(const, -_laurent_sum(h, 1, b))
+    u, v = b.numerator, b.denominator
+    d, e, f = _laurent_weights(h)
+    # b^n = u^n v^-n and (-1-b)^n = (-u-v)^n v^-n
+    const = sum(c * (u ** n + (-1) ** h * (-u - v) ** n) * v ** (h - 2 - n) for n, c in enumerate(e))
+    log = sum(c * u ** n * v ** (h - 1 - n) for n, c in enumerate(f))
+    return JPlusParts(Fraction(const, d * v ** (h - 2)), Fraction(-log, v ** (h - 1)))
 
 
 def j_plus_quad(l: int, b: float) -> complex:
-    """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral: the
-    oracle for j_plus_parts, held to err <= tol max(min(1, |pref|), |J_+|),
-    pref = i^(l/2) (1+b)^(-l/2)."""
-    _check_b(b)
-    f, floors = _integrands(l // 2, [b])
-    (value,) = _half_lines(f, floors, _J_QUAD_TOL, [f"J_+ at l={l}, b={b}"])
+    """J_+(l; b) by adaptive Gauss-Kronrod of its defining integral
+    (_quads): the oracle for j_plus_parts."""
+    (value,) = _quads(l // 2, [b], _J_QUAD_TOL, lambda b: f"J_+ at l={l}, b={b}", lambda w, s: w,
+                      lambda g, t, which: g(t, which))
     return value
 
 
 def w_plus_quads(l: int, bs: Sequence[float]) -> list[complex]:
     """Defining-integral oracle for W_+(b) at each b of bs, in order:
-    adaptive Gauss-Kronrod of pref int_0^inf g(t) log t dt, held to
-    err <= tol max(min(1, |pref|), |W_+|).  The integrals run together on
-    quadrature.quad_many, one integrand call per refinement round for all
-    of them; each value has the bits of a one-item call."""
+    adaptive Gauss-Kronrod of pref int_0^inf g(t) log t dt (_quads), held
+    relative off the cut, where log t = log s + i pi/2 on the ray, and to
+    err <= tol max(1, |W_+|) on it.  The integrals of each side run together
+    on quadrature.quad_many, one integrand call per round for all of them."""
     _check_weight("l", l, least=6)     # for comfortable decay
-    for b in bs:
-        _check_b(b)
-    f, floors = _integrands(l // 2, bs)
-    return _half_lines(lambda t, which: f(t, which) * np.log(t), floors, _W_PLUS_QUAD_TOL,
-                       [f"W_+ quadrature at l={l}, b={b}" for b in bs])
+    return _quads(l // 2, bs, _W_PLUS_QUAD_TOL, lambda b: f"W_+ quadrature at l={l}, b={b}",
+                  lambda w, s: w * (np.log(s) + 0.5j * math.pi), lambda g, t, which: g(t, which) * np.log(t))
 
 
 def w_plus(l: int, b: Fraction) -> complex:
     """Closed-form W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  J_+, A and B
     are exact rational combinations of 1, L = log|b/(b+1)| and pi at the
-    same rational b, evaluated together at 50 digits on a private decimal
-    context; no quadrature runs.
+    same rational b, evaluated together at 50 digits or more on a private
+    decimal context; no quadrature runs.
 
-    The terms cancel by about |b|^(l-1).  When fewer than _MIN_DIGITS of
-    the 50 survive that, the sum is evaluated again with enough digits.  At
-    b = -1/2 W_+ vanishes identically, so there is no relative precision to
-    gain.
+    The terms cancel by about |b|^(l-1).  Off the cut the first pass has
+    the digits that a lower bound of |W_+| says they lose: |W_+| >= |Im W_+|
+    = pi/2 |J_+| >= pi/2 B(h, h) max(|b|, |1+b|)^(-h), h = l/2, as |(1+b)s
+    + b| <= max(|b|, |1+b|) (1+s) on the ray (see _quads).  When fewer than
+    _MIN_DIGITS survive a pass, the sum is evaluated again with enough
+    digits.  At b = -1/2 W_+ vanishes identically, so there is no relative
+    precision to gain.
     """
     jp = j_plus_parts(l, b)
     parts = residue_parts(l, b)
+    largest = _largest_term(jp, parts, b)
     dps = _DPS
+    if b * (b + 1) > 0:
+        h, m = l // 2, max(abs(b), abs(b + 1))
+        least = (math.log10(math.pi / 2) + (2 * math.lgamma(h) - math.lgamma(2 * h)) / math.log(10)
+                 - h * (math.log10(m.numerator) - math.log10(m.denominator)))
+        dps = min(_MAX_DPS, max(dps, math.ceil(largest - least) + _MIN_DIGITS))
     while True:
         with decimal.localcontext(decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN)):
             re, im = _w_plus_sum(jp, parts, b, dps)
             value = complex(float(re), float(im))
             if b == Fraction(-1, 2):
                 return value
-            lost = _cancelled_digits(jp, parts, b, re, im, dps)
+            lost = _cancelled_digits(largest, re, im, dps)
         if dps - lost >= _MIN_DIGITS:
             return value
         if dps >= _MAX_DPS:
@@ -425,21 +454,22 @@ def _pi(dps: int) -> Decimal:
         16 * atan_inv(5) - 4 * atan_inv(239), unit)
 
 
-def _cancelled_digits(jp: JPlusParts, parts: ResidueParts, b: Fraction, re: Decimal, im: Decimal,
-                      dps: int) -> float:
-    """Decimal digits of w_plus's sum lost to cancellation: log10 of its
-    largest |coefficient x basis value| over |W_+| (all of them when the sum
-    came out 0)."""
-    if not (re or im):
-        return dps
+def _largest_term(jp: JPlusParts, parts: ResidueParts, b: Fraction) -> float:
+    """log10 of the largest |coefficient x basis value| of w_plus's sum."""
     num, den = _ratio(b)
     L = abs(math.log1p((num - den) / den))     # from r - 1: r itself rounds to 1 for |b| >~ 1e16
     log_c = math.hypot(L, math.pi) if b * (b + 1) < 0 else L
     terms = ((jp.const, math.pi), (jp.log_coeff, math.pi * log_c),
              (parts.a_const, 1.0), (parts.a_L, L), (parts.a_L2, L * L), (parts.a_pi2, math.pi ** 2),
              (parts.b_L_over_pi, math.pi * L), (parts.b_const_over_pi, math.pi))
-    largest = max(math.log10(abs(c.numerator)) - math.log10(c.denominator) + math.log10(m)
-                  for c, m in terms if c and m)
+    return max(math.log10(abs(c.numerator)) - math.log10(c.denominator) + math.log10(m) for c, m in terms if c and m)
+
+
+def _cancelled_digits(largest: float, re: Decimal, im: Decimal, dps: int) -> float:
+    """Decimal digits of w_plus's sum lost to cancellation: its largest
+    term's log10 over |W_+| (all of them when the sum came out 0)."""
+    if not (re or im):
+        return dps
     size = math.hypot(float(re), float(im))
     if 0 < size < math.inf:
         return largest - math.log10(size)

@@ -408,9 +408,10 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     # rtf arch takes, the points 1e-3 and 1e-6 from each singular point, on
     # either side, hold j_arch's Q_0 and its choice of the recurrence's
     # direction next to 0 and -1.
-    # Where J^sgn = 0 (b(b+1) > 0), the integral without its prefactor
-    # i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.  j_arch_quads
-    # runs every b of one k in one batch.
+    # Off the cut (b(b+1) > 0) J^sgn is 0 by the contour shift onto the
+    # ray, not integrated; where a closed J is 0, the quadrature without its
+    # prefactor i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.
+    # j_arch_quads runs every b of one k in one batch per side of the cut.
     worst_rel = worst_abs = 0.0
     grid = {k: (-0.7, -0.1, 0.2, 1.0, 4.0, -1.2, -2.0, -10.0) for k in (4, 6, 8, 10)}
     grid[26] = (0.4141701729754739, -1.4141701729754739, 1e-3, -1e-3, 1e-6, -1e-6,

@@ -1,11 +1,13 @@
 import dataclasses
 import decimal
 import functools
+import importlib.util
 import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -303,6 +305,58 @@ def test_quadrature_oracles_where_the_prefactor_underflows():
     assert oa.j_arch_quads(26, [1e300, -1e300]) == [(0j, 0j), (0j, 0j)]
 
 
+def test_w_plus_quads_where_w_plus_underflows():
+    # W_+ is about 1e-754 at (26, 1e58): the ray integral's scale (1 + b)^(-13)
+    # underflows with it, and the relative rule never sees the value
+    assert oa.w_plus_quads(26, [1e58]) == [0j]
+
+
+def _off_cut_draws(n: int, seed: int) -> list[tuple[int, float]]:
+    """n (l, b) off the cut: even l from 6 to 26, and b = x or -1 - x with x
+    from 1 to 1e6 or from 1e-8 to 1e-3, each side and size in turn."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        x = 10 ** rng.uniform(-8, -3) if i % 2 else 10 ** rng.uniform(0, 6)
+        out.append((2 * rng.randint(3, 13), x if i % 4 < 2 else -1 - x))
+    return out
+
+
+def test_ray_oracles_meet_the_closed_forms_off_the_cut():
+    # J^sgn is 0 there by the contour shift, and J^one and W_+ are held relative
+    for l, b in _off_cut_draws(120, seed=31):
+        want = oa.w_plus(l, Fraction(b))
+        (quad,) = oa.w_plus_quads(l, [b])
+        assert abs(quad - want) <= 1e-12 * abs(want), (l, b, quad, want)
+        ((one, sgn),) = oa.j_arch_quads(l, [b])
+        closed = oa.j_arch(l, b, "one")
+        assert sgn == 0 and abs(one - closed) <= 1e-12 * abs(closed), (l, b, one, closed)
+
+
+def _query_arch_pairs(seed: int, n: int = 400) -> list[tuple[int, Fraction]]:
+    """The (l, b) of the first n draws of the benchmark's arch query generator,
+    perfbench/workloads.py's _arch, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)      # its dataclasses look their module up by name
+    rng = random.Random(seed)
+    argvs = [workloads._arch(rng) for _ in range(n)]      # ["arch", "--l", l, "--b=" + b, ...]
+    return [(int(argv[2]), Fraction(argv[3].removeprefix("--b="))) for argv in argvs]
+
+
+def test_w_plus_quads_takes_few_rounds_on_the_queries(monkeypatch):
+    # each one-item call starts from the fixed break points, and off the cut
+    # the one-signed ray integrand meets its relative rule at once
+    rounds = []
+    panels = quadrature._panels
+    monkeypatch.setattr(quadrature, "_panels", lambda *args: rounds.append(1) or panels(*args))
+    pairs = _query_arch_pairs(seed=7)
+    for l, b in pairs:
+        oa.w_plus_quads(l, [float(b)])
+    assert len(rounds) / len(pairs) <= 1.5
+
+
 def test_j_plus_parts_exact_example():
     # l = 6, b = 1: J_+ = -9 - 13 log(1/2), with no pi term since b(b+1) > 0
     assert oa.j_plus_parts(6, Fraction(1)) == oa.JPlusParts(Fraction(-9), Fraction(-13))
@@ -407,6 +461,19 @@ def test_w_plus_query_inputs_stay_at_50_digits(monkeypatch):
     assert digits == [50] * len(pairs)
 
 
+def test_w_plus_sizes_its_first_pass_at_huge_b(monkeypatch):
+    # the terms cancel by about b^(l-1) here; a lower bound of |W_+| sizes
+    # the first pass, so no pass is spent on digits that cannot survive
+    digits = []
+    one_pass = oa._w_plus_sum
+    monkeypatch.setattr(oa, "_w_plus_sum", lambda jp, parts, b, dps: digits.append(dps) or one_pass(jp, parts, b, dps))
+    for l in (6, 12, 26):
+        for e in range(20, 59):
+            digits.clear()
+            oa.w_plus(l, Fraction(10 ** e))
+            assert 1 <= len(digits) <= 2, (l, e, digits)
+
+
 def test_w_plus_quad_regression_pins():
     # frozen from the oracle itself (mpmath cross-checked)
     (val,) = oa.w_plus_quads(6, [1.0])
@@ -486,6 +553,41 @@ def test_residue_parts_equal_their_fraction_form(l, b):
     got, want = oa.residue_parts(l, b), _fraction_residue_parts(l, b)
     assert got == want
     assert all(type(getattr(got, f.name)) is Fraction for f in dataclasses.fields(got))
+
+
+# j_plus_parts runs on integers; it must equal the Fraction arithmetic it
+# replaced, kept here as a literal copy
+
+
+def _fraction_laurent_sum(h, k, x):
+    p, q = x.numerator, x.denominator
+    num, qpow = 0, 1
+    for n in range(h - k, -1, -1):
+        num = num * p + math.comb(h - 1, h - k - n) * math.comb(h + n - 1, n) * qpow
+        qpow *= q
+    return Fraction(num, qpow // q)
+
+
+def _fraction_j_plus_parts(l, b):
+    h = l // 2
+    sgn = (-1) ** h
+    const = sum(Fraction((-1) ** (k - 1), k - 1) * (_fraction_laurent_sum(h, k, b) + sgn * _fraction_laurent_sum(h, k, -1 - b))
+                for k in range(2, h + 1))
+    return oa.JPlusParts(const, -_fraction_laurent_sum(h, 1, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 85).map(lambda h: 2 * h), residue_bs)
+def test_j_plus_parts_equal_their_fraction_form(l, b):
+    assume(b != 0 and b != -1)
+    got = oa.j_plus_parts(l, b)
+    assert got == _fraction_j_plus_parts(l, b)
+    assert type(got.const) is Fraction and type(got.log_coeff) is Fraction
+
+
+def test_j_plus_parts_equal_their_fraction_form_on_the_queries():
+    for l, b in _query_arch_pairs(seed=7) + [(26, Fraction(10 ** 40)), (170, Fraction(13, 5))]:
+        assert oa.j_plus_parts(l, b) == _fraction_j_plus_parts(l, b), (l, b)
 
 
 @pytest.mark.parametrize("dps", [1, 15, 50, 51, 76, 500, 2000])

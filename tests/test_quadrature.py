@@ -54,6 +54,13 @@ def test_non_finite_integrand_raises():
         quad_many(lambda x, which: np.full_like(x, np.nan), [(0.0, 1.0)], epsabs=1e-12, epsrel=0.0, limit=50)
 
 
+def test_zero_integrand_meets_a_relative_rule():
+    # with epsabs = 0 the target of an integral of 0 is 0, and its error 0 meets it
+    for dtype in (float, complex):
+        got = quad_many(lambda x, which: np.zeros(x.shape, dtype), [(0.0, 0.5, 1.0)], epsabs=0.0, epsrel=1e-12, limit=50)
+        assert got == [(0.0, 0.0)] and type(got[0][0]) is dtype
+
+
 def test_quad_many_names_the_failing_integral():
     # integral #2 alone has an endpoint singularity that 12 panels cannot meet
     def f(x, which):
@@ -134,20 +141,22 @@ def test_quad_many_with_break_points_bit_identical_to_one_item_calls():
 
 
 def _w_plus_quad_by_quad(l: int, b: float) -> complex:
-    """W_+(b) as a one-item quad_many on the scalar integrand: the unbatched
-    reference.  The prefactor pref sits in the integrand over the floor
-    min(1, |pref|), and the result is multiplied by the floor, so the error
-    check is err <= tol max(floor, |W_+|)."""
-    h, c = l // 2, b / (b + 1)
-    pref = 1j ** h * (1 + b) ** (-h)
-    floor = min(1.0, abs(pref))
+    """W_+(b) off the cut as a one-item quad_many on the scalar ray
+    integrand: the unbatched reference.  On t = i s, with a = 1 + b for
+    b > 0 and a = b for b < -1, W_+ = a^(-h) int_0^inf (s/d)^(h-1) / d
+    (log s + i pi/2) ds, d = (1+s)((1+b)/a s + b/a), from the break points
+    0, 1/32, ..., 1/2, 1 of (0, 1] and held relative."""
+    h = l // 2
+    a = 1 + b if b > 0 else b
+    p, q = (1 + b) / a, b / a
 
-    def f(t):
-        return pref / floor * (t + 1j) ** (-h) * (t + 1j * c) ** (-h) * t ** (h - 1) * np.log(t)
+    def f(s):
+        d = (1 + s) * (p * s + q)
+        return (s / d) ** (h - 1) / d * (np.log(s) + 0.5j * math.pi)
 
-    ((value, _err),) = quad_many(lambda t, which: f(t) + f(1 / t) / (t * t), [(0.0, 1.0)],
-                                 epsabs=1e-11, epsrel=1e-11, limit=200)
-    return floor * value
+    ((value, _err),) = quad_many(lambda t, which: f(t) + f(1 / t) / (t * t),
+                                 [(0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)], epsabs=0.0, epsrel=1e-11, limit=200)
+    return a ** -h * value
 
 
 @pytest.mark.parametrize("N", [10, 100, 1000, 10000])
