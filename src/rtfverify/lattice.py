@@ -7,9 +7,8 @@ radius r(Lambda)) plus, in rank one, a sharper integral estimate.
 
 Every quadrature runs on quadrature.quad_many: sphere_I_quad (the oracle
 of sphere_I) and ball_integral as one integral each, phi_spheres evaluates
-the sphere integral phi(t) at many t at once (the radial nodes of one
-ball_integral round, or phi_mellin_audit's grid), and w_hyp_arch_audit
-passes the W_+ quadratures of each N to orbital_arch.w_plus_quads.
+the sphere integral phi(t) at all t of phi_mellin_audit's grid at once, and
+w_hyp_arch_audit passes the W_+ quadratures of each N to w_plus_quads.
 """
 from __future__ import annotations
 
@@ -329,30 +328,31 @@ def w_hyp_arch_audit(l: int, ns: Sequence[int], K: int) -> dict:
 
 
 def ball_integral(lat_r: float, l: Sequence[float], outside: bool = False) -> float:
-    """integral of f over the ball ||x|| <= r (or its complement), d <= 2."""
+    """integral of f over the ball ||x|| <= r (or its complement), d <= 2.
+
+    In rank two by Fubini: the x_2-integral is closed, and quad_many takes
+    x_1 = r sin phi, [pi/4, pi/2] folded onto [0, pi/4] so that the mass at
+    either axis sits at phi = 0, where phi has all its digits."""
+    def line(s, k):     # the integral of (1 + |x|)^(-k) over |x| <= s (or |x| > s)
+        return 2 * ((1 + s) ** (1 - k) if outside else -np.expm1((1 - k) * np.log1p(s))) / (k - 1)
+
+    a, c = l[0] / 2, l[-1] / 2
     if len(l) == 1:
-        lj = l[0]
-        inner = 2 * (1 - (1 + lat_r) ** (1 - lj / 2)) / (lj / 2 - 1)
-        if not outside:
-            return inner
-        return 2 * (1 + lat_r) ** (1 - lj / 2) / (lj / 2 - 1)
+        return float(line(lat_r, a))
 
-    def radial(rho, which):
-        # the nodes are interior, so rho > 0 (phi_spheres' break points divide by it)
-        return rho * np.array(phi_spheres(l, rho.ravel())).reshape(rho.shape)
+    def g(phi, which):
+        x, y = lat_r * np.sin(phi), lat_r * np.cos(phi)
+        return 2 * ((1 + x) ** -a * line(y, c) * y + (1 + y) ** -a * line(x, c) * x)
 
-    def folded(x, which):    # [r, inf) onto (0, 1]
-        return radial(lat_r + (1 - x) / x, which) / (x * x)
-
+    # a break at each power of 10 in r sin phi from 1/max(a, c) on, where a factor of f starts to fall
+    ks = range(math.floor(-math.log10(max(a, c))), math.ceil(math.log10(lat_r)))
+    edges = [0.0, *[phi for k in ks if (phi := math.asin(10.0 ** k / lat_r)) < math.pi / 4], math.pi / 4]
     try:
-        ((val, _err),) = quad_many(folded if outside else radial, [(0.0, 1.0 if outside else lat_r)],
-                                   epsabs=1e-10, epsrel=1.49e-8, limit=200)
+        ((val, _err),) = quad_many(g, [edges], epsabs=0.0, epsrel=1e-12, limit=200)
     except ConvergenceError as exc:
-        if exc.which is None:       # phi_spheres' own failure, which names l and t
-            raise
         raise ConvergenceError(f"ball integral of f at l={list(l)}, r={lat_r}, "
                                f"{'outside' if outside else 'inside'}: {exc}") from exc
-    return val
+    return val + line(lat_r, a) * 2 / (c - 1) if outside else val
 
 
 def minkowski_constants(d: int) -> tuple[float, float]:

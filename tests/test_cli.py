@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -512,11 +513,9 @@ def test_size_refusals_name_l(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, line", [
-    # the outer radial integral reaches t where the sphere integral cannot
-    # meet its relative tolerance
-    (["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "4.01,4.01"],
-     r"ConvergenceError: sphere integral phi at l=\[4\.01, 4\.01\], t=\d+\.\d+: "
-     r"quad_many integral #\d+ on \[0\.0, 1\.5707963267948966\]: error estimate .* with 500 panels"),
+    # rank two needs weights above 4 for the shell tail bound to sum
+    (["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "4,4"],
+     r"DomainError: shell tail bound needs min\(l\)/2 > d \(= 2\)"),
     # the envelope's covolume factor 1000^149 passes the float range
     (["lattice", "--field", "Q", "--ideal", "1/1000", "--R", "20", "--l", "300"],
      r"DomainError: the theta envelope at l=\[300\.0\], covolume 0\.001 is outside the float range"),
@@ -534,3 +533,20 @@ def test_numeric_failure_names_its_input(argv, line, cfg_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert re.fullmatch(line, captured.err.rstrip("\n"))
+
+
+def test_lattice_rank_two_meets_the_covering_inequality(capsys):
+    # 300 seeded rank-two argvs (field, ideal, weights 5-14 and R drawn),
+    # weights just above 4, and one more weight of 5: each exits 0 with the
+    # covering inequality met
+    rng = random.Random(0)
+    argvs = [["lattice", "--field", f"Q(sqrt{rng.choice((2, 3, 5, 6, 7, 13))})", "--ideal",
+              rng.choice(("O", "2", "3", "5")), "--l", f"{rng.randint(5, 14)},{rng.randint(5, 14)}",
+              "--R", str(rng.randint(5, 150))] for _ in range(300)]
+    argvs += [["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "4.01,4.01"],
+              ["lattice", "--field", "Q(sqrt5)", "--ideal", "5", "--l", "14,5", "--R", "120"]]
+    for argv in argvs:
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 0, (argv, captured.err)
+        assert json.loads(captured.out)["audits"]["covering_ok"], argv

@@ -232,17 +232,62 @@ def test_ball_integral_inside_plus_outside_is_the_total(l):
             assert abs(both - total) <= 1e-9 * total, (l, r, both / total - 1)
 
 
-def test_ball_integral_failure_names_the_ball(monkeypatch):
-    # the radial integral's own failure names l, r and the side; a failure
-    # of the sphere integrals inside it already names l and t, and passes
-    monkeypatch.setattr(lt, "phi_spheres", lambda l, ts: [math.nan] * len(ts))
-    with pytest.raises(ConvergenceError, match=r"^ball integral of f at l=\[6, 6\], r=1.5, outside: "
-                                               r"quad_many integral #0 on \[0.0, 1.0\]: the integrand is not finite$"):
-        lt.ball_integral(1.5, [6, 6], outside=True)
+def test_ball_integral_failure_names_the_ball():
+    # a NaN weight leaves the integrand not finite; the failure names l, r and the side
+    with pytest.raises(ConvergenceError, match=r"^ball integral of f at l=\[6, nan\], r=1.5, outside: "
+                                               r"quad_many integral #0 on \[0.0, 0.7853981633974483\]: "
+                                               r"the integrand is not finite$"):
+        lt.ball_integral(1.5, [6, math.nan], outside=True)
 
-    def refuse(l, ts):
-        raise ConvergenceError("sphere integral phi at t=2.0")
 
-    monkeypatch.setattr(lt, "phi_spheres", refuse)
-    with pytest.raises(ConvergenceError, match=r"^sphere integral phi at t=2.0$"):
-        lt.ball_integral(1.5, [6, 6])
+def _ball_polar(ctx, r, l, outside):
+    """ball_integral(r, l, outside) on the mpmath context ctx, as the 2-D
+    integral of f in polar coordinates, x = rho (cos t, sin t): the radial
+    integral the inner one, split where rho cos t or rho sin t is 1 or 10,
+    and the angular one split at the t where rho = r meets those points.
+
+    _BALL_REFERENCE holds tests/_reference.reference(_ball_polar, *case,
+    rtol=1e-20, start=20) for each case: two precisions from 20 digits on
+    agree to 1e-20.  A case takes seconds to minutes, so no test calls it."""
+    a, c = ctx.mpf(l[0]) / 2, ctx.mpf(l[1]) / 2
+    r = ctx.mpf(r)
+
+    def radial(t):
+        co, si = ctx.cos(t), ctx.sin(t)
+        knots = sorted(k / s for k in (1, 10) for s in (co, si) if s)
+        rhos = [r, *[k for k in knots if k > r], ctx.inf] if outside else [0, *[k for k in knots if k < r], r]
+        return ctx.quad(lambda rho: (1 + rho * co) ** -a * (1 + rho * si) ** -c * rho, rhos)
+
+    ts = sorted({ctx.zero, ctx.pi / 4, ctx.pi / 2, *[f(k / r) for k in (1, 10) if k < r for f in (ctx.asin, ctx.acos)]})
+    return 4 * ctx.quad(radial, ts)
+
+
+_BALL_REFERENCE = [
+    (0.3, (4.01, 4.01), False, "0.179123933155821326323050"),
+    (300.0, (4.01, 4.01), True, "0.025573120703665646470722"),
+    (1.5, (5, 13), True, "0.128185692125209590541817"),
+    (30.0, (5, 13), False, "0.482039117124315349539622"),
+    (100.0, (5, 13), True, "0.000477670127887595368496"),
+    (3.0, (14, 5), False, "0.388407444390332500801015"),
+    (100.0, (14, 5), True, "0.000437863402132640814502"),
+    (0.7, (13, 10), True, "0.033816418408424580823452"),
+    (10.0, (13, 10), False, "0.181805390162777834404589"),
+    (300.0, (13, 10), True, "2.215418133451295396691e-11"),
+]
+
+
+@pytest.mark.parametrize("r, l, outside, value", _BALL_REFERENCE)
+def test_ball_integral_against_a_polar_reference(r, l, outside, value):
+    assert abs(lt.ball_integral(r, l, outside) - float(value)) <= 1e-12 * float(value)
+
+
+def test_ball_integral_is_symmetric_in_its_weights():
+    # f(x_1, x_2) with the weights swapped is f(x_2, x_1), and the ball is
+    # symmetric, but ball_integral closes the x_2-integral and integrates
+    # x_1: a swap compares the two, out to radii and weights far past the
+    # reference cases, where a panel that spans decades misses mass
+    for r in (2.8, 5.6, 1e4, 4.7e5, 7.5e5):
+        for l in ((12, 7), (12, 200), (14, 1000), (5, 14), (4.01, 6)):
+            for outside in (False, True):
+                one, two = lt.ball_integral(r, l, outside), lt.ball_integral(r, l[::-1], outside)
+                assert abs(one - two) <= 1e-12 * max(one, two), (r, l, outside, one / two - 1)

@@ -195,7 +195,8 @@ def test_oracles_on_threads_bit_identical_to_serial():
              + [(lt.phi_spheres, ([6.0, 6.0], [t])) for t in (0.5, 31.6, 1000.0)]
              + [(lt.phi_spheres, ([6.0, 6.0], [0.5, 31.6, 1000.0]))]
              + [(lt.sphere_I_quad, (lam,)) for lam in ((0.5, 0.0), (-0.5, 0.75))]
-             + [(lt.ball_integral, (r, (6, 10), outside)) for r in (0.3, 3.0) for outside in (False, True)])
+             + [(lt.ball_integral, (r, (6, 10), outside)) for r in (0.3, 3.0) for outside in (False, True)]
+             + [(lt.ball_integral, (100.0, l, True)) for l in ((5, 5), (5, 14), (14, 5))])
     serial = [_bits(fn(*args)) for fn, args in calls]
     work = list(range(len(calls))) * 4
     random.Random(3).shuffle(work)
