@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import DomainError, InputError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog
-from .ideals import Ideal, QuadCharData, iota, sign_class, square_decompose, stratum
-from .ntransform import ArithFn, closed_log, closed_power, log_norm, n_transform
+from .ideals import Ideal, QuadCharData, iota, sign_class
+from .ntransform import ArithFn, _log_terms, closed_log, closed_power, log_norm, n_transform
 from .testfns import unip_du_scaled, unip_u_scaled
 
 
@@ -104,24 +104,20 @@ def frak_c(w: WeightData, eta: QuadCharData) -> float:
 
 def nu_of_n(n: Ideal) -> Fraction:
     """prod over S(n)-(S1 u S2) of (1 - q^-2) times prod over S2 of
-    (1 - (q^2 - q)^-1)."""
-    out = Fraction(1)
+    (1 - (q^2 - q)^-1): one integer numerator over one denominator."""
+    num = den = 1
     for p, e in n:
-        if e == 1:
-            continue
-        if e == 2:
-            out *= 1 - Fraction(1, p.q ** 2 - p.q)
-        else:
-            out *= 1 - Fraction(1, p.q ** 2)
-    return out
+        if e >= 2:
+            d = p.q * p.q - p.q if e == 2 else p.q * p.q
+            num *= d - 1
+            den *= d
+    return Fraction(num, den)
 
 
 def x_of_n(n: Ideal) -> FormalLog:
     """X(n) = sum over S(n) of log q (1/q + 1/(q-1)^2), exactly."""
-    out = FormalLog.zero()
-    for p in n.support:
-        out = out + FormalLog.log_integer(p.q, Fraction(1, p.q) + Fraction(1, (p.q - 1) ** 2))
-    return out
+    return FormalLog._sum((sym, f * (q + (q - 1) ** 2), q * (q - 1) ** 2)
+                          for q in (p.q for p, _ in n) for (_r, sym), f in _log_terms(q))
 
 
 # ---------------------------------------------------------------------------
@@ -174,55 +170,59 @@ def main_AL(n: Ideal, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
 
 def main_ADL_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     """Displayed main term of the derivative average, normalised by the scalar
-    4 D^(3/2) L(1,eta) norm(a)^(-1/2): an exact FormalLog."""
+    4 D^(3/2) L(1,eta) norm(a)^(-1/2): an exact FormalLog, nu(n) d_1(a^+) times
+    the core below when a^- is a square, and times (e + 1)/2 log q when one
+    exponent e of a^- is odd (0 when more are).  The core is
+    log(norm(n)^(1/2) norm(a)^(-1/2) norm(f_eta)) + logDF + LpL + frakC plus,
+    at each place of n with exponent 2, log q / (q^2 - q - 1), and above,
+    log q / (q^2 - 1)."""
     _require_class(n, a, eta, "-")
     am, ap = eta_split(a, eta)
     nu = nu_of_n(n)
-    d1p = d_one(ap)
-    bracket = FormalLog.zero()
-    if delta_square(am):
-        core = log_norm(n) * Fraction(1, 2) + log_norm(a) * Fraction(-1, 2) + log_norm(eta.conductor)
-        core = core + FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
-        _, n1 = square_decompose(n)
-        s2 = set(stratum(n, 2))
-        for p in n1.support:
-            if p in s2:
-                core = core + FormalLog.log_integer(p.q, Fraction(1, p.q ** 2 - p.q - 1))
-            else:
-                core = core + FormalLog.log_integer(p.q, Fraction(1, p.q ** 2 - 1))
-        bracket = bracket + core * d1p
-    # odd-exponent correction on the inert part: coefficient (n_v + 1)/2
-    for p, e in am:
-        rest_even = all(e2 % 2 == 0 for p2, e2 in am if p2 != p)
-        if e % 2 == 1 and rest_even:
-            bracket = bracket + FormalLog.log_integer(p.q, Fraction((e + 1) * d1p, 2))
-    return bracket * nu
+    num, den = d_one(ap) * nu.numerator, nu.denominator
+    odd = [(p, e) for p, e in am if e % 2]
+    if len(odd) > 1:
+        return FormalLog.zero()
+    if odd:
+        # odd-exponent correction on the inert part: coefficient (n_v + 1)/2
+        (p, e), = odd
+        return FormalLog._sum((sym, f * (e + 1) * num, 2 * den) for (_r, sym), f in _log_terms(p.q))
+    terms = [(sym, c.numerator * num, 2 * den) for sym, c in log_norm(n).coeffs.items()]
+    terms += [(sym, -c.numerator * num, 2 * den) for sym, c in log_norm(a).coeffs.items()]
+    terms += [(sym, c.numerator * num, den) for sym, c in log_norm(eta.conductor).coeffs.items()]
+    terms += [(LOG_DF, num, den), (LPL, num, den), (FRAKC, num, den)]
+    for p, e in n:
+        if e >= 2:
+            d = p.q * p.q - p.q - 1 if e == 2 else p.q * p.q - 1
+            terms += [(sym, f * num, d * den) for (_r, sym), f in _log_terms(p.q)]
+    return FormalLog._sum(terms)
 
 
 def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     """The unipotent geometric kernel's transform, same normalisation:
     (-1)^#S [ (N[log norm]/2 + C0 N[1]) prod_v U_v + N[1] sum_v dU_v prod_(w!=v) U_w ]
-    with the per-place moments in their scaled (exactly rational) form."""
+    with the per-place moments in their scaled (exactly rational) form and
+    C0 = logDF + LpL + frakC + log norm(f_eta).  The cross sum over v is
+    summed first, then added to the rest."""
     _require_class(n, a, eta, "-")
-    u_hat = {p: unip_u_scaled(eta.tilde_eta(p), e) for p, e in a}
-    du_hat = {p: unip_du_scaled(eta.tilde_eta(p), e) for p, e in a}
+    u = [unip_u_scaled(eta.tilde_eta(p), e) for p, e in a]
+    du = [unip_du_scaled(eta.tilde_eta(p), e) for p, e in a]
     n_one = closed_power(n, 0)
-    n_log = closed_log(n)
-    c0 = FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC) + log_norm(eta.conductor)
-    prod_all = Fraction(1)
-    for p, _ in a:
-        prod_all *= u_hat[p]
-    bracket = (n_log * Fraction(1, 2) + c0 * n_one) * prod_all
-    cross = FormalLog.zero()
-    for p, _ in a:
-        rest = Fraction(1)
-        for p2, _ in a:
-            if p2 != p:
-                rest *= u_hat[p2]
-        cross = cross + FormalLog.log_integer(p.q, du_hat[p] * rest)
-    bracket = bracket + cross * n_one
-    sign = Fraction((-1) ** len(a))
-    return bracket * sign
+    one_n, one_d = n_one.numerator, n_one.denominator
+    sign = (-1) ** len(a)
+    un, ud = sign * math.prod(x.numerator for x in u), math.prod(x.denominator for x in u)
+    terms = [(sym, c.numerator * un, 2 * c.denominator * ud) for sym, c in closed_log(n).coeffs.items()]
+    terms += [(sym, one_n * un, one_d * ud) for sym in (LOG_DF, LPL, FRAKC)]
+    terms += [(sym, c.numerator * one_n * un, one_d * ud) for sym, c in log_norm(eta.conductor).coeffs.items()]
+    cross = []
+    for i, (p, _) in enumerate(a):
+        rest = u[:i] + u[i + 1:]
+        cn = du[i].numerator * math.prod(x.numerator for x in rest)
+        cd = du[i].denominator * math.prod(x.denominator for x in rest)
+        cross += [(sym, f * cn, cd) for (_r, sym), f in _log_terms(p.q)]
+    terms += [(sym, c.numerator * one_n * sign, c.denominator * one_d)
+              for sym, c in FormalLog._sum(cross).coeffs.items()]
+    return FormalLog._sum(terms)
 
 
 def main_term_scale(a: Ideal, consts: AnalyticConsts) -> float:

@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -367,8 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     arguments, -h, an unknown command, or arguments the subcommand leaves
     over), with the usage and errors a parse of all of argv gives.  A
     toolkit error (an RTFError, which names the input it refused) ends the
-    command with one line on stderr and exit status 2; any other exception
-    is a bug and propagates with its traceback."""
+    command with one line on stderr and exit status 2.  A stdout whose
+    reader is gone ends it with status 1 and nothing on stderr.  Any other
+    exception is a bug and propagates with its traceback."""
     argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     sub = ap.subcommands.get(argv[0]) if argv else None
@@ -378,10 +380,19 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args.cmd = argv[0]
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return rc
     except RTFError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: stdout goes to devnull, so the
+        # flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -66,7 +66,10 @@ class FormalLog:
     arithmetic already returns reduced Fractions, so it only drops the
     coefficients that become 0, and a product by 0 is the zero FormalLog.
     Each result equals FormalLog(result.const, result.coeffs) and owns a
-    fresh dict.  _trusted must never be handed anything else."""
+    fresh dict.  _trusted must never be handed anything else.  FormalLog._sum
+    adds a list of terms on integers, in the order a chain of + gives them;
+    evaluate adds the coefficients in that insertion order, so the order
+    fixes the bits of a float value."""
 
     __slots__ = ("const", "coeffs")
 
@@ -102,6 +105,29 @@ class FormalLog:
         self.const = const
         self.coeffs = coeffs
         return self
+
+    @classmethod
+    def _sum(cls, terms: Iterable[tuple[str, int, int]]) -> "FormalLog":
+        """The sum of num/den * sym over the (sym, num, den) terms, den > 0,
+        with const 0: one integer numerator per symbol over a running
+        denominator, and one Fraction per symbol at the end.  It equals the
+        chain of + over the terms in coefficient order too: a symbol whose
+        sum reaches 0 leaves, and re-enters at the end if a later term names
+        it."""
+        sums: dict[str, list[int]] = {}
+        for sym, num, den in terms:
+            if not num:
+                continue
+            pair = sums.setdefault(sym, [0, den])
+            if pair[1] == den:
+                pair[0] += num
+            else:
+                g = math.gcd(pair[1], den)
+                pair[0] = pair[0] * (den // g) + num * (pair[1] // g)
+                pair[1] = pair[1] // g * den
+            if not pair[0]:
+                del sums[sym]
+        return cls._trusted(Fraction(0), {sym: Fraction(a, b) for sym, (a, b) in sums.items()})
 
     @classmethod
     def log_integer(cls, n: int, coeff: Rat = 1) -> "FormalLog":

@@ -185,7 +185,9 @@ def theta(lat: EmbeddedLattice, l: Sequence[float], R: float) -> dict:
     if not 0 <= R < math.inf:
         raise InputError(f"truncation radius 0 <= R < inf required, got R={R}")
     if min(l) < 4:
-        raise DomainError("weights below 4 leave non-summable tails")
+        raise DomainError(f"weights below 4 leave non-summable tails, got l={l}")
+    if min(l) / 2 <= lat.d:
+        raise DomainError(f"shell tail bound needs min(l)/2 > d (= {lat.d}), got l={l}")
     pts = lattice_points(lat, R)
     vals = np.sort(_f_values(pts, l))     # deterministic, small-first sum
     value = float(np.sum(vals))
@@ -200,14 +202,12 @@ def _tail_bound(lat: EmbeddedLattice, lmin: float, R: float) -> float:
     """Ball-packing shell bound: points in the shell [k, k+1) number at most
     vol(inflated shell)/vol(packing ball), and f there is <= (1+k)^(-lmin/2).
 
-    Needs lmin/2 > d for the sup-based shells to be summable (the weights in
-    use are >= 4 in rank one and >= 6 in rank two, which suffices).
+    Needs lmin/2 > d for the sup-based shells to be summable, which theta
+    checks.
     """
     r = lat.packing_radius
     d = lat.d
     s = lmin / 2
-    if s <= d:
-        raise DomainError(f"shell tail bound needs min(l)/2 > d (= {d})")
     vball = 2 * r if d == 1 else math.pi * r * r
     k0 = int(math.floor(R))
     k1 = k0 + int(math.ceil(r)) + 2          # beyond k1 the shells are clean

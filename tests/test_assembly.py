@@ -11,6 +11,7 @@ from rtfverify import verify
 from rtfverify.errors import DomainError, InputError, SignClassError
 from rtfverify.formal import FRAKC, LOG_DF, LPL, FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
+from rtfverify.testfns import unip_du_scaled, unip_u_scaled
 
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
@@ -244,3 +245,99 @@ def test_random_minus_config_wellformed():
         eta, n, a = verify.random_minus_config(rng)
         assert (-1) ** eta.eps * eta.tilde_eta_ideal(n) == -1
         assert not (set(n.support) & set(a.support))
+
+
+# ---------------------------------------------------------------------------
+# references: the FormalLog-algebra bodies that the integer sums replaced, a
+# chain of + and * on FormalLog values; the integer sums must give their
+# values and their coefficient order, which fixes the bits of evaluate()
+
+
+def _nu_of_n_reference(n):
+    out = Fraction(1)
+    for p, e in n:
+        if e == 2:
+            out *= 1 - Fraction(1, p.q ** 2 - p.q)
+        elif e > 2:
+            out *= 1 - Fraction(1, p.q ** 2)
+    return out
+
+
+def _x_of_n_reference(n):
+    out = FormalLog.zero()
+    for p in n.support:
+        out = out + FormalLog.log_integer(p.q, Fraction(1, p.q) + Fraction(1, (p.q - 1) ** 2))
+    return out
+
+
+def _main_ADL_bracket_reference(n, a, eta):
+    am, ap = asm.eta_split(a, eta)
+    nu = _nu_of_n_reference(n)
+    d1p = asm.d_one(ap)
+    bracket = FormalLog.zero()
+    if asm.delta_square(am):
+        core = nt.log_norm(n) * Fraction(1, 2) + nt.log_norm(a) * Fraction(-1, 2) + nt.log_norm(eta.conductor)
+        core = core + FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
+        for p, e in n:
+            if e == 2:
+                core = core + FormalLog.log_integer(p.q, Fraction(1, p.q ** 2 - p.q - 1))
+            elif e > 2:
+                core = core + FormalLog.log_integer(p.q, Fraction(1, p.q ** 2 - 1))
+        bracket = bracket + core * d1p
+    for p, e in am:
+        rest_even = all(e2 % 2 == 0 for p2, e2 in am if p2 != p)
+        if e % 2 == 1 and rest_even:
+            bracket = bracket + FormalLog.log_integer(p.q, Fraction((e + 1) * d1p, 2))
+    return bracket * nu
+
+
+def _geom_kernel_bracket_reference(n, a, eta):
+    u_hat = {p: unip_u_scaled(eta.tilde_eta(p), e) for p, e in a}
+    du_hat = {p: unip_du_scaled(eta.tilde_eta(p), e) for p, e in a}
+    n_one = nt.closed_power(n, 0)
+    c0 = (FormalLog.symbol(LOG_DF) + FormalLog.symbol(LPL) + FormalLog.symbol(FRAKC)
+          + nt.log_norm(eta.conductor))
+    prod_all = Fraction(1)
+    for p, _ in a:
+        prod_all *= u_hat[p]
+    bracket = (nt.closed_log(n) * Fraction(1, 2) + c0 * n_one) * prod_all
+    cross = FormalLog.zero()
+    for p, _ in a:
+        rest = Fraction(1)
+        for p2, _ in a:
+            if p2 != p:
+                rest *= u_hat[p2]
+        cross = cross + FormalLog.log_integer(p.q, du_hat[p] * rest)
+    bracket = bracket + cross * n_one
+    return bracket * Fraction((-1) ** len(a))
+
+
+def _same(got, want):
+    return got == want and list(got.coeffs) == list(want.coeffs)
+
+
+def test_integer_sums_equal_the_formal_log_chains():
+    # 2400 minus-class configs; every other one gets a ramified prime whose
+    # q shares its rational prime with q's of the monoid (2, 4, 8 and 3, 9),
+    # so log norm(f_eta) meets the symbols of n and a
+    rng = random.Random(33)
+    for k in range(2400):
+        eta, n, a = verify.random_minus_config(rng)
+        if k % 2:
+            ram = {Prime("f", rng.choice((2, 3, 4, 8, 9))): rng.randint(1, 2)}
+            eta = QuadCharData.build(eta.eps, eta.arch_signs, ram=ram, unram=dict(eta.unram))
+        assert asm.nu_of_n(n) == _nu_of_n_reference(n) == nt.closed_power(n, 0), n
+        assert _same(asm.x_of_n(n), _x_of_n_reference(n)), n
+        assert _same(asm.main_ADL_bracket(n, a, eta), _main_ADL_bracket_reference(n, a, eta)), (n, a, eta)
+        assert _same(asm.geom_kernel_bracket(n, a, eta), _geom_kernel_bracket_reference(n, a, eta)), (n, a, eta)
+
+
+def test_a_cancelled_symbol_re_enters_at_the_end():
+    # log norm(n)/2 - log norm(a)/2 = 2 log 3 - 2 log 3 leaves log@3 out, and
+    # the place of n with exponent 2 brings it back after frakC
+    nine, three = Prime("n", 9), Prime("a", 3)
+    eta = QuadCharData.build(1, [-1], unram={nine: -1, three: 1})
+    n, a = Ideal.of({nine: 2}), Ideal.of({three: 4})
+    bracket = asm.main_ADL_bracket(n, a, eta)
+    assert _same(bracket, _main_ADL_bracket_reference(n, a, eta))
+    assert list(bracket.coeffs) == [LOG_DF, LPL, FRAKC, "log@3"]

@@ -255,6 +255,22 @@ def test_lattice_leaves_numpy_random_unloaded(argv):
     assert run.stdout.split() == ["False"]
 
 
+def test_a_closed_stdout_ends_with_status_1_and_no_traceback():
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails at once, as `| head` makes it fail by chance
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rtfverify.cli; sys.exit(rtfverify.cli.main())"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-c", code, "lattice", "--field", "Q", "--ideal", "2", "--l", "6"],
+                             env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1 and run.stderr == b""
+
+
 def test_main_builds_the_parser_once_per_process(cfg_path, capsys, monkeypatch):
     built = []
 
@@ -515,7 +531,7 @@ def test_size_refusals_name_l(argv, capsys):
 @pytest.mark.parametrize("argv, line", [
     # rank two needs weights above 4 for the shell tail bound to sum
     (["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "4,4"],
-     r"DomainError: shell tail bound needs min\(l\)/2 > d \(= 2\)"),
+     r"DomainError: shell tail bound needs min\(l\)/2 > d \(= 2\), got l=\[4\.0, 4\.0\]"),
     # the envelope's covolume factor 1000^149 passes the float range
     (["lattice", "--field", "Q", "--ideal", "1/1000", "--R", "20", "--l", "300"],
      r"DomainError: the theta envelope at l=\[300\.0\], covolume 0\.001 is outside the float range"),
@@ -527,6 +543,9 @@ def test_size_refusals_name_l(argv, capsys):
      r"NonRationalPower: norm\(p\^2\)\^1/1000000000000 is irrational"),
     (["ntransform", "--config", "CFG", "--ideal", "p", "--fn", "norm^-1/1000000000000", "--closed"],
      r"NonRationalPower: norm\(p\)\^-1/1000000000000 is irrational"),
+    # rank one needs weights of at least 4 for theta's tail to sum
+    (["lattice", "--field", "Q", "--ideal", "2", "--l", "3"],
+     r"DomainError: weights below 4 leave non-summable tails, got l=\[3\.0\]"),
 ])
 def test_numeric_failure_names_its_input(argv, line, cfg_path, capsys):
     rc = cli.main([cfg_path if arg == "CFG" else arg for arg in argv])
