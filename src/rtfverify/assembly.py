@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError, SignClassError
-from .formal import FRAKC, LOG_DF, LPL, FormalLog
+from .formal import FRAKC, LOG_DF, LPL, FormalLog, _log_terms
 from .ideals import Ideal, QuadCharData, iota, sign_class
-from .ntransform import ArithFn, _log_terms, closed_log, closed_power, log_norm, n_transform
+from .ntransform import ArithFn, closed_log, closed_power, log_norm, n_transform
 from .testfns import unip_du_scaled, unip_u_scaled
 
 

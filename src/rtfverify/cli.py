@@ -57,11 +57,13 @@ def _parsed(option: str, text: str, convert):
 
 
 def _int_span(text: str) -> range:
-    """"lo..hi", inclusive."""
+    """"lo..hi", inclusive, lo <= hi."""
     if text.count("..") != 1:
         raise ValueError("lo..hi expected")
-    lo, hi = text.split("..")
-    return range(int(lo), int(hi) + 1)
+    lo, hi = map(int, text.split(".."))
+    if lo > hi:
+        raise ValueError("lo <= hi required")
+    return range(lo, hi + 1)
 
 
 def _finite_rational(text: str) -> Fraction:
@@ -136,6 +138,8 @@ def cmd_local_weights(args) -> int:
             kwargs["chi"] = json_value(obj["chi"], (int,), "key 'chi'")
         return obj, kwargs
 
+    if not 1 <= args.k <= spectral.MAX_K:
+        raise InputError(f"--k {args.k}: k must lie in [1, {spectral.MAX_K}]")
     rep_obj, kwargs = _parsed("--rep", args.rep, read_rep)
     rep = spectral.LocalRepData(**kwargs)
     rows = []
@@ -178,8 +182,8 @@ def cmd_local_tables(args) -> int:
         wl_o = orbital_local.w_level_oracle(pt, args.ordn, q, args.eta)
         wr = orbital_local.w_ramified(pt, args.f, q, 1, 1)
         wr_b = orbital_local.w_ramified_bound(pt, args.f, q)
-        delta_u = (wu - wu_o).evaluate()
-        delta_l = (wl - wl_o).evaluate()
+        delta_u = 0.0 if wu == wu_o else (wu - wu_o).evaluate()
+        delta_l = 0.0 if wl == wl_o else (wl - wl_o).evaluate()
         rows.append([ordb, pt.ordb1,
                      f"{wu.evaluate():.10g}", f"{delta_u:.3e}",
                      f"{wl.evaluate():.10g}", f"{delta_l:.3e}",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -54,6 +55,14 @@ def _factor_small(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+@cache
+def _log_terms(q: int) -> tuple[tuple[tuple[int, str], int], ...]:
+    """q = prod r^f as the ((r, "log@r"), f) pairs, r ascending, cached by
+    q: one entry per residue cardinality seen, read by log_integer and by
+    ntransform's log norms."""
+    return tuple(((r, f"log@{r}"), f) for r, f in _factor_small(q))
 
 
 class FormalLog:
@@ -131,14 +140,14 @@ class FormalLog:
 
     @classmethod
     def log_integer(cls, n: int, coeff: Rat = 1) -> "FormalLog":
-        """log n for an integer n >= 1, canonicalised into prime symbols."""
+        """log n for an integer n >= 1, canonicalised into prime symbols read
+        from the cache _log_terms; an int coeff is read as it is."""
         if n < 1:
             raise InputError(f"log_integer wants an integer n >= 1, got n={n!r}")
-        coeff = Fraction(coeff)
         if not coeff:
             return cls._trusted(Fraction(0), {})
         a, b = coeff.numerator, coeff.denominator
-        return cls._trusted(Fraction(0), {f"log@{p}": Fraction(a * e, b) for p, e in _factor_small(n)})
+        return cls._trusted(Fraction(0), {sym: Fraction(a * e, b) for (_r, sym), e in _log_terms(n)})
 
     # -- arithmetic ---------------------------------------------------------
 

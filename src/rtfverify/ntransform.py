@@ -31,20 +31,19 @@ int and _power_pair returns integer powers with no Fraction arithmetic; a
 fractional t takes exact integer roots.  The summands are built the same way:
 norm^t at an integer t is an integer power (norm^0 is one shared Fraction(1)),
 and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
-factorisation and symbols read from a cache keyed by q (one entry per residue
-cardinality seen).  A log_norm value shares its constant 0 and its small
-integer coefficients with every other: Fractions are immutable, so all the
-values of a box hold one copy of each.
+factorisation and symbols read from formal._log_terms, the cache keyed by q
+that FormalLog.log_integer reads too.  A log_norm value shares its constant
+0 and its small integer coefficients with every other: Fractions are
+immutable, so all the values of a box hold one copy of each.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import InputError, NonRationalPower
-from .formal import FormalLog, _factor_small
+from .formal import FormalLog, _log_terms
 from .ideals import Ideal, Prime
 
 Value = Fraction | FormalLog
@@ -320,13 +319,6 @@ def norm_power_fn(t: Fraction | int) -> ArithFn:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 # Fraction(k) for the exponents a log norm meets most, one object each
 _SMALL_INTS = tuple(Fraction(k) for k in range(64))
-
-
-@cache
-def _log_terms(q: int) -> tuple[tuple[tuple[int, str], int], ...]:
-    """q = prod r^f as the ((r, "log@r"), f) pairs, cached by q: one entry
-    per residue cardinality seen."""
-    return tuple(((r, f"log@{r}"), f) for r, f in _factor_small(q))
 
 
 def log_norm(m: Ideal) -> FormalLog:

@@ -367,22 +367,24 @@ def w_plus(l: int, b: Fraction) -> complex:
     + b| <= max(|b|, |1+b|) (1+s) on the ray (see _quads).  When fewer than
     _MIN_DIGITS survive a pass, the sum is evaluated again with enough
     digits.  At b = -1/2 W_+ vanishes identically, so there is no relative
-    precision to gain.
+    precision to gain.  Every test of b reads the integers of b = u/v: the
+    side of the cut is the sign of u(u+v), b = -1/2 is (u, v) = (-1, 2), and
+    max(|b|, |1+b|) is max(|u|, |u+v|)/v in lowest terms.
     """
     jp = j_plus_parts(l, b)
     parts = residue_parts(l, b)
     largest = _largest_term(jp, parts, b)
-    dps = _DPS
-    if b * (b + 1) > 0:
-        h, m = l // 2, max(abs(b), abs(b + 1))
+    dps, u, v = _DPS, b.numerator, b.denominator
+    if u * (u + v) > 0:
+        h = l // 2
         least = (math.log10(math.pi / 2) + (2 * math.lgamma(h) - math.lgamma(2 * h)) / math.log(10)
-                 - h * (math.log10(m.numerator) - math.log10(m.denominator)))
+                 - h * (math.log10(max(abs(u), abs(u + v))) - math.log10(v)))
         dps = min(_MAX_DPS, max(dps, math.ceil(largest - least) + _MIN_DIGITS))
     while True:
         with decimal.localcontext(decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN)):
             re, im = _w_plus_sum(jp, parts, b, dps)
             value = complex(float(re), float(im))
-            if b == Fraction(-1, 2):
+            if (u, v) == (-1, 2):
                 return value
             lost = _cancelled_digits(largest, re, im, dps)
         if dps - lost >= _MIN_DIGITS:
@@ -409,7 +411,7 @@ def _w_plus_sum(jp: JPlusParts, parts: ResidueParts, b: Fraction, dps: int) -> t
     A = dec(parts.a_const) + dec(parts.a_L) * L + dec(parts.a_L2) * L * L + dec(parts.a_pi2) * pi2
     B = (dec(parts.b_L_over_pi) * L + dec(parts.b_const_over_pi)) * pi
     K = dec(jp.log_coeff)
-    re = -(A + K * pi2) if b * (b + 1) < 0 else -A
+    re = -(A + K * pi2) if b.numerator * (b.numerator + b.denominator) < 0 else -A
     return re, -(pi * (dec(jp.const) + K * L) + B)
 
 
@@ -458,7 +460,7 @@ def _largest_term(jp: JPlusParts, parts: ResidueParts, b: Fraction) -> float:
     """log10 of the largest |coefficient x basis value| of w_plus's sum."""
     num, den = _ratio(b)
     L = abs(math.log1p((num - den) / den))     # from r - 1: r itself rounds to 1 for |b| >~ 1e16
-    log_c = math.hypot(L, math.pi) if b * (b + 1) < 0 else L
+    log_c = math.hypot(L, math.pi) if b.numerator * (b.numerator + b.denominator) < 0 else L
     terms = ((jp.const, math.pi), (jp.log_coeff, math.pi * log_c),
              (parts.a_const, 1.0), (parts.a_L, L), (parts.a_L2, L * L), (parts.a_pi2, math.pi ** 2),
              (parts.b_L_over_pi, math.pi * L), (parts.b_const_over_pi, math.pi))

@@ -14,8 +14,9 @@ The opposite-sign variant fails to specialise to the level-support integral
 at conductor exponent one and is rejected by the oracle.
 
 Every shell coefficient is an integer: tilde_delta and tilde_delta_oracle are
-Fraction views of integer cores, which the two tilde-I sums add into one
-integer numerator, building one Fraction.
+Fraction views of integer cores.  The two tilde-I sums add the cores into one
+integer numerator, building one Fraction, and w_unramified passes its core to
+log_integer as an int.
 
 Every value is in units of the local volume vol(O_v^x).
 """
@@ -177,14 +178,12 @@ def w_unramified(point: LocalPoint, q: int, eta_val: int) -> FormalLog:
     """vol log q Lambda-tilde(b) at a place away from the level and the
     conductor (three-case closed form)."""
     residue_cardinality(q, "w_unramified")
-    if point.ordb < 0:
-        coeff = Fraction(0)
-    elif point.ordb > 0:
-        coeff = tilde_delta(0, point, eta_val)
-    elif point.ordb1 > 0:
-        coeff = -tilde_delta(0, LocalPoint(point.ordb1, 0), eta_val)
+    if point.ordb > 0:
+        coeff = _tilde_delta_int(0, point, eta_val)
+    elif point.ordb == 0 and point.ordb1 > 0:
+        coeff = -_tilde_delta_int(0, LocalPoint(point.ordb1, 0), eta_val)
     else:
-        coeff = Fraction(0)
+        coeff = 0
     return FormalLog.log_integer(q, coeff)
 
 
@@ -217,7 +216,7 @@ def w_level(point: LocalPoint, ordn: int, q: int, eta_val: int) -> FormalLog:
     else:
         en = eta_at(-1, ordn)
         eb = eta_at(-1, N)
-        coeff = Fraction(ordn * en + N * eb, 2) + Fraction(eb - en, 4)
+        coeff = Fraction(2 * (ordn * en + N * eb) + eb - en, 4)
     return FormalLog.log_integer(q, -coeff)
 
 

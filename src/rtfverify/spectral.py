@@ -23,9 +23,12 @@ b^j, q and Q's denominator cleared and the X-free factor read from one bounded
 cache per (datum, k), and adds the terms into one numerator over a running
 denominator.  The closed forms write each case's expression as one integer
 numerator over one denominator, its geometric sums in closed form.  Either way
-one Fraction is built per result.  partial_r_sum, the oracle for
-the derivative partial_r, is the defining sum's term-by-term derivative at
-X = 1, added the same way.
+one Fraction is built per result.  partial_r_sum, the oracle for the
+derivative partial_r, is the defining sum's term-by-term derivative at X = 1,
+added the same way; partial_r, like r_z, is one integer numerator over one
+denominator per case.  The weight polynomial's cases are written once, in
+_q_poly_pair: q_poly is its pair as a Fraction, and tau_jj is built from the
+integers q, Qn and Qd of Q = Qn/Qd.
 """
 from __future__ import annotations
 
@@ -92,21 +95,11 @@ def _check_k(name: str, k: int, eta_val: int) -> None:
 
 
 def q_poly(j: int, rep: LocalRepData, eta_val: int, X: Fraction) -> Fraction:
-    """The weight polynomial Q_j(eta, X) of the local datum, evaluated at X."""
+    """The weight polynomial Q_j(eta, X) of the local datum, evaluated at X:
+    _q_poly_pair's integer pair as one Fraction."""
     if j < 0:    # an internal invariant: q_poly_one passes 0 <= j <= k
         raise ValueError("j >= 0 required")
-    q, c = rep.q, rep.c
-    if j == 0:
-        return Fraction(1)
-    if c == 0 and j == 1:
-        return eta_val * X - rep.Q
-    if c == 1:
-        return eta_val ** (j - 1) * X ** (j - 1) * (eta_val * X - Fraction(rep.chi, q))
-    if c == 0:
-        # (a q^(1/2) eta X - 1)(a^(-1) q^(1/2) eta X - 1), rational in Q
-        quad = q * X * X - eta_val * rep.Q * (q + 1) * X + 1
-        return Fraction(1, q) * eta_val ** (j - 2) * X ** (j - 2) * quad
-    return eta_val ** j * X ** j
+    return Fraction(*_q_poly_pair(j, rep, eta_val, X.numerator, X.denominator))
 
 
 def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
@@ -115,15 +108,17 @@ def q_poly_one(j: int, rep: LocalRepData) -> Fraction:
 
 
 def tau_jj(j: int, rep: LocalRepData) -> Fraction:
+    """(1 - Q^2 [c = 0]) (1 - q^-2 [j >= 2 or c = 1]) for c <= 1 and j >= 1,
+    else 1, from the integers q, Qn and Qd of Q = Qn/Qd."""
     if j < 0:    # an internal invariant: _weight_pairs passes 0 <= j <= k
         raise ValueError("j >= 0 required")
     if j == 0 or rep.c >= 2:
         return Fraction(1)
+    qq = rep.q * rep.q
     if rep.c == 1:
-        return 1 - Fraction(1, rep.q ** 2)
-    if j == 1:
-        return 1 - rep.Q * rep.Q
-    return (1 - rep.Q * rep.Q) * (1 - Fraction(1, rep.q ** 2))
+        return Fraction(qq - 1, qq)
+    Qn, Qd = rep.Q.numerator, rep.Q.denominator
+    return Fraction(Qd * Qd - Qn * Qn, Qd * Qd) if j == 1 else Fraction((Qd * Qd - Qn * Qn) * (qq - 1), Qd * Qd * qq)
 
 
 def _check_r_z_args(name: str, k: int, eta_val: int, X) -> None:
@@ -170,6 +165,7 @@ def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tup
         Qn, Qd = rep.Q.numerator, rep.Q.denominator
         if j == 1:
             return ea * Qd - Qn * b, b * Qd
+        # Qd b^2 (s q^(1/2) eta X - 1)(s^-1 q^(1/2) eta X - 1), s the Satake number
         quad = q * a * a * Qd - eta_val * Qn * (q + 1) * a * b + b * b * Qd
         return ea ** (j - 2) * quad, q * Qd * b ** j
     if c == 1:
@@ -218,34 +214,29 @@ def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fract
 
 
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
-    """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1."""
+    """-(1/log q) d/dz r^(z) at z = 1/2; equals dr/dX at X = 1.  Each case
+    is one integer numerator over one denominator, with Q = Qn/Qd and
+    chi/q cleared."""
     _check_k("partial_r", k, eta_val)
-    q, c = rep.q, rep.c
-    sgn = (-1) ** k
-    if eta_val == -1:
-        if c == 0:
-            Q = rep.Q
-            return (
-                -1 / (1 + Q)
-                + Fraction(1 + sgn, 2) * (2 * q + (q + 1) * Q) / ((q - 1) * (1 + Q))
-                + Fraction(sgn * (2 * k - 3) - 1, 4) * Fraction(q + 1, q - 1)
-            )
-        if c == 1:
-            cq = Fraction(rep.chi, q)
-            return -Fraction(1 - sgn, 2) / (1 + cq) + Fraction(1 + sgn * (2 * k - 1), 4)
-        return Fraction(sgn * (2 * k + 1) - 1, 4)
+    q, c, sgn = rep.q, rep.c, (-1) ** k
     if c == 0:
-        Q = rep.Q
-        return (
-            1 / (1 + Q)
-            + (k - 1) * (2 * q - (q + 1) * Q) / ((q - 1) * (1 + Q))
-            + Fraction((k - 2) * (k - 1), 2) * (q + 1) * (1 - Q) / ((q - 1) * (1 + Q))
-        )
+        Qn, Qd = rep.Q.numerator, rep.Q.denominator
+        if eta_val == -1:
+            # -1/(1+Q) + [k even] (2q + (q+1)Q)/((q-1)(1+Q)) + ((-1)^k (2k-3) - 1)/4 (q+1)/(q-1)
+            num = (2 * (1 + sgn) * (2 * q * Qd + (q + 1) * Qn) + (sgn * (2 * k - 3) - 1) * (q + 1) * (Qd + Qn)
+                   - 4 * (q - 1) * Qd)
+            return Fraction(num, 4 * (q - 1) * (Qd + Qn))
+        # 1/(1+Q) + (k-1)(2q - (q+1)Q)/((q-1)(1+Q)) + (k-2)(k-1)/2 (q+1)(1-Q)/((q-1)(1+Q))
+        num = 2 * (q - 1) * Qd + 2 * (k - 1) * (2 * q * Qd - (q + 1) * Qn) + (k - 2) * (k - 1) * (q + 1) * (Qd - Qn)
+        return Fraction(num, 2 * (q - 1) * (Qd + Qn))
     if c == 1:
-        # corrected from the defining sum; the k(k+1)/2 variant fails it
-        cq = Fraction(rep.chi, q)
-        return k / (1 + cq) + (1 - cq) / (1 + cq) * Fraction(k * (k - 1), 2)
-    return Fraction(k * (k + 1), 2)
+        if eta_val == -1:
+            # -[k odd]/(1 + chi/q) + (1 + (-1)^k (2k-1))/4
+            return Fraction((1 + sgn * (2 * k - 1)) * (q + rep.chi) - 2 * (1 - sgn) * q, 4 * (q + rep.chi))
+        # k/(1 + chi/q) + (1 - chi/q)/(1 + chi/q) k(k-1)/2, corrected from the
+        # defining sum; the k(k+1)/2 variant fails it
+        return Fraction(2 * k * q + (q - rep.chi) * k * (k - 1), 2 * (q + rep.chi))
+    return Fraction(sgn * (2 * k + 1) - 1, 4) if eta_val == -1 else Fraction(k * (k + 1), 2)
 
 
 def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:

@@ -223,8 +223,8 @@ def test_every_public_definition_has_a_role():
 # they share (FormalLog, Ideal, LocalPoint, ...) and the defining sums of the
 # transform pair.  Every q is checked by ideals.residue_cardinality, which
 # Prime and LocalRepData call too.
-_LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.residue_cardinality",
-              "orbital_local.LocalPoint"}
+_LOCAL_LOG = {"formal.FormalLog", "formal._factor_small", "formal._log_terms", "formal._promote",
+              "ideals.residue_cardinality", "orbital_local.LocalPoint"}
 INDEPENDENT_PAIRS = {
     ("lattice.sphere_I", "lattice.sphere_I_quad"): {"lattice._check_lambda"},
     ("orbital_arch.w_plus", "orbital_arch.w_plus_quads"): {"orbital_arch._check_b", "orbital_arch._check_weight"},
@@ -253,8 +253,9 @@ INDEPENDENT_PAIRS = {
                                            "spectral._check_k", "spectral._check_r_z_args"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                                        "spectral._check_k"},
-    ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small", "formal._promote",
-                                                        "ideals.Ideal", "ideals.Prime", "ideals.QuadCharData",
+    ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small",
+                                                        "formal._log_terms", "formal._promote", "ideals.Ideal",
+                                                        "ideals.Prime", "ideals.QuadCharData",
                                                         "ideals.residue_cardinality", "spectral.LocalRepData",
                                                         "spectral._check_inert"},
     ("testfns.unip_u_scaled", "testfns.period_integrals"): set(),
@@ -263,12 +264,12 @@ INDEPENDENT_PAIRS = {
     ("testfns.st_moment_expected", "testfns.st_moments"): set(),
     ("testfns.decompose_alpha", "testfns.laurent_alpha_pn"): set(),
     # both read log norm(f_eta) from its exponents (ntransform.log_norm) and
-    # log q from the per-q symbol cache ntransform._log_terms, and both sum
+    # log q from the per-q symbol cache formal._log_terms, and both sum
     # their terms by FormalLog._sum: symbols and the summing, not a main term
     ("assembly.main_ADL_bracket", "assembly.geom_kernel_bracket"): {
-        "assembly._require_class", "formal.FormalLog", "formal._factor_small", "formal._promote", "ideals.Ideal",
-        "ideals.Prime", "ideals.QuadCharData", "ideals.residue_cardinality", "ideals.sign_class",
-        "ntransform._log_terms", "ntransform.log_norm"},
+        "assembly._require_class", "formal.FormalLog", "formal._factor_small", "formal._log_terms",
+        "formal._promote", "ideals.Ideal", "ideals.Prime", "ideals.QuadCharData", "ideals.residue_cardinality",
+        "ideals.sign_class", "ntransform.log_norm"},
 }
 
 

@@ -9,11 +9,13 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rtfverify import assembly, cli, orbital_arch, testfns
+from rtfverify import assembly, cli, orbital_arch, orbital_local, testfns
+from rtfverify.formal import FormalLog
 
 CFG = {
     "schema": 1,
@@ -99,6 +101,39 @@ def test_local_tables_command(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[3]) == 0.0 and float(cells[5]) == 0.0
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["local-weights", "--rep", '{"c":2}', "--q", "3", "--eta", "1", "--k", "0"],
+     "InputError: --k 0: k must lie in [1, 64]"),
+    (["local-weights", "--rep", '{"c":2}', "--q", "3", "--eta", "1", "--k", "65"],
+     "InputError: --k 65: k must lie in [1, 64]"),
+    (["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb=5..2"],
+     "InputError: --ordb '5..2': lo <= hi required"),
+    (["moments", "--q", "3", "--eta", "1", "--n", "5..2"], "InputError: --n '5..2': lo <= hi required"),
+])
+def test_range_refusals_name_the_option(argv, line, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("oracle, column", [("w_unramified_oracle", 3), ("w_level_oracle", 5)])
+def test_local_tables_delta_shows_an_oracle_off_by_1e_30(oracle, column, capsys, monkeypatch):
+    """A delta is printed 0 where closed form and oracle are equal and is
+    their exact difference elsewhere: an oracle moved by 10^-30 log q gives
+    a nonzero delta in its column on every row, and the other column stays
+    0."""
+    argv = ["local-tables", "--place", '{"q":9}', "--eta", "-1", "--ordb=-2..6", "--ordb1", "2", "--ordn", "1"]
+    assert cli.main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 9 and all(row[3] == row[5] == "0.000e+00" for row in rows)
+    exact = getattr(orbital_local, oracle)
+    monkeypatch.setattr(orbital_local, oracle,
+                        lambda *args: exact(*args) + FormalLog.log_integer(9, Fraction(1, 10 ** 30)))
+    assert cli.main(argv) == 0
+    for row in list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]:
+        assert row[column] == f"{-2e-30 * math.log(3):.3e}" == "-2.197e-30", row
+        assert row[8 - column] == "0.000e+00"
 
 
 def test_arch_command(capsys):
@@ -478,6 +513,11 @@ def test_verify_command(capsys):
     ["ntransform", "--config", "ID_TWICE", "--ideal", "p^2"],
     # f = 0 where every ordb < -f, which used to skip w_ramified's f check
     ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb=-3..-1", "--f", "0"],
+    # a k below 1, which used to print an empty table
+    ["local-weights", "--rep", '{"c":2}', "--q", "3", "--eta", "1", "--k", "0"],
+    # empty spans lo > hi, which used to print a header and no rows
+    ["local-tables", "--place", '{"q":3}', "--eta", "1", "--ordb=5..2"],
+    ["moments", "--q", "3", "--eta", "1", "--n", "5..2"],
 ])
 def test_bad_input_ends_in_one_input_error_line(argv, cfg_path, tmp_path, capsys):
     configs = {

@@ -15,6 +15,8 @@ from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, QuadCharData
 from rtfverify.verify import QS, _random_rep
 
+QS_ALL = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
 P3 = Prime("p", 3)
 Q2 = Prime("q", 2)
 
@@ -207,7 +209,8 @@ def _bits(x):
 
 
 def _uncached_r_z_sum(rep, eta_val, k, X):
-    return sum((sp.q_poly_one(j, rep) * sp.q_poly(j, rep, eta_val, X)) / sp.tau_jj(j, rep) for j in range(k + 1))
+    return sum((_fraction_q_poly(j, rep, 1, Fraction(1)) * _fraction_q_poly(j, rep, eta_val, X))
+               / _fraction_tau_jj(j, rep) for j in range(k + 1))
 
 
 def _suite_weights_inputs(seed):
@@ -233,8 +236,8 @@ RZ_EXACT_X = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), Fractio
 
 def test_rz_sum_bit_identical_to_uncached_sum():
     """r_z_sum (cached factors and the integer kernel) against the
-    uncached sum of q_poly terms: every c and eta, and k up to MAX_K, at both
-    parities, for the first datum of each c."""
+    uncached sum of the reference _fraction_q_poly terms: every c and eta,
+    and k up to MAX_K, at both parities, for the first datum of each c."""
     rng = random.Random(5)
     data = [(REP0, sp.LocalRepData(q=5, c=0, Q=Fraction(3, 10))), (REP1, sp.LocalRepData(q=2, c=1, chi=-1)),
             (REP2, sp.LocalRepData(q=5, c=2)), (sp.LocalRepData(q=9, c=3), sp.LocalRepData(q=2, c=3))]
@@ -312,7 +315,7 @@ def test_rep_caches_are_bounded():
             got = fn(rep, k)
             assert got == fn.__wrapped__(rep, k) and len(got) == k + 1
             for j, (a, b) in enumerate(got):
-                assert Fraction(a, b) == sp.q_poly_one(j, rep) / sp.tau_jj(j, rep)
+                assert Fraction(a, b) == _fraction_q_poly(j, rep, 1, Fraction(1)) / _fraction_tau_jj(j, rep)
     assert fn.cache_info().currsize <= sp.REP_CACHE_SIZE
     for k in range(sp.MAX_K + 1):   # more (rep, k) entries than the cache holds
         fn(sp.LocalRepData(q=5, c=0, Q=Fraction(k, 100)), k)
@@ -342,6 +345,94 @@ def test_rz_on_threads_bit_identical_to_serial():
 
 
 # ---------------------------------------------------------------------------
+# q_poly, tau_jj and partial_r run on integers; each must equal, in value and
+# type, the Fraction expressions it replaced, kept here as literal copies
+
+
+def _fraction_q_poly(j, rep, eta_val, X):
+    q, c = rep.q, rep.c
+    if j == 0:
+        return Fraction(1)
+    if c == 0 and j == 1:
+        return eta_val * X - rep.Q
+    if c == 1:
+        return eta_val ** (j - 1) * X ** (j - 1) * (eta_val * X - Fraction(rep.chi, q))
+    if c == 0:
+        quad = q * X * X - eta_val * rep.Q * (q + 1) * X + 1
+        return Fraction(1, q) * eta_val ** (j - 2) * X ** (j - 2) * quad
+    return eta_val ** j * X ** j
+
+
+def _fraction_tau_jj(j, rep):
+    if j == 0 or rep.c >= 2:
+        return Fraction(1)
+    if rep.c == 1:
+        return 1 - Fraction(1, rep.q ** 2)
+    if j == 1:
+        return 1 - rep.Q * rep.Q
+    return (1 - rep.Q * rep.Q) * (1 - Fraction(1, rep.q ** 2))
+
+
+def _fraction_partial_r(rep, eta_val, k):
+    q, c = rep.q, rep.c
+    sgn = (-1) ** k
+    if eta_val == -1:
+        if c == 0:
+            Q = rep.Q
+            return (
+                -1 / (1 + Q)
+                + Fraction(1 + sgn, 2) * (2 * q + (q + 1) * Q) / ((q - 1) * (1 + Q))
+                + Fraction(sgn * (2 * k - 3) - 1, 4) * Fraction(q + 1, q - 1)
+            )
+        if c == 1:
+            cq = Fraction(rep.chi, q)
+            return -Fraction(1 - sgn, 2) / (1 + cq) + Fraction(1 + sgn * (2 * k - 1), 4)
+        return Fraction(sgn * (2 * k + 1) - 1, 4)
+    if c == 0:
+        Q = rep.Q
+        return (
+            1 / (1 + Q)
+            + (k - 1) * (2 * q - (q + 1) * Q) / ((q - 1) * (1 + Q))
+            + Fraction((k - 2) * (k - 1), 2) * (q + 1) * (1 - Q) / ((q - 1) * (1 + Q))
+        )
+    if c == 1:
+        cq = Fraction(rep.chi, q)
+        return k / (1 + cq) + (1 - cq) / (1 + cq) * Fraction(k * (k - 1), 2)
+    return Fraction(k * (k + 1), 2)
+
+
+# Satake parameters +-m/100 and +-1/d, 0 included
+SATAKE_GRID = sorted({s * Fraction(m, 100) for s in (1, -1) for m in (0, 1, 3, 37, 50, 89, 99)}
+                     | {s * Fraction(1, d) for s in (1, -1) for d in (2, 3, 7, 64, 1001)})
+GRID_REPS = ([sp.LocalRepData(q=q, c=0, Q=Q) for q in QS_ALL for Q in SATAKE_GRID]
+             + [sp.LocalRepData(q=q, c=1, chi=chi) for q in QS_ALL for chi in (1, -1)]
+             + [sp.LocalRepData(q=q, c=c) for q in QS_ALL for c in (2, 3)])
+
+
+def _exact(got, want):
+    return got == want and type(got) is type(want) is Fraction
+
+
+def test_partial_r_and_tau_jj_equal_their_fraction_forms():
+    for rep in GRID_REPS:
+        for eta, k in itertools.product((1, -1), range(1, sp.MAX_K + 1)):
+            assert _exact(sp.partial_r(rep, eta, k), _fraction_partial_r(rep, eta, k)), (rep, eta, k)
+        for j in range(sp.MAX_K + 1):
+            assert _exact(sp.tau_jj(j, rep), _fraction_tau_jj(j, rep)), (rep, j)
+
+
+def test_q_poly_equals_its_fraction_form():
+    """At X = 1 (q_poly_one), every j up to MAX_K; at other X, j up to 12
+    and the top four."""
+    js = [*range(13), *range(sp.MAX_K - 3, sp.MAX_K + 1)]
+    for rep in GRID_REPS:
+        for j in range(sp.MAX_K + 1):
+            assert _exact(sp.q_poly_one(j, rep), _fraction_q_poly(j, rep, 1, Fraction(1))), (rep, j)
+        for eta, j, X in itertools.product((1, -1), js, (Fraction(-1), Fraction(2, 7), Fraction(-59, 29))):
+            assert _exact(sp.q_poly(j, rep, eta, X), _fraction_q_poly(j, rep, eta, X)), (rep, eta, j, X)
+
+
+# ---------------------------------------------------------------------------
 # partial_r_sum runs on integers; it must equal, in value and type, the
 # Fraction arithmetic it replaced, kept here as a literal copy
 
@@ -350,7 +441,7 @@ def _fraction_partial_r_sum(rep, eta_val, k):
     total = Fraction(0)
     for j in range(1, k + 1):
         dq = _fraction_dq_poly_at_one(j, rep, eta_val)
-        total = total + sp.q_poly_one(j, rep) * dq / sp.tau_jj(j, rep)
+        total = total + _fraction_q_poly(j, rep, 1, Fraction(1)) * dq / _fraction_tau_jj(j, rep)
     return total
 
 
