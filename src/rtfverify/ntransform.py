@@ -19,26 +19,25 @@ every sum lies in it.  It evaluates B once per ideal and sums by Yates's
 algorithm (the fast Moebius transform), one integer pass per place; it
 assumes nothing about B, so it stays the defining sum.
 
-The closed forms are products over the places of n.  Each is one integer
-numerator and one integer denominator, multiplied place by place, with one
-Fraction built per ideal; at t = 0 the norm power is 1, and norm(n) is not
-formed.  closed_log takes the scale closed_power(n, 0) as that unreduced
-pair; each place's log coefficient has a denominator dividing the scale's
-numerator, so each symbol's coefficient is one integer sum over the scale's
-denominator, and one Fraction is built per symbol.  closed_power and
-closed_log keep an int t an int, so every exponent, t and each -2(1+t), is an
-int and _power_pair returns integer powers with no Fraction arithmetic; a
-fractional t takes exact integer roots.  The summands are built the same way:
-norm^t at an integer t is an integer power (norm^0 is one shared Fraction(1)),
-and log norm is sum_v e_v log q_v, read from m's exponents, with each q's
-factorisation and symbols read from formal._log_terms, the cache keyed by q
-that FormalLog.log_integer reads too.  A log_norm value shares its constant
-0 and its small integer coefficients with every other: Fractions are
-immutable, so all the values of a box hold one copy of each.
+The closed forms are products over the places of n: one integer numerator
+over one integer denominator, and one Fraction per ideal.  Each place is one
+entry of the bounded table _place, keyed by (q, e, t, sign), which holds
+q^(e|a|) at t = a/d and the place's factor as an integer pair.  At d > 1 the
+d-th root is taken once, of the product norm(n)^|a|, since per-place roots
+can be irrational where their product is rational (sqrt 2 * sqrt 8 = 4).
+An int t takes no root, and t = 0 forms no norm.  closed_log scales by the
+unreduced pair of closed_power(n, 0), whose numerator each place's log
+denominator divides, so each symbol's coefficient is one integer sum.  The
+summands are built the same way: norm^t at an integer t is an integer power
+(norm^0 is one shared Fraction(1)), and log norm is sum_v e_v log q_v, read
+from m's exponents and formal._log_terms, the per-q cache that
+FormalLog.log_integer reads too.  A log_norm value shares its constant 0
+and its small integer coefficients with every other: Fractions are immutable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
@@ -55,6 +54,8 @@ Choice = tuple[tuple[tuple[Prime, int], ...], int]
 
 # An arithmetic function on the ideals of a monoid.
 ArithFn = Callable[[Ideal], Value]
+
+PLACE_CACHE_SIZE = 256   # (q, e, t, sign) entries of _place, as many as spectral.REP_CACHE_SIZE
 
 
 def _removal_denom(q: int, e: int) -> int:
@@ -166,7 +167,7 @@ def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Idea
     sums = {}
     for sym, pairs in ratios.items():
         den = lcm(*[d for _, d in pairs])
-        sums[sym] = [a * (den // d) for a, d in pairs], den
+        sums[sym] = [a * (den // d) for a, d in pairs] if den > 1 else [a for a, _ in pairs], den
     stride = len(ideals)
     for p, es in box:
         q, stride = p.q, stride // len(es)
@@ -177,12 +178,14 @@ def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Idea
             sums[sym] = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec, den * L
         formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
     const, den = sums.pop(None)
+    consts = [Fraction(x, den) if x else _ZERO for x in const]
+    if not any(formal):
+        return dict(zip(ideals, consts))
     coeffs: list[dict[str, Fraction]] = [{} for _ in ideals]
     for sym, (vec, sden) in sums.items():
         for c, x in zip(coeffs, vec):
             if x:
                 c[sym] = Fraction(x, sden)
-    consts = [Fraction(x, den) if x else _ZERO for x in const]
     return {n: FormalLog._trusted(v, c) if f else v for n, v, c, f in zip(ideals, consts, coeffs, formal)}
 
 
@@ -238,23 +241,43 @@ def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
     return Fraction(*_power_pair(n.norm, t, n))
 
 
+@lru_cache(maxsize=PLACE_CACHE_SIZE)
+def _place(q: int, e: int, t: Fraction | int, sign: int) -> tuple[int, int, int]:
+    """One place's part of _closed_pair at t = a/d: q^(e|a|), and the place
+    factor (qd + sign * qn, qd) with qn/qd = q^-2(1+t), times q/(q-1) at
+    e == 2; (1, 1) at e < 2, and (0, 0) where q^-2(1+t) is irrational."""
+    power = q ** (e * abs(t.numerator))
+    if e < 2:
+        return power, 1, 1
+    try:
+        qn, qd = _power_pair(q, -2 * (1 + t), q)
+    except NonRationalPower:
+        return power, 0, 0
+    if e == 2:   # 1 + sign * q/(q-1) * qn/qd
+        qn, qd = qn * q, qd * (q - 1)
+    return power, qd + sign * qn, qd
+
+
 def _closed_pair(n: Ideal, t: Fraction | int, sign: int) -> tuple[int, int]:
     """norm(n)^t * prod_{v: ord_v n >= 2} (1 + sign * c_v q^-2(1+t)),
     with c_v = (1-1/q)^-1 at ord_v n == 2 and c_v = 1 above, as one integer
-    numerator over one integer denominator.  The pair is not reduced: each
-    place's factor (qd + sign * qn) divides the numerator."""
-    num, den = _power_pair(n.norm, t, n) if t else (1, 1)
-    s = -2 * (1 + t)
+    numerator over one integer denominator, from one _place entry per place.
+    The norm's NonRationalPower comes before any place's.  The pair is not
+    reduced: each place's factor divides the numerator."""
+    power = num = den = 1
     for p, e in n:
-        if e >= 2:
-            q = p.q
-            qn, qd = _power_pair(q, s, p.id)
-            if e == 2:   # 1 + sign * q/(q-1) * qn/qd
-                qd *= q - 1
-                qn *= q
-            num *= qd + sign * qn
-            den *= qd
-    return num, den
+        x, fn, fd = _place(p.q, e, t, sign)
+        power, num, den = power * x, num * fn, den * fd
+    d = t.denominator
+    if d > 1:   # norm(n)^|a| = power: one root of the whole product
+        root = _iroot(power, d)
+        if root ** d != power:
+            raise NonRationalPower(f"norm({n})^{t} is irrational")
+        power = root
+    if not den:
+        p = next(p for p, e in n if not _place(p.q, e, t, sign)[2])
+        raise NonRationalPower(f"norm({p.id})^{-2 * (1 + t)} is irrational")
+    return (num * power, den) if t >= 0 else (num, den * power)
 
 
 def closed_power(n: Ideal, t: Fraction | int) -> Fraction:
@@ -282,7 +305,7 @@ def closed_log(n: Ideal) -> FormalLog:
         for (_r, sym), f in _log_terms(q):
             sums[sym] = sums.get(sym, 0) + c * f
     # every coefficient and the scale are positive, so none vanishes
-    return FormalLog._trusted(Fraction(0), {sym: Fraction(c, den) for sym, c in sums.items()})
+    return FormalLog._trusted(_ZERO, {sym: Fraction(c, den) for sym, c in sums.items()})
 
 
 def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:

@@ -403,6 +403,53 @@ def test_closed_forms_equal_defining_sums_at_composite_q(grid, same_order):
             assert nt.closed_power(n, t) == nt.n_transform(nt.norm_power_fn(t), n), (n, t)
 
 
+# the grid of verify's closed-forms-exhaustive check: exponents 0..6 at q = 2, 3, 5, 7
+CHECK_GRID = [Ideal.of(dict(zip([Prime(name, q) for name, q in zip("pqrs", (2, 3, 5, 7))], exps)))
+              for exps in itertools.product(range(7), repeat=4)]
+SWEEP_TS = [Fraction(t) for t in range(-2, 4)] + [Fraction(-3, 2), Fraction(1, 3), Fraction(1, 2)]
+
+
+def test_place_table_equals_literal_products_on_the_check_grid():
+    # every (q, e, t, sign) the table meets here, int t and Fraction t alike,
+    # against the per-place Fraction products; NonRationalPower messages too
+    nt._place.cache_clear()
+    for n in CHECK_GRID + BY_Q + BY_PRIME:
+        for t in SWEEP_TS:
+            for form, sign in ((nt.closed_power, -1), (nt.n_plus_closed_power, 1)):
+                want = _outcome(_literal_closed_form, n, t, sign, True)
+                for arg in ((t, int(t)) if t.denominator == 1 else (t,)):
+                    got = _outcome(form, n, arg)
+                    assert got == want and type(got) is type(want), (form, n, arg)
+        got, want = nt.closed_log(n), _literal_closed_log(n)
+        assert got == want and type(got) is type(want), n
+        assert list(got.coeffs) == list(want.coeffs), n
+
+
+def test_the_norm_is_refused_before_a_place():
+    # t = 1/3: norm(p^2) = 4 is not a cube, and p's factor 2^(-8/3) is irrational
+    p, r = Prime("p", 2), Prime("r", 2)
+    for form in (nt.closed_power, nt.n_plus_closed_power):
+        with pytest.raises(NonRationalPower, match=r"^norm\(p\^2\)\^1/3 is irrational$"):
+            form(Ideal.of({p: 2}), Fraction(1, 3))
+        # norm(p^3) = 8 is a cube, so p's factor is refused
+        with pytest.raises(NonRationalPower, match=r"^norm\(p\)\^-8/3 is irrational$"):
+            form(Ideal.of({p: 3}), Fraction(1, 3))
+    # one root of the whole norm: sqrt 2 * sqrt 8 = 4, so p r^3 has a rational half power
+    n = Ideal.of({p: 1, r: 3})
+    assert nt.closed_power(n, Fraction(1, 2)) == nt.n_transform(nt.norm_power_fn(Fraction(1, 2)), n) == Fraction(7, 2)
+
+
+def test_place_table_is_bounded():
+    fn = nt._place
+    assert fn.cache_info().maxsize == nt.PLACE_CACHE_SIZE
+    fn.cache_clear()
+    keys = [(q, e, t, sign) for q in (2, 3, 5, 7) for e in range(7) for t in SWEEP_TS for sign in (-1, 1)]
+    assert len(set(keys)) > nt.PLACE_CACHE_SIZE
+    for key in keys:
+        assert fn(*key) == fn.__wrapped__(*key)
+    assert fn.cache_info().currsize == nt.PLACE_CACHE_SIZE
+
+
 def test_summands_equal_their_definitions_at_composite_q():
     for m in BY_Q:
         for t in (-2, -1, 0, 1, 2):
