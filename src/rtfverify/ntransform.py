@@ -55,8 +55,6 @@ Choice = tuple[tuple[tuple[Prime, int], ...], int]
 # An arithmetic function on the ideals of a monoid.
 ArithFn = Callable[[Ideal], Value]
 
-PLACE_CACHE_SIZE = 256   # (q, e, t, sign) entries of _place, as many as spectral.REP_CACHE_SIZE
-
 
 def _removal_denom(q: int, e: int) -> int:
     """d with omega_v(p, n0) * iota ratio = 1/d for removing p^2 from p^e,
@@ -167,7 +165,7 @@ def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Idea
     sums = {}
     for sym, pairs in ratios.items():
         den = lcm(*[d for _, d in pairs])
-        sums[sym] = [a * (den // d) for a, d in pairs] if den > 1 else [a for a, _ in pairs], den
+        sums[sym] = [a * (den // d) for a, d in pairs], den
     stride = len(ideals)
     for p, es in box:
         q, stride = p.q, stride // len(es)
@@ -178,14 +176,12 @@ def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Idea
             sums[sym] = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec, den * L
         formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
     const, den = sums.pop(None)
-    consts = [Fraction(x, den) if x else _ZERO for x in const]
-    if not any(formal):
-        return dict(zip(ideals, consts))
     coeffs: list[dict[str, Fraction]] = [{} for _ in ideals]
     for sym, (vec, sden) in sums.items():
         for c, x in zip(coeffs, vec):
             if x:
                 c[sym] = Fraction(x, sden)
+    consts = [Fraction(x, den) if x else _ZERO for x in const]
     return {n: FormalLog._trusted(v, c) if f else v for n, v, c, f in zip(ideals, consts, coeffs, formal)}
 
 
@@ -241,7 +237,9 @@ def _norm_power_exact(n: Ideal, t: Fraction) -> Fraction:
     return Fraction(*_power_pair(n.norm, t, n))
 
 
-@lru_cache(maxsize=PLACE_CACHE_SIZE)
+# rtf verify's ntransform suite meets 132 keys: 96 (q, e, t) of its grid and
+# 36 of the majorant check; a query meets one per place of its ideal.
+@lru_cache(maxsize=256)
 def _place(q: int, e: int, t: Fraction | int, sign: int) -> tuple[int, int, int]:
     """One place's part of _closed_pair at t = a/d: q^(e|a|), and the place
     factor (qd + sign * qn, qd) with qn/qd = q^-2(1+t), times q/(q-1) at

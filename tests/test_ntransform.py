@@ -360,17 +360,31 @@ def _outcome(fn, *args):
         return f"NonRationalPower: {exc}"
 
 
-@settings(max_examples=200, deadline=None)
-@given(monoid_ideal(), st.sampled_from([Fraction(t) for t in ("-2", "-3/2", "-1", "0", "1/3", "1/2", "1", "2", "3")]))
-def test_closed_forms_equal_literal_products(n, t):
-    pairs = [(_outcome(nt.closed_power, n, t), _outcome(_literal_closed_form, n, t, -1, True))]
-    pairs += [(_outcome(nt.n_plus_closed_power, n, t, exact), _outcome(_literal_closed_form, n, t, 1, exact))
-              for exact in (True, False)]
-    for got, want in pairs:
-        assert got == want and type(got) is type(want)
+SWEEP_TS = [Fraction(t) for t in range(-2, 4)] + [Fraction(-3, 2), Fraction(1, 3), Fraction(1, 2)]
+
+
+def _assert_closed_forms_match(n, ts):
+    """closed_power and n_plus_closed_power (exact and in floats) at each t,
+    and closed_log, against the per-place products, in value, type and
+    coefficient order, and NonRationalPower messages too; an integral t is
+    also passed as an int."""
+    for t in ts:
+        wants = [_outcome(_literal_closed_form, n, t, -1, True)]
+        wants += [_outcome(_literal_closed_form, n, t, 1, exact) for exact in (True, False)]
+        for arg in ((t, int(t)) if t.denominator == 1 else (t,)):
+            gots = [_outcome(nt.closed_power, n, arg)]
+            gots += [_outcome(nt.n_plus_closed_power, n, arg, exact) for exact in (True, False)]
+            for got, want in zip(gots, wants):
+                assert got == want and type(got) is type(want), (n, arg)
     got, want = nt.closed_log(n), _literal_closed_log(n)
-    assert got == want and type(got) is type(want)
-    assert list(got.coeffs) == list(want.coeffs)   # the order evaluate() sums in
+    assert got == want and type(got) is type(want), n
+    assert list(got.coeffs) == list(want.coeffs), n   # the order evaluate() sums in
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_ideal(), st.sampled_from(SWEEP_TS))
+def test_closed_forms_equal_literal_products(n, t):
+    _assert_closed_forms_match(n, [t])
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +420,11 @@ def test_closed_forms_equal_defining_sums_at_composite_q(grid, same_order):
 # the grid of verify's closed-forms-exhaustive check: exponents 0..6 at q = 2, 3, 5, 7
 CHECK_GRID = [Ideal.of(dict(zip([Prime(name, q) for name, q in zip("pqrs", (2, 3, 5, 7))], exps)))
               for exps in itertools.product(range(7), repeat=4)]
-SWEEP_TS = [Fraction(t) for t in range(-2, 4)] + [Fraction(-3, 2), Fraction(1, 3), Fraction(1, 2)]
-
-
 def test_place_table_equals_literal_products_on_the_check_grid():
-    # every (q, e, t, sign) the table meets here, int t and Fraction t alike,
-    # against the per-place Fraction products; NonRationalPower messages too
+    # every (q, e, t, sign) the table meets here, from an empty table
     nt._place.cache_clear()
     for n in CHECK_GRID + BY_Q + BY_PRIME:
-        for t in SWEEP_TS:
-            for form, sign in ((nt.closed_power, -1), (nt.n_plus_closed_power, 1)):
-                want = _outcome(_literal_closed_form, n, t, sign, True)
-                for arg in ((t, int(t)) if t.denominator == 1 else (t,)):
-                    got = _outcome(form, n, arg)
-                    assert got == want and type(got) is type(want), (form, n, arg)
-        got, want = nt.closed_log(n), _literal_closed_log(n)
-        assert got == want and type(got) is type(want), n
-        assert list(got.coeffs) == list(want.coeffs), n
+        _assert_closed_forms_match(n, SWEEP_TS)
 
 
 def test_the_norm_is_refused_before_a_place():
@@ -441,13 +443,13 @@ def test_the_norm_is_refused_before_a_place():
 
 def test_place_table_is_bounded():
     fn = nt._place
-    assert fn.cache_info().maxsize == nt.PLACE_CACHE_SIZE
+    size = fn.cache_info().maxsize
     fn.cache_clear()
     keys = [(q, e, t, sign) for q in (2, 3, 5, 7) for e in range(7) for t in SWEEP_TS for sign in (-1, 1)]
-    assert len(set(keys)) > nt.PLACE_CACHE_SIZE
+    assert len(set(keys)) > size
     for key in keys:
         assert fn(*key) == fn.__wrapped__(*key)
-    assert fn.cache_info().currsize == nt.PLACE_CACHE_SIZE
+    assert fn.cache_info().currsize == size
 
 
 def test_summands_equal_their_definitions_at_composite_q():
