@@ -40,7 +40,7 @@ ARCH_MAX_L = 26
 # below 2^14281 has at most 4300.  A t is refused when the bound of
 # _norm_power_bits passes it, before any power is formed.
 NTRANSFORM_MAX_BITS = 14281
-# rtf lattice: the largest weight.  bound_audits' envelope holds
+# rtf lattice: the largest weight.  lattice.theta_envelope holds
 # (1 + r)^(d max(l) / 2), with r = sqrt(2)/2 for every real quadratic ring
 # of integers; in rank two it passes the float range from l = 1328 (in rank
 # one, where r = 1/2, from 3502).
@@ -164,8 +164,8 @@ def cmd_moments(args) -> int:
     writer.writerow(["n", "U_closed", "U_quad", "U_abs_err", "dU_closed", "dU_quad", "dU_abs_err"])
     for n, u_quad, du_quad in zip(ns, u_quads, du_quads):
         u_quad, du_quad = u_quad.real, du_quad.real
-        u_closed = float(testfns.unip_u_scaled(args.eta, n)) * args.q ** (-n / 2)
-        du_closed = float(testfns.unip_du_scaled(args.eta, n)) * args.q ** (-n / 2) * math.log(args.q)
+        u_closed = testfns.unip_u(args.q, args.eta, n)
+        du_closed = testfns.unip_du(args.q, args.eta, n)
         writer.writerow([n, f"{u_closed:.12g}", f"{u_quad:.12g}", f"{abs(u_closed - u_quad):.3e}",
                          f"{du_closed:.12g}", f"{du_quad:.12g}", f"{abs(du_closed - du_quad):.3e}"])
     return 0
@@ -201,8 +201,7 @@ def cmd_arch(args) -> int:
         raise InputError(f"--l {args.l}: l <= {ARCH_MAX_L} required")
     b = _parsed("--b", args.b, _finite_rational)
     bf = float(b)
-    j_one = orbital_arch.j_arch(args.l, bf, "one")
-    j_sgn = orbital_arch.j_arch(args.l, bf, "sgn")
+    j_one, j_sgn = orbital_arch.j_arch(args.l, bf)
     wp = orbital_arch.w_plus(args.l, b)
     (wq,) = orbital_arch.w_plus_quads(args.l, [bf])
     eps_m1 = -1 if args.eps == "sgn" else 1

@@ -3,7 +3,8 @@
 theta(Lambda) sums prod_j (1 + |x_j|)^(-l_j/2) over nonzero lattice points.
 Enumeration is exact over integer coefficient boxes; truncation tails carry a
 rigorous ball-packing bound (every lattice point owns a disjoint ball of
-radius r(Lambda)) plus, in rank one, a sharper integral estimate.
+radius r(Lambda)) plus, in rank one, a sharper integral estimate.  The
+theta estimate's envelope is theta_envelope, for bound_audits and verify.
 
 Every quadrature runs on quadrature.quad_many: sphere_I_quad (the oracle
 of sphere_I) and ball_integral as one integral each, phi_spheres evaluates
@@ -21,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InputError, UnsupportedField
+from .formal import _factor_small
 from .orbital_arch import j_arch, w_plus_quads
 from .orbital_local import tau_S_rational
 from .quadrature import quad_many
@@ -71,6 +73,9 @@ class EmbeddedLattice:
 MAX_GENERATOR = 10 ** 6
 MIN_GENERATOR_Q = 1e-150
 SHELL_BLOCK = 2 ** 12
+# Q(sqrt m) takes m below 2048^2, which formal._factor_small factors from its
+# table of primes alone; past it, it would trial-divide up to sqrt(m).
+MAX_FIELD_M = 2048 ** 2
 
 
 def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice:
@@ -94,8 +99,8 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
         return EmbeddedLattice(((float(g),),), f"({descriptor})Z")
     if field != "real_quadratic":
         raise UnsupportedField(f"field {field!r}; only Q and real quadratic supported")
-    if m is None or m <= 1 or not _squarefree(m):
-        raise UnsupportedField(f"real quadratic field needs squarefree m > 1, got m={m}")
+    if m is None or not 1 < m < MAX_FIELD_M or any(e > 1 for _p, e in _factor_small(m)):
+        raise UnsupportedField(f"real quadratic field needs a squarefree m with 1 < m < {MAX_FIELD_M}, got m={m}")
     if descriptor in (0, (0, 0)):
         raise InputError(f"the zero ideal has no lattice, got descriptor {descriptor!r}")
     root = math.sqrt(m)
@@ -118,17 +123,6 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
     g1, g2 = x + y * w1, x + y * w2           # the two embeddings of the generator
     basis = ((g1, g2), (g1 * w1, g2 * w2))    # gamma * (1, omega)
     return EmbeddedLattice(basis, f"({x}+{y}w)O_Q(sqrt{m})", sq_disc)
-
-
-def _squarefree(m: int) -> bool:
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-        p += 1
-    return True
 
 
 # The largest integer coefficient box lattice_points enumerates.  At its peak
@@ -303,7 +297,7 @@ def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -
         raise InputError(f"n and bset must be relatively prime, got n_norm={n_norm}, bset_norm={bset_norm}")
     total = 0.0
     for tau, bf in _hyperbolic_points(Fraction(n_norm, bset_norm), bset_norm, K):
-        total += tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf, "one"))
+        total += tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf)[0])
     return total
 
 
@@ -372,21 +366,27 @@ def minkowski_sandwich_ok(lat: EmbeddedLattice) -> bool:
             and D <= c_hi * lat.sqrt_disc * r ** lat.d * (1 + 1e-9))
 
 
-def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float], theta_value: float) -> dict:
-    """Containment-based audits of theta_value = theta(lat, l, R)["value"]:
-    the theta-estimate ratio, the covering inequality, submultiplicativity
-    of f (on 10,000 Kronecker-sequence pairs), the Minkowski sandwich."""
-    d = lat.d
-    l = list(l)
-    r0, r1 = lat0.packing_radius, lat.packing_radius
-    D0, D1 = lat0.covolume, lat.covolume
+def theta_envelope(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float]) -> float:
+    """The envelope (1 + r0)^(d max(l)/2) / D0 * D^((1 - min(l)/2)/d) of the theta
+    estimate of lat inside lat0; one outside the float range is refused."""
+    d, r0, D0, D1 = lat.d, lat0.packing_radius, lat0.covolume, lat.covolume
     try:
         envelope = (1 + r0) ** (d * max(l) / 2) / D0 * D1 ** ((1 - min(l) / 2) / d)
     except OverflowError:
         envelope = math.inf
     if not 0 < envelope < math.inf:
-        raise DomainError(f"the theta envelope at l={l}, covolume {D1:.6g} is outside the float range")
-    covering_rhs = ball_integral(r0, l) ** -1 * ball_integral(r1, l, outside=True)
+        raise DomainError(f"the theta envelope at l={list(l)}, covolume {D1:.6g} is outside the float range")
+    return envelope
+
+
+def bound_audits(lat: EmbeddedLattice, lat0: EmbeddedLattice, l: Sequence[float], theta_value: float) -> dict:
+    """Containment-based audits of theta_value = theta(lat, l, R)["value"]:
+    the ratio to theta_envelope, the covering inequality, submultiplicativity
+    of f (on 10,000 Kronecker-sequence pairs), the Minkowski sandwich."""
+    d = lat.d
+    l = list(l)
+    envelope = theta_envelope(lat, lat0, l)
+    covering_rhs = ball_integral(lat0.packing_radius, l) ** -1 * ball_integral(lat.packing_radius, l, outside=True)
     # frac(k alpha), k = 1..10^4, alpha_j = 2^(j/(2d+1)), j = 1..2d: 1 and the
     # alpha_j are rationally independent, so the pairs fill [-5, 5]^d evenly
     pts = 10 * (np.arange(1, 10_001)[:, None] * 2.0 ** (np.arange(1, 2 * d + 1) / (2 * d + 1)) % 1.0) - 5

@@ -2,9 +2,9 @@
 the log-weighted half-line integral, each with its quadrature oracle.
 
 J^one(k; b) is 4 Q_(k/2-1)(2b+1) and J^sgn(k; b) is 2 pi i P_(k/2-1)(2b+1)
-on the cut -1 < b < 0, both from one three-term recurrence, run forward or,
-where Q is the minimal solution and a forward run would lose digits,
-backward by Miller's algorithm.
+on the cut -1 < b < 0.  j_arch returns the pair from one run of a
+three-term recurrence, forward or, where Q is the minimal solution and a
+forward run would lose digits, backward by Miller's algorithm.
 
 The closed form of the log-weighted integral W_+ follows the keyhole-contour
 identity  W_+(b) = -pi i J_+(l; b) - A(b) - i B(b).  A and B are exact residue
@@ -65,11 +65,6 @@ def _check_b(b) -> None:
         raise DomainError(f"b too close to the singular points 0, -1, got b={b}")
 
 
-def _check_eps(eps: str) -> None:
-    if eps not in ("one", "sgn"):
-        raise InputError(f"eps must be 'one' or 'sgn', got eps={eps!r}")
-
-
 def _legendre_q(n: int, b: float) -> complex:
     """Q_n(x - i0) at x = 2b + 1, n >= 1, from below the cut -1 < x < 1:
     Q_n(x) off the cut, and Ferrers' Q_n(x) + i pi/2 P_n(x) on it (DLMF
@@ -116,21 +111,16 @@ def _legendre_q(n: int, b: float) -> complex:
 # the J integrals
 
 
-def j_arch(k: int, b: float, eps: str) -> complex:
-    """J^eps(k; b) for eps in  "one", "sgn": the two displayed case formulas,
-    as Legendre functions of degree n = k/2 - 1 at x = 2b + 1.
-
-    J^one(k; b) = 4 Q_n(x) on every side of the cut, Ferrers' Q_n on
-    -1 < b < 0; for b(b+1) > 0 this is the displayed (1+b)^(-k/2)
-    2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1)).  J^sgn(k; b) =
-    2 pi i P_n(x) on the cut and 0 off it.  Both come from one recurrence,
-    _legendre_q.
-    """
+def j_arch(k: int, b: float) -> tuple[complex, complex]:
+    """(J^one(k; b), J^sgn(k; b)), the two displayed case formulas, from one
+    run of _legendre_q at n = k/2 - 1, x = 2b + 1: J^one = 4 Q_n(x) on every
+    side of the cut, Ferrers' Q_n on -1 < b < 0 (for b(b+1) > 0 the displayed
+    (1+b)^(-k/2) 2 Gamma(k/2)^2 / Gamma(k) 2F1(k/2, k/2; k; 1/(b+1))), and
+    J^sgn = 2 pi i P_n(x) on the cut, 0 off it."""
     _check_weight("k", k)
     _check_b(b)
-    _check_eps(eps)
     q = _legendre_q(k // 2 - 1, b)
-    return complex(4 * q.real) if eps == "one" else 1j * (4 * q.imag)
+    return complex(4 * q.real), 1j * (4 * q.imag)
 
 
 def j_arch_bound_envelope(k: int, b: float, epsilon: float) -> float:
@@ -166,8 +156,9 @@ def _quads(h: int, bs: Sequence[float], tol: float, name, ray, cut) -> list[comp
     (s/d)^(h-1) / d, d = (1+s)(p s + q), p = (1+b)/a and q = b/a in (0, 1],
     so s/d <= 1, nothing overflows, and a^-h underflows only where the
     value does.  On the cut the value is int cut(g, t, which) dt on the real
-    axis, held to err <= tol max(1, |value|), and |pref| > 1.  Each side is
-    one batch; each value has the bits of a one-item call."""
+    axis, held to err <= tol max(1, |value|), and |pref| > 1; a pref past the
+    float range is refused, naming b by name(b).  Each side is one batch;
+    each value has the bits of a one-item call."""
     for b in bs:
         _check_b(b)
     off = [b * (b + 1) > 0 for b in bs]
@@ -176,7 +167,11 @@ def _quads(h: int, bs: Sequence[float], tol: float, name, ray, cut) -> list[comp
     a = [1 + b if b > 0 else b for b in on_ray]
     p = np.array([(1 + b) / x for b, x in zip(on_ray, a)])
     q = np.array([b / x for b, x in zip(on_ray, a)])
-    pref = np.array([1j ** h * (1 + b) ** (-h) for b in on_cut])
+    try:
+        pref = np.array([1j ** h * (1 + b) ** (-h) for b in on_cut])
+    except OverflowError:
+        b = min(on_cut, key=lambda b: abs(1 + b))       # the largest |pref|
+        raise DomainError(f"{name(b)}: the prefactor (1+b)^(-{h}) is past the float range") from None
     ic = 1j * np.array([b / (b + 1) for b in on_cut])
 
     def w(s: np.ndarray, which: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ period_integrals ((kernel, eta) pairs x test functions) and st_moments
 them.  Every quantity on the period contour (the kernels, the test functions
 alpha and the measure) is a function of z = q^(s/2): period_integrals makes
 z with one complex exponential per grid, and one of its passes serves every
-pair it is given.  st_moments runs the recurrence X_{n+1} = x X_n - X_{n-1}
-on its theta grid.  Per-place moment values carrying the irrational factor
-q^(-n/2) are also exposed in a scaled, exactly-rational form for the
-main-term assembly.
+pair it is given; each kernel is written once, in Y = sqrt(q) z, for the
+contour and the exact kernel identity alike.  st_moments runs the recurrence
+X_{n+1} = x X_n - X_{n-1} on its theta grid.  The moments carrying q^(-n/2)
+have an exactly rational scaled form (for the main-term assembly) and one
+float form each: unip_u, unip_du and dunip.
 """
 from __future__ import annotations
 
@@ -98,6 +99,16 @@ def dunip_scaled(q: int, eta_val: int, m: int) -> Fraction:
     return -inner
 
 
+def unip_u(q: int, eta_val: int, n: int) -> float:
+    """The U-moment of alpha_[p^n]."""
+    return float(unip_u_scaled(eta_val, n)) * q ** (-n / 2)
+
+
+def unip_du(q: int, eta_val: int, n: int) -> float:
+    """The dU-moment of alpha_[p^n]."""
+    return float(unip_du_scaled(eta_val, n)) * q ** (-n / 2) * math.log(q)
+
+
 def dunip(q: int, eta_val: int, m: int) -> float:
     """Closed form of the dU-moment of alpha^(m) (zero at m = 0)."""
     return float(dunip_scaled(q, eta_val, m)) * q ** (-m / 2) * math.log(q)
@@ -107,33 +118,38 @@ def dunip(q: int, eta_val: int, m: int) -> float:
 # kernels and the period-contour oracle
 
 
-def upsilon_kernel(q: int, eta_val: int, z: complex) -> complex:
-    """Upsilon(s) = 1/((1 - eta/Y)(1 - Y)) at z = q^(s/2), as Y/((Y - eta)(1 - Y))
-    in Y = q^((1+s)/2) = sqrt(q) z."""
-    Y = math.sqrt(q) * z
+def _upsilon_y(eta_val: int, Y):
+    """Upsilon = 1/((1 - eta/Y)(1 - Y)) as Y/((Y - eta)(1 - Y)), Y = q^((1+s)/2)."""
     return Y / ((Y - eta_val) * (1 - Y))
 
 
+def _dunip_y(c, eta_val: int, Y):
+    """c eta Y^-2 (1 - eta/Y)^-2 (1 - 1/Y)^-1 as c eta Y/((Y - eta)^2 (Y - 1)); c = log q in dU."""
+    return eta_val * c * Y / ((Y - eta_val) ** 2 * (Y - 1))
+
+
+def upsilon_kernel(q: int, eta_val: int, z: complex) -> complex:
+    """Upsilon(s) at z = q^(s/2), Y = sqrt(q) z."""
+    return _upsilon_y(eta_val, math.sqrt(q) * z)
+
+
 def dunip_kernel(q: int, eta_val: int, z: complex) -> complex:
-    """eta log q Y^-2 (1 - eta/Y)^-2 (1 - 1/Y)^-1 at z = q^(s/2), as
-    eta log q Y/((Y - eta)^2 (Y - 1)) in Y = sqrt(q) z."""
-    Y = math.sqrt(q) * z
-    return eta_val * math.log(q) * Y / ((Y - eta_val) ** 2 * (Y - 1))
+    """eta log q Y^-2 (1 - eta/Y)^-2 (1 - 1/Y)^-1 at z = q^(s/2), Y = sqrt(q) z."""
+    return _dunip_y(math.log(q), eta_val, math.sqrt(q) * z)
 
 
 def upsilon_over_unip_kernel(q: int, eta_val: int, z: complex) -> complex:
     return upsilon_kernel(q, eta_val, z) * math.log(q) / (1 - eta_val * math.sqrt(q) * z)
 
 
-def kernel_identity_lhs(q: int, eta_val: int, Y: Fraction) -> Fraction:
-    """Upsilon/(1 - eta Y) as an exact rational function of Y = q^((s+1)/2)."""
-    ups = Fraction(1) / ((1 - Fraction(eta_val) / Y) * (1 - Y))
-    return ups / (1 - eta_val * Y)
+def kernel_identity_lhs(eta_val: int, Y: Fraction) -> Fraction:
+    """Upsilon/(1 - eta Y), exactly, at a rational Y = q^((s+1)/2)."""
+    return _upsilon_y(eta_val, Y) / (1 - eta_val * Y)
 
 
-def kernel_identity_rhs(q: int, eta_val: int, Y: Fraction) -> Fraction:
-    """eta * Y^-2 (1 - eta/Y)^-2 (1 - 1/Y)^-1, the second unipotent integrand."""
-    return Fraction(eta_val) / (Y * Y * (1 - Fraction(eta_val) / Y) ** 2 * (1 - Fraction(1) / Y))
+def kernel_identity_rhs(eta_val: int, Y: Fraction) -> Fraction:
+    """The dU kernel over log q, exactly, at a rational Y = q^((s+1)/2)."""
+    return _dunip_y(1, eta_val, Y)
 
 
 def alpha_pn_at(n: int) -> Callable[[complex], complex]:

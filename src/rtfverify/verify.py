@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from . import assembly, lattice, ntransform, orbital_arch, orbital_local, spectral, testfns
 from .errors import SignClassError
@@ -81,7 +80,7 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
     dt = time.monotonic() - t0
     out.append(CheckResult("ntransform.inversion-roundtrip-200",
                            bad == 0 and dt < 5.0,
-                           f"{bad} failures, {dt:.2f}s"))
+                           f"{bad} failures, {dt:.3f}s"))
 
     t0 = time.monotonic()
     primes = [Prime("p", 2), Prime("q", 3), Prime("r", 5), Prime("s", 7)]
@@ -103,7 +102,7 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
     dt = time.monotonic() - t0
     out.append(CheckResult("ntransform.closed-forms-exhaustive",
                            bad == 0 and dt < 10.0,
-                           f"{checked} ideals x 5 functions, {bad} failures, {dt:.2f}s"))
+                           f"{checked} ideals x 5 functions, {bad} failures, {dt:.3f}s"))
 
     # all-positive majorant: closed form and the monotone-growth audit
     bad = 0
@@ -247,26 +246,16 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
         for eta_val, u, du in zip((-1, 1), rows[::2], rows[1::2]):
             u_pn, du_pn, du_basis = u[:len(ns)], du[:len(ns)], du[len(ns):]
             for n in ns:
-                closed = float(testfns.unip_u_scaled(eta_val, n)) * q ** (-n / 2)
-                worst = max(worst, abs(u_pn[n] - closed))
-                closed = float(testfns.unip_du_scaled(eta_val, n)) * q ** (-n / 2) * math.log(q)
-                worst = max(worst, abs(du_pn[n] - closed))
-                closed = testfns.dunip(q, eta_val, n)
-                worst = max(worst, abs(du_basis[n] - closed))
+                worst = max(worst, abs(u_pn[n] - testfns.unip_u(q, eta_val, n)),
+                            abs(du_pn[n] - testfns.unip_du(q, eta_val, n)),
+                            abs(du_basis[n] - testfns.dunip(q, eta_val, n)))
     out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9, f"max |err| {worst:.2e}"))
 
-    bad = 0
-    for _ in range(20):
-        q = rng.choice(QS)
-        eta_val = rng.choice((-1, 1))
-        Y = Fraction(rng.randint(2, 400), rng.randint(1, 40))
-        if Y in (0, 1, -1, eta_val):
-            continue
-        if testfns.kernel_identity_lhs(q, eta_val, Y) != testfns.kernel_identity_rhs(q, eta_val, Y):
-            bad += 1
-    for q, eta_val, Y in product((2, 3), (-1, 1), (Fraction(5, 2), Fraction(-7, 3), Fraction(19, 5))):
-        if testfns.kernel_identity_lhs(q, eta_val, Y) != testfns.kernel_identity_rhs(q, eta_val, Y):
-            bad += 1
+    # Upsilon/(1 - eta Y) = dU kernel / log q, each side the form the contour integrates
+    points = [(rng.choice((-1, 1)), Fraction(rng.randint(2, 400), rng.randint(1, 40))) for _ in range(20)]
+    points += product((-1, 1), (Fraction(5, 2), Fraction(-7, 3), Fraction(19, 5)))
+    bad = sum(testfns.kernel_identity_lhs(eta_val, Y) != testfns.kernel_identity_rhs(eta_val, Y)
+              for eta_val, Y in points if Y not in (0, 1, -1, eta_val))
     out.append(CheckResult("unipotent.kernel-identity-exact", bad == 0))
 
     worst = 0.0
@@ -359,6 +348,12 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
 # suite: arch
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) as a list with its bits: i * step + start, and stop last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [float(stop)]
+
+
 def suite_arch(seed: int = 0) -> list[CheckResult]:
     out = []
     ls = (6, 8, 10)
@@ -386,21 +381,21 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     bs = (-1.5, -2.0, -3.0, -7.5, -40.0, -12.0)
     for k in (4, 6, 8):
         for b, (mirror, _sgn) in zip(bs, orbital_arch.j_arch_quads(k, [-b - 1 for b in bs])):
-            lhs = orbital_arch.j_arch(k, b, "one")
+            lhs, _sgn = orbital_arch.j_arch(k, b)
             rhs = (-1) ** (k // 2) * mirror
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10, f"max rel err {worst:.2e}"))
 
-    val = orbital_arch.j_arch(4, -0.5, "one")
+    val, _sgn = orbital_arch.j_arch(4, -0.5)
     out.append(CheckResult("arch.j-legendre-value", val == -4.0, f"J(4; -1/2) = {val}"))
 
     worst_c = 0.0
+    grid = _linspace(-1000, -1.01, 40) + _linspace(-0.99, -0.01, 30) + _linspace(0.01, 1000, 40)
     for k in (6, 8):
-        for eps in (0.05, 0.25):
-            for b in np.concatenate([np.linspace(-1000, -1.01, 40), np.linspace(-0.99, -0.01, 30),
-                                     np.linspace(0.01, 1000, 40)]):
-                j = abs(orbital_arch.j_arch(k, float(b), "one"))
-                env = orbital_arch.j_arch_bound_envelope(k, float(b), eps)
+        for b in grid:
+            j = abs(orbital_arch.j_arch(k, b)[0])
+            for eps in (0.05, 0.25):
+                env = orbital_arch.j_arch_bound_envelope(k, b, eps)
                 worst_c = max(worst_c, abs(b * (b + 1)) ** eps * j / env)
     out.append(CheckResult("arch.j-decay-envelope", worst_c < 50.0, f"fitted constant {worst_c:.2f}"))
 
@@ -420,8 +415,7 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                 -1 + 1e-3, -1 - 1e-3, -1 + 1e-6, -1 - 1e-6)
     for k, bs in grid.items():
         for b, quads in zip(bs, orbital_arch.j_arch_quads(k, bs)):
-            for eps, quad in zip(("one", "sgn"), quads):
-                closed = orbital_arch.j_arch(k, b, eps)
+            for closed, quad in zip(orbital_arch.j_arch(k, b), quads):
                 if closed == 0:
                     worst_abs = max(worst_abs, abs(quad) * abs(1 + b) ** (k // 2))
                 else:
@@ -466,24 +460,19 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     ratios = []
     ns = [1, 3, 10, 31, 100, 316, 1000, 3162, 10000]
     lat0 = lattice.embed_ideal("Q", 1)
-    r0 = lat0.packing_radius
     for N in ns:
         latn = lattice.embed_ideal("Q", N)
         t = lattice.theta(latn, [4], max(1e4, 50 * N))["value"]
-        env = (1 + r0) ** 2 * latn.covolume ** (1 - 2)
-        ratios.append(t / env)
-    slope = float(np.polyfit(np.log(ns), np.log(ratios), 1)[0])
+        ratios.append(t / lattice.theta_envelope(latn, lat0, [4]))
+    slope = statistics.linear_regression([math.log(N) for N in ns], [math.log(r) for r in ratios]).slope
     ok_q = max(ratios) <= ratios[0] * 1.01 and slope <= 0.05
     chain_ratios = []
     o2 = lattice.embed_ideal("real_quadratic", "O", m=2)
-    r0 = o2.packing_radius
-    d0 = o2.covolume
     for k in range(0, 7):
         ideal_k = lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2)
         t = lattice.theta(ideal_k, [6, 6], 60.0 * 2 ** (k / 2))["value"]
-        env = (1 + r0) ** 6 / d0 * ideal_k.covolume ** ((1 - 3) / 2)
-        chain_ratios.append(t / env)
-    slope2 = float(np.polyfit(np.arange(len(chain_ratios)), np.log(chain_ratios), 1)[0])
+        chain_ratios.append(t / lattice.theta_envelope(ideal_k, o2, [6, 6]))
+    slope2 = statistics.linear_regression(range(len(chain_ratios)), [math.log(r) for r in chain_ratios]).slope
     ok_chain = max(chain_ratios) <= max(1.05 * chain_ratios[0], chain_ratios[0] + 1e-9) and slope2 <= 0.05
     out.append(CheckResult("lattice.theta-estimate-bounded",
                            ok_q and ok_chain,
@@ -506,7 +495,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     # hyperbolic lattice-sum slope (plain and log-weighted archimedean factor)
     ns = [10, 31, 100, 316, 1000, 3162, 10000]
     vals = [lattice.fI_rational(6, N, 1, 0.0, K=200) for N in ns]
-    slope = float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
+    slope = statistics.linear_regression([math.log(N) for N in ns], [math.log(v) for v in vals]).slope
     out.append(CheckResult("lattice.fI-slope", slope <= -1.9, f"fitted exponent {slope:.3f} <= -1.9"))
 
     wh = lattice.w_hyp_arch_audit(6, ns=(10, 100, 1000, 10000), K=40)
@@ -575,7 +564,7 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
     dt = time.monotonic() - t0
     out.append(CheckResult("assembly.headline-identity-50",
                            bad_exact == 0 and dt < 10.0,
-                           f"{bad_exact} exact failures, float gap {worst_float:.1e}, {dt:.2f}s"))
+                           f"{bad_exact} exact failures, float gap {worst_float:.1e}, {dt:.3f}s"))
 
     bad = 0
     for _ in range(30):

@@ -7,14 +7,16 @@ criteria 1-10.  The benchmark's list of expected checks and the role of every
 public definition are asserted here too.
 """
 import ast
+import csv
 import functools
+import io
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rtfverify import ntransform, verify
+from rtfverify import cli, ntransform, testfns, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,31 @@ def test_criterion_3_rz_and_derivative():
 
 def test_criterion_4_unipotent_contour():
     _assert_checks("unipotent.closed-vs-contour", "unipotent.kernel-identity-exact")
+
+
+def test_kernel_identity_catches_a_scaled_upsilon(monkeypatch):
+    """A x(1 + 1e-4) mutant of the one Upsilon form, which the contour
+    integrates, fails the exact identity: both sides are the forms that run."""
+    original = testfns._upsilon_y
+    monkeypatch.setattr(testfns, "_upsilon_y", lambda eta_val, Y: original(eta_val, Y) * (
+        Fraction(10001, 10000) if isinstance(Y, Fraction) else 1 + 1e-4))
+    res = {r.name: r for r in verify.suite_unipotent(seed=0)}["unipotent.kernel-identity-exact"]
+    assert not res.ok, res.line()
+
+
+def test_closed_u_moment_is_the_one_that_runs(monkeypatch, capsys):
+    """A x(1 + 1e-4) mutant of testfns.unip_u fails the contour check and
+    moves the U_closed that `rtf moments` prints."""
+    argv = ["moments", "--q", "3", "--eta", "-1", "--n", "0..2"]
+    assert cli.main(argv) == 0
+    before = [row["U_closed"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    original = testfns.unip_u
+    monkeypatch.setattr(testfns, "unip_u", lambda q, eta_val, n: original(q, eta_val, n) * (1 + 1e-4))
+    res = {r.name: r for r in verify.suite_unipotent(seed=0)}["unipotent.closed-vs-contour"]
+    assert not res.ok, res.line()
+    assert cli.main(argv) == 0
+    after = [row["U_closed"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    assert after == [f"{original(3, -1, n) * (1 + 1e-4):.12g}" for n in range(3)] != before
 
 
 def test_criterion_5_measure_moments():
@@ -260,6 +287,9 @@ INDEPENDENT_PAIRS = {
                                                         "spectral._check_inert"},
     ("testfns.unip_u_scaled", "testfns.period_integrals"): set(),
     ("testfns.unip_du_scaled", "testfns.period_integrals"): set(),
+    ("testfns.unip_u", "testfns.period_integrals"): set(),
+    ("testfns.unip_du", "testfns.period_integrals"): set(),
+    ("testfns.kernel_identity_lhs", "testfns.kernel_identity_rhs"): set(),
     ("testfns.dunip", "testfns.period_integrals"): set(),
     ("testfns.st_moment_expected", "testfns.st_moments"): set(),
     ("testfns.decompose_alpha", "testfns.laurent_alpha_pn"): set(),

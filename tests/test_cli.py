@@ -586,6 +586,9 @@ def test_size_refusals_name_l(argv, capsys):
     # rank one needs weights of at least 4 for theta's tail to sum
     (["lattice", "--field", "Q", "--ideal", "2", "--l", "3"],
      r"DomainError: weights below 4 leave non-summable tails, got l=\[3\.0\]"),
+    # an m past the reach of the factoring table, refused before any factoring
+    (["lattice", "--field", "Q(sqrt4194319)"],
+     r"UnsupportedField: real quadratic field needs a squarefree m with 1 < m < 4194304, got m=4194319"),
 ])
 def test_numeric_failure_names_its_input(argv, line, cfg_path, capsys):
     rc = cli.main([cfg_path if arg == "CFG" else arg for arg in argv])

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -37,6 +38,19 @@ def test_embed_refuses_a_non_squarefree_m(m):
     # Q(sqrt 4) = Q, and Z[sqrt 8] is not the maximal order of Q(sqrt 2)
     with pytest.raises(UnsupportedField, match=f"m={m}"):
         lt.embed_ideal("real_quadratic", "O", m=m)
+
+
+@pytest.mark.parametrize("m, accepted", [(4194303, True), (2048 ** 2, False), (4194319, False)])
+def test_embed_takes_m_below_the_factor_table_reach(m, accepted):
+    # 4194303 = 3 * 23 * 89 * 683; 4194319, the first prime past 2048^2, is
+    # refused before any factoring
+    if accepted:
+        assert lt.embed_ideal("real_quadratic", "O", m=m).d == 2
+        return
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedField, match=rf"1 < m < {2048 ** 2}, got m={m}$"):
+        lt.embed_ideal("real_quadratic", "O", m=m)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_theta_weight_4_on_Z():

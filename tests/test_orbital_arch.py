@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -98,7 +99,7 @@ def _j_one_at(ctx, k: int, b: float, top: int):
 
 
 def _assert_j_arch_meets_the_reference(k: int, bs, top: int) -> None:
-    """j_arch(k, b, eps) for each b of bs within 1e-11 relative of the
+    """j_arch(k, b) for each b of bs within 1e-11 relative of the
     reference, J^one by _j_one_at and J^sgn = 2 pi i P_n(2b+1) from the
     exact P_n on the cut.  Where J is below the normal floats the bound is
     1e-11 of the least normal float: j_arch underflows with it."""
@@ -107,8 +108,7 @@ def _assert_j_arch_meets_the_reference(k: int, bs, top: int) -> None:
         n = k // 2 - 1
         want = {"one": complex(reference(_j_one_at, k, b, top, rtol=J_REF_RTOL)),
                 "sgn": 2j * math.pi * (a[n] / d ** n) if b * (b + 1) < 0 else 0}
-        for eps, value in want.items():
-            got = oa.j_arch(k, b, eps)
+        for (eps, value), got in zip(want.items(), oa.j_arch(k, b)):
             assert abs(got - value) <= 1e-11 * max(abs(value), sys.float_info.min), (k, b, eps, got, value)
 
 
@@ -153,7 +153,7 @@ def test_legendre_values():
         for x in np.linspace(-1, 1, 11)[1:-1]:
             b = (float(x) - 1) / 2
             want = 2 * math.pi * float(mp.legendre(n, x))
-            assert oa.j_arch(2 * n + 2, b, "sgn") == pytest.approx(1j * want, abs=1e-13)
+            assert oa.j_arch(2 * n + 2, b)[1] == pytest.approx(1j * want, abs=1e-13)
 
 
 @pytest.mark.parametrize("x", [-0.9, -0.4, 0.1, 0.45, 0.6, 0.85, 0.97, -3.5, -40.0])
@@ -161,7 +161,7 @@ def test_legendre_values():
 def test_2f1_against_mpmath(k, x):
     # J^one at b = 1/x - 1, where the 2F1 of the case formula is at x
     b = 1 / x - 1
-    assert oa.j_arch(k, b, "one").real == pytest.approx(_j_one_2f1(k, b), rel=1e-11, abs=0)
+    assert oa.j_arch(k, b)[0].real == pytest.approx(_j_one_2f1(k, b), rel=1e-11, abs=0)
 
 
 # b = 1/x - 1 for x across (0.7, 1), next to b = 0, and for b < -1
@@ -172,7 +172,7 @@ F21_SWEEP_X = ([0.7 + 0.3 * i / 60 for i in range(1, 60)] + [1 - 10.0 ** -e for 
 
 @pytest.mark.parametrize("k", range(4, 28, 2))
 def test_2f1_sweep_against_mpmath(k):
-    worst = max((abs(oa.j_arch(k, 1 / x - 1, "one").real / _j_one_2f1(k, 1 / x - 1) - 1), x) for x in F21_SWEEP_X)
+    worst = max((abs(oa.j_arch(k, 1 / x - 1)[0].real / _j_one_2f1(k, 1 / x - 1) - 1), x) for x in F21_SWEEP_X)
     assert worst[0] <= 1e-10, worst
 
 
@@ -181,27 +181,27 @@ def test_j_arch_next_to_minus_one_at_large_k():
     # float range here, and J does not.  One ulp of b moves J by about 1e-8
     # relative this close to -1.
     for k, b in ((80, 1 / -5e8 - 1), (170, -1 - 2e-9), (100, -1 - 5e-7), (170, -1.0001)):
-        assert oa.j_arch(k, b, "one").real == pytest.approx(_j_one_2f1(k, b), rel=1e-9, abs=0)
+        assert oa.j_arch(k, b)[0].real == pytest.approx(_j_one_2f1(k, b), rel=1e-9, abs=0)
 
 
 def test_j_arch_examples():
-    assert oa.j_arch(6, 2.0, "sgn") == 0.0
-    assert oa.j_arch(4, -0.5, "sgn") == 0.0   # 2 pi i P_1(0)
-    assert oa.j_arch(4, -0.5, "one") == -4.0
-    assert oa.j_arch(6, -0.5, "one") == 0.0   # 4 Q_2(0)
-    assert abs(oa.j_arch(6, -0.5, "sgn") + 1j * math.pi) < 1e-14   # 2 pi i P_2(0) = -pi i
+    assert oa.j_arch(6, 2.0)[1] == 0.0
+    assert oa.j_arch(4, -0.5) == (-4.0, 0.0)   # 4 Q_1(0) and 2 pi i P_1(0)
+    one, sgn = oa.j_arch(6, -0.5)
+    assert one == 0.0   # 4 Q_2(0)
+    assert abs(sgn + 1j * math.pi) < 1e-14   # 2 pi i P_2(0) = -pi i
 
 
 def test_j_arch_domain_guard():
     with pytest.raises(DomainError):
-        oa.j_arch(6, 1e-12, "one")
+        oa.j_arch(6, 1e-12)
     with pytest.raises(DomainError):
-        oa.j_arch(6, -1.0 + 1e-12, "one")
+        oa.j_arch(6, -1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, 1e-12])
 @pytest.mark.parametrize("call", [
-    lambda b: oa.j_arch(6, b, "one"), lambda b: oa.j_arch_quads(6, [2.0, b]),
+    lambda b: oa.j_arch(6, b), lambda b: oa.j_arch_quads(6, [2.0, b]),
     lambda b: oa.j_plus_parts(6, Fraction(b)), lambda b: oa.j_plus_quad(6, b),
     lambda b: oa.w_plus_quads(6, [2.0, b]),
 ])
@@ -210,14 +210,21 @@ def test_b_guard_names_b(call, b):
         call(b)
 
 
-def test_weight_and_eps_guards_name_their_value():
-    for call, got in ((lambda: oa.j_arch(2, 2.0, "one"), "k=2"),
+def test_weight_guards_name_their_value():
+    for call, got in ((lambda: oa.j_arch(2, 2.0), "k=2"),
                       (lambda: oa.j_arch_quads(7, [2.0]), "k=7"), (lambda: oa.residue_parts(3, Fraction(2)), "l=3"),
                       (lambda: oa.j_plus_parts(5, Fraction(2)), "l=5"), (lambda: oa.w_plus_quads(4, [2.0]), "l=4")):
         with pytest.raises(InputError, match=f"required, got {got}$"):
             call()
-    with pytest.raises(InputError, match="got eps='x'$"):
-        oa.j_arch(6, 2.0, "x")
+
+
+@pytest.mark.parametrize("call, name", [(oa.j_arch_quads, "J^one at k=170"),
+                                        (oa.w_plus_quads, "W_+ quadrature at l=170")])
+def test_prefactor_past_the_float_range_names_b(call, name):
+    # (1 + b)^(-85) at b = -1 + 1e-6 is 1e510
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)}, b=-0\.999999: the prefactor \(1\+b\)\^\(-85\) "
+                                          r"is past the float range$"):
+        call(170, [-1 + 1e-6])
 
 
 def test_j_arch_quads_holds_its_tolerance_on_j():
@@ -225,8 +232,7 @@ def test_j_arch_quads_holds_its_tolerance_on_j():
     # error check holds on J itself, not on the integral before it
     bs = [-1.2, -1.05, -1.01, 0.4141701729754739, -1.4141701729754739]
     for b, quads in zip(bs, oa.j_arch_quads(26, bs)):
-        for eps, quad in zip(("one", "sgn"), quads):
-            closed = oa.j_arch(26, b, eps)
+        for eps, quad, closed in zip(("one", "sgn"), quads, oa.j_arch(26, b)):
             assert abs(quad - closed) <= 1e-9 * (abs(closed) if closed else 1.0), (b, eps, quad, closed)
 
 
@@ -242,15 +248,15 @@ def test_j_functional_equation():
     # that j_arch takes from the parity of Q
     for k in (4, 6, 8):
         for b in (-1.3, -2.0, -5.0, -100.0):
-            mirror = (-1) ** (k // 2) * oa.j_arch(k, -b - 1, "one")
-            assert abs(oa.j_arch(k, b, "one") - mirror) <= 1e-10 * max(1.0, abs(mirror))
+            mirror = (-1) ** (k // 2) * oa.j_arch(k, -b - 1)[0]
+            assert abs(oa.j_arch(k, b)[0] - mirror) <= 1e-10 * max(1.0, abs(mirror))
 
 
 def test_j_decay_envelope():
     eps = 0.1
     for k in (6, 8):
         for b in (-500.0, -7.0, -0.7, -0.2, 0.3, 40.0, 800.0):
-            val = abs(b * (b + 1)) ** eps * abs(oa.j_arch(k, b, "one"))
+            val = abs(b * (b + 1)) ** eps * abs(oa.j_arch(k, b)[0])
             assert val <= 50 * oa.j_arch_bound_envelope(k, b, eps)
 
 
@@ -329,7 +335,7 @@ def test_ray_oracles_meet_the_closed_forms_off_the_cut():
         (quad,) = oa.w_plus_quads(l, [b])
         assert abs(quad - want) <= 1e-12 * abs(want), (l, b, quad, want)
         ((one, sgn),) = oa.j_arch_quads(l, [b])
-        closed = oa.j_arch(l, b, "one")
+        closed = oa.j_arch(l, b)[0]
         assert sgn == 0 and abs(one - closed) <= 1e-12 * abs(closed), (l, b, one, closed)
 
 

@@ -279,7 +279,7 @@ def test_st_moments_failure_names_the_input(monkeypatch):
 def test_kernel_identity_exact():
     for Y in (Fraction(7, 2), Fraction(-9, 4), Fraction(13)):
         for eta in (-1, 1):
-            assert tf.kernel_identity_lhs(3, eta, Y) == tf.kernel_identity_rhs(3, eta, Y)
+            assert tf.kernel_identity_lhs(eta, Y) == tf.kernel_identity_rhs(eta, Y)
 
 
 def test_st_moment_examples():
