@@ -165,7 +165,7 @@ def main_AL(n: Ideal, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
     nu(n) delta_sq(a^-) d_1(a^+)."""
     _require_class(n, a, eta, "+")
     am, ap = eta_split(a, eta)
-    return main_term_scale(a, consts) * float(nu_of_n(n) * delta_square(am) * d_one(ap))
+    return main_term_scale(a, consts, float(nu_of_n(n) * delta_square(am) * d_one(ap)))
 
 
 def main_ADL_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
@@ -225,17 +225,24 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     return FormalLog._sum(terms)
 
 
-def main_term_scale(a: Ideal, consts: AnalyticConsts) -> float:
-    """4 D^(3/2) L(1,eta) norm(a)^(-1/2): the positive scalar of both main
-    terms, which the brackets were normalised by."""
-    return 4 * consts.D_F ** 1.5 * consts.L1_eta * a.norm ** -0.5
+def main_term_scale(a: Ideal, consts: AnalyticConsts, value: float) -> float:
+    """value times 4 D^(3/2) L(1,eta) norm(a)^(-1/2), the positive scalar of
+    both main terms, which the brackets were normalised by.  A product past
+    the float range is refused."""
+    try:
+        out = 4 * consts.D_F ** 1.5 * consts.L1_eta * a.norm ** -0.5 * value
+    except OverflowError:   # D_F^(3/2) past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"the main term overflows a float at {consts}")
+    return out
 
 
 def main_ADL_value(bracket: FormalLog, a: Ideal, eta: QuadCharData, consts: AnalyticConsts,
                    w: WeightData) -> float:
     """Numeric main term of the derivative average, from its bracket
     main_ADL_bracket(n, a, eta)."""
-    return main_term_scale(a, consts) * bracket.evaluate(consts.bindings(w, eta))
+    return main_term_scale(a, consts, bracket.evaluate(consts.bindings(w, eta)))
 
 
 @dataclass(frozen=True)

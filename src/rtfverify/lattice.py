@@ -8,13 +8,15 @@ theta estimate's envelope is theta_envelope, for bound_audits and verify.
 
 Every quadrature runs on quadrature.quad_many: sphere_I_quad (the oracle
 of sphere_I) and ball_integral as one integral each, phi_spheres evaluates
-the sphere integral phi(t) at all t of phi_mellin_audit's grid at once, and
-w_hyp_arch_audit passes the W_+ quadratures of each N to w_plus_quads.
+the sphere integral phi(t) at every t it is given at once, and
+w_hyp_arch_audit passes the W_+ quadratures of each N to w_plus_quads.  The
+slopes of the hyperbolic sums and of phi are fitted in verify.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -73,6 +75,11 @@ class EmbeddedLattice:
 MAX_GENERATOR = 10 ** 6
 MIN_GENERATOR_Q = 1e-150
 SHELL_BLOCK = 2 ** 12
+# A tail bound below the normal floats (2^-1022) is reported as TAIL_FLOOR:
+# underflow loses at most 2^-1074 per term times its multiplier (shell over
+# ball volume, or c_d), and wherever rtf lattice reaches such a bound these
+# sum below 2^52, so the true bound is below 2^-1022 + 2^-1022.
+TAIL_FLOOR = 2 * sys.float_info.min
 # Q(sqrt m) takes m below 2048^2, which formal._factor_small factors from its
 # table of primes alone; past it, it would trial-divide up to sqrt(m).
 MAX_FIELD_M = 2048 ** 2
@@ -221,7 +228,8 @@ def _tail_bound(lat: EmbeddedLattice, lmin: float, R: float) -> float:
     c_d = (1 + 2 * r) / r if d == 1 else 2 * (1 + 2 * r) / (r * r)
     head = c_d * (1 + k1) ** (d - 1 - s)
     integral = c_d * (1 + k1) ** (d - s) / (s - d)
-    return total + head + integral
+    bound = total + head + integral
+    return bound if bound >= sys.float_info.min else TAIL_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -266,55 +274,35 @@ def sphere_I_quad(lam: Sequence[float]) -> float:
 # the hyperbolic-term lattice sum over Q
 
 
-def _hyperbolic_points(step: Fraction, bset_norm: int, K: int) -> list[tuple[int, float]]:
-    """(tau_S(b), float b) for b = +-k step, k = 1..K, in that order, with
-    b = -1 and the b where tau vanishes left out.  b is read as the pair
-    u/v in lowest terms, with g = gcd(k, den step) as its only cancellation
-    (the numerator of step is prime to its denominator), and float b is
-    u / v, the bits of float(Fraction(u, v))."""
-    p, q = step.numerator, step.denominator
-    out = []
-    for k in range(1, K + 1):
-        g = math.gcd(k, q)
-        v = q // g
-        for u in (k // g * p, -(k // g) * p):
-            if u == -v:
-                continue
-            tau = tau_S_rational(u, v, bset_norm)
-            if tau:
-                out.append((tau, u / v))
-    return out
+def _hyperbolic_points(N: int, K: int) -> list[tuple[int, float]]:
+    """(tau(b), float b) for b = +-k N, k = 1..K, in that order, with b = -1
+    and the b where tau vanishes left out; tau is tau^S at S = 1."""
+    return [(tau, float(b)) for k in range(1, K + 1) for b in (k * N, -k * N)
+            if b != -1 and (tau := tau_S_rational(b, 1, 1))]
 
 
-def fI_rational(l: int, n_norm: int, bset_norm: int, eps: float, K: int = 400) -> float:
-    """The tau-weighted J-sum over b in (n/bset)Z - {0, -1}, truncated at
-    |index| <= K, for the rational field, against the trivial character.
-
-    Requires gcd(n, bset) = 1.  The divisor-count weights grow slower than
-    any power, so the (1+|b|)^(-l/2) decay of J dominates.
-    """
-    if math.gcd(n_norm, bset_norm) != 1:
-        raise InputError(f"n and bset must be relatively prime, got n_norm={n_norm}, bset_norm={bset_norm}")
+def fI_rational(l: int, N: int, K: int) -> float:
+    """The tau-weighted J-sum over b in N Z - {0, -1}, |b| <= K N, for the
+    rational field, against the trivial character.  The divisor-count
+    weights grow slower than any power, so the (1+|b|)^(-l/2) of J wins."""
     total = 0.0
-    for tau, bf in _hyperbolic_points(Fraction(n_norm, bset_norm), bset_norm, K):
-        total += tau ** 2 * abs(bf * (bf + 1)) ** eps * abs(j_arch(l, bf)[0])
+    for tau, b in _hyperbolic_points(N, K):
+        total += tau ** 2 * abs(j_arch(l, b)[0])
     return total
 
 
-def w_hyp_arch_audit(l: int, ns: Sequence[int], K: int) -> dict:
-    """Empirical decay audit of the log-weighted hyperbolic sum over Q:
-    the tau-weighted sum of |W^eps(b)| = |2 Re W_+(b)| (eps(-1) = 1) over
-    b in N Z decays at least like N^(-l/2+1) (up to epsilon), mirroring the
-    plain J-weighted sum.  The W_+ quadratures of each N run as one batch."""
+def w_hyp_arch_audit(l: int, ns: Sequence[int], K: int) -> list[float]:
+    """At each N of ns, the tau-weighted sum of |W^eps(b)| = |2 Re W_+(b)|
+    (eps(-1) = 1) over b in N Z: the log-weighted hyperbolic sum over Q.
+    The W_+ quadratures of each N run as one batch."""
     vals = []
     for N in ns:
-        points = _hyperbolic_points(Fraction(N), 1, K)
+        points = _hyperbolic_points(N, K)
         total = 0.0
-        for (tau, _bf), w in zip(points, w_plus_quads(l, [bf for _tau, bf in points])):
+        for (tau, _b), w in zip(points, w_plus_quads(l, [b for _tau, b in points])):
             total += tau ** 2 * abs(2 * w.real)
         vals.append(total)
-    slope = float(np.polyfit(np.log(list(ns)), np.log(vals), 1)[0])
-    return {"slope": slope, "target": -(l / 2 - 1) + 0.1}
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +414,3 @@ def phi_spheres(l: Sequence[float], ts: Sequence[float]) -> list[float]:
         raise ConvergenceError(f"sphere integral phi at l={list(l)}, t={ts[exc.which]}: {exc}") from exc
     return [4 * val for val, _err in results]
 
-
-def phi_mellin_audit(l: Sequence[float], t_grid: Sequence[float]) -> dict:
-    """The log-log slope of phi(t) over t_grid against -(d - 1 + l_min/2)."""
-    ts = np.log(np.array(t_grid, dtype=float))
-    vs = np.log(phi_spheres(l, t_grid))
-    slope = float(np.polyfit(ts, vs, 1)[0])
-    return {"slope": slope, "expected_slope": -(len(l) - 1 + min(l) / 2)}

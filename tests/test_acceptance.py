@@ -79,6 +79,16 @@ def test_kernel_identity_catches_a_scaled_upsilon(monkeypatch):
     assert not res.ok, res.line()
 
 
+def test_kernel_identity_names_its_first_failing_point(monkeypatch):
+    """A dU kernel mutant at Y = 19/5 alone fails the exact identity at both
+    characters; the detail counts the comparisons and names the first."""
+    original = testfns._dunip_y
+    monkeypatch.setattr(testfns, "_dunip_y",
+                        lambda c, eta_val, Y: original(c, eta_val, Y) + (Y == Fraction(19, 5)))
+    res = {r.name: r for r in verify.suite_unipotent(seed=0)}["unipotent.kernel-identity-exact"]
+    assert not res.ok and res.detail == "26 exact comparisons, 2 failures, first at eta=-1, Y=19/5", res.line()
+
+
 def test_closed_u_moment_is_the_one_that_runs(monkeypatch, capsys):
     """A x(1 + 1e-4) mutant of testfns.unip_u fails the contour check and
     moves the U_closed that `rtf moments` prints."""

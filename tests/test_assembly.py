@@ -91,6 +91,18 @@ def test_main_AL_examples():
     assert with_a == pytest.approx(base / 2)
 
 
+def test_main_AL_past_the_float_range_is_refused():
+    # the scale 4 D^(3/2) L(1,eta) norm(a)^(-1/2) = 5.9e307 is a float, but
+    # not its product with nu(p^2) d_1(s^3) = 10/3
+    s2 = Prime("s", 2)
+    eta = QuadCharData.build(0, [1], unram={P3: -1, s2: 1})
+    consts = asm.AnalyticConsts(D_F=1.2e205, L1_eta=1.0)
+    assert asm.main_term_scale(Ideal.of({s2: 3}), consts, 1.0) < 1e308
+    with pytest.raises(DomainError, match=r"^the main term overflows a float at "
+                                          r"AnalyticConsts\(D_F=1\.2e\+205, L1_eta=1\.0, Lp_over_L=0\.0\)$"):
+        asm.main_AL(Ideal.of({P3: 2}), Ideal.of({s2: 3}), eta, consts, W6)
+
+
 def test_main_AL_sign_guard():
     with pytest.raises(SignClassError):
         asm.main_AL(Ideal.of({P3: 2}), Ideal.unit(), ETA_MINUS, CONSTS, W6)

@@ -202,7 +202,7 @@ def test_main_terms_builds_the_bracket_once(n, a, cfg_path, capsys, monkeypatch)
     consts, w = assembly.AnalyticConsts(**CFG["consts"]), assembly.WeightData(tuple(CFG["weights"]))
     again = real(cli.parse_ideal(n, primes), a_ideal, eta)
     assert again == built[0] and out["ADL_bracket"] == again.to_json()
-    want = assembly.main_term_scale(a_ideal, consts) * again.evaluate(consts.bindings(w, eta))
+    want = assembly.main_term_scale(a_ideal, consts, again.evaluate(consts.bindings(w, eta)))
     assert out["ADL_main"] == want
 
 
@@ -234,6 +234,32 @@ def test_main_terms_c_l_past_the_float_range_ends_in_one_line(tmp_path, capsys):
     assert rc == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("DomainError: ") and "[2000]" in lines[0]
+
+
+# the config of CI's minus.json, with its minus-class level p^2 q^4
+MINUS_CFG = {
+    "schema": 1,
+    "primes": [{"id": "p", "q": 3}, {"id": "q", "q": 4}, {"id": "s", "q": 9}, {"id": "r", "q": 2}],
+    "eta": {"eps": 1, "arch_signs": [-1], "ram": {"r": 1}, "unram": {"p": -1, "q": -1, "s": 1}},
+    "consts": {"D_F": 8, "L1_eta": 0.7, "Lp_over_L": 0.25},
+}
+
+
+@pytest.mark.parametrize("consts, shown", [
+    # D_F^(3/2) passes the float range, or 4 D_F^(3/2) L1_eta does
+    ({"D_F": 1e300}, r"D_F=1e\+300, L1_eta=0\.7, Lp_over_L=0\.25"),
+    ({"L1_eta": 1e308}, r"D_F=8\.0, L1_eta=1e\+308, Lp_over_L=0\.25"),
+    # a finite scale 9.8e306, times the bracket
+    ({"D_F": 1e205}, r"D_F=1e\+205, L1_eta=0\.7, Lp_over_L=0\.25"),
+])
+def test_main_terms_past_the_float_range_ends_in_one_line(consts, shown, tmp_path, capsys):
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps({**MINUS_CFG, "consts": {**MINUS_CFG["consts"], **consts}}))
+    rc = cli.main(["main-terms", "--config", str(path), "--n", "p^2*q^4", "--a", "s^2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.fullmatch(rf"DomainError: the main term overflows a float at AnalyticConsts\({shown}\)",
+                        captured.err.rstrip("\n"))
 
 
 def test_main_terms_propagates_unexpected_errors(cfg_path, monkeypatch):

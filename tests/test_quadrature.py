@@ -161,7 +161,7 @@ def _w_plus_quad_by_quad(l: int, b: float) -> complex:
 
 @pytest.mark.parametrize("N", [10, 100, 1000, 10000])
 def test_w_plus_quads_bit_identical_to_w_plus_quad(N):
-    # the grid of lattice.w_hyp_arch_audit at this N, against one-item calls
+    # b = +-k N, k = 1..40: the W_+ grid of the w-hyp-arch-slope check at this N, against one-item calls
     bs = [float(N * k * s) for k in range(1, 41) for s in (1, -1)]
     batched = [_bits(w) for w in oa.w_plus_quads(6, bs)]
     assert batched == [_bits(oa.w_plus_quads(6, [b])[0]) for b in bs]
