@@ -104,6 +104,40 @@ def test_closed_u_moment_is_the_one_that_runs(monkeypatch, capsys):
     assert after == [f"{original(3, -1, n) * (1 + 1e-4):.12g}" for n in range(3)] != before
 
 
+def test_unipotent_suite_integrates_each_contour_value_once(monkeypatch):
+    """Every (q, sigma, kernel, eta, alpha) that suite_unipotent puts on the
+    contour is integrated once: linearity reads closed-vs-contour's rows."""
+    original = testfns.period_integrals
+    keys = []
+
+    def recorded(kernels, q, alphas, sigma=0.7):
+        keys.extend((q, sigma, kernel.__name__, eta_val, alpha.__name__)
+                    for kernel, eta_val in kernels for alpha in alphas)
+        return original(kernels, q, alphas, sigma=sigma)
+
+    monkeypatch.setattr(testfns, "period_integrals", recorded)
+    assert all(res.ok for res in verify.suite_unipotent(seed=0))
+    twice = [key for key in set(keys) if keys.count(key) > 1]
+    assert len(keys) == len(set(keys)) == 174, twice
+
+
+# At n = 0 the U-moments are U(alpha_[p^0]) = -1 and U(alpha^(0)) = -2, so
+# dropping the one m leaves a gap of |-1 - 1| = 2, and dropping the constant
+# one of |-1 - (-2)| = 1.
+@pytest.mark.parametrize("mutant, gap", [
+    (lambda ms, const: (ms[:-1], const), 2.0),    # the last m dropped
+    (lambda ms, const: (ms, 0), 1.0),             # the constant -delta(n even) dropped
+], ids=["drop-last-m", "drop-constant"])
+def test_linearity_catches_a_wrong_decomposition(monkeypatch, mutant, gap):
+    """A decompose_alpha that loses a term fails the linearity check; the
+    constant term shows in the U rows alone, since dU of alpha^(0) is 0."""
+    original = testfns.decompose_alpha
+    monkeypatch.setattr(testfns, "decompose_alpha", lambda n: mutant(*original(n)))
+    res = {r.name: r for r in verify.suite_unipotent(seed=0)}["unipotent.linearity-via-decomposition"]
+    got = float(re.search(r"max gap (\S+) at q=\d+, eta=-?1, n=0 \(U\)$", res.detail).group(1))
+    assert not res.ok and got == pytest.approx(gap, abs=1e-9), res.line()
+
+
 def test_criterion_5_measure_moments():
     _assert_checks("unipotent.measure-moments")
 

@@ -223,6 +223,19 @@ def test_bound_audits():
     assert rep["covering_ok"] and rep["submultiplicative_ok"] and rep["minkowski_ok"]
 
 
+def test_theta_envelope_hand_values():
+    # (1 + r0)^(d max(l)/2) / D0 * D^((1 - min(l)/2)/d): N Z inside Z at l = [4]
+    # has r0 = 1/2, D0 = 1, D = N, so 9/(4N); O_Q(sqrt2) inside itself at
+    # l = [6, 6] has r0 = sqrt2/2 and D0 = D = 2 sqrt2, so (1 + sqrt2/2)^6/8
+    z = lt.embed_ideal("Q", 1)
+    for N in (1, 2, 7, 1000):
+        assert lt.theta_envelope(lt.embed_ideal("Q", N), z, [4]) == pytest.approx(9 / (4 * N), rel=1e-15, abs=0)
+    o2 = lt.embed_ideal("real_quadratic", "O", m=2)
+    value = (1 + math.sqrt(2) / 2) ** 6 / 8
+    assert round(value, 4) == 3.0937
+    assert lt.theta_envelope(o2, o2, [6, 6]) == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_minkowski_sandwich():
     for N in (1, 2, 9):
         assert lt.minkowski_sandwich_ok(lt.embed_ideal("Q", N))

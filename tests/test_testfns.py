@@ -198,8 +198,22 @@ def test_st_moments_bit_identical(pairs, ns):
     for (q, eta), batch in zip(pairs, rows):
         for n, got in zip(ns, batch, strict=True):
             assert got.hex() == tf.st_moments([(q, eta)], [n])[0][0].hex()
-            assert got.hex() == _st_pass_per_n(q, eta, n, 2 * 20001 + 1).hex()
-            assert abs(got - _st_pass_sin_ratio(q, eta, n, 2 * 20001 + 1)) <= 1e-12
+            assert got.hex() == _st_pass_per_n(q, eta, n, 2 * tf.ST_STEPS + 1).hex()
+            assert abs(got - _st_pass_sin_ratio(q, eta, n, 2 * tf.ST_STEPS + 1)) <= 1e-12
+
+
+def test_st_grid_margin():
+    # ST_STEPS keeps the refinement gap 1e4 below the 1e-9 gate, and the
+    # moments within 1e-13 of their closed values, over the q of verify's
+    # random monoids; it fails at 65 steps (gap 9.9e-12)
+    pairs = [(q, eta) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for eta in (-1, 1)]
+    ns = range(41)
+    coarse = tf._st_passes(pairs, ns, tf.ST_STEPS)
+    fine = tf.st_moments(pairs, ns)
+    for (q, eta), row1, row2 in zip(pairs, coarse, fine):
+        for n, v1, v2 in zip(ns, row1, row2):
+            assert abs(v1 - v2) <= 1e-13, (q, eta, n, abs(v1 - v2))
+            assert abs(v2 - tf.st_moment_expected(q, eta, n)) <= 1e-13, (q, eta, n)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -272,7 +286,7 @@ def test_st_moments_failure_names_the_input(monkeypatch):
         tf.st_moments([(5, 1), (3, -1)], [4, 0])
     msg = str(info.value)
     # X_4 is orthogonal to the constant, so only n = 0 sees the grid size
-    for part in ("q=3", "eta=-1", "steps=20001", "n=0", "refinement gap"):
+    for part in ("q=3", "eta=-1", f"steps={tf.ST_STEPS}", "n=0", "refinement gap"):
         assert part in msg, msg
 
 
