@@ -237,7 +237,7 @@ def _tail_bound(lat: EmbeddedLattice, lmin: float, R: float) -> float:
 
 
 def _check_lambda(lam: Sequence[float]) -> None:
-    if any(x >= 1 for x in lam):
+    if not all(x < 1 for x in lam):
         raise DomainError(f"lambda_j < 1 required, got lambda={list(lam)}")
 
 

@@ -61,7 +61,7 @@ def _check_weight(name: str, value: int, least: int = 4) -> None:
 
 
 def _check_b(b) -> None:
-    if abs(b) < DELTA_CUT or abs(b + 1) < DELTA_CUT:
+    if not (abs(b) >= DELTA_CUT and abs(b + 1) >= DELTA_CUT):
         raise DomainError(f"b too close to the singular points 0, -1, got b={b}")
 
 

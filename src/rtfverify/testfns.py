@@ -205,7 +205,7 @@ def period_integrals(kernels: Sequence[tuple[Callable[[int, int, np.ndarray], np
     fine = _period_passes(kernels, q, alphas, sigma, 2 * PERIOD_STEPS)
     for (kernel, eta_val), row1, row2 in zip(kernels, coarse, fine):
         for i, (alpha, v1, v2) in enumerate(zip(alphas, row1, row2)):
-            if abs(v1 - v2) > 1e-9:
+            if not abs(v1 - v2) <= 1e-9:
                 raise ConvergenceError(
                     f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
                     f"steps={PERIOD_STEPS}, alpha #{i} ({alpha.__name__}): refinement gap {abs(v1 - v2):.3e}")
@@ -268,7 +268,7 @@ def st_moments(pairs: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[list
     fine = _st_passes(pairs, ns, 2 * ST_STEPS + 1)
     for (q, eta_val), row1, row2 in zip(pairs, coarse, fine):
         for n, v1, v2 in zip(ns, row1, row2):
-            if abs(v1 - v2) > 1e-9:
+            if not abs(v1 - v2) <= 1e-9:
                 raise ConvergenceError(
                     f"measure moment at q={q}, eta={eta_val}, steps={ST_STEPS}, n={n}: "
                     f"refinement gap {abs(v1 - v2):.3e}")

@@ -31,6 +31,18 @@ class CheckResult:
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
+def _worst(rows):
+    """The (error, input) row with the largest error, the first of equal ones.
+    A NaN error ranks above every number, so it fails every `<= tol` and is
+    the error its check prints.  (0.0, None) for no rows."""
+    return max(rows, key=lambda row: (math.isnan(row[0]), row[0]), default=(0.0, None))
+
+
+def _at(ok: bool, at) -> str:
+    """What a fold adds to its check's detail: nothing where it holds, else its worst input."""
+    return "" if ok else f" (at {at})"
+
+
 QS = (2, 3, 5)
 
 
@@ -106,25 +118,18 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
 
     # all-positive majorant: closed form and the monotone-growth audit
     bad = 0
-    for q in QS:
-        p = Prime("p", q)
-        for k in range(0, 13):
-            n = Ideal.of({p: 2 * k}) if k else Ideal.unit()
-            if ntransform.n_plus(one_fn(), n) != ntransform.n_plus_closed_power(n, 0):
-                bad += 1
+    for q, k in product(QS, range(0, 13)):
+        n = Ideal.of({Prime("p", q): 2 * k}) if k else Ideal.unit()
+        bad += ntransform.n_plus(one_fn(), n) != ntransform.n_plus_closed_power(n, 0)
     ratios = []
     eps = Fraction(1, 20)
-    for q in QS:
-        p = Prime("p", q)
-        for c_exp in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            t = -c_exp + eps
-            for k in range(1, 13):
-                n = Ideal.of({p: 2 * k})
-                val = ntransform.n_plus_closed_power(n, t, exact=False)
-                ratios.append(val / n.norm ** float(-min(c_exp, Fraction(1)) + eps))
-    out.append(CheckResult("ntransform.n-plus-closed-and-bounded",
-                           bad == 0 and max(ratios) < 4.0,
-                           f"max majorant ratio {max(ratios):.3f}"))
+    for q, c_exp, k in product(QS, (Fraction(1, 2), Fraction(1), Fraction(2)), range(1, 13)):
+        n = Ideal.of({Prime("p", q): 2 * k})
+        val = ntransform.n_plus_closed_power(n, -c_exp + eps, exact=False)
+        ratios.append((val / n.norm ** float(-min(c_exp, Fraction(1)) + eps), f"q={q}, c={c_exp}, n=p^{2 * k}"))
+    ratio, at = _worst(ratios)
+    out.append(CheckResult("ntransform.n-plus-closed-and-bounded", bad == 0 and ratio < 4.0,
+                           f"max majorant ratio {ratio:.3f}" + _at(ratio < 4.0, at)))
     return out
 
 
@@ -147,38 +152,32 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
 
     bad = 0
     combos = 0
-    for c in (0, 1, 2, 3):
-        for q in QS:
-            for eta_val in (-1, 1):
-                for k in range(1, 9):
-                    rep = _random_rep(rng, c, q)
-                    for _ in range(20):
-                        X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
-                        combos += 1
-                        if spectral.r_z(rep, eta_val, k, X) != spectral.r_z_sum(rep, eta_val, k, X):
-                            bad += 1
+    for c, q, eta_val, k in product((0, 1, 2, 3), QS, (-1, 1), range(1, 9)):
+        rep = _random_rep(rng, c, q)
+        for _ in range(20):
+            X = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+            combos += 1
+            if spectral.r_z(rep, eta_val, k, X) != spectral.r_z_sum(rep, eta_val, k, X):
+                bad += 1
     out.append(CheckResult("weights.rz-closed-vs-sum", bad == 0, f"{combos} exact comparisons, {bad} failures"))
 
     bad_exact = 0
-    worst_fd = 0.0
-    for c in (0, 1, 2, 3):
-        for q in QS:
-            for eta_val in (-1, 1):
-                for k in range(1, 9):
-                    rep = _random_rep(rng, c, q)
-                    if spectral.partial_r(rep, eta_val, k) != spectral.partial_r_sum(rep, eta_val, k):
-                        bad_exact += 1
-                    # the sum at the two float sample points, read exactly, so
-                    # the difference of the two r values is exact too
-                    h = 1e-6
-                    rp = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** -h))
-                    rm = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** h))
-                    fd = float(rp - rm) / (2 * h) * (-1 / math.log(q))
-                    target = float(spectral.partial_r(rep, eta_val, k))
-                    worst_fd = max(worst_fd, abs(fd - target) / max(1.0, abs(target)))
-    out.append(CheckResult("weights.partial-r-exact-and-fd",
-                           bad_exact == 0 and worst_fd <= 1e-7,
-                           f"fd rel err {worst_fd:.2e}"))
+    errs = []
+    for c, q, eta_val, k in product((0, 1, 2, 3), QS, (-1, 1), range(1, 9)):
+        rep = _random_rep(rng, c, q)
+        if spectral.partial_r(rep, eta_val, k) != spectral.partial_r_sum(rep, eta_val, k):
+            bad_exact += 1
+        # the sum at the two float sample points, read exactly, so
+        # the difference of the two r values is exact too
+        h = 1e-6
+        rp = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** -h))
+        rm = spectral.r_z_sum(rep, eta_val, k, Fraction(float(q) ** h))
+        fd = float(rp - rm) / (2 * h) * (-1 / math.log(q))
+        target = float(spectral.partial_r(rep, eta_val, k))
+        errs.append((abs(fd - target) / max(1.0, abs(target)), f"c={c}, q={q}, eta={eta_val}, k={k}"))
+    worst, at = _worst(errs)
+    out.append(CheckResult("weights.partial-r-exact-and-fd", bad_exact == 0 and worst <= 1e-7,
+                           f"fd rel err {worst:.2e}" + _at(worst <= 1e-7, at)))
 
     bad = 0
     for _ in range(60):
@@ -198,16 +197,15 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("weights.w-dw-vs-product-rule", bad == 0, f"{bad} failures over 60 random configs"))
 
     bad = 0
-    for q in QS:
-        for k in (2, 4, 6, 8):
-            rep = _random_rep(rng, 0, q)
-            lhs = spectral.partial_r(rep, -1, k)
-            rhs = spectral.r_z(rep, -1, k, 1) * Fraction(k, 2)
-            if lhs != rhs:
-                bad += 1
+    for q, k in product(QS, (2, 4, 6, 8)):
+        rep = _random_rep(rng, 0, q)
+        lhs = spectral.partial_r(rep, -1, k)
+        rhs = spectral.r_z(rep, -1, k, 1) * Fraction(k, 2)
+        if lhs != rhs:
+            bad += 1
     out.append(CheckResult("weights.delw-slope-pattern", bad == 0))
 
-    worst = 0.0
+    errs = []
     for _ in range(20):
         primes = _random_monoid(rng, nmax=2)
         eps = rng.randint(0, 1)
@@ -223,8 +221,10 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
         X = f_pi.norm * eta.conductor.norm ** 2 * D ** 2
         eps_of = lambda s: X ** (0.5 - s)
         expected = (math.log(eps_of(0.5 + h)) - math.log(eps_of(0.5 - h))) / (2 * h) / 2
-        worst = max(worst, abs(direct - expected))
-    out.append(CheckResult("weights.adl-plus-epsilon-derivative", worst < 1e-6, f"max |err| {worst:.1e}"))
+        errs.append((abs(direct - expected), f"N(f_pi)={f_pi.norm}, N(f_eta)={eta.conductor.norm}, D={D}"))
+    worst, at = _worst(errs)
+    out.append(CheckResult("weights.adl-plus-epsilon-derivative", worst < 1e-6,
+                           f"max |err| {worst:.1e}" + _at(worst < 1e-6, at)))
     return out
 
 
@@ -236,7 +236,7 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
 
-    worst = 0.0
+    errs = []
     ns = range(0, 7)
     contour = {}    # (q, eta) -> its U and dU rows
     for q in QS:
@@ -248,10 +248,12 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
             contour[q, eta_val] = u, du
             u_pn, du_pn, du_basis = u[:len(ns)], du[:len(ns)], du[len(ns):]
             for n in ns:
-                worst = max(worst, abs(u_pn[n] - testfns.unip_u(q, eta_val, n)),
-                            abs(du_pn[n] - testfns.unip_du(q, eta_val, n)),
-                            abs(du_basis[n] - testfns.dunip(q, eta_val, n)))
-    out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9, f"max |err| {worst:.2e}"))
+                errs += [(abs(u_pn[n] - testfns.unip_u(q, eta_val, n)), f"q={q}, eta={eta_val}, U of alpha_[p^{n}]"),
+                         (abs(du_pn[n] - testfns.unip_du(q, eta_val, n)), f"q={q}, eta={eta_val}, dU of alpha_[p^{n}]"),
+                         (abs(du_basis[n] - testfns.dunip(q, eta_val, n)), f"q={q}, eta={eta_val}, dU of alpha^({n})")]
+    worst, at = _worst(errs)
+    out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9,
+                           f"max |err| {worst:.2e}" + _at(worst <= 1e-9, at)))
 
     # Upsilon/(1 - eta Y) = dU kernel / log q, each side the form the contour integrates
     points = [(rng.choice((-1, 1)), Fraction(rng.randint(2, 400), rng.randint(1, 40))) for _ in range(20)]
@@ -267,10 +269,10 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
     for q, eta_val, n in ((2, -1, 3), (3, 1, 4), (5, -1, 2)):
         ((a,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=0.3)
         ((b,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=1.7)
-        gaps.append((abs(a - b), q, eta_val, n))
-    gap, q, eta_val, n = max(gaps, key=lambda g: g[0])
+        gaps.append((abs(a - b), f"q={q}, eta={eta_val}, n={n}"))
+    gap, at = _worst(gaps)
     out.append(CheckResult("unipotent.sigma-independence", gap <= 1e-9,
-                           f"{len(gaps)} values at sigma 0.3 and 1.7, max gap {gap:.2e} at q={q}, eta={eta_val}, n={n}"))
+                           f"{len(gaps)} values at sigma 0.3 and 1.7, max gap {gap:.2e} at {at}"))
 
     # alpha_[p^n] against alpha^(m) over decompose_alpha's m plus its constant,
     # q in (2, 3), n <= 5, read from closed-vs-contour's rows: period_integrals
@@ -285,22 +287,21 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
                 ms, const = testfns.decompose_alpha(n)
                 parts = sum(basis[m] for m in ms)
                 parts += const * 0.5 * basis[0]
-                gaps.append((abs(direct[n] - parts), q, eta_val, n, kernel))
-    gap, q, eta_val, n, kernel = max(gaps, key=lambda g: g[0])
+                gaps.append((abs(direct[n] - parts), f"q={q}, eta={eta_val}, n={n} ({kernel})"))
+    gap, at = _worst(gaps)
     out.append(CheckResult("unipotent.linearity-via-decomposition", gap <= 1e-9,
-                           f"{len(gaps)} values, max gap {gap:.2e} at q={q}, eta={eta_val}, n={n} ({kernel})"))
+                           f"{len(gaps)} values, max gap {gap:.2e} at {at}"))
 
-    worst = 0.0
-    worst0 = 0.0
+    errs, errs0 = [], []
     pairs = list(product(QS, (-1, 1)))
     for (q, eta_val), moments in zip(pairs, testfns.st_moments(pairs, range(0, 9))):
-        for n, got in enumerate(moments):
-            want = testfns.st_moment_expected(q, eta_val, n)
-            worst = max(worst, abs(got - want))
-            if n == 0:
-                worst0 = max(worst0, abs(got - 1.0))
+        errs0.append((abs(moments[0] - 1.0), f"q={q}, eta={eta_val}"))
+        errs += [(abs(got - testfns.st_moment_expected(q, eta_val, n)), f"q={q}, eta={eta_val}, n={n}")
+                 for n, got in enumerate(moments)]
+    (worst, at), (worst0, at0) = _worst(errs), _worst(errs0)
     out.append(CheckResult("unipotent.measure-moments", worst <= 1e-8 and worst0 <= 1e-10,
-                           f"max |err| {worst:.2e}, at n=0 {worst0:.2e}"))
+                           f"max |err| {worst:.2e}{_at(worst <= 1e-8, at)}, "
+                           f"at n=0 {worst0:.2e}{_at(worst0 <= 1e-10, at0)}"))
     return out
 
 
@@ -320,36 +321,26 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
               for q, eta_val, ordn, pt in product(QS, (-1, 1), range(1, 7), pts))
     out.append(CheckResult("orbital.w-level-exact", bad == 0, f"{bad} failures"))
 
-    worst = 0.0
-    for q in QS:
-        for f in (1, 2, 3):
-            for d_v in (0, 1):
-                for em1 in (-1, 1):
-                    for ebb in (-1, 1):
-                        for pt in orbital_local.enumerate_points(8):
-                            w = abs(orbital_local.w_ramified(pt, f, q, em1, ebb, d_v))
-                            bnd = orbital_local.w_ramified_bound(pt, f, q)
-                            if bnd == 0:
-                                ok = w == 0
-                                worst = max(worst, 0.0 if ok else math.inf)
-                            else:
-                                worst = max(worst, w / bnd)
-    out.append(CheckResult("orbital.w-ramified-bound", worst <= 1.0, f"max |W|/bound {worst:.3f} (constant 6 included)"))
+    ratios = []
+    for q, f, d_v, em1, ebb, pt in product(QS, (1, 2, 3), (0, 1), (-1, 1), (-1, 1), orbital_local.enumerate_points(8)):
+        w = abs(orbital_local.w_ramified(pt, f, q, em1, ebb, d_v))
+        bnd = orbital_local.w_ramified_bound(pt, f, q)
+        # where the bound is 0, W must be 0 too: any other W ranks as inf
+        ratios.append((w / bnd if bnd else (0.0 if w == 0 else math.inf),
+                       f"q={q}, f={f}, d_v={d_v}, eta(-1)={em1}, eta(b(b+1))={ebb}, {pt}"))
+    worst, at = _worst(ratios)
+    out.append(CheckResult("orbital.w-ramified-bound", worst <= 1.0,
+                           f"max |W|/bound {worst:.3f}{_at(worst <= 1.0, at)} (constant 6 included)"))
 
     bad = sum(orbital_local.tilde_I_plus_scaled(m, pt, q, eta_val)
               != orbital_local.tilde_I_plus_oracle_scaled(m, pt, q, eta_val)
               for q, eta_val, m, pt in product(QS, (-1, 1), range(1, 7), pts))
     out.append(CheckResult("orbital.tilde-I-plus-vs-shell-oracle", bad == 0, f"{bad} failures"))
 
-    bad = 0
-    for q in QS:
-        for eta_val in (-1, 1):
-            for n in range(0, 4):
-                for pt in pts:
-                    if n >= 1 and pt.ordb <= -n and orbital_local.tilde_delta(n, pt, eta_val) != 0:
-                        bad += 1
-                    if pt.ordb < 0 and orbital_local.lambda_v(pt) != 0:
-                        bad += 1
+    # neither indicator depends on q
+    bad = sum(n >= 1 and pt.ordb <= -n and orbital_local.tilde_delta(n, pt, eta_val) != 0
+              for eta_val, n, pt in product((-1, 1), range(0, 4), pts))
+    bad += sum(pt.ordb < 0 and orbital_local.lambda_v(pt) != 0 for pt in pts)
     out.append(CheckResult("orbital.support-indicators", bad == 0))
     return out
 
@@ -370,44 +361,48 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     bs = (Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2), Fraction(-3), Fraction(2), Fraction(10))
     pairs = [(l, b) for l in ls for b in bs]
     quads = [quad for l in ls for quad in orbital_arch.w_plus_quads(l, [float(b) for b in bs])]
-    worst_rel = worst_abs = 0.0
+    rel_errs, abs_errs = [], []
     for (l, b), quad in zip(pairs, quads):
-        closed = orbital_arch.w_plus(l, b)
-        diff = abs(closed - quad)
+        diff = abs(orbital_arch.w_plus(l, b) - quad)
         if b == Fraction(-1, 2):
             # W_+(-1/2) vanishes identically (t -> 1/t symmetry); the oracle
             # returns float noise there, so that point alone is compared absolutely
-            worst_abs = max(worst_abs, diff)
+            abs_errs.append((diff, f"l={l}"))
         else:
-            worst_rel = max(worst_rel, diff / abs(quad))
-    out.append(CheckResult("arch.w-plus-closed-vs-quadrature", worst_rel <= 1e-6 and worst_abs <= 1e-12,
-                           f"{len(pairs)} pairs, max rel err {worst_rel:.2e} where W_+ != 0, "
-                           f"abs err {worst_abs:.2e} at b = -1/2"))
+            rel_errs.append((diff / abs(quad), f"l={l}, b={b}"))
+    (rel, rel_at), (absolute, abs_at) = _worst(rel_errs), _worst(abs_errs)
+    out.append(CheckResult("arch.w-plus-closed-vs-quadrature", rel <= 1e-6 and absolute <= 1e-12,
+                           f"{len(pairs)} pairs, max rel err {rel:.2e}{_at(rel <= 1e-6, rel_at)} where W_+ != 0, "
+                           f"abs err {absolute:.2e}{_at(absolute <= 1e-12, abs_at)} at b = -1/2"))
 
     # J(b) = (-1)^(k/2) J(-b-1), b < -1 against its mirror b > 0.  j_arch
     # computes both sides at the same |2b+1|, so the mirror comes from the
     # defining integral, one j_arch_quads batch per k.
-    worst = 0.0
+    errs = []
     bs = (-1.5, -2.0, -3.0, -7.5, -40.0, -12.0)
     for k in (4, 6, 8):
         for b, (mirror, _sgn) in zip(bs, orbital_arch.j_arch_quads(k, [-b - 1 for b in bs])):
             lhs, _sgn = orbital_arch.j_arch(k, b)
             rhs = (-1) ** (k // 2) * mirror
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10, f"max rel err {worst:.2e}"))
+            errs.append((abs(lhs - rhs) / max(1.0, abs(rhs)), f"k={k}, b={b}"))
+    worst, at = _worst(errs)
+    out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10,
+                           f"max rel err {worst:.2e}" + _at(worst <= 1e-10, at)))
 
     val, _sgn = orbital_arch.j_arch(4, -0.5)
     out.append(CheckResult("arch.j-legendre-value", val == -4.0, f"J(4; -1/2) = {val}"))
 
-    worst_c = 0.0
+    consts = []
     grid = _linspace(-1000, -1.01, 40) + _linspace(-0.99, -0.01, 30) + _linspace(0.01, 1000, 40)
     for k in (6, 8):
         for b in grid:
             j = abs(orbital_arch.j_arch(k, b)[0])
             for eps in (0.05, 0.25):
                 env = orbital_arch.j_arch_bound_envelope(k, b, eps)
-                worst_c = max(worst_c, abs(b * (b + 1)) ** eps * j / env)
-    out.append(CheckResult("arch.j-decay-envelope", worst_c < 50.0, f"fitted constant {worst_c:.2f}"))
+                consts.append((abs(b * (b + 1)) ** eps * j / env, f"k={k}, b={b}, eps={eps}"))
+    worst, at = _worst(consts)
+    out.append(CheckResult("arch.j-decay-envelope", worst < 50.0,
+                           f"fitted constant {worst:.2f}" + _at(worst < 50.0, at)))
 
     # J^eps against the quadrature of its defining integral, on the cut
     # -1 < b < 0 and on both sides of it.  At k = 26, the largest l that
@@ -419,20 +414,22 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
     # at k = 4, 8 and of J^one at k = 6, 10.  Where a closed J is 0, the quadrature
     # without its prefactor i^(k/2) (1+b)^(-k/2) is compared with 0 absolutely.
     # j_arch_quads runs every b of one k in one batch per side of the cut.
-    worst_rel = worst_abs = 0.0
+    rel_errs, abs_errs = [], []
     grid = {k: (-0.7, -0.5, -0.1, 0.2, 1.0, 4.0, -1.2, -2.0, -10.0) for k in (4, 6, 8, 10)}
     grid[26] = (0.4141701729754739, -1.4141701729754739, 1e-3, -1e-3, 1e-6, -1e-6,
                 -1 + 1e-3, -1 - 1e-3, -1 + 1e-6, -1 - 1e-6)
     for k, bs in grid.items():
         for b, quads in zip(bs, orbital_arch.j_arch_quads(k, bs)):
-            for closed, quad in zip(orbital_arch.j_arch(k, b), quads):
+            for eps, closed, quad in zip(("one", "sgn"), orbital_arch.j_arch(k, b), quads):
                 if closed == 0:
-                    worst_abs = max(worst_abs, abs(quad) * abs(1 + b) ** (k // 2))
+                    abs_errs.append((abs(quad) * abs(1 + b) ** (k // 2), f"k={k}, b={b}, J^{eps}"))
                 else:
-                    worst_rel = max(worst_rel, abs(closed - quad) / abs(closed))
-    out.append(CheckResult("arch.j-closed-vs-quadrature", worst_rel <= 1e-9 and worst_abs <= 1e-9,
-                           f"{sum(map(len, grid.values()))} (k, b) pairs, both eps, max rel err {worst_rel:.2e} "
-                           f"where J != 0, abs err {worst_abs:.2e} of the unscaled integral where J = 0"))
+                    rel_errs.append((abs(closed - quad) / abs(closed), f"k={k}, b={b}, J^{eps}"))
+    (rel, rel_at), (absolute, abs_at) = _worst(rel_errs), _worst(abs_errs)
+    out.append(CheckResult("arch.j-closed-vs-quadrature", rel <= 1e-9 and absolute <= 1e-9,
+                           f"{sum(map(len, grid.values()))} (k, b) pairs, both eps, max rel err {rel:.2e}"
+                           f"{_at(rel <= 1e-9, rel_at)} where J != 0, abs err {absolute:.2e}"
+                           f"{_at(absolute <= 1e-9, abs_at)} of the unscaled integral where J = 0"))
     return out
 
 
@@ -459,12 +456,13 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
                            abs(th2["value"] + th2["tail_estimate"] - exact2) <= 1e-6,
                            f"value {th2['value']:.9f} vs {exact2:.9f}"))
 
-    worst = 0.0
+    errs = []
     for lam in ((0.5, 0.0), (0.3, 0.2), (0.0, 0.0), (-0.5, 0.75), (0.25, -0.25)):
         a = lattice.sphere_I(lam)
-        b = lattice.sphere_I_quad(lam)
-        worst = max(worst, abs(a - b) / abs(a))
-    out.append(CheckResult("lattice.sphere-I-closed-vs-quad", worst <= 1e-6, f"max rel err {worst:.2e}"))
+        errs.append((abs(a - lattice.sphere_I_quad(lam)) / abs(a), f"lambda={lam}"))
+    worst, at = _worst(errs)
+    out.append(CheckResult("lattice.sphere-I-closed-vs-quad", worst <= 1e-6,
+                           f"max rel err {worst:.2e}" + _at(worst <= 1e-6, at)))
 
     # theta-estimate boundedness over N*Z and over an ideal chain in Q(sqrt 2)
     ratios = []
@@ -475,7 +473,8 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
         t = lattice.theta(latn, [4], max(1e4, 50 * N))["value"]
         ratios.append(t / lattice.theta_envelope(latn, lat0, [4]))
     slope = _loglog_slope(ns, ratios)
-    ok_q = max(ratios) <= ratios[0] * 1.01 and slope <= 0.05
+    top, at = _worst(zip(ratios, (f"N={N}" for N in ns)))
+    ok_q = top <= ratios[0] * 1.01 and slope <= 0.05
     chain_ratios = []
     o2 = lattice.embed_ideal("real_quadratic", "O", m=2)
     for k in range(0, 7):
@@ -483,18 +482,15 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
         t = lattice.theta(ideal_k, [6, 6], 60.0 * 2 ** (k / 2))["value"]
         chain_ratios.append(t / lattice.theta_envelope(ideal_k, o2, [6, 6]))
     slope2 = statistics.linear_regression(range(len(chain_ratios)), [math.log(r) for r in chain_ratios]).slope
-    ok_chain = max(chain_ratios) <= max(1.05 * chain_ratios[0], chain_ratios[0] + 1e-9) and slope2 <= 0.05
-    out.append(CheckResult("lattice.theta-estimate-bounded",
-                           ok_q and ok_chain,
-                           f"NZ slope {slope:.3f}, sqrt2-chain slope {slope2:.3f}"))
+    top, chain_at = _worst((r, f"(sqrt 2)^{k}") for k, r in enumerate(chain_ratios))
+    ok_chain = top <= max(1.05 * chain_ratios[0], chain_ratios[0] + 1e-9) and slope2 <= 0.05
+    out.append(CheckResult("lattice.theta-estimate-bounded", ok_q and ok_chain,
+                           f"NZ slope {slope:.3f}{_at(ok_q, at)}, "
+                           f"sqrt2-chain slope {slope2:.3f}{_at(ok_chain, chain_at)}"))
 
-    ok = True
-    for k in range(0, 7):
-        ideal_k = lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2)
-        ok = ok and lattice.minkowski_sandwich_ok(ideal_k)
-    for N in (1, 2, 5, 17):
-        ok = ok and lattice.minkowski_sandwich_ok(lattice.embed_ideal("Q", N))
-    out.append(CheckResult("lattice.minkowski-sandwich", ok))
+    lats = [lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2) for k in range(0, 7)]
+    lats += [lattice.embed_ideal("Q", N) for N in (1, 2, 5, 17)]
+    out.append(CheckResult("lattice.minkowski-sandwich", all(map(lattice.minkowski_sandwich_ok, lats))))
 
     ideal_3 = lattice.embed_ideal("real_quadratic", 3, m=2)
     audits = lattice.bound_audits(ideal_3, lattice.embed_ideal("real_quadratic", "O", m=2), [6, 6],
@@ -565,8 +561,8 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
 
     t0 = time.monotonic()
     bad_exact = 0
-    worst_float = 0.0
-    for _ in range(50):
+    gaps = []
+    for i in range(50):
         eta, n, a = random_minus_config(rng)
         lhs = assembly.geom_kernel_bracket(n, a, eta)
         rhs = assembly.main_ADL_bracket(n, a, eta)
@@ -576,11 +572,11 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
         consts = assembly.AnalyticConsts(D_F=rng.uniform(1, 30), L1_eta=rng.uniform(0.1, 3),
                                          Lp_over_L=rng.uniform(-2, 2))
         bnd = consts.bindings(w, eta)
-        worst_float = max(worst_float, abs(lhs.evaluate(bnd) - rhs.evaluate(bnd)))
+        gaps.append((abs(lhs.evaluate(bnd) - rhs.evaluate(bnd)), i))
     dt = time.monotonic() - t0
     out.append(CheckResult("assembly.headline-identity-50",
                            bad_exact == 0 and dt < 10.0,
-                           f"{bad_exact} exact failures, float gap {worst_float:.1e}, {dt:.3f}s"))
+                           f"{bad_exact} exact failures, float gap {_worst(gaps)[0]:.1e}, {dt:.3f}s"))
 
     bad = 0
     for _ in range(30):

@@ -10,13 +10,14 @@ import ast
 import csv
 import functools
 import io
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rtfverify import cli, ntransform, testfns, verify
+from rtfverify import cli, lattice, ntransform, orbital_arch, testfns, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -171,6 +172,49 @@ def test_criterion_9_assembly_identity():
 
 def test_criterion_10_fI_slope():
     _assert_checks("lattice.fI-slope")
+
+
+@pytest.mark.parametrize("rows, index", [
+    ([(math.nan, "a"), (2.0, "b"), (1.0, "c")], 0),
+    ([(1.0, "a"), (math.nan, "b"), (2.0, "c")], 1),
+    ([(1.0, "a"), (2.0, "b"), (math.nan, "c")], 2),
+    ([(math.inf, "a"), (math.nan, "b"), (math.nan, "c")], 1),
+    ([(2.0, "a"), (1.0, "b"), (2.0, "c")], 0),
+], ids=["nan-first", "nan-middle", "nan-last", "first-nan-above-inf", "first-of-equal"])
+def test_worst_ranks_nan_above_every_number(rows, index):
+    assert verify._worst(iter(rows)) is rows[index]
+
+
+def test_worst_of_no_rows():
+    assert verify._worst([]) == (0.0, None)
+
+
+def _nan_like(value):
+    """value with every number NaN, in the same nesting of lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_nan_like, value))
+    return value * math.nan
+
+
+NAN_ORACLES = [
+    (orbital_arch, "w_plus_quads", "arch.w-plus-closed-vs-quadrature"),
+    (orbital_arch, "j_arch_quads", "arch.j-functional-equation"),
+    (orbital_arch, "j_arch_quads", "arch.j-closed-vs-quadrature"),
+    (lattice, "sphere_I_quad", "lattice.sphere-I-closed-vs-quad"),
+    (testfns, "period_integrals", "unipotent.closed-vs-contour"),
+    (testfns, "st_moments", "unipotent.measure-moments"),
+]
+
+
+@pytest.mark.parametrize("owner, oracle, check", NAN_ORACLES, ids=[check for *_, check in NAN_ORACLES])
+def test_a_nan_oracle_fails_its_check(monkeypatch, owner, oracle, check):
+    """An oracle that returns NaN in place of every value fails its check,
+    which prints nan and the input it was worst at: each fold ranks a NaN
+    error above every number."""
+    original = getattr(owner, oracle)
+    monkeypatch.setattr(owner, oracle, lambda *args, **kwargs: _nan_like(original(*args, **kwargs)))
+    res = {r.name: r for r in verify.SUITES[check.split(".")[0]](seed=0)}[check]
+    assert not res.ok and re.search(r"\bnan \(at \w+", res.detail), res.line()
 
 
 @functools.cache

@@ -185,6 +185,8 @@ def test_sphere_I_domain():
     for sphere_I in (lt.sphere_I, lt.sphere_I_quad):
         with pytest.raises(DomainError, match=r"lambda_j < 1 required, got lambda=\[1.0, 0.0\]"):
             sphere_I([1.0, 0.0])
+        with pytest.raises(DomainError, match=r"lambda_j < 1 required, got lambda=\[nan, 0.0\]"):
+            sphere_I((math.nan, 0.0))
     with pytest.raises(DomainError):
         lt.sphere_I_quad([0.5, 0.0, 0.0])   # angular quadrature is rank two only
 

@@ -197,6 +197,11 @@ def test_j_arch_domain_guard():
         oa.j_arch(6, 1e-12)
     with pytest.raises(DomainError):
         oa.j_arch(6, -1.0 + 1e-12)
+    # a NaN b is refused by name, before any float conversion or quadrature meets it
+    for call in (lambda: oa.j_arch(4, math.nan), lambda: oa.j_arch_quads(6, [2.0, math.nan]),
+                 lambda: oa.j_plus_quad(6, math.nan), lambda: oa.w_plus_quads(6, [math.nan])):
+        with pytest.raises(DomainError, match=r"singular points 0, -1, got b=nan$"):
+            call()
 
 
 @pytest.mark.parametrize("b", [0.0, -1.0, 1e-12])

@@ -270,24 +270,32 @@ def test_period_integrals_failure_names_the_input():
         # grows with the grid, so it fails every refinement check
         return len(s) * q ** (-(1 + s) / 2)
 
-    with pytest.raises(ConvergenceError) as info:
-        tf.period_integrals([(tf.upsilon_kernel, -1), (growing_kernel, 1)], 5, [tf.alpha_pn_at(0), tf.alpha_pn_at(2)],
-                            sigma=0.3)
-    msg = str(info.value)
-    for part in ("growing_kernel", "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", "refinement gap"):
-        assert part in msg, msg
+    def nan_dunip_kernel(q, eta_val, z):
+        # its refinement gap is NaN, which fails the gate too
+        return tf.dunip_kernel(q, eta_val, z) * np.nan
+
+    for kernel, gap in ((growing_kernel, "refinement gap "), (nan_dunip_kernel, "refinement gap nan")):
+        with pytest.raises(ConvergenceError) as info:
+            tf.period_integrals([(tf.upsilon_kernel, -1), (kernel, 1)], 5, [tf.alpha_pn_at(0), tf.alpha_pn_at(2)],
+                                sigma=0.3)
+        msg = str(info.value)
+        for part in (kernel.__name__, "q=5", "eta=1", "sigma=0.3", "steps=4096", "alpha #0", gap):
+            assert part in msg, msg
 
 
 def test_st_moments_failure_names_the_input(monkeypatch):
-    # the weight grows with the grid at q = 3 only, so the second pair fails
-    monkeypatch.setattr(tf, "plancherel_factor",
-                        lambda q, eta_val, x: np.full(x.shape, float(len(x)) if q == 3 else 1.0))
-    with pytest.raises(ConvergenceError) as info:
-        tf.st_moments([(5, 1), (3, -1)], [4, 0])
-    msg = str(info.value)
-    # X_4 is orthogonal to the constant, so only n = 0 sees the grid size
-    for part in ("q=3", "eta=-1", f"steps={tf.ST_STEPS}", "n=0", "refinement gap"):
-        assert part in msg, msg
+    for factor, parts in (
+            # the weight grows with the grid at q = 3 only, so the second pair fails;
+            # X_4 is orthogonal to the constant, so only n = 0 sees the grid size
+            (lambda q, eta_val, x: np.full(x.shape, float(len(x)) if q == 3 else 1.0), ("q=3", "eta=-1", "n=0", "gap ")),
+            # a NaN weight fails the first value the gate reads
+            (lambda q, eta_val, x: np.full(x.shape, np.nan), ("q=5", "eta=1", "n=4", "gap nan"))):
+        monkeypatch.setattr(tf, "plancherel_factor", factor)
+        with pytest.raises(ConvergenceError) as info:
+            tf.st_moments([(5, 1), (3, -1)], [4, 0])
+        msg = str(info.value)
+        for part in (f"steps={tf.ST_STEPS}", "refinement") + parts:
+            assert part in msg, msg
 
 
 def test_kernel_identity_exact():
