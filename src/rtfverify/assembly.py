@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import DomainError, InputError, SignClassError
 from .formal import FRAKC, LOG_DF, LPL, FormalLog, _log_terms
 from .ideals import Ideal, QuadCharData, iota, sign_class
-from .ntransform import ArithFn, closed_log, closed_power, log_norm, n_transform
+from .ntransform import ArithFn, _closed_log_pair, _closed_pair, log_norm, n_transform
 from .testfns import unip_du_scaled, unip_u_scaled
 
 
@@ -202,16 +202,17 @@ def geom_kernel_bracket(n: Ideal, a: Ideal, eta: QuadCharData) -> FormalLog:
     """The unipotent geometric kernel's transform, same normalisation:
     (-1)^#S [ (N[log norm]/2 + C0 N[1]) prod_v U_v + N[1] sum_v dU_v prod_(w!=v) U_w ]
     with the per-place moments in their scaled (exactly rational) form and
-    C0 = logDF + LpL + frakC + log norm(f_eta).  The cross sum over v is
-    summed first, then added to the rest."""
+    C0 = logDF + LpL + frakC + log norm(f_eta), and N[1] and N[log norm]
+    read as the closed forms' unreduced integer pairs.  The cross sum over v
+    is summed first, then added to the rest."""
     _require_class(n, a, eta, "-")
     u = [unip_u_scaled(eta.tilde_eta(p), e) for p, e in a]
     du = [unip_du_scaled(eta.tilde_eta(p), e) for p, e in a]
-    n_one = closed_power(n, 0)
-    one_n, one_d = n_one.numerator, n_one.denominator
+    one_n, one_d = _closed_pair(n, 0, -1)
+    log_nums, log_d = _closed_log_pair(n)
     sign = (-1) ** len(a)
     un, ud = sign * math.prod(x.numerator for x in u), math.prod(x.denominator for x in u)
-    terms = [(sym, c.numerator * un, 2 * c.denominator * ud) for sym, c in closed_log(n).coeffs.items()]
+    terms = [(sym, c * un, 2 * log_d * ud) for sym, c in log_nums.items()]
     terms += [(sym, one_n * un, one_d * ud) for sym in (LOG_DF, LPL, FRAKC)]
     terms += [(sym, c.numerator * one_n * un, one_d * ud) for sym, c in log_norm(eta.conductor).coeffs.items()]
     cross = []

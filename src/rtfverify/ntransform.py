@@ -13,26 +13,32 @@ one denominator.  Each value B(m), and each of its FormalLog coefficients, is
 read once through as_integer_ratio() and added into an integer numerator over
 a running denominator, one per symbol; one Fraction is built per symbol.
 
-n_transform_box(B, box) gives n_transform(B, n) at every ideal n of a box,
-whose exponents run in steps of 2 from 0 or 1 at each place, so every m of
-every sum lies in it.  It evaluates B once per ideal and sums by Yates's
-algorithm (the fast Moebius transform), one integer pass per place; it
+n_transform_box(summands, box) gives n_transform(B, n) of each summand B at
+every ideal n of a box, whose exponents run in steps of 2 from 0 or 1 at each
+place, so every m of every sum lies in it.  It lists the ideals and builds
+each place's coefficients once for all the summands, evaluates each B once
+per ideal and sums by Yates's algorithm (the fast Moebius transform), one
+integer pass per place.  It returns those integer sums, one numerator per
+ideal and symbol over a common denominator, and builds no Fraction; it
 assumes nothing about B, so it stays the defining sum.
 
 The closed forms are products over the places of n: one integer numerator
-over one integer denominator, and one Fraction per ideal.  Each place is one
-entry of the bounded table _place, keyed by (q, e, t, sign), which holds
-q^(e|a|) at t = a/d and the place's factor as an integer pair.  At d > 1 the
-d-th root is taken once, of the product norm(n)^|a|, since per-place roots
-can be irrational where their product is rational (sqrt 2 * sqrt 8 = 4).
-An int t takes no root, and t = 0 forms no norm.  closed_log scales by the
-unreduced pair of closed_power(n, 0), whose numerator each place's log
-denominator divides, so each symbol's coefficient is one integer sum.  The
-summands are built the same way: norm^t at an integer t is an integer power
-(norm^0 is one shared Fraction(1)), and log norm is sum_v e_v log q_v, read
-from m's exponents and formal._log_terms, the per-q cache that
-FormalLog.log_integer reads too.  A log_norm value shares its constant 0
-and its small integer coefficients with every other: Fractions are immutable.
+over one integer denominator.  _closed_pair and _closed_log_pair return them
+unreduced, and rtf verify compares them with the box's numerators by
+cross-multiplying; closed_power and closed_log build one Fraction (or one
+FormalLog) from them per ideal.  Each place is one entry of the bounded table
+_place, keyed by (q, e, t, sign), which holds q^(e|a|) at t = a/d and the
+place's factor as an integer pair.  At d > 1 the d-th root is taken once, of
+the product norm(n)^|a|, since per-place roots can be irrational where their
+product is rational (sqrt 2 * sqrt 8 = 4).  An int t takes no root, and
+t = 0 forms no norm.  _closed_log_pair scales by _closed_pair(n, 0, -1),
+whose numerator each place's log denominator divides, so each symbol's
+coefficient is one integer sum.  The summands are built the same way: norm^t
+at an integer t is an integer power (norm^0 is one shared Fraction(1)), and
+log norm is sum_v e_v log q_v, read from m's exponents and formal._log_terms,
+the per-q cache that FormalLog.log_integer reads too.  A log_norm value
+shares its constant 0 and its small integer coefficients with every other:
+Fractions are immutable.
 """
 from __future__ import annotations
 
@@ -144,10 +150,20 @@ def n_transform(B: ArithFn, n: Ideal) -> Value:
     return _weighted_sum(B, *_subset_choices(n, -1), first_fastest=True)
 
 
-def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Ideal, Value]:
-    """{n: n_transform(B, n)} at every ideal n = prod p^e, e in es, of the
-    box's distinct places (p, es), each es a non-empty range in steps of 2
-    from 0 or 1.  With L = q^2(q-1), each place makes one integer pass,
+# n_transform_box's sums of one summand: {symbol (None: the constant):
+# (one numerator per ideal, their common denominator)}, and per ideal
+# whether the transform there is a FormalLog.
+BoxSums = tuple[dict[str | None, tuple[list[int], int]], list[bool]]
+
+
+def n_transform_box(summands: Sequence[ArithFn],
+                    box: Sequence[tuple[Prime, range]]) -> tuple[list[Ideal], list[BoxSums]]:
+    """n_transform(B, n) of each B of summands at every ideal n = prod p^e,
+    e in es, of the box's distinct places (p, es), each es a non-empty range
+    in steps of 2 from 0 or 1, as (the ideals, one BoxSums per summand):
+    at ideals[i], the transform's constant and its coefficient of each
+    symbol are vec[i] / den of that symbol's (vec, den), a FormalLog where
+    the flag is set.  With L = q^2(q-1), each place makes one integer pass,
     V(e) <- L V(e) - (L/d) V(e-2) at e >= 2 and L V(e) below, over one
     numerator per ideal and symbol and one common denominator per symbol."""
     box = sorted(box, key=lambda place: place[0])
@@ -157,32 +173,31 @@ def n_transform_box(B: ArithFn, box: Sequence[tuple[Prime, range]]) -> dict[Idea
     for p, es in box:   # the last place varies fastest
         ideals = [m + ((p, e),) if e else m for m in ideals for e in es]
     ideals = [Ideal(m) for m in ideals]
-    values = [B(m) for m in ideals]
-    formal = [isinstance(v, FormalLog) for v in values]
-    ratios = {None: [(v.const if f else v).as_integer_ratio() for v, f in zip(values, formal)]}   # None: the constant
-    for sym in dict.fromkeys(sym for v, f in zip(values, formal) if f for sym in v.coeffs):
-        ratios[sym] = [v.coeffs.get(sym, _ZERO).as_integer_ratio() if f else (0, 1) for v, f in zip(values, formal)]
-    sums = {}
-    for sym, pairs in ratios.items():
-        den = lcm(*[d for _, d in pairs])
-        sums[sym] = [a * (den // d) for a, d in pairs], den
-    stride = len(ideals)
+    passes, stride = [], len(ideals)   # per place: (L, stride, the coefficient of each ideal's e)
     for p, es in box:
         q, stride = p.q, stride // len(es)
         L = q * q * (q - 1)
         block = [L // _removal_denom(q, e) if e >= 2 else 0 for e in es for _ in range(stride)]
-        cs = block * (len(ideals) // len(block))   # the coefficient of each ideal's e
-        for sym, (vec, den) in sums.items():   # ([0] * stride + vec)[i] is vec[i - stride], at e - 2
-            sums[sym] = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec, den * L
-        formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
-    const, den = sums.pop(None)
-    coeffs: list[dict[str, Fraction]] = [{} for _ in ideals]
-    for sym, (vec, sden) in sums.items():
-        for c, x in zip(coeffs, vec):
-            if x:
-                c[sym] = Fraction(x, sden)
-    consts = [Fraction(x, den) if x else _ZERO for x in const]
-    return {n: FormalLog._trusted(v, c) if f else v for n, v, c, f in zip(ideals, consts, coeffs, formal)}
+        passes.append((L, stride, block * (len(ideals) // len(block))))
+    out = []
+    for B in summands:
+        values = [B(m) for m in ideals]
+        formal = [isinstance(v, FormalLog) for v in values]
+        ratios = {None: [(v.const if f else v).as_integer_ratio() for v, f in zip(values, formal)]}
+        for sym in dict.fromkeys(sym for v, f in zip(values, formal) if f for sym in v.coeffs):
+            ratios[sym] = [v.coeffs.get(sym, _ZERO).as_integer_ratio() if f else (0, 1) for v, f in zip(values, formal)]
+        sums = {}
+        for sym, pairs in ratios.items():
+            den = lcm(*[d for _, d in pairs])
+            vec = [a * (den // d) for a, d in pairs]
+            for L, stride, cs in passes:   # ([0] * stride + vec)[i] is vec[i - stride], at e - 2
+                vec = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec
+                den *= L
+            sums[sym] = vec, den
+        for _L, stride, cs in passes:
+            formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
+        out.append((sums, formal))
+    return ideals, out
 
 
 def n_plus(B: ArithFn, n: Ideal) -> Value:
@@ -287,13 +302,14 @@ def closed_power(n: Ideal, t: Fraction | int) -> Fraction:
     return Fraction(*_closed_pair(n, t, -1))
 
 
-def closed_log(n: Ideal) -> FormalLog:
-    """Closed form of the transform of log norm: the t-derivative of
-    closed_power at t=0, as an exact FormalLog.  Each place adds
-    (e + 2/(q^2-q-1) at e == 2, 2/(q^2-1) at e > 2) log q to a bracket that
-    is scaled by closed_power(n, 0).  That place's factor of the scale's
-    numerator is q(q^2-q-1) at e == 2 and q^2-1 above, so each coefficient
-    times the scale is an integer over the scale's denominator."""
+def _closed_log_pair(n: Ideal) -> tuple[dict[str, int], int]:
+    """closed_log(n) as ({symbol: numerator}, one denominator), unreduced:
+    each place adds (e + 2/(q^2-q-1) at e == 2, 2/(q^2-1) at e > 2) log q to
+    a bracket that is scaled by _closed_pair(n, 0, -1).  That place's factor
+    of the scale's numerator is q(q^2-q-1) at e == 2 and q^2-1 above, so
+    each coefficient times the scale is an integer over the scale's
+    denominator.  Every coefficient and the scale are positive, so no
+    numerator is 0."""
     num, den = _closed_pair(n, 0, -1)
     sums: dict[str, int] = {}
     for p, e in n:
@@ -302,7 +318,13 @@ def closed_log(n: Ideal) -> FormalLog:
         c = (e * d + extra) * (num // d)
         for (_r, sym), f in _log_terms(q):
             sums[sym] = sums.get(sym, 0) + c * f
-    # every coefficient and the scale are positive, so none vanishes
+    return sums, den
+
+
+def closed_log(n: Ideal) -> FormalLog:
+    """Closed form of the transform of log norm: the t-derivative of
+    closed_power at t=0, as an exact FormalLog (see _closed_log_pair)."""
+    sums, den = _closed_log_pair(n)
     return FormalLog._trusted(_ZERO, {sym: Fraction(c, den) for sym, c in sums.items()})
 
 

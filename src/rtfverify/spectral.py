@@ -23,12 +23,13 @@ b^j, q and Q's denominator cleared and the X-free factor read from one bounded
 cache per (datum, k), and adds the terms into one numerator over a running
 denominator.  The closed forms write each case's expression as one integer
 numerator over one denominator, its geometric sums in closed form.  Either way
-one Fraction is built per result.  partial_r_sum, the oracle for the
-derivative partial_r, is the defining sum's term-by-term derivative at X = 1,
-added the same way; partial_r, like r_z, is one integer numerator over one
-denominator per case.  The weight polynomial's cases are written once, in
-_q_poly_pair: q_poly is its pair as a Fraction, and tau_jj is built from the
-integers q, Qn and Qd of Q = Qn/Qd.
+the result is an integer pair (_r_z_sum_pair, _r_z_pair), which rtf verify
+compares by cross-multiplying and r_z_sum and r_z build into one Fraction.
+partial_r_sum, the oracle for the derivative partial_r, is the defining
+sum's term-by-term derivative at X = 1, added the same way; partial_r, like
+r_z, is one integer numerator over one denominator per case.  The weight
+polynomial's cases are written once, in _q_poly_pair: q_poly is its pair as
+a Fraction, and tau_jj is built from the integers q, Qn and Qd of Q = Qn/Qd.
 """
 from __future__ import annotations
 
@@ -134,11 +135,8 @@ def _geometric(a: int, b: int, n: int) -> int:
     return (b ** n - a ** n) // (b - a)
 
 
-def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
-    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1, for a
-    rational X (an int X is read as its Fraction): the eta = +1 closed
-    expression at eta X, as one integer numerator over one denominator.
-    r_z_sum is its oracle."""
+def _r_z_pair(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> tuple[int, int]:
+    """r_z as an unreduced integer pair (numerator, denominator)."""
     _check_r_z_args("r_z", k, eta_val, X)
     q, a, b = rep.q, eta_val * X.numerator, X.denominator
     bk = b ** k
@@ -147,12 +145,20 @@ def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
         Qn, Qd = rep.Q.numerator, rep.Q.denominator
         quad = Qd * b * b - Qn * (q + 1) * a * b + q * Qd * a * a
         first = Qd * (q - 1) * b ** (k - 1)
-        return Fraction((b + a) * first + quad * _geometric(a, b, k - 1), (q - 1) * (Qd + Qn) * bk)
+        return (b + a) * first + quad * _geometric(a, b, k - 1), (q - 1) * (Qd + Qn) * bk
     if rep.c == 1:
         # 1 + (X - chi/q)/(1 + chi/q) sum_{j=1..k} X^(j-1)
         den = (q + rep.chi) * bk
-        return Fraction(den + (a * q - rep.chi * b) * _geometric(a, b, k), den)
-    return Fraction(_geometric(a, b, k + 1), bk)
+        return den + (a * q - rep.chi * b) * _geometric(a, b, k), den
+    return _geometric(a, b, k + 1), bk
+
+
+def r_z(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
+    """r^(z) at X = q^(1/2 - z), with k = ord_v(n f_pi^-1) >= 1, for a
+    rational X (an int X is read as its Fraction): the eta = +1 closed
+    expression at eta X, one integer numerator over one denominator
+    (_r_z_pair) built into one Fraction.  r_z_sum is its oracle."""
+    return Fraction(*_r_z_pair(rep, eta_val, k, X))
 
 
 def _q_poly_pair(j: int, rep: LocalRepData, eta_val: int, a: int, b: int) -> tuple[int, int]:
@@ -183,12 +189,12 @@ def _weight_pairs(rep: LocalRepData, k: int) -> tuple[tuple[int, int], ...]:
     return (_weight_pairs(rep, k - 1) if k else ()) + (pair,)
 
 
-def _defining_sum(rep: LocalRepData, k: int, first: int, pair) -> Fraction:
+def _defining_sum(rep: LocalRepData, k: int, first: int, pair) -> tuple[int, int]:
     """sum_(first <= j <= k) q_poly_one(j) P_j / tau_jj(j), with P_j given by
     pair(j) as an integer pair (numerator, denominator) and the X-free factor
     read from _weight_pairs.  Each term is an integer pair, added into one
     numerator over a running denominator (the lcm of the terms'
-    denominators); one Fraction is built at the end."""
+    denominators), which it returns unreduced."""
     num, den = 0, 1
     weights = _weight_pairs(rep, k)
     for j in range(first, k + 1):
@@ -201,16 +207,21 @@ def _defining_sum(rep: LocalRepData, k: int, first: int, pair) -> Fraction:
             g = gcd(den, td)
             num = num * (td // g) + tn * (den // g)
             den = den // g * td
-    return Fraction(num, den)
+    return num, den
+
+
+def _r_z_sum_pair(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> tuple[int, int]:
+    """r_z_sum as an unreduced integer pair (numerator, denominator)."""
+    _check_r_z_args("r_z_sum", k, eta_val, X)
+    a, b = X.numerator, X.denominator
+    return _defining_sum(rep, k, 0, lambda j: _q_poly_pair(j, rep, eta_val, a, b))
 
 
 def r_z_sum(rep: LocalRepData, eta_val: int, k: int, X: Fraction | int) -> Fraction:
     """r^(z) by its defining sum of q_poly_one(j) Q_j(eta, X) / tau_jj(j)
-    over j <= k: the oracle for r_z, at a rational X, on integers (see
-    _defining_sum)."""
-    _check_r_z_args("r_z_sum", k, eta_val, X)
-    a, b = X.numerator, X.denominator
-    return _defining_sum(rep, k, 0, lambda j: _q_poly_pair(j, rep, eta_val, a, b))
+    over j <= k: the oracle for r_z, at a rational X, on integers
+    (_r_z_sum_pair, see _defining_sum) built into one Fraction."""
+    return Fraction(*_r_z_sum_pair(rep, eta_val, k, X))
 
 
 def partial_r(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
@@ -245,7 +256,7 @@ def partial_r_sum(rep: LocalRepData, eta_val: int, k: int) -> Fraction:
     Q_j'(eta, 1) an integer pair (_dq_poly_pair) and the terms added on
     integers (see _defining_sum)."""
     _check_k("partial_r_sum", k, eta_val)
-    return _defining_sum(rep, k, 1, lambda j: _dq_poly_pair(j, rep, eta_val))
+    return Fraction(*_defining_sum(rep, k, 1, lambda j: _dq_poly_pair(j, rep, eta_val)))
 
 
 def _dq_poly_pair(j: int, rep: LocalRepData, eta_val: int) -> tuple[int, int]:

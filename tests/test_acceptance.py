@@ -10,6 +10,7 @@ import ast
 import csv
 import functools
 import io
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from rtfverify import cli, lattice, ntransform, orbital_arch, testfns, verify
+from rtfverify import cli, lattice, ntransform, orbital_arch, spectral, testfns, verify
+from rtfverify.formal import FormalLog
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,20 +52,57 @@ def test_criterion_2_closed_forms_exhaustive():
     _assert_checks("ntransform.closed-forms-exhaustive")
 
 
-@pytest.mark.parametrize("owner, name", [(ntransform, "closed_log"), (verify, "log_norm")],
-                         ids=["closed_log", "verify.log_norm"])
-def test_closed_forms_exhaustive_catches_a_scaled_log(owner, name, monkeypatch):
-    """A x(1 + 1e-4) mutant of the closed form, or of the summand as verify
-    imports it, fails the check: its table of summand values is built from
-    the summand under test."""
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda n: original(n) * Fraction(10001, 10000))
+def _scaled_pair(original):
+    """original with the (numerator, denominator) pair it returns scaled by 1 + 1e-4."""
+    def mutant(*args):
+        num, den = original(*args)
+        return num * 10001, den * 10000
+    return mutant
+
+
+def _scaled_log_pair(original):
+    def mutant(n):
+        nums, den = original(n)
+        return {sym: c * 10001 for sym, c in nums.items()}, den * 10000
+    return mutant
+
+
+def _scaled_at_t2(original):
+    scaled = _scaled_pair(original)
+    return lambda n, t, sign: scaled(n, t, sign) if t == 2 else original(n, t, sign)
+
+
+# Each a mutant of what closed-forms-exhaustive reads: the closed-log integer
+# form, the summand as verify imports it, the t = 2 power pair (each x(1 + 1e-4)),
+# and the box's weight at e = 2, read at the e > 2 denominator q^2 in place of q(q - 1).
+EXHAUSTIVE_MUTANTS = {
+    "closed_log": (ntransform, "_closed_log_pair", _scaled_log_pair),
+    "verify.log_norm": (verify, "log_norm", lambda original: lambda n: original(n) * Fraction(10001, 10000)),
+    "closed_pair-t2": (ntransform, "_closed_pair", _scaled_at_t2),
+    "box-removal_denom-e2": (ntransform, "_removal_denom",
+                             lambda original: lambda q, e: q * q if e == 2 else original(q, e)),
+}
+
+
+@pytest.mark.parametrize("owner, name, mutant", EXHAUSTIVE_MUTANTS.values(), ids=list(EXHAUSTIVE_MUTANTS))
+def test_closed_forms_exhaustive_catches_a_scaled_log(owner, name, mutant, monkeypatch):
+    """Each mutant of EXHAUSTIVE_MUTANTS fails the check: its closed forms and
+    its table of summand values are read through the patched names."""
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     res = {r.name: r for r in verify.suite_ntransform(seed=0)}["ntransform.closed-forms-exhaustive"]
     assert not res.ok and int(re.search(r"(\d+) failures", res.detail).group(1)) > 0, res.line()
 
 
 def test_criterion_3_rz_and_derivative():
     _assert_checks("weights.rz-closed-vs-sum", "weights.partial-r-exact-and-fd")
+
+
+@pytest.mark.parametrize("name", ["_r_z_pair", "_r_z_sum_pair"])
+def test_rz_check_catches_a_scaled_pair(name, monkeypatch):
+    """A x(1 + 1e-4) mutant of either integer pair the check compares fails it."""
+    monkeypatch.setattr(spectral, name, _scaled_pair(getattr(spectral, name)))
+    res = {r.name: r for r in verify.suite_weights(seed=0)}["weights.rz-closed-vs-sum"]
+    assert not res.ok and int(re.search(r"(\d+) failures", res.detail).group(1)) > 0, res.line()
 
 
 def test_criterion_4_unipotent_contour():
@@ -168,6 +207,23 @@ def test_criterion_8_lattice():
 
 def test_criterion_9_assembly_identity():
     _assert_checks("assembly.headline-identity-50", "assembly.degenerate-terms")
+
+
+def _shifted_every_other_call(original):
+    calls = itertools.count()
+    return lambda self, bindings=None: original(self, bindings) + next(calls) % 2
+
+
+@pytest.mark.parametrize("mutant", [lambda original: lambda self, bindings=None: math.nan,
+                                    _shifted_every_other_call], ids=["nan", "shifted"])
+def test_headline_identity_gates_its_float_gap(mutant, monkeypatch):
+    """A FormalLog.evaluate that returns NaN, or that adds 1 to every other
+    value (so one side of each config), fails the check, which names the
+    config it was worst at."""
+    monkeypatch.setattr(FormalLog, "evaluate", mutant(FormalLog.evaluate))
+    res = verify.suite_assembly(seed=0)[0]
+    assert res.name == "assembly.headline-identity-50"
+    assert not res.ok and re.search(r"float gap (nan|1\.0e\+00) \(at config \d+\)", res.detail), res.line()
 
 
 def test_criterion_10_fI_slope():
@@ -364,8 +420,14 @@ INDEPENDENT_PAIRS = {
                                                                 "ideals.residue_cardinality"},
     ("ntransform.closed_log", "ntransform.n_transform_box"): {"formal.FormalLog", "formal._promote", "ideals.Ideal",
                                                               "ideals.Prime", "ideals.residue_cardinality"},
+    ("ntransform._closed_pair", "ntransform.n_transform_box"): {"ideals.Ideal", "ideals.Prime",
+                                                                "ideals.residue_cardinality"},
+    ("ntransform._closed_log_pair", "ntransform.n_transform_box"): {"ideals.Ideal", "ideals.Prime",
+                                                                    "ideals.residue_cardinality"},
     ("spectral.r_z", "spectral.r_z_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                            "spectral._check_k", "spectral._check_r_z_args"},
+    ("spectral._r_z_pair", "spectral._r_z_sum_pair"): {"ideals.residue_cardinality", "spectral.LocalRepData",
+                                                       "spectral._check_k", "spectral._check_r_z_args"},
     ("spectral.partial_r", "spectral.partial_r_sum"): {"ideals.residue_cardinality", "spectral.LocalRepData",
                                                        "spectral._check_k"},
     ("spectral.w_and_dw", "spectral.w_and_dw_oracle"): {"formal.FormalLog", "formal._factor_small",

@@ -252,28 +252,45 @@ def box(draw):
     return draw(st.permutations(places))
 
 
+def _box_value(sums, formal, i):
+    """The transform at the i-th ideal of one summand's box sums, each
+    integer numerator over its denominator reduced to a Fraction: a
+    FormalLog where the flag is set, else the constant, every coefficient 0."""
+    const = Fraction(sums[None][0][i], sums[None][1])
+    coeffs = {sym: Fraction(vec[i], den) for sym, (vec, den) in sums.items() if sym is not None}
+    if formal[i]:
+        return FormalLog(const, coeffs)
+    assert not any(coeffs.values())
+    return const
+
+
 @settings(max_examples=120, deadline=None)
-@given(box(), st.sampled_from(KINDS + ("zero",)), st.integers(0, 2 ** 32))
-def test_box_transform_equals_the_defining_sums(places, kind, seed):
-    B = (lambda m: FormalLog.zero()) if kind == "zero" else _random_fn(random.Random(seed), kind)
-    got = nt.n_transform_box(B, places)
+@given(box(), st.lists(st.tuples(st.sampled_from(KINDS + ("zero",)), st.integers(0, 2 ** 32)), min_size=1, max_size=3))
+def test_box_transform_equals_the_defining_sums(places, summands):
+    Bs = [(lambda m: FormalLog.zero()) if kind == "zero" else _random_fn(random.Random(seed), kind)
+          for kind, seed in summands]
+    ideals, got = nt.n_transform_box(Bs, places)
     want_ideals = {Ideal.of(dict(zip([p for p, _ in places], exps)))
                    for exps in itertools.product(*[es for _, es in places])}
-    assert set(got) == want_ideals
-    for n, value in got.items():
-        for want in (_reference_subset_sum(B, n, -1), nt.n_transform(B, n)):
-            assert value == want and type(value) is type(want)
+    assert len(ideals) == len(want_ideals) and set(ideals) == want_ideals
+    assert len(got) == len(Bs)
+    for B, (sums, formal) in zip(Bs, got):
+        assert all(len(vec) == len(ideals) for vec, _den in sums.values()) and len(formal) == len(ideals)
+        for i, n in enumerate(ideals):
+            value = _box_value(sums, formal, i)
+            for want in (_reference_subset_sum(B, n, -1), nt.n_transform(B, n)):
+                assert value == want and type(value) is type(want)
 
 
 @pytest.mark.parametrize("es", [range(2, 7, 2), range(0, 7), range(1, 1, 2), range(-1, 5, 2)])
 def test_box_refuses_exponents_the_sums_leave(es):
     with pytest.raises(InputError, match="steps of 2 from 0 or 1"):
-        nt.n_transform_box(nt.one_fn(), [(P3, range(0, 3, 2)), (Q2, es)])
+        nt.n_transform_box([nt.one_fn()], [(P3, range(0, 3, 2)), (Q2, es)])
 
 
 def test_box_refuses_a_place_twice():
     with pytest.raises(InputError, match="distinct places"):
-        nt.n_transform_box(nt.one_fn(), [(P3, range(0, 3, 2)), (Prime("p", 5), range(1, 4, 2))])
+        nt.n_transform_box([nt.one_fn()], [(P3, range(0, 3, 2)), (Prime("p", 5), range(1, 4, 2))])
 
 
 @settings(max_examples=40, deadline=None)
