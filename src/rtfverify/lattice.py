@@ -1,7 +1,8 @@
 """Lattice sums over embedded fractional ideals of Q and real quadratic fields.
 
-theta(Lambda) sums prod_j (1 + |x_j|)^(-l_j/2) over nonzero lattice points.
-Enumeration is exact over integer coefficient boxes; truncation tails carry a
+theta(Lambda) sums prod_j (1 + |x_j|)^(-l_j/2) over nonzero lattice points
+of norm <= R, the sphere included, enumerated over an integer coefficient box
+that Cramer's rule bounds from the basis rows; truncation tails carry a
 rigorous ball-packing bound (every lattice point owns a disjoint ball of
 radius r(Lambda)) plus, in rank one, a sharper integral estimate.  The
 theta estimate's envelope is theta_envelope, for bound_audits and verify.
@@ -70,8 +71,8 @@ class EmbeddedLattice:
 # grows with the generator (|g|/2 on Q, |N|/sqrt 2 for N O in rank two), so
 # at |g| = 1e6 the walk of 5e5 shells on Q takes about 0.02 s, and 7.1e5 in
 # rank two 0.03 s, on a 2-core x86 host; it grows linearly.  lattice_points
-# takes the norm of the inverse basis, which squares 1/|g| and leaves the
-# float range below |g| = 1e-154.
+# takes each point's norm from its squared coordinates, which leave the
+# normal floats below |g| = 1.5e-154 (the root of 2^-1022).
 MAX_GENERATOR = 10 ** 6
 MIN_GENERATOR_Q = 1e-150
 SHELL_BLOCK = 2 ** 12
@@ -118,42 +119,40 @@ def embed_ideal(field: str, descriptor, m: int | None = None) -> EmbeddedLattice
         w1, w2 = root, -root
         sq_disc = 2 * root
     if descriptor == "O":
-        basis = ((1.0, 1.0), (w1, w2))
-        return EmbeddedLattice(basis, f"O_Q(sqrt{m})", sq_disc)
-    if isinstance(descriptor, int):
-        n = descriptor
-        if abs(n) > MAX_GENERATOR:
-            raise InputError(f"a generator with |N| <= {MAX_GENERATOR} required, got descriptor {n}")
-        basis = ((float(n), float(n)), (n * w1, n * w2))
-        return EmbeddedLattice(basis, f"({n})O_Q(sqrt{m})", sq_disc)
-    x, y = descriptor
+        (x, y), provenance = (1, 0), f"O_Q(sqrt{m})"
+    elif isinstance(descriptor, int):
+        if abs(descriptor) > MAX_GENERATOR:
+            raise InputError(f"a generator with |N| <= {MAX_GENERATOR} required, got descriptor {descriptor}")
+        (x, y), provenance = (descriptor, 0), f"({descriptor})O_Q(sqrt{m})"
+    else:
+        (x, y), provenance = descriptor, f"({descriptor[0]}+{descriptor[1]}w)O_Q(sqrt{m})"
     g1, g2 = x + y * w1, x + y * w2           # the two embeddings of the generator
     basis = ((g1, g2), (g1 * w1, g2 * w2))    # gamma * (1, omega)
-    return EmbeddedLattice(basis, f"({x}+{y}w)O_Q(sqrt{m})", sq_disc)
+    return EmbeddedLattice(basis, provenance, sq_disc)
 
 
 # The largest integer coefficient box lattice_points enumerates.  At its peak
 # the enumeration holds about 56 bytes a point in rank one and 82 in rank two,
-# so the cap bounds it near 0.3 GB; on Q it admits R below 2e6.
+# so the cap bounds it near 0.3 GB; on Z it admits R below 1999999.
 MAX_BOX_POINTS = 4_000_000
 
 
 def lattice_points(lat: EmbeddedLattice, R: float) -> np.ndarray:
-    """All nonzero lattice points of Euclidean norm <= R (exact integer
-    coefficient box, then filter).  A box of more than MAX_BOX_POINTS points
-    is refused before anything is allocated."""
-    B = lat.matrix
-    Binv = np.linalg.inv(B)
-    bounds = [int(math.floor(R * float(np.linalg.norm(Binv[:, i])))) for i in range(lat.d)]
+    """All nonzero lattice points of Euclidean norm <= R: an integer box of
+    coefficients |c_i| <= R prod_(j != i) |b_j| / covolume (Cramer's rule), one
+    layer wider so that rounding drops no point of the sphere, then a filter.
+    A box of more than MAX_BOX_POINTS points is refused before any allocation."""
+    lengths = [math.hypot(*row) for row in lat.basis]
+    bounds = [int(R * math.prod(lengths[:i] + lengths[i + 1:]) / lat.covolume) + 1 for i in range(lat.d)]
     points = math.prod(2 * b + 1 for b in bounds)
     if points > MAX_BOX_POINTS:
         raise InputError(f"truncation radius R={R} needs a coefficient box of {points} points, "
                          f"past the cap of {MAX_BOX_POINTS}")
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
     coefs = np.stack([g.ravel() for g in grids], axis=1)
-    pts = coefs @ B
+    pts = coefs @ lat.matrix
     norms = np.linalg.norm(pts, axis=1)
-    keep = (norms <= R + 1e-12) & (norms > 0)
+    keep = (norms <= R * (1 + 1e-12)) & (norms > 0)
     return pts[keep]
 
 
@@ -195,7 +194,7 @@ def theta(lat: EmbeddedLattice, l: Sequence[float], R: float) -> dict:
     bound = _tail_bound(lat, min(l), R)
     # in rank one, 1/covol points per unit length times the integral of f
     # beyond R; in rank two the bound stands in for the estimate
-    estimate = (2 / lat.covolume) * (1 + R) ** (1 - l[0] / 2) / (l[0] / 2 - 1) if lat.d == 1 else bound
+    estimate = ball_integral(R, l, outside=True) / lat.covolume if lat.d == 1 else bound
     return {"value": value, "tail_bound": bound, "tail_estimate": estimate, "count": len(pts)}
 
 

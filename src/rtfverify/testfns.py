@@ -203,12 +203,18 @@ def period_integrals(kernels: Sequence[tuple[Callable[[int, int, np.ndarray], np
     # one grid alive at a time: the coarse pass is dropped before the fine one
     coarse = _period_passes(kernels, q, alphas, sigma, PERIOD_STEPS)
     fine = _period_passes(kernels, q, alphas, sigma, 2 * PERIOD_STEPS)
-    for (kernel, eta_val), row1, row2 in zip(kernels, coarse, fine):
-        for i, (alpha, v1, v2) in enumerate(zip(alphas, row1, row2)):
+    return _refined(coarse, fine, lambda k, i: f"period integral of kernel {kernels[k][0].__name__} at q={q}, "
+                    f"eta={kernels[k][1]}, sigma={sigma}, steps={PERIOD_STEPS}, alpha #{i} ({alphas[i].__name__})")
+
+
+def _refined(coarse, fine, name):
+    """The fine pass's rows, once each value is within 1e-9 of the coarse
+    pass's; else a ConvergenceError naming the first that is not, at row k
+    and column i, by name(k, i)."""
+    for k, (row1, row2) in enumerate(zip(coarse, fine)):
+        for i, (v1, v2) in enumerate(zip(row1, row2)):
             if not abs(v1 - v2) <= 1e-9:
-                raise ConvergenceError(
-                    f"period integral of kernel {kernel.__name__} at q={q}, eta={eta_val}, sigma={sigma}, "
-                    f"steps={PERIOD_STEPS}, alpha #{i} ({alpha.__name__}): refinement gap {abs(v1 - v2):.3e}")
+                raise ConvergenceError(f"{name(k, i)}: refinement gap {abs(v1 - v2):.3e}")
     return fine
 
 
@@ -266,13 +272,8 @@ def st_moments(pairs: Sequence[tuple[int, int]], ns: Sequence[int]) -> list[list
         residue_cardinality(q, "st_moments")
     coarse = _st_passes(pairs, ns, ST_STEPS)
     fine = _st_passes(pairs, ns, 2 * ST_STEPS + 1)
-    for (q, eta_val), row1, row2 in zip(pairs, coarse, fine):
-        for n, v1, v2 in zip(ns, row1, row2):
-            if not abs(v1 - v2) <= 1e-9:
-                raise ConvergenceError(
-                    f"measure moment at q={q}, eta={eta_val}, steps={ST_STEPS}, n={n}: "
-                    f"refinement gap {abs(v1 - v2):.3e}")
-    return fine
+    return _refined(coarse, fine, lambda k, i: f"measure moment at q={pairs[k][0]}, eta={pairs[k][1]}, "
+                    f"steps={ST_STEPS}, n={ns[i]}")
 
 
 def _st_passes(pairs: Sequence[tuple[int, int]], ns: Sequence[int], steps: int) -> list[list[float]]:

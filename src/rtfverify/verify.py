@@ -43,6 +43,15 @@ def _at(ok: bool, at) -> str:
     return "" if ok else f" (at {at})"
 
 
+def _gate(tol: float, rows, fmt: str) -> tuple[bool, str]:
+    """Whether the worst (error, input) row holds error <= tol, which a NaN
+    never does, and that error formatted by fmt, its input after it only
+    where it fails."""
+    worst, at = _worst(rows)
+    ok = worst <= tol
+    return ok, format(worst, fmt) + _at(ok, at)
+
+
 QS = (2, 3, 5)
 
 
@@ -140,8 +149,9 @@ def suite_ntransform(seed: int = 0) -> list[CheckResult]:
         val = ntransform.n_plus_closed_power(n, -c_exp + eps, exact=False)
         ratios.append((val / n.norm ** float(-min(c_exp, Fraction(1)) + eps), f"q={q}, c={c_exp}, n=p^{2 * k}"))
     ratio, at = _worst(ratios)
-    out.append(CheckResult("ntransform.n-plus-closed-and-bounded", bad == 0 and ratio < 4.0,
-                           f"max majorant ratio {ratio:.3f}" + _at(ratio < 4.0, at)))
+    ok = ratio < 4.0
+    out.append(CheckResult("ntransform.n-plus-closed-and-bounded", bad == 0 and ok,
+                           f"max majorant ratio {ratio:.3f}" + _at(ok, at)))
     return out
 
 
@@ -188,9 +198,8 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
         fd = float(rp - rm) / (2 * h) * (-1 / math.log(q))
         target = float(spectral.partial_r(rep, eta_val, k))
         errs.append((abs(fd - target) / max(1.0, abs(target)), f"c={c}, q={q}, eta={eta_val}, k={k}"))
-    worst, at = _worst(errs)
-    out.append(CheckResult("weights.partial-r-exact-and-fd", bad_exact == 0 and worst <= 1e-7,
-                           f"fd rel err {worst:.2e}" + _at(worst <= 1e-7, at)))
+    ok, worst = _gate(1e-7, errs, ".2e")
+    out.append(CheckResult("weights.partial-r-exact-and-fd", bad_exact == 0 and ok, f"fd rel err {worst}"))
 
     bad = 0
     for _ in range(60):
@@ -236,8 +245,8 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
         expected = (math.log(eps_of(0.5 + h)) - math.log(eps_of(0.5 - h))) / (2 * h) / 2
         errs.append((abs(direct - expected), f"N(f_pi)={f_pi.norm}, N(f_eta)={eta.conductor.norm}, D={D}"))
     worst, at = _worst(errs)
-    out.append(CheckResult("weights.adl-plus-epsilon-derivative", worst < 1e-6,
-                           f"max |err| {worst:.1e}" + _at(worst < 1e-6, at)))
+    ok = worst < 1e-6
+    out.append(CheckResult("weights.adl-plus-epsilon-derivative", ok, f"max |err| {worst:.1e}" + _at(ok, at)))
     return out
 
 
@@ -264,9 +273,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
                 errs += [(abs(u_pn[n] - testfns.unip_u(q, eta_val, n)), f"q={q}, eta={eta_val}, U of alpha_[p^{n}]"),
                          (abs(du_pn[n] - testfns.unip_du(q, eta_val, n)), f"q={q}, eta={eta_val}, dU of alpha_[p^{n}]"),
                          (abs(du_basis[n] - testfns.dunip(q, eta_val, n)), f"q={q}, eta={eta_val}, dU of alpha^({n})")]
-    worst, at = _worst(errs)
-    out.append(CheckResult("unipotent.closed-vs-contour", worst <= 1e-9,
-                           f"max |err| {worst:.2e}" + _at(worst <= 1e-9, at)))
+    ok, worst = _gate(1e-9, errs, ".2e")
+    out.append(CheckResult("unipotent.closed-vs-contour", ok, f"max |err| {worst}"))
 
     # Upsilon/(1 - eta Y) = dU kernel / log q, each side the form the contour integrates
     points = [(rng.choice((-1, 1)), Fraction(rng.randint(2, 400), rng.randint(1, 40))) for _ in range(20)]
@@ -311,10 +319,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
         errs0.append((abs(moments[0] - 1.0), f"q={q}, eta={eta_val}"))
         errs += [(abs(got - testfns.st_moment_expected(q, eta_val, n)), f"q={q}, eta={eta_val}, n={n}")
                  for n, got in enumerate(moments)]
-    (worst, at), (worst0, at0) = _worst(errs), _worst(errs0)
-    out.append(CheckResult("unipotent.measure-moments", worst <= 1e-8 and worst0 <= 1e-10,
-                           f"max |err| {worst:.2e}{_at(worst <= 1e-8, at)}, "
-                           f"at n=0 {worst0:.2e}{_at(worst0 <= 1e-10, at0)}"))
+    (ok, worst), (ok0, worst0) = _gate(1e-8, errs, ".2e"), _gate(1e-10, errs0, ".2e")
+    out.append(CheckResult("unipotent.measure-moments", ok and ok0, f"max |err| {worst}, at n=0 {worst0}"))
     return out
 
 
@@ -341,9 +347,8 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
         # where the bound is 0, W must be 0 too: any other W ranks as inf
         ratios.append((w / bnd if bnd else (0.0 if w == 0 else math.inf),
                        f"q={q}, f={f}, d_v={d_v}, eta(-1)={em1}, eta(b(b+1))={ebb}, {pt}"))
-    worst, at = _worst(ratios)
-    out.append(CheckResult("orbital.w-ramified-bound", worst <= 1.0,
-                           f"max |W|/bound {worst:.3f}{_at(worst <= 1.0, at)} (constant 6 included)"))
+    ok, worst = _gate(1.0, ratios, ".3f")
+    out.append(CheckResult("orbital.w-ramified-bound", ok, f"max |W|/bound {worst} (constant 6 included)"))
 
     bad = sum(orbital_local.tilde_I_plus_scaled(m, pt, q, eta_val)
               != orbital_local.tilde_I_plus_oracle_scaled(m, pt, q, eta_val)
@@ -383,10 +388,9 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
             abs_errs.append((diff, f"l={l}"))
         else:
             rel_errs.append((diff / abs(quad), f"l={l}, b={b}"))
-    (rel, rel_at), (absolute, abs_at) = _worst(rel_errs), _worst(abs_errs)
-    out.append(CheckResult("arch.w-plus-closed-vs-quadrature", rel <= 1e-6 and absolute <= 1e-12,
-                           f"{len(pairs)} pairs, max rel err {rel:.2e}{_at(rel <= 1e-6, rel_at)} where W_+ != 0, "
-                           f"abs err {absolute:.2e}{_at(absolute <= 1e-12, abs_at)} at b = -1/2"))
+    (rel_ok, rel), (abs_ok, absolute) = _gate(1e-6, rel_errs, ".2e"), _gate(1e-12, abs_errs, ".2e")
+    out.append(CheckResult("arch.w-plus-closed-vs-quadrature", rel_ok and abs_ok,
+                           f"{len(pairs)} pairs, max rel err {rel} where W_+ != 0, abs err {absolute} at b = -1/2"))
 
     # J(b) = (-1)^(k/2) J(-b-1), b < -1 against its mirror b > 0.  j_arch
     # computes both sides at the same |2b+1|, so the mirror comes from the
@@ -398,9 +402,8 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
             lhs, _sgn = orbital_arch.j_arch(k, b)
             rhs = (-1) ** (k // 2) * mirror
             errs.append((abs(lhs - rhs) / max(1.0, abs(rhs)), f"k={k}, b={b}"))
-    worst, at = _worst(errs)
-    out.append(CheckResult("arch.j-functional-equation", worst <= 1e-10,
-                           f"max rel err {worst:.2e}" + _at(worst <= 1e-10, at)))
+    ok, worst = _gate(1e-10, errs, ".2e")
+    out.append(CheckResult("arch.j-functional-equation", ok, f"max rel err {worst}"))
 
     val, _sgn = orbital_arch.j_arch(4, -0.5)
     out.append(CheckResult("arch.j-legendre-value", val == -4.0, f"J(4; -1/2) = {val}"))
@@ -414,8 +417,8 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                 env = orbital_arch.j_arch_bound_envelope(k, b, eps)
                 consts.append((abs(b * (b + 1)) ** eps * j / env, f"k={k}, b={b}, eps={eps}"))
     worst, at = _worst(consts)
-    out.append(CheckResult("arch.j-decay-envelope", worst < 50.0,
-                           f"fitted constant {worst:.2f}" + _at(worst < 50.0, at)))
+    ok = worst < 50.0
+    out.append(CheckResult("arch.j-decay-envelope", ok, f"fitted constant {worst:.2f}" + _at(ok, at)))
 
     # J^eps against the quadrature of its defining integral, on the cut
     # -1 < b < 0 and on both sides of it.  At k = 26, the largest l that
@@ -438,11 +441,10 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
                     abs_errs.append((abs(quad) * abs(1 + b) ** (k // 2), f"k={k}, b={b}, J^{eps}"))
                 else:
                     rel_errs.append((abs(closed - quad) / abs(closed), f"k={k}, b={b}, J^{eps}"))
-    (rel, rel_at), (absolute, abs_at) = _worst(rel_errs), _worst(abs_errs)
-    out.append(CheckResult("arch.j-closed-vs-quadrature", rel <= 1e-9 and absolute <= 1e-9,
-                           f"{sum(map(len, grid.values()))} (k, b) pairs, both eps, max rel err {rel:.2e}"
-                           f"{_at(rel <= 1e-9, rel_at)} where J != 0, abs err {absolute:.2e}"
-                           f"{_at(absolute <= 1e-9, abs_at)} of the unscaled integral where J = 0"))
+    (rel_ok, rel), (abs_ok, absolute) = _gate(1e-9, rel_errs, ".2e"), _gate(1e-9, abs_errs, ".2e")
+    out.append(CheckResult("arch.j-closed-vs-quadrature", rel_ok and abs_ok,
+                           f"{sum(map(len, grid.values()))} (k, b) pairs, both eps, max rel err {rel} where J != 0, "
+                           f"abs err {absolute} of the unscaled integral where J = 0"))
     return out
 
 
@@ -454,16 +456,18 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     out = []
     zeta2 = math.pi ** 2 / 6
 
-    lat = lattice.embed_ideal("Q", 1)
-    th = lattice.theta(lat, [4], 1e4)
+    # each lattice built once: Z, 2Z and the chain (sqrt 2)^k O_Q(sqrt 2), k = 0..6
+    z, z2 = lattice.embed_ideal("Q", 1), lattice.embed_ideal("Q", 2)
+    chain = [lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2) for k in range(0, 7)]
+    o2 = chain[0]     # k = 0: O_Q(sqrt 2) itself
+    th = lattice.theta(z, [4], 1e4)
     exact = 2 * (zeta2 - 1)
     ok1 = abs(th["value"] - exact) <= th["tail_bound"]
     ok2 = abs(th["value"] + th["tail_estimate"] - exact) <= 1e-6
     out.append(CheckResult("lattice.theta-Z-weight-4", ok1 and ok2,
                            f"value {th['value']:.9f} (+tail est) vs {exact:.9f}, bound {th['tail_bound']:.1e}"))
 
-    lat2 = lattice.embed_ideal("Q", 2)
-    th2 = lattice.theta(lat2, [4], 1e4)
+    th2 = lattice.theta(z2, [4], 1e4)
     exact2 = math.pi ** 2 / 4 - 2
     out.append(CheckResult("lattice.theta-2Z-scaling",
                            abs(th2["value"] + th2["tail_estimate"] - exact2) <= 1e-6,
@@ -473,25 +477,21 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     for lam in ((0.5, 0.0), (0.3, 0.2), (0.0, 0.0), (-0.5, 0.75), (0.25, -0.25)):
         a = lattice.sphere_I(lam)
         errs.append((abs(a - lattice.sphere_I_quad(lam)) / abs(a), f"lambda={lam}"))
-    worst, at = _worst(errs)
-    out.append(CheckResult("lattice.sphere-I-closed-vs-quad", worst <= 1e-6,
-                           f"max rel err {worst:.2e}" + _at(worst <= 1e-6, at)))
+    ok, worst = _gate(1e-6, errs, ".2e")
+    out.append(CheckResult("lattice.sphere-I-closed-vs-quad", ok, f"max rel err {worst}"))
 
     # theta-estimate boundedness over N*Z and over an ideal chain in Q(sqrt 2)
-    ratios = []
     ns = [1, 3, 10, 31, 100, 316, 1000, 3162, 10000]
-    lat0 = lattice.embed_ideal("Q", 1)
-    for N in ns:
+    ratios = [th["value"] / lattice.theta_envelope(z, z, [4])]
+    for N in ns[1:]:
         latn = lattice.embed_ideal("Q", N)
         t = lattice.theta(latn, [4], max(1e4, 50 * N))["value"]
-        ratios.append(t / lattice.theta_envelope(latn, lat0, [4]))
+        ratios.append(t / lattice.theta_envelope(latn, z, [4]))
     slope = _loglog_slope(ns, ratios)
     top, at = _worst(zip(ratios, (f"N={N}" for N in ns)))
     ok_q = top <= ratios[0] * 1.01 and slope <= 0.05
     chain_ratios = []
-    o2 = lattice.embed_ideal("real_quadratic", "O", m=2)
-    for k in range(0, 7):
-        ideal_k = lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2)
+    for k, ideal_k in enumerate(chain):
         t = lattice.theta(ideal_k, [6, 6], 60.0 * 2 ** (k / 2))["value"]
         chain_ratios.append(t / lattice.theta_envelope(ideal_k, o2, [6, 6]))
     slope2 = statistics.linear_regression(range(len(chain_ratios)), [math.log(r) for r in chain_ratios]).slope
@@ -501,13 +501,11 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
                            f"NZ slope {slope:.3f}{_at(ok_q, at)}, "
                            f"sqrt2-chain slope {slope2:.3f}{_at(ok_chain, chain_at)}"))
 
-    lats = [lattice.embed_ideal("real_quadratic", _sqrt2_power(k), m=2) for k in range(0, 7)]
-    lats += [lattice.embed_ideal("Q", N) for N in (1, 2, 5, 17)]
+    lats = chain + [z, z2] + [lattice.embed_ideal("Q", N) for N in (5, 17)]
     out.append(CheckResult("lattice.minkowski-sandwich", all(map(lattice.minkowski_sandwich_ok, lats))))
 
     ideal_3 = lattice.embed_ideal("real_quadratic", 3, m=2)
-    audits = lattice.bound_audits(ideal_3, lattice.embed_ideal("real_quadratic", "O", m=2), [6, 6],
-                                  lattice.theta(ideal_3, [6, 6], 200.0)["value"])
+    audits = lattice.bound_audits(ideal_3, o2, [6, 6], lattice.theta(ideal_3, [6, 6], 200.0)["value"])
     out.append(CheckResult("lattice.containment-audits",
                            audits["covering_ok"] and audits["submultiplicative_ok"] and audits["minkowski_ok"]))
 
@@ -589,11 +587,10 @@ def suite_assembly(seed: int = 0) -> list[CheckResult]:
     dt = time.monotonic() - t0
     # the worst gap over seeds 0-99 is 2^-43 = 1.14e-13 (first at seed 19,
     # config 27); the tolerance is about 90 times that
-    gap, at = _worst(gaps)
-    gap_ok = gap <= 1e-11
+    gap_ok, gap = _gate(1e-11, gaps, ".1e")
     out.append(CheckResult("assembly.headline-identity-50",
                            bad_exact == 0 and gap_ok and dt < 10.0,
-                           f"{bad_exact} exact failures, float gap {gap:.1e}{_at(gap_ok, at)}, {dt:.3f}s"))
+                           f"{bad_exact} exact failures, float gap {gap}, {dt:.3f}s"))
 
     bad = 0
     for _ in range(30):

@@ -245,6 +245,21 @@ def test_worst_of_no_rows():
     assert verify._worst([]) == (0.0, None)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, math.nan], ids=["holds", "fails", "nan"])
+def test_a_gate_names_its_input_only_on_failure(monkeypatch, scale):
+    """A `<=` gate through _gate, and the strict gate of arch.j-decay-envelope,
+    print their worst error alone where it holds; a larger error, or a NaN,
+    fails and is followed by the input it was worst at."""
+    fails = not scale <= 1
+    ok, text = verify._gate(1.0, [(0.5, "a"), (0.5 * scale, "b")], ".3f")
+    assert (ok, text) == (not fails, f"{0.5 * scale:.3f}" + (" (at b)" if fails else ""))
+    original = orbital_arch.j_arch_bound_envelope
+    monkeypatch.setattr(orbital_arch, "j_arch_bound_envelope", lambda *args: original(*args) / scale)
+    res = {r.name: r for r in verify.suite_arch(seed=0)}["arch.j-decay-envelope"]
+    at = r" \(at k=\d+, b=\S+, eps=\S+\)" if fails else ""
+    assert res.ok is not fails and re.fullmatch(r"fitted constant (nan|\d+\.\d\d)" + at, res.detail), res.line()
+
+
 def _nan_like(value):
     """value with every number NaN, in the same nesting of lists and tuples."""
     if isinstance(value, (list, tuple)):

@@ -144,12 +144,46 @@ def test_theta_weight_guard_and_tolerance():
 
 
 def test_enumeration_radius_complete():
+    # at R = 26 and 50 the points +-(R/2) sqrt2 (1, -1) lie on the sphere
     o2 = lt.embed_ideal("real_quadratic", "O", m=2)
-    for R in (5.0, 11.0, 23.0):
+    for R in (5.0, 11.0, 23.0, 26.0, 50.0):
         small = lt.lattice_points(o2, R)
         big = lt.lattice_points(o2, 2 * R)
         inside = big[np.linalg.norm(big, axis=1) <= R + 1e-12]
         assert len(inside) == len(small)
+
+
+def test_points_equal_the_exact_count_on_the_queries_range():
+    # rtf lattice's lattices and radii in the benchmark's queries: N O_Q(sqrt m)
+    # for m in 2, 3, 5, 6, 7 and N in 1, 2, 3, and N Z for N in 1, 2, 3, 5,
+    # at every integer R from 20 to 80.  xi = N (a + b omega) has 4|xi|^2 =
+    # N^2 F(a, b), F the integer form 8(a^2 + m b^2), or 2((2a + b)^2 + m b^2)
+    # where m = 1 (mod 4), so |xi| <= R reads F(a, b) <= 4R^2 // N^2 with no
+    # float step; F <= 4 * 80^2 needs |a|, |b| <= sqrt2 * 80, inside the box
+    ab = np.arange(-160, 161, dtype=np.int64)
+    a, b = np.meshgrid(ab, ab, indexing="ij")
+    wrong = []
+    for m in (2, 3, 5, 6, 7):
+        form = 2 * (2 * a + b) ** 2 + 2 * m * b * b if m % 4 == 1 else 8 * (a * a + m * b * b)
+        form = np.sort(form[form > 0])
+        for N in (1, 2, 3):
+            lat = lt.embed_ideal("real_quadratic", N if N > 1 else "O", m=m)
+            for R in range(20, 81):
+                want = int(np.searchsorted(form, 4 * R * R // (N * N), side="right"))
+                if len(lt.lattice_points(lat, float(R))) != want:
+                    wrong.append((m, N, R))
+    for N in (1, 2, 3, 5):
+        lat = lt.embed_ideal("Q", N)
+        wrong += [(1, N, R) for R in range(20, 81) if len(lt.lattice_points(lat, float(R))) != 2 * (R // N)]
+    assert wrong == []
+
+
+def test_points_of_a_tiny_generator():
+    # the filter's slack is relative: at |g| = 1e-13, far below an absolute
+    # 1e-12, no point lies within R = 0, and within 5e-13 the 10 of |k| <= 5
+    lat = lt.embed_ideal("Q", 1e-13)
+    assert len(lt.lattice_points(lat, 0.0)) == 0
+    assert len(lt.lattice_points(lat, 5e-13)) == 10
 
 
 @pytest.mark.parametrize("lat, R", [(lt.embed_ideal("Q", 1), 1e9),
