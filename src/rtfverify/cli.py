@@ -40,10 +40,10 @@ ARCH_MAX_L = 26
 # below 2^14281 has at most 4300.  A t is refused when the bound of
 # _norm_power_bits passes it, before any power is formed.
 NTRANSFORM_MAX_BITS = 14281
-# rtf lattice: the largest weight.  lattice.theta_envelope holds
-# (1 + r)^(d max(l) / 2), with r = sqrt(2)/2 for every real quadratic ring
-# of integers; in rank two it passes the float range from l = 1328 (in rank
-# one, where r = 1/2, from 3502).
+# rtf lattice: the largest weight.  Raising it waits on a sweep of theta,
+# its tail bound and the audits past it, as ARCH_MAX_L waits on one of the
+# W_+ oracles.  The envelope is no bar: lattice.theta_envelope forms it from
+# logs where a factor leaves the float range, 3.3e238 at l = 2000 on O_Q(sqrt2).
 LATTICE_MAX_L = 1327
 
 

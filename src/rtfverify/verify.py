@@ -52,6 +52,17 @@ def _gate(tol: float, rows, fmt: str) -> tuple[bool, str]:
     return ok, format(worst, fmt) + _at(ok, at)
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den as a gate's error; over 0, a 0 ranks as 0 and anything else as inf."""
+    return num / den if den else (0.0 if num == 0 else math.inf)
+
+
+def _log(x: float) -> float:
+    """ln x, and NaN where x is not positive and finite, so that a slope
+    fitted through it is NaN and fails its gate."""
+    return math.log(x) if 0 < x < math.inf else math.nan
+
+
 QS = (2, 3, 5)
 
 
@@ -291,9 +302,9 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
         ((a,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=0.3)
         ((b,),) = testfns.period_integrals([(testfns.upsilon_kernel, eta_val)], q, [testfns.alpha_pn_at(n)], sigma=1.7)
         gaps.append((abs(a - b), f"q={q}, eta={eta_val}, n={n}"))
-    gap, at = _worst(gaps)
-    out.append(CheckResult("unipotent.sigma-independence", gap <= 1e-9,
-                           f"{len(gaps)} values at sigma 0.3 and 1.7, max gap {gap:.2e} at {at}"))
+    ok, gap = _gate(1e-9, gaps, ".2e")
+    out.append(CheckResult("unipotent.sigma-independence", ok,
+                           f"{len(gaps)} values at sigma 0.3 and 1.7, max gap {gap}"))
 
     # alpha_[p^n] against alpha^(m) over decompose_alpha's m plus its constant,
     # q in (2, 3), n <= 5, read from closed-vs-contour's rows: period_integrals
@@ -309,9 +320,8 @@ def suite_unipotent(seed: int = 0) -> list[CheckResult]:
                 parts = sum(basis[m] for m in ms)
                 parts += const * 0.5 * basis[0]
                 gaps.append((abs(direct[n] - parts), f"q={q}, eta={eta_val}, n={n} ({kernel})"))
-    gap, at = _worst(gaps)
-    out.append(CheckResult("unipotent.linearity-via-decomposition", gap <= 1e-9,
-                           f"{len(gaps)} values, max gap {gap:.2e} at {at}"))
+    ok, gap = _gate(1e-9, gaps, ".2e")
+    out.append(CheckResult("unipotent.linearity-via-decomposition", ok, f"{len(gaps)} values, max gap {gap}"))
 
     errs, errs0 = [], []
     pairs = list(product(QS, (-1, 1)))
@@ -344,9 +354,7 @@ def suite_orbital(seed: int = 0) -> list[CheckResult]:
     for q, f, d_v, em1, ebb, pt in product(QS, (1, 2, 3), (0, 1), (-1, 1), (-1, 1), orbital_local.enumerate_points(8)):
         w = abs(orbital_local.w_ramified(pt, f, q, em1, ebb, d_v))
         bnd = orbital_local.w_ramified_bound(pt, f, q)
-        # where the bound is 0, W must be 0 too: any other W ranks as inf
-        ratios.append((w / bnd if bnd else (0.0 if w == 0 else math.inf),
-                       f"q={q}, f={f}, d_v={d_v}, eta(-1)={em1}, eta(b(b+1))={ebb}, {pt}"))
+        ratios.append((_ratio(w, bnd), f"q={q}, f={f}, d_v={d_v}, eta(-1)={em1}, eta(b(b+1))={ebb}, {pt}"))
     ok, worst = _gate(1.0, ratios, ".3f")
     out.append(CheckResult("orbital.w-ramified-bound", ok, f"max |W|/bound {worst} (constant 6 included)"))
 
@@ -387,7 +395,7 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
             # returns float noise there, so that point alone is compared absolutely
             abs_errs.append((diff, f"l={l}"))
         else:
-            rel_errs.append((diff / abs(quad), f"l={l}, b={b}"))
+            rel_errs.append((_ratio(diff, abs(quad)), f"l={l}, b={b}"))
     (rel_ok, rel), (abs_ok, absolute) = _gate(1e-6, rel_errs, ".2e"), _gate(1e-12, abs_errs, ".2e")
     out.append(CheckResult("arch.w-plus-closed-vs-quadrature", rel_ok and abs_ok,
                            f"{len(pairs)} pairs, max rel err {rel} where W_+ != 0, abs err {absolute} at b = -1/2"))
@@ -415,7 +423,7 @@ def suite_arch(seed: int = 0) -> list[CheckResult]:
             j = abs(orbital_arch.j_arch(k, b)[0])
             for eps in (0.05, 0.25):
                 env = orbital_arch.j_arch_bound_envelope(k, b, eps)
-                consts.append((abs(b * (b + 1)) ** eps * j / env, f"k={k}, b={b}, eps={eps}"))
+                consts.append((_ratio(abs(b * (b + 1)) ** eps * j, env), f"k={k}, b={b}, eps={eps}"))
     worst, at = _worst(consts)
     ok = worst < 50.0
     out.append(CheckResult("arch.j-decay-envelope", ok, f"fitted constant {worst:.2f}" + _at(ok, at)))
@@ -476,25 +484,25 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
     errs = []
     for lam in ((0.5, 0.0), (0.3, 0.2), (0.0, 0.0), (-0.5, 0.75), (0.25, -0.25)):
         a = lattice.sphere_I(lam)
-        errs.append((abs(a - lattice.sphere_I_quad(lam)) / abs(a), f"lambda={lam}"))
+        errs.append((_ratio(abs(a - lattice.sphere_I_quad(lam)), abs(a)), f"lambda={lam}"))
     ok, worst = _gate(1e-6, errs, ".2e")
     out.append(CheckResult("lattice.sphere-I-closed-vs-quad", ok, f"max rel err {worst}"))
 
     # theta-estimate boundedness over N*Z and over an ideal chain in Q(sqrt 2)
     ns = [1, 3, 10, 31, 100, 316, 1000, 3162, 10000]
-    ratios = [th["value"] / lattice.theta_envelope(z, z, [4])]
+    ratios = [_ratio(th["value"], lattice.theta_envelope(z, z, [4]))]
     for N in ns[1:]:
         latn = lattice.embed_ideal("Q", N)
         t = lattice.theta(latn, [4], max(1e4, 50 * N))["value"]
-        ratios.append(t / lattice.theta_envelope(latn, z, [4]))
+        ratios.append(_ratio(t, lattice.theta_envelope(latn, z, [4])))
     slope = _loglog_slope(ns, ratios)
     top, at = _worst(zip(ratios, (f"N={N}" for N in ns)))
     ok_q = top <= ratios[0] * 1.01 and slope <= 0.05
     chain_ratios = []
     for k, ideal_k in enumerate(chain):
         t = lattice.theta(ideal_k, [6, 6], 60.0 * 2 ** (k / 2))["value"]
-        chain_ratios.append(t / lattice.theta_envelope(ideal_k, o2, [6, 6]))
-    slope2 = statistics.linear_regression(range(len(chain_ratios)), [math.log(r) for r in chain_ratios]).slope
+        chain_ratios.append(_ratio(t, lattice.theta_envelope(ideal_k, o2, [6, 6])))
+    slope2 = statistics.linear_regression(range(len(chain_ratios)), [_log(r) for r in chain_ratios]).slope
     top, chain_at = _worst((r, f"(sqrt 2)^{k}") for k, r in enumerate(chain_ratios))
     ok_chain = top <= max(1.05 * chain_ratios[0], chain_ratios[0] + 1e-9) and slope2 <= 0.05
     out.append(CheckResult("lattice.theta-estimate-bounded", ok_q and ok_chain,
@@ -530,7 +538,7 @@ def suite_lattice(seed: int = 0) -> list[CheckResult]:
 
 def _loglog_slope(xs, ys) -> float:
     """The least-squares slope of log y on log x."""
-    return statistics.linear_regression([math.log(x) for x in xs], [math.log(y) for y in ys]).slope
+    return statistics.linear_regression([_log(x) for x in xs], [_log(y) for y in ys]).slope
 
 
 def _sqrt2_power(k: int):

@@ -174,7 +174,7 @@ def test_linearity_catches_a_wrong_decomposition(monkeypatch, mutant, gap):
     original = testfns.decompose_alpha
     monkeypatch.setattr(testfns, "decompose_alpha", lambda n: mutant(*original(n)))
     res = {r.name: r for r in verify.suite_unipotent(seed=0)}["unipotent.linearity-via-decomposition"]
-    got = float(re.search(r"max gap (\S+) at q=\d+, eta=-?1, n=0 \(U\)$", res.detail).group(1))
+    got = float(re.search(r"max gap (\S+) \(at q=\d+, eta=-?1, n=0 \(U\)\)$", res.detail).group(1))
     assert not res.ok and got == pytest.approx(gap, abs=1e-9), res.line()
 
 
@@ -260,11 +260,11 @@ def test_a_gate_names_its_input_only_on_failure(monkeypatch, scale):
     assert res.ok is not fails and re.fullmatch(r"fitted constant (nan|\d+\.\d\d)" + at, res.detail), res.line()
 
 
-def _nan_like(value):
-    """value with every number NaN, in the same nesting of lists and tuples."""
+def _times(value, factor):
+    """value with every number times factor, in the same nesting of lists and tuples."""
     if isinstance(value, (list, tuple)):
-        return type(value)(map(_nan_like, value))
-    return value * math.nan
+        return type(value)(_times(item, factor) for item in value)
+    return value * factor
 
 
 NAN_ORACLES = [
@@ -283,9 +283,37 @@ def test_a_nan_oracle_fails_its_check(monkeypatch, owner, oracle, check):
     which prints nan and the input it was worst at: each fold ranks a NaN
     error above every number."""
     original = getattr(owner, oracle)
-    monkeypatch.setattr(owner, oracle, lambda *args, **kwargs: _nan_like(original(*args, **kwargs)))
+    monkeypatch.setattr(owner, oracle, lambda *args, **kwargs: _times(original(*args, **kwargs), math.nan))
     res = {r.name: r for r in verify.SUITES[check.split(".")[0]](seed=0)}[check]
     assert not res.ok and re.search(r"\bnan \(at \w+", res.detail), res.line()
+
+
+# each value times 0, or times inf, and the detail its check then prints
+ZERO_OR_INF = [
+    (lattice, "sphere_I", 0.0, "lattice.sphere-I-closed-vs-quad", r"max rel err inf \(at lambda=\(.+\)\)"),
+    (lattice, "theta_envelope", math.inf, "lattice.theta-estimate-bounded",
+     r"NZ slope nan \(at N=1\), sqrt2-chain slope nan \(at \(sqrt 2\)\^0\)"),
+    (lattice, "fI_rational", 0.0, "lattice.fI-slope", r"fitted exponent nan <= -1\.9"),
+    (lattice, "w_hyp_arch_audit", 0.0, "lattice.w-hyp-arch-slope", r"fitted exponent nan <= -1\.9"),
+    (lattice, "phi_spheres", 0.0, "lattice.phi-mellin-slope", r"slope nan vs -4\.000"),
+    (orbital_arch, "w_plus_quads", 0.0, "arch.w-plus-closed-vs-quadrature",
+     r"18 pairs, max rel err inf \(at l=\d+, b=\S+\) where W_\+ != 0, abs err \S+ at b = -1/2"),
+    (orbital_arch, "j_arch_bound_envelope", 0.0, "arch.j-decay-envelope",
+     r"fitted constant inf \(at k=\d+, b=\S+, eps=\S+\)"),
+]
+
+
+@pytest.mark.parametrize("owner, name, factor, check, detail", ZERO_OR_INF,
+                         ids=[f"{name}-{factor}" for _owner, name, factor, *_ in ZERO_OR_INF])
+def test_a_zero_or_inf_fails_its_check(monkeypatch, owner, name, factor, check, detail):
+    """A function that returns 0 or inf in place of every value fails its
+    check with a line, where a quotient or a log of it once ended the suite
+    in a traceback: each gate quotient goes through verify._ratio and each
+    fitted log through verify._log."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: _times(original(*args, **kwargs), factor))
+    res = {r.name: r for r in verify.SUITES[check.split(".")[0]](seed=0)}[check]
+    assert not res.ok and re.fullmatch(detail, res.detail), res.line()
 
 
 @functools.cache

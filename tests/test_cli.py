@@ -306,8 +306,8 @@ def test_cli_import_does_not_load_mpmath(cli_import_loads):
 @pytest.mark.parametrize("argv", [["lattice", "--field", "Q(sqrt2)", "--ideal", "3", "--R", "20", "--l", "6,6"],
                                   ["verify", "--suite", "lattice"]])
 def test_lattice_leaves_numpy_random_unloaded(argv):
-    # bound_audits draws its pairs from a Kronecker sequence, not numpy.random,
-    # whose import costs 10-20 ms of a lattice query
+    # nothing on the lattice path draws random numbers, and numpy.random's
+    # import would cost 10-20 ms of a lattice query
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (f"import contextlib, io, sys, rtfverify.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
@@ -621,6 +621,18 @@ def test_numeric_failure_names_its_input(argv, line, cfg_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert re.fullmatch(line, captured.err.rstrip("\n"))
+
+
+@pytest.mark.parametrize("field, ideal, l", [("Q(sqrt2)", "2", "1300,1300"), ("Q(sqrt2)", "3", "1000,1000"),
+                                             ("Q(sqrt2)", "3", "1327,1327"), ("Q(sqrt7)", "3", "800,800")])
+def test_lattice_envelope_inside_the_float_range_is_accepted(field, ideal, l, capsys):
+    # envelopes of about 4e-41, 1e-119, 1e-158 and 1e-150, whose covolume
+    # factor alone underflows to 0
+    rc = cli.main(["lattice", "--field", field, "--ideal", ideal, "--l", l])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    audits = json.loads(captured.out)["audits"]
+    assert all(audits[key] is True for key in ("covering_ok", "submultiplicative_ok", "minkowski_ok")), audits
 
 
 def test_lattice_rank_two_meets_the_covering_inequality(capsys):

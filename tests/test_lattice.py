@@ -259,6 +259,32 @@ def test_bound_audits():
     assert rep["covering_ok"] and rep["submultiplicative_ok"] and rep["minkowski_ok"]
 
 
+def _kronecker_submultiplicative(d, l):
+    """f(x + y) >= f(x) f(y) - 1e-15 on 10,000 pairs in [-5, 5]^d: the sample
+    that bound_audits once took on every rtf lattice query."""
+    # frac(k alpha), k = 1..10^4, alpha_j = 2^(j/(2d+1)), j = 1..2d: 1 and the
+    # alpha_j are rationally independent, so the pairs fill [-5, 5]^d evenly
+    pts = 10 * (np.arange(1, 10_001)[:, None] * 2.0 ** (np.arange(1, 2 * d + 1) / (2 * d + 1)) % 1.0) - 5
+    xs, ys = pts[:, :d], pts[:, d:]
+    fx = lt._f_values(xs, l) * lt._f_values(ys, l)
+    fxy = lt._f_values(xs + ys, l)
+    return bool(np.all(fxy >= fx - 1e-15))
+
+
+@pytest.mark.parametrize("l", [(4,), (4.01,), (6,), (9,), (1327,), (4, 4), (4.01, 4.01), (6, 6), (9, 9),
+                               (1327, 1327), (4.5, 900)])
+def test_f_is_submultiplicative_where_the_weights_are_nonnegative(l):
+    # 1 + |x + y| <= (1 + |x|)(1 + |y|) gives f(x + y) >= f(x) f(y) for every
+    # l >= 0, which bound_audits reports as the hypothesis min(l) >= 0
+    lat = lt.embed_ideal("Q", 1) if len(l) == 1 else lt.embed_ideal("real_quadratic", "O", m=2)
+    assert _kronecker_submultiplicative(len(l), l)
+    assert lt.bound_audits(lat, lat, l, 1.0)["submultiplicative_ok"] is (min(l) >= 0)
+
+
+def test_f_is_not_submultiplicative_at_a_negative_weight():
+    assert not _kronecker_submultiplicative(1, [-1])
+
+
 def test_theta_envelope_hand_values():
     # (1 + r0)^(d max(l)/2) / D0 * D^((1 - min(l)/2)/d): N Z inside Z at l = [4]
     # has r0 = 1/2, D0 = 1, D = N, so 9/(4N); O_Q(sqrt2) inside itself at
@@ -270,6 +296,16 @@ def test_theta_envelope_hand_values():
     value = (1 + math.sqrt(2) / 2) ** 6 / 8
     assert round(value, 4) == 3.0937
     assert lt.theta_envelope(o2, o2, [6, 6]) == pytest.approx(value, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("m, ideal, l", [(2, "O", 2000), (2, 2, 1300), (2, 3, 1000), (2, 3, 1327), (7, 3, 800)])
+def test_theta_envelope_where_a_factor_leaves_the_float_range(m, ideal, l):
+    # in rank two (1 + r0)^l overflows on O_Q(sqrt2) from l = 1328, and in
+    # the other four rows D^((1 - l/2)/2) underflows; the envelopes are in range
+    lat0, lat = lt.embed_ideal("real_quadratic", "O", m=m), lt.embed_ideal("real_quadratic", ideal, m=m)
+    r0, D0, D = (mpmath.mpf(x) for x in (lat0.packing_radius, lat0.covolume, lat.covolume))
+    want = (1 + r0) ** l / D0 * D ** ((1 - mpmath.mpf(l) / 2) / 2)
+    assert lt.theta_envelope(lat, lat0, [l, l]) == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 def test_minkowski_sandwich():
