@@ -62,7 +62,8 @@ class EmbeddedLattice:
 
     @functools.cached_property
     def packing_radius(self) -> float:
-        """r(Lambda), the radius of the disjoint balls: min_vector_radius."""
+        """r(Lambda), the radius of the disjoint balls: min_vector_radius,
+        half the length of a shortest vector, found within Hermite's bound."""
         return min_vector_radius(self)
 
 
@@ -157,14 +158,14 @@ def lattice_points(lat: EmbeddedLattice, R: float) -> np.ndarray:
 
 
 def min_vector_radius(lat: EmbeddedLattice) -> float:
-    """r(Lambda) = half the length of a shortest nonzero vector."""
-    R = lat.covolume ** (1.0 / lat.d)
-    for _ in range(60):
-        pts = lattice_points(lat, R)
-        if len(pts):
-            return float(np.min(np.linalg.norm(pts, axis=1))) / 2
-        R *= 2
-    raise ConvergenceError("no lattice point found; basis badly scaled")
+    """r(Lambda) = half the length of a shortest nonzero vector.  Hermite's
+    bound puts a nonzero point of every rank-d lattice within
+    sqrt(gamma_d) covolume^(1/d), gamma_1 = 1 and gamma_2 = 2/sqrt(3)
+    (Cassels, An Introduction to the Geometry of Numbers), so one ball of
+    that radius holds a shortest vector."""
+    gamma = 1.0 if lat.d == 1 else 2 / math.sqrt(3)
+    pts = lattice_points(lat, math.sqrt(gamma) * lat.covolume ** (1.0 / lat.d))
+    return float(np.min(np.linalg.norm(pts, axis=1))) / 2
 
 
 def _f_values(pts: np.ndarray, l: Sequence[float]) -> np.ndarray:

@@ -18,33 +18,34 @@ every ideal n of a box, whose exponents run in steps of 2 from 0 or 1 at each
 place, so every m of every sum lies in it.  It lists the ideals and builds
 each place's coefficients once for all the summands, evaluates each B once
 per ideal and sums by Yates's algorithm (the fast Moebius transform), one
-integer pass per place.  It returns those integer sums, one numerator per
-ideal and symbol over a common denominator, and builds no Fraction; it
-assumes nothing about B, so it stays the defining sum.
+integer pass per place.  It returns the ideals and, per summand, those
+integer sums, one numerator per ideal and symbol over a common denominator,
+and builds no Fraction; it assumes nothing about B, so it stays the
+defining sum.
 
 The closed forms are products over the places of n: one integer numerator
 over one integer denominator.  _closed_pair and _closed_log_pair return them
 unreduced, and rtf verify compares them with the box's numerators by
-cross-multiplying; closed_power and closed_log build one Fraction (or one
-FormalLog) from them per ideal.  Each place is one entry of the bounded table
-_place, keyed by (q, e, t, sign), which holds q^(e|a|) at t = a/d and the
-place's factor as an integer pair.  At d > 1 the d-th root is taken once, of
-the product norm(n)^|a|, since per-place roots can be irrational where their
-product is rational (sqrt 2 * sqrt 8 = 4).  An int t takes no root, and
-t = 0 forms no norm.  _closed_log_pair scales by _closed_pair(n, 0, -1),
-whose numerator each place's log denominator divides, so each symbol's
-coefficient is one integer sum.  The summands are built the same way: norm^t
-at an integer t is an integer power (norm^0 is one shared Fraction(1)), and
-log norm is sum_v e_v log q_v, read from m's exponents and formal._log_terms,
-the per-q cache that FormalLog.log_integer reads too.  A log_norm value
-shares its constant 0 and its small integer coefficients with every other:
-Fractions are immutable.
+cross-multiplying; closed_power, n_plus_closed_power and closed_log build
+one Fraction (or one FormalLog) from them per ideal.  Each place is one entry
+of the bounded table _place, keyed by (q, e, t, sign), which holds q^(e|a|)
+at t = a/d and the place's factor as an integer pair.  At d > 1 the d-th
+root is taken once, of the product norm(n)^|a|, since per-place roots can be
+irrational where their product is rational (sqrt 2 * sqrt 8 = 4).  An int t
+takes no root, and t = 0 forms no norm.  _closed_log_pair scales by
+_closed_pair(n, 0, -1), whose numerator each place's log denominator divides,
+so each symbol's coefficient is one integer sum.  The summands are built the
+same way: norm^t at an integer t is an integer power (norm^0 is one shared
+Fraction(1)), and log norm is sum_v e_v log q_v, read from m's exponents and
+formal._log_terms, the per-q cache that FormalLog.log_integer reads too.  A
+log_norm value shares its constant 0 and its small integer coefficients with
+every other: Fractions are immutable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import InputError, NonRationalPower
@@ -151,9 +152,8 @@ def n_transform(B: ArithFn, n: Ideal) -> Value:
 
 
 # n_transform_box's sums of one summand: {symbol (None: the constant):
-# (one numerator per ideal, their common denominator)}, and per ideal
-# whether the transform there is a FormalLog.
-BoxSums = tuple[dict[str | None, tuple[list[int], int]], list[bool]]
+# (one numerator per ideal, their common denominator)}.
+BoxSums = dict[str | None, tuple[list[int], int]]
 
 
 def n_transform_box(summands: Sequence[ArithFn],
@@ -162,10 +162,11 @@ def n_transform_box(summands: Sequence[ArithFn],
     e in es, of the box's distinct places (p, es), each es a non-empty range
     in steps of 2 from 0 or 1, as (the ideals, one BoxSums per summand):
     at ideals[i], the transform's constant and its coefficient of each
-    symbol are vec[i] / den of that symbol's (vec, den), a FormalLog where
-    the flag is set.  With L = q^2(q-1), each place makes one integer pass,
-    V(e) <- L V(e) - (L/d) V(e-2) at e >= 2 and L V(e) below, over one
-    numerator per ideal and symbol and one common denominator per symbol."""
+    symbol are vec[i] / den of that symbol's (vec, den); a symbol no value
+    of B carries has no entry.  With L = q^2(q-1), each place makes one
+    integer pass, V(e) <- L V(e) - (L/d) V(e-2) at e >= 2 and L V(e) below,
+    over one numerator per ideal and symbol and one common denominator per
+    symbol."""
     box = sorted(box, key=lambda place: place[0])
     if len({p.id for p, _ in box}) < len(box) or any(not es or es.step != 2 or es.start not in (0, 1) for _, es in box):
         raise InputError(f"a box has distinct places, each with exponents in steps of 2 from 0 or 1, got {box}")
@@ -194,9 +195,7 @@ def n_transform_box(summands: Sequence[ArithFn],
                 vec = [L * x - c * y for x, y, c in zip(vec, [0] * stride + vec, cs)] if any(vec) else vec
                 den *= L
             sums[sym] = vec, den
-        for _L, stride, cs in passes:
-            formal = [f or (c != 0 and g) for f, g, c in zip(formal, [False] * stride + formal, cs)]
-        out.append((sums, formal))
+        out.append(sums)
     return ideals, out
 
 
@@ -328,24 +327,13 @@ def closed_log(n: Ideal) -> FormalLog:
     return FormalLog._trusted(_ZERO, {sym: Fraction(c, den) for sym, c in sums.items()})
 
 
-def n_plus_closed_power(n: Ideal, t: Fraction | int, exact: bool = True) -> Fraction | float:
-    """Closed form of the all-positive majorant on norm^t; in floats when not
-    exact, which also takes a t at which norm^t is irrational."""
-    if exact:
-        return Fraction(*_closed_pair(n, t, 1))
-    out_f = 1.0
-    if t:
-        try:
-            norm_f = float(n.norm)
-        except OverflowError:   # norm(n) is past the float range; norm^t may not be
-            out_f = prod(float(p.q) ** (e * float(t)) for p, e in n)
-        else:
-            out_f = norm_f ** float(t)
-    for p, e in n:
-        if e >= 2:
-            qpow = float(p.q) ** float(-2 * (1 + t))
-            out_f *= 1 + ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
-    return out_f
+def n_plus_closed_power(n: Ideal, t: Fraction | int) -> Fraction:
+    """Closed form of the all-positive majorant on norm^t, exactly:
+
+        norm(n)^t * prod_{S(n1)-S2(n)} (1 + q^-2(1+t))
+                  * prod_{S2(n)}       (1 + (1-1/q)^-1 q^-2(1+t)).
+    """
+    return Fraction(*_closed_pair(n, t, 1))
 
 
 def norm_power_fn(t: Fraction | int) -> ArithFn:

@@ -24,6 +24,36 @@ def test_embed_examples():
     assert nz.covolume == pytest.approx(7.0) and lt.min_vector_radius(nz) == 3.5
 
 
+def _doubling_search_radius(lat):
+    """min_vector_radius as it was before Hermite's bound, verbatim: the
+    ball doubled from covolume^(1/d) until it held a point."""
+    R = lat.covolume ** (1.0 / lat.d)
+    for _ in range(60):
+        pts = lt.lattice_points(lat, R)
+        if len(pts):
+            return float(np.min(np.linalg.norm(pts, axis=1))) / 2
+        R *= 2
+    raise ConvergenceError("no lattice point found; basis badly scaled")
+
+
+# the principal ideals (m, x, y), generated by x + y*omega, whose shortest
+# vector lies outside the ball of radius covolume^(1/2)
+_PAST_THE_COVOLUME_ROOT = [(41, -17, 6), (165, -12, 2), (65, -23, -6), (7, 2, 1),
+                           (130, 21, -2), (141, -23, -5), (3, -27, 29), (221, 18, 3)]
+
+
+def test_packing_radius_equals_the_doubling_search():
+    lats = ([lt.embed_ideal("Q", g) for g in (1, 2, 3, 5, Fraction(1, 3), Fraction(7, 2), 10 ** 6)]
+            + [lt.embed_ideal("real_quadratic", ideal, m=m) for m in (2, 3, 5, 6, 7) for ideal in ("O", 2, 3)]
+            + [lt.embed_ideal("real_quadratic", _sqrt2_power(k), m=2) for k in range(7)])
+    past = [lt.embed_ideal("real_quadratic", (x, y), m=m) for m, x, y in _PAST_THE_COVOLUME_ROOT]
+    for lat in lats + past:
+        assert lt.min_vector_radius(lat).hex() == _doubling_search_radius(lat).hex(), lat.provenance
+    # the search's first ball holds no point of these: Hermite's factor is needed
+    for lat in past:
+        assert len(lt.lattice_points(lat, lat.covolume ** 0.5)) == 0, lat.provenance
+
+
 def test_embed_guards():
     with pytest.raises(UnsupportedField):
         lt.embed_ideal("cubic", 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtfverify import ntransform as nt
+from rtfverify import ntransform as nt, verify
 from rtfverify.errors import InputError, NonRationalPower
 from rtfverify.formal import FormalLog
 from rtfverify.ideals import Ideal, Prime, iota, omega_pair, omega_v, square_decompose, stratum
@@ -61,10 +61,10 @@ def test_closed_power_examples():
     assert nt.closed_power(n, 1) == Fraction(53, 6)
     # squarefree: just the norm power
     m = Ideal.of({P3: 1, Q2: 1})
-    assert nt.closed_power(m, 2) == 36
-    assert nt.n_plus_closed_power(m, Fraction(1, 2), exact=False) == pytest.approx(6 ** 0.5)
-    with pytest.raises(NonRationalPower):
-        nt.closed_power(m, Fraction(1, 2))
+    assert nt.closed_power(m, 2) == nt.n_plus_closed_power(m, 2) == 36
+    for form in (nt.closed_power, nt.n_plus_closed_power):
+        with pytest.raises(NonRationalPower):
+            form(m, Fraction(1, 2))
 
 
 def test_closed_power_matches_brute_force():
@@ -95,8 +95,7 @@ def test_closed_forms_at_t_zero_form_no_norm(monkeypatch):
     # norm(n)^0 is 1, so t = 0 never forms norm(n), whose digits at
     # p^100000000 take seconds to build
     n = Ideal.of({P3: 2, Q2: 3, Prime("r", 5): 1})
-    forms = [lambda: nt.closed_power(n, 0), lambda: nt.n_plus_closed_power(n, 0),
-             lambda: nt.n_plus_closed_power(n, 0, False), lambda: nt.closed_log(n)]
+    forms = [lambda: nt.closed_power(n, 0), lambda: nt.n_plus_closed_power(n, 0), lambda: nt.closed_log(n)]
     want = [form() for form in forms]
 
     def no_norm(self):
@@ -130,15 +129,6 @@ def test_half_power_of_large_square_norm(q, e):
     assert nt._norm_power_exact(n, half) == q ** (e // 2)
 
 
-def test_float_majorant_past_the_float_range():
-    # norm(p^700) = 3^700 is past the float range; the majorant, 4/3 * 3^-350,
-    # is about 1.36e-167
-    n = Ideal.of({P3: 700})
-    t = Fraction(-1, 2)
-    want = float(nt.n_plus_closed_power(n, t))
-    assert nt.n_plus_closed_power(n, t, exact=False) == pytest.approx(want, rel=1e-12, abs=0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.integers(0, 60)),
                 min_size=1, max_size=4),
@@ -151,17 +141,49 @@ def test_norm_power_exact_of_perfect_powers(place_exps, d, a):
 
 
 def test_majorant_bound_family():
-    # closed form of the majorant stays within the power envelope as the
-    # exponent family grows
+    # the majorant's defining sum on norm^-1/2 stays within the power
+    # envelope norm^-1/2 = q^-k as the exponent family grows
     for q in (2, 3, 5):
         p = Prime("p", q)
-        prev = None
         for k in range(1, 13):
             n = Ideal.of({p: 2 * k})
-            val = nt.n_plus_closed_power(n, Fraction(-1, 2), exact=False)
-            ratio = val / n.norm ** -0.5
-            assert ratio < 3.0
-            prev = ratio
+            assert nt.n_plus(nt.norm_power_fn(Fraction(-1, 2)), n) * q ** k < 3
+
+
+def _float_majorant_reference(n, t):
+    """The float branch n_plus_closed_power(n, t, exact=False) had, verbatim
+    from its body: the closed form of the all-positive majorant on norm^t
+    in floats."""
+    out_f = 1.0
+    if t:
+        try:
+            norm_f = float(n.norm)
+        except OverflowError:   # norm(n) is past the float range; norm^t may not be
+            out_f = math.prod(float(p.q) ** (e * float(t)) for p, e in n)
+        else:
+            out_f = norm_f ** float(t)
+    for p, e in n:
+        if e >= 2:
+            qpow = float(p.q) ** float(-2 * (1 + t))
+            out_f *= 1 + ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
+    return out_f
+
+
+def test_majorant_audit_defining_sums_equal_the_float_closed_form():
+    # the 108 (q, c, k) cases of verify's n-plus-closed-and-bounded: the
+    # ratios of the defining sum n_plus against those of the float closed form
+    eps = Fraction(1, 20)
+    got, want = [], []
+    for q, c_exp, k in itertools.product(verify.QS, (Fraction(1, 2), Fraction(1), Fraction(2)), range(1, 13)):
+        n = Ideal.of({Prime("p", q): 2 * k})
+        t = float(-c_exp + eps)
+        envelope = n.norm ** float(-min(c_exp, Fraction(1)) + eps)
+        got.append(float(nt.n_plus(lambda m: Fraction(float(m.norm) ** t), n)) / envelope)
+        want.append(_float_majorant_reference(n, -c_exp + eps) / envelope)
+    assert len(got) == 108
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * w, (g, w)
+    assert max(got) == max(want)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +274,12 @@ def box(draw):
     return draw(st.permutations(places))
 
 
-def _box_value(sums, formal, i):
+def _box_value(sums, i):
     """The transform at the i-th ideal of one summand's box sums, each
-    integer numerator over its denominator reduced to a Fraction: a
-    FormalLog where the flag is set, else the constant, every coefficient 0."""
+    integer numerator over its denominator reduced to a Fraction, as a
+    FormalLog."""
     const = Fraction(sums[None][0][i], sums[None][1])
-    coeffs = {sym: Fraction(vec[i], den) for sym, (vec, den) in sums.items() if sym is not None}
-    if formal[i]:
-        return FormalLog(const, coeffs)
-    assert not any(coeffs.values())
-    return const
+    return FormalLog(const, {sym: Fraction(vec[i], den) for sym, (vec, den) in sums.items() if sym is not None})
 
 
 @settings(max_examples=120, deadline=None)
@@ -274,12 +292,12 @@ def test_box_transform_equals_the_defining_sums(places, summands):
                    for exps in itertools.product(*[es for _, es in places])}
     assert len(ideals) == len(want_ideals) and set(ideals) == want_ideals
     assert len(got) == len(Bs)
-    for B, (sums, formal) in zip(Bs, got):
-        assert all(len(vec) == len(ideals) for vec, _den in sums.values()) and len(formal) == len(ideals)
+    for B, sums in zip(Bs, got):
+        assert all(len(vec) == len(ideals) for vec, _den in sums.values())
         for i, n in enumerate(ideals):
-            value = _box_value(sums, formal, i)
+            value = _box_value(sums, i)
             for want in (_reference_subset_sum(B, n, -1), nt.n_transform(B, n)):
-                assert value == want and type(value) is type(want)
+                assert value == want
 
 
 @pytest.mark.parametrize("es", [range(2, 7, 2), range(0, 7), range(1, 1, 2), range(-1, 5, 2)])
@@ -324,20 +342,13 @@ def _literal_power_exact(x, t, label):
     raise NonRationalPower(f"norm({label})^{t} is irrational")
 
 
-def _literal_closed_form(n, t, sign, exact):
-    if exact:
-        out = _literal_power_exact(n.norm, t, n)
-        for p, e in n:
-            if e >= 2:
-                qpow = _literal_power_exact(p.q, -2 * (1 + t), p.id)
-                out *= 1 + sign * (Fraction(p.q, p.q - 1) * qpow if e == 2 else qpow)
-        return out
-    out_f = float(n.norm) ** float(t)
+def _literal_closed_form(n, t, sign):
+    out = _literal_power_exact(n.norm, t, n)
     for p, e in n:
         if e >= 2:
-            qpow = float(p.q) ** float(-2 * (1 + t))
-            out_f *= 1 + sign * ((p.q / (p.q - 1)) * qpow if e == 2 else qpow)
-    return out_f
+            qpow = _literal_power_exact(p.q, -2 * (1 + t), p.id)
+            out *= 1 + sign * (Fraction(p.q, p.q - 1) * qpow if e == 2 else qpow)
+    return out
 
 
 def _literal_log_integer(n, coeff):
@@ -367,7 +378,7 @@ def _literal_closed_log(n):
         if e >= 2:
             coeff += Fraction(2, p.q ** 2 - p.q - 1 if e == 2 else p.q ** 2 - 1)
         bracket = bracket + _literal_log_integer(p.q, coeff)
-    return bracket * _literal_closed_form(n, Fraction(0), -1, True)
+    return bracket * _literal_closed_form(n, Fraction(0), -1)
 
 
 def _outcome(fn, *args):
@@ -381,16 +392,14 @@ SWEEP_TS = [Fraction(t) for t in range(-2, 4)] + [Fraction(-3, 2), Fraction(1, 3
 
 
 def _assert_closed_forms_match(n, ts):
-    """closed_power and n_plus_closed_power (exact and in floats) at each t,
-    and closed_log, against the per-place products, in value, type and
-    coefficient order, and NonRationalPower messages too; an integral t is
-    also passed as an int."""
+    """closed_power and n_plus_closed_power at each t, and closed_log,
+    against the per-place products, in value, type and coefficient order,
+    and NonRationalPower messages too; an integral t is also passed as an
+    int."""
     for t in ts:
-        wants = [_outcome(_literal_closed_form, n, t, -1, True)]
-        wants += [_outcome(_literal_closed_form, n, t, 1, exact) for exact in (True, False)]
+        wants = [_outcome(_literal_closed_form, n, t, sign) for sign in (-1, 1)]
         for arg in ((t, int(t)) if t.denominator == 1 else (t,)):
-            gots = [_outcome(nt.closed_power, n, arg)]
-            gots += [_outcome(nt.n_plus_closed_power, n, arg, exact) for exact in (True, False)]
+            gots = [_outcome(form, n, arg) for form in (nt.closed_power, nt.n_plus_closed_power)]
             for got, want in zip(gots, wants):
                 assert got == want and type(got) is type(want), (n, arg)
     got, want = nt.closed_log(n), _literal_closed_log(n)

@@ -11,8 +11,8 @@ Every result is recorded with its type.  A FormalLog is recorded as its
 constant and its coefficients in dict order (the order `evaluate` sums them
 in), and an error as its type and message.  Covered: n_transform, n_plus and
 convolve_omega on the norm powers, log norm, one and seeded random Fraction,
-FormalLog and mixed functions; closed_power; n_plus_closed_power, exact and
-float; closed_log; FormalLog.log_integer; and, in the spectral-exact section,
+FormalLog and mixed functions; closed_power; n_plus_closed_power;
+closed_log; FormalLog.log_integer; and, in the spectral-exact section,
 r_z and r_z_sum, partial_r, partial_r_sum, q_poly_one and tau_jj.  The
 ideals are the exhaustive grid of exponents 0..6 at q = 2, 3, 4, 9 (2401
 ideals) and 1500 seeded monoids.  r_z takes a rational X only; its seeded X
@@ -162,7 +162,6 @@ def main() -> None:
         for t in TS:
             closed.add(attempt(nt.closed_power, n, t))
             closed.add(attempt(nt.n_plus_closed_power, n, t))
-            closed.add(attempt(nt.n_plus_closed_power, n, t, False))
         closed.add(record(nt.closed_log(n)))
         logs.add(record(FormalLog.log_integer(n.norm, Fraction(i % 7 - 3, i % 5 + 1))))
         rng = random.Random(i)
